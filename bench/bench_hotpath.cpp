@@ -173,6 +173,8 @@ struct VisionStats {
     double render_prepr_ns = 0.0;  ///< frozen PR-4 render_plate
     double render_full_ns = 0.0;
     double render_cached_ns = 0.0;
+    /// Warm PlateRenderer on the 3200x2400 frame of a 1536-well plate.
+    double render_1536_ns = 0.0;
     double read_prepr_ns = 0.0;  ///< frozen PR-4 read_plate
     double read_full_ns = 0.0;
     double read_scratch_ns = 0.0;
@@ -213,6 +215,21 @@ VisionStats bench_vision_paths(int reps) {
     (void)renderer.render(scene, colors, rng_b);  // warm the base cache
     stats.render_cached_ns =
         time_per_call(reps, [&] { (void)renderer.render(scene, colors, rng_b); }) * 1e9;
+
+    // The densest plate format: scene_for_plate upscales the raster 4x to
+    // 3200x2400, so the per-pixel sensor model dominates the frame.
+    const imaging::PlateScene dense = imaging::scene_for_plate(scene, 32, 48);
+    std::vector<color::Rgb8> dense_colors;
+    for (int i = 0; i < dense.geometry.well_count(); ++i) {
+        dense_colors.push_back(colors[static_cast<std::size_t>(i) % colors.size()]);
+    }
+    support::Rng rng_dense(7);
+    imaging::PlateRenderer dense_renderer;
+    (void)dense_renderer.render(dense, dense_colors, rng_dense);  // warm the base cache
+    stats.render_1536_ns = time_per_call(reps, [&] {
+                               (void)dense_renderer.render(dense, dense_colors, rng_dense);
+                           }) *
+                           1e9;
 
     support::Rng frame_rng(9);
     const imaging::Image frame = imaging::render_plate(scene, colors, frame_rng);
@@ -365,6 +382,8 @@ int main(int argc, char** argv) {
                 "(%.2fx PR4->cached)\n",
                 vision.render_prepr_ns / 1e6, vision.render_full_ns / 1e6,
                 vision.render_cached_ns / 1e6, vision.render_speedup);
+    std::printf("  render: 1536-well 3200x2400, cached base %8.2f ms\n",
+                vision.render_1536_ns / 1e6);
     std::printf("  read:   PR4 %8.2f ms   full %8.2f ms   scratch %8.2f ms   "
                 "session(ROI) %8.2f ms  (%.2fx PR4->session)\n",
                 vision.read_prepr_ns / 1e6, vision.read_full_ns / 1e6,
@@ -425,6 +444,7 @@ int main(int argc, char** argv) {
     vis.set("render_full_ns", vision.render_full_ns);
     vis.set("render_cached_ns", vision.render_cached_ns);
     vis.set("render_speedup_vs_prepr", vision.render_speedup);
+    vis.set("render_1536_ns", vision.render_1536_ns);
     vis.set("read_prepr_ns", vision.read_prepr_ns);
     vis.set("read_full_ns", vision.read_full_ns);
     vis.set("read_scratch_ns", vision.read_scratch_ns);

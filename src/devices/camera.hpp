@@ -7,7 +7,9 @@
 // with the synthetic scene renderer (sensor noise, vignetting, lighting
 // gradient) and archives the frame; the application retrieves frames by
 // id and runs the §2.4 vision pipeline on them — the full code path a
-// real webcam would feed.
+// real webcam would feed. Each capture advances the camera's generator
+// by at most two draws, whatever the frame size: the glitch roll (only
+// when 0 < glitch_prob < 1) and the frame's noise key.
 #pragma once
 
 #include <map>
@@ -22,6 +24,7 @@ namespace sdl::devices {
 
 struct CameraConfig {
     imaging::PlateScene scene;  ///< geometry + nuisances; rows/cols follow the plate
+    /// Seeds the glitch rolls and the per-frame sensor-noise keys.
     std::uint64_t noise_seed = 0xCA3E7A;
     CameraTiming timing;
     /// Nest location photographed by this camera.

@@ -71,7 +71,9 @@ struct PlateScene {
 
 /// Renders the scene. `well_colors` has rows*cols entries in row-major
 /// order; `filled` marks which wells contain liquid (nullopt = all). The
-/// RNG drives sensor noise only.
+/// render draws exactly one value from `rng` at any frame size: the
+/// frame's noise key. Each noise sample is then a pure function of
+/// (key, pixel, channel) (imaging/sensor_noise.hpp).
 [[nodiscard]] Image render_plate(const PlateScene& scene,
                                  std::span<const color::Rgb8> well_colors,
                                  support::Rng& rng,
@@ -98,10 +100,11 @@ struct PlateScene {
 /// on the scene, not on well contents, so consecutive frames of an
 /// unchanged scene start from a cached copy of that base raster instead
 /// of re-rasterizing it. Wells, marker, illumination, and sensor noise
-/// are applied per frame in the exact order render_plate uses, so every
-/// frame is bitwise identical to a from-scratch render with the same rng
-/// stream. Owns the per-column illumination precompute as well. One per
-/// camera; never shared across threads.
+/// are applied per frame in the exact order render_plate uses, and the
+/// frame draws the same single noise key, so every frame is bitwise
+/// identical to a from-scratch render with the same rng stream. Owns the
+/// per-column illumination precompute and the sensor's noise-row buffer
+/// as well. One per camera; never shared across threads.
 class PlateRenderer {
 public:
     [[nodiscard]] Image render(const PlateScene& scene,
@@ -120,6 +123,7 @@ private:
     std::vector<Vec2> centers_;
     std::vector<double> illum_nx_;   ///< per-column gradient coordinate
     std::vector<double> illum_nx2_;  ///< per-column vignette term
+    std::vector<double> noise_row_;  ///< one row's scaled sensor noise
     std::size_t base_hits_ = 0;
     std::size_t base_rebuilds_ = 0;
 };

@@ -76,10 +76,15 @@ function(assert_stderr needle label)
 endfunction()
 
 # ---- Leg 1: worker SIGKILL after a durable append; slot respawns.
+# The coordinator respawns a lost slot only while cells remain, so every
+# cell start sleeps 1 s: when w1 dies after its first cell, the other
+# workers' second cells are still running well past the 0.05 s backoff,
+# however fast the cells themselves compute.
 execute_process(
   COMMAND "${FLEET}" --campaign "${CAMPAIGN}" "${WORK_DIR}/kill"
           --workers 3 --respawn-backoff 0.05
           --worker-failpoints "1:worker.pre_ack_kill=kill@1#1"
+          --worker-failpoints "*:worker.cell_start=delay(1000)"
   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "kill+respawn leg failed (${rc})\n${out}\n${err}")

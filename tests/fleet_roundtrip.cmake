@@ -29,8 +29,8 @@ endif()
 
 # Regression pin: the cost-model claim order (CampaignRunner::run_cells)
 # is a scheduling detail and must not change a single output byte. The
-# golden digest was recorded from a single-process run *before* the
-# cost-ordered claiming landed.
+# golden digest is that of a single-process run; only a deliberate model
+# change (such as the camera's noise) may re-record it.
 if(DEFINED GOLDEN_MD5)
   file(MD5 "${WORK_DIR}/ref/campaign.json" ref_md5)
   if(NOT ref_md5 STREQUAL GOLDEN_MD5)

@@ -207,21 +207,35 @@ TEST(App, DeltaE2000ObjectiveRuns) {
 }
 
 TEST(App, RetakesGlitchedFrames) {
-    ColorPickerConfig config = preset_quickstart(41);
-    config.camera.glitch_prob = 0.35;  // roughly one glitch per few frames
-    ColorPickerApp app(config);
-    const ExperimentOutcome outcome = app.run();
-    EXPECT_EQ(outcome.samples.size(), 24u);
-    EXPECT_GT(outcome.frame_retakes, 0);
-    // Retake workflows appear in the event log.
-    int retake_runs = 0;
-    for (const auto& wf : app.event_log().workflows()) {
-        if (wf.name == "cp_wf_retake") ++retake_runs;
+    // At glitch_prob 0.35 a three-frame run sees no glitch 27% of the
+    // time, so no single seed's camera stream may decide this test: scan
+    // seeds until a run retakes, and check the retake bookkeeping on every
+    // run that finishes.
+    bool retook = false;
+    for (std::uint64_t seed = 41; seed < 41 + 16 && !retook; ++seed) {
+        ColorPickerConfig config = preset_quickstart(seed);
+        config.camera.glitch_prob = 0.35;
+        ColorPickerApp app(config);
+        ExperimentOutcome outcome;
+        try {
+            outcome = app.run();
+        } catch (const wei::WorkflowError&) {
+            continue;  // four unusable frames in a row: the abort path
+        }
+        EXPECT_EQ(outcome.samples.size(), 24u) << "seed " << seed;
+        // Every retake is a cp_wf_retake workflow in the event log.
+        int retake_runs = 0;
+        for (const auto& wf : app.event_log().workflows()) {
+            if (wf.name == "cp_wf_retake") ++retake_runs;
+        }
+        EXPECT_EQ(retake_runs, outcome.frame_retakes) << "seed " << seed;
+        // One frame per measured batch, plus one per retake.
+        EXPECT_EQ(app.camera().frames_captured(),
+                  static_cast<std::int64_t>(outcome.batches_run + outcome.frame_retakes))
+            << "seed " << seed;
+        retook = outcome.frame_retakes > 0;
     }
-    EXPECT_EQ(retake_runs, outcome.frame_retakes);
-    // More frames were captured than batches measured.
-    EXPECT_GT(app.camera().frames_captured(),
-              static_cast<std::int64_t>(outcome.batches_run));
+    EXPECT_TRUE(retook);
 }
 
 TEST(App, PersistentGlitchAbortsAfterMaxRetakes) {

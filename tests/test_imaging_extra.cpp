@@ -2,7 +2,9 @@
 // renderer properties, and detector behaviour at the margins.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "imaging/components.hpp"
 #include "imaging/draw.hpp"
@@ -12,7 +14,9 @@
 #include "imaging/hough.hpp"
 #include "imaging/plate_render.hpp"
 #include "imaging/ppm.hpp"
+#include "imaging/sensor_noise.hpp"
 #include "imaging/well_reader.hpp"
+#include "linalg/fastmath.hpp"
 #include "support/common.hpp"
 #include "support/random.hpp"
 
@@ -262,6 +266,256 @@ TEST(RendererExtra, NoiseIsDeterministicPerSeed) {
         if (!(a.pixel(x, 50) == c.pixel(x, 50))) differs = true;
     }
     EXPECT_TRUE(differs);
+}
+
+// ---------------------------------------------------------- sensor noise
+//
+// Every noise sample is a pure function of (frame key, pixel, channel)
+// (imaging/sensor_noise.hpp). These tests check its distribution, the
+// independence of neighbouring samples, the extreme bit patterns, and
+// that a render depends on its Rng only through one drawn key.
+
+namespace {
+
+constexpr std::uint64_t kNoiseKey = 0x5EED5EED5EED5EEDULL;
+constexpr int kBlockW = 334;
+constexpr int kBlockH = 1000;
+
+/// 1,002,000 draws at kNoiseKey: a kBlockW x kBlockH pixel block, three
+/// channels per pixel, in raster order.
+std::vector<double> noise_block() {
+    std::vector<double> z;
+    z.reserve(static_cast<std::size_t>(kBlockW) * kBlockH * 3);
+    for (int y = 0; y < kBlockH; ++y) {
+        for (int x = 0; x < kBlockW; ++x) {
+            for (int c = 0; c < 3; ++c) z.push_back(sensor_noise(kNoiseKey, x, y, c));
+        }
+    }
+    return z;
+}
+
+double block_at(const std::vector<double>& z, int x, int y, int c) {
+    return z[(static_cast<std::size_t>(y) * kBlockW + static_cast<std::size_t>(x)) * 3 +
+             static_cast<std::size_t>(c)];
+}
+
+double normal_cdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
+
+/// Pearson correlation of the pairs (a[i], b[i]).
+double correlation(const std::vector<double>& a, const std::vector<double>& b) {
+    const double n = static_cast<double>(a.size());
+    double sa = 0.0, sb = 0.0, saa = 0.0, sbb = 0.0, sab = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        sa += a[i];
+        sb += b[i];
+        saa += a[i] * a[i];
+        sbb += b[i] * b[i];
+        sab += a[i] * b[i];
+    }
+    const double cov = sab / n - (sa / n) * (sb / n);
+    const double va = saa / n - (sa / n) * (sa / n);
+    const double vb = sbb / n - (sb / n) * (sb / n);
+    return cov / std::sqrt(va * vb);
+}
+
+}  // namespace
+
+TEST(SensorNoise, BitsAreTheSplitMix64Stream) {
+    // noise_bits(key, n) is output n + 1 of SplitMix64 seeded with key:
+    // these are the reference generator's first three outputs from seed 0.
+    EXPECT_EQ(noise_bits(0, 0), 0xE220A8397B1DCDAFULL);
+    EXPECT_EQ(noise_bits(0, 1), 0x6E789E6AA1B965F4ULL);
+    EXPECT_EQ(noise_bits(0, 2), 0x06C45D188009454FULL);
+}
+
+TEST(SensorNoise, QuantileInvertsTheNormalCdf) {
+    for (const double p : {1e-19, 1e-12, 1e-6, 1e-3, 0.02425, 0.1, 0.3, 0.5, 0.7, 0.97575,
+                           0.999, 1.0 - 1e-9}) {
+        const double x = normal_quantile(p);
+        // Compare the smaller tail mass, relative to itself, so the far
+        // tails are held to the same standard as the center.
+        const double tail = 0.5 * std::erfc(std::fabs(x) / std::sqrt(2.0));
+        EXPECT_NEAR(tail / std::min(p, 1.0 - p), 1.0, 1e-6) << "p " << p;
+        EXPECT_EQ(x < 0.0, p < 0.5) << "p " << p;
+    }
+    const NormalTable& table = normal_table();
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        const double p = 0.5 + static_cast<double>(i) / (2.0 * kNormalCells);
+        ASSERT_NEAR(normal_cdf(table[i]), p, 1e-9) << "entry " << i;
+    }
+}
+
+TEST(SensorNoise, ExtremeBitPatternsStayFiniteAndOrdered) {
+    const NormalTable& table = normal_table();
+    constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+    // w = 0 is the median, of either sign.
+    EXPECT_EQ(normal_from_bits(0, table), 0.0);
+    EXPECT_EQ(normal_from_bits(kSign, table), 0.0);
+    // The largest w is the deepest tail 64 bits reach: mass 2^-64.
+    const double deepest = normal_from_bits(kSign - 1, table);
+    ASSERT_TRUE(std::isfinite(deepest));
+    EXPECT_NEAR(normal_cdf(-deepest) / 0x1p-64, 1.0, 1e-6);
+    EXPECT_EQ(normal_from_bits(~std::uint64_t{0}, table), -deepest);
+    // 32-bit boundary words, where a 32-bit uniform would hit u = 1.
+    for (const std::uint64_t bits : {std::uint64_t{0xFFFFFFFF}, std::uint64_t{0xFFFFFFFF00000000},
+                                     std::uint64_t{0x7FFFFFFF00000000}}) {
+        EXPECT_TRUE(std::isfinite(normal_from_bits(bits, table))) << std::hex << bits;
+    }
+    // Strictly increasing in w across every cell, and continuous where
+    // the interpolated table hands over to the computed tail.
+    const int frac_bits = 63 - kNormalCellBits;
+    double previous = -1.0;
+    for (std::uint64_t cell = 0; cell < kNormalCells; ++cell) {
+        const double at = normal_from_bits(cell << frac_bits, table);
+        EXPECT_GT(at, previous) << "cell " << cell;
+        EXPECT_LE(normal_from_bits((cell << frac_bits) - 1, table), at) << "cell " << cell;
+        previous = at;
+    }
+    const std::uint64_t seam = (kNormalCells - kNormalTailCells) << frac_bits;
+    EXPECT_NEAR(normal_from_bits(seam, table) - normal_from_bits(seam - 1, table), 0.0, 1e-12);
+}
+
+TEST(SensorNoise, InterpolationStaysWithinItsErrorBound) {
+    // Mid-cell is where linear interpolation strays furthest from the
+    // exact quantile Φ⁻¹((1 + w) / 2).
+    const NormalTable& table = normal_table();
+    const int frac_bits = 63 - kNormalCellBits;
+    for (std::uint64_t cell = 0; cell < kNormalCells; ++cell) {
+        const std::uint64_t bits = (cell << frac_bits) | (std::uint64_t{1} << (frac_bits - 1));
+        const double w = (static_cast<double>(cell) + 0.5) / static_cast<double>(kNormalCells);
+        const double exact = normal_quantile(0.5 + w / 2.0);
+        ASSERT_NEAR(normal_from_bits(bits, table), exact, 2e-3) << "cell " << cell;
+    }
+}
+
+TEST(SensorNoise, MomentsMatchStandardNormal) {
+    const std::vector<double> z = noise_block();
+    const double n = static_cast<double>(z.size());
+    double sum = 0.0;
+    for (const double v : z) sum += v;
+    const double mean = sum / n;
+    double m2 = 0.0, m3 = 0.0, m4 = 0.0;
+    for (const double v : z) {
+        const double d = v - mean;
+        m2 += d * d;
+        m3 += d * d * d;
+        m4 += d * d * d * d;
+    }
+    m2 /= n;
+    m3 /= n;
+    m4 /= n;
+    // About six standard errors at n = 1e6: sqrt(1/n), sqrt(2/n),
+    // sqrt(6/n) and sqrt(24/n).
+    EXPECT_NEAR(mean, 0.0, 0.006);
+    EXPECT_NEAR(m2, 1.0, 0.009);
+    EXPECT_NEAR(m3 / std::pow(m2, 1.5), 0.0, 0.015);
+    EXPECT_NEAR(m4 / (m2 * m2), 3.0, 0.03);
+}
+
+TEST(SensorNoise, KolmogorovSmirnovAgainstStandardNormal) {
+    std::vector<double> z = noise_block();
+    std::sort(z.begin(), z.end());
+    const double n = static_cast<double>(z.size());
+    double d = 0.0;
+    for (std::size_t i = 0; i < z.size(); ++i) {
+        const double f = normal_cdf(z[i]);
+        d = std::max({d, static_cast<double>(i + 1) / n - f, f - static_cast<double>(i) / n});
+    }
+    // 1.95 / sqrt(n) is the KS critical value at alpha = 0.001.
+    EXPECT_LT(d, 1.95 / std::sqrt(n));
+}
+
+TEST(SensorNoise, NeighbouringSamplesAreUncorrelated) {
+    const std::vector<double> z = noise_block();
+    std::vector<double> a, b;
+    const auto lag = [&](int dx, int dy, int dc) {
+        a.clear();
+        b.clear();
+        for (int y = 0; y + dy < kBlockH; ++y) {
+            for (int x = 0; x + dx < kBlockW; ++x) {
+                for (int c = 0; c + dc < 3; ++c) {
+                    a.push_back(block_at(z, x, y, c));
+                    b.push_back(block_at(z, x + dx, y + dy, c + dc));
+                }
+            }
+        }
+        return correlation(a, b);
+    };
+    // At least 668k pairs each: 0.006 is about five standard errors.
+    EXPECT_NEAR(lag(1, 0, 0), 0.0, 0.006) << "adjacent pixels in a row";
+    EXPECT_NEAR(lag(0, 1, 0), 0.0, 0.006) << "adjacent rows";
+    EXPECT_NEAR(lag(0, 0, 1), 0.0, 0.006) << "adjacent channels";
+}
+
+TEST(SensorNoise, PixelNoiseIsAPureFunctionOfKeyPixelChannel) {
+    // Flat shading (factor exactly 1) isolates the noise: each byte must
+    // be round(content + sigma * sensor_noise(key, x, y, c)), on either
+    // render path and in a larger frame that shares the same pixels.
+    PlateScene scene;
+    scene.vignette = 0.0;
+    scene.illum_gradient = {0.0, 0.0};
+    scene.noise_sigma = 2.5;
+    PlateScene clean = scene;
+    clean.noise_sigma = 0.0;
+    PlateScene larger = scene;
+    larger.width = 1000;
+    larger.height = 700;
+    std::vector<Rgb8> colors;
+    Rng color_rng(5);
+    for (int i = 0; i < scene.geometry.well_count(); ++i) {
+        colors.push_back({static_cast<std::uint8_t>(color_rng.uniform_int(256)),
+                          static_cast<std::uint8_t>(color_rng.uniform_int(256)),
+                          static_cast<std::uint8_t>(color_rng.uniform_int(256))});
+    }
+
+    constexpr std::uint64_t kSeed = 17;
+    const std::uint64_t key = Rng(kSeed).next();
+    Rng rng_content(1), rng_one_shot(kSeed), rng_session(kSeed), rng_larger(kSeed);
+    PlateRenderer renderer;
+    const Image content = render_plate(clean, colors, rng_content);
+    const Image one_shot = render_plate(scene, colors, rng_one_shot);
+    const Image session = renderer.render(scene, colors, rng_session);
+    const Image large = render_plate(larger, colors, rng_larger);
+
+    std::size_t mismatches = 0;
+    std::size_t noisy = 0;
+    for (int y = 0; y < scene.height; ++y) {
+        for (int x = 0; x < scene.width; ++x) {
+            const Rgb8 base = content.pixel(x, y);
+            const std::uint8_t channels[3] = {base.r, base.g, base.b};
+            std::uint8_t want[3] = {};
+            for (int c = 0; c < 3; ++c) {
+                const double noise = scene.noise_sigma * sensor_noise(key, x, y, c);
+                const long q = sdl::linalg::round_half_away(channels[c] + noise);
+                want[c] = static_cast<std::uint8_t>(std::clamp(q, 0L, 255L));
+                if (want[c] != channels[c]) ++noisy;
+            }
+            const Rgb8 expected{want[0], want[1], want[2]};
+            if (!(one_shot.pixel(x, y) == expected) || !(session.pixel(x, y) == expected) ||
+                !(large.pixel(x, y) == expected)) {
+                ++mismatches;
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_GT(noisy, 0u);  // the comparison did see noise
+}
+
+TEST(SensorNoise, RenderConsumesExactlyOneDraw) {
+    const PlateScene base;
+    const PlateScene dense = scene_for_plate(base, 16, 24);  // upscaled 384-well frame
+    for (const PlateScene& scene : {base, dense}) {
+        const std::vector<Rgb8> colors(static_cast<std::size_t>(scene.geometry.well_count()),
+                                       Rgb8{90, 140, 60});
+        Rng one_shot(23), session(23), twin(23);
+        PlateRenderer renderer;
+        (void)render_plate(scene, colors, one_shot);
+        (void)renderer.render(scene, colors, session);
+        (void)twin.next();
+        const std::uint64_t next = twin.next();
+        EXPECT_EQ(one_shot.next(), next) << scene.width << "x" << scene.height;
+        EXPECT_EQ(session.next(), next) << scene.width << "x" << scene.height;
+    }
 }
 
 // ------------------------------------------------------------ well read
