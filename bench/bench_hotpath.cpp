@@ -20,7 +20,6 @@
 #include "core/workcell_spec.hpp"
 #include "imaging/plate_render.hpp"
 #include "imaging/well_reader.hpp"
-#include "linalg/backend.hpp"
 #include "prepr_reference.hpp"
 #include "solver/bayes.hpp"
 #include "support/atomic_io.hpp"
@@ -119,22 +118,14 @@ GpRow bench_gp(std::size_t n, std::size_t candidates, int reps) {
     return row;
 }
 
-// ---------------------------------------------------- linalg backends
+// ---------------------------------------------------------------- GP fit
 
-/// Per-backend cost of the two GP phases a campaign pays for — the
-/// O(n^3) fit factorization and the per-candidate batch scoring — on
-/// identical data. Keys land outside the `--only speedup` CI hard gate
-/// (they are `_ns` absolutes, hardware-relative), so a backend row is
-/// trajectory data, not a gate.
-struct BackendRow {
-    std::string backend;
-    double fit_ns = 0.0;                ///< one fit() at fixed hyperparams
-    double batch_ns_per_predict = 0.0;  ///< score_candidate_pool, per candidate
-};
-
-BackendRow bench_backend(const std::string& backend_name, std::size_t n,
-                         std::size_t candidates, int reps) {
-    support::Rng rng(0xBACD + n * 17);
+/// One GaussianProcess::fit with its hyperparameter grid search at
+/// BayesConfig::max_points (n = 256), where a long Bayesian campaign's
+/// O(n^3) factorizations run. Lands in the warn-only drift report (an
+/// `_ns` absolute), not the speedup gate.
+double bench_gp_fit_ns(std::size_t n, int reps) {
+    support::Rng rng(0xF17 + n);
     std::vector<std::vector<double>> xs;
     std::vector<double> ys;
     for (std::size_t i = 0; i < n; ++i) {
@@ -142,29 +133,14 @@ BackendRow bench_backend(const std::string& backend_name, std::size_t n,
         ys.push_back(std::sin(3.0 * x[0]) + x[1] * x[1] + 0.05 * rng.normal(0, 1));
         xs.push_back(std::move(x));
     }
-    linalg::Matrix pool(candidates, 4);
-    for (std::size_t c = 0; c < candidates; ++c) {
-        for (std::size_t k = 0; k < 4; ++k) pool(c, k) = rng.uniform();
-    }
-
     solver::GaussianProcess gp;
-    gp.set_backend(linalg::backend_by_name(backend_name));
     double sink = 0.0;
     const double fit_s = time_per_call(reps, [&] {
-        gp.fit(xs, ys, /*optimize=*/false);
+        gp.fit(xs, ys, /*optimize=*/true);
         sink += gp.hyperparams().lengthscale;
     });
-    const double batch_s = time_per_call(reps, [&] {
-        const auto preds = solver::score_candidate_pool(gp, pool);
-        sink += preds.front().mean + preds.back().variance;
-    });
     if (sink == 42.0) std::printf("|");  // never true; defeats DCE
-
-    BackendRow row;
-    row.backend = backend_name;
-    row.fit_ns = fit_s * 1e9;
-    row.batch_ns_per_predict = batch_s * 1e9 / static_cast<double>(candidates);
-    return row;
+    return fit_s * 1e9;
 }
 
 // ---------------------------------------------------------------- vision
@@ -358,22 +334,10 @@ int main(int argc, char** argv) {
         std::printf("%s", table.str().c_str());
     }
 
-    // Linalg backends on the same GP workload (paper-scale shape).
-    std::vector<BackendRow> backend_rows;
-    std::printf("\n[Linalg backends] GP fit + batch scoring (n=64, C=256):\n");
-    {
-        support::TextTable table({"Backend", "fit ms", "batch ns/pt"});
-        table.set_alignment({support::TextTable::Align::Left,
-                             support::TextTable::Align::Right,
-                             support::TextTable::Align::Right});
-        for (const std::string& name : linalg::backend_names()) {
-            const BackendRow row = bench_backend(name, 64, 256, gp_reps);
-            backend_rows.push_back(row);
-            table.add_row({row.backend, support::fmt_double(row.fit_ns / 1e6, 3),
-                           support::fmt_double(row.batch_ns_per_predict, 0)});
-        }
-        std::printf("%s", table.str().c_str());
-    }
+    constexpr std::size_t kFitPoints = 256;
+    const double gp_fit_ns = bench_gp_fit_ns(kFitPoints, gp_reps);
+    std::printf("\n[GP fit] fit(optimize=true) at n=%zu: %.2f ms\n", kFitPoints,
+                gp_fit_ns / 1e6);
 
     // Vision pipeline paths.
     std::printf("\n[Vision] per-frame costs (800x600 scene, 96 wells):\n");
@@ -431,14 +395,10 @@ int main(int argc, char** argv) {
         gp.push_back(std::move(entry));
     }
     bench.set("gp", std::move(gp));
-    json::Value backends = json::Value::object();
-    for (const BackendRow& row : backend_rows) {
-        json::Value entry = json::Value::object();
-        entry.set("fit_ns", row.fit_ns);
-        entry.set("batch_ns_per_predict", row.batch_ns_per_predict);
-        backends.set(row.backend, std::move(entry));
-    }
-    bench.set("backends", std::move(backends));
+    json::Value gp_fit = json::Value::object();
+    gp_fit.set("n", static_cast<std::int64_t>(kFitPoints));
+    gp_fit.set("fit_ns", gp_fit_ns);
+    bench.set("gp_fit", std::move(gp_fit));
     json::Value vis = json::Value::object();
     vis.set("render_prepr_ns", vision.render_prepr_ns);
     vis.set("render_full_ns", vision.render_full_ns);

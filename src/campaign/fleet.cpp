@@ -307,8 +307,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
     support::ignore_sigpipe();
     support::check(!options.worker_exe.empty(), "FleetOptions.worker_exe must be set");
 
-    CampaignSpec spec = campaign_from_file(spec_path);
-    if (!options.backend.empty()) spec.base.linalg_backend = options.backend;
+    const CampaignSpec spec = campaign_from_file(spec_path);
     const std::vector<CampaignCell> grid = expand_grid(spec);
     const std::string digest = spec_digest(spec);
 
@@ -392,7 +391,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
             throw support::ConfigError(
                 "--resume: ledger spec digest " + prior.spec_digest +
                 " does not match this campaign's digest " + digest +
-                " — the resumed run must use the same spec (and backend)");
+                " — the resumed run must use the same spec");
         }
         if (prior.cells_total != grid.size()) {
             throw support::ConfigError("--resume: ledger records " +
@@ -618,10 +617,6 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
             "--dir", w.dir,
             "--expect-digest", digest,
             "--heartbeat-interval", support::fmt_roundtrip(options.heartbeat_interval_s)};
-        if (!options.backend.empty()) {
-            argv.push_back("--backend");
-            argv.push_back(options.backend);
-        }
 
         w.journal_offset = 0;
         w.header_seen = false;
@@ -911,8 +906,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
 int run_fleet_worker(const FleetWorkerOptions& options) {
     support::ignore_sigpipe();
 
-    CampaignSpec spec = campaign_from_file(options.campaign_path);
-    if (!options.backend.empty()) spec.base.linalg_backend = options.backend;
+    const CampaignSpec spec = campaign_from_file(options.campaign_path);
     const std::string digest = spec_digest(spec);
     if (!options.expect_digest.empty() && digest != options.expect_digest) {
         std::fprintf(stderr,

@@ -105,8 +105,6 @@ struct FleetOptions {
     std::size_t merge_every = 1;
     /// Hard cap on cells per lease; 0 = adaptive only.
     std::size_t max_lease = 0;
-    /// linalg backend override (applied before digesting, both sides).
-    std::string backend;
     /// Path to the sdlbench_fleet binary to exec as workers (argv[0]).
     std::string worker_exe;
     /// Print per-cell progress and worker lifecycle lines.
@@ -182,7 +180,6 @@ struct FleetWorkerOptions {
     std::string campaign_path;
     std::string dir;            ///< this worker's journal directory
     std::string expect_digest;  ///< coordinator's spec digest (must match)
-    std::string backend;
     double heartbeat_interval_s = 0.25;
 };
 

@@ -79,11 +79,6 @@ json::Value experiment_result_to_json(const core::ColorPickerConfig& config,
     doc.set("batch_size", config.batch_size);
     doc.set("total_samples", config.total_samples);
     doc.set("seed", static_cast<std::int64_t>(config.seed));
-    // Strict (the reference) stays implicit so reference-run reports are
-    // byte-identical across releases; any other backend is recorded.
-    if (config.linalg_backend != "strict") {
-        doc.set("linalg_backend", config.linalg_backend);
-    }
     json::Value plate = json::Value::object();
     plate.set("rows", config.plate_rows);
     plate.set("cols", config.plate_cols);
@@ -116,8 +111,8 @@ json::Value experiment_result_to_json(const core::ColorPickerConfig& config,
     counts.set("batches_run", outcome.batches_run);
     counts.set("frame_retakes", outcome.frame_retakes);
     counts.set("wells_rescued", static_cast<std::int64_t>(outcome.wells_rescued_total));
-    // Conditional key (like linalg_backend above): runs without the
-    // clogged-tip fault chain keep their pre-existing bytes.
+    // Conditional key: runs without the clogged-tip fault chain keep
+    // their pre-existing bytes.
     if (outcome.reprimes > 0) counts.set("reprimes", outcome.reprimes);
     doc.set("counts", std::move(counts));
 
@@ -200,7 +195,7 @@ json::Value campaign_results_to_json(const CampaignSpec& spec,
     }
     doc.set("aggregates", std::move(aggregates));
 
-    // Conditional key (same pattern as generated_seed / linalg_backend):
+    // Conditional key (same pattern as generated_seed):
     // only crash-loop-contained fleet runs carry it, so every other
     // campaign document keeps its pre-existing bytes.
     if (!quarantined.empty()) {

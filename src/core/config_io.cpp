@@ -67,7 +67,7 @@ ColorPickerConfig config_from_doc(const json::Value& doc) {
     }
     reject_unknown_keys(doc,
                         {"experiment", "workcell", "plate", "well_volume_ul", "faults",
-                         "retry", "linalg_backend"},
+                         "retry"},
                         "experiment file");
 
     ColorPickerConfig config;
@@ -135,12 +135,6 @@ ColorPickerConfig config_from_doc(const json::Value& doc) {
         config.retry.max_attempts = static_cast<int>(
             retry->get_or("max_attempts", std::int64_t{config.retry.max_attempts}));
         config.retry.human_rescue = retry->get_or("human_rescue", config.retry.human_rescue);
-    }
-    if (const json::Value* backend = doc.find("linalg_backend")) {
-        config.linalg_backend = backend->as_string();
-        // Resolve at parse time so a typo fails here, naming the valid
-        // set, instead of deep inside the first GP fit.
-        (void)linalg::backend_by_name(config.linalg_backend);
     }
     return config;
 }
@@ -217,12 +211,6 @@ json::Value config_to_doc(const ColorPickerConfig& config) {
     retry.set("max_attempts", config.retry.max_attempts);
     retry.set("human_rescue", config.retry.human_rescue);
     doc.set("retry", std::move(retry));
-
-    // The strict (reference) backend is implicit — existing specs and
-    // their digests stay stable; only a non-default backend is recorded.
-    if (config.linalg_backend != "strict") {
-        doc.set("linalg_backend", config.linalg_backend);
-    }
     return doc;
 }
 

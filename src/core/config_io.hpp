@@ -40,8 +40,6 @@ namespace sdl::core {
 ///   retry:
 ///     max_attempts: 5
 ///     human_rescue: true
-///   linalg_backend: strict       # strict | fast (linalg/backend.hpp);
-///                                # omitted on dump when strict
 ///
 /// The `workcell:` section is resolved before the other sections, so an
 /// explicit `plate:` or `faults:` section overrides what the scenario

@@ -12,7 +12,6 @@
 
 #include "color/rgb.hpp"
 #include "data/flow.hpp"
-#include "linalg/backend.hpp"
 #include "devices/barty.hpp"
 #include "devices/camera.hpp"
 #include "devices/ot2.hpp"
@@ -59,12 +58,8 @@ struct ColorPickerConfig {
     int batch_size = 1;       ///< B
     std::string solver = "genetic";
     Objective objective = Objective::RgbEuclidean;
-    /// Linalg backend for GP-based solvers (linalg/backend.hpp).
-    /// "strict" — the default absent an SDLBENCH_LINALG_BACKEND
-    /// environment override — is the bitwise reference; reports record
-    /// the backend only when it differs from strict, so reference runs
-    /// stay byte-identical across releases.
-    std::string linalg_backend = linalg::default_backend_name();
+    /// Kept only because perfbench/twin_loop.cpp reads it; must be "strict".
+    std::string linalg_backend = "strict";
     /// Stop early once the best score drops to this value (0 = never).
     double stop_threshold = 0.0;
     std::uint64_t seed = 1;

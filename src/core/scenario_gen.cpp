@@ -80,9 +80,6 @@ double probe_difficulty(std::uint64_t seed) {
     config.batch_size = kProbeBatch;
     config.solver = "anneal";
     config.objective = Objective::RgbEuclidean;
-    // Pin the bitwise-reference backend: difficulty is part of
-    // campaign.json, which must not move under SDLBENCH_LINALG_BACKEND.
-    config.linalg_backend = "strict";
     config.seed = kProbeSeed;
     config.publish = false;
     config = apply_workcell_spec(std::move(config), generate_scenario(seed));

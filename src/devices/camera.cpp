@@ -73,7 +73,7 @@ wei::ActionResult CameraSim::execute(const wei::ActionRequest& request) {
     // glitch, and drifted scenes change every frame, so the cache could
     // never hit; render both one-shot. Either path produces
     // bitwise-identical frames.
-    if (config_.cache_base_raster && !glitched && !drifted) {
+    if (!glitched && !drifted) {
         frames_.emplace(frame_id, renderer_.render(scene, colors, rng_, &filled));
     } else {
         frames_.emplace(frame_id, imaging::render_plate(scene, colors, rng_, &filled));

@@ -40,11 +40,6 @@ struct CameraConfig {
     /// light warms up over a campaign, slowly tilting the shading the
     /// vision pipeline has to read colors through. Frame 1 is undrifted.
     double drift_per_frame = 0.0;
-    /// Reuse the deterministic background+plate raster across captures of
-    /// an unchanged scene (imaging::PlateRenderer). Frames are bitwise
-    /// identical either way; the flag exists for identity tests and
-    /// benchmarks.
-    bool cache_base_raster = true;
 };
 
 /// Actions:

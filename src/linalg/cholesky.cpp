@@ -3,98 +3,78 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/backend.hpp"
 #include "support/common.hpp"
 
 namespace sdl::linalg {
 
-namespace detail {
-
-Matrix cholesky_factor_portable(const Matrix& a) {
-    const std::size_t n = a.rows();
-    Matrix l(n, n);
-    for (std::size_t j = 0; j < n; ++j) {
-        double diag = a(j, j);
-        for (std::size_t k = 0; k < j; ++k) diag -= l(j, k) * l(j, k);
-        if (!(diag > 0.0) || !std::isfinite(diag)) {
-            throw support::Error("linalg", "matrix is not positive definite (pivot " +
-                                               std::to_string(j) + ")");
-        }
-        const double ljj = std::sqrt(diag);
-        l(j, j) = ljj;
-        for (std::size_t i = j + 1; i < n; ++i) {
-            double s = a(i, j);
-            for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
-            l(i, j) = s / ljj;
-        }
-    }
-    return l;
-}
-
-Vec solve_lower_portable(const Matrix& l, const Vec& b) {
-    const std::size_t n = l.rows();
-    Vec y(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        double s = b[i];
-        for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * y[k];
-        y[i] = s / l(i, i);
-    }
-    return y;
-}
-
-void cholesky_extend_portable(Matrix& l_, const Vec& b, double c) {
-    const std::size_t n = l_.rows();
-    // New bottom row: l = L⁻¹ b — the same recurrence a full
-    // factorization would run for row n, in the same accumulation order.
-    const Vec l = solve_lower_portable(l_, b);
-    double d2 = c;
-    for (std::size_t k = 0; k < n; ++k) d2 -= l[k] * l[k];
-    if (!(d2 > 0.0) || !std::isfinite(d2)) {
-        throw support::Error("linalg",
-                             "extend: matrix is not positive definite (pivot " +
-                                 std::to_string(n) + ")");
-    }
-    Matrix grown(n + 1, n + 1);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j <= i; ++j) grown(i, j) = l_(i, j);
-    }
-    for (std::size_t k = 0; k < n; ++k) grown(n, k) = l[k];
-    grown(n, n) = std::sqrt(d2);
-    l_ = std::move(grown);
-}
-
 namespace {
 
-/// Shared L1-tiled multi-RHS forward-substitution sweep. Tiling keeps
-/// each tile's active slab L1-resident while the O(n^2) row sweep runs
-/// over it — without it, every row pass streams the whole n x m matrix
-/// and the solve goes memory-bound. Columns are independent, so tiling
-/// leaves every element's operation sequence (and its bits) unchanged.
-/// The Fused flag adds the two GP reductions to the same sweep; keeping
-/// one body means the plain and fused variants cannot drift apart.
+/// Dot product with four independent accumulators combined pairwise —
+/// breaks the serial add chain so the loop vectorizes and pipelines.
+/// Factorization and extend() form every entry through it, which keeps
+/// an extended factor bitwise equal to a full refactorization.
+[[nodiscard]] double dot4(const double* x, const double* y, std::size_t len) noexcept {
+    double s0 = 0.0;
+    double s1 = 0.0;
+    double s2 = 0.0;
+    double s3 = 0.0;
+    std::size_t k = 0;
+    for (; k + 4 <= len; k += 4) {
+        s0 += x[k] * y[k];
+        s1 += x[k + 1] * y[k + 1];
+        s2 += x[k + 2] * y[k + 2];
+        s3 += x[k + 3] * y[k + 3];
+    }
+    double tail = 0.0;
+    for (; k < len; ++k) tail += x[k] * y[k];
+    return ((s0 + s1) + (s2 + s3)) + tail;
+}
+
+/// Forward substitution L Y = B, in place, over the m right-hand sides
+/// stored as the columns of the row-major n x m block at `b`. Every
+/// solve runs this one body (solve_lower with m = 1), so multi-RHS
+/// results equal per-column solves bit for bit: columns never mix, and
+/// each element sees the same operations in the same order.
+///
+/// Columns are swept in tiles so each tile's slab stays L1-resident
+/// while the O(n^2) row sweep runs over it. The Fused flag adds the two
+/// GP reductions to the same pass; weighted_sums accumulates before row
+/// i is overwritten, sq_norms after it is finished, both in ascending
+/// row order (so they equal dot(b, weights) and dot(y, y)).
 template <bool Fused>
-void tiled_lower_sweep(const Matrix& l, Matrix& b, std::span<const double> weights,
-                       std::span<double> weighted_sums, std::span<double> sq_norms) {
+void lower_sweep(const Matrix& l, double* b, std::size_t m,
+                 std::span<const double> weights, std::span<double> weighted_sums,
+                 std::span<double> sq_norms) {
+    constexpr std::size_t kTile = 64;
     const std::size_t n = l.rows();
-    const std::size_t m = b.cols();
-    constexpr std::size_t kTile = 48;
     for (std::size_t j0 = 0; j0 < m; j0 += kTile) {
         const std::size_t tile = std::min(kTile, m - j0);
         for (std::size_t i = 0; i < n; ++i) {
-            double* row_i = b.row(i).data() + j0;
+            double* row_i = b + i * m + j0;
             if constexpr (Fused) {
-                // Row i still holds the original right-hand sides here.
                 const double wi = weights[i];
                 double* wsum = weighted_sums.data() + j0;
                 for (std::size_t j = 0; j < tile; ++j) wsum[j] += row_i[j] * wi;
             }
-            for (std::size_t k = 0; k < i; ++k) {
+            // Two update rows per pass halves the traffic over row_i
+            // (the bandwidth-bound half of the sweep).
+            std::size_t k = 0;
+            for (; k + 2 <= i; k += 2) {
+                const double lik0 = l(i, k);
+                const double lik1 = l(i, k + 1);
+                const double* row_k0 = b + k * m + j0;
+                const double* row_k1 = b + (k + 1) * m + j0;
+                for (std::size_t j = 0; j < tile; ++j) {
+                    row_i[j] -= lik0 * row_k0[j] + lik1 * row_k1[j];
+                }
+            }
+            for (; k < i; ++k) {
                 const double lik = l(i, k);
-                const double* row_k = b.row(k).data() + j0;
+                const double* row_k = b + k * m + j0;
                 for (std::size_t j = 0; j < tile; ++j) row_i[j] -= lik * row_k[j];
             }
-            const double lii = l(i, i);
-            for (std::size_t j = 0; j < tile; ++j) row_i[j] /= lii;
+            const double inv = 1.0 / l(i, i);
+            for (std::size_t j = 0; j < tile; ++j) row_i[j] *= inv;
             if constexpr (Fused) {
                 double* sq = sq_norms.data() + j0;
                 for (std::size_t j = 0; j < tile; ++j) sq[j] += row_i[j] * row_i[j];
@@ -105,29 +85,31 @@ void tiled_lower_sweep(const Matrix& l, Matrix& b, std::span<const double> weigh
 
 }  // namespace
 
-void solve_lower_multi_portable(const Matrix& l, Matrix& b) {
-    tiled_lower_sweep<false>(l, b, {}, {}, {});
-}
-
-void solve_lower_multi_fused_portable(const Matrix& l, Matrix& b,
-                                      std::span<const double> weights,
-                                      std::span<double> weighted_sums,
-                                      std::span<double> sq_norms) {
-    tiled_lower_sweep<true>(l, b, weights, weighted_sums, sq_norms);
-}
-
-}  // namespace detail
-
-Cholesky::Cholesky(const Matrix& a) : Cholesky(a, strict_backend()) {}
-
-Cholesky::Cholesky(const Matrix& a, const LinalgBackend& backend) : backend_(&backend) {
+Cholesky::Cholesky(const Matrix& a) {
     support::check(a.rows() == a.cols(), "cholesky: matrix must be square");
-    l_ = backend_->cholesky_factor(a);
+    const std::size_t n = a.rows();
+    l_ = Matrix(n, n);
+    for (std::size_t j = 0; j < n; ++j) {
+        const double* lj = l_.row(j).data();
+        const double diag = a(j, j) - dot4(lj, lj, j);
+        if (!(diag > 0.0) || !std::isfinite(diag)) {
+            throw support::Error("linalg", "matrix is not positive definite (pivot " +
+                                               std::to_string(j) + ")");
+        }
+        const double ljj = std::sqrt(diag);
+        l_(j, j) = ljj;
+        const double inv = 1.0 / ljj;
+        for (std::size_t i = j + 1; i < n; ++i) {
+            l_(i, j) = (a(i, j) - dot4(l_.row(i).data(), lj, j)) * inv;
+        }
+    }
 }
 
 Vec Cholesky::solve_lower(const Vec& b) const {
     support::check(b.size() == size(), "cholesky solve: size mismatch");
-    return detail::solve_lower_portable(l_, b);
+    Vec y = b;
+    lower_sweep<false>(l_, y.data(), 1, {}, {}, {});
+    return y;
 }
 
 Vec Cholesky::solve(const Vec& b) const {
@@ -145,7 +127,7 @@ Vec Cholesky::solve(const Vec& b) const {
 
 void Cholesky::solve_lower_multi(Matrix& b) const {
     support::check(b.rows() == size(), "cholesky solve_lower_multi: size mismatch");
-    backend_->solve_lower_multi(l_, b);
+    lower_sweep<false>(l_, b.data(), b.cols(), {}, {}, {});
 }
 
 void Cholesky::solve_lower_multi_fused(Matrix& b, std::span<const double> weights,
@@ -157,16 +139,33 @@ void Cholesky::solve_lower_multi_fused(Matrix& b, std::span<const double> weight
     support::check(weights.size() == n && weighted_sums.size() == m &&
                        sq_norms.size() == m,
                    "cholesky solve_lower_multi_fused: reduction size mismatch");
-    for (std::size_t j = 0; j < m; ++j) {
-        weighted_sums[j] = 0.0;
-        sq_norms[j] = 0.0;
-    }
-    backend_->solve_lower_multi_fused(l_, b, weights, weighted_sums, sq_norms);
+    std::fill(weighted_sums.begin(), weighted_sums.end(), 0.0);
+    std::fill(sq_norms.begin(), sq_norms.end(), 0.0);
+    lower_sweep<true>(l_, b.data(), m, weights, weighted_sums, sq_norms);
 }
 
 void Cholesky::extend(const Vec& b, double c) {
-    support::check(b.size() == size(), "cholesky extend: size mismatch");
-    backend_->cholesky_extend(l_, b, c);
+    const std::size_t n = size();
+    support::check(b.size() == n, "cholesky extend: size mismatch");
+    // New bottom row y = L⁻¹ b, each entry formed exactly as the
+    // constructor forms row n of the extended matrix's factor.
+    Vec y(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        y[i] = (b[i] - dot4(l_.row(i).data(), y.data(), i)) * (1.0 / l_(i, i));
+    }
+    const double d2 = c - dot4(y.data(), y.data(), n);
+    if (!(d2 > 0.0) || !std::isfinite(d2)) {
+        throw support::Error("linalg",
+                             "extend: matrix is not positive definite (pivot " +
+                                 std::to_string(n) + ")");
+    }
+    Matrix grown(n + 1, n + 1);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j <= i; ++j) grown(i, j) = l_(i, j);
+    }
+    for (std::size_t k = 0; k < n; ++k) grown(n, k) = y[k];
+    grown(n, n) = std::sqrt(d2);
+    l_ = std::move(grown);
 }
 
 double Cholesky::log_det() const noexcept {
@@ -176,12 +175,6 @@ double Cholesky::log_det() const noexcept {
 }
 
 Cholesky cholesky_with_jitter(Matrix a, double initial_jitter, int max_attempts) {
-    return cholesky_with_jitter(std::move(a), strict_backend(), initial_jitter,
-                                max_attempts);
-}
-
-Cholesky cholesky_with_jitter(Matrix a, const LinalgBackend& backend,
-                              double initial_jitter, int max_attempts) {
     double jitter = initial_jitter;
     // Scale the first jitter to the matrix magnitude so tiny and huge
     // kernels both factor on early attempts.
@@ -189,13 +182,13 @@ Cholesky cholesky_with_jitter(Matrix a, const LinalgBackend& backend,
     if (scale > 0.0) jitter *= scale;
     for (int attempt = 0; attempt < max_attempts; ++attempt) {
         try {
-            return Cholesky(a, backend);
+            return Cholesky(a);
         } catch (const support::Error&) {
             a.add_diagonal(jitter);
             jitter *= 10.0;
         }
     }
-    return Cholesky(a, backend);  // Final attempt; propagate its error if it fails.
+    return Cholesky(a);  // Final attempt; propagate its error if it fails.
 }
 
 }  // namespace sdl::linalg

@@ -4,10 +4,10 @@
 // The GP cross-kernel assembly evaluates exp() once per (training point,
 // candidate) pair — O(n·C) calls per constant-liar pick — and libm's exp
 // dominates that loop on machines without vector math libraries. This
-// header provides a Cephes-style rational approximation whose scalar and
-// array forms run the exact same operations per element, so callers can
-// mix them freely without breaking bitwise-identity contracts, and whose
-// straight-line body auto-vectorizes.
+// header provides a Cephes-style rational approximation whose
+// straight-line body auto-vectorizes inside array loops and gives the
+// same bits whether or not it is vectorized, so scalar and batched
+// callers can mix it without breaking bitwise-identity contracts.
 //
 // Accuracy: ~1-2 ulp over the supported range, which is far below the
 // noise floor of anything the GP posterior feeds (the solver's decisions
@@ -19,7 +19,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <span>
 
 namespace sdl::linalg {
 
@@ -66,13 +65,6 @@ namespace sdl::linalg {
     // whole body SIMD-friendly.
     return std::bit_cast<double>(std::bit_cast<std::uint64_t>(y) +
                                  (std::bit_cast<std::uint64_t>(shifted) << 52));
-}
-
-/// Elementwise out[i] = fast_exp(x[i]); in-place (out == x) is fine. The
-/// loop body is fast_exp itself, so results are bitwise identical to the
-/// scalar form whether or not the compiler vectorizes it.
-inline void vexp(std::span<const double> x, std::span<double> out) noexcept {
-    for (std::size_t i = 0; i < x.size(); ++i) out[i] = fast_exp(x[i]);
 }
 
 /// lround-style rounding (half away from zero) without the libm call —

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "linalg/fastmath.hpp"
 #include "support/common.hpp"
 
 namespace sdl::linalg {
@@ -22,24 +23,30 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y) {
 
 Matrix cross_sq_dist(const Matrix& a, const Matrix& b) {
     support::check(a.cols() == b.cols(), "cross_sq_dist: dimension mismatch");
-    const std::size_t n = a.rows();
     const std::size_t m = b.rows();
-    const std::size_t d = a.cols();
-    Matrix out(n, m);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::span<const double> ai = a.row(i);
-        const std::span<double> orow = out.row(i);
-        for (std::size_t j = 0; j < m; ++j) {
-            const std::span<const double> bj = b.row(j);
-            double d2 = 0.0;
-            for (std::size_t k = 0; k < d; ++k) {
-                const double diff = ai[k] - bj[k];
-                d2 += diff * diff;
+    const Matrix bt = b.transposed();
+    Matrix out(a.rows(), m);
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        double* orow = out.row(i).data();
+        // Each entry starts at the zero the matrix was filled with and
+        // adds one squared difference per dimension, in ascending order.
+        for (std::size_t k = 0; k < a.cols(); ++k) {
+            const double aik = a(i, k);
+            const double* btk = bt.row(k).data();
+            for (std::size_t j = 0; j < m; ++j) {
+                const double diff = aik - btk[j];
+                orow[j] += diff * diff;
             }
-            orow[j] = d2;
         }
     }
     return out;
+}
+
+void rbf_from_sq_dist(Matrix& d2, double signal_var, double lengthscale) noexcept {
+    const double c = -0.5 / (lengthscale * lengthscale);
+    for (std::size_t i = 0; i < d2.rows(); ++i) {
+        for (double& v : d2.row(i)) v = signal_var * fast_exp(v * c);
+    }
 }
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)

@@ -25,9 +25,15 @@ class Matrix;
 /// accumulates coordinate differences in ascending-dimension order — the
 /// same order as a scalar `|a_i - b_j|^2` loop — so downstream consumers
 /// (the GP kernel) stay bitwise identical to their one-pair-at-a-time
-/// equivalents. The row-major result keeps the inner (j) loop contiguous
-/// in both `b` and the output.
+/// equivalents. `b` is transposed and the dimension loop runs outermost,
+/// so the inner (j) loop is contiguous in both `b` and the output.
 [[nodiscard]] Matrix cross_sq_dist(const Matrix& a, const Matrix& b);
+
+/// In-place map of a squared-distance matrix to RBF kernel values:
+///   d2(i, j) -> signal_var * fast_exp(d2(i, j) * c),  c = -0.5 / lengthscale^2
+/// with c formed once. A scalar kernel that evaluates the same expression
+/// on the same squared distance carries each entry's exact bits.
+void rbf_from_sq_dist(Matrix& d2, double signal_var, double lengthscale) noexcept;
 
 class Matrix {
 public:
@@ -53,6 +59,8 @@ public:
     [[nodiscard]] std::span<double> row(std::size_t r) noexcept {
         return {data_.data() + r * cols_, cols_};
     }
+    /// The row-major storage, rows() * cols() values.
+    [[nodiscard]] double* data() noexcept { return data_.data(); }
 
     [[nodiscard]] Matrix transposed() const;
 

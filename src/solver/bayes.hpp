@@ -56,16 +56,6 @@ public:
     /// Posterior at a point (in the original, unstandardized units).
     [[nodiscard]] Prediction predict(std::span<const double> x) const;
 
-    /// Selects the linalg backend (linalg/backend.hpp) every subsequent
-    /// kernel evaluation, factorization, and solve runs on. Call before
-    /// fit(): the cached Cholesky factor is built on the active backend
-    /// and reused by observe()/predict*. Defaults to strict, the
-    /// bitwise reference.
-    void set_backend(const linalg::LinalgBackend& backend) noexcept {
-        backend_ = &backend;
-    }
-    [[nodiscard]] const linalg::LinalgBackend& backend() const noexcept;
-
     /// Posterior at every row of `x` (one query point per row) in one
     /// blocked pass: the cross-kernel matrix is assembled once
     /// (linalg::cross_sq_dist), all right-hand sides go through a single
@@ -97,7 +87,6 @@ private:
     double y_mean_ = 0.0;
     double y_scale_ = 1.0;
     Hyperparams params_;
-    const linalg::LinalgBackend* backend_ = nullptr;  ///< null = strict
     std::unique_ptr<linalg::Cholesky> chol_;
     linalg::Vec alpha_;  ///< K^-1 y (standardized)
 };
@@ -108,7 +97,7 @@ private:
 /// parallel_map (`max_workers` caps the tasks in flight; 0 = one per
 /// pool worker). Per-candidate results are independent, so chunking and
 /// thread count change nothing: entry i is always bitwise identical to
-/// gp.predict(pool.row(i)) on the GP's backend.
+/// gp.predict(pool.row(i)).
 [[nodiscard]] std::vector<GaussianProcess::Prediction> score_candidate_pool(
     const GaussianProcess& gp, const linalg::Matrix& pool,
     std::size_t max_workers = 0);
@@ -122,10 +111,6 @@ struct BayesConfig {
     /// solve is O(n^3)).
     std::size_t max_points = 256;
     std::uint64_t seed = 0xBA7E5;
-    /// Linalg backend the GP surrogate runs on; null means strict (the
-    /// bitwise reference). Points at a process-lifetime registry entry
-    /// (linalg::backend_by_name), never an owned object.
-    const linalg::LinalgBackend* backend = nullptr;
 };
 
 class BayesSolver final : public SolverBase {

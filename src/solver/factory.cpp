@@ -1,6 +1,5 @@
 #include "solver/factory.hpp"
 
-#include "linalg/backend.hpp"
 #include "solver/anneal.hpp"
 #include "solver/baselines.hpp"
 #include "solver/bayes.hpp"
@@ -21,7 +20,6 @@ std::unique_ptr<Solver> make_solver(const std::string& name, const SolverOptions
         BayesConfig config;
         config.dims = options.dims;
         config.seed = options.seed;
-        config.backend = &linalg::backend_by_name(options.linalg_backend);
         return std::make_unique<BayesSolver>(config);
     }
     if (name == "anneal") {

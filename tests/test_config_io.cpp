@@ -5,7 +5,6 @@
 
 #include "core/colorpicker.hpp"
 #include "core/config_io.hpp"
-#include "linalg/backend.hpp"
 #include "support/common.hpp"
 #include "support/yaml.hpp"
 
@@ -104,36 +103,23 @@ TEST(ConfigIo, RoundTripThroughYaml) {
     EXPECT_DOUBLE_EQ(back.faults.command_rejection_prob, 0.125);
 }
 
-TEST(ConfigIo, LinalgBackendRoundTripsAndRejectsUnknown) {
-    // The default tracks the process default (strict, unless the
-    // SDLBENCH_LINALG_BACKEND env hook says otherwise — CI's
-    // backend-matrix leg runs this very test under `fast`), and a
-    // strict config OMITS the key on dump — the emission rule that
-    // keeps reference-run YAML byte-identical across releases.
-    ColorPickerConfig config;
-    EXPECT_EQ(config.linalg_backend, sdl::linalg::default_backend_name());
-    config.linalg_backend = "strict";
-    EXPECT_EQ(config_to_yaml(config).find("linalg_backend"), std::string::npos);
-
-    // A non-default backend is written and survives the round trip.
-    config.linalg_backend = "fast";
-    const std::string dumped = config_to_yaml(config);
-    EXPECT_NE(dumped.find("linalg_backend: fast"), std::string::npos);
-    EXPECT_EQ(config_from_yaml(dumped).linalg_backend, "fast");
-    EXPECT_EQ(config_from_yaml("linalg_backend: strict\n").linalg_backend, "strict");
-
-    // Unknown names fail loudly at parse time, naming the valid set.
+TEST(ConfigIo, LinalgSelectionIsRejected) {
+    // There is one linalg implementation: the YAML key is gone, so a spec
+    // still carrying it fails as an unknown key ...
     try {
-        (void)config_from_yaml("linalg_backend: blas\n");
-        FAIL() << "unknown linalg_backend must throw";
+        (void)config_from_yaml("linalg_backend: strict\n");
+        FAIL() << "linalg_backend must be rejected as an unknown key";
     } catch (const support::ConfigError& e) {
-        EXPECT_NE(std::string(e.what()).find("blas"), std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("strict, fast"), std::string::npos);
+        EXPECT_NE(std::string(e.what()).find("unknown key 'linalg_backend'"),
+                  std::string::npos);
     }
-    // finalize_config re-validates configs built programmatically.
-    ColorPickerConfig bad;
-    bad.linalg_backend = "gpu";
-    EXPECT_THROW((void)finalize_config(std::move(bad)), support::ConfigError);
+    // ... and a config built in code that still selects another value
+    // fails in finalize_config instead of being ignored.
+    ColorPickerConfig config;
+    EXPECT_EQ(config.linalg_backend, "strict");
+    EXPECT_EQ(config_to_yaml(config).find("linalg_backend"), std::string::npos);
+    config.linalg_backend = "fast";
+    EXPECT_THROW((void)finalize_config(std::move(config)), support::ConfigError);
 }
 
 TEST(ConfigIo, LoadsFromFile) {

@@ -511,38 +511,49 @@ TEST(Camera, GlitchedFrameHasNoDetectableMarker) {
 }
 
 TEST(Camera, BaseRasterCacheFramesByteIdentical) {
-    // The PlateRenderer base cache is a pure perf optimization: with the
-    // same noise seed, a caching camera and a non-caching camera must
-    // archive byte-identical frames across a sequence of captures with
-    // changing well contents and interleaved glitches.
+    // The PlateRenderer base cache is a pure perf optimization: every
+    // archived frame must equal a one-shot render_plate of the same scene
+    // drawn from a twin generator that makes the same glitch roll and
+    // key draw, across captures with changing well contents and
+    // interleaved glitches (which bypass the cache).
     TestWorkcell cell;
-    CameraConfig cached_config;
-    cached_config.glitch_prob = 0.25;
-    cached_config.max_frames = 64;
-    CameraConfig plain_config = cached_config;
-    plain_config.cache_base_raster = false;
-    CameraSim cached(cached_config, cell.plates, cell.locations);
-    CameraSim plain(plain_config, cell.plates, cell.locations);
+    CameraConfig config;
+    config.glitch_prob = 0.25;
+    config.max_frames = 64;
+    CameraSim camera(config, cell.plates, cell.locations);
+    support::Rng twin(config.noise_seed);
 
     const PlateId id = cell.plates.create(8, 12);
     cell.locations.place(locations::kCamera, id);
     Plate& plate = cell.plates.get(id);
+    std::vector<color::Rgb8> colors(96, color::Rgb8{0, 0, 0});
+    std::vector<bool> filled(96, false);
+    int glitches = 0;
     for (int i = 0; i < 12; ++i) {
         WellContent content;
         content.true_color = {static_cast<std::uint8_t>(20 * i), 120, 90};
         plate.fill(i * 7, content);
-        const auto a = cached.execute(request_of("camera", "take_picture"));
-        const auto b = plain.execute(request_of("camera", "take_picture"));
-        ASSERT_TRUE(a.ok());
-        ASSERT_TRUE(b.ok());
-        EXPECT_EQ(a.data.at("glitched").as_bool(), b.data.at("glitched").as_bool());
-        const imaging::Image& fa = cached.frame(a.data.at("frame_id").as_int());
-        const imaging::Image& fb = plain.frame(b.data.at("frame_id").as_int());
-        const auto ba = fa.bytes();
-        const auto bb = fb.bytes();
-        ASSERT_EQ(ba.size(), bb.size());
-        EXPECT_TRUE(std::equal(ba.begin(), ba.end(), bb.begin())) << "capture " << i;
+        colors[static_cast<std::size_t>(i * 7)] = content.true_color;
+        filled[static_cast<std::size_t>(i * 7)] = true;
+        const auto result = camera.execute(request_of("camera", "take_picture"));
+        ASSERT_TRUE(result.ok());
+
+        imaging::PlateScene scene = imaging::scene_for_plate(config.scene, 8, 12);
+        const bool glitched = twin.bernoulli(config.glitch_prob);
+        if (glitched) scene.marker_center = {-10000.0, -10000.0};
+        glitches += glitched ? 1 : 0;
+        const imaging::Image want = imaging::render_plate(scene, colors, twin, &filled);
+
+        EXPECT_EQ(result.data.at("glitched").as_bool(), glitched) << "capture " << i;
+        const auto got = camera.frame(result.data.at("frame_id").as_int()).bytes();
+        const auto expected = want.bytes();
+        ASSERT_EQ(got.size(), expected.size());
+        EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin()))
+            << "capture " << i;
     }
+    // The seed must exercise both paths for the comparison to mean anything.
+    EXPECT_GT(glitches, 0);
+    EXPECT_LT(glitches, 12);
 }
 
 TEST(Camera, IsNotARoboticModule) {

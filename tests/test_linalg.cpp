@@ -186,23 +186,6 @@ TEST(FastMath, FastExpTracksStdExpAndClamps) {
     EXPECT_TRUE(std::isfinite(fast_exp(709.0)));
 }
 
-TEST(FastMath, VexpBitwiseMatchesScalarFastExp) {
-    // vexp's contract: the array form runs the exact operations of the
-    // scalar form per element, vectorized or not.
-    Rng rng(71);
-    std::vector<double> xs(1037);
-    for (double& x : xs) x = rng.uniform(-90.0, 1.0);
-    std::vector<double> out(xs.size());
-    vexp(xs, out);
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        EXPECT_EQ(out[i], fast_exp(xs[i])) << "i=" << i;
-    }
-    // In place too.
-    std::vector<double> inplace = xs;
-    vexp(inplace, inplace);
-    EXPECT_EQ(inplace, out);
-}
-
 TEST(Cholesky, SolveLowerMultiBitwiseMatchesPerColumn) {
     // Property: for every size, RHS count, seed, and conditioning, the
     // blocked multi-RHS sweep carries the exact bits of the scalar

@@ -371,10 +371,9 @@ TEST(Scenarios, ExperimentsRunOnEveryShippedScenario) {
 }
 
 TEST(Scenarios, VisionRoiFastPathByteIdenticalAcrossScenarioPack) {
-    // The marker-ROI reader and the camera base-raster cache must be
-    // invisible in the results: for every shipped scenario, a run with
-    // the fast paths on serializes to the exact bytes of a run with them
-    // off (same seed, same workcell).
+    // The marker-ROI reader must be invisible in the results: for every
+    // shipped scenario, a run with the fast path on serializes to the
+    // exact bytes of a run with it off (same seed, same workcell).
     support::set_log_level(support::LogLevel::Error);
     for (const std::string& name : scenario_names()) {
         const auto run_with = [&](bool fast) {
@@ -383,7 +382,6 @@ TEST(Scenarios, VisionRoiFastPathByteIdenticalAcrossScenarioPack) {
             config.batch_size = 4;
             config = apply_workcell_spec(config, scenario_by_name(name));
             config.vision_roi_fast_path = fast;
-            config.camera.cache_base_raster = fast;
             ColorPickerApp app(config);
             const ExperimentOutcome outcome = app.run();
             return campaign::experiment_result_to_json(app.config(), outcome).pretty();

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "campaign/fleet.hpp"
-#include "linalg/backend.hpp"
 #include "support/failpoint.hpp"
 #include "support/log.hpp"
 
@@ -62,8 +61,6 @@ void print_usage(std::FILE* stream) {
         "                           completed cells (default 1: fully live)\n"
         "  --max-lease <n>          cap cells per lease (default adaptive:\n"
         "                           ceil(pending / (2 x workers)))\n"
-        "  --backend <name>         linalg backend override (strict | fast),\n"
-        "                           applied on both sides of the digest\n"
         "  --resume                 restart a killed coordinator from output_dir's\n"
         "                           coordinator.jsonl ledger + worker journals\n"
         "  --quarantine-after <k>   quarantine a cell after it crashes k distinct\n"
@@ -125,8 +122,6 @@ int worker_main(const std::vector<std::string>& args) {
             options.dir = value();
         } else if (args[i] == "--expect-digest") {
             options.expect_digest = value();
-        } else if (args[i] == "--backend") {
-            options.backend = value();
         } else if (args[i] == "--heartbeat-interval") {
             if (!parse_double(value(), options.heartbeat_interval_s)) {
                 std::fprintf(stderr, "fleet worker: bad --heartbeat-interval\n");
@@ -194,8 +189,6 @@ int main(int argc, char** argv) {
         std::string text;
         if (*it == "--campaign") {
             if (!take_value("--campaign", campaign_path)) return 2;
-        } else if (*it == "--backend") {
-            if (!take_value("--backend", options.backend)) return 2;
         } else if (*it == "--workers") {
             if (!take_value("--workers", text)) return 2;
             if (!parse_size(text, options.workers) || options.workers == 0) {
@@ -311,7 +304,6 @@ int main(int argc, char** argv) {
 
     support::set_log_level(support::LogLevel::Warn);
     try {
-        if (!options.backend.empty()) (void)linalg::backend_by_name(options.backend);
         const campaign::FleetResult fleet = campaign::run_fleet(campaign_path, out_dir,
                                                                 options);
         const campaign::FleetSummary& s = fleet.summary;

@@ -51,7 +51,6 @@
 #include "core/scenarios.hpp"
 #include "core/workcell_spec.hpp"
 #include "data/artifacts.hpp"
-#include "linalg/backend.hpp"
 #include "metrics/metrics.hpp"
 #include "support/atomic_io.hpp"
 #include "support/csv.hpp"
@@ -114,10 +113,6 @@ void print_usage(std::FILE* stream) {
                  "  --json <path>      also write the structured result document\n"
                  "                     (the same schema for single runs and\n"
                  "                     campaign cells); deterministic per spec\n"
-                 "  --backend <name>   linalg backend for GP-based solvers:\n"
-                 "                     strict (default; bitwise reference) or\n"
-                 "                     fast (SIMD, tolerance-envelope contract);\n"
-                 "                     overrides the file's linalg_backend key\n"
                  "\n"
                  "Single runs write series.csv, portal.json, metrics.txt,\n"
                  "config.yaml and per-workflow artifacts to [output_dir] (default\n"
@@ -166,13 +161,11 @@ void write_text_file(const std::string& path, const std::string& text) {
 
 int run_single(const core::ColorPickerConfig& config, const std::string& out_dir,
                const std::string& json_path, const core::WorkcellSpec* scenario_spec) {
-    const std::string backend_note =
-        config.linalg_backend == "strict" ? "" : " | backend=" + config.linalg_backend;
     std::printf("Experiment: target %s | N=%d | B=%d | solver=%s | workcell=%s | "
-                "seed=%llu%s\n",
+                "seed=%llu\n",
                 config.target.str().c_str(), config.total_samples, config.batch_size,
                 config.solver.c_str(), config.workcell.scenario.c_str(),
-                static_cast<unsigned long long>(config.seed), backend_note.c_str());
+                static_cast<unsigned long long>(config.seed));
 
     core::ColorPickerApp app(config);
     const core::ExperimentOutcome outcome = app.run();
@@ -220,11 +213,8 @@ int run_single(const core::ColorPickerConfig& config, const std::string& out_dir
 
 int run_campaign(const std::string& spec_path, const std::string& out_dir,
                  const std::string& json_path, const std::string& shard_text,
-                 const std::string& backend_override, bool resume) {
-    campaign::CampaignSpec spec = campaign::campaign_from_file(spec_path);
-    // Applied before the grid expands, so every cell (and the journal's
-    // spec digest) reflects the overridden backend.
-    if (!backend_override.empty()) spec.base.linalg_backend = backend_override;
+                 bool resume) {
+    const campaign::CampaignSpec spec = campaign::campaign_from_file(spec_path);
     const campaign::Shard shard =
         shard_text.empty() ? campaign::Shard{} : campaign::Shard::parse(shard_text);
     std::vector<campaign::CampaignCell> grid = campaign::expand_grid(spec);
@@ -377,7 +367,6 @@ int main(int argc, char** argv) {
     std::string json_path;
     std::string shard;
     std::string resume_dir;
-    std::string backend;
     for (auto it = args.begin(); it != args.end();) {
         const auto take_value = [&](const char* flag, std::string& into) {
             if (std::next(it) == args.end()) {
@@ -400,8 +389,9 @@ int main(int argc, char** argv) {
             if (!take_value("--shard", shard)) return 2;
         } else if (*it == "--resume") {
             if (!take_value("--resume", resume_dir)) return 2;
-        } else if (*it == "--backend") {
-            if (!take_value("--backend", backend)) return 2;
+        } else if (!it->empty() && (*it)[0] == '-') {
+            std::fprintf(stderr, "error: unknown flag '%s'\n", it->c_str());
+            return 2;
         } else {
             ++it;
         }
@@ -457,11 +447,8 @@ int main(int argc, char** argv) {
             : (args.size() > out_dir_index ? args[out_dir_index] : "sdlbench_out");
 
     try {
-        // Resolve the name up front: a typo exits here with the valid
-        // set listed, before any file or grid work starts.
-        if (!backend.empty()) (void)linalg::backend_by_name(backend);
         if (!campaign_path.empty()) {
-            return run_campaign(campaign_path, out_dir, json_path, shard, backend,
+            return run_campaign(campaign_path, out_dir, json_path, shard,
                                 !resume_dir.empty());
         }
         core::ColorPickerConfig config;
@@ -477,7 +464,6 @@ int main(int argc, char** argv) {
             scenario_spec = core::resolve_scenario(scenario);
             config = core::apply_workcell_spec(std::move(config), *scenario_spec);
         }
-        if (!backend.empty()) config.linalg_backend = backend;
         return run_single(config, out_dir, json_path,
                           scenario_spec ? &*scenario_spec : nullptr);
     } catch (const std::exception& e) {
