@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "campaign/checkpoint.hpp"
-#include "campaign/cost_model.hpp"
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "core/presets.hpp"
@@ -58,38 +57,6 @@ double percentile(std::vector<double> values, double q) {
     std::size_t index = rank <= 1.0 ? 0 : static_cast<std::size_t>(rank + 0.5) - 1;
     index = std::min(index, values.size() - 1);
     return values[index];
-}
-
-/// Makespan of the measured per-cell wall times under static round-robin
-/// sharding onto `shards` dedicated workers (the `--shard i/N` split):
-/// each shard's wall is the sum of its cells, the makespan is the
-/// slowest shard. Modeled, not re-measured: this container may not have
-/// the cores to run the shards truly concurrently, but the measured
-/// per-cell walls make the schedule arithmetic exact.
-double static_shard_makespan(const std::vector<campaign::CellResult>& results,
-                             std::size_t shards) {
-    std::vector<double> load(shards, 0.0);
-    for (const campaign::CellResult& result : results) {
-        load[result.cell.index % shards] += result.wall_seconds;
-    }
-    return *std::max_element(load.begin(), load.end());
-}
-
-/// Makespan of the same cells under the fleet's schedule: cells claimed
-/// longest-expected-first (campaign/cost_model.hpp), each by the first
-/// worker to free up — the LPT greedy the lease table implements when
-/// leases shrink to single cells.
-double stealing_makespan(const std::vector<campaign::CellResult>& results,
-                         std::size_t workers) {
-    std::vector<campaign::CampaignCell> cells;
-    cells.reserve(results.size());
-    for (const campaign::CellResult& result : results) cells.push_back(result.cell);
-    std::vector<double> load(workers, 0.0);
-    for (const std::size_t i : campaign::schedule_order(cells)) {
-        auto first_free = std::min_element(load.begin(), load.end());
-        *first_free += results[i].wall_seconds;
-    }
-    return *std::max_element(load.begin(), load.end());
 }
 
 }  // namespace
@@ -152,16 +119,6 @@ int main(int argc, char** argv) {
                 total_wall_seconds, busy_seconds, pool_workers, efficiency * 100.0,
                 wall_p50, wall_p95);
 
-    // Fleet vs static 3-shard, modeled from the measured per-cell walls
-    // (informational — outside the perf gate; see the leaf names).
-    const double static3 = static_shard_makespan(results, 3);
-    const double stealing3 = stealing_makespan(results, 3);
-    const double improvement =
-        static3 > 0.0 ? (static3 - stealing3) / static3 * 100.0 : 0.0;
-    std::printf("Fleet model (3 dedicated workers): work-stealing makespan %.2f s vs "
-                "static 3-shard %.2f s — %.0f%% shorter on this grid.\n",
-                stealing3, static3, improvement);
-
     // Checkpoint overhead: what journaling every cell costs at run time,
     // and what a resume pays to validate the journal against the
     // re-expanded grid before skipping completed cells.
@@ -219,15 +176,6 @@ int main(int argc, char** argv) {
     scheduler.set("efficiency", efficiency);
     scheduler.set("cell_wall_p50_seconds", wall_p50);
     scheduler.set("cell_wall_p95_seconds", wall_p95);
-    // Modeled from measured per-cell walls on 3 dedicated workers —
-    // informational leaves (no _seconds suffix), deliberately outside
-    // bench_compare's regression gate: the split depends on the grid's
-    // cost skew, not on code speed.
-    support::json::Value fleet_model = support::json::Value::object();
-    fleet_model.set("modeled_static3_makespan", static3);
-    fleet_model.set("modeled_stealing3_makespan", stealing3);
-    fleet_model.set("modeled_improvement_pct", improvement);
-    scheduler.set("fleet_vs_static3", std::move(fleet_model));
     bench.set("scheduler", std::move(scheduler));
     try {
         support::atomic_write("BENCH_campaign.json", bench.pretty() + "\n");

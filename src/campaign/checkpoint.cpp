@@ -1,6 +1,5 @@
 #include "campaign/checkpoint.hpp"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
@@ -18,37 +17,6 @@ namespace json = support::json;
 
 std::string journal_path(const std::string& out_dir) {
     return out_dir + "/cells.jsonl";
-}
-
-// ------------------------------------------------------------------ shard
-
-std::string Shard::str() const {
-    return std::to_string(index + 1) + "/" + std::to_string(count);
-}
-
-Shard Shard::parse(const std::string& text) {
-    const std::size_t slash = text.find('/');
-    std::size_t i = 0;
-    std::size_t n = 0;
-    try {
-        if (slash == std::string::npos || slash == 0 || slash + 1 >= text.size()) {
-            throw std::invalid_argument("shape");
-        }
-        std::size_t parsed = 0;
-        i = std::stoul(text.substr(0, slash), &parsed);
-        if (parsed != slash) throw std::invalid_argument("index");
-        const std::string rest = text.substr(slash + 1);
-        n = std::stoul(rest, &parsed);
-        if (parsed != rest.size()) throw std::invalid_argument("count");
-    } catch (const std::exception&) {
-        throw support::ConfigError("bad shard '" + text +
-                                   "' (expected i/N, e.g. --shard 1/3)");
-    }
-    if (n == 0 || i == 0 || i > n) {
-        throw support::ConfigError("shard '" + text + "' out of range: i must be in [1, " +
-                                   (n == 0 ? std::string("N") : std::to_string(n)) + "]");
-    }
-    return Shard{i - 1, n};
 }
 
 // ---------------------------------------------------------------- digests
@@ -77,7 +45,7 @@ color::Rgb8 rgb_from_json(const json::Value& v) {
 // The journal stores the outcome in native units — durations in seconds,
 // doubles in shortest-round-trip text (the JSON writer's format) — so
 // outcome_from_json(outcome_to_json(o)) reproduces every field bit for
-// bit, which is what makes resumed/merged reports byte-identical.
+// bit, which is what makes resumed and fleet reports byte-identical.
 json::Value outcome_to_json(const core::ExperimentOutcome& outcome) {
     json::Value doc = json::Value::object();
     doc.set("experiment_id", outcome.experiment_id);
@@ -187,15 +155,12 @@ std::string cell_digest(const CampaignCell& cell) {
 
 // ---------------------------------------------------------------- records
 
-json::Value journal_header(const CampaignSpec& spec, std::size_t cells_total,
-                           Shard shard) {
+json::Value journal_header(const CampaignSpec& spec, std::size_t cells_total) {
     json::Value doc = json::Value::object();
     doc.set("schema", std::string(kJournalSchema));
     doc.set("campaign", spec.name);
     doc.set("spec_digest", spec_digest(spec));
     doc.set("cells_total", static_cast<std::int64_t>(cells_total));
-    doc.set("shard_index", static_cast<std::int64_t>(shard.index));
-    doc.set("shard_count", static_cast<std::int64_t>(shard.count));
     return doc;
 }
 
@@ -205,7 +170,8 @@ json::Value cell_record_to_json(const CellResult& result) {
     doc.set("cell_index", static_cast<std::int64_t>(result.cell.index));
     doc.set("experiment_id", result.cell.config.experiment_id);
     doc.set("config_digest", cell_digest(result.cell));
-    // Host wall time: useful for shard balancing, excluded from reports.
+    // Host wall time: the fleet's busy-time summary reads it; excluded
+    // from reports.
     doc.set("wall_seconds", result.wall_seconds);
     doc.set("outcome", outcome_to_json(result.outcome));
     return doc;
@@ -216,10 +182,9 @@ json::Value cell_record_to_json(const CellResult& result) {
 namespace {
 
 support::AppendWriter start_journal(const std::string& out_dir,
-                                    const CampaignSpec& spec, std::size_t cells_total,
-                                    Shard shard) {
+                                    const CampaignSpec& spec, std::size_t cells_total) {
     const std::string path = journal_path(out_dir);
-    support::atomic_write(path, journal_header(spec, cells_total, shard).dump() + "\n");
+    support::atomic_write(path, journal_header(spec, cells_total).dump() + "\n");
     return support::AppendWriter(path);
 }
 
@@ -229,9 +194,8 @@ CheckpointJournal::CheckpointJournal(support::AppendWriter writer)
     : writer_(std::move(writer)) {}
 
 CheckpointJournal::CheckpointJournal(const std::string& out_dir,
-                                     const CampaignSpec& spec, std::size_t cells_total,
-                                     Shard shard)
-    : writer_(start_journal(out_dir, spec, cells_total, shard)) {}
+                                     const CampaignSpec& spec, std::size_t cells_total)
+    : writer_(start_journal(out_dir, spec, cells_total)) {}
 
 CheckpointJournal CheckpointJournal::reopen(const std::string& out_dir) {
     return CheckpointJournal(support::AppendWriter(journal_path(out_dir)));
@@ -249,6 +213,12 @@ namespace {
     throw support::ConfigError("journal '" + path + "': " + why);
 }
 
+std::string read_bytes(std::ifstream& file) {
+    std::ostringstream buffer;
+    buffer << file.rdbuf();
+    return buffer.str();
+}
+
 }  // namespace
 
 std::size_t journal_progress(const std::string& path,
@@ -256,18 +226,12 @@ std::size_t journal_progress(const std::string& path,
     try {
         std::ifstream file(path, std::ios::binary);
         if (!file) return 0;
-        std::ostringstream buffer;
-        buffer << file.rdbuf();
-        const std::string text = buffer.str();
-        // Only '\n'-terminated lines count: a torn final fragment (kill
+        const std::string text = read_bytes(file);
+        // Only complete lines count: a torn final fragment (kill
         // mid-append) is not a completed record — counting it would let
         // an almost-finished crashed run masquerade as complete.
-        std::vector<std::string> lines;
-        std::size_t start = 0;
-        for (std::size_t nl = text.find('\n', start); nl != std::string::npos;
-             start = nl + 1, nl = text.find('\n', start)) {
-            lines.push_back(text.substr(start, nl - start));
-        }
+        const std::vector<std::string_view> lines =
+            support::split_complete_lines(text).lines;
         if (lines.empty()) return 0;
         const json::Value header = json::parse(lines.front());
         if (header.get_or("schema", std::string()) != kJournalSchema ||
@@ -278,28 +242,18 @@ std::size_t journal_progress(const std::string& path,
         for (std::size_t i = 1; i < lines.size(); ++i) {
             if (!lines[i].empty()) ++records;
         }
-        // A journal that already covers its whole slice is a finished
-        // run: rerunning reproduces it, nothing is lost by truncation.
+        // A journal with a record per cell is a finished run: rerunning
+        // reproduces it, nothing is lost by truncation.
         const auto cells_total =
             static_cast<std::size_t>(header.get_or("cells_total", std::int64_t{0}));
-        const auto shard_count =
-            static_cast<std::size_t>(header.get_or("shard_count", std::int64_t{1}));
-        const auto shard_index =
-            static_cast<std::size_t>(header.get_or("shard_index", std::int64_t{0}));
-        if (shard_count == 0 || shard_index >= shard_count) return records;
-        const Shard shard{shard_index, shard_count};
-        std::size_t expected = 0;
-        for (std::size_t i = 0; i < cells_total; ++i) {
-            if (shard.contains(i)) ++expected;
-        }
-        return records >= expected ? 0 : records;
+        return records < cells_total ? records : 0;
     } catch (...) {
         return 0;
     }
 }
 
-Shard validate_journal_header(const std::string& line, const CampaignSpec& spec,
-                              std::size_t grid_cells, const std::string& path) {
+void validate_journal_header(std::string_view line, const CampaignSpec& spec,
+                             std::size_t grid_cells, const std::string& path) {
     json::Value header;
     try {
         header = json::parse(line);
@@ -317,7 +271,7 @@ Shard validate_journal_header(const std::string& line, const CampaignSpec& spec,
         reject(path, "spec digest mismatch: journal was written for spec " +
                          found_digest + ", but this campaign file digests to " +
                          expected_digest +
-                         " — resuming/merging across different specs is not allowed");
+                         " — resuming across different specs is not allowed");
     }
     const auto cells_total =
         static_cast<std::size_t>(header.get_or("cells_total", std::int64_t{0}));
@@ -326,18 +280,9 @@ Shard validate_journal_header(const std::string& line, const CampaignSpec& spec,
                          std::to_string(cells_total) + " cells, grid expands to " +
                          std::to_string(grid_cells));
     }
-    Shard shard;
-    shard.index = static_cast<std::size_t>(header.get_or("shard_index", std::int64_t{0}));
-    shard.count = static_cast<std::size_t>(header.get_or("shard_count", std::int64_t{1}));
-    if (shard.count == 0 || shard.index >= shard.count) {
-        reject(path, "invalid shard " + std::to_string(shard.index) + "/" +
-                         std::to_string(shard.count) + " in header");
-    }
-    return shard;
 }
 
-CellResult parse_cell_record(const std::string& line,
-                             const std::vector<CampaignCell>& grid,
+CellResult parse_cell_record(std::string_view line, const std::vector<CampaignCell>& grid,
                              const std::string& path) {
     const json::Value record = json::parse(line);  // throws on corrupt JSON
     if (record.get_or("schema", std::string()) != kCellRecordSchema) {
@@ -371,55 +316,28 @@ LoadedJournal load_journal(const std::string& path, const CampaignSpec& spec,
                            const std::vector<CampaignCell>& grid) {
     std::ifstream file(path, std::ios::binary);
     if (!file) throw support::Error("io", "cannot open journal '" + path + "'");
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    const std::string text = buffer.str();
+    const std::string text = read_bytes(file);
 
-    // Split into lines; a final fragment without '\n' is the torn tail a
-    // kill mid-append leaves behind.
-    std::vector<std::string> lines;
-    std::string torn_tail;
-    std::size_t start = 0;
-    while (start < text.size()) {
-        const std::size_t nl = text.find('\n', start);
-        if (nl == std::string::npos) {
-            torn_tail = text.substr(start);
-            break;
-        }
-        lines.push_back(text.substr(start, nl - start));
-        start = nl + 1;
-    }
-    if (lines.empty()) {
-        reject(path, torn_tail.empty()
+    // An unterminated final fragment is the torn tail a kill mid-append
+    // leaves behind.
+    const support::CompleteLines split = support::split_complete_lines(text);
+    if (split.lines.empty()) {
+        reject(path, text.empty()
                          ? "journal is empty"
                          : "header record is truncated — the run died before "
                            "checkpointing anything; start fresh without --resume");
     }
 
     LoadedJournal loaded;
-    loaded.shard = validate_journal_header(lines.front(), spec, grid.size(), path);
-    loaded.cells_total = grid.size();
-    loaded.lines.push_back(lines.front());
+    validate_journal_header(split.lines.front(), spec, grid.size(), path);
+    loaded.lines.emplace_back(split.lines.front());
 
     std::vector<bool> seen(grid.size(), false);
-    const auto load_record = [&](const std::string& line) {
-        CellResult result = parse_cell_record(line, grid, path);
-        const std::size_t index = result.cell.index;
-        if (!loaded.shard.contains(index)) {
-            reject(path, "cell " + std::to_string(index) + " does not belong to shard " +
-                             loaded.shard.str());
-        }
-        if (seen[index]) {
-            reject(path, "cell " + std::to_string(index) + " recorded twice");
-        }
-        seen[index] = true;
-        loaded.cells.push_back(std::move(result));
-        loaded.lines.push_back(line);
-    };
-
-    for (std::size_t i = 1; i < lines.size(); ++i) {
+    for (std::size_t i = 1; i < split.lines.size(); ++i) {
+        const std::string_view line = split.lines[i];
+        CellResult result;
         try {
-            load_record(lines[i]);
+            result = parse_cell_record(line, grid, path);
         } catch (const support::ConfigError&) {
             throw;  // validation failures are always loud
         } catch (const support::Error& e) {
@@ -430,58 +348,16 @@ LoadedJournal load_journal(const std::string& path, const CampaignSpec& spec,
             reject(path, "corrupt record on line " + std::to_string(i + 1) + ": " +
                              e.what());
         }
+        const std::size_t index = result.cell.index;
+        if (seen[index]) {
+            reject(path, "cell " + std::to_string(index) + " recorded twice");
+        }
+        seen[index] = true;
+        loaded.cells.push_back(std::move(result));
+        loaded.lines.emplace_back(line);
     }
-    if (!torn_tail.empty()) loaded.dropped_torn_tail = true;
+    loaded.dropped_torn_tail = split.tail < text.size();
     return loaded;
-}
-
-// ----------------------------------------------------------------- merge
-
-std::vector<CellResult> merge_journals(const std::vector<std::string>& journal_paths,
-                                       const CampaignSpec& spec) {
-    support::check(!journal_paths.empty(), "merge_journals needs at least one journal");
-    const std::vector<CampaignCell> grid = expand_grid(spec);
-
-    std::vector<CellResult> merged;
-    merged.reserve(grid.size());
-    // Which journal claimed each cell (for the overlap message).
-    std::vector<std::ptrdiff_t> owner(grid.size(), -1);
-    for (std::size_t j = 0; j < journal_paths.size(); ++j) {
-        LoadedJournal loaded = load_journal(journal_paths[j], spec, grid);
-        for (CellResult& result : loaded.cells) {
-            const std::size_t index = result.cell.index;
-            if (owner[index] >= 0) {
-                throw support::ConfigError(
-                    "overlapping shards: cell " + std::to_string(index) +
-                    " appears in both '" +
-                    journal_paths[static_cast<std::size_t>(owner[index])] + "' and '" +
-                    journal_paths[j] + "'");
-            }
-            owner[index] = static_cast<std::ptrdiff_t>(j);
-            merged.push_back(std::move(result));
-        }
-    }
-
-    std::vector<std::size_t> missing;
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-        if (owner[i] < 0) missing.push_back(i);
-    }
-    if (!missing.empty()) {
-        std::string sample;
-        for (std::size_t i = 0; i < missing.size() && i < 8; ++i) {
-            if (!sample.empty()) sample += ", ";
-            sample += std::to_string(missing[i]);
-        }
-        throw support::ConfigError(
-            "incomplete merge: " + std::to_string(missing.size()) + " of " +
-            std::to_string(grid.size()) + " cells missing (e.g. " + sample +
-            ") — a shard is absent or was interrupted; finish it (--resume) first");
-    }
-
-    std::sort(merged.begin(), merged.end(), [](const CellResult& a, const CellResult& b) {
-        return a.cell.index < b.cell.index;
-    });
-    return merged;
 }
 
 }  // namespace sdl::campaign

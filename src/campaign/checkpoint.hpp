@@ -1,20 +1,21 @@
 // Campaign checkpointing: a durable per-cell journal that makes campaign
-// execution fault-tolerant (resume after a crash) and horizontally
-// scalable (shard one grid across machines, merge the journals).
+// execution fault-tolerant (resume after a crash).
 //
 // As each cell finishes, CampaignRunner's completion hook appends one
 // self-describing JSONL record ("sdlbench.cell_result.v1") to
 // <out_dir>/cells.jsonl through support::AppendWriter, so a killed run
 // preserves every completed cell. The journal opens with a header record
 // ("sdlbench.campaign_journal.v1") carrying a digest of the normalized
-// campaign spec plus the shard slice; loading re-expands the grid,
+// campaign spec and the grid's cell count; loading re-expands the grid,
 // rejects digest mismatches loudly, validates every record against its
 // expanded cell, and drops a torn final line (the only damage a kill can
-// inflict, by the O_APPEND one-write-per-record discipline).
+// inflict, by the O_APPEND one-write-per-record discipline). The fleet
+// (fleet.hpp) writes the same journal per worker, and fuses them into one
+// whole-grid journal when it finishes.
 //
 // Everything journaled is modeled time in native units (seconds), and
 // both the journal and the reports serialize doubles in shortest
-// round-trip form — so a resumed or shard-merged campaign.json is
+// round-trip form — so a resumed or fleet-run campaign.json is
 // byte-identical to an uninterrupted single run.
 #pragma once
 
@@ -36,31 +37,9 @@ inline constexpr std::string_view kCellRecordSchema = "sdlbench.cell_result.v1";
 /// <out_dir>/cells.jsonl — where a campaign run keeps its journal.
 [[nodiscard]] std::string journal_path(const std::string& out_dir);
 
-/// A deterministic round-robin slice of the expanded grid: shard i of N
-/// owns every cell whose index ≡ i (mod N). The default {0, 1} is the
-/// whole grid.
-struct Shard {
-    std::size_t index = 0;  ///< 0-based
-    std::size_t count = 1;
-
-    [[nodiscard]] bool contains(std::size_t cell_index) const noexcept {
-        return cell_index % count == index;
-    }
-    [[nodiscard]] bool is_whole() const noexcept { return count == 1; }
-    /// "i/N" with a 1-based i, matching the CLI flag.
-    [[nodiscard]] std::string str() const;
-    /// Parses "i/N" (1-based i in [1, N]). Throws ConfigError on
-    /// malformed text or an out-of-range shard.
-    [[nodiscard]] static Shard parse(const std::string& text);
-
-    friend bool operator==(const Shard& a, const Shard& b) noexcept {
-        return a.index == b.index && a.count == b.count;
-    }
-};
-
 /// Digest of the normalized spec (FNV-1a 64 over its canonical YAML
-/// form). Two runs may be resumed into / merged with each other exactly
-/// when their digests agree.
+/// form). A journal may be resumed under a spec exactly when their
+/// digests agree.
 [[nodiscard]] std::string spec_digest(const CampaignSpec& spec);
 
 /// Digest of one expanded cell's fully resolved config — the per-record
@@ -69,7 +48,7 @@ struct Shard {
 
 /// The journal header record (first line of cells.jsonl).
 [[nodiscard]] support::json::Value journal_header(const CampaignSpec& spec,
-                                                  std::size_t cells_total, Shard shard);
+                                                  std::size_t cells_total);
 
 /// One finished cell as a self-describing journal record: cell index,
 /// experiment id, config digest, host wall seconds, and the full outcome
@@ -82,7 +61,7 @@ struct Shard {
 class CheckpointJournal {
 public:
     CheckpointJournal(const std::string& out_dir, const CampaignSpec& spec,
-                      std::size_t cells_total, Shard shard = {});
+                      std::size_t cells_total);
 
     [[nodiscard]] static CheckpointJournal reopen(const std::string& out_dir);
 
@@ -95,10 +74,8 @@ private:
     support::AppendWriter writer_;
 };
 
-/// A validated journal, ready to resume from or merge.
+/// A validated journal, ready to resume from.
 struct LoadedJournal {
-    Shard shard;
-    std::size_t cells_total = 0;
     /// Validated cells in journal (completion) order, each reattached to
     /// its re-expanded CampaignCell.
     std::vector<CellResult> cells;
@@ -110,23 +87,21 @@ struct LoadedJournal {
 };
 
 /// Parses and validates a journal header line against `spec` (schema +
-/// spec digest) and the expanded grid size; returns the journal's shard.
-/// Throws ConfigError naming `path` on any mismatch. The header half of
-/// load_journal, exposed for incremental readers (the fleet coordinator
-/// tails worker journals line by line as acks arrive).
-[[nodiscard]] Shard validate_journal_header(const std::string& line,
-                                            const CampaignSpec& spec,
-                                            std::size_t grid_cells,
-                                            const std::string& path);
+/// spec digest) and the expanded grid size. Throws ConfigError naming
+/// `path` on any mismatch. Keys it does not know are ignored, so headers
+/// from older builds still load. The header half of load_journal,
+/// exposed for incremental readers (the fleet coordinator tails worker
+/// journals line by line as acks arrive).
+void validate_journal_header(std::string_view line, const CampaignSpec& spec,
+                             std::size_t grid_cells, const std::string& path);
 
 /// Parses and validates one cell record line against the re-expanded
 /// grid: record schema, cell index range, per-cell config digest, and
 /// experiment id must all match. Throws ConfigError naming `path` on a
-/// validation failure and Error("json") on corrupt JSON. Duplicate and
-/// shard-membership checks remain the caller's (they need cross-record
-/// state). The record half of load_journal, exposed for the same
-/// incremental readers.
-[[nodiscard]] CellResult parse_cell_record(const std::string& line,
+/// validation failure and Error("json") on corrupt JSON. The duplicate
+/// check remains the caller's (it needs cross-record state). The record
+/// half of load_journal, exposed for the same incremental readers.
+[[nodiscard]] CellResult parse_cell_record(std::string_view line,
                                            const std::vector<CampaignCell>& grid,
                                            const std::string& path);
 
@@ -134,31 +109,20 @@ struct LoadedJournal {
 /// `spec` (header parses, spec digest matches) and is an *incomplete*
 /// run — i.e. progress a fresh run would destroy; 0 otherwise. A
 /// missing file, a foreign spec, an unreadable header, and a journal
-/// that already covers its whole slice (a finished run, safe to redo)
-/// all count as "nothing to protect". The cheap guard `sdlbench_run`
-/// uses to refuse to truncate real progress when `--resume` was
-/// forgotten.
+/// with a record for every cell (a finished run, safe to redo) all count
+/// as "nothing to protect". The cheap guard `sdlbench_run` uses to
+/// refuse to truncate real progress when `--resume` was forgotten.
 [[nodiscard]] std::size_t journal_progress(const std::string& path,
                                            const CampaignSpec& spec) noexcept;
 
 /// Reads and validates `path` against the re-expanded `grid` of `spec`.
 /// Loud failures (ConfigError): spec-digest or cell-count mismatch,
 /// schema mismatch, a record whose config digest or experiment id does
-/// not match its grid cell, duplicate or out-of-shard cell indices, or a
-/// corrupt record that is not the torn final line. The torn final line of
-/// a killed run is silently dropped (reported via dropped_torn_tail).
+/// not match its grid cell, a duplicate cell index, or a corrupt record
+/// that is not the torn final line. The torn final line of a killed run
+/// is silently dropped (reported via dropped_torn_tail).
 [[nodiscard]] LoadedJournal load_journal(const std::string& path,
                                          const CampaignSpec& spec,
                                          const std::vector<CampaignCell>& grid);
-
-/// Fuses shard journals into one complete result set, sorted by cell
-/// index — the merge side of `--shard`. Every journal is validated with
-/// load_journal; overlapping cells (two journals claiming one index) and
-/// incomplete coverage (missing cells, e.g. a shard that never finished)
-/// are rejected loudly with the offending journal named. The returned
-/// vector is byte-for-byte equivalent input to campaign_results_to_json
-/// as a single uninterrupted run.
-[[nodiscard]] std::vector<CellResult> merge_journals(
-    const std::vector<std::string>& journal_paths, const CampaignSpec& spec);
 
 }  // namespace sdl::campaign

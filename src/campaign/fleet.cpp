@@ -24,7 +24,6 @@
 #include "support/atomic_io.hpp"
 #include "support/channel.hpp"
 #include "support/common.hpp"
-#include "support/csv.hpp"
 #include "support/failpoint.hpp"
 #include "support/mutex.hpp"
 #include "support/subprocess.hpp"
@@ -43,6 +42,24 @@ using Clock = std::chrono::steady_clock;
 double seconds_since(Clock::time_point t0) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
+
+// Fleet policy: one value each, fixed here because no caller needs
+// another (docs/ROBUSTNESS.md describes them).
+/// A worker silent this long (no hello/beat/ack) is declared hung,
+/// SIGKILLed, and its incomplete cells are re-leased.
+constexpr double kHeartbeatTimeoutS = 30.0;
+/// Worker-side beat period.
+constexpr double kHeartbeatIntervalS = 0.25;
+/// A cell that has crashed this many DISTINCT worker incarnations is
+/// quarantined: removed from the schedule and reported in campaign.json
+/// with its crash history.
+constexpr std::size_t kQuarantineAfter = 3;
+/// Per-slot respawn budget; a slot that exhausts it is retired.
+constexpr std::size_t kMaxRespawns = 8;
+/// Respawn backoff: min(cap, base * 2^(consecutive crashes - 1)). The
+/// streak resets on any successful ack from that slot.
+constexpr double kRespawnBackoffS = 0.25;
+constexpr double kRespawnBackoffCapS = 5.0;
 
 /// Splits on single spaces; strict (no empty tokens) so a malformed
 /// frame never half-parses.
@@ -252,12 +269,7 @@ LedgerState load_ledger(const std::string& path) {
                            std::istreambuf_iterator<char>());
     LedgerState state;
     bool header_seen = false;
-    std::size_t start = 0;
-    while (start < text.size()) {
-        const std::size_t nl = text.find('\n', start);
-        if (nl == std::string::npos) break;  // torn tail: drop
-        const std::string line = text.substr(start, nl - start);
-        start = nl + 1;
+    for (const std::string_view line : support::split_complete_lines(text).lines) {
         if (line.empty()) continue;
         json::Value doc;
         try {
@@ -291,7 +303,7 @@ LedgerState load_ledger(const std::string& path) {
             state.quarantines.push_back(
                 static_cast<std::size_t>(doc.at("cell").as_int()));
         }  // unknown events: skip (forward compatibility)
-        state.raw_events.push_back(line);
+        state.raw_events.emplace_back(line);
     }
     if (!header_seen) {
         throw support::ConfigError("coordinator ledger '" + path +
@@ -348,16 +360,9 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         threads = std::max<std::size_t>(1, hw / n_workers);
     }
 
-    // --chaos-kill is sugar for a generation-0 worker failpoint; every
-    // schedule is parsed up front so a typo aborts before any spawn.
-    std::vector<FleetOptions::WorkerFailpoint> worker_failpoints = options.worker_failpoints;
-    if (options.chaos_kill_worker >= 0 && options.chaos_kill_after > 0) {
-        worker_failpoints.push_back(
-            {options.chaos_kill_worker,
-             "worker.pre_ack_kill=kill@" + std::to_string(options.chaos_kill_after) +
-                 "#1"});
-    }
-    for (const FleetOptions::WorkerFailpoint& wf : worker_failpoints) {
+    // Every worker schedule is parsed up front so a typo aborts before
+    // any spawn.
+    for (const FleetOptions::WorkerFailpoint& wf : options.worker_failpoints) {
         (void)support::failpoint::parse(wf.spec);
     }
 
@@ -408,32 +413,18 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
             if (s.pid > 0) (void)::kill(static_cast<pid_t>(s.pid), SIGKILL);
         }
 #endif
-        const auto load_worker_journal = [&](const std::string& path) {
-            std::ifstream file(path, std::ios::binary);
-            if (!file) return;  // died before creating a journal
-            const std::string text((std::istreambuf_iterator<char>(file)),
-                                   std::istreambuf_iterator<char>());
-            bool header_seen = false;
-            std::size_t start = 0;
-            while (start < text.size()) {
-                const std::size_t nl = text.find('\n', start);
-                if (nl == std::string::npos) break;  // torn tail: drop
-                const std::string line = text.substr(start, nl - start);
-                start = nl + 1;
-                if (!header_seen) {
-                    (void)validate_journal_header(line, spec, grid.size(), path);
-                    header_seen = true;
-                    continue;
-                }
-                CellResult record = parse_cell_record(line, grid, path);
-                const std::size_t index = record.cell.index;
-                table.complete(index);  // cross-journal duplicates stay loud
-                summary.busy_s += record.wall_seconds;
-                results[index] = std::move(record);
-            }
-        };
         for (const LedgerSpawn& s : prior.spawns) {
-            load_worker_journal(journal_path(s.dir));
+            const std::string path = journal_path(s.dir);
+            // A worker that died before creating its journal left none.
+            if (std::filesystem::exists(path)) {
+                LoadedJournal loaded = load_journal(path, spec, grid);
+                for (CellResult& record : loaded.cells) {
+                    const std::size_t index = record.cell.index;
+                    table.complete(index);  // cross-journal duplicates stay loud
+                    summary.busy_s += record.wall_seconds;
+                    results[index] = std::move(record);
+                }
+            }
             next_incarnation = std::max(next_incarnation, s.incarnation + 1);
             if (s.slot >= 0 && static_cast<std::size_t>(s.slot) < workers.size()) {
                 workers[static_cast<std::size_t>(s.slot)].generation =
@@ -457,21 +448,17 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
             ledger_prefix += raw;
             ledger_prefix += '\n';
         }
-        if (options.log_progress) {
-            std::printf("Fleet resume: %zu of %zu cells already journaled, "
-                        "%zu quarantined\n",
-                        table.done_count(), grid.size(), table.quarantined_count());
-        }
+        std::printf("Fleet resume: %zu of %zu cells already journaled, "
+                    "%zu quarantined\n",
+                    table.done_count(), grid.size(), table.quarantined_count());
     }
 
     CoordinatorLedger ledger;
     ledger.open(out_dir, ledger_prefix);
 
-    if (options.log_progress) {
-        std::printf("Fleet: %zu cells on %zu workers (%zu threads each), "
-                    "cost-ordered leases\n",
-                    grid.size(), n_workers, threads);
-    }
+    std::printf("Fleet: %zu cells on %zu workers (%zu threads each), "
+                "cost-ordered leases\n",
+                grid.size(), n_workers, threads);
 
     const auto start_time = Clock::now();
     for (std::size_t i = 0; i < n_workers; ++i) {
@@ -483,7 +470,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
     }
 
     std::size_t alive_count = 0;
-    std::size_t since_merge = 0;
+    bool merge_due = false;  // records drained since the last live merge
 
     const auto collect_results = [&] {
         std::vector<CellResult> collected;
@@ -509,17 +496,13 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         std::string chunk(size - w.journal_offset, '\0');
         file.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
 
-        std::size_t consumed = 0;
+        // An unterminated remainder is an append still in flight (or a
+        // dead worker's torn tail): leave it for the next poll.
+        const support::CompleteLines split = support::split_complete_lines(chunk);
         std::size_t records = 0;
-        std::size_t start = 0;
-        for (;;) {
-            const std::size_t nl = chunk.find('\n', start);
-            if (nl == std::string::npos) break;  // torn tail: wait for more
-            const std::string line = chunk.substr(start, nl - start);
-            start = nl + 1;
-            consumed = start;
+        for (const std::string_view line : split.lines) {
             if (!w.header_seen) {
-                (void)validate_journal_header(line, spec, grid.size(), path);
+                validate_journal_header(line, spec, grid.size(), path);
                 w.header_seen = true;
                 continue;
             }
@@ -527,23 +510,20 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
             const std::size_t index = record.cell.index;
             table.complete(index);  // throws if any worker already did this cell
             summary.busy_s += record.wall_seconds;
-            if (options.log_progress) {
-                // sdlbench-lint: allow(printf-float): stdout progress line, never serialized into an artifact
-                std::printf("  [%zu/%zu] %s best=%.2f (w%d, %.1fs)\n",
-                            table.done_count(), grid.size(),
-                            record.cell.config.experiment_id.c_str(),
-                            record.outcome.best_score, w.slot, record.wall_seconds);
-            }
+            // sdlbench-lint: allow(printf-float): stdout progress line, never serialized into an artifact
+            std::printf("  [%zu/%zu] %s best=%.2f (w%d, %.1fs)\n", table.done_count(),
+                        grid.size(), record.cell.config.experiment_id.c_str(),
+                        record.outcome.best_score, w.slot, record.wall_seconds);
             results[index] = std::move(record);
             ++records;
-            ++since_merge;
+            merge_due = true;
         }
-        w.journal_offset += consumed;
+        w.journal_offset += split.tail;
         return records;
     };
 
     const auto grant_to = [&](WorkerState& w) {
-        const std::size_t size = table.suggested_lease(alive_count, options.max_lease);
+        const std::size_t size = table.suggested_lease(alive_count);
         if (size == 0) return;
         const std::vector<std::size_t> lease = table.grant(w.slot, size);
         if (lease.empty()) return;
@@ -563,7 +543,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
 
     const auto schedule_respawn = [&](WorkerState& w) {
         if (table.all_done()) return;
-        if (w.respawns_used >= options.max_respawns) {
+        if (w.respawns_used >= kMaxRespawns) {
             if (!w.retired) {
                 w.retired = true;
                 std::fprintf(stderr,
@@ -576,8 +556,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         const double factor =
             w.crash_streak > 0 ? std::ldexp(1.0, static_cast<int>(w.crash_streak) - 1)
                                : 1.0;
-        const double backoff = std::min(options.respawn_backoff_cap_s,
-                                        options.respawn_backoff_s * factor);
+        const double backoff = std::min(kRespawnBackoffCapS, kRespawnBackoffS * factor);
         w.respawn_at = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                           std::chrono::duration<double>(backoff));
         // sdlbench-lint: allow(printf-float): stderr lifecycle line, never serialized into an artifact
@@ -603,7 +582,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         // so the coordinator's own environment never leaks failpoints
         // into workers.
         std::string fp;
-        for (const FleetOptions::WorkerFailpoint& wf : worker_failpoints) {
+        for (const FleetOptions::WorkerFailpoint& wf : options.worker_failpoints) {
             const bool applies =
                 wf.slot < 0 || (wf.slot == w.slot && w.generation == 0);
             if (!applies) continue;
@@ -615,8 +594,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
             options.worker_exe, "--worker",
             "--campaign", spec_path,
             "--dir", w.dir,
-            "--expect-digest", digest,
-            "--heartbeat-interval", support::fmt_roundtrip(options.heartbeat_interval_s)};
+            "--expect-digest", digest};
 
         w.journal_offset = 0;
         w.header_seen = false;
@@ -684,7 +662,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         // revoke() returns incomplete cells in schedule (= grant) order,
         // so the first revoked cell is the one the worker was most
         // likely executing. A heuristic — which is why conviction takes
-        // `quarantine_after` DISTINCT incarnations, not one.
+        // kQuarantineAfter DISTINCT incarnations, not one.
         if (!revoked.empty()) {
             const std::size_t suspect = revoked.front();
             crash_log[suspect].push_back(
@@ -699,7 +677,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
             event.set("reason", std::string(why));
             ledger.append(event);
             const std::size_t burned = table.record_crash(suspect, w.incarnation);
-            if (burned >= options.quarantine_after && burned > 0) {
+            if (burned >= kQuarantineAfter) {
                 table.quarantine(suspect);
                 json::Value conviction = json::Value::object();
                 conviction.set("event", "quarantine");
@@ -752,7 +730,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
             if (w.alive) {
                 fds[static_cast<std::size_t>(w.slot)] = w.proc.stdout_fd();
                 const double remaining =
-                    options.heartbeat_timeout_s -
+                    kHeartbeatTimeoutS -
                     std::chrono::duration<double>(now - w.last_heard).count();
                 timeout_ms = std::min(timeout_ms, static_cast<int>(remaining * 1000.0));
             } else if (w.respawn_at) {
@@ -827,7 +805,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         for (WorkerState& w : workers) {
             if (w.alive &&
                 std::chrono::duration<double>(after - w.last_heard).count() >
-                    options.heartbeat_timeout_s) {
+                    kHeartbeatTimeoutS) {
                 handle_death(w, "heartbeat timeout");
             }
         }
@@ -843,10 +821,10 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         // Live merge: aggregates stay current while the fleet runs. A
         // failed live merge (disk hiccup, injected atomic_io fault) is
         // retried next pass — only the FINAL write below must succeed.
-        if (since_merge >= options.merge_every && !table.all_done()) {
+        if (merge_due && !table.all_done()) {
             try {
                 write_campaign_outputs(out_dir, spec, collect_results());
-                since_merge = 0;
+                merge_due = false;
             } catch (const support::Error& e) {
                 std::fprintf(stderr, "fleet: live merge failed (%s); retrying\n",
                              e.what());
@@ -856,8 +834,8 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
 
     // Final merge from index-sorted results — the exact bytes of a
     // single-process uninterrupted run — plus the fused whole-grid
-    // journal, so the fleet directory is resumable/mergeable like any
-    // other campaign directory. Quarantined cells are reported, not
+    // journal, so `sdlbench_run --resume` accepts the fleet directory like
+    // any other campaign directory. Quarantined cells are reported, not
     // silently missing.
     std::vector<CellResult> final_results;
     final_results.reserve(grid.size());
@@ -870,7 +848,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
     }
     summary.cells_quarantined = quarantined_cells.size();
     write_campaign_outputs(out_dir, spec, final_results, quarantined_cells);
-    std::string journal_text = journal_header(spec, grid.size(), Shard{}).dump() + "\n";
+    std::string journal_text = journal_header(spec, grid.size()).dump() + "\n";
     for (const CellResult& result : final_results) {
         journal_text += cell_record_to_json(result).dump();
         journal_text += '\n';
@@ -917,11 +895,9 @@ int run_fleet_worker(const FleetWorkerOptions& options) {
     }
     const std::vector<CampaignCell> grid = expand_grid(spec);
     std::filesystem::create_directories(options.dir);
-    // Whole-grid header: a worker may journal any subset of the grid, so
-    // its journal is not a round-robin shard — Shard{} (1/1) makes every
-    // cell index a member and load_journal/merge_journals validate it
-    // like any other journal.
-    CheckpointJournal journal(options.dir, spec, grid.size(), Shard{});
+    // Whole-grid header: a worker journals whichever cells it is leased,
+    // and load_journal validates its journal like any other.
+    CheckpointJournal journal(options.dir, spec, grid.size());
 
     // stdout carries the protocol; acks (main thread) and beats
     // (heartbeat thread) must not interleave mid-line.
@@ -953,8 +929,7 @@ int run_fleet_worker(const FleetWorkerOptions& options) {
     support::CondVar hb_cv;
     bool hb_stop = false;  // guarded by hb_mutex
     std::thread heartbeat([&] {
-        const auto interval = std::chrono::duration<double>(
-            std::max(0.05, options.heartbeat_interval_s));
+        const auto interval = std::chrono::duration<double>(kHeartbeatIntervalS);
         support::MutexLock lock(hb_mutex);
         while (!hb_stop) {
             if (hb_cv.wait_for(hb_mutex, interval) == std::cv_status::timeout) {

@@ -20,15 +20,15 @@
 // source of truth) and merges continuously — campaign.json/campaign.csv
 // are rewritten atomically during the run, so aggregates are live.
 //
-// Dynamic balance instead of static shards: leases are dealt off the
-// front of the remaining cost-ordered queue and shrink adaptively
-// (LeaseTable::suggested_lease), so fast workers drain the queue while
-// a straggler holds at most one running and one queued cell. A worker
-// that goes quiet past the heartbeat timeout is SIGKILLed (it must not
-// be allowed to journal a re-leased cell later); on EOF or kill the
-// coordinator reads the dead worker's journal tail — acknowledged AND
-// journaled-but-unacked cells are salvaged, never recomputed — and
-// returns only the truly incomplete cells to the queue front.
+// Dynamic balance: leases are dealt off the front of the remaining
+// cost-ordered queue and shrink adaptively (LeaseTable::suggested_lease),
+// so fast workers drain the queue while a straggler holds at most one
+// running and one queued cell. A worker that goes quiet past the
+// heartbeat timeout (30 s) is SIGKILLed (it must not be allowed to
+// journal a re-leased cell later); on EOF or kill the coordinator reads
+// the dead worker's journal tail — acknowledged AND journaled-but-unacked
+// cells are salvaged, never recomputed — and returns only the truly
+// incomplete cells to the queue front.
 //
 // Determinism: a cell's outcome depends only on its resolved config,
 // execution order is decoupled from result order, and the final report
@@ -39,14 +39,16 @@
 //
 // Self-healing (docs/ROBUSTNESS.md): dead workers are respawned into
 // fresh per-incarnation directories with capped exponential backoff
-// instead of shrinking the pool; a cell that kills `quarantine_after`
-// distinct worker incarnations is quarantined (reported in
-// campaign.json, never re-leased); and every spawn/crash/quarantine is
-// written ahead to a fsync'd coordinator ledger (coordinator.jsonl) so
-// `sdlbench_fleet --resume <dir>` can restart a killed coordinator from
-// the ledger plus the worker journals — still byte-identical to an
-// uninterrupted run. Fault injection for all of this rides on
-// support/failpoint.hpp sites rather than bespoke chaos flags.
+// instead of shrinking the pool; a cell that kills 3 distinct worker
+// incarnations is quarantined (reported in campaign.json, never
+// re-leased); and every spawn/crash/quarantine is written ahead to a
+// fsync'd coordinator ledger (coordinator.jsonl) so `sdlbench_fleet
+// --resume <dir>` can restart a killed coordinator from the ledger plus
+// the worker journals — still byte-identical to an uninterrupted run.
+// Fault injection for all of this rides on support/failpoint.hpp sites
+// rather than bespoke chaos flags. The timing and budget policy
+// (heartbeat, backoff, respawn budget, quarantine threshold) is a set of
+// constants in fleet.cpp, not options.
 #pragma once
 
 #include <cstddef>
@@ -95,27 +97,8 @@ struct FleetOptions {
     /// the hardware evenly (max(1, hw / workers)) so workers get
     /// disjoint core budgets instead of each oversubscribing the host.
     std::size_t worker_threads = 0;
-    /// A worker silent this long (no ack/beat/hello) is declared hung,
-    /// SIGKILLed, and its incomplete cells are re-leased.
-    double heartbeat_timeout_s = 30.0;
-    /// Worker-side beat period.
-    double heartbeat_interval_s = 0.25;
-    /// Rewrite campaign.json/csv after this many completed cells
-    /// (live merge); the final write always happens.
-    std::size_t merge_every = 1;
-    /// Hard cap on cells per lease; 0 = adaptive only.
-    std::size_t max_lease = 0;
     /// Path to the sdlbench_fleet binary to exec as workers (argv[0]).
     std::string worker_exe;
-    /// Print per-cell progress and worker lifecycle lines.
-    bool log_progress = true;
-    /// Fault injection for the crash-recovery tests: worker
-    /// `chaos_kill_worker` raises SIGKILL on itself right after its
-    /// `chaos_kill_after`-th journal append — after the record is
-    /// durable, before the ack leaves. -1 disables. Sugar for a
-    /// worker_failpoints entry `worker.pre_ack_kill=kill@N#1`.
-    int chaos_kill_worker = -1;
-    std::size_t chaos_kill_after = 0;
     /// Failpoint schedules injected into workers via SDLBENCH_FAILPOINTS
     /// (the coordinator always sets that variable for its children, so
     /// its own environment never leaks into them). slot >= 0 applies to
@@ -127,16 +110,6 @@ struct FleetOptions {
         std::string spec;
     };
     std::vector<WorkerFailpoint> worker_failpoints;
-    /// A cell that has crashed this many DISTINCT worker incarnations is
-    /// quarantined: removed from the schedule and reported in
-    /// campaign.json with its crash history.
-    std::size_t quarantine_after = 3;
-    /// Per-slot respawn budget; a slot that exhausts it is retired.
-    std::size_t max_respawns = 8;
-    /// Respawn backoff: min(cap, base * 2^consecutive_crashes). The
-    /// streak resets on any successful ack from that slot.
-    double respawn_backoff_s = 0.25;
-    double respawn_backoff_cap_s = 5.0;
     /// Restart a killed coordinator from out_dir's coordinator.jsonl
     /// ledger + worker journals instead of demanding a clean directory.
     bool resume = false;
@@ -180,7 +153,6 @@ struct FleetWorkerOptions {
     std::string campaign_path;
     std::string dir;            ///< this worker's journal directory
     std::string expect_digest;  ///< coordinator's spec digest (must match)
-    double heartbeat_interval_s = 0.25;
 };
 
 /// The worker-mode main loop: leases in on stdin, acks out on stdout,

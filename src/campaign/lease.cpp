@@ -131,8 +131,7 @@ std::size_t LeaseTable::outstanding(int worker) const noexcept {
     return n;
 }
 
-std::size_t LeaseTable::suggested_lease(std::size_t active_workers,
-                                        std::size_t max_lease) const noexcept {
+std::size_t LeaseTable::suggested_lease(std::size_t active_workers) const noexcept {
     // pending_ may hold stale Done entries (see complete()); count real ones.
     std::size_t pending = 0;
     for (const std::size_t cell : pending_) {
@@ -140,9 +139,7 @@ std::size_t LeaseTable::suggested_lease(std::size_t active_workers,
     }
     if (pending == 0) return 0;
     const std::size_t workers = std::max<std::size_t>(1, active_workers);
-    std::size_t lease = (pending + 2 * workers - 1) / (2 * workers);  // ceil
-    if (max_lease > 0) lease = std::min(lease, max_lease);
-    return std::max<std::size_t>(1, lease);
+    return (pending + 2 * workers - 1) / (2 * workers);  // ceil, >= 1
 }
 
 }  // namespace sdl::campaign

@@ -95,10 +95,9 @@ public:
 
     /// Adaptive lease size: splits the pending queue so `active_workers`
     /// all stay busy with headroom to rebalance — ceil(pending / (2 *
-    /// workers)), at least 1 while work remains, capped at `max_lease`
-    /// when nonzero. Small leases near the end are the work-stealing.
-    [[nodiscard]] std::size_t suggested_lease(std::size_t active_workers,
-                                              std::size_t max_lease) const noexcept;
+    /// workers)), at least 1 while work remains. Small leases near the
+    /// end are the work-stealing.
+    [[nodiscard]] std::size_t suggested_lease(std::size_t active_workers) const noexcept;
 
 private:
     enum class State : unsigned char { Pending, Leased, Done, Quarantined };

@@ -55,9 +55,9 @@ public:
     [[nodiscard]] std::vector<CellResult> run(const CampaignSpec& spec,
                                               support::ThreadPool& pool) const;
 
-    /// Runs an explicit subset of expanded cells (a shard, or the cells a
-    /// resumed run still owes) on the process-wide pool. Results keep the
-    /// order of `cells`, which need not be contiguous in the grid.
+    /// Runs an explicit subset of expanded cells (the cells a resumed run
+    /// still owes) on the process-wide pool. Results keep the order of
+    /// `cells`, which need not be contiguous in the grid.
     [[nodiscard]] std::vector<CellResult> run_cells(std::vector<CampaignCell> cells) const;
 
     /// Same, on an explicit pool.

@@ -207,4 +207,14 @@ void AppendWriter::append_line(std::string_view line) {
     }
 }
 
+CompleteLines split_complete_lines(std::string_view bytes) {
+    CompleteLines split;
+    for (std::size_t nl = bytes.find('\n'); nl != std::string_view::npos;
+         nl = bytes.find('\n', split.tail)) {
+        split.lines.push_back(bytes.substr(split.tail, nl - split.tail));
+        split.tail = nl + 1;
+    }
+    return split;
+}
+
 }  // namespace sdl::support

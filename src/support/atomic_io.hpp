@@ -7,11 +7,14 @@
 //   * AppendWriter — the campaign cell journal appends one record per
 //     line through an O_APPEND stream, flushed per record, so a killed
 //     process loses at most the final, partially written line.
+// split_complete_lines is the matching reader side: every append-only
+// journal is read through it.
 #pragma once
 
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace sdl::support {
 
@@ -64,5 +67,22 @@ private:
     int fd_ = -1;
 #endif
 };
+
+/// Bytes read from an AppendWriter journal, split at the last newline.
+struct CompleteLines {
+    /// Every '\n'-terminated line, newline stripped, in file order (empty
+    /// lines included). Views into the bytes passed to
+    /// split_complete_lines, valid while those bytes are.
+    std::vector<std::string_view> lines;
+    /// Offset of the unterminated remainder: the input size when the
+    /// bytes end in '\n' (or are empty). After a kill the remainder is
+    /// the torn final record; a live reader re-reads from here later.
+    std::size_t tail = 0;
+};
+
+/// The reader side of AppendWriter's one-record-per-line contract: only
+/// complete lines are records, so callers decide what an unterminated
+/// remainder means (drop it after a crash, wait for it while tailing).
+[[nodiscard]] CompleteLines split_complete_lines(std::string_view bytes);
 
 }  // namespace sdl::support

@@ -78,11 +78,11 @@ endfunction()
 # ---- Leg 1: worker SIGKILL after a durable append; slot respawns.
 # The coordinator respawns a lost slot only while cells remain, so every
 # cell start sleeps 1 s: when w1 dies after its first cell, the other
-# workers' second cells are still running well past the 0.05 s backoff,
+# workers' second cells are still running well past the 0.25 s backoff,
 # however fast the cells themselves compute.
 execute_process(
   COMMAND "${FLEET}" --campaign "${CAMPAIGN}" "${WORK_DIR}/kill"
-          --workers 3 --respawn-backoff 0.05
+          --workers 3
           --worker-failpoints "1:worker.pre_ack_kill=kill@1#1"
           --worker-failpoints "*:worker.cell_start=delay(1000)"
   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
@@ -154,7 +154,7 @@ assert_golden("${WORK_DIR}/coord" "coordinator resume leg")
 # completes with its crash history reported.
 execute_process(
   COMMAND "${FLEET}" --campaign "${CAMPAIGN}" "${WORK_DIR}/poison"
-          --workers 3 --quarantine-after 3 --respawn-backoff 0.05
+          --workers 3
           --worker-failpoints "*:worker.cell_start[2]=kill"
   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
 if(NOT rc EQUAL 6)

@@ -1,11 +1,12 @@
 # ctest -P helper: fleet crash-recovery round trip.
 #
 # Runs CAMPAIGN once single-process (the reference), then twice through
-# sdlbench_fleet: a clean 3-worker run, and a chaos run where one worker
-# SIGKILLs itself right after a journal append, before its ack — the
-# coordinator must salvage the journaled cell, re-lease the rest of the
-# dead worker's lease, and still produce campaign.json/campaign.csv
-# byte-identical to the reference. A duplicated cell would either trip
+# sdlbench_fleet: a clean 3-worker run, whose fused whole-grid journal
+# must then resume under `sdlbench_run --resume` with nothing left to
+# run, and a chaos run where one worker SIGKILLs itself right after a
+# journal append, before its ack — the coordinator must salvage the
+# journaled cell, re-lease the rest of the dead worker's lease, and still
+# produce campaign.json/campaign.csv byte-identical to the reference. A duplicated cell would either trip
 # the coordinator's lease-table guard (run fails) or change the report
 # bytes (comparison fails), so "no cell executed twice" is checked by
 # construction.
@@ -63,12 +64,28 @@ if(NOT rc EQUAL 0)
 endif()
 compare_outputs("${WORK_DIR}/fleet" "clean fleet run")
 
+# The fleet's fused journal is the one place results from several
+# processes become one journal: sdlbench_run must accept it as a finished
+# run of the same campaign and rewrite the same bytes.
+execute_process(
+  COMMAND "${RUNNER}" --campaign "${CAMPAIGN}" --resume "${WORK_DIR}/fleet"
+  OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "resume of the fleet directory failed (${rc})\n${out}\n${err}")
+endif()
+string(FIND "${out}" "Resuming: 5 cells already journaled, 0 still to run" resumed)
+if(resumed EQUAL -1)
+  message(FATAL_ERROR
+    "resume of the fleet directory did not find all 5 cells journaled\n${out}\n${err}")
+endif()
+compare_outputs("${WORK_DIR}/fleet" "resumed fleet directory")
+
 # Leg 2: SIGKILL worker 1 of 3 after its first journal append (record
 # durable, ack unsent — the critical window). The coordinator must
 # report the loss and salvage the journaled cell.
 execute_process(
   COMMAND "${FLEET}" --campaign "${CAMPAIGN}" "${WORK_DIR}/fleet_kill"
-          --workers 3 --chaos-kill 1:1
+          --workers 3 --worker-failpoints "1:worker.pre_ack_kill=kill@1#1"
   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "chaos fleet run failed (${rc})\n${out}\n${err}")
@@ -113,7 +130,8 @@ if(NOT rc EQUAL 0)
 endif()
 execute_process(
   COMMAND "${FLEET}" --campaign "${WORK_DIR}/eight.yaml"
-          "${WORK_DIR}/fleet_relase" --workers 2 --chaos-kill 0:1
+          "${WORK_DIR}/fleet_relase" --workers 2
+          --worker-failpoints "0:worker.pre_ack_kill=kill@1#1"
   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "re-lease fleet run failed (${rc})\n${out}\n${err}")
@@ -134,5 +152,5 @@ foreach(doc campaign.json campaign.csv)
   endif()
 endforeach()
 
-message(STATUS "fleet roundtrip OK: clean, killed-worker, and re-lease runs "
-               "all byte-identical to the single-process reference")
+message(STATUS "fleet roundtrip OK: clean, resumed, killed-worker, and re-lease "
+               "runs all byte-identical to the single-process reference")

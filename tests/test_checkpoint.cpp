@@ -1,7 +1,7 @@
 // Tests for campaign checkpointing: journal write/load round trips,
 // kill-style truncated-journal recovery, loud digest-mismatch rejection,
-// shard selection, and shard-merge / resume flows producing reports
-// byte-identical to a single uninterrupted run.
+// and resume flows producing reports byte-identical to a single
+// uninterrupted run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,7 +37,7 @@ CampaignSpec tiny_spec() {
 }
 
 /// The tiny grid, executed once and shared by every test (the journal
-/// and merge tests only re-serialize, never re-run).
+/// tests only re-serialize, never re-run).
 const std::vector<CellResult>& shared_results() {
     static const std::vector<CellResult> results = [] {
         support::set_log_level(support::LogLevel::Error);
@@ -57,10 +57,9 @@ std::string slurp(const std::string& path) {
 
 /// Creates a journal for `spec` in `dir` containing `results`.
 void write_journal(const std::string& dir, const CampaignSpec& spec,
-                   std::size_t cells_total, const std::vector<CellResult>& results,
-                   Shard shard = {}) {
+                   std::size_t cells_total, const std::vector<CellResult>& results) {
     std::filesystem::create_directories(dir);
-    CheckpointJournal journal(dir, spec, cells_total, shard);
+    CheckpointJournal journal(dir, spec, cells_total);
     for (const CellResult& result : results) journal.append(result);
 }
 
@@ -74,29 +73,6 @@ struct TempDir {
 };
 
 }  // namespace
-
-// ----------------------------------------------------------------- shard
-
-TEST(Shard, ParsesOneBasedSlices) {
-    const Shard s = Shard::parse("2/3");
-    EXPECT_EQ(s.index, 1u);
-    EXPECT_EQ(s.count, 3u);
-    EXPECT_EQ(s.str(), "2/3");
-    EXPECT_FALSE(s.is_whole());
-    EXPECT_TRUE(Shard::parse("1/1").is_whole());
-    // Round-robin membership.
-    EXPECT_TRUE(s.contains(1));
-    EXPECT_TRUE(s.contains(4));
-    EXPECT_FALSE(s.contains(0));
-    EXPECT_FALSE(s.contains(2));
-}
-
-TEST(Shard, RejectsMalformedAndOutOfRange) {
-    for (const char* bad : {"", "3", "/3", "3/", "0/3", "4/3", "a/3", "1/b", "1/0",
-                            "1/3x", "-1/3"}) {
-        EXPECT_THROW((void)Shard::parse(bad), support::ConfigError) << bad;
-    }
-}
 
 // --------------------------------------------------------------- digests
 
@@ -121,14 +97,13 @@ TEST(Checkpoint, JournalRoundTripReproducesResultsExactly) {
     const LoadedJournal loaded =
         load_journal(journal_path(dir.path), spec, expand_grid(spec));
     EXPECT_FALSE(loaded.dropped_torn_tail);
-    EXPECT_EQ(loaded.shard, Shard{});
     ASSERT_EQ(loaded.cells.size(), results.size());
     // The reconstructed results serialize byte-identically — the property
-    // resume and merge rely on.
+    // resume relies on.
     EXPECT_EQ(campaign_results_to_json(spec, loaded.cells).pretty(),
               campaign_results_to_json(spec, results).pretty());
     EXPECT_EQ(campaign_results_to_csv(loaded.cells), campaign_results_to_csv(results));
-    // Wall time rides along (for shard balancing), outside the report.
+    // Wall time rides along (for the fleet's busy time), outside the report.
     EXPECT_EQ(loaded.cells[0].wall_seconds, results[0].wall_seconds);
 }
 
@@ -226,17 +201,6 @@ TEST(Checkpoint, CorruptMiddleRecordAndDuplicatesAreRejected) {
                  support::ConfigError);
 }
 
-TEST(Checkpoint, OutOfShardRecordsAreRejected) {
-    const CampaignSpec spec = tiny_spec();
-    const auto& results = shared_results();
-    TempDir dir("test_ckpt_shard_member");
-    // Header claims shard 1/2 (indices 0, 2, ...) but records hold every
-    // cell.
-    write_journal(dir.path, spec, results.size(), results, Shard{0, 2});
-    EXPECT_THROW((void)load_journal(journal_path(dir.path), spec, expand_grid(spec)),
-                 support::ConfigError);
-}
-
 TEST(Checkpoint, JournalProgressProtectsOnlyIncompleteRunsOfTheSameSpec) {
     const CampaignSpec spec = tiny_spec();
     const auto& results = shared_results();
@@ -268,22 +232,9 @@ TEST(Checkpoint, JournalProgressProtectsOnlyIncompleteRunsOfTheSameSpec) {
         file << text;
     }
     EXPECT_EQ(journal_progress(path, spec), results.size() - 1);
-
-    // A complete *shard* journal likewise (its slice is done).
-    const Shard shard{0, 2};
-    std::vector<CellResult> slice;
-    for (const CellResult& result : results) {
-        if (shard.contains(result.cell.index)) slice.push_back(result);
-    }
-    write_journal(dir.path, spec, results.size(), slice, shard);
-    EXPECT_EQ(journal_progress(path, spec), 0u);
-    // ... but an incomplete shard journal is protected.
-    slice.pop_back();
-    write_journal(dir.path, spec, results.size(), slice, shard);
-    EXPECT_EQ(journal_progress(path, spec), slice.size());
 }
 
-// ---------------------------------------------------------- resume, merge
+// ----------------------------------------------------------------- resume
 
 TEST(Checkpoint, ResumeFromPartialJournalIsByteIdentical) {
     const CampaignSpec spec = tiny_spec();
@@ -316,57 +267,51 @@ TEST(Checkpoint, ResumeFromPartialJournalIsByteIdentical) {
               campaign_results_to_json(spec, results).pretty());
 }
 
-TEST(Checkpoint, ThreeShardMergeIsByteIdenticalToSingleRun) {
+TEST(Checkpoint, HeaderFromOlderBuildsLoadsAndResumes) {
+    // Journals written before static sharding was removed carry
+    // shard_index/shard_count in their header. The keys are ignored, so
+    // such a journal — even one from an old 2-of-3 shard run — loads as a
+    // partial whole-grid journal, and resuming it finishes the grid.
     const CampaignSpec spec = tiny_spec();
     const auto& results = shared_results();
-    ASSERT_GE(results.size(), 3u);
-
-    const TempDir d1("test_ckpt_merge_shard1");
-    const TempDir d2("test_ckpt_merge_shard2");
-    const TempDir d3("test_ckpt_merge_shard3");
-    const std::string dir_paths[] = {d1.path, d2.path, d3.path};
-    std::vector<std::string> journals;
-    for (std::size_t s = 0; s < 3; ++s) {
-        const Shard shard{s, 3};
-        std::vector<CellResult> slice;
-        for (const CellResult& result : results) {
-            if (shard.contains(result.cell.index)) slice.push_back(result);
+    const std::vector<CampaignCell> grid = expand_grid(spec);
+    ASSERT_EQ(results.size(), 4u);
+    for (const char* legacy_keys :
+         {"\"shard_index\":0,\"shard_count\":1", "\"shard_index\":1,\"shard_count\":3"}) {
+        TempDir dir("test_ckpt_legacy_header");
+        const std::string path = journal_path(dir.path);
+        {
+            std::ofstream file(path, std::ios::binary);
+            file << "{\"schema\":\"sdlbench.campaign_journal.v1\",\"campaign\":\"ckpt\","
+                    "\"spec_digest\":\""
+                 << spec_digest(spec) << "\",\"cells_total\":4," << legacy_keys << "}\n"
+                 << cell_record_to_json(results[1]).dump() << "\n";
         }
-        write_journal(dir_paths[s], spec, results.size(), slice, shard);
-        journals.push_back(journal_path(dir_paths[s]));
+        // One cell of four: progress a fresh run must not destroy.
+        EXPECT_EQ(journal_progress(path, spec), 1u) << legacy_keys;
+        const LoadedJournal loaded = load_journal(path, spec, grid);
+        ASSERT_EQ(loaded.cells.size(), 1u) << legacy_keys;
+        EXPECT_EQ(loaded.cells[0].cell.index, 1u);
+
+        // Resume the way sdlbench_run does: compact, reopen, append the
+        // cells still owed.
+        std::string compacted;
+        for (const std::string& line : loaded.lines) compacted += line + "\n";
+        support::atomic_write(path, compacted);
+        {
+            CheckpointJournal journal = CheckpointJournal::reopen(dir.path);
+            for (const std::size_t i : {0u, 2u, 3u}) journal.append(results[i]);
+        }
+        std::vector<CellResult> resumed = load_journal(path, spec, grid).cells;
+        std::sort(resumed.begin(), resumed.end(),
+                  [](const CellResult& a, const CellResult& b) {
+                      return a.cell.index < b.cell.index;
+                  });
+        EXPECT_EQ(campaign_results_to_json(spec, resumed).pretty(),
+                  campaign_results_to_json(spec, results).pretty())
+            << legacy_keys;
+        EXPECT_EQ(journal_progress(path, spec), 0u) << legacy_keys;
     }
-
-    const std::vector<CellResult> merged = merge_journals(journals, spec);
-    ASSERT_EQ(merged.size(), results.size());
-    EXPECT_EQ(campaign_results_to_json(spec, merged).pretty(),
-              campaign_results_to_json(spec, results).pretty());
-    EXPECT_EQ(campaign_results_to_csv(merged), campaign_results_to_csv(results));
-}
-
-TEST(Checkpoint, MergeRejectsOverlapAndIncompleteCoverage) {
-    const CampaignSpec spec = tiny_spec();
-    const auto& results = shared_results();
-    TempDir a("test_ckpt_merge_a");
-    TempDir b("test_ckpt_merge_b");
-    const Shard first{0, 2};
-    const Shard second{1, 2};
-    std::vector<CellResult> slice_a;
-    std::vector<CellResult> slice_b;
-    for (const CellResult& result : results) {
-        (first.contains(result.cell.index) ? slice_a : slice_b).push_back(result);
-    }
-    write_journal(a.path, spec, results.size(), slice_a, first);
-    write_journal(b.path, spec, results.size(), slice_b, second);
-
-    // Overlap: the same shard twice.
-    EXPECT_THROW((void)merge_journals({journal_path(a.path), journal_path(a.path)}, spec),
-                 support::ConfigError);
-    // Incomplete: one shard missing.
-    EXPECT_THROW((void)merge_journals({journal_path(a.path)}, spec),
-                 support::ConfigError);
-    // Both present: complete.
-    const auto merged = merge_journals({journal_path(a.path), journal_path(b.path)}, spec);
-    EXPECT_EQ(merged.size(), results.size());
 }
 
 // ------------------------------------------------------ injected failures

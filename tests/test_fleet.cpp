@@ -172,21 +172,20 @@ TEST(LeaseTableTest, QuarantineGuardsAgainstBookkeepingBugs) {
 TEST(LeaseTableTest, SuggestedLeaseShrinksAsQueueDrains) {
     LeaseTable table(12, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
     // ceil(12 / (2*3)) = 2 with a full queue...
-    EXPECT_EQ(table.suggested_lease(3, 0), 2u);
+    EXPECT_EQ(table.suggested_lease(3), 2u);
     (void)table.grant(0, 9);
     // ...down to 1 near the end (this is the work-stealing)...
-    EXPECT_EQ(table.suggested_lease(3, 0), 1u);
+    EXPECT_EQ(table.suggested_lease(3), 1u);
     (void)table.grant(1, 3);
     // ...and 0 when nothing is pending.
-    EXPECT_EQ(table.suggested_lease(3, 0), 0u);
-    // max_lease caps the full-queue suggestion.
+    EXPECT_EQ(table.suggested_lease(3), 0u);
+    // Leases stay uncapped: a long queue is dealt in large slices.
     LeaseTable wide(100, [] {
         std::vector<std::size_t> order(100);
         for (std::size_t i = 0; i < 100; ++i) order[i] = i;
         return order;
     }());
-    EXPECT_EQ(wide.suggested_lease(2, 0), 25u);
-    EXPECT_EQ(wide.suggested_lease(2, 4), 4u);
+    EXPECT_EQ(wide.suggested_lease(2), 25u);
 }
 
 TEST(LeaseTableTest, RejectsNonPermutationOrder) {

@@ -563,6 +563,26 @@ TEST(AtomicIo, AppendWriterAppendsOneLinePerRecord) {
     std::filesystem::remove_all(dir);
 }
 
+TEST(AtomicIo, SplitCompleteLinesKeepsOnlyTerminatedRecords) {
+    using Lines = std::vector<std::string_view>;
+    CompleteLines split = split_complete_lines("");
+    EXPECT_TRUE(split.lines.empty());
+    EXPECT_EQ(split.tail, 0u);
+    // No newline at all: everything is remainder (a torn header).
+    split = split_complete_lines("{\"a\":1");
+    EXPECT_TRUE(split.lines.empty());
+    EXPECT_EQ(split.tail, 0u);
+    // Empty lines are reported; each caller decides what they mean.
+    split = split_complete_lines("h\n\nr1\n");
+    EXPECT_EQ(split.lines, (Lines{"h", "", "r1"}));
+    EXPECT_EQ(split.tail, 6u);
+    // The unterminated remainder starts right after the last newline.
+    const std::string_view bytes = "h\nr1\nr2-torn";
+    split = split_complete_lines(bytes);
+    EXPECT_EQ(split.lines, (Lines{"h", "r1"}));
+    EXPECT_EQ(bytes.substr(split.tail), "r2-torn");
+}
+
 TEST(Csv, RowWidthMismatchThrows) {
     CsvWriter csv({"a", "b"});
     EXPECT_THROW(csv.add_row(std::vector<std::string>{"x"}), LogicError);

@@ -3,10 +3,10 @@
 //   sdlbench_fleet --campaign <campaign.yaml> [output_dir] [--workers N]
 //
 // Runs one campaign grid across N worker processes (re-exec'd copies of
-// this binary in --worker mode) with dynamic work-stealing leases instead
-// of static shards: the coordinator expands the grid once, orders cells
-// longest-expected-first (campaign/cost_model.hpp), and leases slices of
-// that order to workers over a line protocol on their stdin/stdout pipes.
+// this binary in --worker mode) with dynamic work-stealing leases: the
+// coordinator expands the grid once, orders cells longest-expected-first
+// (campaign/cost_model.hpp), and leases slices of that order to workers
+// over a line protocol on their stdin/stdout pipes.
 // Leases shrink adaptively as the queue drains, so fast workers steal
 // what slow ones would otherwise strand; a worker that dies (pipe EOF) or
 // hangs (heartbeat timeout) is SIGKILLed and its incomplete cells are
@@ -17,10 +17,6 @@
 // index-sorted results and is byte-identical to a single-process
 // uninterrupted `sdlbench_run --campaign` run, even when workers were
 // killed mid-campaign. See docs/ARCHITECTURE.md § Fleet execution.
-//
-// Prefer this over manual `sdlbench_run --shard i/N` + sdlbench_merge on
-// one machine: shards are static (a skewed grid strands work on one
-// shard), the fleet rebalances.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -54,38 +50,22 @@ void print_usage(std::FILE* stream) {
         "  --worker-threads <n>     in-process pool size per worker (sets\n"
         "                           SDLBENCH_WORKERS in the worker's env);\n"
         "                           default: hardware threads / workers\n"
-        "  --heartbeat-timeout <s>  declare a silent worker hung after this many\n"
-        "                           seconds, SIGKILL it, and re-lease its\n"
-        "                           incomplete cells (default 30)\n"
-        "  --merge-every <n>        rewrite campaign.json/csv after every n\n"
-        "                           completed cells (default 1: fully live)\n"
-        "  --max-lease <n>          cap cells per lease (default adaptive:\n"
-        "                           ceil(pending / (2 x workers)))\n"
         "  --resume                 restart a killed coordinator from output_dir's\n"
         "                           coordinator.jsonl ledger + worker journals\n"
-        "  --quarantine-after <k>   quarantine a cell after it crashes k distinct\n"
-        "                           worker incarnations (default 3); quarantined\n"
-        "                           cells are reported in campaign.json and the\n"
-        "                           fleet exits 6\n"
-        "  --max-respawns <n>       per-slot respawn budget (default 8); a slot\n"
-        "                           that exhausts it is retired\n"
-        "  --respawn-backoff <s>    base respawn delay, doubled per consecutive\n"
-        "                           crash up to a 5s cap (default 0.25)\n"
         "  --failpoints <spec>      arm coordinator-side failpoints (overrides\n"
         "                           SDLBENCH_FAILPOINTS); docs/ROBUSTNESS.md has\n"
         "                           the grammar and site catalog\n"
         "  --worker-failpoints <w|*>:<spec>\n"
         "                           inject <spec> into worker slot w (generation\n"
         "                           0 only) or '*' (every incarnation); repeatable\n"
-        "  --chaos-kill <w>:<k>     sugar for --worker-failpoints\n"
-        "                           w:worker.pre_ack_kill=kill@k#1\n"
         "\n"
         "Writes campaign.json, campaign.csv and a fused whole-grid cells.jsonl\n"
         "to [output_dir] (default sdlbench_fleet_out); per-worker journals\n"
         "remain under output_dir/workers/wN/ (respawns under wNrG/). The final\n"
         "report is byte-identical to a single-process `sdlbench_run --campaign`\n"
         "run, including when workers are killed mid-campaign or the coordinator\n"
-        "itself is killed and resumed. Exits 6 if any cell was quarantined.\n");
+        "itself is killed and resumed. Exits 6 if any cell was quarantined\n"
+        "(docs/ROBUSTNESS.md has the heartbeat, respawn and quarantine policy).\n");
 }
 
 bool parse_size(const std::string& text, std::size_t& into) {
@@ -97,16 +77,6 @@ bool parse_size(const std::string& text, std::size_t& into) {
     }
     into = value;
     return true;
-}
-
-bool parse_double(const std::string& text, double& into) {
-    try {
-        std::size_t used = 0;
-        into = std::stod(text, &used);
-        return used == text.size() && into > 0.0;
-    } catch (...) {
-        return false;
-    }
 }
 
 int worker_main(const std::vector<std::string>& args) {
@@ -122,11 +92,6 @@ int worker_main(const std::vector<std::string>& args) {
             options.dir = value();
         } else if (args[i] == "--expect-digest") {
             options.expect_digest = value();
-        } else if (args[i] == "--heartbeat-interval") {
-            if (!parse_double(value(), options.heartbeat_interval_s)) {
-                std::fprintf(stderr, "fleet worker: bad --heartbeat-interval\n");
-                return 2;
-            }
         } else {
             std::fprintf(stderr, "fleet worker: unknown flag '%s'\n", args[i].c_str());
             return 2;
@@ -201,37 +166,6 @@ int main(int argc, char** argv) {
                 std::fprintf(stderr, "error: --worker-threads needs an integer\n");
                 return 2;
             }
-        } else if (*it == "--merge-every") {
-            if (!take_value("--merge-every", text)) return 2;
-            if (!parse_size(text, options.merge_every) || options.merge_every == 0) {
-                std::fprintf(stderr, "error: --merge-every needs a positive integer\n");
-                return 2;
-            }
-        } else if (*it == "--max-lease") {
-            if (!take_value("--max-lease", text)) return 2;
-            if (!parse_size(text, options.max_lease)) {
-                std::fprintf(stderr, "error: --max-lease needs an integer\n");
-                return 2;
-            }
-        } else if (*it == "--heartbeat-timeout") {
-            if (!take_value("--heartbeat-timeout", text)) return 2;
-            if (!parse_double(text, options.heartbeat_timeout_s)) {
-                std::fprintf(stderr, "error: --heartbeat-timeout needs seconds > 0\n");
-                return 2;
-            }
-        } else if (*it == "--chaos-kill") {
-            if (!take_value("--chaos-kill", text)) return 2;
-            const std::size_t colon = text.find(':');
-            std::size_t worker = 0;
-            std::size_t after = 0;
-            if (colon == std::string::npos ||
-                !parse_size(text.substr(0, colon), worker) ||
-                !parse_size(text.substr(colon + 1), after) || after == 0) {
-                std::fprintf(stderr, "error: --chaos-kill needs <worker>:<k>\n");
-                return 2;
-            }
-            options.chaos_kill_worker = static_cast<int>(worker);
-            options.chaos_kill_after = after;
         } else if (*it == "--worker-failpoints") {
             if (!take_value("--worker-failpoints", text)) return 2;
             const std::size_t colon = text.find(':');
@@ -264,26 +198,6 @@ int main(int argc, char** argv) {
         } else if (*it == "--resume") {
             options.resume = true;
             it = args.erase(it);
-        } else if (*it == "--quarantine-after") {
-            if (!take_value("--quarantine-after", text)) return 2;
-            if (!parse_size(text, options.quarantine_after) ||
-                options.quarantine_after == 0) {
-                std::fprintf(stderr,
-                             "error: --quarantine-after needs a positive integer\n");
-                return 2;
-            }
-        } else if (*it == "--max-respawns") {
-            if (!take_value("--max-respawns", text)) return 2;
-            if (!parse_size(text, options.max_respawns)) {
-                std::fprintf(stderr, "error: --max-respawns needs an integer\n");
-                return 2;
-            }
-        } else if (*it == "--respawn-backoff") {
-            if (!take_value("--respawn-backoff", text)) return 2;
-            if (!parse_double(text, options.respawn_backoff_s)) {
-                std::fprintf(stderr, "error: --respawn-backoff needs seconds > 0\n");
-                return 2;
-            }
         } else if (!it->empty() && (*it)[0] == '-') {
             std::fprintf(stderr, "error: unknown flag '%s'\n", it->c_str());
             return 2;

@@ -4,7 +4,6 @@
 //   sdlbench_run --preset <name> [output_dir]
 //   sdlbench_run --campaign <campaign.yaml> [output_dir]
 //   sdlbench_run --campaign <campaign.yaml> --resume <dir>
-//   sdlbench_run --campaign <campaign.yaml> --shard i/N [output_dir]
 //   sdlbench_run --scenario <name|spec.yaml> [output_dir]
 //   sdlbench_run --list-scenarios
 //
@@ -24,10 +23,9 @@
 // campaign.csv to the output directory. Every finished cell is also
 // checkpointed to <out_dir>/cells.jsonl (campaign/checkpoint.hpp), so a
 // killed run resumes with --resume <dir> (completed cells are validated
-// against the re-expanded grid and skipped) and a grid can be split
-// round-robin across machines with --shard i/N; sdlbench_merge fuses the
-// shard journals into one report. All reports are written atomically
-// (temp file + rename), and resume/merge reproduce the exact bytes an
+// against the re-expanded grid and skipped); an sdlbench_fleet output
+// directory resumes the same way. All reports are written atomically
+// (temp file + rename), and a resume reproduces the exact bytes an
 // uninterrupted run would have written.
 //
 // Either mode accepts --json <path> to additionally write the structured
@@ -74,7 +72,6 @@ void print_usage(std::FILE* stream) {
                  "       sdlbench_run --preset <name> [output_dir]\n"
                  "       sdlbench_run --campaign <campaign.yaml> [output_dir]\n"
                  "       sdlbench_run --campaign <campaign.yaml> --resume <dir>\n"
-                 "       sdlbench_run --campaign <campaign.yaml> --shard i/N [output_dir]\n"
                  "       sdlbench_run --scenario <name|spec.yaml> [output_dir]\n"
                  "       sdlbench_run --list-scenarios\n"
                  "\n"
@@ -94,13 +91,6 @@ void print_usage(std::FILE* stream) {
                  "                     (spec + per-cell config digests) and\n"
                  "                     skipped; the merged report is byte-\n"
                  "                     identical to an uninterrupted run\n"
-                 "  --shard i/N        run only the cells with index = i-1 (mod N)\n"
-                 "                     (1-based i) — split one grid round-robin\n"
-                 "                     across machines, then fuse the journals\n"
-                 "                     with sdlbench_merge. On a single machine\n"
-                 "                     prefer sdlbench_fleet: dynamic work-stealing\n"
-                 "                     instead of static shards, automatic re-lease\n"
-                 "                     on worker death, live-merged reports\n"
                  "  --scenario <ref>   run the experiment on a named workcell\n"
                  "                     scenario (see --list-scenarios), a workcell\n"
                  "                     spec YAML file, or a procedurally generated\n"
@@ -212,12 +202,9 @@ int run_single(const core::ColorPickerConfig& config, const std::string& out_dir
 }
 
 int run_campaign(const std::string& spec_path, const std::string& out_dir,
-                 const std::string& json_path, const std::string& shard_text,
-                 bool resume) {
+                 const std::string& json_path, bool resume) {
     const campaign::CampaignSpec spec = campaign::campaign_from_file(spec_path);
-    const campaign::Shard shard =
-        shard_text.empty() ? campaign::Shard{} : campaign::Shard::parse(shard_text);
-    std::vector<campaign::CampaignCell> grid = campaign::expand_grid(spec);
+    const std::vector<campaign::CampaignCell> grid = campaign::expand_grid(spec);
     std::printf("Campaign '%s': %zu cells (%zu workcells x %zu solvers x %zu batch "
                 "sizes x %zu objectives x %zu targets x %d replicates), N=%d per cell\n",
                 spec.name.c_str(), grid.size(), spec.axes.workcells.size(),
@@ -225,29 +212,12 @@ int run_campaign(const std::string& spec_path, const std::string& out_dir,
                 spec.axes.objectives.size(), spec.axes.targets.size(), spec.replicates,
                 spec.base.total_samples);
 
-    // The cells this invocation owns (round-robin slice for --shard).
-    std::vector<campaign::CampaignCell> todo;
-    for (const campaign::CampaignCell& cell : grid) {
-        if (shard.contains(cell.index)) todo.push_back(cell);
-    }
-    if (!shard.is_whole()) {
-        std::printf("Shard %s: %zu of %zu cells\n", shard.str().c_str(), todo.size(),
-                    grid.size());
-    }
-
+    std::vector<campaign::CampaignCell> todo = grid;
     std::vector<campaign::CellResult> done;
     std::optional<campaign::CheckpointJournal> journal;
     if (resume) {
         campaign::LoadedJournal loaded =
             campaign::load_journal(campaign::journal_path(out_dir), spec, grid);
-        if (!(loaded.shard == shard)) {
-            std::fprintf(stderr,
-                         "error: journal in '%s' belongs to shard %s; rerun with "
-                         "--shard %s (or without --shard for a whole-grid journal)\n",
-                         out_dir.c_str(), loaded.shard.str().c_str(),
-                         loaded.shard.str().c_str());
-            return 2;
-        }
         done = std::move(loaded.cells);
         // Compact before appending again: drops the torn final line a
         // kill may have left, so new records don't glue onto it.
@@ -261,7 +231,7 @@ int run_campaign(const std::string& spec_path, const std::string& out_dir,
                     done.size(),
                     loaded.dropped_torn_tail ? " (dropped a truncated final record)"
                                              : "",
-                    todo.size() - done.size());
+                    grid.size() - done.size());
         std::vector<bool> have(grid.size(), false);
         for (const campaign::CellResult& result : done) have[result.cell.index] = true;
         std::erase_if(todo, [&](const campaign::CampaignCell& cell) {
@@ -284,7 +254,7 @@ int run_campaign(const std::string& spec_path, const std::string& out_dir,
             return 2;
         }
         std::filesystem::create_directories(out_dir);
-        journal.emplace(out_dir, spec, grid.size(), shard);
+        journal.emplace(out_dir, spec, grid.size());
     }
 
     campaign::CampaignRunnerOptions options;
@@ -335,11 +305,6 @@ int run_campaign(const std::string& spec_path, const std::string& out_dir,
     }
     std::printf("\nWrote %s/{campaign.json, campaign.csv, cells.jsonl} (%zu cells).\n",
                 out_dir.c_str(), results.size());
-    if (!shard.is_whole()) {
-        std::printf("Shard report covers this shard only; fuse all %zu journals with "
-                    "sdlbench_merge.\n",
-                    shard.count);
-    }
     return 0;
 }
 
@@ -365,7 +330,6 @@ int main(int argc, char** argv) {
     std::string campaign_path;
     std::string scenario;
     std::string json_path;
-    std::string shard;
     std::string resume_dir;
     for (auto it = args.begin(); it != args.end();) {
         const auto take_value = [&](const char* flag, std::string& into) {
@@ -385,8 +349,6 @@ int main(int argc, char** argv) {
             if (!take_value("--scenario", scenario)) return 2;
         } else if (*it == "--json") {
             if (!take_value("--json", json_path)) return 2;
-        } else if (*it == "--shard") {
-            if (!take_value("--shard", shard)) return 2;
         } else if (*it == "--resume") {
             if (!take_value("--resume", resume_dir)) return 2;
         } else if (!it->empty() && (*it)[0] == '-') {
@@ -396,9 +358,8 @@ int main(int argc, char** argv) {
             ++it;
         }
     }
-    if ((!shard.empty() || !resume_dir.empty()) && campaign_path.empty()) {
-        std::fprintf(stderr, "error: %s only applies to --campaign runs\n",
-                     shard.empty() ? "--resume" : "--shard");
+    if (!resume_dir.empty() && campaign_path.empty()) {
+        std::fprintf(stderr, "error: --resume only applies to --campaign runs\n");
         return 2;
     }
     if (!resume_dir.empty() && !args.empty()) {
@@ -448,8 +409,7 @@ int main(int argc, char** argv) {
 
     try {
         if (!campaign_path.empty()) {
-            return run_campaign(campaign_path, out_dir, json_path, shard,
-                                !resume_dir.empty());
+            return run_campaign(campaign_path, out_dir, json_path, !resume_dir.empty());
         }
         core::ColorPickerConfig config;
         if (!preset.empty()) {

@@ -246,8 +246,8 @@ class TestFailpointCatalog(LintHarness):
         self.assertIn("does not exist", out)
 
     def test_spec_strings_are_scanned_too(self):
-        # Hard-coded schedule strings (e.g. --chaos-kill sugar) name
-        # sites without ever calling maybe_fail.
+        # Hard-coded schedule strings (e.g. a worker failpoint built in
+        # code) name sites without ever calling maybe_fail.
         self.write("docs/ROBUSTNESS.md", "no catalog entries here\n")
         self.assert_flags("failpoint-catalog", "tools/t.cpp",
                           'const char* spec = "demo.site=kill@1#1";\n',
