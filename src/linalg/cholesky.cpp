@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "linalg/simd_clones.hpp"
 #include "support/common.hpp"
 
 namespace sdl::linalg {
@@ -12,8 +13,13 @@ namespace {
 /// Dot product with four independent accumulators combined pairwise —
 /// breaks the serial add chain so the loop vectorizes and pipelines.
 /// Factorization and extend() form every entry through it, which keeps
-/// an extended factor bitwise equal to a full refactorization.
-[[nodiscard]] double dot4(const double* x, const double* y, std::size_t len) noexcept {
+/// an extended factor bitwise equal to a full refactorization. The four
+/// sums are explicit, so that holds across vector widths too: the
+/// factorization's AVX2 copy runs it four lanes wide, extend() (not
+/// cloned) at baseline width. Force-inlined so the AVX2 copy really
+/// runs it at AVX2 width.
+[[nodiscard, gnu::always_inline]] inline double dot4(const double* x, const double* y,
+                                                     std::size_t len) noexcept {
     double s0 = 0.0;
     double s1 = 0.0;
     double s2 = 0.0;
@@ -36,15 +42,19 @@ namespace {
 /// results equal per-column solves bit for bit: columns never mix, and
 /// each element sees the same operations in the same order.
 ///
-/// Columns are swept in tiles so each tile's slab stays L1-resident
-/// while the O(n^2) row sweep runs over it. The Fused flag adds the two
-/// GP reductions to the same pass; weighted_sums accumulates before row
-/// i is overwritten, sq_norms after it is finished, both in ascending
-/// row order (so they equal dot(b, weights) and dot(y, y)).
+/// Columns are swept in tiles of 64 so one tile's slab (n rows x 64
+/// columns: 128 KB at n = 256, too big for L1) stays in L2 while the
+/// O(n^2) row sweep runs over it. The Fused flag adds the two GP
+/// reductions to the same pass; weighted_sums accumulates before row i
+/// is overwritten, sq_norms after it is finished, both in ascending row
+/// order (so they equal dot(b, weights) and dot(y, y)). Force-inlined
+/// into the cloned forward_sweep, so its loops run at the dispatched
+/// width.
 template <bool Fused>
-void lower_sweep(const Matrix& l, double* b, std::size_t m,
-                 std::span<const double> weights, std::span<double> weighted_sums,
-                 std::span<double> sq_norms) {
+[[gnu::always_inline]] inline void lower_sweep(const Matrix& l, double* b, std::size_t m,
+                                               std::span<const double> weights,
+                                               std::span<double> weighted_sums,
+                                               std::span<double> sq_norms) noexcept {
     constexpr std::size_t kTile = 64;
     const std::size_t n = l.rows();
     for (std::size_t j0 = 0; j0 < m; j0 += kTile) {
@@ -83,32 +93,54 @@ void lower_sweep(const Matrix& l, double* b, std::size_t m,
     }
 }
 
+/// The dispatched sweep, one entry for both forms (simd_clones.hpp).
+SDL_LINALG_SIMD_CLONES
+void forward_sweep(const Matrix& l, double* b, std::size_t m, bool fused,
+                   std::span<const double> weights, std::span<double> weighted_sums,
+                   std::span<double> sq_norms) noexcept {
+    if (fused) {
+        lower_sweep<true>(l, b, m, weights, weighted_sums, sq_norms);
+    } else {
+        lower_sweep<false>(l, b, m, {}, {}, {});
+    }
+}
+
+/// The dispatched factorization (simd_clones.hpp): fills the zeroed
+/// `l` with the factor of `a`, column by column. Returns a.rows(), or
+/// the index of the first pivot that is not positive and finite.
+SDL_LINALG_SIMD_CLONES
+std::size_t factor_lower(const Matrix& a, Matrix& l) noexcept {
+    const std::size_t n = a.rows();
+    for (std::size_t j = 0; j < n; ++j) {
+        const double* lj = l.row(j).data();
+        const double diag = a(j, j) - dot4(lj, lj, j);
+        if (!(diag > 0.0) || !std::isfinite(diag)) return j;
+        const double ljj = std::sqrt(diag);
+        l(j, j) = ljj;
+        const double inv = 1.0 / ljj;
+        for (std::size_t i = j + 1; i < n; ++i) {
+            l(i, j) = (a(i, j) - dot4(l.row(i).data(), lj, j)) * inv;
+        }
+    }
+    return n;
+}
+
 }  // namespace
 
 Cholesky::Cholesky(const Matrix& a) {
     support::check(a.rows() == a.cols(), "cholesky: matrix must be square");
-    const std::size_t n = a.rows();
-    l_ = Matrix(n, n);
-    for (std::size_t j = 0; j < n; ++j) {
-        const double* lj = l_.row(j).data();
-        const double diag = a(j, j) - dot4(lj, lj, j);
-        if (!(diag > 0.0) || !std::isfinite(diag)) {
-            throw support::Error("linalg", "matrix is not positive definite (pivot " +
-                                               std::to_string(j) + ")");
-        }
-        const double ljj = std::sqrt(diag);
-        l_(j, j) = ljj;
-        const double inv = 1.0 / ljj;
-        for (std::size_t i = j + 1; i < n; ++i) {
-            l_(i, j) = (a(i, j) - dot4(l_.row(i).data(), lj, j)) * inv;
-        }
+    l_ = Matrix(a.rows(), a.rows());
+    const std::size_t pivot = factor_lower(a, l_);
+    if (pivot < a.rows()) {
+        throw support::Error("linalg", "matrix is not positive definite (pivot " +
+                                           std::to_string(pivot) + ")");
     }
 }
 
 Vec Cholesky::solve_lower(const Vec& b) const {
     support::check(b.size() == size(), "cholesky solve: size mismatch");
     Vec y = b;
-    lower_sweep<false>(l_, y.data(), 1, {}, {}, {});
+    forward_sweep(l_, y.data(), 1, /*fused=*/false, {}, {}, {});
     return y;
 }
 
@@ -127,7 +159,7 @@ Vec Cholesky::solve(const Vec& b) const {
 
 void Cholesky::solve_lower_multi(Matrix& b) const {
     support::check(b.rows() == size(), "cholesky solve_lower_multi: size mismatch");
-    lower_sweep<false>(l_, b.data(), b.cols(), {}, {}, {});
+    forward_sweep(l_, b.data(), b.cols(), /*fused=*/false, {}, {}, {});
 }
 
 void Cholesky::solve_lower_multi_fused(Matrix& b, std::span<const double> weights,
@@ -141,7 +173,7 @@ void Cholesky::solve_lower_multi_fused(Matrix& b, std::span<const double> weight
                    "cholesky solve_lower_multi_fused: reduction size mismatch");
     std::fill(weighted_sums.begin(), weighted_sums.end(), 0.0);
     std::fill(sq_norms.begin(), sq_norms.end(), 0.0);
-    lower_sweep<true>(l_, b.data(), m, weights, weighted_sums, sq_norms);
+    forward_sweep(l_, b.data(), m, /*fused=*/true, weights, weighted_sums, sq_norms);
 }
 
 void Cholesky::extend(const Vec& b, double c) {

@@ -4,10 +4,13 @@
 // The GP cross-kernel assembly evaluates exp() once per (training point,
 // candidate) pair — O(n·C) calls per constant-liar pick — and libm's exp
 // dominates that loop on machines without vector math libraries. This
-// header provides a Cephes-style rational approximation whose
-// straight-line body auto-vectorizes inside array loops and gives the
-// same bits whether or not it is vectorized, so scalar and batched
-// callers can mix it without breaking bitwise-identity contracts.
+// header provides a Cephes-style rational approximation with a
+// straight-line body that gives the same bits whether or not it is
+// vectorized, so scalar and batched callers can mix it without breaking
+// bitwise-identity contracts. It vectorizes inside array loops only
+// where the translation unit builds with -fno-trapping-math, as
+// sdl_linalg does: under GCC's default -ftrapping-math the two clamp
+// selects stay branches and the loop stays scalar.
 //
 // Accuracy: ~1-2 ulp over the supported range, which is far below the
 // noise floor of anything the GP posterior feeds (the solver's decisions
@@ -27,7 +30,8 @@ namespace sdl::linalg {
 /// call path, scalar or vectorized.
 [[nodiscard]] inline double fast_exp(double x) noexcept {
     // Clamp instead of branching to special values: keeps the body
-    // straight-line so the array form vectorizes.
+    // straight-line so the array form vectorizes (-fno-trapping-math
+    // lets GCC turn these selects into compare-and-blend).
     x = x < -708.0 ? -708.0 : x;
     x = x > 709.0 ? 709.0 : x;
 

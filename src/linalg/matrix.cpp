@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "linalg/fastmath.hpp"
+#include "linalg/simd_clones.hpp"
 #include "support/common.hpp"
 
 namespace sdl::linalg {
@@ -21,11 +22,13 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y) {
     for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
-Matrix cross_sq_dist(const Matrix& a, const Matrix& b) {
-    support::check(a.cols() == b.cols(), "cross_sq_dist: dimension mismatch");
-    const std::size_t m = b.rows();
-    const Matrix bt = b.transposed();
-    Matrix out(a.rows(), m);
+namespace {
+
+/// The dispatched body of cross_sq_dist (simd_clones.hpp): `bt` is the
+/// d x m transpose of `b`, `out` the zeroed n x m result.
+SDL_LINALG_SIMD_CLONES
+void cross_sq_dist_kernel(const Matrix& a, const Matrix& bt, Matrix& out) noexcept {
+    const std::size_t m = bt.cols();
     for (std::size_t i = 0; i < a.rows(); ++i) {
         double* orow = out.row(i).data();
         // Each entry starts at the zero the matrix was filled with and
@@ -39,14 +42,26 @@ Matrix cross_sq_dist(const Matrix& a, const Matrix& b) {
             }
         }
     }
+}
+
+}  // namespace
+
+Matrix cross_sq_dist(const Matrix& a, const Matrix& b) {
+    support::check(a.cols() == b.cols(), "cross_sq_dist: dimension mismatch");
+    Matrix out(a.rows(), b.rows());
+    cross_sq_dist_kernel(a, b.transposed(), out);
     return out;
 }
 
+// Dispatched (simd_clones.hpp). One flat loop over the row-major
+// storage; fast_exp's clamps vectorize because sdl_linalg builds with
+// -fno-trapping-math.
+SDL_LINALG_SIMD_CLONES
 void rbf_from_sq_dist(Matrix& d2, double signal_var, double lengthscale) noexcept {
     const double c = -0.5 / (lengthscale * lengthscale);
-    for (std::size_t i = 0; i < d2.rows(); ++i) {
-        for (double& v : d2.row(i)) v = signal_var * fast_exp(v * c);
-    }
+    double* v = d2.data();
+    const std::size_t count = d2.rows() * d2.cols();
+    for (std::size_t k = 0; k < count; ++k) v[k] = signal_var * fast_exp(v[k] * c);
 }
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <span>
 #include <thread>
 
 #include "color/mixing.hpp"
@@ -533,6 +536,149 @@ TEST(Bayes, SeedPairedRunsReproduceUnderBatching) {
     const auto a = run();
     const auto b = run();
     EXPECT_EQ(a, b);
+}
+
+namespace {
+
+/// FNV-1a over the bit patterns of `values`: any last-ulp change in any
+/// entry changes the digest.
+std::uint64_t bit_digest(std::span<const double> values) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const double v : values) {
+        const auto bits = std::bit_cast<std::uint64_t>(v);
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (bits >> (8 * byte)) & 0xFFU;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+void expect_digest(std::span<const double> values, std::uint64_t want,
+                   const char* what) {
+    const std::uint64_t got = bit_digest(values);
+    EXPECT_EQ(got, want) << what << ": digest 0x" << std::hex << got;
+}
+
+void expect_bits(double got, double want, const char* what) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+        << what << ": got " << std::hexfloat << got << ", want " << want;
+}
+
+std::vector<double> flatten(const sdl::linalg::Matrix& m) {
+    std::vector<double> out;
+    for (std::size_t r = 0; r < m.rows(); ++r) {
+        const auto row = m.row(r);
+        out.insert(out.end(), row.begin(), row.end());
+    }
+    return out;
+}
+
+}  // namespace
+
+TEST(GaussianProcess, PinnedBitsAcrossCpus) {
+    // The GP's bits are pinned, not just self-consistent: the constants
+    // below were recorded from a portable (baseline-ISA) build, and the
+    // linalg kernels are compiled into a baseline and an AVX2 copy that
+    // the CPU picks between at load time. On an AVX2 host this proves
+    // the AVX2 copy equals the baseline copy bit for bit; elsewhere it
+    // checks the baseline copy. Inputs use Rng::uniform and plain
+    // arithmetic only; the ask() digest also passes through libm
+    // (log, exp, erfc), so a mismatch confined to it points there first.
+#if defined(__GNUC__) && defined(__x86_64__)
+    SCOPED_TRACE(__builtin_cpu_supports("avx2") ? "cpu has avx2" : "cpu lacks avx2");
+#endif
+    using sdl::linalg::Matrix;
+    const auto make_point = [](Rng& rng) {
+        return std::vector<double>{rng.uniform(), rng.uniform(), rng.uniform(),
+                                   rng.uniform()};
+    };
+    const auto target = [](const std::vector<double>& x, Rng& rng) {
+        return x[0] * x[1] - 0.5 * x[2] + x[3] * x[3] + 0.1 * rng.uniform(-1.0, 1.0);
+    };
+
+    {
+        // predict_batch at n = 300 on 130 candidates: two full 64-column
+        // tiles plus a 2-column one, and odd rows that leave the sweep's
+        // single-row remainder.
+        Rng rng(9001);
+        std::vector<std::vector<double>> xs;
+        std::vector<double> ys;
+        for (int i = 0; i < 300; ++i) {
+            xs.push_back(make_point(rng));
+            ys.push_back(target(xs.back(), rng));
+        }
+        GaussianProcess gp;
+        gp.fit(xs, ys, /*optimize=*/false);
+        Matrix queries(130, 4);
+        for (std::size_t j = 0; j < queries.rows(); ++j)
+            for (std::size_t k = 0; k < 4; ++k) queries(j, k) = rng.uniform();
+        const auto batch = gp.predict_batch(queries);
+        std::vector<double> flat;
+        for (const auto& p : batch) {
+            flat.push_back(p.mean);
+            flat.push_back(p.variance);
+        }
+        expect_digest(flat, 0xa4f41c2c2271c605ULL, "predict_batch");
+        expect_bits(batch[0].mean, -0x1.ad31fa0ea91d4p-4, "batch[0].mean");
+        expect_bits(batch[128].mean, -0x1.7097c5297514cp-3, "batch[128].mean");
+        expect_bits(batch[129].variance, 0x1.833fcb0e36067p-9, "batch[129].variance");
+    }
+    {
+        // A 97 x 97 factor (dot4's one-element tail), then extend().
+        Rng rng(9002);
+        const std::size_t n = 97;
+        Matrix pts(n + 1, 4);
+        for (std::size_t i = 0; i < pts.rows(); ++i)
+            for (std::size_t k = 0; k < 4; ++k) pts(i, k) = rng.uniform();
+        Matrix k = sdl::linalg::cross_sq_dist(pts, pts);
+        sdl::linalg::rbf_from_sq_dist(k, 1.0, 0.3);
+        k.add_diagonal(1e-3);
+        Matrix top(n, n);
+        sdl::linalg::Vec b(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = 0; j < n; ++j) top(i, j) = k(i, j);
+            b[i] = k(n, i);
+        }
+        sdl::linalg::Cholesky chol(top);
+        expect_digest(flatten(chol.lower()), 0x7f9140d3c44bc594ULL, "factor");
+        chol.extend(b, k(n, n));
+        expect_digest(flatten(chol.lower()), 0xfd5d048a60dc59eeULL, "extended factor");
+        expect_bits(chol.lower()(n, 0), 0x1.d805e71c0eda2p-3, "L(n, 0)");
+        expect_bits(chol.lower()(n, n), 0x1.1369b98a32503p-1, "L(n, n)");
+    }
+    {
+        // fit(optimize=true), then one ask(24) past warmup: the
+        // hyperparameter grid, the fused scoring sweep on the pool and
+        // the constant-liar extend() chain, end to end.
+        Rng rng(9003);
+        std::vector<Observation> observations;
+        std::vector<std::vector<double>> xs;
+        std::vector<double> ys;
+        for (int i = 0; i < 64; ++i) {
+            const std::vector<double> x = make_point(rng);
+            const double score = 10.0 * target(x, rng) + 5.0;
+            observations.push_back({x, {0, 0, 0}, score});
+            xs.push_back(x);
+            ys.push_back(score);
+        }
+        GaussianProcess gp;
+        gp.fit(xs, ys, /*optimize=*/true);
+        expect_bits(gp.hyperparams().lengthscale, 0.6, "lengthscale");
+        expect_bits(gp.hyperparams().noise_var, 1e-2, "noise_var");
+        expect_bits(gp.log_marginal_likelihood(gp.hyperparams()), 0x1.4f38e6d36f98p+1, "lml");
+
+        BayesConfig config;
+        config.seed = 9004;
+        BayesSolver solver(config);
+        solver.tell(observations);
+        const auto proposals = solver.ask(24);
+        ASSERT_EQ(proposals.size(), 24u);
+        std::vector<double> flat;
+        for (const auto& p : proposals) flat.insert(flat.end(), p.begin(), p.end());
+        expect_digest(flat, 0x7d45eaa08bc3f88cULL, "ask(24)");
+        expect_bits(proposals[23][0], 0x1.8dbe58677a11p-5, "proposals[23][0]");
+    }
 }
 
 TEST(GaussianProcess, FitValidatesShapes) {

@@ -158,8 +158,13 @@ SPECIAL_RULE_MESSAGES = {
     FAILPOINT_RULE: "failpoint sites named in src/ and tools/ appear in "
                     "docs/ROBUSTNESS.md's site catalog",
 }
+# Fast-math and the members of it that change computed values. The
+# -fno- forms of these are safe, and so is -fno-trapping-math: it only
+# drops the assumption that FP operations may trap.
 FP_BAD_FLAGS = re.compile(r"-ffast-math|-ffp-contract=fast|-funsafe-math"
-                          r"-optimizations|-Ofast\b")
+                          r"-optimizations|-Ofast\b|-fassociative-math"
+                          r"|-freciprocal-math|-ffinite-math-only"
+                          r"|-fno-signed-zeros")
 FP_GUARD = "-ffp-contract=off"
 
 # Failpoint sites surface in C++ two ways: as the string argument of a

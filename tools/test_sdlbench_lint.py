@@ -204,6 +204,26 @@ class TestFpContract(LintHarness):
         self.assertIn("[fp-contract]", out)
         self.assertIn("src/CMakeLists.txt", out)
 
+    def test_value_changing_fast_math_members_are_flagged(self):
+        for flag in ("-fassociative-math", "-freciprocal-math",
+                     "-ffinite-math-only", "-fno-signed-zeros"):
+            with self.subTest(flag=flag):
+                self.write("src/CMakeLists.txt",
+                           f"target_compile_options(x PRIVATE {flag})\n")
+                code, out, _err = self.run_lint()
+                self.assertEqual(code, 1, out)
+                self.assertIn("[fp-contract]", out)
+                self.assertIn("src/CMakeLists.txt:1:", out)
+
+    def test_value_preserving_flags_are_clean(self):
+        self.write("src/linalg/CMakeLists.txt",
+                   "target_compile_options(x PRIVATE -fno-trapping-math)\n"
+                   "target_compile_options(y PRIVATE -fno-associative-math "
+                   "-fno-reciprocal-math -fno-finite-math-only "
+                   "-fsigned-zeros)\n")
+        code, out, _err = self.run_lint()
+        self.assertEqual(code, 0, out)
+
     def test_cmake_comment_is_not_code(self):
         self.write("src/CMakeLists.txt",
                    "# never pass -ffast-math here\nadd_library(x x.cpp)\n")
