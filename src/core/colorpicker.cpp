@@ -102,17 +102,18 @@ ColorPickerApp::BatchReadout ColorPickerApp::mix_and_measure(
     // §2.4 vision pipeline on the captured frame. An unusable frame
     // (occluded fiducial, reflection) is recovered by retaking the photo
     // — the plate is already sitting on the camera nest.
+    const imaging::PlateScene scene = imaging::scene_for_plate(
+        runtime_->camera().scene(), config.plate_rows, config.plate_cols);
     imaging::WellReadParams read_params;
-    read_params.geometry =
-        imaging::scene_for_plate(runtime_->camera().scene(), config.plate_rows,
-                                 config.plate_cols)
-            .geometry;
+    read_params.geometry = scene.geometry;
     const auto read_frame = [&](std::int64_t id) {
         if (!config.vision_roi_fast_path) {
             return imaging::read_plate(runtime_->camera().frame(id), read_params);
         }
-        if (!reader_.has_value()) reader_.emplace(read_params);
-        return reader_->read(runtime_->camera().frame(id));
+        if (!reader_.has_value()) {
+            reader_.emplace(read_params, imaging::calibrated_marker_pose(scene));
+        }
+        return reader_->read(runtime_->camera().lazy_frame(id));
     };
     imaging::WellReadout readout = read_frame(frame_id);
     int retakes = 0;

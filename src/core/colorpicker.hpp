@@ -81,9 +81,11 @@ private:
     std::unique_ptr<WorkcellRuntime> owned_runtime_;  ///< null when borrowing
     WorkcellRuntime* runtime_ = nullptr;
     std::unique_ptr<solver::Solver> solver_;
-    /// Session vision reader: reuses the frame scratch pool and tracks
-    /// the marker ROI across batches (bitwise identical to per-frame
-    /// read_plate; see ColorPickerConfig::vision_roi_fast_path).
+    /// Session vision reader: reuses the frame scratch pool, tracks the
+    /// marker ROI across batches from the calibrated pose on, and renders
+    /// only the parts of each lazy camera frame it reads (bitwise
+    /// identical to per-frame read_plate on the whole frame; see
+    /// ColorPickerConfig::vision_roi_fast_path).
     std::optional<imaging::PlateReader> reader_;
 
     ExperimentOutcome outcome_;

@@ -2,7 +2,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "core/scenarios.hpp"
 #include "core/workcell_spec.hpp"
@@ -117,10 +119,17 @@ ColorPickerConfig config_from_doc(const json::Value& doc) {
     }
     if (const json::Value* plate = doc.find("plate")) {
         reject_unknown_keys(*plate, {"rows", "cols"}, "plate");
-        config.plate_rows =
-            static_cast<int>(plate->get_or("rows", std::int64_t{config.plate_rows}));
-        config.plate_cols =
-            static_cast<int>(plate->get_or("cols", std::int64_t{config.plate_cols}));
+        const auto dimension = [plate](const std::string& key, int fallback) {
+            const std::int64_t value = plate->get_or(key, std::int64_t{fallback});
+            if (value < 1 || value > std::numeric_limits<int>::max()) {
+                throw support::ConfigError("plate." + key +
+                                           " must be a positive integer, got " +
+                                           std::to_string(value));
+            }
+            return static_cast<int>(value);
+        };
+        config.plate_rows = dimension("rows", config.plate_rows);
+        config.plate_cols = dimension("cols", config.plate_cols);
     }
     if (const json::Value* volume = doc.find("well_volume_ul")) {
         config.well_volume = support::Volume::microliters(volume->as_double());

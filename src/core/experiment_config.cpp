@@ -19,6 +19,10 @@ double evaluate_objective(Objective objective, color::Rgb8 measured, color::Rgb8
 ColorPickerConfig finalize_config(ColorPickerConfig config) {
     support::check(config.total_samples > 0, "total_samples must be positive");
     support::check(config.batch_size > 0, "batch_size must be positive");
+    if (config.plate_rows < 1 || config.plate_cols < 1) {
+        throw support::ConfigError(config.plate_rows < 1 ? "plate.rows must be positive"
+                                                         : "plate.cols must be positive");
+    }
     support::check(config.batch_size <= config.plate_rows * config.plate_cols,
                    "batch cannot exceed plate capacity");
     support::check(config.workcell.ot2_count >= 1, "workcell needs at least one OT2");

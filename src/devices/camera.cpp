@@ -44,8 +44,7 @@ wei::ActionResult CameraSim::execute(const wei::ActionRequest& request) {
 
     // Ring-light warm-up: the shading gradient drifts a little with every
     // frame captured so far.
-    const bool drifted = config_.drift_per_frame != 0.0;
-    if (drifted) {
+    if (config_.drift_per_frame != 0.0) {
         scene.illum_gradient.x +=
             config_.drift_per_frame * static_cast<double>(next_frame_id_ - 1);
     }
@@ -69,17 +68,11 @@ wei::ActionResult CameraSim::execute(const wei::ActionRequest& request) {
     }
 
     const std::int64_t frame_id = next_frame_id_++;
-    // Glitched scenes (marker moved) would evict the base cache twice per
-    // glitch, and drifted scenes change every frame, so the cache could
-    // never hit; render both one-shot. Either path produces
-    // bitwise-identical frames.
-    if (!glitched && !drifted) {
-        frames_.emplace(frame_id, renderer_.render(scene, colors, rng_, &filled));
-    } else {
-        frames_.emplace(frame_id, imaging::render_plate(scene, colors, rng_, &filled));
-    }
+    frames_.try_emplace(frame_id, scene, colors, rng_.next(), &filled);
     while (frames_.size() > config_.max_frames) {
-        frames_.erase(frames_.begin());  // evict the oldest frame
+        // Evict the oldest frame.
+        evicted_pixels_rendered_ += frames_.begin()->second.pixels_rendered();
+        frames_.erase(frames_.begin());
     }
 
     json::Value data = json::Value::object();
@@ -91,13 +84,25 @@ wei::ActionResult CameraSim::execute(const wei::ActionRequest& request) {
     return wei::ActionResult::success(std::move(data));
 }
 
-const imaging::Image& CameraSim::frame(std::int64_t frame_id) const {
+const imaging::Image& CameraSim::frame(std::int64_t frame_id) {
+    imaging::LazyFrame& lazy = lazy_frame(frame_id);
+    lazy.materialize(lazy.bounds());
+    return lazy.image();
+}
+
+imaging::LazyFrame& CameraSim::lazy_frame(std::int64_t frame_id) {
     const auto it = frames_.find(frame_id);
     if (it == frames_.end()) {
         throw support::Error("device", "camera frame " + std::to_string(frame_id) +
                                            " not available (evicted or never captured)");
     }
     return it->second;
+}
+
+std::size_t CameraSim::pixels_rendered() const noexcept {
+    std::size_t pixels = evicted_pixels_rendered_;
+    for (const auto& [id, lazy] : frames_) pixels += lazy.pixels_rendered();
+    return pixels;
 }
 
 }  // namespace sdl::devices

@@ -3,13 +3,15 @@
 // mount designed to allow the pf400 to place the microplate in the same
 // location each time" (§2.2).
 //
-// The simulated camera renders the plate currently sitting on its nest
-// with the synthetic scene renderer (sensor noise, vignetting, lighting
-// gradient) and archives the frame; the application retrieves frames by
-// id and runs the §2.4 vision pipeline on them — the full code path a
-// real webcam would feed. Each capture advances the camera's generator
-// by at most two draws, whatever the frame size: the glitch roll (only
-// when 0 < glitch_prob < 1) and the frame's noise key.
+// The simulated camera photographs the plate currently sitting on its
+// nest with the synthetic scene renderer (sensor noise, vignetting,
+// lighting gradient). It archives each frame as its recipe and renders
+// pixels on demand (imaging::LazyFrame): the application hands the lazy
+// frame to the §2.4 vision pipeline, which renders only the regions it
+// reads — the full code path a real webcam would feed, at the cost of
+// the pixels used. Each capture advances the camera's generator by at
+// most two draws, whatever the frame size: the glitch roll (only when
+// 0 < glitch_prob < 1) and the frame's noise key.
 #pragma once
 
 #include <map>
@@ -54,12 +56,18 @@ public:
     [[nodiscard]] support::Duration estimate(const wei::ActionRequest& request) const override;
     [[nodiscard]] wei::ActionResult execute(const wei::ActionRequest& request) override;
 
-    /// Retrieves an archived frame; throws Error("device") for evicted or
-    /// unknown ids.
-    [[nodiscard]] const imaging::Image& frame(std::int64_t frame_id) const;
+    /// Retrieves an archived frame, rendered whole; throws Error("device")
+    /// for evicted or unknown ids.
+    [[nodiscard]] const imaging::Image& frame(std::int64_t frame_id);
+    /// The archived frame as captured: rendered only where already asked
+    /// for. Same errors as frame().
+    [[nodiscard]] imaging::LazyFrame& lazy_frame(std::int64_t frame_id);
 
     [[nodiscard]] const imaging::PlateScene& scene() const noexcept { return config_.scene; }
     [[nodiscard]] std::int64_t frames_captured() const noexcept { return next_frame_id_ - 1; }
+    /// Pixels rendered so far over every frame captured, evicted ones
+    /// included.
+    [[nodiscard]] std::size_t pixels_rendered() const noexcept;
 
 private:
     CameraConfig config_;
@@ -67,9 +75,9 @@ private:
     wei::LocationMap& locations_;
     wei::ModuleInfo info_;
     support::Rng rng_;
-    imaging::PlateRenderer renderer_;  ///< base-raster cache across captures
-    std::map<std::int64_t, imaging::Image> frames_;
+    std::map<std::int64_t, imaging::LazyFrame> frames_;
     std::int64_t next_frame_id_ = 1;
+    std::size_t evicted_pixels_rendered_ = 0;
 };
 
 }  // namespace sdl::devices

@@ -40,11 +40,12 @@ void fill_rect(Image& img, Rect rect, color::Rgb8 c) {
     }
 }
 
-void fill_circle(Image& img, Vec2 center, double radius, color::Rgb8 c) {
+void fill_circle(Image& img, Vec2 center, double radius, color::Rgb8 c, Rect clip) {
     const Rect box = Rect{static_cast<int>(std::floor(center.x - radius)) - 1,
                           static_cast<int>(std::floor(center.y - radius)) - 1,
                           static_cast<int>(std::ceil(center.x + radius)) + 2,
                           static_cast<int>(std::ceil(center.y + radius)) + 2}
+                         .intersected(clip)
                          .clipped(img.width(), img.height());
     for (int y = box.y0; y < box.y1; ++y) {
         for (int x = box.x0; x < box.x1; ++x) {
@@ -55,11 +56,13 @@ void fill_circle(Image& img, Vec2 center, double radius, color::Rgb8 c) {
     }
 }
 
-void fill_ring(Image& img, Vec2 center, double r_outer, double r_inner, color::Rgb8 c) {
+void fill_ring(Image& img, Vec2 center, double r_outer, double r_inner, color::Rgb8 c,
+               Rect clip) {
     const Rect box = Rect{static_cast<int>(std::floor(center.x - r_outer)) - 1,
                           static_cast<int>(std::floor(center.y - r_outer)) - 1,
                           static_cast<int>(std::ceil(center.x + r_outer)) + 2,
                           static_cast<int>(std::ceil(center.y + r_outer)) + 2}
+                         .intersected(clip)
                          .clipped(img.width(), img.height());
     for (int y = box.y0; y < box.y1; ++y) {
         for (int x = box.x0; x < box.x1; ++x) {
@@ -71,7 +74,7 @@ void fill_ring(Image& img, Vec2 center, double r_outer, double r_inner, color::R
     }
 }
 
-void fill_quad(Image& img, const Vec2 (&corners)[4], color::Rgb8 c) {
+void fill_quad(Image& img, const Vec2 (&corners)[4], color::Rgb8 c, Rect clip) {
     double min_x = corners[0].x, max_x = corners[0].x;
     double min_y = corners[0].y, max_y = corners[0].y;
     for (const Vec2& p : corners) {
@@ -83,7 +86,9 @@ void fill_quad(Image& img, const Vec2 (&corners)[4], color::Rgb8 c) {
     const Rect box = Rect{static_cast<int>(std::floor(min_x)), static_cast<int>(std::floor(min_y)),
                           static_cast<int>(std::ceil(max_x)) + 1,
                           static_cast<int>(std::ceil(max_y)) + 1}
+                         .intersected(clip)
                          .clipped(img.width(), img.height());
+    if (box.empty()) return;
 
     // Determine consistent winding from the polygon's signed area.
     double area = 0.0;

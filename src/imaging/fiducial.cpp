@@ -96,7 +96,7 @@ std::optional<MarkerDictionary::Match> MarkerDictionary::match(
 }
 
 void render_marker(Image& img, const MarkerDictionary& dict, std::size_t id, Vec2 center,
-                   double side_px, double angle_rad) {
+                   double side_px, double angle_rad, Rect clip) {
     const std::uint16_t code = dict.code(id);
     const double cell = side_px / kMarkerCells;
 
@@ -118,7 +118,7 @@ void render_marker(Image& img, const MarkerDictionary& dict, std::size_t id, Vec
     auto fill_cells = [&](double c0, double r0, double c1, double r1, color::Rgb8 col) {
         const auto q = cell_quad(c0, r0, c1, r1);
         const Vec2 corners[4] = {q[0], q[1], q[2], q[3]};
-        fill_quad(img, corners, col);
+        fill_quad(img, corners, col, clip);
     };
 
     // White card backing extends one cell beyond the black square.

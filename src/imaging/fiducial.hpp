@@ -66,9 +66,10 @@ private:
 
 /// Draws marker `id` onto `img`: a white card backing plus the black
 /// border and payload cells, centered at `center` with black-square side
-/// `side_px`, rotated by `angle_rad` (clockwise on screen, y-down).
+/// `side_px`, rotated by `angle_rad` (clockwise on screen, y-down). Only
+/// pixels inside `clip` are drawn (see fill_quad).
 void render_marker(Image& img, const MarkerDictionary& dict, std::size_t id, Vec2 center,
-                   double side_px, double angle_rad);
+                   double side_px, double angle_rad, Rect clip = kNoClip);
 
 struct MarkerDetection {
     std::size_t id = 0;

@@ -2,15 +2,13 @@
 #pragma once
 
 #include <cmath>
+#include <limits>
 
 namespace sdl::imaging {
 
 struct Vec2 {
     double x = 0.0;
     double y = 0.0;
-
-    /// Exact component equality (cache keys, tests) — not a tolerance.
-    friend constexpr bool operator==(Vec2 a, Vec2 b) noexcept = default;
 
     friend constexpr Vec2 operator+(Vec2 a, Vec2 b) noexcept { return {a.x + b.x, a.y + b.y}; }
     friend constexpr Vec2 operator-(Vec2 a, Vec2 b) noexcept { return {a.x - b.x, a.y - b.y}; }
@@ -48,16 +46,27 @@ struct Rect {
     [[nodiscard]] constexpr bool contains(int x, int y) const noexcept {
         return x >= x0 && x < x1 && y >= y0 && y < y1;
     }
-    [[nodiscard]] Rect clipped(int w, int h) const noexcept {
+    [[nodiscard]] constexpr bool empty() const noexcept { return x1 <= x0 || y1 <= y0; }
+    /// The overlap with `other`; empty (x1 == x0 or y1 == y0) when the
+    /// two do not meet.
+    [[nodiscard]] constexpr Rect intersected(Rect other) const noexcept {
         Rect r = *this;
-        if (r.x0 < 0) r.x0 = 0;
-        if (r.y0 < 0) r.y0 = 0;
-        if (r.x1 > w) r.x1 = w;
-        if (r.y1 > h) r.y1 = h;
+        if (r.x0 < other.x0) r.x0 = other.x0;
+        if (r.y0 < other.y0) r.y0 = other.y0;
+        if (r.x1 > other.x1) r.x1 = other.x1;
+        if (r.y1 > other.y1) r.y1 = other.y1;
         if (r.x1 < r.x0) r.x1 = r.x0;
         if (r.y1 < r.y0) r.y1 = r.y0;
         return r;
     }
+    [[nodiscard]] constexpr Rect clipped(int w, int h) const noexcept {
+        return intersected({0, 0, w, h});
+    }
 };
+
+/// Every pixel an image can have: as a clip rect it leaves a draw op
+/// bounded by its image alone.
+inline constexpr Rect kNoClip{0, 0, std::numeric_limits<int>::max(),
+                              std::numeric_limits<int>::max()};
 
 }  // namespace sdl::imaging

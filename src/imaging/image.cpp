@@ -9,6 +9,7 @@ namespace sdl::imaging {
 Image::Image(int width, int height, color::Rgb8 fill) : width_(width), height_(height) {
     support::check(width >= 0 && height >= 0, "negative image dimensions");
     data_.resize(3 * static_cast<std::size_t>(width) * static_cast<std::size_t>(height));
+    if (fill == color::Rgb8{0, 0, 0}) return;  // resize already zeroed it
     for (std::size_t i = 0; i + 2 < data_.size(); i += 3) {
         data_[i] = fill.r;
         data_[i + 1] = fill.g;

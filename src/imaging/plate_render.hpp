@@ -6,10 +6,16 @@
 // wall rings, and empty wells that produce the low-contrast circles that
 // HoughCircles tends to miss (the false negatives §2.4's grid alignment
 // rescues).
+//
+// A frame is its recipe (scene, well colors, fill mask, noise key) plus
+// a raster rendered on demand, one tile at a time (LazyFrame): the
+// camera archives recipes and the §2.4 reader renders only the regions
+// it reads. render_plate is one such frame rendered whole.
 #pragma once
 
-#include <optional>
+#include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "imaging/fiducial.hpp"
@@ -33,8 +39,6 @@ struct SceneGeometry {
     Vec2 plate_offset{1.45, -2.17};
 
     [[nodiscard]] int well_count() const noexcept { return rows * cols; }
-
-    friend bool operator==(const SceneGeometry&, const SceneGeometry&) = default;
 };
 
 struct PlateScene {
@@ -62,18 +66,77 @@ struct PlateScene {
     double noise_sigma = 2.0;      ///< Gaussian sensor noise, 8-bit units
     double vignette = 0.10;        ///< corner darkening strength
     Vec2 illum_gradient{0.04, -0.03};  ///< linear shading across the frame
-
-    /// Memberwise exact equality — the PlateRenderer base-raster cache
-    /// key. Defaulted so a new field can never silently fall out of the
-    /// comparison and leave the cache serving stale rasters.
-    friend bool operator==(const PlateScene&, const PlateScene&) = default;
 };
 
-/// Renders the scene. `well_colors` has rows*cols entries in row-major
-/// order; `filled` marks which wells contain liquid (nullopt = all). The
-/// render draws exactly one value from `rng` at any frame size: the
-/// frame's noise key. Each noise sample is then a pure function of
-/// (key, pixel, channel) (imaging/sensor_noise.hpp).
+/// A camera frame kept as its recipe — scene, well colors, fill mask and
+/// noise key — plus a raster rendered on demand in kTile x kTile tiles,
+/// with a mask of the tiles filled so far. Every pixel is a pure function
+/// of the recipe and (x, y): the draw ops work per pixel, and sensor
+/// noise is counter-based (imaging/sensor_noise.hpp). A tile runs the
+/// whole-frame op sequence clipped to itself — background, plate body,
+/// each well meeting it (ring, then interior), marker, then shading and
+/// noise — so a materialized region holds exactly the bytes a whole-frame
+/// render has there, whatever order its tiles were filled in.
+/// Move-only: a 1536-well raster is 23 MB.
+class LazyFrame {
+public:
+    static constexpr int kTile = 64;
+
+    /// `well_colors` has rows*cols entries in row-major order; `filled`
+    /// marks which wells contain liquid (nullptr = all). Renders nothing.
+    LazyFrame(const PlateScene& scene, std::span<const color::Rgb8> well_colors,
+              std::uint64_t noise_key, const std::vector<bool>* filled = nullptr);
+
+    LazyFrame(LazyFrame&&) noexcept = default;
+    LazyFrame& operator=(LazyFrame&&) noexcept = default;
+    LazyFrame(const LazyFrame&) = delete;
+    LazyFrame& operator=(const LazyFrame&) = delete;
+
+    [[nodiscard]] int width() const noexcept { return raster_.width(); }
+    [[nodiscard]] int height() const noexcept { return raster_.height(); }
+    [[nodiscard]] Rect bounds() const noexcept { return {0, 0, width(), height()}; }
+
+    /// Renders every missing tile that meets `rect` (clipped to the frame).
+    void materialize(Rect rect);
+
+    /// The raster. Pixels of tiles not yet materialized read as zero.
+    [[nodiscard]] const Image& image() const noexcept { return raster_; }
+    /// Moves the raster out.
+    [[nodiscard]] Image release() && noexcept { return std::move(raster_); }
+
+    [[nodiscard]] std::size_t tile_count() const noexcept { return ready_.size(); }
+    [[nodiscard]] std::size_t tiles_rendered() const noexcept { return tiles_rendered_; }
+    [[nodiscard]] std::size_t pixels_rendered() const noexcept {
+        return pixels_rendered_;
+    }
+    /// The tiles materialized so far, in row-major tile order.
+    [[nodiscard]] std::vector<Rect> rendered_tiles() const;
+
+private:
+    [[nodiscard]] Rect tile_rect(int tx, int ty) const noexcept;
+    void render_tile(Rect tile);
+    void shade_tile(Rect tile);
+
+    PlateScene scene_;
+    std::vector<color::Rgb8> colors_;
+    std::vector<bool> filled_;  ///< rows*cols; true where a well holds liquid
+    std::uint64_t noise_key_ = 0;
+    std::vector<Vec2> centers_;
+    Vec2 body_[4];  ///< plate body corners
+    /// Per tile, row-major: the wells whose draw box meets it, in well
+    /// order.
+    std::vector<std::vector<std::uint32_t>> tile_wells_;
+    Rect marker_box_;  ///< holds every pixel render_marker draws
+    Image raster_;
+    int tiles_x_ = 0;
+    std::vector<std::uint8_t> ready_;  ///< per tile, row-major: 1 once rendered
+    std::size_t tiles_rendered_ = 0;
+    std::size_t pixels_rendered_ = 0;
+};
+
+/// Renders the whole scene: one LazyFrame, materialized whole. The render
+/// draws exactly one value from `rng` at any frame size: the frame's
+/// noise key.
 [[nodiscard]] Image render_plate(const PlateScene& scene,
                                  std::span<const color::Rgb8> well_colors,
                                  support::Rng& rng,
@@ -81,6 +144,13 @@ struct PlateScene {
 
 /// Ground-truth well-center positions for a scene (for tests/metrics).
 [[nodiscard]] std::vector<Vec2> true_well_centers(const PlateScene& scene);
+
+/// The fiducial's pose as the scene places it: the black square's
+/// corners (clockwise on screen from its top-left), center, side and
+/// angle. The camera mount holds the plate in the same place every time
+/// (§2.2), so this is the pose a lab calibrates once; PlateReader takes
+/// it as its first marker hint.
+[[nodiscard]] MarkerDetection calibrated_marker_pose(const PlateScene& scene);
 
 /// Adapts a scene to a plate format. Up to the calibrated 8x12 the scene
 /// passes through with only rows/cols set (96-well frames stay bitwise
@@ -90,42 +160,5 @@ struct PlateScene {
 /// well keeps its 96-well *pixel* size — the Hough radius band and the
 /// §2.4 marker-relative geometry both keep working unchanged.
 [[nodiscard]] PlateScene scene_for_plate(PlateScene scene, int rows, int cols);
-
-/// Field-by-field scene equality (geometry, colors, nuisances) — the
-/// base-raster cache key.
-[[nodiscard]] bool same_scene(const PlateScene& a, const PlateScene& b) noexcept;
-
-/// Session renderer for a fixed camera. The rasterization up to (and
-/// excluding) the wells — deck background plus plate body — depends only
-/// on the scene, not on well contents, so consecutive frames of an
-/// unchanged scene start from a cached copy of that base raster instead
-/// of re-rasterizing it. Wells, marker, illumination, and sensor noise
-/// are applied per frame in the exact order render_plate uses, and the
-/// frame draws the same single noise key, so every frame is bitwise
-/// identical to a from-scratch render with the same rng stream. Owns the
-/// per-column illumination precompute and the sensor's noise-row buffer
-/// as well. One per camera; never shared across threads.
-class PlateRenderer {
-public:
-    [[nodiscard]] Image render(const PlateScene& scene,
-                               std::span<const color::Rgb8> well_colors,
-                               support::Rng& rng,
-                               const std::vector<bool>* filled = nullptr);
-
-    /// Frames that reused the cached base raster.
-    [[nodiscard]] std::size_t base_hits() const noexcept { return base_hits_; }
-    [[nodiscard]] std::size_t base_rebuilds() const noexcept { return base_rebuilds_; }
-
-private:
-    bool base_valid_ = false;
-    PlateScene base_scene_;
-    Image base_;
-    std::vector<Vec2> centers_;
-    std::vector<double> illum_nx_;   ///< per-column gradient coordinate
-    std::vector<double> illum_nx2_;  ///< per-column vignette term
-    std::vector<double> noise_row_;  ///< one row's scaled sensor noise
-    std::size_t base_hits_ = 0;
-    std::size_t base_rebuilds_ = 0;
-};
 
 }  // namespace sdl::imaging

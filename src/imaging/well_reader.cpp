@@ -22,9 +22,16 @@ const MarkerDetection* select_marker(const std::vector<MarkerDetection>& markers
     return marker;
 }
 
+/// Renders `rect` of a lazy frame before the read looks at it; a
+/// finished image (lazy == nullptr) has nothing to render.
+void need(LazyFrame* lazy, Rect rect) {
+    if (lazy != nullptr) lazy->materialize(rect);
+}
+
 /// Steps 2-5 of the pipeline, given the detected marker.
-WellReadout read_with_marker(const Image& frame, const WellReadParams& params,
-                             const MarkerDetection& marker, FrameScratch& scratch) {
+WellReadout read_with_marker(const Image& frame, LazyFrame* lazy,
+                             const WellReadParams& params, const MarkerDetection& marker,
+                             FrameScratch& scratch) {
     WellReadout out;
     const SceneGeometry& g = params.geometry;
     out.marker = marker;
@@ -67,6 +74,7 @@ WellReadout read_with_marker(const Image& frame, const WellReadParams& params,
     hough.r_max = expected_r * (1.0 + params.radius_tolerance);
     hough.min_center_dist = 0.6 * pitch;
     hough.max_circles = static_cast<std::size_t>(g.well_count()) * 2;
+    need(lazy, roi);
     to_gray_roi(frame, roi, scratch.gray_roi);
     const auto circles = hough_circles(scratch.gray_roi, hough, scratch.hough);
     out.hough_circles_found = circles.size();
@@ -113,6 +121,11 @@ WellReadout read_with_marker(const Image& frame, const WellReadParams& params,
         for (int c = 0; c < g.cols; ++c) {
             const Vec2 center = fit.model.center(r, c);
             out.centers.push_back(center);
+            // mean_color_in_disk reads up to ceil(c + r) inclusive.
+            need(lazy, {static_cast<int>(std::floor(center.x - sample_r)),
+                        static_cast<int>(std::floor(center.y - sample_r)),
+                        static_cast<int>(std::ceil(center.x + sample_r)) + 1,
+                        static_cast<int>(std::ceil(center.y + sample_r)) + 1});
             out.colors.push_back(mean_color_in_disk(frame, center.x, center.y, sample_r));
         }
     }
@@ -138,12 +151,18 @@ WellReadout read_plate(const Image& frame, const WellReadParams& params,
         out.error = "fiducial marker not found";
         return out;
     }
-    return read_with_marker(frame, params, *marker, scratch);
+    return read_with_marker(frame, nullptr, params, *marker, scratch);
 }
 
-WellReadout PlateReader::read(const Image& frame) {
+WellReadout PlateReader::read(const Image& frame) { return read_frame(frame, nullptr); }
+
+WellReadout PlateReader::read(LazyFrame& frame) {
+    return read_frame(frame.image(), &frame);
+}
+
+WellReadout PlateReader::read_frame(const Image& frame, LazyFrame* lazy) {
     if (hint_.has_value()) {
-        // Scan only a padded neighborhood of the last marker pose. The
+        // Scan only a padded neighborhood of the hinted marker pose. The
         // padding keeps the (static) marker blob clear of the region's
         // contamination band, so a hit is bitwise identical to the
         // full-frame detection; anything suspicious falls through.
@@ -167,6 +186,7 @@ WellReadout PlateReader::read(const Image& frame) {
         // full-frame fallback below takes over. This is where the
         // single-tracked-marker assumption bites: a second, larger
         // matching marker outside the region would win a full scan.
+        need(lazy, region);
         (void)detect_markers_in_region(frame, MarkerDictionary::standard(),
                                        params_.marker, region, scratch_.marker,
                                        scratch_.detections);
@@ -174,19 +194,19 @@ WellReadout PlateReader::read(const Image& frame) {
             select_marker(scratch_.detections, params_.marker_id);
         if (marker != nullptr) {
             ++roi_hits_;
-            WellReadout out = read_with_marker(frame, params_, *marker, scratch_);
+            WellReadout out = read_with_marker(frame, lazy, params_, *marker, scratch_);
             out.roi_fast_path = true;
             hint_ = out.marker;
             return out;
         }
     }
     ++full_scans_;
+    need(lazy, {0, 0, frame.width(), frame.height()});
     WellReadout out = read_plate(frame, params_, scratch_);
-    if (out.ok) {
-        hint_ = out.marker;
-    } else {
-        hint_.reset();
-    }
+    // A failed scan (occluded marker) keeps the last good hint: in a
+    // single-marker scene a region hit on the next frame is the same
+    // detection a full scan would make, and a miss falls back to one.
+    if (out.ok) hint_ = out.marker;
     return out;
 }
 

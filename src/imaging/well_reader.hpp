@@ -70,19 +70,28 @@ struct FrameScratch {
 [[nodiscard]] WellReadout read_plate(const Image& frame, const WellReadParams& params,
                                      FrameScratch& scratch);
 
-/// Session reader for a fixed camera: between frames the fiducial stays
-/// put, so after one successful full-frame read the detector only scans
-/// a small neighborhood of the last marker pose (detect_markers_in_region)
-/// and the luma conversion covers just the marker and plate ROIs. Any
-/// doubt — contaminated region, marker missing or moved — falls back to
-/// the full-frame pipeline, so every frame's readout is bitwise
-/// identical to read_plate on the same frame (single tracked marker; a
-/// scene with several markers of the same id needs full scans).
+/// Session reader for a fixed camera: the fiducial stays put between
+/// frames, so the detector scans only a small neighborhood of the marker
+/// hint (detect_markers_in_region) and the luma conversion covers just
+/// the marker and plate ROIs. The hint starts at the calibrated marker
+/// pose when one is given (else the first frame is a full scan), follows
+/// every detected marker, and survives a failed full scan. Any doubt —
+/// contaminated region, marker missing or moved — falls back to the
+/// full-frame pipeline, so every frame's readout is bitwise identical to
+/// read_plate on the same frame (single tracked marker; a scene with
+/// several markers of the same id needs full scans).
 class PlateReader {
 public:
-    explicit PlateReader(WellReadParams params) : params_(std::move(params)) {}
+    explicit PlateReader(WellReadParams params,
+                         std::optional<MarkerDetection> calibrated_marker = std::nullopt)
+        : params_(std::move(params)), hint_(std::move(calibrated_marker)) {}
 
     [[nodiscard]] WellReadout read(const Image& frame);
+    /// Reads a lazy frame, materializing only what the read looks at: the
+    /// hinted marker region, the plate ROI and each readout disk — or the
+    /// whole frame when a full scan is needed. Same readout as read() on
+    /// the frame rendered whole.
+    [[nodiscard]] WellReadout read(LazyFrame& frame);
 
     [[nodiscard]] const WellReadParams& params() const noexcept { return params_; }
     /// Frames served by the marker-ROI fast path / by full-frame scans.
@@ -90,6 +99,10 @@ public:
     [[nodiscard]] std::size_t full_scans() const noexcept { return full_scans_; }
 
 private:
+    /// Both read() overloads; `lazy` is null for a finished image and
+    /// otherwise owns `frame`.
+    [[nodiscard]] WellReadout read_frame(const Image& frame, LazyFrame* lazy);
+
     WellReadParams params_;
     FrameScratch scratch_;
     std::optional<MarkerDetection> hint_;

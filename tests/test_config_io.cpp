@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <string>
+#include <tuple>
 
 #include "core/colorpicker.hpp"
 #include "core/config_io.hpp"
@@ -76,6 +78,40 @@ TEST(ConfigIo, RejectsBadValues) {
     EXPECT_THROW((void)config_from_yaml("experiment:\n  objective: hsv\n"),
                  support::ConfigError);
     EXPECT_THROW((void)config_from_yaml("just a scalar"), support::Error);
+}
+
+TEST(ConfigIo, RejectsNonPositivePlateDimensions) {
+    // rows: -8, cols: -12 multiply to a capacity that fits any batch, and
+    // rows: 0 used to surface as "batch cannot exceed plate capacity".
+    const auto message = [](const std::string& yaml) {
+        try {
+            (void)config_from_yaml(yaml);
+        } catch (const support::ConfigError& e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    EXPECT_NE(message("plate:\n  rows: -8\n  cols: -12\n").find("plate.rows"),
+              std::string::npos);
+    EXPECT_NE(message("plate:\n  rows: 0\n").find("plate.rows"), std::string::npos);
+    EXPECT_NE(message("plate:\n  cols: 0\n").find("plate.cols"), std::string::npos);
+    EXPECT_NE(message("plate:\n  cols: 4294967308\n").find("plate.cols"),
+              std::string::npos);  // would wrap to 12 as an int
+
+    // A config built in code fails in finalize_config, naming the field.
+    for (const auto& [rows, cols, key] :
+         {std::tuple{-8, -12, "plate.rows"}, std::tuple{0, 12, "plate.rows"},
+          std::tuple{8, 0, "plate.cols"}}) {
+        ColorPickerConfig config;
+        config.plate_rows = rows;
+        config.plate_cols = cols;
+        try {
+            (void)finalize_config(std::move(config));
+            ADD_FAILURE() << rows << "x" << cols << " accepted";
+        } catch (const support::ConfigError& e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+        }
+    }
 }
 
 TEST(ConfigIo, RoundTripThroughYaml) {

@@ -510,15 +510,16 @@ TEST(Camera, GlitchedFrameHasNoDetectableMarker) {
                     .empty());
 }
 
-TEST(Camera, BaseRasterCacheFramesByteIdentical) {
-    // The PlateRenderer base cache is a pure perf optimization: every
-    // archived frame must equal a one-shot render_plate of the same scene
-    // drawn from a twin generator that makes the same glitch roll and
-    // key draw, across captures with changing well contents and
-    // interleaved glitches (which bypass the cache).
+TEST(Camera, ArchivedFramesMatchTwinRenders) {
+    // Every archived frame, rendered on demand, must equal a one-shot
+    // render_plate of the same scene drawn from a twin generator that
+    // makes the same glitch roll and key draw, across captures with
+    // changing well contents, interleaved glitches and a drifting
+    // ring-light gradient.
     TestWorkcell cell;
     CameraConfig config;
     config.glitch_prob = 0.25;
+    config.drift_per_frame = 0.002;
     config.max_frames = 64;
     CameraSim camera(config, cell.plates, cell.locations);
     support::Rng twin(config.noise_seed);
@@ -539,6 +540,7 @@ TEST(Camera, BaseRasterCacheFramesByteIdentical) {
         ASSERT_TRUE(result.ok());
 
         imaging::PlateScene scene = imaging::scene_for_plate(config.scene, 8, 12);
+        scene.illum_gradient.x += config.drift_per_frame * i;
         const bool glitched = twin.bernoulli(config.glitch_prob);
         if (glitched) scene.marker_center = {-10000.0, -10000.0};
         glitches += glitched ? 1 : 0;
@@ -551,9 +553,46 @@ TEST(Camera, BaseRasterCacheFramesByteIdentical) {
         EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin()))
             << "capture " << i;
     }
-    // The seed must exercise both paths for the comparison to mean anything.
+    // The seed must exercise glitched and clean frames for the comparison
+    // to mean anything.
     EXPECT_GT(glitches, 0);
     EXPECT_LT(glitches, 12);
+}
+
+TEST(Camera, RendersFramesOnDemand) {
+    TestWorkcell cell;
+    CameraConfig config;
+    config.max_frames = 2;
+    CameraSim camera(config, cell.plates, cell.locations);
+    cell.locations.place(locations::kCamera, cell.plates.create(8, 12));
+    const auto capture = [&camera] {
+        const auto result = camera.execute(request_of("camera", "take_picture"));
+        EXPECT_TRUE(result.ok());
+        return result.data.at("frame_id").as_int();
+    };
+    const std::int64_t first = capture();
+    EXPECT_EQ(camera.pixels_rendered(), 0u);  // a capture archives the recipe only
+
+    imaging::LazyFrame& lazy = camera.lazy_frame(first);
+    lazy.materialize({10, 10, 11, 11});  // one pixel renders its tile
+    constexpr std::size_t kTilePixels =
+        imaging::LazyFrame::kTile * imaging::LazyFrame::kTile;
+    EXPECT_EQ(lazy.tiles_rendered(), 1u);
+    EXPECT_EQ(camera.pixels_rendered(), kTilePixels);
+
+    const imaging::Image& whole = camera.frame(first);  // renders the rest
+    const auto frame_pixels = static_cast<std::size_t>(whole.width() * whole.height());
+    EXPECT_EQ(lazy.tiles_rendered(), lazy.tile_count());
+    EXPECT_EQ(camera.pixels_rendered(), frame_pixels);
+
+    // Eviction keeps the frame's pixels in the count.
+    const std::int64_t second = capture();
+    camera.lazy_frame(second).materialize({0, 0, 1, 1});
+    (void)capture();
+    (void)capture();
+    EXPECT_THROW((void)camera.lazy_frame(first), sdl::support::Error);
+    EXPECT_THROW((void)camera.lazy_frame(second), sdl::support::Error);
+    EXPECT_EQ(camera.pixels_rendered(), frame_pixels + kTilePixels);
 }
 
 TEST(Camera, IsNotARoboticModule) {

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "imaging/components.hpp"
@@ -449,8 +452,9 @@ TEST(SensorNoise, NeighbouringSamplesAreUncorrelated) {
 
 TEST(SensorNoise, PixelNoiseIsAPureFunctionOfKeyPixelChannel) {
     // Flat shading (factor exactly 1) isolates the noise: each byte must
-    // be round(content + sigma * sensor_noise(key, x, y, c)), on either
-    // render path and in a larger frame that shares the same pixels.
+    // be round(content + sigma * sensor_noise(key, x, y, c)), in a whole
+    // render, in a lazy frame filled one odd-sized region at a time, and
+    // in a larger frame that shares the same pixels.
     PlateScene scene;
     scene.vignette = 0.0;
     scene.illum_gradient = {0.0, 0.0};
@@ -470,11 +474,17 @@ TEST(SensorNoise, PixelNoiseIsAPureFunctionOfKeyPixelChannel) {
 
     constexpr std::uint64_t kSeed = 17;
     const std::uint64_t key = Rng(kSeed).next();
-    Rng rng_content(1), rng_one_shot(kSeed), rng_session(kSeed), rng_larger(kSeed);
-    PlateRenderer renderer;
+    Rng rng_content(1), rng_one_shot(kSeed), rng_larger(kSeed);
     const Image content = render_plate(clean, colors, rng_content);
     const Image one_shot = render_plate(scene, colors, rng_one_shot);
-    const Image session = renderer.render(scene, colors, rng_session);
+    LazyFrame lazy(scene, colors, key);
+    for (int y = 0; y < scene.height; y += 97) {
+        for (int x = scene.width - 1; x >= 0; x -= 71) {
+            lazy.materialize({x - 70, y, x + 1, y + 97});
+        }
+    }
+    ASSERT_EQ(lazy.tiles_rendered(), lazy.tile_count());
+    const Image& tiled = lazy.image();
     const Image large = render_plate(larger, colors, rng_larger);
 
     std::size_t mismatches = 0;
@@ -491,7 +501,7 @@ TEST(SensorNoise, PixelNoiseIsAPureFunctionOfKeyPixelChannel) {
                 if (want[c] != channels[c]) ++noisy;
             }
             const Rgb8 expected{want[0], want[1], want[2]};
-            if (!(one_shot.pixel(x, y) == expected) || !(session.pixel(x, y) == expected) ||
+            if (!(one_shot.pixel(x, y) == expected) || !(tiled.pixel(x, y) == expected) ||
                 !(large.pixel(x, y) == expected)) {
                 ++mismatches;
             }
@@ -507,14 +517,10 @@ TEST(SensorNoise, RenderConsumesExactlyOneDraw) {
     for (const PlateScene& scene : {base, dense}) {
         const std::vector<Rgb8> colors(static_cast<std::size_t>(scene.geometry.well_count()),
                                        Rgb8{90, 140, 60});
-        Rng one_shot(23), session(23), twin(23);
-        PlateRenderer renderer;
+        Rng one_shot(23), twin(23);
         (void)render_plate(scene, colors, one_shot);
-        (void)renderer.render(scene, colors, session);
         (void)twin.next();
-        const std::uint64_t next = twin.next();
-        EXPECT_EQ(one_shot.next(), next) << scene.width << "x" << scene.height;
-        EXPECT_EQ(session.next(), next) << scene.width << "x" << scene.height;
+        EXPECT_EQ(one_shot.next(), twin.next()) << scene.width << "x" << scene.height;
     }
 }
 
@@ -553,18 +559,28 @@ TEST(WellReaderExtra, AcceptsSpecificMarkerId) {
 
 namespace {
 
-/// A varied frame sequence: rotating fills and colors per frame index.
-Image hot_path_frame(const PlateScene& scene, int frame_index, Rng& rng) {
-    Rng color_rng(1000 + static_cast<std::uint64_t>(frame_index) * 17);
+/// Well contents of a varied frame sequence: rotating fills and colors
+/// per frame index.
+struct FrameContents {
     std::vector<Rgb8> colors;
     std::vector<bool> filled;
+};
+
+FrameContents hot_path_contents(const PlateScene& scene, int frame_index) {
+    Rng color_rng(1000 + static_cast<std::uint64_t>(frame_index) * 17);
+    FrameContents contents;
     for (int i = 0; i < scene.geometry.well_count(); ++i) {
-        colors.push_back({static_cast<std::uint8_t>(color_rng.uniform_int(256)),
-                          static_cast<std::uint8_t>(color_rng.uniform_int(256)),
-                          static_cast<std::uint8_t>(color_rng.uniform_int(256))});
-        filled.push_back(i <= (frame_index * 13) % scene.geometry.well_count());
+        contents.colors.push_back({static_cast<std::uint8_t>(color_rng.uniform_int(256)),
+                                   static_cast<std::uint8_t>(color_rng.uniform_int(256)),
+                                   static_cast<std::uint8_t>(color_rng.uniform_int(256))});
+        contents.filled.push_back(i <= (frame_index * 13) % scene.geometry.well_count());
     }
-    return render_plate(scene, colors, rng, &filled);
+    return contents;
+}
+
+Image hot_path_frame(const PlateScene& scene, int frame_index, Rng& rng) {
+    const FrameContents contents = hot_path_contents(scene, frame_index);
+    return render_plate(scene, contents.colors, rng, &contents.filled);
 }
 
 void expect_same_readout(const WellReadout& a, const WellReadout& b,
@@ -646,16 +662,206 @@ TEST(HotPath, SobelAndAdaptiveThresholdScratchBitwise) {
     }
 }
 
-TEST(HotPath, RenderCacheByteIdenticalAcross100Frames) {
-    // PlateRenderer (cached base raster, per-column illumination) vs
-    // one-shot render_plate with a twin rng stream: 100 frames of
-    // changing well contents must encode to identical PPM bytes.
+// ------------------------------------------------------- lazy frames
+//
+// A LazyFrame renders tiles on demand; every byte it materializes must
+// equal the same byte of a whole-frame render, whatever the tile order.
+
+namespace {
+
+/// One pinned render: a scene, its well colors, an optional fill mask
+/// (empty = every well filled) and the seed of the render's generator.
+struct PinnedRender {
+    const char* name;
     PlateScene scene;
-    scene.angle_rad = 0.04;
-    Rng rng_cached(91);
-    Rng rng_fresh(91);
-    PlateRenderer renderer;
-    for (int frame_index = 0; frame_index < 100; ++frame_index) {
+    std::vector<Rgb8> colors;
+    std::vector<bool> filled;
+    std::uint64_t seed;
+
+    [[nodiscard]] const std::vector<bool>* mask() const {
+        return filled.empty() ? nullptr : &filled;
+    }
+};
+
+PinnedRender pinned_render(const char* name, PlateScene scene, std::uint64_t seed,
+                           int fill_mod) {
+    PinnedRender p{name, scene, {}, {}, seed};
+    Rng color_rng(seed * 31 + 7);
+    for (int i = 0; i < scene.geometry.well_count(); ++i) {
+        p.colors.push_back({static_cast<std::uint8_t>(color_rng.uniform_int(256)),
+                            static_cast<std::uint8_t>(color_rng.uniform_int(256)),
+                            static_cast<std::uint8_t>(color_rng.uniform_int(256))});
+        if (fill_mod > 0) p.filled.push_back(i % fill_mod != 0);
+    }
+    return p;
+}
+
+/// The three plate formats, a rotated scene with a partial fill mask, a
+/// glitched scene (plate and marker off-frame, as CameraSim moves them)
+/// and a drifted one (ring-light gradient shifted, as drift_per_frame
+/// does).
+std::vector<PinnedRender> pinned_renders() {
+    const PlateScene base;
+    PlateScene rotated = base;
+    rotated.angle_rad = 0.07;
+    PlateScene glitched = base;
+    glitched.marker_center = {-10000.0, -10000.0};
+    PlateScene drifted = base;
+    drifted.illum_gradient.x += 0.0125;
+    return {
+        pinned_render("96", base, 101, 0),
+        pinned_render("384", scene_for_plate(base, 16, 24), 102, 4),
+        pinned_render("1536", scene_for_plate(base, 32, 48), 103, 5),
+        pinned_render("rotated", rotated, 104, 3),
+        pinned_render("glitched", glitched, 105, 2),
+        pinned_render("drifted", drifted, 106, 0),
+    };
+}
+
+std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+/// Checks a lazy frame against the whole render of the same recipe:
+/// random rects (1-px, edge-straddling, empty and larger ones) in random
+/// order, each crop compared as soon as it is materialized, then the
+/// untouched tiles (still zero), then every remaining tile in random
+/// order and the whole raster.
+void expect_lazy_matches_whole(LazyFrame& lazy, const Image& whole, Rng& pick,
+                               const std::string& what) {
+    ASSERT_EQ(lazy.width(), whole.width()) << what;
+    ASSERT_EQ(lazy.height(), whole.height()) << what;
+    const int w = whole.width();
+    const int h = whole.height();
+    const auto coord = [&pick](int lo, int hi) {  // uniform in [lo, hi]
+        return static_cast<int>(pick.uniform_int(std::int64_t{lo}, std::int64_t{hi}));
+    };
+    std::vector<Rect> rects;
+    for (int i = 0; i < 8; ++i) {  // 1-px
+        const int x = coord(0, w - 1);
+        const int y = coord(0, h - 1);
+        rects.push_back({x, y, x + 1, y + 1});
+    }
+    for (int i = 0; i < 6; ++i) {  // straddling a frame edge
+        const int x = coord(-40, w - 1);
+        const int y = coord(-40, h - 1);
+        rects.push_back({x, y, x + coord(1, 120), y + coord(1, 120)});
+        rects.push_back(
+            {w - coord(1, 50), h - coord(1, 50), w + coord(0, 50), h + coord(0, 50)});
+    }
+    const int x = coord(0, w - 1);
+    const int y = coord(0, h - 1);
+    rects.push_back({x, y, x, y + 10});          // empty: zero width
+    rects.push_back({x, y, x + 10, y - 5});      // empty: inverted
+    rects.push_back({w + 5, 0, w + 50, h});      // empty: off-frame
+    rects.push_back({-50, -50, -1, -1});         // empty: off-frame
+    for (int i = 0; i < 10; ++i) {  // larger interior rects
+        const int x0 = coord(0, w - 1);
+        const int y0 = coord(0, h - 1);
+        rects.push_back({x0, y0, x0 + coord(1, 300), y0 + coord(1, 300)});
+    }
+    std::shuffle(rects.begin(), rects.end(), pick);
+
+    for (const Rect& rect : rects) {
+        lazy.materialize(rect);
+        const Rect r = rect.clipped(w, h);
+        for (int py = r.y0; py < r.y1; ++py) {
+            for (int px = r.x0; px < r.x1; ++px) {
+                ASSERT_EQ(lazy.image().pixel(px, py), whole.pixel(px, py))
+                    << what << " (" << px << "," << py << ") after rect [" << rect.x0
+                    << "," << rect.y0 << "," << rect.x1 << "," << rect.y1 << ")";
+            }
+        }
+    }
+    EXPECT_LT(lazy.tiles_rendered(), lazy.tile_count()) << what;
+
+    // A tile writes only its own pixels: the rest of the raster is zero.
+    const auto frame_pixels = static_cast<std::size_t>(w * h);
+    const auto index = [w](int px, int py) { return static_cast<std::size_t>(py * w + px); };
+    std::vector<std::uint8_t> rendered(frame_pixels, 0);
+    std::size_t pixels = 0;
+    for (const Rect& tile : lazy.rendered_tiles()) {
+        for (int py = tile.y0; py < tile.y1; ++py) {
+            for (int px = tile.x0; px < tile.x1; ++px) {
+                rendered[index(px, py)] = 1;
+                ++pixels;
+            }
+        }
+    }
+    EXPECT_EQ(pixels, lazy.pixels_rendered()) << what;
+    for (int py = 0; py < h; ++py) {
+        for (int px = 0; px < w; ++px) {
+            const Rgb8 want = rendered[index(px, py)] != 0 ? whole.pixel(px, py) : Rgb8{};
+            ASSERT_EQ(lazy.image().pixel(px, py), want)
+                << what << " (" << px << "," << py << ")";
+        }
+    }
+
+    std::vector<Rect> tiles;
+    for (int ty = 0; ty < h; ty += LazyFrame::kTile) {
+        for (int tx = 0; tx < w; tx += LazyFrame::kTile) {
+            tiles.push_back({tx, ty, tx + LazyFrame::kTile, ty + LazyFrame::kTile});
+        }
+    }
+    std::shuffle(tiles.begin(), tiles.end(), pick);
+    for (const Rect& tile : tiles) lazy.materialize(tile);
+    EXPECT_EQ(lazy.tiles_rendered(), lazy.tile_count()) << what;
+    EXPECT_EQ(lazy.pixels_rendered(), frame_pixels) << what;
+    const auto got = lazy.image().bytes();
+    const auto want = whole.bytes();
+    ASSERT_EQ(got.size(), want.size()) << what;
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin())) << what;
+}
+
+}  // namespace
+
+TEST(LazyFrame, RenderPlateMatchesPinnedDigests) {
+    // FNV-1a-64 of render_plate's bytes, recorded from the whole-frame
+    // renderer (render_base, draw_wells, apply_sensor_model) that the tile
+    // renderer replaced: the new renderer is checked against the old one,
+    // not against itself.
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"96", 0xb3e2f8f6bcd795d4ULL},      {"384", 0x3c959c53cb77cf8bULL},
+        {"1536", 0x038e104dde8c179eULL},    {"rotated", 0x85175f93ecb544ddULL},
+        {"glitched", 0xc59506b33be1a343ULL}, {"drifted", 0xef58a68d9484f957ULL},
+    };
+    for (const PinnedRender& p : pinned_renders()) {
+        Rng rng(p.seed);
+        const Image frame = render_plate(p.scene, p.colors, rng, p.mask());
+        EXPECT_EQ(fnv1a64(frame.bytes()), pinned.at(p.name))
+            << p.name << ": got 0x" << std::hex << fnv1a64(frame.bytes());
+    }
+}
+
+TEST(LazyFrame, RegionsMatchWholeRenderInAnyTileOrder) {
+    Rng pick(0x7115);
+    for (const PinnedRender& p : pinned_renders()) {
+        Rng rng(p.seed);
+        const Image whole = render_plate(p.scene, p.colors, rng, p.mask());
+        LazyFrame lazy(p.scene, p.colors, Rng(p.seed).next(), p.mask());
+        expect_lazy_matches_whole(lazy, whole, pick, p.name);
+    }
+}
+
+TEST(LazyFrame, FrameSequenceMatchesWholeRenders) {
+    // A camera-like sequence from one generator: changing well contents
+    // and fill, the marker moved and occluded, the gradient drifting.
+    // Lazy frames keyed from a twin stream match whole renders frame by
+    // frame.
+    PlateScene base;
+    base.angle_rad = 0.04;
+    PlateScene moved = base;
+    moved.marker_center = {200.0, 260.0};
+    Rng rng_whole(91), rng_lazy(91), pick(92);
+    for (int frame_index = 0; frame_index < 10; ++frame_index) {
+        PlateScene scene = frame_index % 3 == 1 ? moved : base;
+        if (frame_index == 4) scene.marker_center = {-10000.0, -10000.0};
+        scene.illum_gradient.x += 0.002 * frame_index;
         Rng color_rng(2000 + static_cast<std::uint64_t>(frame_index));
         std::vector<Rgb8> colors;
         std::vector<bool> filled;
@@ -665,27 +871,20 @@ TEST(HotPath, RenderCacheByteIdenticalAcross100Frames) {
                               static_cast<std::uint8_t>(color_rng.uniform_int(256))});
             filled.push_back((i + frame_index) % 3 != 0);
         }
-        const Image cached = renderer.render(scene, colors, rng_cached, &filled);
-        const Image fresh = render_plate(scene, colors, rng_fresh, &filled);
-        ASSERT_EQ(encode_ppm(cached), encode_ppm(fresh)) << "frame " << frame_index;
+        const Image whole = render_plate(scene, colors, rng_whole, &filled);
+        LazyFrame lazy(scene, colors, rng_lazy.next(), &filled);
+        expect_lazy_matches_whole(lazy, whole, pick,
+                                  "frame " + std::to_string(frame_index));
     }
-    EXPECT_EQ(renderer.base_rebuilds(), 1u);
-    EXPECT_EQ(renderer.base_hits(), 99u);
 }
 
-TEST(HotPath, RenderCacheRebuildsWhenSceneChanges) {
-    PlateScene scene;
-    std::vector<Rgb8> colors(96, Rgb8{90, 140, 60});
-    Rng rng_a(3), rng_b(3);
-    PlateRenderer renderer;
-    (void)renderer.render(scene, colors, rng_a);
-    PlateScene moved = scene;
-    moved.marker_center = {200.0, 260.0};
-    const Image cached = renderer.render(moved, colors, rng_a);
-    (void)render_plate(scene, colors, rng_b);
-    const Image fresh = render_plate(moved, colors, rng_b);
-    EXPECT_EQ(renderer.base_rebuilds(), 2u);
-    ASSERT_EQ(encode_ppm(cached), encode_ppm(fresh));
+TEST(LazyFrame, RejectsMismatchedRecipe) {
+    const PlateScene scene;
+    const std::vector<Rgb8> short_colors(95, Rgb8{1, 2, 3});
+    EXPECT_THROW(LazyFrame(scene, short_colors, 1), sdl::support::LogicError);
+    const std::vector<Rgb8> colors(96, Rgb8{1, 2, 3});
+    const std::vector<bool> short_mask(95, true);
+    EXPECT_THROW(LazyFrame(scene, colors, 1, &short_mask), sdl::support::LogicError);
 }
 
 TEST(HotPath, ScratchReadPlateBitwiseAcrossFrames) {
@@ -723,14 +922,112 @@ TEST(HotPath, PlateReaderRoiPathBitwiseAcrossFrameSequence) {
         const WellReadout session = reader.read(frame);
         expect_same_readout(session, fresh, "session", frame_index);
         EXPECT_EQ(session.ok, !glitched) << frame_index;
-        if (frame_index > 0 && !glitched && frame_index != 6) {
+        if (frame_index > 0 && !glitched) {
             EXPECT_TRUE(session.roi_fast_path) << frame_index;
         }
     }
-    // Cold start, glitch, and the post-glitch rescan are the only full
-    // scans; everything else rides the marker-ROI fast path.
-    EXPECT_EQ(reader.full_scans(), 3u);
-    EXPECT_EQ(reader.roi_hits(), 9u);
+    // Cold start and the glitch are the only full scans. The failed scan
+    // keeps the marker hint, so the frame after the glitch rides the
+    // marker-ROI fast path like every other.
+    EXPECT_EQ(reader.full_scans(), 2u);
+    EXPECT_EQ(reader.roi_hits(), 10u);
+}
+
+TEST(HotPath, LazyReadMatchesReadPlateOnWholeFrames) {
+    // Per plate format, a 12-frame sequence with ring-light drift and one
+    // glitched frame: a reader on lazy frames, seeded with the calibrated
+    // marker pose, against one-shot read_plate on the whole render. Only
+    // the glitched frame needs a full scan, and only it renders whole.
+    PlateScene base;
+    base.angle_rad = 0.02;
+    base.noise_sigma = 2.5;
+    for (const auto& [rows, cols] :
+         {std::pair{8, 12}, std::pair{16, 24}, std::pair{32, 48}}) {
+        const PlateScene scene = scene_for_plate(base, rows, cols);
+        const std::string what = std::to_string(rows * cols) + "-well";
+        WellReadParams params;
+        params.geometry = scene.geometry;
+        PlateReader reader(params, calibrated_marker_pose(scene));
+        Rng rng_whole(131), rng_lazy(131);
+        for (int frame_index = 0; frame_index < 12; ++frame_index) {
+            PlateScene frame_scene = scene;
+            frame_scene.illum_gradient.x += 0.003 * frame_index;
+            const bool glitched = frame_index == 5;
+            if (glitched) frame_scene.marker_center = {-10000.0, -10000.0};
+            const FrameContents contents = hot_path_contents(frame_scene, frame_index);
+            const Image whole =
+                render_plate(frame_scene, contents.colors, rng_whole, &contents.filled);
+            LazyFrame lazy(frame_scene, contents.colors, rng_lazy.next(),
+                           &contents.filled);
+            const WellReadout want = read_plate(whole, params);
+            const WellReadout got = reader.read(lazy);
+            expect_same_readout(got, want, what.c_str(), frame_index);
+            EXPECT_EQ(got.ok, !glitched) << what << " frame " << frame_index;
+            EXPECT_EQ(got.roi_fast_path, !glitched) << what << " frame " << frame_index;
+            if (glitched) {
+                EXPECT_EQ(lazy.tiles_rendered(), lazy.tile_count()) << what;
+            } else {
+                EXPECT_LT(2 * lazy.tiles_rendered(), lazy.tile_count())
+                    << what << " frame " << frame_index;
+            }
+        }
+        EXPECT_EQ(reader.full_scans(), 1u) << what;
+        EXPECT_EQ(reader.roi_hits(), 11u) << what;
+    }
+}
+
+TEST(HotPath, CalibratedPoseServesFirstFrameFromRoi) {
+    PlateScene scene;
+    scene.angle_rad = -0.05;
+    const MarkerDetection pose = calibrated_marker_pose(scene);
+    WellReadParams params;
+    params.geometry = scene.geometry;
+    const FrameContents contents = hot_path_contents(scene, 3);
+    Rng rng(137);
+    const Image whole = render_plate(scene, contents.colors, rng, &contents.filled);
+    const WellReadout want = read_plate(whole, params);
+    ASSERT_TRUE(want.ok);
+    // The pose is where the detector finds the marker (whose boundary
+    // quad sits a pixel or so inside the drawn square).
+    EXPECT_EQ(want.marker.id, pose.id);
+    EXPECT_NEAR(want.marker.center.x, pose.center.x, 0.5);
+    EXPECT_NEAR(want.marker.center.y, pose.center.y, 0.5);
+    EXPECT_NEAR(want.marker.side, pose.side, 3.0);
+
+    PlateReader reader(params, pose);
+    LazyFrame lazy(scene, contents.colors, Rng(137).next(), &contents.filled);
+    const WellReadout got = reader.read(lazy);
+    expect_same_readout(got, want, "calibrated", 0);
+    EXPECT_TRUE(got.roi_fast_path);
+    EXPECT_EQ(reader.full_scans(), 0u);
+    EXPECT_EQ(reader.roi_hits(), 1u);
+}
+
+TEST(HotPath, SteadyStateReadMaterializesPinnedTiles) {
+    // The tiles a steady-state read of the default scene renders, per
+    // format: the marker search box, the plate ROI and the readout disks.
+    // Pinned so that a slide back to whole-frame rendering fails here.
+    const struct {
+        int rows, cols;
+        std::size_t tiles, of;
+    } formats[] = {{8, 12, 54, 130}, {16, 24, 168, 475}, {32, 48, 519, 1900}};
+    for (const auto& f : formats) {
+        const PlateScene scene = scene_for_plate(PlateScene{}, f.rows, f.cols);
+        WellReadParams params;
+        params.geometry = scene.geometry;
+        PlateReader reader(params, calibrated_marker_pose(scene));
+        const FrameContents contents = hot_path_contents(scene, 7);
+        for (int frame_index = 0; frame_index < 2; ++frame_index) {
+            const std::uint64_t key = 1000 + static_cast<std::uint64_t>(frame_index);
+            LazyFrame lazy(scene, contents.colors, key, &contents.filled);
+            const WellReadout readout = reader.read(lazy);
+            ASSERT_TRUE(readout.ok) << f.rows * f.cols;
+            EXPECT_TRUE(readout.roi_fast_path) << f.rows * f.cols;
+            EXPECT_EQ(lazy.tile_count(), f.of) << f.rows * f.cols;
+            EXPECT_EQ(lazy.tiles_rendered(), f.tiles)
+                << f.rows * f.cols << "-well frame " << frame_index;
+        }
+    }
 }
 
 TEST(HotPath, RegionRestrictedDetectionMatchesFullFrame) {
