@@ -1,5 +1,6 @@
 #include "campaign/campaign.hpp"
 
+#include <algorithm>
 #include <map>
 
 #include "core/config_io.hpp"
@@ -44,6 +45,17 @@ std::uint64_t cell_seed(const CampaignSpec& spec, std::size_t index, int replica
             return spec.base_seed + static_cast<std::uint64_t>(replicate);
     }
     return spec.base_seed;
+}
+
+std::vector<std::uint64_t> generated_seeds(const std::vector<CampaignCell>& cells) {
+    std::vector<std::uint64_t> seeds;
+    for (const CampaignCell& cell : cells) {
+        if (cell.generated_seed &&
+            std::find(seeds.begin(), seeds.end(), *cell.generated_seed) == seeds.end()) {
+            seeds.push_back(*cell.generated_seed);
+        }
+    }
+    return seeds;
 }
 
 namespace {

@@ -92,6 +92,11 @@ struct CampaignCell {
 [[nodiscard]] std::uint64_t cell_seed(const CampaignSpec& spec, std::size_t index,
                                       int replicate);
 
+/// The distinct generated seeds of `cells`, in first-seen order: the
+/// scenarios whose difficulty probes a report of these cells runs.
+[[nodiscard]] std::vector<std::uint64_t> generated_seeds(
+    const std::vector<CampaignCell>& cells);
+
 /// Expands the cartesian grid in a fixed order: workcells (outermost) x
 /// solvers x batch_sizes x objectives x targets x replicates (innermost).
 /// The same spec always produces the same cells, seeds and experiment

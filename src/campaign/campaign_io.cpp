@@ -1,7 +1,9 @@
 #include "campaign/campaign_io.hpp"
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "core/config_io.hpp"
@@ -29,6 +31,18 @@ const char* seed_mode_to_string(SeedMode mode) {
     return mode == SeedMode::PerReplicate ? "per_replicate" : "per_cell";
 }
 
+/// A count the grid runs with (replicates, batch sizes): refused at parse
+/// time outside [1, INT_MAX], naming its key, instead of narrowed to
+/// whatever the low bits make of it or left for a cell to die on.
+int positive_count(std::int64_t value, const std::string& key) {
+    if (value < 1 || value > std::numeric_limits<int>::max()) {
+        throw support::ConfigError(key + " must be an integer in [1, " +
+                                   std::to_string(std::numeric_limits<int>::max()) +
+                                   "], got " + std::to_string(value));
+    }
+    return static_cast<int>(value);
+}
+
 }  // namespace
 
 namespace {
@@ -48,8 +62,8 @@ CampaignSpec campaign_from_doc(const json::Value& doc) {
     reject_unknown_keys(*campaign, {"name", "replicates", "base_seed", "seed_mode"},
                         "campaign");
     spec.name = campaign->get_or("name", spec.name);
-    spec.replicates =
-        static_cast<int>(campaign->get_or("replicates", std::int64_t{spec.replicates}));
+    spec.replicates = positive_count(
+        campaign->get_or("replicates", std::int64_t{spec.replicates}), "campaign.replicates");
     spec.base_seed = static_cast<std::uint64_t>(
         campaign->get_or("base_seed", static_cast<std::int64_t>(spec.base_seed)));
     if (const json::Value* mode = campaign->find("seed_mode")) {
@@ -78,7 +92,7 @@ CampaignSpec campaign_from_doc(const json::Value& doc) {
         }
         if (const json::Value* batches = grid->find("batch_sizes")) {
             for (const json::Value& b : batches->as_array()) {
-                spec.axes.batch_sizes.push_back(static_cast<int>(b.as_int()));
+                spec.axes.batch_sizes.push_back(positive_count(b.as_int(), "grid.batch_sizes"));
             }
         }
         if (const json::Value* objectives = grid->find("objectives")) {

@@ -1,14 +1,17 @@
 #include "campaign/fleet.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <deque>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <iostream>
 #include <iterator>
 #include <memory>
@@ -21,6 +24,7 @@
 #include "campaign/lease.hpp"
 #include "campaign/report.hpp"
 #include "core/colorpicker.hpp"
+#include "core/scenario_gen.hpp"
 #include "support/atomic_io.hpp"
 #include "support/channel.hpp"
 #include "support/common.hpp"
@@ -180,6 +184,48 @@ struct WorkerState {
     std::size_t crash_streak = 0;  ///< backoff exponent; reset on any ack
     std::optional<Clock::time_point> respawn_at;
     bool retired = false;  ///< respawn budget exhausted
+};
+
+/// The grid's difficulty probes (core::generated_difficulty, memoized),
+/// run on one side thread so that the coordinator's poll loop keeps
+/// answering its workers: the coordinator's core is otherwise idle while
+/// the workers run cells. The destructor stops the thread between seeds
+/// and joins it, so no exit path — an early throw included — leaves it
+/// running; an exception from a probe surfaces through finished() or
+/// join().
+class DifficultyProbes {
+public:
+    explicit DifficultyProbes(std::vector<std::uint64_t> seeds)
+        : done_(std::async(std::launch::async, [this, seeds = std::move(seeds)] {
+              for (const std::uint64_t seed : seeds) {
+                  if (stop_) return;
+                  (void)core::generated_difficulty(seed);
+              }
+          })) {}
+    DifficultyProbes(const DifficultyProbes&) = delete;
+    DifficultyProbes& operator=(const DifficultyProbes&) = delete;
+    /// The std::async future's destructor joins the thread.
+    ~DifficultyProbes() { stop_ = true; }
+
+    /// True once every seed is probed (their scores are in the memo).
+    /// Rethrows the probe thread's exception.
+    [[nodiscard]] bool finished() {
+        if (!done_.valid()) return true;
+        if (done_.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+            return false;
+        }
+        done_.get();
+        return true;
+    }
+
+    /// Blocks until every seed is probed; rethrows the thread's exception.
+    void join() {
+        if (done_.valid()) done_.get();
+    }
+
+private:
+    std::atomic<bool> stop_{false};
+    std::future<void> done_;
 };
 
 /// Kills and reaps every still-running child no matter how run_fleet
@@ -366,7 +412,9 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         (void)support::failpoint::parse(wf.spec);
     }
 
-    LeaseTable table(grid.size(), schedule_order(grid));
+    std::vector<double> costs = cell_costs(grid);
+    std::vector<std::size_t> order = longest_first(costs);
+    LeaseTable table(grid.size(), std::move(order), std::move(costs));
     std::vector<std::optional<CellResult>> results(grid.size());
     std::vector<std::vector<CellCrash>> crash_log(grid.size());
     FleetSummary summary;
@@ -457,8 +505,12 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
     ledger.open(out_dir, ledger_prefix);
 
     std::printf("Fleet: %zu cells on %zu workers (%zu threads each), "
-                "cost-ordered leases\n",
+                "cost-sized leases\n",
                 grid.size(), n_workers, threads);
+
+    // The report's difficulty probes run beside the workers from here on;
+    // live merges wait for them, the final merge joins them.
+    DifficultyProbes probes(generated_seeds(grid));
 
     const auto start_time = Clock::now();
     for (std::size_t i = 0; i < n_workers; ++i) {
@@ -821,7 +873,9 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         // Live merge: aggregates stay current while the fleet runs. A
         // failed live merge (disk hiccup, injected atomic_io fault) is
         // retried next pass — only the FINAL write below must succeed.
-        if (merge_due && !table.all_done()) {
+        // Until the probe thread is done, merge_due stays set: a merge
+        // now would run the missing probes inline, stalling this loop.
+        if (merge_due && !table.all_done() && probes.finished()) {
             try {
                 write_campaign_outputs(out_dir, spec, collect_results());
                 merge_due = false;
@@ -847,6 +901,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         quarantined_cells.push_back(QuarantinedCell{grid[cell], crash_log[cell]});
     }
     summary.cells_quarantined = quarantined_cells.size();
+    probes.join();
     write_campaign_outputs(out_dir, spec, final_results, quarantined_cells);
     std::string journal_text = journal_header(spec, grid.size()).dump() + "\n";
     for (const CellResult& result : final_results) {

@@ -21,9 +21,14 @@
 // are rewritten atomically during the run, so aggregates are live.
 //
 // Dynamic balance: leases are dealt off the front of the remaining
-// cost-ordered queue and shrink adaptively (LeaseTable::suggested_lease),
-// so fast workers drain the queue while a straggler holds at most one
-// running and one queued cell. A worker that goes quiet past the
+// cost-ordered queue and sized by expected cost (LeaseTable::
+// suggested_lease), so the grid's biggest cells start first on separate
+// workers, fast workers drain the queue, and a straggler holds at most
+// one running and one queued cell. The report's difficulty probes (one
+// per generated seed) run on a coordinator side thread started before
+// the first spawn, beside the workers rather than inside the poll loop;
+// live merges wait until they finish and the final merge joins them. A
+// worker that goes quiet past the
 // heartbeat timeout (30 s) is SIGKILLed (it must not be allowed to
 // journal a re-leased cell later); on EOF or kill the coordinator reads
 // the dead worker's journal tail — acknowledged AND journaled-but-unacked

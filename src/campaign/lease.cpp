@@ -1,16 +1,22 @@
 #include "campaign/lease.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/common.hpp"
 
 namespace sdl::campaign {
 
-LeaseTable::LeaseTable(std::size_t cell_count, std::vector<std::size_t> order)
+LeaseTable::LeaseTable(std::size_t cell_count, std::vector<std::size_t> order,
+                       std::vector<double> costs)
     : states_(cell_count, State::Pending), owner_(cell_count, -1),
-      rank_(cell_count, 0), crashes_(cell_count) {
+      rank_(cell_count, 0),
+      costs_(costs.empty() ? std::vector<double>(cell_count, 1.0) : std::move(costs)),
+      crashes_(cell_count) {
     support::check(order.size() == cell_count,
                    "lease table order must be a permutation of the cells");
+    support::check(costs_.size() == cell_count,
+                   "lease table needs one cost per cell");
     std::vector<bool> seen(cell_count, false);
     for (std::size_t pos = 0; pos < order.size(); ++pos) {
         const std::size_t cell = order[pos];
@@ -132,14 +138,23 @@ std::size_t LeaseTable::outstanding(int worker) const noexcept {
 }
 
 std::size_t LeaseTable::suggested_lease(std::size_t active_workers) const noexcept {
-    // pending_ may hold stale Done entries (see complete()); count real ones.
-    std::size_t pending = 0;
+    // pending_ may hold stale Done/Quarantined entries (see complete());
+    // only Pending cells count, and grant() skips the rest the same way.
+    double pending_cost = 0.0;
     for (const std::size_t cell : pending_) {
-        if (states_[cell] == State::Pending) ++pending;
+        if (states_[cell] == State::Pending) pending_cost += costs_[cell];
     }
-    if (pending == 0) return 0;
-    const std::size_t workers = std::max<std::size_t>(1, active_workers);
-    return (pending + 2 * workers - 1) / (2 * workers);  // ceil, >= 1
+    const double workers = static_cast<double>(std::max<std::size_t>(1, active_workers));
+    const double share = pending_cost / (2.0 * workers);
+    std::size_t cells = 0;
+    double lease_cost = 0.0;
+    for (const std::size_t cell : pending_) {
+        if (states_[cell] != State::Pending) continue;
+        if (cells > 0 && lease_cost + costs_[cell] > share) break;
+        lease_cost += costs_[cell];
+        ++cells;
+    }
+    return cells;
 }
 
 }  // namespace sdl::campaign

@@ -6,10 +6,14 @@
 // order ("leases"), complete cells out of order, and a dead worker's
 // incomplete cells are revoked back to the FRONT of the queue — they
 // were the longest remaining work, so the next free worker picks them
-// up immediately. Work-stealing emerges from pull-based leasing: lease
-// sizes shrink as the queue drains (suggested_lease), so toward the end
-// every worker holds at most one running and one queued cell, and no
-// straggler can sit on a pile another worker could have taken.
+// up immediately. Work-stealing emerges from pull-based leasing: a
+// lease is sized by expected cost, not by count (suggested_lease), so
+// the grid's biggest cells go out one per lease to separate workers,
+// leases of cheap cells grow to match, and toward the end every worker
+// holds at most one running and one queued cell — no straggler can sit
+// on a pile another worker could have taken. The order and the sizing
+// only work together: cost order with count-sized leases would hand the
+// first worker every one of the biggest cells.
 //
 // The table never re-issues a completed cell, and complete() on an
 // already-completed cell throws — that is the fleet's "no cell executed
@@ -35,8 +39,11 @@ namespace sdl::campaign {
 class LeaseTable {
 public:
     /// `order`: a permutation of [0, cell_count) — the claim order
-    /// (schedule_order(cells)); leases are dealt off its front.
-    LeaseTable(std::size_t cell_count, std::vector<std::size_t> order);
+    /// (longest_first(costs)); leases are dealt off its front. `costs`:
+    /// each cell's expected cost (expected_cell_cost), indexed by cell;
+    /// empty means every cell costs the same.
+    LeaseTable(std::size_t cell_count, std::vector<std::size_t> order,
+               std::vector<double> costs = {});
 
     /// Leases up to `max_cells` pending cells (in queue order) to
     /// `worker`. Returns the leased cell positions; empty when nothing
@@ -89,14 +96,16 @@ public:
     [[nodiscard]] std::size_t done_count() const noexcept { return done_; }
     [[nodiscard]] std::size_t quarantined_count() const noexcept { return quarantined_; }
     [[nodiscard]] std::size_t cell_count() const noexcept { return states_.size(); }
-    [[nodiscard]] std::size_t pending_count() const noexcept { return pending_.size(); }
     /// Cells currently leased to `worker` and not yet complete.
     [[nodiscard]] std::size_t outstanding(int worker) const noexcept;
 
-    /// Adaptive lease size: splits the pending queue so `active_workers`
-    /// all stay busy with headroom to rebalance — ceil(pending / (2 *
-    /// workers)), at least 1 while work remains. Small leases near the
-    /// end are the work-stealing.
+    /// Cost-sized lease: how many cells grant() should deal next. Counts
+    /// pending cells off the queue front while their summed cost stays
+    /// within (pending cost) / (2 * active_workers), and always at least
+    /// one while work remains — so every worker holds a share with
+    /// headroom to rebalance, and a cell bigger than a share goes out
+    /// alone. With uniform costs that is max(1, floor(pending / (2 *
+    /// workers))). Small leases near the end are the work-stealing.
     [[nodiscard]] std::size_t suggested_lease(std::size_t active_workers) const noexcept;
 
 private:
@@ -105,6 +114,7 @@ private:
     std::vector<State> states_;
     std::vector<int> owner_;           // valid while Leased
     std::vector<std::size_t> rank_;    // cell -> position in schedule order
+    std::vector<double> costs_;        // cell -> expected cost
     std::deque<std::size_t> pending_;  // claim order, front = next
     // cell -> distinct incarnations that died blamed on it; sorted-vector
     // keyed map would be overkill for the handful of crashing cells.

@@ -1,10 +1,13 @@
 #include "campaign/runner.hpp"
 
 #include <chrono>
+#include <cstdint>
+#include <optional>
 #include <utility>
 
 #include "campaign/cost_model.hpp"
 #include "core/colorpicker.hpp"
+#include "core/scenario_gen.hpp"
 #include "support/log.hpp"
 #include "support/mutex.hpp"
 
@@ -31,12 +34,20 @@ std::vector<CellResult> CampaignRunner::run_cells(std::vector<CampaignCell> cell
 std::vector<CellResult> CampaignRunner::run_cells(std::vector<CampaignCell> cells,
                                                   support::ThreadPool& pool) const {
     const std::size_t total = cells.size();
-    // Workers claim cells longest-expected-first (LPT): starting the big
+    // One map item per cell, then one per distinct generated seed: the
+    // seed's difficulty probe, which the report would otherwise run one
+    // after another once every cell is done.
+    const std::vector<std::uint64_t> probe_seeds = generated_seeds(cells);
+    // Workers claim items longest-expected-first (LPT): starting the big
     // cells early keeps the makespan tail short when costs are skewed.
     // Claim order is a scheduling detail only — results scatter back to
-    // input order below, so output bytes are identical to the unordered
-    // run.
-    const std::vector<std::size_t> order = schedule_order(cells);
+    // input order below, and a probe's score depends only on its seed, so
+    // output bytes are identical to the unordered run.
+    std::vector<double> costs = cell_costs(cells);
+    for (const std::uint64_t seed : probe_seeds) {
+        costs.push_back(expected_run_cost(core::difficulty_probe_config(seed)));
+    }
+    const std::vector<std::size_t> order = longest_first(costs);
     // Serializes completion handling: the progress log line and the
     // on_cell_done hook (see runner.hpp). Pool workers would otherwise
     // interleave a journaling callback's writes.
@@ -45,11 +56,14 @@ std::vector<CellResult> CampaignRunner::run_cells(std::vector<CampaignCell> cell
 
     support::ParallelOptions parallel;
     parallel.max_workers = options_.max_workers;
-    parallel.chunk = options_.chunk;
-    std::vector<CellResult> mapped = pool.parallel_map(
-        total,
-        [&](std::size_t k) {
+    std::vector<std::optional<CellResult>> mapped = pool.parallel_map(
+        order.size(),
+        [&](std::size_t k) -> std::optional<CellResult> {
             const std::size_t i = order[k];
+            if (i >= total) {
+                (void)core::generated_difficulty(probe_seeds[i - total]);
+                return std::nullopt;
+            }
             // sdlbench-lint: allow(steady-clock): wall_seconds is journal-only telemetry; campaign.json reports modeled time
             const auto started = std::chrono::steady_clock::now();
             CellResult result;
@@ -76,8 +90,8 @@ std::vector<CellResult> CampaignRunner::run_cells(std::vector<CampaignCell> cell
         },
         parallel);
     std::vector<CellResult> results(total);
-    for (std::size_t k = 0; k < total; ++k) {
-        results[order[k]] = std::move(mapped[k]);
+    for (std::size_t k = 0; k < order.size(); ++k) {
+        if (mapped[k]) results[order[k]] = std::move(*mapped[k]);
     }
     return results;
 }

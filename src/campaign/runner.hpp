@@ -3,12 +3,18 @@
 // Every cell is an independent simulated workcell (its own
 // core::WorkcellRuntime), so cells parallelize perfectly; the runner fans
 // them out with support::ThreadPool::parallel_map using the hinted
-// overload, claims cells longest-expected-first (campaign/cost_model.hpp,
-// LPT scheduling — shortens the makespan tail on cost-skewed grids),
-// keeps results in grid order, and logs progress as cells complete.
+// overload, one item per pool grab, keeps results in grid order, and
+// logs progress as cells complete. The same map carries one difficulty
+// probe per distinct generated seed among the cells
+// (core::generated_difficulty, which the report reads from its memo), so
+// the probes run beside the cells instead of one after another while
+// campaign.json is written. Cells and probes are claimed
+// longest-expected-first by one cost (campaign/cost_model.hpp, LPT
+// scheduling — shortens the makespan tail on cost-skewed grids).
 // Determinism: a cell's outcome depends only on its resolved
-// config (expand_grid's deterministic seeds), never on scheduling, so the
-// same spec always produces identical results.
+// config (expand_grid's deterministic seeds), never on scheduling, and a
+// probe's score only on its seed, so the same spec always produces
+// identical results.
 #pragma once
 
 #include <functional>
@@ -30,8 +36,6 @@ struct CellResult {
 struct CampaignRunnerOptions {
     /// Cap on cells in flight (0 = one per pool worker).
     std::size_t max_workers = 0;
-    /// Cells claimed per worker grab (ThreadPool chunk hint).
-    std::size_t chunk = 1;
     /// Log one line per finished cell (level info, channel "campaign").
     bool log_progress = true;
     /// Extra per-cell completion hook (e.g. CLI progress output or the
@@ -57,7 +61,9 @@ public:
 
     /// Runs an explicit subset of expanded cells (the cells a resumed run
     /// still owes) on the process-wide pool. Results keep the order of
-    /// `cells`, which need not be contiguous in the grid.
+    /// `cells`, which need not be contiguous in the grid. Only the
+    /// generated seeds of these cells are probed here; a resumed run's
+    /// report probes the seeds of its already-journaled cells itself.
     [[nodiscard]] std::vector<CellResult> run_cells(std::vector<CampaignCell> cells) const;
 
     /// Same, on an explicit pool.

@@ -74,15 +74,7 @@ constexpr int kProbeBatch = 8;
 constexpr std::uint64_t kProbeSeed = 0x5D1FF5EEDULL;
 
 double probe_difficulty(std::uint64_t seed) {
-    ColorPickerConfig config;
-    config.target = color::Rgb8{201, 101, 51};
-    config.total_samples = kProbeSamples;
-    config.batch_size = kProbeBatch;
-    config.solver = "anneal";
-    config.objective = Objective::RgbEuclidean;
-    config.seed = kProbeSeed;
-    config.publish = false;
-    config = apply_workcell_spec(std::move(config), generate_scenario(seed));
+    ColorPickerConfig config = difficulty_probe_config(seed);
     try {
         ColorPickerApp app(std::move(config));
         return app.run().best_score;
@@ -252,6 +244,18 @@ WorkcellSpec generate_scenario(std::uint64_t seed) {
     // eventually tries to mount the workcell.
     validate_workcell_spec(spec);
     return spec;
+}
+
+ColorPickerConfig difficulty_probe_config(std::uint64_t seed) {
+    ColorPickerConfig config;
+    config.target = color::Rgb8{201, 101, 51};
+    config.total_samples = kProbeSamples;
+    config.batch_size = kProbeBatch;
+    config.solver = "anneal";
+    config.objective = Objective::RgbEuclidean;
+    config.seed = kProbeSeed;
+    config.publish = false;
+    return apply_workcell_spec(std::move(config), generate_scenario(seed));
 }
 
 double generated_difficulty(std::uint64_t seed) {

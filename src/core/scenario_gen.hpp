@@ -57,12 +57,19 @@ inline constexpr std::string_view kGeneratedRefPrefix = "generated:";
 /// through workcell_spec_to_yaml / workcell_spec_from_yaml bitwise.
 [[nodiscard]] WorkcellSpec generate_scenario(std::uint64_t seed);
 
+/// The difficulty probe's run on scenario `seed`: the "anneal" baseline
+/// solver under a fixed 16-sample, B=8 budget and a fixed probe seed, on
+/// generate_scenario(seed). Schedulers price the probe from this config
+/// (campaign/cost_model.hpp) and generated_difficulty runs it.
+[[nodiscard]] ColorPickerConfig difficulty_probe_config(std::uint64_t seed);
+
 /// Difficulty score of a generated scenario: the best objective score
-/// (RGB-euclidean regret; exact match = 0) reached by the "anneal"
-/// baseline solver on that workcell under a fixed 16-sample probe budget
-/// and probe seed. A workcell so hostile the probe cannot finish at all
+/// (RGB-euclidean regret; exact match = 0) the difficulty_probe_config
+/// run reaches. A workcell so hostile the probe cannot finish at all
 /// scores kUnrunnableDifficulty. Deterministic per seed; memoized per
-/// process (campaign reports may be regenerated many times mid-run).
+/// process, so a campaign scheduler can probe ahead of the report (the
+/// in-process runner's pool, the fleet coordinator's probe thread) and
+/// reports regenerated many times mid-run probe each seed once.
 [[nodiscard]] double generated_difficulty(std::uint64_t seed);
 
 /// Sentinel difficulty for scenarios where the probe run itself fails.

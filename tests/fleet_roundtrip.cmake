@@ -103,19 +103,21 @@ if(salvaged EQUAL -1)
 endif()
 compare_outputs("${WORK_DIR}/fleet_kill" "chaos fleet run")
 
-# Leg 3: an 8-cell grid with 2 workers makes every initial lease carry
-# exactly 2 cells (ceil(8/4) = ceil(6/4) = 2 — deterministic regardless
-# of hello order), so the killed worker dies holding a journaled cell
-# AND an untouched one: salvage and re-lease exercised together.
-file(WRITE "${WORK_DIR}/eight.yaml" "\
+# Leg 3: an 11-cell grid of equal-cost cells with 2 workers makes every
+# initial lease carry exactly 2 cells (leases are sized by expected cost:
+# 2 cells fit the share of 11/4 cells, and 2 still fit 9/4 once the first
+# lease is out — deterministic regardless of hello order), so the killed
+# worker dies holding a journaled cell AND an untouched one: salvage and
+# re-lease exercised together.
+file(WRITE "${WORK_DIR}/eleven.yaml" "\
 campaign:
   name: fleet_relase
-  replicates: 2
+  replicates: 11
   base_seed: 11
-  seed_mode: per_replicate
+  seed_mode: per_cell
 grid:
-  solvers: [genetic, random]
-  batch_sizes: [4, 8]
+  solvers: [genetic]
+  batch_sizes: [8]
 experiment:
   total_samples: 16
 plate:
@@ -123,13 +125,13 @@ plate:
   cols: 12
 ")
 execute_process(
-  COMMAND "${RUNNER}" --campaign "${WORK_DIR}/eight.yaml" "${WORK_DIR}/ref8"
+  COMMAND "${RUNNER}" --campaign "${WORK_DIR}/eleven.yaml" "${WORK_DIR}/ref11"
   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "8-cell reference run failed (${rc})\n${out}\n${err}")
+  message(FATAL_ERROR "11-cell reference run failed (${rc})\n${out}\n${err}")
 endif()
 execute_process(
-  COMMAND "${FLEET}" --campaign "${WORK_DIR}/eight.yaml"
+  COMMAND "${FLEET}" --campaign "${WORK_DIR}/eleven.yaml"
           "${WORK_DIR}/fleet_relase" --workers 2
           --worker-failpoints "0:worker.pre_ack_kill=kill@1#1"
   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
@@ -144,7 +146,7 @@ endif()
 foreach(doc campaign.json campaign.csv)
   execute_process(
     COMMAND "${CMAKE_COMMAND}" -E compare_files
-            "${WORK_DIR}/ref8/${doc}" "${WORK_DIR}/fleet_relase/${doc}"
+            "${WORK_DIR}/ref11/${doc}" "${WORK_DIR}/fleet_relase/${doc}"
     RESULT_VARIABLE diff)
   if(NOT diff EQUAL 0)
     message(FATAL_ERROR

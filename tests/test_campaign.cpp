@@ -296,6 +296,38 @@ TEST(CampaignIo, RequiresCampaignSectionAndRejectsUnknownKeys) {
         support::ConfigError);
 }
 
+TEST(CampaignIo, RejectsCountsOutsideThePositiveIntRangeNamingTheKey) {
+    // Each value used to be narrowed by static_cast<int> (2^32 + 1 ran one
+    // replicate, 2^32 + 4 ran B=4) or, at zero, to pass parsing and kill
+    // every cell that ran it.
+    const auto error_of = [](const std::string& yaml) -> std::string {
+        try {
+            (void)campaign_from_yaml(yaml);
+        } catch (const support::ConfigError& e) {
+            return e.what();
+        }
+        return "(parsed)";
+    };
+    for (const char* replicates : {"4294967297", "0", "-2"}) {
+        EXPECT_NE(error_of(std::string("campaign:\n  replicates: ") + replicates + "\n")
+                      .find("campaign.replicates"),
+                  std::string::npos)
+            << replicates;
+    }
+    for (const char* batch : {"4294967300", "0", "-8"}) {
+        EXPECT_NE(error_of(std::string("campaign:\n  name: x\ngrid:\n  batch_sizes: [8, ") +
+                           batch + "]\n")
+                      .find("grid.batch_sizes"),
+                  std::string::npos)
+            << batch;
+    }
+    // The top of the range still parses.
+    const CampaignSpec widest = campaign_from_yaml(
+        "campaign:\n  replicates: 3\ngrid:\n  batch_sizes: [1, 2147483647]\n");
+    EXPECT_EQ(widest.replicates, 3);
+    EXPECT_EQ(widest.axes.batch_sizes, (std::vector<int>{1, 2147483647}));
+}
+
 TEST(CampaignIo, RoundTripThroughYaml) {
     CampaignSpec original;
     original.name = "round_trip";

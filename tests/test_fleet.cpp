@@ -1,9 +1,15 @@
 // Tests for the fleet building blocks: the line protocol, the
-// lease-table scheduler (grant/complete/revoke/adaptive sizing and the
-// loud duplicate guard), cost-model cell ordering, the SDLBENCH_WORKERS
+// lease-table scheduler (grant/complete/revoke/cost-sized leases and the
+// loud duplicate guard), the cost model and its cell ordering, a replay
+// of recorded cell walls through the lease policy, the SDLBENCH_WORKERS
 // parser, and the subprocess/pipe helpers (POSIX only).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <functional>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
@@ -14,9 +20,12 @@
 #include <csignal>
 #endif
 
+#include "campaign/campaign_io.hpp"
 #include "campaign/cost_model.hpp"
 #include "campaign/fleet.hpp"
 #include "campaign/lease.hpp"
+#include "core/scenario_gen.hpp"
+#include "core/workcell_spec.hpp"
 #include "support/common.hpp"
 #include "support/subprocess.hpp"
 #include "support/thread_pool.hpp"
@@ -192,6 +201,26 @@ TEST(LeaseTableTest, RejectsNonPermutationOrder) {
     EXPECT_THROW(LeaseTable(3, {0, 1}), support::LogicError);       // short
     EXPECT_THROW(LeaseTable(3, {0, 1, 1}), support::LogicError);    // dup
     EXPECT_THROW(LeaseTable(3, {0, 1, 3}), support::LogicError);    // range
+    EXPECT_THROW(LeaseTable(3, {0, 1, 2}, {1.0, 1.0}), support::LogicError);  // costs
+}
+
+TEST(LeaseTableTest, BiggestCellsLeaseOneApieceToSeparateWorkers) {
+    // Four big cells among twenty small ones (the 1536- and 96-well
+    // prices). Count-based leases would deal ceil(24/6) = 4 cells, all
+    // four big ones, to the first worker; cost-sized leases give each of
+    // the first three workers one big cell.
+    std::vector<double> costs(24, 304.0);
+    for (const std::size_t big : {3u, 9u, 15u, 21u}) costs[big] = 2464.0;
+    LeaseTable table(costs.size(), longest_first(costs), costs);
+    for (int worker = 0; worker < 3; ++worker) {
+        const std::size_t size = table.suggested_lease(3);
+        EXPECT_EQ(table.grant(worker, size),
+                  (std::vector<std::size_t>{3u + 6u * static_cast<std::size_t>(worker)}));
+    }
+    // The fourth big cell goes out alone too; the cheap cells behind it
+    // go several to a lease (3 x 304 fits the share 20 x 304 / 6).
+    EXPECT_EQ(table.grant(0, table.suggested_lease(3)), (std::vector<std::size_t>{21}));
+    EXPECT_EQ(table.suggested_lease(3), 3u);
 }
 
 // -------------------------------------------------------------- cost model
@@ -228,6 +257,43 @@ TEST(CostModelTest, OrdersLongestExpectedFirst) {
     EXPECT_EQ(order[3], 0u);
 }
 
+TEST(CostModelTest, FramePixelsRaiseTheCost) {
+    // Same solver, samples and batch: the denser plate renders and reads
+    // a larger frame every batch (800x600, 1600x1200, 3200x2400).
+    const auto cost_on = [](int rows, int cols) {
+        core::ColorPickerConfig config;
+        config.solver = "genetic";
+        config.total_samples = 32;
+        config.batch_size = 8;
+        config.plate_rows = rows;
+        config.plate_cols = cols;
+        return expected_run_cost(config);
+    };
+    EXPECT_GT(cost_on(32, 48), cost_on(16, 24));
+    EXPECT_GT(cost_on(16, 24), cost_on(8, 12));
+}
+
+TEST(CostModelTest, ProbeCostsLessThanACellOnItsWorkcell) {
+    // Seeds 17, 19 and 20 draw 96-, 384- and 1536-well workcells.
+    for (const std::uint64_t seed : {17u, 19u, 20u}) {
+        core::ColorPickerConfig cell;
+        cell.solver = "genetic";
+        cell.total_samples = 32;
+        cell.batch_size = 8;
+        cell = core::apply_workcell_spec(std::move(cell), core::generate_scenario(seed));
+        EXPECT_LT(expected_run_cost(core::difficulty_probe_config(seed)),
+                  expected_run_cost(cell))
+            << "seed " << seed;
+    }
+}
+
+TEST(CostModelTest, CellCostIsItsConfigCost) {
+    CampaignCell cell = make_cell(0, "bayesian", 64, 4);
+    cell.config.plate_rows = 16;
+    cell.config.plate_cols = 24;
+    EXPECT_EQ(expected_cell_cost(cell), expected_run_cost(cell.config));
+}
+
 TEST(CostModelTest, TiesKeepPositionOrderAndCostsArePositive) {
     const std::vector<CampaignCell> cells = {
         make_cell(0, "random", 16, 8),
@@ -239,6 +305,141 @@ TEST(CostModelTest, TiesKeepPositionOrderAndCostsArePositive) {
         EXPECT_GT(expected_cell_cost(cell), 0.0);
     }
     EXPECT_TRUE(schedule_order({}).empty());
+}
+
+// ------------------------------------------------------ lease-policy replay
+
+namespace {
+
+constexpr std::size_t kReplayWorkers = 3;
+
+/// Returns how many cells the next lease carries, given the table and
+/// the number of cells not yet leased.
+using LeaseSize = std::function<std::size_t(const LeaseTable&, std::size_t pending)>;
+
+/// Replays per-cell walls through a lease policy on a simulated clock: 3
+/// workers say hello in slot order and run their leases in order,
+/// acking each cell the moment it finishes; the coordinator grants on
+/// hello, refills a worker whose ack leaves it at most one outstanding
+/// cell, and tops up idle workers (the rules of fleet.cpp). Returns the
+/// makespan.
+double replay_makespan(const std::vector<double>& walls, LeaseTable table,
+                       const LeaseSize& lease_size) {
+    struct Worker {
+        std::deque<std::size_t> queue;
+        std::optional<std::size_t> running;
+        double until = 0.0;
+    };
+    std::vector<Worker> workers(kReplayWorkers);
+    std::size_t pending = walls.size();
+    double now = 0.0;
+    const auto grant = [&](std::size_t w) {
+        for (const std::size_t cell :
+             table.grant(static_cast<int>(w), lease_size(table, pending))) {
+            workers[w].queue.push_back(cell);
+            --pending;
+        }
+    };
+    const auto start = [&](std::size_t w) {
+        Worker& worker = workers[w];
+        if (worker.running || worker.queue.empty()) return;
+        worker.running = worker.queue.front();
+        worker.queue.pop_front();
+        worker.until = now + walls[*worker.running];
+    };
+    for (std::size_t w = 0; w < kReplayWorkers; ++w) {
+        grant(w);
+        start(w);
+    }
+    while (!table.all_done()) {
+        std::optional<std::size_t> next;
+        for (std::size_t w = 0; w < kReplayWorkers; ++w) {
+            if (workers[w].running && (!next || workers[w].until < workers[*next].until)) {
+                next = w;
+            }
+        }
+        if (!next) throw support::LogicError("replay stalled with cells left");
+        Worker& worker = workers[*next];
+        now = worker.until;
+        table.complete(*worker.running);
+        worker.running.reset();
+        if (table.outstanding(static_cast<int>(*next)) <= 1) grant(*next);
+        start(*next);
+        for (std::size_t w = 0; w < kReplayWorkers; ++w) {
+            if (table.outstanding(static_cast<int>(w)) == 0) grant(w);
+            start(w);
+        }
+    }
+    return now;
+}
+
+/// Median cell walls (seconds) per plate format — 96, 384 and 1536
+/// wells — from the worker journals of four `fleet_mixed` runs (base
+/// seeds 1 and 1201, 3 workers x 1 thread, a 4-vCPU 2.1 GHz Xeon).
+struct FormatWalls {
+    double w96, w384, w1536;
+};
+constexpr FormatWalls kRecordedWalls[] = {
+    {0.054, 0.184, 0.661},
+    {0.071, 0.209, 0.813},
+    {0.078, 0.208, 0.882},
+    {0.075, 0.181, 0.895},
+};
+
+}  // namespace
+
+TEST(LeasePolicyReplay, CostSizedLeasesFinishNearTheBoundOnFleetMixedWalls) {
+    // The fleet_mixed grid: 12 generated workcells (six 96-, four 384-
+    // and two 1536-well) x 2 replicates.
+    const CampaignSpec spec = campaign_from_yaml(
+        "campaign:\n"
+        "  name: fleet_mixed\n"
+        "  replicates: 2\n"
+        "  base_seed: 1\n"
+        "  seed_mode: per_cell\n"
+        "grid:\n"
+        "  workcells: [\"generated:seed=17..28\"]\n"
+        "  solvers: [genetic]\n"
+        "  batch_sizes: [8]\n"
+        "experiment:\n"
+        "  total_samples: 32\n");
+    const std::vector<CampaignCell> grid = expand_grid(spec);
+    ASSERT_EQ(grid.size(), 24u);
+    const std::vector<double> costs = cell_costs(grid);
+    std::vector<std::size_t> index_order(grid.size());
+    std::iota(index_order.begin(), index_order.end(), std::size_t{0});
+
+    const LeaseSize count_based = [](const LeaseTable&, std::size_t pending) {
+        return (pending + 2 * kReplayWorkers - 1) / (2 * kReplayWorkers);
+    };
+    const LeaseSize cost_sized = [](const LeaseTable& table, std::size_t) {
+        return table.suggested_lease(kReplayWorkers);
+    };
+    for (const FormatWalls& format : kRecordedWalls) {
+        std::vector<double> walls;
+        for (const CampaignCell& cell : grid) {
+            walls.push_back(cell.config.plate_rows == 8    ? format.w96
+                            : cell.config.plate_rows == 16 ? format.w384
+                                                           : format.w1536);
+        }
+        const double total = std::accumulate(walls.begin(), walls.end(), 0.0);
+        const double bound = std::max(*std::max_element(walls.begin(), walls.end()),
+                                      total / static_cast<double>(kReplayWorkers));
+        // Index order with count-based leases: the scheduler before the
+        // cost model saw plate formats.
+        const double index_count =
+            replay_makespan(walls, LeaseTable(grid.size(), index_order), count_based);
+        // The trap: cost order with count-based leases deals the first
+        // worker every 1536-well cell.
+        const double cost_order_count = replay_makespan(
+            walls, LeaseTable(grid.size(), longest_first(costs)), count_based);
+        const double cost_order_cost_sized = replay_makespan(
+            walls, LeaseTable(grid.size(), longest_first(costs), costs), cost_sized);
+        EXPECT_LE(cost_order_cost_sized, 1.05 * bound)
+            << "walls " << format.w96 << "/" << format.w384 << "/" << format.w1536;
+        EXPECT_GT(cost_order_count, index_count)
+            << "walls " << format.w96 << "/" << format.w384 << "/" << format.w1536;
+    }
 }
 
 // ------------------------------------------------------ SDLBENCH_WORKERS
