@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "core/config_io.hpp"
@@ -16,6 +15,7 @@ namespace sdl::campaign {
 
 namespace json = support::json;
 
+using core::positive_count;
 using core::reject_unknown_keys;
 
 namespace {
@@ -29,18 +29,6 @@ SeedMode seed_mode_from_string(const std::string& name) {
 
 const char* seed_mode_to_string(SeedMode mode) {
     return mode == SeedMode::PerReplicate ? "per_replicate" : "per_cell";
-}
-
-/// A count the grid runs with (replicates, batch sizes): refused at parse
-/// time outside [1, INT_MAX], naming its key, instead of narrowed to
-/// whatever the low bits make of it or left for a cell to die on.
-int positive_count(std::int64_t value, const std::string& key) {
-    if (value < 1 || value > std::numeric_limits<int>::max()) {
-        throw support::ConfigError(key + " must be an integer in [1, " +
-                                   std::to_string(std::numeric_limits<int>::max()) +
-                                   "], got " + std::to_string(value));
-    }
-    return static_cast<int>(value);
 }
 
 }  // namespace

@@ -10,29 +10,20 @@
 #include "core/scenario_gen.hpp"
 #include "support/log.hpp"
 #include "support/mutex.hpp"
+#include "support/thread_pool.hpp"
 
 namespace sdl::campaign {
 
 std::vector<CellResult> CampaignRunner::run(const CampaignSpec& spec) const {
-    return run(spec, support::global_pool());
-}
-
-std::vector<CellResult> CampaignRunner::run(const CampaignSpec& spec,
-                                            support::ThreadPool& pool) const {
     std::vector<CampaignCell> cells = expand_grid(spec);
     if (options_.log_progress) {
         support::log_info("campaign", "'", spec.name, "': ", cells.size(), " cells on ",
-                          pool.size(), " workers");
+                          support::global_pool().size(), " workers");
     }
-    return run_cells(std::move(cells), pool);
+    return run_cells(std::move(cells));
 }
 
 std::vector<CellResult> CampaignRunner::run_cells(std::vector<CampaignCell> cells) const {
-    return run_cells(std::move(cells), support::global_pool());
-}
-
-std::vector<CellResult> CampaignRunner::run_cells(std::vector<CampaignCell> cells,
-                                                  support::ThreadPool& pool) const {
     const std::size_t total = cells.size();
     // One map item per cell, then one per distinct generated seed: the
     // seed's difficulty probe, which the report would otherwise run one
@@ -54,9 +45,7 @@ std::vector<CellResult> CampaignRunner::run_cells(std::vector<CampaignCell> cell
     support::Mutex done_mutex;
     std::size_t done = 0;
 
-    support::ParallelOptions parallel;
-    parallel.max_workers = options_.max_workers;
-    std::vector<std::optional<CellResult>> mapped = pool.parallel_map(
+    std::vector<std::optional<CellResult>> mapped = support::global_pool().parallel_map(
         order.size(),
         [&](std::size_t k) -> std::optional<CellResult> {
             const std::size_t i = order[k];
@@ -88,7 +77,7 @@ std::vector<CellResult> CampaignRunner::run_cells(std::vector<CampaignCell> cell
             }
             return result;
         },
-        parallel);
+        options_.max_workers);
     std::vector<CellResult> results(total);
     for (std::size_t k = 0; k < order.size(); ++k) {
         if (mapped[k]) results[order[k]] = std::move(*mapped[k]);

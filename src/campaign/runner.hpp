@@ -2,8 +2,8 @@
 //
 // Every cell is an independent simulated workcell (its own
 // core::WorkcellRuntime), so cells parallelize perfectly; the runner fans
-// them out with support::ThreadPool::parallel_map using the hinted
-// overload, one item per pool grab, keeps results in grid order, and
+// them out with support::ThreadPool::parallel_map on the process-wide
+// pool, one item per pool grab, keeps results in grid order, and
 // logs progress as cells complete. The same map carries one difficulty
 // probe per distinct generated seed among the cells
 // (core::generated_difficulty, which the report reads from its memo), so
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
-#include "support/thread_pool.hpp"
 
 namespace sdl::campaign {
 
@@ -55,20 +54,12 @@ public:
     /// Expands `spec` and runs every cell on the process-wide pool.
     [[nodiscard]] std::vector<CellResult> run(const CampaignSpec& spec) const;
 
-    /// Same, on an explicit pool.
-    [[nodiscard]] std::vector<CellResult> run(const CampaignSpec& spec,
-                                              support::ThreadPool& pool) const;
-
     /// Runs an explicit subset of expanded cells (the cells a resumed run
     /// still owes) on the process-wide pool. Results keep the order of
     /// `cells`, which need not be contiguous in the grid. Only the
     /// generated seeds of these cells are probed here; a resumed run's
     /// report probes the seeds of its already-journaled cells itself.
     [[nodiscard]] std::vector<CellResult> run_cells(std::vector<CampaignCell> cells) const;
-
-    /// Same, on an explicit pool.
-    [[nodiscard]] std::vector<CellResult> run_cells(std::vector<CampaignCell> cells,
-                                                    support::ThreadPool& pool) const;
 
 private:
     CampaignRunnerOptions options_;

@@ -32,6 +32,15 @@ void reject_unknown_keys(const json::Value& node, std::initializer_list<const ch
     }
 }
 
+int positive_count(std::int64_t value, const std::string& key) {
+    if (value < 1 || value > std::numeric_limits<int>::max()) {
+        throw support::ConfigError(key + " must be an integer in [1, " +
+                                   std::to_string(std::numeric_limits<int>::max()) +
+                                   "], got " + std::to_string(value));
+    }
+    return static_cast<int>(value);
+}
+
 Objective objective_from_string(const std::string& name) {
     if (name == "rgb") return Objective::RgbEuclidean;
     if (name == "de76") return Objective::DeltaE76;
@@ -85,8 +94,9 @@ ColorPickerConfig config_from_doc(const json::Value& doc) {
             config = apply_workcell_spec(std::move(config),
                                          resolve_scenario(scenario->as_string()));
         }
-        config.workcell.ot2_count = static_cast<int>(
-            workcell->get_or("ot2_count", std::int64_t{config.workcell.ot2_count}));
+        config.workcell.ot2_count = positive_count(
+            workcell->get_or("ot2_count", std::int64_t{config.workcell.ot2_count}),
+            "workcell.ot2_count");
         config.workcell.has_sciclops =
             workcell->get_or("sciclops", config.workcell.has_sciclops);
         config.workcell.has_pf400 = workcell->get_or("pf400", config.workcell.has_pf400);
@@ -102,10 +112,11 @@ ColorPickerConfig config_from_doc(const json::Value& doc) {
         if (const json::Value* target = exp->find("target")) {
             config.target = rgb_from_doc(*target, "experiment.target");
         }
-        config.total_samples = static_cast<int>(
-            exp->get_or("total_samples", std::int64_t{config.total_samples}));
-        config.batch_size =
-            static_cast<int>(exp->get_or("batch_size", std::int64_t{config.batch_size}));
+        config.total_samples = positive_count(
+            exp->get_or("total_samples", std::int64_t{config.total_samples}),
+            "experiment.total_samples");
+        config.batch_size = positive_count(
+            exp->get_or("batch_size", std::int64_t{config.batch_size}), "experiment.batch_size");
         config.solver = exp->get_or("solver", config.solver);
         if (const json::Value* objective = exp->find("objective")) {
             config.objective = objective_from_string(objective->as_string());
@@ -119,17 +130,10 @@ ColorPickerConfig config_from_doc(const json::Value& doc) {
     }
     if (const json::Value* plate = doc.find("plate")) {
         reject_unknown_keys(*plate, {"rows", "cols"}, "plate");
-        const auto dimension = [plate](const std::string& key, int fallback) {
-            const std::int64_t value = plate->get_or(key, std::int64_t{fallback});
-            if (value < 1 || value > std::numeric_limits<int>::max()) {
-                throw support::ConfigError("plate." + key +
-                                           " must be a positive integer, got " +
-                                           std::to_string(value));
-            }
-            return static_cast<int>(value);
-        };
-        config.plate_rows = dimension("rows", config.plate_rows);
-        config.plate_cols = dimension("cols", config.plate_cols);
+        config.plate_rows =
+            positive_count(plate->get_or("rows", std::int64_t{config.plate_rows}), "plate.rows");
+        config.plate_cols =
+            positive_count(plate->get_or("cols", std::int64_t{config.plate_cols}), "plate.cols");
     }
     if (const json::Value* volume = doc.find("well_volume_ul")) {
         config.well_volume = support::Volume::microliters(volume->as_double());
@@ -141,8 +145,9 @@ ColorPickerConfig config_from_doc(const json::Value& doc) {
     }
     if (const json::Value* retry = doc.find("retry")) {
         reject_unknown_keys(*retry, {"max_attempts", "human_rescue"}, "retry");
-        config.retry.max_attempts = static_cast<int>(
-            retry->get_or("max_attempts", std::int64_t{config.retry.max_attempts}));
+        config.retry.max_attempts = positive_count(
+            retry->get_or("max_attempts", std::int64_t{config.retry.max_attempts}),
+            "retry.max_attempts");
         config.retry.human_rescue = retry->get_or("human_rescue", config.retry.human_rescue);
     }
     return config;

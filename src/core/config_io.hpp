@@ -4,6 +4,7 @@
 // base-config section of campaign files (campaign/campaign_io).
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "core/experiment_config.hpp"
@@ -70,6 +71,13 @@ namespace sdl::core {
 /// in error messages.
 [[nodiscard]] color::Rgb8 rgb_from_doc(const support::json::Value& value,
                                        const std::string& where);
+
+/// A count a run uses (samples, batch sizes, plate dimensions, device
+/// counts): refused outside [1, INT_MAX] with a ConfigError naming `key`,
+/// instead of narrowed to whatever the low bits make of it or left for
+/// the run to die on. The experiment, workcell-spec and campaign parsers
+/// share it.
+[[nodiscard]] int positive_count(std::int64_t value, const std::string& key);
 
 /// Throws ConfigError when `node` (an object) has a key outside `known`;
 /// `where` names the section in the message. The schema validators here

@@ -12,27 +12,6 @@ void WorkcellRuntime::claim() {
     claimed_ = true;
 }
 
-devices::SciclopsSim& WorkcellRuntime::sciclops() {
-    support::check(sciclops_ != nullptr,
-                   "scenario '" + config_.workcell.scenario +
-                       "' has no sciclops (a manual stand-in handles its actions)");
-    return *sciclops_;
-}
-
-devices::Pf400Sim& WorkcellRuntime::pf400() {
-    support::check(pf400_ != nullptr,
-                   "scenario '" + config_.workcell.scenario +
-                       "' has no pf400 (a manual stand-in handles its actions)");
-    return *pf400_;
-}
-
-devices::BartySim& WorkcellRuntime::barty() {
-    support::check(barty_ != nullptr,
-                   "scenario '" + config_.workcell.scenario +
-                       "' has no barty (a manual stand-in handles its actions)");
-    return *barty_;
-}
-
 WorkcellRuntime::WorkcellRuntime(ColorPickerConfig config)
     : config_(finalize_config(std::move(config))),
       faults_(config_.faults),

@@ -61,15 +61,11 @@ public:
     [[nodiscard]] const wei::EventLog& event_log() const noexcept { return log_; }
 
     // --- instruments
-    // sciclops()/pf400()/barty() throw LogicError when the scenario
-    // replaced the device with a manual stand-in — check has_*() first
-    // (the stand-in is reachable via registry() under the same name).
+    // has_*() is false when the scenario replaced the device with a
+    // manual stand-in (reachable via registry() under the same name).
     [[nodiscard]] bool has_sciclops() const noexcept { return sciclops_ != nullptr; }
     [[nodiscard]] bool has_pf400() const noexcept { return pf400_ != nullptr; }
     [[nodiscard]] bool has_barty() const noexcept { return barty_ != nullptr; }
-    [[nodiscard]] devices::SciclopsSim& sciclops();
-    [[nodiscard]] devices::Pf400Sim& pf400();
-    [[nodiscard]] devices::BartySim& barty();
     /// The primary liquid handler ("ot2"); always present.
     [[nodiscard]] devices::Ot2Sim& ot2() noexcept { return *ot2s_.front(); }
     /// Every mounted liquid handler, primary first ("ot2", "ot2_2", ...).

@@ -81,9 +81,7 @@ void check_option_value(const std::string& key, const json::Value& value) {
         return;
     }
     if (key == "towers" || key == "plates_per_tower" || key == "max_frames") {
-        if (value.as_int() < 1) {
-            throw support::ConfigError(where + " must be >= 1");
-        }
+        (void)positive_count(value.as_int(), where);
         return;
     }
     if (key.ends_with("_ml")) {
@@ -208,10 +206,10 @@ WorkcellSpec workcell_spec_from_doc(const json::Value& doc) {
     if (const json::Value* plate = doc.find("plate")) {
         reject_unknown_keys(*plate, {"rows", "cols"}, "plate");
         if (const json::Value* rows = plate->find("rows")) {
-            spec.plate_rows = static_cast<int>(rows->as_int());
+            spec.plate_rows = positive_count(rows->as_int(), "plate.rows");
         }
         if (const json::Value* cols = plate->find("cols")) {
-            spec.plate_cols = static_cast<int>(cols->as_int());
+            spec.plate_cols = positive_count(cols->as_int(), "plate.cols");
         }
     }
 
@@ -227,7 +225,8 @@ WorkcellSpec workcell_spec_from_doc(const json::Value& doc) {
         DeviceSpec device;
         device.kind = device_kind_from_string(entry.at("kind").as_string());
         device.name = entry.get_or("name", std::string(device_kind_to_string(device.kind)));
-        device.count = static_cast<int>(entry.get_or("count", std::int64_t{1}));
+        device.count = positive_count(entry.get_or("count", std::int64_t{1}),
+                                      "device '" + device.name + "' count");
         for (const auto& [key, value] : entry.as_object()) {
             if (key == "kind" || key == "name" || key == "count") continue;
             if (!is_option_key(device.kind, key)) {

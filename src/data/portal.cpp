@@ -25,13 +25,6 @@ void DataPortal::ingest(json::Value document) {
 std::size_t DataPortal::experiment_count() const noexcept { return experiments_.size(); }
 std::size_t DataPortal::run_count() const noexcept { return runs_.size(); }
 
-std::vector<std::string> DataPortal::experiment_ids() const {
-    std::vector<std::string> ids;
-    ids.reserve(experiments_.size());
-    for (const auto& [id, record] : experiments_) ids.push_back(id);
-    return ids;
-}
-
 std::optional<ExperimentRecord> DataPortal::find_experiment(
     const std::string& experiment_id) const {
     const auto it = experiments_.find(experiment_id);

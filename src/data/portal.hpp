@@ -24,7 +24,6 @@ public:
     [[nodiscard]] std::size_t experiment_count() const noexcept;
     [[nodiscard]] std::size_t run_count() const noexcept;
 
-    [[nodiscard]] std::vector<std::string> experiment_ids() const;
     [[nodiscard]] std::optional<ExperimentRecord> find_experiment(
         const std::string& experiment_id) const;
     [[nodiscard]] std::vector<RunRecord> runs_of(const std::string& experiment_id) const;

@@ -1,6 +1,5 @@
 #include "imaging/ppm.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -62,23 +61,6 @@ Image load_ppm(const std::string& path) {
     std::ifstream file(path, std::ios::binary);
     if (!file) throw support::Error("io", "cannot open '" + path + "'");
     return parse_ppm(file, path);
-}
-
-void save_pgm(const GrayImage& img, const std::string& path) {
-    std::string out;
-    char header[64];
-    std::snprintf(header, sizeof(header), "P5\n%d %d\n255\n", img.width(), img.height());
-    out += header;
-    out.reserve(out.size() +
-                static_cast<std::size_t>(img.width()) * static_cast<std::size_t>(img.height()));
-    for (int y = 0; y < img.height(); ++y) {
-        for (int x = 0; x < img.width(); ++x) {
-            const float v = img.at(x, y);
-            const long q = std::lround(support::clamp(v, 0.0F, 1.0F) * 255.0F);
-            out.push_back(static_cast<char>(q));
-        }
-    }
-    support::atomic_write(path, out);
 }
 
 std::string encode_ppm(const Image& img) {

@@ -16,9 +16,6 @@ void save_ppm(const Image& img, const std::string& path);
 /// Reads a binary PPM (P6) with maxval 255.
 [[nodiscard]] Image load_ppm(const std::string& path);
 
-/// Writes a gray plane as binary PGM (P5), clamping values to [0, 1].
-void save_pgm(const GrayImage& img, const std::string& path);
-
 /// Serializes to an in-memory PPM byte string (used by the simulated
 /// publication flow, which stores images as blobs).
 [[nodiscard]] std::string encode_ppm(const Image& img);

@@ -242,7 +242,7 @@ std::vector<GaussianProcess::Prediction> score_candidate_pool(
             }
             return gp.predict_batch(block);
         },
-        support::ParallelOptions{.max_workers = max_workers});
+        max_workers);
     std::vector<GaussianProcess::Prediction> preds;
     preds.reserve(candidates);
     for (auto& block : chunked) preds.insert(preds.end(), block.begin(), block.end());

@@ -19,21 +19,16 @@ void TextTable::set_alignment(std::vector<Align> alignment) {
 
 void TextTable::add_row(std::vector<std::string> cells) {
     check(cells.size() == header_.size(), "table row width mismatch");
-    rows_.push_back(Row{std::move(cells), pending_rule_});
-    pending_rule_ = false;
+    rows_.push_back(std::move(cells));
 }
-
-void TextTable::add_rule() { pending_rule_ = true; }
-
-std::size_t TextTable::rows() const noexcept { return rows_.size(); }
 
 std::string TextTable::str() const {
     const std::size_t n_cols = header_.size();
     std::vector<std::size_t> widths(n_cols);
     for (std::size_t c = 0; c < n_cols; ++c) widths[c] = header_[c].size();
-    for (const Row& row : rows_) {
+    for (const std::vector<std::string>& row : rows_) {
         for (std::size_t c = 0; c < n_cols; ++c) {
-            widths[c] = std::max(widths[c], row.cells[c].size());
+            widths[c] = std::max(widths[c], row[c].size());
         }
     }
 
@@ -47,21 +42,15 @@ std::string TextTable::str() const {
         }
         out += '\n';
     };
-    auto render_rule = [&](std::string& out) {
-        for (std::size_t c = 0; c < n_cols; ++c) {
-            if (c > 0) out += "-+-";
-            out.append(widths[c], '-');
-        }
-        out += '\n';
-    };
 
     std::string out;
     render_cells(header_, out);
-    render_rule(out);
-    for (const Row& row : rows_) {
-        if (row.rule_before) render_rule(out);
-        render_cells(row.cells, out);
+    for (std::size_t c = 0; c < n_cols; ++c) {
+        if (c > 0) out += "-+-";
+        out.append(widths[c], '-');
     }
+    out += '\n';
+    for (const std::vector<std::string>& row : rows_) render_cells(row, out);
     return out;
 }
 

@@ -21,11 +21,6 @@ public:
 
     void add_row(std::vector<std::string> cells);
 
-    /// Inserts a horizontal rule before the next added row.
-    void add_rule();
-
-    [[nodiscard]] std::size_t rows() const noexcept;
-
     /// Renders with column separators and a header rule, e.g.
     ///   Metric                     | Paper       | Measured
     ///   ---------------------------+-------------+---------
@@ -33,15 +28,9 @@ public:
     [[nodiscard]] std::string str() const;
 
 private:
-    struct Row {
-        std::vector<std::string> cells;
-        bool rule_before = false;
-    };
-
     std::vector<std::string> header_;
     std::vector<Align> alignment_;
-    std::vector<Row> rows_;
-    bool pending_rule_ = false;
+    std::vector<std::vector<std::string>> rows_;
 };
 
 /// Formats a double with `decimals` fraction digits.

@@ -1,8 +1,6 @@
 #include "support/thread_pool.hpp"
 
-#include <atomic>
 #include <cstdlib>
-#include <exception>
 
 #include "support/log.hpp"
 
@@ -44,50 +42,20 @@ void ThreadPool::worker_loop() {
     }
 }
 
-void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
-    if (n == 0) return;
-    const std::size_t n_workers = std::min(n, size());
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
-    std::exception_ptr first_error;
-    std::mutex error_mutex;
-
-    auto drain = [&] {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n || failed.load(std::memory_order_relaxed)) return;
-            try {
-                fn(i);
-            } catch (...) {
-                std::lock_guard lock(error_mutex);
-                if (!first_error) first_error = std::current_exception();
-                failed.store(true, std::memory_order_relaxed);
-                return;
-            }
-        }
-    };
-
-    std::vector<std::future<void>> futures;
-    futures.reserve(n_workers > 0 ? n_workers - 1 : 0);
-    for (std::size_t w = 1; w < n_workers; ++w) {
-        futures.push_back(submit(drain));
-    }
-    drain();  // The calling thread participates, so the pool never deadlocks
-              // on nested parallel_for.
-    for (auto& f : futures) f.get();
-    if (first_error) std::rethrow_exception(first_error);
-}
-
 std::size_t pool_size_from_env(const char* value) noexcept {
+    constexpr std::size_t kMaxPoolSize = 4096;
     if (value == nullptr || *value == '\0') return 0;
     std::size_t parsed = 0;
     for (const char* p = value; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9' || parsed > 4096) {
+        const bool digit = *p >= '0' && *p <= '9';
+        if (digit) parsed = parsed * 10 + static_cast<std::size_t>(*p - '0');
+        // The cap is checked after each digit, so no value past it (and
+        // no digit string long enough to overflow) becomes a pool size.
+        if (!digit || parsed > kMaxPoolSize) {
             log_warn("support", "ignoring SDLBENCH_WORKERS='", value,
-                     "' (expected a positive integer)");
+                     "' (expected a positive integer up to ", kMaxPoolSize, ")");
             return 0;
         }
-        parsed = parsed * 10 + static_cast<std::size_t>(*p - '0');
     }
     return parsed;  // 0 stays "default"
 }

@@ -1,10 +1,10 @@
-// Fixed-size thread pool with futures and a parallel_for helper.
+// Fixed-size thread pool with futures and one nesting-safe parallel_map.
 //
 // Used for the embarrassingly parallel parts of the benchmark harness:
 // running the seven Figure-4 experiments concurrently, sweeping solver
-// seeds, and batch-rendering synthetic camera frames. Work distribution
-// for parallel_for is block-cyclic to keep load balanced when item costs
-// vary (the OpenMP "schedule(static, chunk)" idiom).
+// seeds, fanning out campaign cells, and chunking GP candidate scoring.
+// parallel_map workers claim one index at a time, which balances load
+// when item costs vary.
 //
 // All shared state is guarded by an annotated support::Mutex
 // (mutex.hpp), so the lock/state relationships below are checked by
@@ -24,18 +24,6 @@
 #include "support/thread_annotations.hpp"
 
 namespace sdl::support {
-
-/// Tuning knobs for the hinted parallel_map overload.
-struct ParallelOptions {
-    /// Upper bound on tasks in flight (capped at the pool size);
-    /// 0 = one per pool worker. Lets a caller leave headroom for other
-    /// work sharing the pool.
-    std::size_t max_workers = 0;
-    /// Indices each worker claims per grab. 1 (the default) balances
-    /// best when item costs vary; larger chunks amortize dispatch for
-    /// many cheap items.
-    std::size_t chunk = 1;
-};
 
 class ThreadPool {
 public:
@@ -67,32 +55,12 @@ public:
         return result;
     }
 
-    /// Runs fn(i) for i in [0, n), partitioned across the pool, and blocks
-    /// until all iterations finish. Exceptions from any iteration are
-    /// rethrown (first one wins).
-    void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-    /// Maps fn(i) over [0, n) and collects results in order.
-    template <typename F>
-    auto parallel_map(std::size_t n, F&& fn)
-        -> std::vector<std::invoke_result_t<F, std::size_t>> {
-        using R = std::invoke_result_t<F, std::size_t>;
-        std::vector<std::future<R>> futures;
-        futures.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            futures.push_back(submit([&fn, i] { return fn(i); }));
-        }
-        std::vector<R> out;
-        out.reserve(n);
-        for (auto& f : futures) out.push_back(f.get());
-        return out;
-    }
-
-    /// parallel_map with an explicit concurrency cap and chunk hint.
-    /// Unlike the overload above (one queued task per item), this one
-    /// enqueues at most `max_workers` drain tasks that claim `chunk`
-    /// indices at a time. Results keep index order; the first exception
-    /// from any item is rethrown after all active workers stop.
+    /// Maps fn(i) over [0, n) and collects results in index order.
+    /// Enqueues at most `max_workers` drain tasks (capped at the pool
+    /// size; 0 = one per pool worker, and a cap lets a caller leave
+    /// headroom for other work sharing the pool) that claim one index at
+    /// a time. The first exception from any item is rethrown after all
+    /// active drains stop.
     ///
     /// Safe under nesting: the calling thread drains work itself, and it
     /// never blocks on queued helper tasks — only on drains that actually
@@ -100,16 +68,13 @@ public:
     /// return against heap-owned state, so they cannot touch a dead
     /// frame even if they run after this call returned.
     template <typename F>
-    auto parallel_map(std::size_t n, F&& fn, const ParallelOptions& options)
+    auto parallel_map(std::size_t n, F&& fn, std::size_t max_workers = 0)
         -> std::vector<std::invoke_result_t<F, std::size_t>> {
         using R = std::invoke_result_t<F, std::size_t>;
         if (n == 0) return {};
 
-        const std::size_t chunk = options.chunk == 0 ? 1 : options.chunk;
-        std::size_t workers =
-            options.max_workers == 0 ? size() : std::min(options.max_workers, size());
-        workers = std::min(workers, (n + chunk - 1) / chunk);
-        if (workers == 0) workers = 1;
+        std::size_t workers = max_workers == 0 ? size() : std::min(max_workers, size());
+        workers = std::min(workers, n);
 
         struct State {
             explicit State(std::size_t count) : slots(count), n(count) {}
@@ -131,7 +96,7 @@ public:
         // `fn` is captured by reference: a drain only reaches it while
         // unclaimed work remains, and the caller cannot leave before all
         // work is claimed (or failed) and every active drain has exited.
-        auto drain_loop = [state, &fn, chunk] {
+        auto drain_loop = [state, &fn] {
             {
                 MutexLock lock(state->mutex);
                 ++state->active_drains;
@@ -139,26 +104,19 @@ public:
             std::size_t completed_here = 0;
             for (;;) {
                 if (state->failed.load(std::memory_order_relaxed)) break;
-                const std::size_t begin =
-                    state->next.fetch_add(chunk, std::memory_order_relaxed);
-                if (begin >= state->n) break;
-                const std::size_t end = std::min(state->n, begin + chunk);
-                bool threw = false;
-                for (std::size_t i = begin; i < end; ++i) {
-                    try {
-                        state->slots[i].emplace(fn(i));
-                        ++completed_here;
-                    } catch (...) {
-                        MutexLock lock(state->mutex);
-                        if (!state->first_error) {
-                            state->first_error = std::current_exception();
-                        }
-                        state->failed.store(true, std::memory_order_relaxed);
-                        threw = true;
-                        break;
+                const std::size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
+                if (i >= state->n) break;
+                try {
+                    state->slots[i].emplace(fn(i));
+                    ++completed_here;
+                } catch (...) {
+                    MutexLock lock(state->mutex);
+                    if (!state->first_error) {
+                        state->first_error = std::current_exception();
                     }
+                    state->failed.store(true, std::memory_order_relaxed);
+                    break;
                 }
-                if (threw) break;
             }
             MutexLock lock(state->mutex);
             state->items_done += completed_here;

@@ -105,11 +105,4 @@ PlateId LocationMap::take(const std::string& name) {
     return id;
 }
 
-std::vector<std::string> LocationMap::names() const {
-    std::vector<std::string> out;
-    out.reserve(slots_.size());
-    for (const auto& [name, plate] : slots_) out.push_back(name);
-    return out;
-}
-
 }  // namespace sdl::wei

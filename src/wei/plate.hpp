@@ -81,8 +81,6 @@ public:
     /// Removes and returns the plate; throws if empty or unknown.
     PlateId take(const std::string& name);
 
-    [[nodiscard]] std::vector<std::string> names() const;
-
 private:
     std::map<std::string, std::optional<PlateId>> slots_;
 };

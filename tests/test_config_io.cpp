@@ -4,6 +4,7 @@
 #include <fstream>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "core/colorpicker.hpp"
 #include "core/config_io.hpp"
@@ -112,6 +113,32 @@ TEST(ConfigIo, RejectsNonPositivePlateDimensions) {
             EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
         }
     }
+}
+
+TEST(ConfigIo, RejectsCountsOutsideThePositiveIntRangeNamingTheKey) {
+    // Each of these used to be narrowed by static_cast<int>: 2^32 + 8
+    // samples ran N=8, 2^32 + 4 ran B=4.
+    const auto message = [](const std::string& yaml) {
+        try {
+            (void)config_from_yaml(yaml);
+        } catch (const support::ConfigError& e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    for (const auto& [section, key] :
+         {std::pair{"experiment", "total_samples"}, std::pair{"experiment", "batch_size"},
+          std::pair{"workcell", "ot2_count"}, std::pair{"retry", "max_attempts"}}) {
+        const std::string name = std::string(section) + "." + key;
+        for (const char* value : {"4294967304", "0", "-3"}) {
+            const std::string yaml =
+                std::string(section) + ":\n  " + key + ": " + value + "\n";
+            EXPECT_NE(message(yaml).find(name), std::string::npos) << name << "=" << value;
+        }
+    }
+    // The top of the range still parses.
+    EXPECT_EQ(config_from_yaml("experiment:\n  total_samples: 2147483647\n").total_samples,
+              2147483647);
 }
 
 TEST(ConfigIo, RoundTripThroughYaml) {

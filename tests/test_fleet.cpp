@@ -454,6 +454,12 @@ TEST(PoolSizeFromEnvTest, ParsesPositiveIntegersOnly) {
     EXPECT_EQ(support::pool_size_from_env("-3"), 0u);
     EXPECT_EQ(support::pool_size_from_env("4x"), 0u);
     EXPECT_EQ(support::pool_size_from_env("999999999999"), 0u);  // absurd
+    // The 4096-thread cap holds for every digit count: values that used
+    // to pass because the cap was checked before the last digit.
+    EXPECT_EQ(support::pool_size_from_env("4096"), 4096u);
+    EXPECT_EQ(support::pool_size_from_env("4097"), 0u);
+    EXPECT_EQ(support::pool_size_from_env("10000"), 0u);
+    EXPECT_EQ(support::pool_size_from_env("40961"), 0u);
 }
 
 // ------------------------------------------------------------- line buffer

@@ -180,51 +180,15 @@ TEST(ThreadPool, SubmitPropagatesExceptions) {
     EXPECT_THROW(f.get(), std::runtime_error);
 }
 
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> hits(1000);
-    pool.parallel_for(1000, [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForPropagatesFirstException) {
-    ThreadPool pool(4);
-    EXPECT_THROW(pool.parallel_for(100,
-                                   [&](std::size_t i) {
-                                       if (i == 37) throw std::runtime_error("x");
-                                   }),
-                 std::runtime_error);
-}
-
 TEST(ThreadPool, ParallelMapPreservesOrder) {
     ThreadPool pool(4);
     const auto out = pool.parallel_map(64, [](std::size_t i) { return i * i; });
+    ASSERT_EQ(out.size(), 64u);
     for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
 }
 
-TEST(ThreadPool, ParallelForWorksWithMoreTasksThanThreads) {
-    ThreadPool pool(1);
-    std::atomic<int> count{0};
-    pool.parallel_for(256, [&](std::size_t) { count.fetch_add(1); });
-    EXPECT_EQ(count.load(), 256);
-}
-
-TEST(ThreadPool, HintedParallelMapPreservesOrderForAnyChunk) {
+TEST(ThreadPool, ParallelMapRespectsWorkerCap) {
     ThreadPool pool(4);
-    for (const std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{100}}) {
-        ParallelOptions options;
-        options.chunk = chunk;
-        const auto out =
-            pool.parallel_map(64, [](std::size_t i) { return i * i; }, options);
-        ASSERT_EQ(out.size(), 64u);
-        for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
-    }
-}
-
-TEST(ThreadPool, HintedParallelMapRespectsWorkerCap) {
-    ThreadPool pool(4);
-    ParallelOptions options;
-    options.max_workers = 2;
     std::atomic<int> in_flight{0};
     std::atomic<int> peak{0};
     const auto out = pool.parallel_map(
@@ -238,38 +202,31 @@ TEST(ThreadPool, HintedParallelMapRespectsWorkerCap) {
             in_flight.fetch_sub(1);
             return i;
         },
-        options);
+        /*max_workers=*/2);
     EXPECT_EQ(out.size(), 32u);
     EXPECT_LE(peak.load(), 2);
 }
 
-TEST(ThreadPool, HintedParallelMapPropagatesWorkerExceptions) {
+TEST(ThreadPool, ParallelMapPropagatesWorkerExceptions) {
     // Regression: a throw from any worker task must surface to the
-    // caller (not deadlock, not get swallowed) for every chunk shape.
+    // caller (not deadlock, not get swallowed).
     ThreadPool pool(4);
-    for (const std::size_t chunk : {std::size_t{1}, std::size_t{5}}) {
-        ParallelOptions options;
-        options.chunk = chunk;
-        EXPECT_THROW(pool.parallel_map(
-                         100,
-                         [](std::size_t i) -> int {
-                             if (i == 37) throw std::runtime_error("boom");
-                             return 0;
-                         },
-                         options),
-                     std::runtime_error);
-    }
+    EXPECT_THROW(pool.parallel_map(100,
+                                   [](std::size_t i) -> int {
+                                       if (i == 37) throw std::runtime_error("boom");
+                                       return 0;
+                                   }),
+                 std::runtime_error);
 }
 
-TEST(ThreadPool, HintedParallelMapSafeUnderNesting) {
+TEST(ThreadPool, ParallelMapSafeUnderNesting) {
     // Regression: with every pool worker occupied by an outer task that
-    // itself calls the hinted parallel_map, the inner calls must complete
+    // itself calls parallel_map, the inner calls must complete
     // on the calling threads instead of blocking forever on queued helper
     // drains no free worker can run.
     ThreadPool pool(2);
     auto outer = [&pool] {
-        const auto out =
-            pool.parallel_map(8, [](std::size_t i) { return i; }, ParallelOptions{});
+        const auto out = pool.parallel_map(8, [](std::size_t i) { return i; });
         std::size_t sum = 0;
         for (const std::size_t v : out) sum += v;
         return sum;
@@ -280,13 +237,11 @@ TEST(ThreadPool, HintedParallelMapSafeUnderNesting) {
     EXPECT_EQ(f2.get(), 28u);
 }
 
-TEST(ThreadPool, HintedParallelMapHandlesEdgeSizes) {
+TEST(ThreadPool, ParallelMapHandlesEdgeSizes) {
     ThreadPool pool(2);
-    ParallelOptions options;
-    options.chunk = 0;  // treated as 1
-    EXPECT_TRUE(pool.parallel_map(0, [](std::size_t i) { return i; }, options).empty());
-    options.max_workers = 99;  // capped at pool size
-    const auto out = pool.parallel_map(3, [](std::size_t i) { return i + 1; }, options);
+    EXPECT_TRUE(pool.parallel_map(0, [](std::size_t i) { return i; }).empty());
+    const auto out = pool.parallel_map(
+        3, [](std::size_t i) { return i + 1; }, /*max_workers=*/99);  // capped at pool size
     EXPECT_EQ(out, (std::vector<std::size_t>{1, 2, 3}));
 }
 

@@ -81,16 +81,6 @@ def main(argv=None):
             "'speedup' to gate on hardware-portable ratios only)"
         ),
     )
-    parser.add_argument(
-        "--exclude",
-        action="append",
-        default=[],
-        metavar="SUBSTR",
-        help=(
-            "skip metrics whose path contains SUBSTR (repeatable; e.g. a "
-            "noise-bound ratio with too little margin for a hard gate)"
-        ),
-    )
     args = parser.parse_args(argv)
 
     with open(args.baseline, encoding="utf-8") as f:
@@ -101,9 +91,7 @@ def main(argv=None):
     def in_scope(path):
         if direction(path) is None:
             return False
-        if args.only is not None and args.only not in path:
-            return False
-        return not any(sub in path for sub in args.exclude)
+        return args.only is None or args.only in path
 
     # A gated metric that is null, NaN, or infinite cannot be compared
     # — and every float comparison against NaN is False, so without this

@@ -3,10 +3,9 @@
 
 Thin, stdlib-only driver for the CI lint job (and local use where
 clang-tidy is installed): reads the compilation database, keeps the
-first-party translation units (src/, tools/, bench/ — minus the frozen
-bench/prepr_reference.* yardstick), and runs clang-tidy with the
-repo-root .clang-tidy config (WarningsAsErrors: '*', so any diagnostic
-fails the gate).
+first-party translation units (src/, tools/, bench/), and runs
+clang-tidy with the repo-root .clang-tidy config (WarningsAsErrors:
+'*', so any diagnostic fails the gate).
 
 Usage:
     tools/run_clang_tidy.py [-p BUILD_DIR] [-j N] [--clang-tidy BIN] [files...]
@@ -27,7 +26,6 @@ import subprocess
 import sys
 
 FIRST_PARTY_PREFIXES = ("src/", "tools/", "bench/")
-EXCLUDE_PREFIXES = ("bench/prepr_reference",)
 
 
 def first_party_sources(database_path, repo_root):
@@ -40,8 +38,6 @@ def first_party_sources(database_path, repo_root):
         rel = os.path.relpath(path, repo_root).replace(os.sep, "/")
         if not rel.startswith(FIRST_PARTY_PREFIXES):
             continue  # tests, gtest, example scratch — out of the gate
-        if rel.startswith(EXCLUDE_PREFIXES):
-            continue  # frozen PR-5 perf yardstick; must not be modernized
         sources.append(path)
     return sorted(set(sources))
 

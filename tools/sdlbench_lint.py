@@ -36,8 +36,6 @@ the line directly above it; `#` instead of `//` in CMake files):
 
 The reason is mandatory; an unknown rule id or a suppression that
 matches nothing fails the run loudly (exit 2), so allowances cannot rot.
-`bench/prepr_reference.{hpp,cpp}` is exempt wholesale: it is the frozen
-PR-5 perf yardstick and must not be modernized.
 
 Usage:  tools/sdlbench_lint.py [--root DIR] [--list-rules] [-q]
 Exit:   0 clean, 1 findings, 2 bad suppressions / usage errors.
@@ -54,12 +52,6 @@ import sys
 
 CXX_EXTENSIONS = (".cpp", ".hpp", ".h", ".cc")
 SCAN_DIRS = ("src", "tools", "tests", "bench")
-
-# Frozen code the linter never touches (reported in --verbose only).
-EXEMPT_PREFIXES = (
-    "bench/prepr_reference.cpp",
-    "bench/prepr_reference.hpp",
-)
 
 # TUs whose job is producing artifact/report bytes: iteration order of an
 # unordered container here would leak straight into the output.
@@ -436,12 +428,8 @@ def main(argv=None):
         return 2
 
     findings, errors, suppressions = [], [], []
-    exempt = 0
     failpoint_catalog = load_failpoint_catalog(root)
     for rel in iter_source_files(root):
-        if any(rel.startswith(p) for p in EXEMPT_PREFIXES):
-            exempt += 1
-            continue
         scan_cxx_file(root, rel, findings, errors, suppressions,
                       failpoint_catalog)
     scan_build_files(root, findings, errors, suppressions)
@@ -461,8 +449,7 @@ def main(argv=None):
     if not args.quiet:
         used = sum(1 for s in suppressions if s.used)
         print(f"sdlbench_lint: {len(findings)} finding(s), {used} "
-              f"suppression(s) honored, {exempt} frozen file(s) exempt",
-              file=sys.stderr)
+              f"suppression(s) honored", file=sys.stderr)
     if errors:
         return 2
     return 1 if findings else 0

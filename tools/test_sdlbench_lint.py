@@ -340,11 +340,6 @@ class TestScanner(LintHarness):
         self.assert_flags("printf-float", "src/campaign/x.cpp",
                           'const char* fmt = "%g";\n')
 
-    def test_frozen_reference_is_exempt(self):
-        self.assert_clean("bench/prepr_reference.cpp",
-                          "auto t = std::chrono::system_clock::now();\n"
-                          'std::ofstream out("frozen.json");\n')
-
     def test_finding_points_at_real_line(self):
         self.assert_flags("wall-clock", "src/a.cpp",
                           "int a;\nint b;\n"
