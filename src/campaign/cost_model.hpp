@@ -6,10 +6,10 @@
 // ones; a bayesian cell at N=128 pays O(n^2)-and-up GP refits per batch
 // while a random cell just draws; a B=1 cell runs 128 full plate-read
 // cycles where B=64 runs two. Whoever schedules cells (the in-process
-// pool in CampaignRunner, the fleet's lease table) starts the
+// pool in CampaignRunner, the fleet's Coordinator) starts the
 // longest-expected work first so the makespan tail is short: the classic
 // longest-processing-time (LPT) greedy, within 4/3 of the optimal
-// makespan on identical workers (Graham, 1969). The fleet's LeaseTable
+// makespan on identical workers (Graham, 1969). The fleet's Coordinator
 // also sizes each lease by the costs below, so one lease never carries
 // two of the grid's biggest cells while another worker idles.
 //

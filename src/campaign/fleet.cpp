@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <future>
 #include <iostream>
 #include <iterator>
@@ -20,8 +18,8 @@
 
 #include "campaign/campaign_io.hpp"
 #include "campaign/checkpoint.hpp"
+#include "campaign/coordinator.hpp"
 #include "campaign/cost_model.hpp"
-#include "campaign/lease.hpp"
 #include "campaign/report.hpp"
 #include "core/colorpicker.hpp"
 #include "core/scenario_gen.hpp"
@@ -47,23 +45,9 @@ double seconds_since(Clock::time_point t0) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// Fleet policy: one value each, fixed here because no caller needs
-// another (docs/ROBUSTNESS.md describes them).
-/// A worker silent this long (no hello/beat/ack) is declared hung,
-/// SIGKILLed, and its incomplete cells are re-leased.
-constexpr double kHeartbeatTimeoutS = 30.0;
-/// Worker-side beat period.
+/// Worker-side beat period; the Coordinator's heartbeat timeout
+/// (coordinator.cpp) is many beats long.
 constexpr double kHeartbeatIntervalS = 0.25;
-/// A cell that has crashed this many DISTINCT worker incarnations is
-/// quarantined: removed from the schedule and reported in campaign.json
-/// with its crash history.
-constexpr std::size_t kQuarantineAfter = 3;
-/// Per-slot respawn budget; a slot that exhausts it is retired.
-constexpr std::size_t kMaxRespawns = 8;
-/// Respawn backoff: min(cap, base * 2^(consecutive crashes - 1)). The
-/// streak resets on any successful ack from that slot.
-constexpr double kRespawnBackoffS = 0.25;
-constexpr double kRespawnBackoffCapS = 5.0;
 
 /// Splits on single spaces; strict (no empty tokens) so a malformed
 /// frame never half-parses.
@@ -163,27 +147,16 @@ namespace {
 
 namespace json = support::json;
 
-/// One worker slot. The slot outlives process deaths: each respawn gets
-/// a fresh incarnation (process + journal directory) while the slot
-/// keeps the crash/backoff bookkeeping.
+/// One worker slot's process: the slot outlives process deaths, and each
+/// spawn gets a fresh process and journal directory. Every decision
+/// about the slot lives in the Coordinator.
 struct WorkerState {
-    int slot = 0;
-    int generation = -1;    ///< -1 = never spawned; spawn pre-increments
-    long incarnation = -1;  ///< unique per spawned process (ledger-sequenced)
     std::string dir;
-    support::ChildProcess proc;
+    support::ChildProcess proc;  ///< valid() while the process runs
     support::LineBuffer lines;
-    Clock::time_point last_heard;
     std::size_t journal_offset = 0;
     bool header_seen = false;
-    bool hello_seen = false;
-    bool alive = false;
     bool send_failed = false;
-    // Respawn bookkeeping (slot-lifetime, not incarnation-lifetime).
-    std::size_t respawns_used = 0;
-    std::size_t crash_streak = 0;  ///< backoff exponent; reset on any ack
-    std::optional<Clock::time_point> respawn_at;
-    bool retired = false;  ///< respawn budget exhausted
 };
 
 /// The grid's difficulty probes (core::generated_difficulty, memoized),
@@ -235,11 +208,10 @@ struct ReapGuard {
     std::vector<WorkerState>& workers;
     ~ReapGuard() {
         for (WorkerState& w : workers) {
-            if (!w.alive) continue;
+            if (!w.proc.valid()) continue;
             support::kill_hard(w.proc);
             (void)support::wait_exit(w.proc);
-            w.proc.close_pipes();
-            w.alive = false;
+            w.proc = {};
         }
     }
 };
@@ -264,7 +236,12 @@ public:
         support::atomic_write(path_, prefix_text);
         writer_.emplace(path_);
     }
-    void append(const json::Value& event) { writer_->append_line(event.dump()); }
+    /// Appends one event: its fields, in order.
+    void append(std::initializer_list<std::pair<const char*, json::Value>> fields) {
+        json::Value event = json::Value::object();
+        for (const auto& [key, value] : fields) event.set(key, value);
+        writer_->append_line(event.dump());
+    }
     void remove() {
         writer_.reset();
         std::error_code ignored;
@@ -276,44 +253,24 @@ private:
     std::optional<support::AppendWriter> writer_;
 };
 
-struct LedgerSpawn {
-    int slot = 0;
-    int generation = 0;
-    long incarnation = 0;
-    long pid = 0;
-    std::string dir;
-};
-struct LedgerCrash {
-    std::size_t cell = 0;
-    int slot = 0;
-    int generation = 0;
-    long incarnation = 0;
-    long pid = 0;
-    std::string reason;
-};
-struct LedgerState {
-    std::string spec_digest;
-    std::size_t cells_total = 0;
-    std::vector<LedgerSpawn> spawns;
-    std::vector<LedgerCrash> crashes;
-    std::vector<std::size_t> quarantines;
-    /// Every event line that parsed, verbatim — rewritten into the
-    /// compacted ledger on resume so a resume-of-a-resume still knows
-    /// every journal directory and conviction.
-    std::vector<std::string> raw_events;
-};
+/// A ledger event line, verbatim beside its parse. Resume rewrites each
+/// line into the compacted ledger, so a resume-of-a-resume still knows
+/// every journal directory and conviction.
+using LedgerEvent = std::pair<std::string, json::Value>;
 
-/// Loads a coordinator ledger, tolerating a torn tail (each record is
-/// one fsync'd write, so only the final line can be incomplete — it is
-/// dropped, like the cell journals' torn-tail recovery).
-LedgerState load_ledger(const std::string& path) {
+/// Loads the events of a coordinator ledger whose header matches this
+/// campaign, tolerating a torn tail (each record is one fsync'd write,
+/// so only the final line can be incomplete — it is dropped, like the
+/// cell journals' torn-tail recovery).
+std::vector<LedgerEvent> load_ledger(const std::string& path, const std::string& digest,
+                                     std::size_t cells) {
     std::ifstream file(path, std::ios::binary);
     if (!file) {
         throw support::ConfigError("cannot read coordinator ledger '" + path + "'");
     }
     const std::string text((std::istreambuf_iterator<char>(file)),
                            std::istreambuf_iterator<char>());
-    LedgerState state;
+    std::vector<LedgerEvent> events;
     bool header_seen = false;
     for (const std::string_view line : support::split_complete_lines(text).lines) {
         if (line.empty()) continue;
@@ -323,39 +280,35 @@ LedgerState load_ledger(const std::string& path) {
         } catch (const support::Error&) {
             break;  // unreadable line: treat as the torn tail, keep what stands
         }
-        if (!header_seen) {
-            if (doc.get_or("schema", std::string()) != "sdlbench.coordinator_journal.v1") {
-                throw support::ConfigError("'" + path +
-                                           "' is not a coordinator ledger (bad schema)");
-            }
-            state.spec_digest = doc.at("spec_digest").as_string();
-            state.cells_total = static_cast<std::size_t>(doc.at("cells_total").as_int());
-            header_seen = true;
+        if (header_seen) {
+            events.emplace_back(std::string(line), std::move(doc));
             continue;
         }
-        const std::string event = doc.get_or("event", std::string());
-        if (event == "spawn") {
-            state.spawns.push_back({static_cast<int>(doc.at("slot").as_int()),
-                                    static_cast<int>(doc.at("generation").as_int()),
-                                    doc.at("incarnation").as_int(), doc.at("pid").as_int(),
-                                    doc.at("dir").as_string()});
-        } else if (event == "crash") {
-            state.crashes.push_back({static_cast<std::size_t>(doc.at("cell").as_int()),
-                                     static_cast<int>(doc.at("slot").as_int()),
-                                     static_cast<int>(doc.at("generation").as_int()),
-                                     doc.at("incarnation").as_int(), doc.at("pid").as_int(),
-                                     doc.at("reason").as_string()});
-        } else if (event == "quarantine") {
-            state.quarantines.push_back(
-                static_cast<std::size_t>(doc.at("cell").as_int()));
-        }  // unknown events: skip (forward compatibility)
-        state.raw_events.emplace_back(line);
+        if (doc.get_or("schema", std::string()) != "sdlbench.coordinator_journal.v1") {
+            throw support::ConfigError("'" + path +
+                                       "' is not a coordinator ledger (bad schema)");
+        }
+        const std::string ledger_digest = doc.at("spec_digest").as_string();
+        if (ledger_digest != digest) {
+            throw support::ConfigError(
+                "--resume: ledger spec digest " + ledger_digest +
+                " does not match this campaign's digest " + digest +
+                " — the resumed run must use the same spec");
+        }
+        const std::int64_t cells_total = doc.at("cells_total").as_int();
+        if (cells_total != static_cast<std::int64_t>(cells)) {
+            throw support::ConfigError("--resume: ledger records " +
+                                       std::to_string(cells_total) +
+                                       " cells, campaign expands to " +
+                                       std::to_string(cells));
+        }
+        header_seen = true;
     }
     if (!header_seen) {
         throw support::ConfigError("coordinator ledger '" + path +
                                    "' has no intact header — nothing to resume");
     }
-    return state;
+    return events;
 }
 
 }  // namespace
@@ -394,7 +347,6 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         throw support::ConfigError("--resume: no coordinator ledger at '" +
                                    ledger_path(out_dir) + "' — nothing to resume");
     }
-    std::filesystem::create_directories(out_dir);
 
     const std::size_t n_workers =
         std::min(std::max<std::size_t>(1, options.workers), grid.size());
@@ -406,15 +358,22 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         threads = std::max<std::size_t>(1, hw / n_workers);
     }
 
-    // Every worker schedule is parsed up front so a typo aborts before
-    // any spawn.
+    // Every worker schedule is parsed up front so a typo — in the spec
+    // or in the slot — aborts before any spawn.
     for (const FleetOptions::WorkerFailpoint& wf : options.worker_failpoints) {
+        if (wf.slot >= 0 && static_cast<std::size_t>(wf.slot) >= n_workers) {
+            throw support::ConfigError(
+                "--worker-failpoints: slot " + std::to_string(wf.slot) +
+                " is not a worker of this fleet (" + std::to_string(n_workers) +
+                " worker(s), slots 0.." + std::to_string(n_workers - 1) + ")");
+        }
         (void)support::failpoint::parse(wf.spec);
     }
+    std::filesystem::create_directories(out_dir);
 
     std::vector<double> costs = cell_costs(grid);
-    std::vector<std::size_t> order = longest_first(costs);
-    LeaseTable table(grid.size(), std::move(order), std::move(costs));
+    std::vector<std::size_t> order = longest_first(costs);  // before costs moves
+    Coordinator coord(n_workers, std::move(order), std::move(costs));
     std::vector<std::optional<CellResult>> results(grid.size());
     std::vector<std::vector<CellCrash>> crash_log(grid.size());
     FleetSummary summary;
@@ -423,12 +382,11 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
 
     std::vector<WorkerState> workers(n_workers);
     ReapGuard reaper{workers};
-    long next_incarnation = 0;
 
-    // Resume: rebuild coordinator state from the ledger plus the worker
-    // journals it references. The journals are the source of truth for
-    // results; the ledger contributes locations, crash history, and
-    // quarantine convictions.
+    // Resume: replay the ledger's events through the Coordinator, taking
+    // each spawned worker's journal records — the journals are the source
+    // of truth for results; the ledger contributes locations, crash
+    // history, and quarantine convictions.
     std::string ledger_prefix;
     {
         json::Value header = json::Value::object();
@@ -439,66 +397,54 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         ledger_prefix = header.dump() + "\n";
     }
     if (options.resume) {
-        const LedgerState prior = load_ledger(ledger_path(out_dir));
-        if (prior.spec_digest != digest) {
-            throw support::ConfigError(
-                "--resume: ledger spec digest " + prior.spec_digest +
-                " does not match this campaign's digest " + digest +
-                " — the resumed run must use the same spec");
-        }
-        if (prior.cells_total != grid.size()) {
-            throw support::ConfigError("--resume: ledger records " +
-                                       std::to_string(prior.cells_total) +
-                                       " cells, campaign expands to " +
-                                       std::to_string(grid.size()));
-        }
+        const std::vector<LedgerEvent> prior =
+            load_ledger(ledger_path(out_dir), digest, grid.size());
 #if !defined(_WIN32)
         // Orphans of the dead coordinator: best-effort SIGKILL by
         // recorded pid before reading their journals, so none can append
         // a record after we've drained it. A reused pid is possible but
         // the window is narrow (docs/ROBUSTNESS.md § Resume caveats).
-        for (const LedgerSpawn& s : prior.spawns) {
-            if (s.pid > 0) (void)::kill(static_cast<pid_t>(s.pid), SIGKILL);
+        for (const auto& [line, event] : prior) {
+            const std::int64_t pid = event.get_or("pid", std::int64_t{0});
+            if (event.get_or("event", std::string()) == "spawn" && pid > 0) {
+                (void)::kill(static_cast<pid_t>(pid), SIGKILL);
+            }
         }
 #endif
-        for (const LedgerSpawn& s : prior.spawns) {
-            const std::string path = journal_path(s.dir);
-            // A worker that died before creating its journal left none.
-            if (std::filesystem::exists(path)) {
-                LoadedJournal loaded = load_journal(path, spec, grid);
-                for (CellResult& record : loaded.cells) {
-                    const std::size_t index = record.cell.index;
-                    table.complete(index);  // cross-journal duplicates stay loud
-                    summary.busy_s += record.wall_seconds;
-                    results[index] = std::move(record);
+        for (const auto& [line, event] : prior) {
+            const std::string kind = event.get_or("event", std::string());
+            if (kind == "spawn") {
+                // A worker that died before creating its journal left none.
+                const std::string path = journal_path(event.at("dir").as_string());
+                if (std::filesystem::exists(path)) {
+                    for (CellResult& record : load_journal(path, spec, grid).cells) {
+                        const std::size_t index = record.cell.index;
+                        coord.complete(index);  // cross-journal duplicates stay loud
+                        summary.busy_s += record.wall_seconds;
+                        results[index] = std::move(record);
+                    }
                 }
-            }
-            next_incarnation = std::max(next_incarnation, s.incarnation + 1);
-            if (s.slot >= 0 && static_cast<std::size_t>(s.slot) < workers.size()) {
-                workers[static_cast<std::size_t>(s.slot)].generation =
-                    std::max(workers[static_cast<std::size_t>(s.slot)].generation,
-                             s.generation);
-            }
-        }
-        for (const LedgerCrash& c : prior.crashes) {
-            if (c.cell >= grid.size()) continue;
-            (void)table.record_crash(c.cell, c.incarnation);
-            crash_log[c.cell].push_back({c.slot, c.generation, c.pid, c.reason});
-        }
-        for (const std::size_t cell : prior.quarantines) {
-            if (cell < grid.size() && !table.is_quarantined(cell)) {
-                table.quarantine(cell);
-            }
-        }
-        // Compacted ledger: fresh header + every prior event verbatim,
-        // so a resume-of-a-resume still sees all journal directories.
-        for (const std::string& raw : prior.raw_events) {
-            ledger_prefix += raw;
+                coord.replay_spawn(static_cast<std::size_t>(event.at("slot").as_int()),
+                                   static_cast<int>(event.at("generation").as_int()));
+            } else if (kind == "crash") {
+                const auto cell = static_cast<std::size_t>(event.at("cell").as_int());
+                const CellCrash crash{static_cast<int>(event.at("slot").as_int()),
+                                      static_cast<int>(event.at("generation").as_int()),
+                                      static_cast<long>(event.at("pid").as_int()),
+                                      event.at("reason").as_string()};
+                coord.replay_crash(cell, static_cast<std::size_t>(crash.slot),
+                                   crash.generation);
+                if (cell < grid.size()) crash_log[cell].push_back(crash);
+            } else if (kind == "quarantine") {
+                coord.replay_quarantine(
+                    static_cast<std::size_t>(event.at("cell").as_int()));
+            }  // unknown events: kept verbatim (forward compatibility)
+            ledger_prefix += line;
             ledger_prefix += '\n';
         }
         std::printf("Fleet resume: %zu of %zu cells already journaled, "
                     "%zu quarantined\n",
-                    table.done_count(), grid.size(), table.quarantined_count());
+                    coord.done_count(), grid.size(), coord.quarantined_count());
     }
 
     CoordinatorLedger ledger;
@@ -512,21 +458,14 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
     // live merges wait for them, the final merge joins them.
     DifficultyProbes probes(generated_seeds(grid));
 
+    // The Coordinator's clock: seconds since the fleet started.
     const auto start_time = Clock::now();
-    for (std::size_t i = 0; i < n_workers; ++i) {
-        workers[i].slot = static_cast<int>(i);
-        // Spawn through the unified respawn path below, so even a
-        // first-spawn failure (subprocess.spawn failpoint, EAGAIN) gets
-        // the same backoff-and-retry treatment.
-        workers[i].respawn_at = start_time;
-    }
-
-    std::size_t alive_count = 0;
+    const auto now = [start_time] { return seconds_since(start_time); };
     bool merge_due = false;  // records drained since the last live merge
 
     const auto collect_results = [&] {
         std::vector<CellResult> collected;
-        collected.reserve(table.done_count());
+        collected.reserve(coord.done_count());
         for (const auto& r : results) {
             if (r) collected.push_back(*r);
         }
@@ -536,8 +475,8 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
     // Tails the worker's journal from the last consumed offset; every
     // complete new line is validated and folded into the result set.
     // Returns the number of records consumed. Throws loudly on digest
-    // mismatches and on duplicates (LeaseTable::complete).
-    const auto drain_journal = [&](WorkerState& w) -> std::size_t {
+    // mismatches and on duplicates (Coordinator::complete).
+    const auto drain_journal = [&](WorkerState& w, std::size_t slot) -> std::size_t {
         const std::string path = journal_path(w.dir);
         std::ifstream file(path, std::ios::binary);
         if (!file) return 0;
@@ -560,12 +499,12 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
             }
             CellResult record = parse_cell_record(line, grid, path);
             const std::size_t index = record.cell.index;
-            table.complete(index);  // throws if any worker already did this cell
+            coord.complete(index);  // throws if any worker already did this cell
             summary.busy_s += record.wall_seconds;
             // sdlbench-lint: allow(printf-float): stdout progress line, never serialized into an artifact
-            std::printf("  [%zu/%zu] %s best=%.2f (w%d, %.1fs)\n", table.done_count(),
+            std::printf("  [%zu/%zu] %s best=%.2f (w%zu, %.1fs)\n", coord.done_count(),
                         grid.size(), record.cell.config.experiment_id.c_str(),
-                        record.outcome.best_score, w.slot, record.wall_seconds);
+                        record.outcome.best_score, slot, record.wall_seconds);
             results[index] = std::move(record);
             ++records;
             merge_due = true;
@@ -574,53 +513,66 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         return records;
     };
 
-    const auto grant_to = [&](WorkerState& w) {
-        const std::size_t size = table.suggested_lease(alive_count);
-        if (size == 0) return;
-        const std::vector<std::size_t> lease = table.grant(w.slot, size);
+    const auto send_lease = [](WorkerState& w, const std::vector<std::size_t>& lease) {
         if (lease.empty()) return;
-        if (support::failpoint::armed() &&
-            support::failpoint::evaluate("fleet.lease_send").action !=
-                support::failpoint::Action::None) {
-            // Injected dead pipe: the cells stay leased to this worker
-            // until the main loop's deferred-death pass revokes them —
-            // the same path a real EPIPE takes.
-            w.send_failed = true;
-            return;
-        }
         if (!support::write_line_fd(w.proc.stdin_fd(), format_lease(lease))) {
             w.send_failed = true;  // death handled by the main loop
         }
     };
 
-    const auto schedule_respawn = [&](WorkerState& w) {
-        if (table.all_done()) return;
-        if (w.respawns_used >= kMaxRespawns) {
-            if (!w.retired) {
-                w.retired = true;
-                std::fprintf(stderr,
-                             "fleet: worker slot w%d retired after %zu respawns\n",
-                             w.slot, w.respawns_used);
-            }
-            return;
+    // A worker is gone — its pipe closed, it went silent, a lease write
+    // failed, or it never started — and the Coordinator decides what
+    // follows; the crash and any conviction go to the ledger ahead of the
+    // respawn.
+    const auto handle_death = [&](std::size_t slot, const char* why) {
+        WorkerState& w = workers[slot];
+        // Kill unconditionally: a merely-hung worker that woke up later
+        // could journal a cell the Coordinator has meanwhile re-leased.
+        support::kill_hard(w.proc);
+        (void)support::wait_exit(w.proc);
+        // The journal tail is the dead worker's last word: everything
+        // durably appended (acked or not) is salvaged, never recomputed.
+        const std::size_t salvaged = drain_journal(w, slot);
+        const long pid = w.proc.pid();
+        w.proc = {};
+        const Coordinator::Death death = coord.died(slot, now());
+        ++summary.workers_lost;
+        summary.cells_salvaged += salvaged;
+        summary.cells_releases += death.revoked.size();
+        std::fprintf(stderr,
+                     "fleet: worker w%zu lost (%s): salvaged %zu journaled cell(s), "
+                     "re-leasing %zu\n",
+                     slot, why, salvaged, death.revoked.size());
+        const int generation = coord.generation(slot);
+        if (death.suspect) {
+            const std::size_t suspect = *death.suspect;
+            crash_log[suspect].push_back({static_cast<int>(slot), generation, pid, why});
+            ledger.append({{"event", "crash"}, {"cell", suspect}, {"slot", slot},
+                           {"generation", generation}, {"pid", pid}, {"reason", why}});
         }
-        ++w.respawns_used;
-        const double factor =
-            w.crash_streak > 0 ? std::ldexp(1.0, static_cast<int>(w.crash_streak) - 1)
-                               : 1.0;
-        const double backoff = std::min(kRespawnBackoffCapS, kRespawnBackoffS * factor);
-        w.respawn_at = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                          std::chrono::duration<double>(backoff));
-        // sdlbench-lint: allow(printf-float): stderr lifecycle line, never serialized into an artifact
-        std::fprintf(stderr, "fleet: respawning worker w%d (generation %d) in %.2fs\n",
-                     w.slot, w.generation + 1, backoff);
+        if (death.quarantined) {
+            ledger.append({{"event", "quarantine"}, {"cell", *death.suspect}});
+            std::fprintf(stderr,
+                         "fleet: cell %zu quarantined after crashing %zu distinct "
+                         "worker(s) — reporting it failed, not re-leasing\n",
+                         *death.suspect, coord.crash_count(*death.suspect));
+        }
+        if (death.retired) {
+            std::fprintf(stderr,
+                         "fleet: worker slot w%zu retired: respawn budget spent\n", slot);
+        } else if (death.respawn_in) {
+            // sdlbench-lint: allow(printf-float): stderr lifecycle line, never serialized into an artifact
+            std::fprintf(stderr, "fleet: respawning worker w%zu (generation %d) in %.2fs\n",
+                         slot, generation + 1, *death.respawn_in);
+        }
     };
 
-    const auto spawn_slot = [&](WorkerState& w) {
-        ++w.generation;
-        w.incarnation = next_incarnation++;
-        w.dir = out_dir + "/workers/w" + std::to_string(w.slot) +
-                (w.generation > 0 ? "r" + std::to_string(w.generation) : "");
+    const auto spawn_slot = [&](std::size_t slot) {
+        WorkerState& w = workers[slot];
+        const int generation = coord.spawn(slot, now());
+        w = WorkerState{};
+        w.dir = out_dir + "/workers/w" + std::to_string(slot) +
+                (generation > 0 ? "r" + std::to_string(generation) : "");
         std::filesystem::create_directories(w.dir);
         // A stale journal from a previous fleet run must not be tailed
         // before the fresh worker truncates it. (Respawns get fresh
@@ -636,7 +588,8 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         std::string fp;
         for (const FleetOptions::WorkerFailpoint& wf : options.worker_failpoints) {
             const bool applies =
-                wf.slot < 0 || (wf.slot == w.slot && w.generation == 0);
+                wf.slot < 0 ||
+                (static_cast<std::size_t>(wf.slot) == slot && generation == 0);
             if (!applies) continue;
             if (!fp.empty()) fp += ',';
             fp += wf.spec;
@@ -647,235 +600,108 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
             "--campaign", spec_path,
             "--dir", w.dir,
             "--expect-digest", digest};
-
-        w.journal_offset = 0;
-        w.header_seen = false;
-        w.hello_seen = false;
-        w.send_failed = false;
-        w.lines = support::LineBuffer{};
-        w.respawn_at.reset();
         try {
             w.proc = support::spawn_child(
                 argv, {"SDLBENCH_WORKERS=" + std::to_string(threads),
                        "SDLBENCH_FAILPOINTS=" + fp});
         } catch (const support::Error& e) {
-            // A spawn failure (fork/pipe exhaustion) is an instant crash
-            // of the fresh incarnation: back off and retry on the same
-            // budget instead of giving the slot up.
-            std::fprintf(stderr, "fleet: spawning worker w%d failed: %s\n", w.slot,
-                         e.what());
-            ++summary.workers_lost;
-            ++w.crash_streak;
-            schedule_respawn(w);
+            // A spawn failure (fork/pipe exhaustion) is an instant death
+            // of the fresh incarnation: same backoff, same budget.
+            handle_death(slot, e.what());
             return;
         }
-        w.alive = true;
-        w.last_heard = Clock::now();
-        ++alive_count;
-        if (w.generation > 0) {
+        if (generation > 0) {
             ++summary.workers_respawned;
-            std::fprintf(stderr, "fleet: worker w%d respawned (generation %d, pid %ld)\n",
-                         w.slot, w.generation, w.proc.pid());
+            std::fprintf(stderr,
+                         "fleet: worker w%zu respawned (generation %d, pid %ld)\n", slot,
+                         generation, w.proc.pid());
         }
         // Write-ahead: the ledger knows every journal directory before
         // any result can land in it.
-        json::Value event = json::Value::object();
-        event.set("event", "spawn");
-        event.set("slot", w.slot);
-        event.set("generation", w.generation);
-        event.set("incarnation", static_cast<std::int64_t>(w.incarnation));
-        event.set("pid", static_cast<std::int64_t>(w.proc.pid()));
-        event.set("dir", w.dir);
-        ledger.append(event);
+        ledger.append({{"event", "spawn"}, {"slot", slot}, {"generation", generation},
+                       {"pid", w.proc.pid()}, {"dir", w.dir}});
     };
 
-    const auto handle_death = [&](WorkerState& w, const char* why) {
-        if (!w.alive) return;
-        // Kill unconditionally: a merely-hung worker that woke up later
-        // could journal a cell the table has meanwhile re-leased.
-        support::kill_hard(w.proc);
-        (void)support::wait_exit(w.proc);
-        // The journal tail is the dead worker's last word: everything
-        // durably appended (acked or not) is salvaged, never recomputed.
-        const std::size_t salvaged = drain_journal(w);
-        w.proc.close_pipes();
-        w.alive = false;
-        --alive_count;
-        const std::vector<std::size_t> revoked = table.revoke(w.slot);
-        ++summary.workers_lost;
-        summary.cells_salvaged += salvaged;
-        summary.cells_releases += revoked.size();
-        std::fprintf(stderr,
-                     "fleet: worker w%d lost (%s): salvaged %zu journaled cell(s), "
-                     "re-leasing %zu\n",
-                     w.slot, why, salvaged, revoked.size());
-
-        // Crash blame: workers run their lease FIFO in grant order, and
-        // revoke() returns incomplete cells in schedule (= grant) order,
-        // so the first revoked cell is the one the worker was most
-        // likely executing. A heuristic — which is why conviction takes
-        // kQuarantineAfter DISTINCT incarnations, not one.
-        if (!revoked.empty()) {
-            const std::size_t suspect = revoked.front();
-            crash_log[suspect].push_back(
-                {w.slot, w.generation, w.proc.pid(), std::string(why)});
-            json::Value event = json::Value::object();
-            event.set("event", "crash");
-            event.set("cell", static_cast<std::int64_t>(suspect));
-            event.set("slot", w.slot);
-            event.set("generation", w.generation);
-            event.set("incarnation", static_cast<std::int64_t>(w.incarnation));
-            event.set("pid", static_cast<std::int64_t>(w.proc.pid()));
-            event.set("reason", std::string(why));
-            ledger.append(event);
-            const std::size_t burned = table.record_crash(suspect, w.incarnation);
-            if (burned >= kQuarantineAfter) {
-                table.quarantine(suspect);
-                json::Value conviction = json::Value::object();
-                conviction.set("event", "quarantine");
-                conviction.set("cell", static_cast<std::int64_t>(suspect));
-                ledger.append(conviction);
-                std::fprintf(stderr,
-                             "fleet: cell %zu quarantined after crashing %zu distinct "
-                             "worker(s) — reporting it failed, not re-leasing\n",
-                             suspect, burned);
-            }
-        }
-        ++w.crash_streak;
-        schedule_respawn(w);
-    };
-
-    while (!table.all_done()) {
+    while (!coord.all_done()) {
         // Due respawns first: the pool heals before anything else is
         // decided this pass.
-        const auto respawn_now = Clock::now();
-        for (WorkerState& w : workers) {
-            if (!w.alive && w.respawn_at && *w.respawn_at <= respawn_now) {
-                spawn_slot(w);
-            }
-        }
-
-        if (alive_count == 0) {
-            bool respawn_pending = false;
-            for (const WorkerState& w : workers) {
-                if (w.respawn_at) respawn_pending = true;
-            }
-            if (!respawn_pending) {
-                throw support::Error(
-                    "fleet",
-                    "all " + std::to_string(n_workers) +
-                        " worker slots are dead with their respawn budgets "
-                        "exhausted and " +
-                        std::to_string(grid.size() - table.done_count() -
-                                       table.quarantined_count()) +
-                        " cell(s) incomplete — worker journals remain under '" +
-                        out_dir + "/workers/' for inspection");
-            }
+        for (const std::size_t slot : coord.due(now())) spawn_slot(slot);
+        if (coord.exhausted()) {
+            throw support::Error(
+                "fleet",
+                "all " + std::to_string(n_workers) +
+                    " worker slots are dead with their respawn budgets "
+                    "exhausted and " +
+                    std::to_string(grid.size() - coord.done_count() -
+                                   coord.quarantined_count()) +
+                    " cell(s) incomplete — worker journals remain under '" +
+                    out_dir + "/workers/' for inspection");
         }
 
         // Poll until the next heartbeat or respawn deadline (bounded so
         // revocation and timeout checks stay responsive).
         std::vector<int> fds(workers.size(), -1);
-        int timeout_ms = 500;
-        const auto now = Clock::now();
-        for (const WorkerState& w : workers) {
-            if (w.alive) {
-                fds[static_cast<std::size_t>(w.slot)] = w.proc.stdout_fd();
-                const double remaining =
-                    kHeartbeatTimeoutS -
-                    std::chrono::duration<double>(now - w.last_heard).count();
-                timeout_ms = std::min(timeout_ms, static_cast<int>(remaining * 1000.0));
-            } else if (w.respawn_at) {
-                const double remaining =
-                    std::chrono::duration<double>(*w.respawn_at - now).count();
-                timeout_ms = std::min(timeout_ms, static_cast<int>(remaining * 1000.0));
-            }
+        for (std::size_t slot = 0; slot < workers.size(); ++slot) {
+            if (workers[slot].proc.valid()) fds[slot] = workers[slot].proc.stdout_fd();
         }
-        timeout_ms = std::max(timeout_ms, 20);
+        const int timeout_ms =
+            std::max(20, static_cast<int>(coord.next_deadline(now(), 0.5) * 1000.0));
         const std::vector<bool> readable = support::poll_readable(fds, timeout_ms);
 
-        for (WorkerState& w : workers) {
-            if (!w.alive || !readable[static_cast<std::size_t>(w.slot)]) continue;
+        for (std::size_t slot = 0; slot < workers.size(); ++slot) {
+            WorkerState& w = workers[slot];
+            if (!w.proc.valid() || !readable[slot]) continue;
             const long n = support::read_some(w.proc.stdout_fd(), w.lines);
             bool protocol_error = false;
             while (auto line = w.lines.next_line()) {
                 const auto msg = parse_worker_line(*line);
                 if (!msg) {
-                    std::fprintf(stderr, "fleet: worker w%d sent garbage '%s'\n", w.slot,
+                    std::fprintf(stderr, "fleet: worker w%zu sent garbage '%s'\n", slot,
                                  line->c_str());
                     protocol_error = true;
                     break;
                 }
-                w.last_heard = Clock::now();
                 switch (msg->kind) {
                     case WorkerMsgKind::Hello:
-                        if (!w.hello_seen) {
-                            w.hello_seen = true;
-                            grant_to(w);
-                        }
+                        send_lease(w, coord.hello(slot, now()));
                         break;
                     case WorkerMsgKind::Beat:
+                        coord.heard(slot, now());
                         break;
                     case WorkerMsgKind::Ack:
-                        if (support::failpoint::armed() &&
-                            support::failpoint::evaluate("fleet.ack_recv").action !=
-                                support::failpoint::Action::None) {
-                            // Injected corrupt ack: same outcome as a
-                            // garbage line — the worker is dropped and
-                            // its journal is the source of truth.
-                            std::fprintf(stderr,
-                                         "fleet: injected ack_recv failure on w%d\n",
-                                         w.slot);
-                            protocol_error = true;
-                            break;
-                        }
                         // The payload travels through the journal, not
                         // the pipe; the ack is the read barrier.
-                        (void)drain_journal(w);
-                        w.crash_streak = 0;  // healthy progress: reset backoff
+                        (void)drain_journal(w, slot);
                         support::failpoint::maybe_fail("coordinator.post_ack_kill",
                                                        "fleet");
-                        // Pipelined refill: keep one cell queued behind
-                        // the one running, sized down as the queue
-                        // drains (this is the work-stealing).
-                        if (table.outstanding(w.slot) <= 1) grant_to(w);
+                        send_lease(w, coord.acked(slot, now()));
                         break;
                 }
-                if (protocol_error) break;
             }
             if (protocol_error || n <= 0) {
-                handle_death(w, protocol_error ? "protocol error" : "pipe closed");
+                handle_death(slot, protocol_error ? "protocol error" : "pipe closed");
             }
         }
 
         // Deferred deaths (lease writes that hit a closed pipe).
-        for (WorkerState& w : workers) {
-            if (w.alive && w.send_failed) handle_death(w, "lease write failed");
-        }
-        // Hung workers: no hello/beat/ack inside the timeout window.
-        const auto after = Clock::now();
-        for (WorkerState& w : workers) {
-            if (w.alive &&
-                std::chrono::duration<double>(after - w.last_heard).count() >
-                    kHeartbeatTimeoutS) {
-                handle_death(w, "heartbeat timeout");
+        for (std::size_t slot = 0; slot < workers.size(); ++slot) {
+            if (workers[slot].proc.valid() && workers[slot].send_failed) {
+                handle_death(slot, "lease write failed");
             }
+        }
+        for (const std::size_t slot : coord.hung(now())) {
+            handle_death(slot, "heartbeat timeout");
         }
         // Revocation or an earlier empty queue can leave live workers
-        // idle while cells are pending — top them up.
-        for (WorkerState& w : workers) {
-            if (w.alive && w.hello_seen && !w.send_failed &&
-                table.outstanding(w.slot) == 0) {
-                grant_to(w);
-            }
-        }
+        // idle while cells are pending.
+        for (const auto& [slot, lease] : coord.top_up()) send_lease(workers[slot], lease);
 
         // Live merge: aggregates stay current while the fleet runs. A
         // failed live merge (disk hiccup, injected atomic_io fault) is
         // retried next pass — only the FINAL write below must succeed.
         // Until the probe thread is done, merge_due stays set: a merge
         // now would run the missing probes inline, stalling this loop.
-        if (merge_due && !table.all_done() && probes.finished()) {
+        if (merge_due && !coord.all_done() && probes.finished()) {
             try {
                 write_campaign_outputs(out_dir, spec, collect_results());
                 merge_due = false;
@@ -897,7 +723,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         if (r) final_results.push_back(std::move(*r));
     }
     std::vector<QuarantinedCell> quarantined_cells;
-    for (const std::size_t cell : table.quarantined()) {
+    for (const std::size_t cell : coord.quarantined()) {
         quarantined_cells.push_back(QuarantinedCell{grid[cell], crash_log[cell]});
     }
     summary.cells_quarantined = quarantined_cells.size();
@@ -911,21 +737,20 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
     support::atomic_write(journal_path(out_dir), journal_text);
 
     for (WorkerState& w : workers) {
-        if (!w.alive) continue;
+        if (!w.proc.valid()) continue;
         (void)support::write_line_fd(w.proc.stdin_fd(), format_stop());
         w.proc.close_stdin();  // reader thread EOF: the worker exits cleanly
     }
     for (WorkerState& w : workers) {
-        if (!w.alive) continue;
+        if (!w.proc.valid()) continue;
         (void)support::wait_exit(w.proc);
-        w.proc.close_pipes();
-        w.alive = false;
+        w.proc = {};
     }
     // Everything durable is written; the ledger's job is done. Its
     // absence is what marks this directory as cleanly completed.
     ledger.remove();
 
-    summary.makespan_s = seconds_since(start_time);
+    summary.makespan_s = now();
     if (summary.makespan_s > 0.0 && summary.workers_started > 0) {
         summary.efficiency =
             summary.busy_s /

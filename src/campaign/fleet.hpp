@@ -20,27 +20,30 @@
 // source of truth) and merges continuously — campaign.json/campaign.csv
 // are rewritten atomically during the run, so aggregates are live.
 //
-// Dynamic balance: leases are dealt off the front of the remaining
-// cost-ordered queue and sized by expected cost (LeaseTable::
-// suggested_lease), so the grid's biggest cells start first on separate
-// workers, fast workers drain the queue, and a straggler holds at most
-// one running and one queued cell. The report's difficulty probes (one
-// per generated seed) run on a coordinator side thread started before
-// the first spawn, beside the workers rather than inside the poll loop;
-// live merges wait until they finish and the final merge joins them. A
-// worker that goes quiet past the
-// heartbeat timeout (30 s) is SIGKILLed (it must not be allowed to
-// journal a re-leased cell later); on EOF or kill the coordinator reads
-// the dead worker's journal tail — acknowledged AND journaled-but-unacked
-// cells are salvaged, never recomputed — and returns only the truly
-// incomplete cells to the queue front.
+// Every scheduling and failure decision — lease order and size, refills
+// and top-ups, crash blame, quarantine, respawn backoff and budget, the
+// heartbeat timeout — belongs to the pure campaign::Coordinator
+// (coordinator.hpp); run_fleet is the IO shell that reports events to it
+// and carries out its answers. Leases are dealt off the front of the
+// remaining cost-ordered queue and sized by expected cost, so the grid's
+// biggest cells start first on separate workers, fast workers drain the
+// queue, and a straggler holds at most one running and one queued cell.
+// A worker silent past the heartbeat timeout (30 s) is SIGKILLed (it
+// must not journal a re-leased cell later); on EOF or kill the
+// coordinator reads the dead worker's journal tail — acknowledged AND
+// journaled-but-unacked cells are salvaged, never recomputed — and
+// returns only the truly incomplete cells to the queue front. The
+// report's difficulty probes (one per generated seed) run on a
+// coordinator side thread started before the first spawn, beside the
+// workers rather than inside the poll loop; live merges wait until they
+// finish and the final merge joins them.
 //
 // Determinism: a cell's outcome depends only on its resolved config,
 // execution order is decoupled from result order, and the final report
 // is written from index-sorted results — so campaign.json is
 // byte-identical to a single-process uninterrupted run, including when
 // workers are SIGKILLed mid-campaign. Duplicates stay loud end to end
-// (LeaseTable::complete throws on a twice-completed cell).
+// (Coordinator::complete throws on a twice-completed cell).
 //
 // Self-healing (docs/ROBUSTNESS.md): dead workers are respawned into
 // fresh per-incarnation directories with capped exponential backoff
@@ -48,12 +51,11 @@
 // incarnations is quarantined (reported in campaign.json, never
 // re-leased); and every spawn/crash/quarantine is written ahead to a
 // fsync'd coordinator ledger (coordinator.jsonl) so `sdlbench_fleet
-// --resume <dir>` can restart a killed coordinator from the ledger plus
-// the worker journals — still byte-identical to an uninterrupted run.
-// Fault injection for all of this rides on support/failpoint.hpp sites
-// rather than bespoke chaos flags. The timing and budget policy
-// (heartbeat, backoff, respawn budget, quarantine threshold) is a set of
-// constants in fleet.cpp, not options.
+// --resume <dir>` can restart a killed coordinator by replaying the
+// ledger plus the worker journals through the Coordinator — still
+// byte-identical to an uninterrupted run. Fault injection for all of
+// this rides on support/failpoint.hpp sites rather than bespoke chaos
+// flags; the policy is constants in coordinator.cpp, not options.
 #pragma once
 
 #include <cstddef>
@@ -108,8 +110,10 @@ struct FleetOptions {
     /// (the coordinator always sets that variable for its children, so
     /// its own environment never leaks into them). slot >= 0 applies to
     /// generation 0 of that slot only — respawns come up clean, which is
-    /// how the respawn path is tested; slot == -1 ("*") applies to every
-    /// incarnation, which is how crash loops are provoked.
+    /// how the respawn path is tested — and must be a slot the fleet
+    /// spawns (run_fleet throws ConfigError otherwise); slot == -1 ("*")
+    /// applies to every incarnation, which is how crash loops are
+    /// provoked.
     struct WorkerFailpoint {
         int slot = -1;
         std::string spec;

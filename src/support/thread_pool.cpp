@@ -43,7 +43,6 @@ void ThreadPool::worker_loop() {
 }
 
 std::size_t pool_size_from_env(const char* value) noexcept {
-    constexpr std::size_t kMaxPoolSize = 4096;
     if (value == nullptr || *value == '\0') return 0;
     std::size_t parsed = 0;
     for (const char* p = value; *p != '\0'; ++p) {

@@ -154,8 +154,11 @@ private:
     bool stopping_ SDL_GUARDED_BY(mutex_) = false;
 };
 
-/// Parses an SDLBENCH_WORKERS-style value: a positive integer is a pool
-/// size, null/empty/0/garbage mean "default" (returns 0, i.e. hardware
+/// The largest pool size SDLBENCH_WORKERS may ask for.
+inline constexpr std::size_t kMaxPoolSize = 4096;
+
+/// Parses an SDLBENCH_WORKERS-style value: 1..kMaxPoolSize is a pool size,
+/// null/empty/0/garbage mean "default" (returns 0, i.e. hardware
 /// concurrency) — garbage is logged as a warning rather than thrown,
 /// because this runs inside global_pool()'s lazy static initializer.
 [[nodiscard]] std::size_t pool_size_from_env(const char* value) noexcept;

@@ -1,8 +1,11 @@
-// Tests for the fleet building blocks: the line protocol, the
-// lease-table scheduler (grant/complete/revoke/cost-sized leases and the
-// loud duplicate guard), the cost model and its cell ordering, a replay
-// of recorded cell walls through the lease policy, the SDLBENCH_WORKERS
-// parser, and the subprocess/pipe helpers (POSIX only).
+// Tests for the fleet building blocks: the line protocol, the pure
+// Coordinator (claim-order cost-sized leases, revocation, the loud
+// duplicate guard, crash blame and quarantine, respawn backoff and
+// budget, heartbeat timeouts, top-ups), the cost model and its cell
+// ordering, a replay of recorded cell walls through the Coordinator,
+// seeded schedules that check its invariants after every event and a
+// resume from the history so far, the SDLBENCH_WORKERS parser, and the
+// subprocess/pipe helpers (POSIX only).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +14,9 @@
 #include <functional>
 #include <numeric>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #if !defined(_WIN32)
@@ -21,12 +26,13 @@
 #endif
 
 #include "campaign/campaign_io.hpp"
+#include "campaign/coordinator.hpp"
 #include "campaign/cost_model.hpp"
 #include "campaign/fleet.hpp"
-#include "campaign/lease.hpp"
 #include "core/scenario_gen.hpp"
 #include "core/workcell_spec.hpp"
 #include "support/common.hpp"
+#include "support/random.hpp"
 #include "support/subprocess.hpp"
 #include "support/thread_pool.hpp"
 
@@ -82,145 +88,266 @@ TEST(FleetProtocol, EmptyLeaseThrows) {
     EXPECT_THROW((void)format_lease({}), support::LogicError);
 }
 
-// -------------------------------------------------------------- lease table
+// -------------------------------------------------------------- coordinator
 
-TEST(LeaseTableTest, GrantsFollowScheduleOrder) {
-    LeaseTable table(4, {2, 0, 3, 1});
-    EXPECT_EQ(table.grant(0, 2), (std::vector<std::size_t>{2, 0}));
-    EXPECT_EQ(table.grant(1, 10), (std::vector<std::size_t>{3, 1}));
-    EXPECT_TRUE(table.grant(2, 1).empty());  // everything leased
-    EXPECT_EQ(table.outstanding(0), 2u);
-    EXPECT_EQ(table.outstanding(1), 2u);
+namespace {
+
+using Cells = std::vector<std::size_t>;
+
+std::vector<std::size_t> index_order(std::size_t n) {
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    return order;
 }
 
-TEST(LeaseTableTest, CompleteTwiceThrows) {
-    LeaseTable table(2, {0, 1});
-    (void)table.grant(0, 2);
-    table.complete(1);
-    EXPECT_THROW(table.complete(1), support::LogicError);
-    EXPECT_THROW(table.complete(99), support::LogicError);  // out of range
-    table.complete(0);
-    EXPECT_TRUE(table.all_done());
+}  // namespace
+
+TEST(CoordinatorTest, DealsFollowTheClaimOrder) {
+    Coordinator coord(1, {2, 0, 3, 1});
+    EXPECT_EQ(coord.spawn(0, 0.0), 0);
+    EXPECT_EQ(coord.hello(0, 0.0), (Cells{2, 0}));  // 4 pending / (2 x 1 worker)
+    EXPECT_TRUE(coord.hello(0, 0.1).empty());      // a repeat hello deals nothing
+    coord.complete(2);
+    EXPECT_EQ(coord.acked(0, 1.0), (Cells{3}));
+    coord.complete(0);
+    EXPECT_EQ(coord.acked(0, 2.0), (Cells{1}));
+    coord.complete(3);
+    EXPECT_TRUE(coord.acked(0, 3.0).empty());  // nothing pending
+    EXPECT_EQ(coord.outstanding(0), 1u);
 }
 
-TEST(LeaseTableTest, RevokeReturnsIncompleteCellsToFront) {
-    LeaseTable table(5, {4, 3, 2, 1, 0});
-    (void)table.grant(7, 3);  // cells 4, 3, 2
-    table.complete(3);        // journaled before death
-    const std::vector<std::size_t> revoked = table.revoke(7);
-    EXPECT_EQ(revoked, (std::vector<std::size_t>{4, 2}));  // schedule order
-    EXPECT_EQ(table.outstanding(7), 0u);
-    // Revoked cells are re-leased before the untouched tail (1, 0), in
-    // their original schedule order (4 before 2).
-    EXPECT_EQ(table.grant(8, 5), (std::vector<std::size_t>{4, 2, 1, 0}));
+TEST(CoordinatorTest, CompleteTwiceThrows) {
+    Coordinator coord(1, {0, 1});
+    coord.complete(1);
+    EXPECT_THROW(coord.complete(1), support::LogicError);
+    EXPECT_THROW(coord.complete(99), support::LogicError);  // out of range
+    coord.complete(0);
+    EXPECT_TRUE(coord.all_done());
 }
 
-TEST(LeaseTableTest, CompletedPendingCellIsNeverReleased) {
+TEST(CoordinatorTest, RevokedCellsReturnToTheFrontInClaimOrder) {
+    // Cheap cells 4, 3, 2 fit one share; 1 and 0 cost ten times more.
+    Coordinator coord(2, {4, 3, 2, 1, 0}, {10.0, 10.0, 1.0, 1.0, 1.0});
+    (void)coord.spawn(0, 0.0);
+    (void)coord.spawn(1, 0.0);
+    EXPECT_EQ(coord.hello(0, 0.0), (Cells{4, 3, 2}));
+    coord.complete(3);  // journaled before the death
+    const Coordinator::Death death = coord.died(0, 1.0);
+    EXPECT_EQ(death.revoked, (Cells{4, 2}));  // claim order
+    EXPECT_EQ(coord.outstanding(0), 0u);
+    // Revoked cells go out before the untouched tail (1, 0).
+    EXPECT_EQ(coord.hello(1, 1.0), (Cells{4, 2}));
+}
+
+TEST(CoordinatorTest, StaleQueueEntriesAreNeverDealt) {
     // A revoked cell's journal record can surface after the revoke; once
-    // completed, grant() must skip its stale queue entry.
-    LeaseTable table(2, {0, 1});
-    (void)table.grant(0, 2);
-    (void)table.revoke(0);
-    table.complete(0);  // salvage drain after the revoke
-    EXPECT_EQ(table.grant(1, 5), (std::vector<std::size_t>{1}));
-    table.complete(1);
-    EXPECT_TRUE(table.all_done());
+    // complete, its queue entry must be skipped.
+    Coordinator coord(1, {0, 1});
+    (void)coord.spawn(0, 0.0);
+    EXPECT_EQ(coord.hello(0, 0.0), (Cells{0}));
+    EXPECT_EQ(coord.died(0, 1.0).revoked, (Cells{0}));
+    coord.complete(0);  // salvaged late
+    EXPECT_EQ(coord.due(1.25), (Cells{0}));
+    EXPECT_EQ(coord.spawn(0, 1.25), 1);
+    EXPECT_EQ(coord.hello(0, 1.25), (Cells{1}));
+    coord.complete(1);
+    EXPECT_TRUE(coord.all_done());
 }
 
-TEST(LeaseTableTest, CrashCountsAreDedupedByIncarnation) {
-    LeaseTable table(3, {0, 1, 2});
-    (void)table.grant(0, 1);
-    // The same incarnation crashing on a cell twice (kill, salvage,
-    // re-lease, kill again before the respawn lands) is one conviction
-    // vote, not two.
-    EXPECT_EQ(table.record_crash(0, 7), 1u);
-    EXPECT_EQ(table.record_crash(0, 7), 1u);
-    EXPECT_EQ(table.record_crash(0, 8), 2u);
-    EXPECT_EQ(table.crash_count(0), 2u);
-    EXPECT_EQ(table.crash_count(1), 0u);
-    // A crash attributed to an already-finished cell is ignored (the
-    // blame heuristic guessed wrong; the result stands).
-    table.complete(0);
-    EXPECT_EQ(table.record_crash(0, 9), 0u);
-    EXPECT_EQ(table.crash_count(0), 2u);
+TEST(CoordinatorTest, CrashVotesAreDedupedByIncarnation) {
+    Coordinator coord(3, {0, 1, 2});
+    // The same (slot, generation) blamed twice is one conviction vote.
+    coord.replay_crash(0, 1, 0);
+    coord.replay_crash(0, 1, 0);
+    EXPECT_EQ(coord.crash_count(0), 1u);
+    coord.replay_crash(0, 1, 1);  // the slot's next generation
+    coord.replay_crash(0, 2, 0);
+    EXPECT_EQ(coord.crash_count(0), 3u);
+    EXPECT_EQ(coord.crash_count(1), 0u);
+    // A blame on an already-finished cell is ignored (the heuristic
+    // guessed wrong; the result stands).
+    coord.complete(1);
+    coord.replay_crash(1, 0, 0);
+    EXPECT_EQ(coord.crash_count(1), 0u);
 }
 
-TEST(LeaseTableTest, QuarantineRemovesTheCellFromTheSchedule) {
-    LeaseTable table(3, {2, 1, 0});
-    (void)table.grant(0, 1);  // cell 2
-    (void)table.revoke(0);
-    EXPECT_EQ(table.record_crash(2, 0), 1u);
-    table.quarantine(2);
-    EXPECT_TRUE(table.is_quarantined(2));
-    EXPECT_EQ(table.quarantined_count(), 1u);
-    EXPECT_EQ(table.quarantined(), (std::vector<std::size_t>{2}));
-    // The poisoned cell is never granted again.
-    EXPECT_EQ(table.grant(1, 5), (std::vector<std::size_t>{1, 0}));
+TEST(CoordinatorTest, QuarantinedCellIsNeverDealtButCountsTowardTheEnd) {
+    Coordinator coord(2, {2, 1, 0});
+    coord.replay_quarantine(2);
+    EXPECT_EQ(coord.state(2), Coordinator::CellState::Quarantined);
+    EXPECT_EQ(coord.quarantined_count(), 1u);
+    EXPECT_EQ(coord.quarantined(), (Cells{2}));
+    (void)coord.spawn(0, 0.0);
+    (void)coord.spawn(1, 0.0);
+    EXPECT_EQ(coord.hello(0, 0.0), (Cells{1}));
+    EXPECT_EQ(coord.hello(1, 0.0), (Cells{0}));
     // Crash votes against a quarantined cell no longer accumulate.
-    EXPECT_EQ(table.record_crash(2, 1), 0u);
-    // A quarantined cell still counts toward termination.
-    table.complete(1);
-    table.complete(0);
-    EXPECT_TRUE(table.all_done());
-    EXPECT_EQ(table.done_count(), 2u);
+    coord.replay_crash(2, 1, 0);
+    EXPECT_EQ(coord.crash_count(2), 0u);
+    coord.complete(1);
+    coord.complete(0);
+    EXPECT_TRUE(coord.all_done());
+    EXPECT_EQ(coord.done_count(), 2u);
 }
 
-TEST(LeaseTableTest, QuarantineGuardsAgainstBookkeepingBugs) {
-    LeaseTable table(2, {0, 1});
-    (void)table.grant(0, 2);
-    table.complete(0);
+TEST(CoordinatorTest, QuarantineGuardsAgainstBookkeepingBugs) {
+    Coordinator coord(1, {0, 1});
+    coord.complete(0);
     // Quarantining a finished cell would discard a good result.
-    EXPECT_THROW(table.quarantine(0), support::LogicError);
-    table.quarantine(1);
-    // Double conviction and completion-after-quarantine are coordinator
-    // logic errors, not recoverable states.
-    EXPECT_THROW(table.quarantine(1), support::LogicError);
-    EXPECT_THROW(table.complete(1), support::LogicError);
+    EXPECT_THROW(coord.replay_quarantine(0), support::LogicError);
+    coord.replay_quarantine(1);
+    coord.replay_quarantine(1);  // a ledger replayed twice convicts once
+    EXPECT_EQ(coord.quarantined_count(), 1u);
+    // Completion after quarantine is a coordinator logic error.
+    EXPECT_THROW(coord.complete(1), support::LogicError);
 }
 
-TEST(LeaseTableTest, SuggestedLeaseShrinksAsQueueDrains) {
-    LeaseTable table(12, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
-    // ceil(12 / (2*3)) = 2 with a full queue...
-    EXPECT_EQ(table.suggested_lease(3), 2u);
-    (void)table.grant(0, 9);
+TEST(CoordinatorTest, LeasesShrinkAsTheQueueDrains) {
+    Coordinator coord(3, index_order(12));
+    for (std::size_t slot = 0; slot < 3; ++slot) (void)coord.spawn(slot, 0.0);
+    // 12 / (2 x 3) = 2 with a full queue...
+    EXPECT_EQ(coord.hello(0, 0.0), (Cells{0, 1}));
     // ...down to 1 near the end (this is the work-stealing)...
-    EXPECT_EQ(table.suggested_lease(3), 1u);
-    (void)table.grant(1, 3);
+    EXPECT_EQ(coord.hello(1, 0.0), (Cells{2}));
+    EXPECT_EQ(coord.hello(2, 0.0), (Cells{3}));
     // ...and 0 when nothing is pending.
-    EXPECT_EQ(table.suggested_lease(3), 0u);
+    Coordinator drained(1, index_order(2));
+    (void)drained.spawn(0, 0.0);
+    EXPECT_EQ(drained.hello(0, 0.0), (Cells{0}));
+    drained.complete(0);
+    EXPECT_EQ(drained.acked(0, 1.0), (Cells{1}));
+    drained.complete(1);
+    EXPECT_TRUE(drained.acked(0, 2.0).empty());
     // Leases stay uncapped: a long queue is dealt in large slices.
-    LeaseTable wide(100, [] {
-        std::vector<std::size_t> order(100);
-        for (std::size_t i = 0; i < 100; ++i) order[i] = i;
-        return order;
-    }());
-    EXPECT_EQ(wide.suggested_lease(2), 25u);
+    Coordinator wide(2, index_order(100));
+    (void)wide.spawn(0, 0.0);
+    (void)wide.spawn(1, 0.0);
+    EXPECT_EQ(wide.hello(0, 0.0).size(), 25u);
 }
 
-TEST(LeaseTableTest, RejectsNonPermutationOrder) {
-    EXPECT_THROW(LeaseTable(3, {0, 1}), support::LogicError);       // short
-    EXPECT_THROW(LeaseTable(3, {0, 1, 1}), support::LogicError);    // dup
-    EXPECT_THROW(LeaseTable(3, {0, 1, 3}), support::LogicError);    // range
-    EXPECT_THROW(LeaseTable(3, {0, 1, 2}, {1.0, 1.0}), support::LogicError);  // costs
-}
-
-TEST(LeaseTableTest, BiggestCellsLeaseOneApieceToSeparateWorkers) {
+TEST(CoordinatorTest, BiggestCellsLeaseOneApieceToSeparateWorkers) {
     // Four big cells among twenty small ones (the 1536- and 96-well
-    // prices). Count-based leases would deal ceil(24/6) = 4 cells, all
-    // four big ones, to the first worker; cost-sized leases give each of
-    // the first three workers one big cell.
+    // prices). Count-sized leases would deal 24 / 6 = 4 cells, all four
+    // big ones, to the first worker; cost-sized leases give each of the
+    // first three workers one big cell.
     std::vector<double> costs(24, 304.0);
     for (const std::size_t big : {3u, 9u, 15u, 21u}) costs[big] = 2464.0;
-    LeaseTable table(costs.size(), longest_first(costs), costs);
-    for (int worker = 0; worker < 3; ++worker) {
-        const std::size_t size = table.suggested_lease(3);
-        EXPECT_EQ(table.grant(worker, size),
-                  (std::vector<std::size_t>{3u + 6u * static_cast<std::size_t>(worker)}));
+    std::vector<std::size_t> order = longest_first(costs);
+    Coordinator coord(3, std::move(order), costs);
+    for (std::size_t slot = 0; slot < 3; ++slot) (void)coord.spawn(slot, 0.0);
+    for (std::size_t slot = 0; slot < 3; ++slot) {
+        EXPECT_EQ(coord.hello(slot, 0.0), (Cells{3 + 6 * slot}));
     }
     // The fourth big cell goes out alone too; the cheap cells behind it
     // go several to a lease (3 x 304 fits the share 20 x 304 / 6).
-    EXPECT_EQ(table.grant(0, table.suggested_lease(3)), (std::vector<std::size_t>{21}));
-    EXPECT_EQ(table.suggested_lease(3), 3u);
+    coord.complete(3);
+    EXPECT_EQ(coord.acked(0, 1.0), (Cells{21}));
+    coord.complete(21);
+    EXPECT_EQ(coord.acked(0, 2.0).size(), 3u);
+}
+
+TEST(CoordinatorTest, RejectsABadOrderOrCostVector) {
+    EXPECT_THROW(Coordinator(3, {0, 1, 1}), support::LogicError);  // duplicate
+    EXPECT_THROW(Coordinator(3, {0, 1, 3}), support::LogicError);  // out of range
+    EXPECT_THROW(Coordinator(3, {0, 1, 2}, {1.0, 1.0}), support::LogicError);  // costs
+}
+
+TEST(CoordinatorTest, BackoffDoublesToTheCapAndTheBudgetRetiresTheSlot) {
+    // A slot whose every spawn fails at once: each death is a failed
+    // spawn of the fresh generation.
+    Coordinator coord(1, {0});
+    double now = 0.0;
+    for (const double backoff : {0.25, 0.5, 1.0, 2.0, 4.0, 5.0, 5.0, 5.0}) {
+        ASSERT_EQ(coord.due(now), (Cells{0}));
+        (void)coord.spawn(0, now);
+        const Coordinator::Death death = coord.died(0, now);
+        EXPECT_FALSE(death.suspect.has_value());
+        ASSERT_TRUE(death.respawn_in.has_value());
+        EXPECT_EQ(*death.respawn_in, backoff);
+        EXPECT_TRUE(coord.due(now + backoff - 0.01).empty());
+        now += backoff;
+    }
+    // The ninth death spends the budget of 8 respawns.
+    (void)coord.spawn(0, now);
+    const Coordinator::Death last = coord.died(0, now);
+    EXPECT_TRUE(last.retired);
+    EXPECT_FALSE(last.respawn_in.has_value());
+    EXPECT_TRUE(coord.due(now + 1000.0).empty());
+    EXPECT_TRUE(coord.exhausted());
+    EXPECT_EQ(coord.generation(0), 8);
+}
+
+TEST(CoordinatorTest, AnAckResetsTheBackoff) {
+    Coordinator coord(1, {0, 1, 2, 3});
+    (void)coord.spawn(0, 0.0);
+    EXPECT_EQ(*coord.died(0, 0.0).respawn_in, 0.25);
+    (void)coord.spawn(0, 0.25);
+    EXPECT_EQ(*coord.died(0, 0.25).respawn_in, 0.5);
+    (void)coord.spawn(0, 0.75);
+    const Cells lease = coord.hello(0, 0.75);
+    coord.complete(lease.front());
+    (void)coord.acked(0, 1.0);
+    EXPECT_EQ(*coord.died(0, 2.0).respawn_in, 0.25);
+}
+
+TEST(CoordinatorTest, SilentWorkersTimeOut) {
+    Coordinator coord(2, {0, 1});
+    (void)coord.spawn(0, 0.0);
+    (void)coord.spawn(1, 0.0);
+    coord.heard(1, 20.0);
+    EXPECT_TRUE(coord.hung(30.0).empty());  // 30 s silent is not past 30 s
+    EXPECT_EQ(coord.hung(30.5), (Cells{0}));
+    EXPECT_EQ(coord.hung(50.5), (Cells{0, 1}));
+    // The poll deadline is the first timeout, capped.
+    EXPECT_EQ(coord.next_deadline(10.0, 0.5), 0.5);
+    EXPECT_DOUBLE_EQ(coord.next_deadline(29.75, 0.5), 0.25);
+    // ...or the first due respawn.
+    (void)coord.died(0, 10.0);
+    EXPECT_DOUBLE_EQ(coord.next_deadline(10.0, 0.5), 0.25);
+}
+
+TEST(CoordinatorTest, IdleWorkersAreToppedUp) {
+    Coordinator coord(2, {0, 1, 2, 3});
+    (void)coord.spawn(0, 0.0);
+    (void)coord.spawn(1, 0.0);
+    EXPECT_EQ(coord.hello(0, 0.0), (Cells{0}));
+    EXPECT_EQ(coord.hello(1, 0.0), (Cells{1}));
+    coord.complete(0);
+    EXPECT_EQ(coord.acked(0, 1.0), (Cells{2}));
+    coord.complete(1);
+    EXPECT_EQ(coord.acked(1, 1.0), (Cells{3}));
+    coord.complete(3);
+    EXPECT_TRUE(coord.acked(1, 2.0).empty());  // idle: nothing pending
+    EXPECT_TRUE(coord.top_up().empty());
+    // A death puts cell 2 back; the idle worker gets it, the respawned
+    // slot (no hello yet) does not.
+    (void)coord.died(0, 2.0);
+    (void)coord.spawn(0, 2.25);
+    const auto leases = coord.top_up();
+    ASSERT_EQ(leases.size(), 1u);
+    EXPECT_EQ(leases[0].first, 1u);
+    EXPECT_EQ(leases[0].second, (Cells{2}));
+    EXPECT_TRUE(coord.top_up().empty());
+}
+
+TEST(CoordinatorTest, ThreeDistinctIncarnationsQuarantineACell) {
+    Coordinator coord(1, {0, 1});
+    double now = 0.0;
+    for (int generation = 0; generation < 3; ++generation) {
+        ASSERT_EQ(coord.due(now), (Cells{0}));
+        EXPECT_EQ(coord.spawn(0, now), generation);
+        EXPECT_EQ(coord.hello(0, now), (Cells{0}));
+        const Coordinator::Death death = coord.died(0, now);
+        EXPECT_EQ(death.suspect, std::optional<std::size_t>{0});
+        EXPECT_EQ(death.quarantined, generation == 2);
+        now += *death.respawn_in;
+    }
+    EXPECT_EQ(coord.state(0), Coordinator::CellState::Quarantined);
+    EXPECT_EQ(coord.crash_count(0), 3u);
+    (void)coord.spawn(0, now);
+    EXPECT_EQ(coord.hello(0, now), (Cells{1}));
+    coord.complete(1);
+    EXPECT_TRUE(coord.all_done());
 }
 
 // -------------------------------------------------------------- cost model
@@ -313,32 +440,20 @@ namespace {
 
 constexpr std::size_t kReplayWorkers = 3;
 
-/// Returns how many cells the next lease carries, given the table and
-/// the number of cells not yet leased.
-using LeaseSize = std::function<std::size_t(const LeaseTable&, std::size_t pending)>;
-
-/// Replays per-cell walls through a lease policy on a simulated clock: 3
-/// workers say hello in slot order and run their leases in order,
-/// acking each cell the moment it finishes; the coordinator grants on
-/// hello, refills a worker whose ack leaves it at most one outstanding
-/// cell, and tops up idle workers (the rules of fleet.cpp). Returns the
-/// makespan.
-double replay_makespan(const std::vector<double>& walls, LeaseTable table,
-                       const LeaseSize& lease_size) {
+/// Replays per-cell walls through a Coordinator on a simulated clock:
+/// its slots spawn at 0 and say hello in slot order, each worker runs its
+/// leases in order and acks each cell the moment it finishes, and idle
+/// workers are topped up after every ack. Returns the makespan.
+double replay_makespan(const std::vector<double>& walls, Coordinator coord) {
     struct Worker {
         std::deque<std::size_t> queue;
         std::optional<std::size_t> running;
         double until = 0.0;
     };
     std::vector<Worker> workers(kReplayWorkers);
-    std::size_t pending = walls.size();
     double now = 0.0;
-    const auto grant = [&](std::size_t w) {
-        for (const std::size_t cell :
-             table.grant(static_cast<int>(w), lease_size(table, pending))) {
-            workers[w].queue.push_back(cell);
-            --pending;
-        }
+    const auto take = [&](std::size_t w, const std::vector<std::size_t>& lease) {
+        workers[w].queue.insert(workers[w].queue.end(), lease.begin(), lease.end());
     };
     const auto start = [&](std::size_t w) {
         Worker& worker = workers[w];
@@ -347,11 +462,12 @@ double replay_makespan(const std::vector<double>& walls, LeaseTable table,
         worker.queue.pop_front();
         worker.until = now + walls[*worker.running];
     };
+    for (std::size_t w = 0; w < kReplayWorkers; ++w) (void)coord.spawn(w, now);
     for (std::size_t w = 0; w < kReplayWorkers; ++w) {
-        grant(w);
+        take(w, coord.hello(w, now));
         start(w);
     }
-    while (!table.all_done()) {
+    while (!coord.all_done()) {
         std::optional<std::size_t> next;
         for (std::size_t w = 0; w < kReplayWorkers; ++w) {
             if (workers[w].running && (!next || workers[w].until < workers[*next].until)) {
@@ -361,14 +477,11 @@ double replay_makespan(const std::vector<double>& walls, LeaseTable table,
         if (!next) throw support::LogicError("replay stalled with cells left");
         Worker& worker = workers[*next];
         now = worker.until;
-        table.complete(*worker.running);
+        coord.complete(*worker.running);
         worker.running.reset();
-        if (table.outstanding(static_cast<int>(*next)) <= 1) grant(*next);
-        start(*next);
-        for (std::size_t w = 0; w < kReplayWorkers; ++w) {
-            if (table.outstanding(static_cast<int>(w)) == 0) grant(w);
-            start(w);
-        }
+        take(*next, coord.acked(*next, now));
+        for (const auto& [w, lease] : coord.top_up()) take(w, lease);
+        for (std::size_t w = 0; w < kReplayWorkers; ++w) start(w);
     }
     return now;
 }
@@ -406,15 +519,7 @@ TEST(LeasePolicyReplay, CostSizedLeasesFinishNearTheBoundOnFleetMixedWalls) {
     const std::vector<CampaignCell> grid = expand_grid(spec);
     ASSERT_EQ(grid.size(), 24u);
     const std::vector<double> costs = cell_costs(grid);
-    std::vector<std::size_t> index_order(grid.size());
-    std::iota(index_order.begin(), index_order.end(), std::size_t{0});
 
-    const LeaseSize count_based = [](const LeaseTable&, std::size_t pending) {
-        return (pending + 2 * kReplayWorkers - 1) / (2 * kReplayWorkers);
-    };
-    const LeaseSize cost_sized = [](const LeaseTable& table, std::size_t) {
-        return table.suggested_lease(kReplayWorkers);
-    };
     for (const FormatWalls& format : kRecordedWalls) {
         std::vector<double> walls;
         for (const CampaignCell& cell : grid) {
@@ -425,20 +530,470 @@ TEST(LeasePolicyReplay, CostSizedLeasesFinishNearTheBoundOnFleetMixedWalls) {
         const double total = std::accumulate(walls.begin(), walls.end(), 0.0);
         const double bound = std::max(*std::max_element(walls.begin(), walls.end()),
                                       total / static_cast<double>(kReplayWorkers));
-        // Index order with count-based leases: the scheduler before the
-        // cost model saw plate formats.
+        // Equal costs give count-sized leases. Index order, count-sized:
+        // the scheduler before the cost model saw plate formats.
         const double index_count =
-            replay_makespan(walls, LeaseTable(grid.size(), index_order), count_based);
-        // The trap: cost order with count-based leases deals the first
+            replay_makespan(walls, Coordinator(kReplayWorkers, index_order(grid.size())));
+        // The trap: cost order with count-sized leases deals the first
         // worker every 1536-well cell.
-        const double cost_order_count = replay_makespan(
-            walls, LeaseTable(grid.size(), longest_first(costs)), count_based);
-        const double cost_order_cost_sized = replay_makespan(
-            walls, LeaseTable(grid.size(), longest_first(costs), costs), cost_sized);
+        const double cost_order_count =
+            replay_makespan(walls, Coordinator(kReplayWorkers, longest_first(costs)));
+        const double cost_order_cost_sized =
+            replay_makespan(walls, Coordinator(kReplayWorkers, longest_first(costs),
+                                               costs));
         EXPECT_LE(cost_order_cost_sized, 1.05 * bound)
             << "walls " << format.w96 << "/" << format.w384 << "/" << format.w1536;
         EXPECT_GT(cost_order_count, index_count)
             << "walls " << format.w96 << "/" << format.w384 << "/" << format.w1536;
+    }
+}
+
+// ---------------------------------------------------------- seeded schedules
+
+namespace {
+
+/// Thrown by SimFleet when an invariant breaks; the test reports it with
+/// the schedule's seed.
+struct Broken : std::logic_error {
+    using std::logic_error::logic_error;
+};
+
+void require(bool holds, const char* what) {
+    if (!holds) throw Broken(what);
+}
+
+/// A fleet with no processes around one Coordinator: what the IO shell
+/// reports and carries out, on a simulated clock. A worker is the queue
+/// of cells it was dealt, run front first; its journal is its Record
+/// entries in `log`. Every operation checks the invariants afterwards.
+class SimFleet {
+public:
+    SimFleet(std::size_t slots, std::vector<double> costs)
+        : costs_(std::move(costs)),
+          coord_(slots, longest_first(costs_), costs_),
+          workers_(slots),
+          done_(costs_.size()),
+          quarantined_(costs_.size()),
+          blamed_(costs_.size()),
+          holders_(costs_.size()) {}
+
+    [[nodiscard]] const Coordinator& coord() const { return coord_; }
+    [[nodiscard]] bool finished() const {
+        return coord_.all_done() || coord_.exhausted();
+    }
+    [[nodiscard]] bool alive(std::size_t slot) const { return workers_[slot].alive; }
+    [[nodiscard]] bool greeted(std::size_t slot) const { return workers_[slot].greeted; }
+    [[nodiscard]] const std::deque<std::size_t>& queue(std::size_t slot) const {
+        return workers_[slot].queue;
+    }
+    [[nodiscard]] std::size_t slots() const { return workers_.size(); }
+    double now = 0.0;
+
+    /// The poll loop's first step: spawn every due slot; `fail` decides
+    /// whether a spawn fails at once.
+    void spawn_due(const std::function<bool()>& fail) {
+        const std::vector<std::size_t> due = coord_.due(now);
+        for (const std::size_t slot : due) {
+            Worker& w = workers_[slot];
+            require(!w.alive, "a live slot came due for a respawn");
+            const int generation = coord_.spawn(slot, now);
+            require(generation == w.generation + 1, "generations must count up by one");
+            w = Worker{true, false, generation, {}};
+            if (fail()) {
+                w.alive = false;
+                settle(slot, coord_.died(slot, now));
+            } else {
+                log_.push_back({Entry::Spawn, slot, generation, 0});
+            }
+        }
+        if (!due.empty()) check();
+    }
+    void hello(std::size_t slot) {
+        const bool repeat = workers_[slot].greeted;
+        workers_[slot].greeted = true;
+        const std::vector<std::size_t> lease = coord_.hello(slot, now);
+        require(!repeat || lease.empty(), "a repeat hello deals nothing");
+        deliver(slot, lease);
+        check();
+    }
+    void beat(std::size_t slot) {
+        coord_.heard(slot, now);
+        check();
+    }
+    /// The worker journals its front cell and acks it.
+    void ack(std::size_t slot) {
+        journal_front(slot);
+        deliver(slot, coord_.acked(slot, now));
+        check();
+    }
+    /// The worker dies, after journaling its front cell when `appended`
+    /// (the kill between the durable append and the ack).
+    void kill(std::size_t slot, bool appended) {
+        if (appended && !workers_[slot].queue.empty()) journal_front(slot);
+        workers_[slot].alive = false;
+        settle(slot, coord_.died(slot, now));
+    }
+    /// The worker goes silent: the clock jumps past the heartbeat
+    /// timeout while every other live worker keeps beating.
+    void hang(std::size_t slot) {
+        now += 31.0;
+        for (std::size_t other = 0; other < workers_.size(); ++other) {
+            if (other != slot && workers_[other].alive) coord_.heard(other, now);
+        }
+        require(coord_.hung(now) == std::vector<std::size_t>{slot},
+                "exactly the silent worker is hung");
+        kill(slot, false);
+    }
+    /// The poll loop's last step.
+    void top_up() {
+        const auto leases = coord_.top_up();
+        for (const auto& [slot, lease] : leases) deliver(slot, lease);
+        if (!leases.empty()) check();
+    }
+    /// The coordinator is killed: each orphan may journal its running
+    /// cell before the resume's sweep kills it, and a fresh Coordinator
+    /// replays the ledger and the journals.
+    void restart(const std::function<bool()>& orphan_appends) {
+        for (std::size_t slot = 0; slot < workers_.size(); ++slot) {
+            Worker& w = workers_[slot];
+            if (w.alive && !w.queue.empty() && orphan_appends()) {
+                done_[w.queue.front()] = true;
+                log_.push_back({Entry::Record, slot, w.generation, w.queue.front()});
+            }
+            w.alive = false;
+            w.queue.clear();
+        }
+        coord_ = replay(log_.size());
+        // A spawn that failed at once left no ledger event, so the
+        // resumed slot may reuse its generation number.
+        for (std::size_t slot = 0; slot < workers_.size(); ++slot) {
+            workers_[slot].generation = coord_.generation(slot);
+        }
+        check();
+    }
+    /// A resume from the history so far must reproduce the live
+    /// Coordinator's done and quarantined sets, the crash counts of
+    /// unfinished cells, and the generations of the spawns it ledgered.
+    /// (A resume applies a journal's records at its spawn, ahead of later
+    /// blames, so a finished cell may count fewer votes; and a spawn that
+    /// failed at once is not in the ledger.)
+    void check_resume() const {
+        const Coordinator resumed = replay(log_.size());
+        require(resumed.done_count() == coord_.done_count() &&
+                    resumed.quarantined() == coord_.quarantined(),
+                "a resume reaches the same done and quarantined sets");
+        for (std::size_t cell = 0; cell < costs_.size(); ++cell) {
+            if (done_[cell]) {
+                require(resumed.state(cell) == Coordinator::CellState::Done,
+                        "a resume completes every journaled cell");
+            } else {
+                require(resumed.crash_count(cell) == coord_.crash_count(cell),
+                        "a resume reaches the same crash counts");
+            }
+        }
+        std::vector<int> ledgered(workers_.size(), -1);
+        for (const Entry& e : log_) {
+            if (e.kind == Entry::Spawn) ledgered[e.slot] = e.generation;
+        }
+        for (std::size_t slot = 0; slot < workers_.size(); ++slot) {
+            require(resumed.generation(slot) == ledgered[slot],
+                    "a resume continues every slot's generations");
+        }
+    }
+    /// Every cell resolved, each completed exactly once.
+    void check_resolved() const {
+        require(coord_.all_done(), "the campaign resolves every cell");
+        std::vector<int> records(costs_.size(), 0);
+        for (const Entry& e : log_) {
+            if (e.kind == Entry::Record) ++records[e.cell];
+        }
+        for (std::size_t cell = 0; cell < costs_.size(); ++cell) {
+            require(records[cell] == (quarantined_[cell] ? 0 : 1),
+                    "every cell is journaled once, or quarantined unjournaled");
+        }
+    }
+
+private:
+    struct Worker {
+        bool alive = false;
+        bool greeted = false;
+        int generation = -1;
+        std::deque<std::size_t> queue;
+    };
+    /// The durable history: ledger events, and worker journal records.
+    struct Entry {
+        enum Kind { Spawn, Record, Crash, Quarantine } kind;
+        std::size_t slot;
+        int generation;
+        std::size_t cell;
+    };
+
+    /// What `sdlbench_fleet --resume` does with the same history.
+    [[nodiscard]] Coordinator replay(std::size_t prefix) const {
+        Coordinator coord(workers_.size(), longest_first(costs_), costs_);
+        for (std::size_t i = 0; i < prefix; ++i) {
+            const Entry& e = log_[i];
+            if (e.kind == Entry::Spawn) {
+                for (std::size_t j = i + 1; j < prefix; ++j) {
+                    const Entry& r = log_[j];
+                    if (r.kind == Entry::Record && r.slot == e.slot &&
+                        r.generation == e.generation) {
+                        coord.complete(r.cell);
+                    }
+                }
+                coord.replay_spawn(e.slot, e.generation);
+            } else if (e.kind == Entry::Crash) {
+                coord.replay_crash(e.cell, e.slot, e.generation);
+            } else if (e.kind == Entry::Quarantine) {
+                coord.replay_quarantine(e.cell);
+            }
+        }
+        return coord;
+    }
+
+    void journal_front(std::size_t slot) {
+        Worker& w = workers_[slot];
+        require(!w.queue.empty(), "a worker journals only cells it was dealt");
+        const std::size_t cell = w.queue.front();
+        w.queue.pop_front();
+        coord_.complete(cell);
+        done_[cell] = true;
+        log_.push_back({Entry::Record, slot, w.generation, cell});
+    }
+
+    void deliver(std::size_t slot, const std::vector<std::size_t>& lease) {
+        Worker& w = workers_[slot];
+        for (const std::size_t cell : lease) {
+            require(w.alive, "nothing is dealt to a dead slot");
+            require(!done_[cell] && !quarantined_[cell],
+                    "nothing is dealt once resolved");
+            for (const Worker& other : workers_) {
+                require(std::find(other.queue.begin(), other.queue.end(), cell) ==
+                            other.queue.end(),
+                        "a cell is leased to one worker at a time");
+            }
+            w.queue.push_back(cell);
+        }
+    }
+
+    void settle(std::size_t slot, const Coordinator::Death& death) {
+        Worker& w = workers_[slot];
+        std::vector<std::size_t> held(w.queue.begin(), w.queue.end());
+        std::vector<std::size_t> revoked = death.revoked;
+        std::sort(held.begin(), held.end());
+        std::sort(revoked.begin(), revoked.end());
+        require(revoked == held, "a death revokes exactly the cells the worker held");
+        w.queue.clear();
+        const std::optional<std::size_t> first =
+            death.revoked.empty() ? std::nullopt
+                                  : std::optional<std::size_t>(death.revoked.front());
+        require(death.suspect == first, "a death blames the first cell it gives back");
+        if (death.suspect) {
+            const std::size_t cell = *death.suspect;
+            auto& votes = blamed_[cell];
+            const std::pair<std::size_t, int> who{slot, w.generation};
+            if (std::find(votes.begin(), votes.end(), who) == votes.end()) {
+                votes.push_back(who);
+            }
+            require(death.quarantined == (votes.size() >= 3),
+                    "a cell is quarantined at its third distinct incarnation's blame");
+            log_.push_back({Entry::Crash, slot, w.generation, cell});
+            if (death.quarantined) {
+                quarantined_[cell] = true;
+                log_.push_back({Entry::Quarantine, 0, 0, cell});
+            }
+        }
+        require(death.retired || death.respawn_in.has_value() || coord_.all_done(),
+                "a death respawns or retires the slot, or the campaign is over");
+        check();
+    }
+
+    /// Each cell is exactly one of: pending, leased to exactly one live
+    /// worker, done, or quarantined — and the Coordinator agrees.
+    void check() const {
+        std::vector<int>& holders = holders_;
+        std::fill(holders.begin(), holders.end(), 0);
+        for (std::size_t slot = 0; slot < workers_.size(); ++slot) {
+            const Worker& w = workers_[slot];
+            require(w.alive || w.queue.empty(), "a dead worker holds no cell");
+            require(coord_.outstanding(slot) == w.queue.size(),
+                    "the Coordinator knows what each worker holds");
+            for (const std::size_t cell : w.queue) ++holders[cell];
+        }
+        std::size_t done = 0;
+        std::size_t quarantined = 0;
+        for (std::size_t cell = 0; cell < costs_.size(); ++cell) {
+            using State = Coordinator::CellState;
+            const State expected = done_[cell]          ? State::Done
+                                   : quarantined_[cell] ? State::Quarantined
+                                   : holders[cell] > 0  ? State::Leased
+                                                        : State::Pending;
+            require(holders[cell] <= 1 &&
+                        (holders[cell] == 0 || expected == State::Leased),
+                    "a cell is in exactly one state");
+            require(coord_.state(cell) == expected,
+                    "the Coordinator agrees on every cell");
+            done += done_[cell] ? 1 : 0;
+            quarantined += quarantined_[cell] ? 1 : 0;
+        }
+        require(coord_.done_count() == done && coord_.quarantined_count() == quarantined,
+                "done and quarantined counts agree");
+    }
+
+    std::vector<double> costs_;
+    Coordinator coord_;
+    std::vector<Worker> workers_;
+    std::vector<char> done_;
+    std::vector<char> quarantined_;
+    std::vector<std::vector<std::pair<std::size_t, int>>> blamed_;
+    std::vector<Entry> log_;
+    mutable std::vector<int> holders_;  // check()'s scratch
+};
+
+struct ScheduleRun {
+    std::size_t events = 0;
+    bool resolved = false;  ///< all cells resolved, not every slot retired
+};
+
+/// One random schedule: grid size, slot count, costs, and every event's
+/// kind and victim drawn from `seed`.
+ScheduleRun run_random_schedule(std::uint64_t seed) {
+    support::Rng rng(seed);
+    const std::size_t cells = 1 + rng.uniform_int(12);
+    const std::size_t slots = 1 + rng.uniform_int(4);
+    std::vector<double> costs(cells);
+    for (double& cost : costs) {
+        cost = rng.bernoulli(0.2) ? rng.uniform(20.0, 100.0) : rng.uniform(1.0, 10.0);
+    }
+    SimFleet sim(slots, std::move(costs));
+    const auto spawn_fails = [&rng] { return rng.bernoulli(0.05); };
+    const std::size_t resume_at = rng.uniform_int(40);
+    std::size_t events = 0;
+    while (!sim.finished()) {
+        require(events < 5000, "the schedule terminates");
+        if (events == resume_at) sim.check_resume();
+        sim.spawn_due(spawn_fails);
+        std::vector<std::size_t> live;
+        for (std::size_t slot = 0; slot < sim.slots(); ++slot) {
+            if (sim.alive(slot)) live.push_back(slot);
+        }
+        if (live.empty()) {
+            sim.now += std::max(0.0, sim.coord().next_deadline(sim.now, 10.0));
+            ++events;
+            continue;
+        }
+        const std::size_t slot = live[rng.uniform_int(live.size())];
+        const std::uint64_t roll = rng.uniform_int(100);
+        sim.now += rng.uniform(0.0, 0.5);
+        if (roll < 10) {
+            sim.kill(slot, rng.bernoulli(0.5));  // half of them after an append
+        } else if (roll < 13) {
+            sim.hang(slot);
+        } else if (!sim.greeted(slot) || roll < 15) {
+            sim.hello(slot);
+        } else if (roll < 75 && !sim.queue(slot).empty()) {
+            sim.ack(slot);
+        } else {
+            sim.beat(slot);
+        }
+        sim.top_up();
+        ++events;
+    }
+    sim.check_resume();
+    if (sim.coord().all_done()) sim.check_resolved();
+    return {events, sim.coord().all_done()};
+}
+
+/// A simulated worker that runs its front cell to the end: `poison` kills
+/// every worker that starts it, any other cell is journaled and acked.
+void run_to_end(SimFleet& sim, std::optional<std::size_t> poison = std::nullopt) {
+    const auto never = [] { return false; };
+    for (int step = 0; !sim.finished(); ++step) {
+        require(step < 1000, "the schedule terminates");
+        sim.spawn_due(never);
+        bool acted = false;
+        for (std::size_t slot = 0; slot < sim.slots(); ++slot) {
+            const bool idle = sim.greeted(slot) && sim.queue(slot).empty();
+            if (!sim.alive(slot) || idle) continue;
+            if (!sim.greeted(slot)) {
+                sim.hello(slot);
+            } else if (sim.queue(slot).front() == poison) {
+                sim.kill(slot, false);
+            } else {
+                sim.ack(slot);
+            }
+            acted = true;
+        }
+        sim.top_up();
+        if (!acted) sim.now += std::max(0.0, sim.coord().next_deadline(sim.now, 1.0));
+    }
+}
+
+}  // namespace
+
+TEST(CoordinatorSchedules, SeededSchedulesKeepEveryInvariant) {
+    constexpr std::uint64_t kSchedules = 100000;
+    std::size_t events = 0;
+    std::size_t resolved = 0;
+    for (std::uint64_t seed = 0; seed < kSchedules; ++seed) {
+        try {
+            const ScheduleRun run = run_random_schedule(seed);
+            events += run.events;
+            resolved += run.resolved ? 1 : 0;
+        } catch (const std::exception& e) {
+            FAIL() << "schedule seed " << seed << ": " << e.what();
+        }
+    }
+    // Both endings occur: the campaign resolves, or every slot retires.
+    EXPECT_GT(resolved, kSchedules / 2);
+    EXPECT_LT(resolved, kSchedules);
+    EXPECT_GT(events, kSchedules * 10);
+}
+
+TEST(CoordinatorSchedules, ChaosLegsAsFixedSchedules) {
+    const auto never = [] { return false; };
+    const std::vector<double> costs(5, 1.0);  // scenario_sweep: 5 cells, 3 workers
+    // Kill after the append: w1 journals its first cell and dies before
+    // the ack; the cell is salvaged, the slot respawns as generation 1.
+    {
+        SimFleet sim(3, costs);
+        sim.spawn_due(never);
+        for (std::size_t slot = 0; slot < 3; ++slot) sim.hello(slot);
+        ASSERT_FALSE(sim.queue(1).empty());
+        const std::size_t salvaged = sim.queue(1).front();
+        sim.kill(1, true);
+        EXPECT_EQ(sim.coord().state(salvaged), Coordinator::CellState::Done);
+        sim.now += 0.25;
+        run_to_end(sim);
+        sim.check_resolved();
+        EXPECT_EQ(sim.coord().generation(1), 1);
+    }
+    // Coordinator kill after the second ack, then --resume: the orphans
+    // journal their running cells, a fresh Coordinator replays the ledger
+    // and the journals, and the grid finishes with every cell once.
+    {
+        SimFleet sim(3, costs);
+        sim.spawn_due(never);
+        for (std::size_t slot = 0; slot < 3; ++slot) sim.hello(slot);
+        sim.ack(0);
+        sim.ack(1);
+        sim.restart([first = true]() mutable { return std::exchange(first, false); });
+        EXPECT_EQ(sim.coord().done_count(), 3u);
+        run_to_end(sim);
+        sim.check_resolved();
+        for (std::size_t slot = 0; slot < 3; ++slot) {
+            EXPECT_EQ(sim.coord().generation(slot), 1);
+        }
+    }
+    // Poison cell: cell 2 kills every worker that starts it; after three
+    // distinct incarnations it is quarantined and every other cell is done.
+    {
+        SimFleet sim(3, costs);
+        run_to_end(sim, 2);
+        sim.check_resolved();
+        EXPECT_EQ(sim.coord().quarantined(), (Cells{2}));
+        EXPECT_EQ(sim.coord().crash_count(2), 3u);
+        EXPECT_EQ(sim.coord().done_count(), 4u);
     }
 }
 

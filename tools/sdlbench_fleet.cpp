@@ -24,6 +24,7 @@
 #include "campaign/fleet.hpp"
 #include "support/failpoint.hpp"
 #include "support/log.hpp"
+#include "support/thread_pool.hpp"
 
 using namespace sdl;
 
@@ -47,9 +48,9 @@ void print_usage(std::FILE* stream) {
         "  --campaign <file>        the campaign grid to run (required)\n"
         "  --workers <n>            worker processes (default 3, capped at the\n"
         "                           cell count)\n"
-        "  --worker-threads <n>     in-process pool size per worker (sets\n"
+        "  --worker-threads <n>     in-process pool size per worker, 0..%zu (sets\n"
         "                           SDLBENCH_WORKERS in the worker's env);\n"
-        "                           default: hardware threads / workers\n"
+        "                           default (0): hardware threads / workers\n"
         "  --resume                 restart a killed coordinator from output_dir's\n"
         "                           coordinator.jsonl ledger + worker journals\n"
         "  --failpoints <spec>      arm coordinator-side failpoints (overrides\n"
@@ -57,7 +58,8 @@ void print_usage(std::FILE* stream) {
         "                           the grammar and site catalog\n"
         "  --worker-failpoints <w|*>:<spec>\n"
         "                           inject <spec> into worker slot w (generation\n"
-        "                           0 only) or '*' (every incarnation); repeatable\n"
+        "                           0 only; w below the worker count) or '*'\n"
+        "                           (every incarnation); repeatable\n"
         "\n"
         "Writes campaign.json, campaign.csv and a fused whole-grid cells.jsonl\n"
         "to [output_dir] (default sdlbench_fleet_out); per-worker journals\n"
@@ -65,7 +67,8 @@ void print_usage(std::FILE* stream) {
         "report is byte-identical to a single-process `sdlbench_run --campaign`\n"
         "run, including when workers are killed mid-campaign or the coordinator\n"
         "itself is killed and resumed. Exits 6 if any cell was quarantined\n"
-        "(docs/ROBUSTNESS.md has the heartbeat, respawn and quarantine policy).\n");
+        "(docs/ROBUSTNESS.md has the heartbeat, respawn and quarantine policy).\n",
+        support::kMaxPoolSize);
 }
 
 bool parse_size(const std::string& text, std::size_t& into) {
@@ -162,8 +165,12 @@ int main(int argc, char** argv) {
             }
         } else if (*it == "--worker-threads") {
             if (!take_value("--worker-threads", text)) return 2;
-            if (!parse_size(text, options.worker_threads)) {
-                std::fprintf(stderr, "error: --worker-threads needs an integer\n");
+            // The worker's pool_size_from_env refuses anything larger.
+            if (!parse_size(text, options.worker_threads) ||
+                options.worker_threads > support::kMaxPoolSize) {
+                std::fprintf(stderr,
+                             "error: --worker-threads needs an integer from 0 to %zu\n",
+                             support::kMaxPoolSize);
                 return 2;
             }
         } else if (*it == "--worker-failpoints") {
