@@ -3,60 +3,37 @@
 // timing files (§2.3) produced by an actual run.
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 
 #include "core/presets.hpp"
 #include "core/workflows.hpp"
 #include "data/artifacts.hpp"
 #include "support/log.hpp"
-#include "wei/workcell.hpp"
+#include "support/table.hpp"
 
 using namespace sdl;
 
 namespace {
 
+struct RplModule {
+    const char* name;
+    const char* model;
+};
+
 // The RPL workcell (§2.2): ten modules, of which the color picker uses
-// five. Mirrors configs/rpl_workcell.yaml.
-constexpr const char* kRplWorkcellYaml = R"(name: rpl_workcell
-modules:
-  - name: sciclops
-    model: Hudson SciClops
-    interface: simulation
-    config: {towers: 4, plates_per_tower: 20}
-  - name: pf400
-    model: Precise Automation PF400
-    interface: simulation
-  - name: ot2
-    model: Opentrons OT-2
-    interface: simulation
-    config: {reservoirs: 4}
-  - name: barty
-    model: RPL Barty
-    interface: simulation
-    config: {pumps: 4}
-  - name: camera
-    model: Logitech webcam + ring light
-    interface: simulation
-  - name: ot2_pcr_alpha       # PCR workflows (unused by the color picker)
-    model: Opentrons OT-2
-    interface: simulation
-  - name: biometra            # thermocycler
-    model: Biometra TRobot
-    interface: simulation
-  - name: sealer
-    model: A4S Sealer
-    interface: simulation
-  - name: peeler
-    model: Brooks XPeel
-    interface: simulation
-  - name: hidex               # plate reader for cell-growth analysis
-    model: Hidex Sense
-    interface: simulation
-locations:
-  sciclops.exchange: [210.0, 30.0, 0.0]
-  camera.nest: [310.5, 20.0, 0.0]
-  ot2.deck: [405.0, 25.0, 0.0]
-  trash: [120.0, -40.0, 0.0]
-)";
+// the first five.
+constexpr RplModule kRplModules[] = {
+    {"sciclops", "Hudson SciClops"},
+    {"pf400", "Precise Automation PF400"},
+    {"ot2", "Opentrons OT-2"},
+    {"barty", "RPL Barty"},
+    {"camera", "Logitech webcam + ring light"},
+    {"ot2_pcr_alpha", "Opentrons OT-2"},  // PCR workflows
+    {"biometra", "Biometra TRobot"},      // thermocycler
+    {"sealer", "A4S Sealer"},
+    {"peeler", "Brooks XPeel"},
+    {"hidex", "Hidex Sense"},  // plate reader for cell-growth analysis
+};
 
 }  // namespace
 
@@ -67,11 +44,12 @@ int main() {
     std::printf("================================================================\n");
 
     // Figure 1: the workcell.
-    const wei::WorkcellConfig workcell = wei::WorkcellConfig::from_yaml(kRplWorkcellYaml);
-    std::printf("\n[Figure 1] %s", workcell.describe().c_str());
+    support::TextTable workcell({"Module", "Model"});
+    for (const RplModule& m : kRplModules) workcell.add_row({m.name, m.model});
+    std::printf("\n[Figure 1] Workcell: rpl_workcell\n%s", workcell.str().c_str());
     std::printf("The color picker targets five of the %zu modules: sciclops, pf400, "
                 "ot2, barty, camera.\n",
-                workcell.modules().size());
+                std::size(kRplModules));
 
     // Figure 2: the four WEI flows.
     std::printf("\n[Figure 2] Color-picker workflows:\n");

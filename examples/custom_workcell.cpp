@@ -1,8 +1,7 @@
-// Building a workcell by hand from the WEI primitives: load a workcell
-// definition and workflows from YAML (the files under configs/), wire the
-// simulated devices, and drive them with the workflow engine directly —
-// the layer beneath ColorPickerApp, for users composing their own
-// applications.
+// Building a workcell by hand from the WEI primitives: wire the simulated
+// devices, load a workflow from YAML, and drive them with the workflow
+// engine directly — the layer beneath ColorPickerApp, for users composing
+// their own applications.
 #include <cstdio>
 #include <memory>
 
@@ -16,27 +15,12 @@
 #include "support/units.hpp"
 #include "wei/engine.hpp"
 #include "wei/sim_transport.hpp"
-#include "wei/workcell.hpp"
 #include "wei/workflow.hpp"
 
 using namespace sdl;
 using support::Volume;
 
 namespace {
-
-constexpr const char* kWorkcellYaml = R"(name: my_minimal_cell
-modules:
-  - name: sciclops
-    model: Hudson SciClops
-  - name: pf400
-    model: Precise PF400
-  - name: ot2
-    model: Opentrons OT-2
-  - name: barty
-    model: RPL Barty
-  - name: camera
-    model: Logitech webcam
-)";
 
 constexpr const char* kStageAndMixYaml = R"(name: stage_and_mix
 steps:
@@ -68,11 +52,7 @@ steps:
 int main() {
     support::set_log_level(support::LogLevel::Info);
 
-    // 1. Parse the declarative workcell description.
-    const wei::WorkcellConfig cell = wei::WorkcellConfig::from_yaml(kWorkcellYaml);
-    std::printf("%s\n", cell.describe().c_str());
-
-    // 2. Instantiate state and the simulated instruments named by it.
+    // 1. Instantiate state and the five simulated instruments.
     des::Simulation sim;
     wei::PlateRegistry plates;
     wei::LocationMap locations;
@@ -92,7 +72,7 @@ int main() {
                                                        locations);
     registry.add(camera);
 
-    // 3. Parse a workflow and parameterize its ot2 step.
+    // 2. Parse a workflow and parameterize its ot2 step.
     wei::Workflow workflow = wei::Workflow::from_yaml(kStageAndMixYaml);
     std::vector<devices::DispenseOrder> orders(1);
     orders[0].well = 0;
@@ -101,7 +81,7 @@ int main() {
     workflow = workflow.with_step_args("mix one gray well",
                                        devices::Ot2Sim::make_protocol_args(orders));
 
-    // 4. Run it through the engine on the DES transport.
+    // 3. Run it through the engine on the DES transport.
     wei::SimTransport transport(sim, registry);
     wei::EventLog log;
     wei::WorkflowEngine engine(transport, registry, log);

@@ -10,9 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
-#include <iostream>
 #include <iterator>
-#include <memory>
 #include <thread>
 #include <utility>
 
@@ -24,14 +22,13 @@
 #include "core/colorpicker.hpp"
 #include "core/scenario_gen.hpp"
 #include "support/atomic_io.hpp"
-#include "support/channel.hpp"
 #include "support/common.hpp"
 #include "support/failpoint.hpp"
 #include "support/mutex.hpp"
 #include "support/subprocess.hpp"
 
 #if !defined(_WIN32)
-#include <unistd.h>
+#include <signal.h>  // kill(2)
 #endif
 
 namespace sdl::campaign {
@@ -88,11 +85,8 @@ std::optional<WorkerMessage> parse_worker_line(const std::string& line) {
         msg.kind = WorkerMsgKind::Beat;
         return msg;
     }
-    if (tokens[0] == "hello" && tokens.size() == 2) {
-        const auto pid = parse_index(tokens[1]);
-        if (!pid) return std::nullopt;
+    if (tokens[0] == "hello" && tokens.size() == 1) {
         msg.kind = WorkerMsgKind::Hello;
-        msg.pid = static_cast<long>(*pid);
         return msg;
     }
     if (tokens[0] == "ack" && tokens.size() == 2) {
@@ -125,7 +119,7 @@ std::optional<CoordMessage> parse_coordinator_line(const std::string& line) {
     return std::nullopt;
 }
 
-std::string format_hello(long pid) { return "hello " + std::to_string(pid); }
+std::string format_hello() { return "hello"; }
 std::string format_beat() { return "beat"; }
 std::string format_ack(std::size_t cell) { return "ack " + std::to_string(cell); }
 
@@ -382,6 +376,9 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
 
     std::vector<WorkerState> workers(n_workers);
     ReapGuard reaper{workers};
+    // Spawns per slot in this run: a resume's first spawns carry the
+    // ledger's next generation, yet they are not respawns.
+    std::vector<int> spawns(n_workers, 0);
 
     // Resume: replay the ledger's events through the Coordinator, taking
     // each spawned worker's journal records — the journals are the source
@@ -419,8 +416,9 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
                 if (std::filesystem::exists(path)) {
                     for (CellResult& record : load_journal(path, spec, grid).cells) {
                         const std::size_t index = record.cell.index;
-                        coord.complete(index);  // cross-journal duplicates stay loud
-                        summary.busy_s += record.wall_seconds;
+                        // Another run's work: it stays out of this run's busy
+                        // time. Cross-journal duplicates stay loud.
+                        coord.complete(index);
                         results[index] = std::move(record);
                     }
                 }
@@ -570,6 +568,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
     const auto spawn_slot = [&](std::size_t slot) {
         WorkerState& w = workers[slot];
         const int generation = coord.spawn(slot, now());
+        const bool respawn = spawns[slot]++ > 0;
         w = WorkerState{};
         w.dir = out_dir + "/workers/w" + std::to_string(slot) +
                 (generation > 0 ? "r" + std::to_string(generation) : "");
@@ -610,7 +609,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
             handle_death(slot, e.what());
             return;
         }
-        if (generation > 0) {
+        if (respawn) {
             ++summary.workers_respawned;
             std::fprintf(stderr,
                          "fleet: worker w%zu respawned (generation %d, pid %ld)\n", slot,
@@ -739,7 +738,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
     for (WorkerState& w : workers) {
         if (!w.proc.valid()) continue;
         (void)support::write_line_fd(w.proc.stdin_fd(), format_stop());
-        w.proc.close_stdin();  // reader thread EOF: the worker exits cleanly
+        w.proc.close_stdin();  // EOF: the worker exits cleanly
     }
     for (WorkerState& w : workers) {
         if (!w.proc.valid()) continue;
@@ -787,19 +786,6 @@ int run_fleet_worker(const FleetWorkerOptions& options) {
         return support::write_line_fd(1, line);
     };
 
-    // The reader thread owns stdin; the channel hands lines to the main
-    // loop. Shared ownership lets the thread be detached safely on the
-    // rare early-exit paths where stdin never reaches EOF.
-    auto inbox = std::make_shared<support::Channel<std::string>>();
-    std::thread reader([inbox] {
-        std::string line;
-        while (std::getline(std::cin, line)) {
-            if (!inbox->send(line)) return;
-        }
-        inbox->close();  // coordinator closed our stdin (stop or death)
-    });
-    reader.detach();
-
     // The stop flag is written under hb_mutex and the notify happens
     // after the locked store — storing it unlocked (the old atomic
     // version) left a lost-wake-up window between the heartbeat
@@ -822,11 +808,7 @@ int run_fleet_worker(const FleetWorkerOptions& options) {
     std::deque<std::size_t> queue;
     bool stop = false;
 
-#if !defined(_WIN32)
-    (void)send(format_hello(static_cast<long>(::getpid())));
-#else
-    (void)send(format_hello(0));
-#endif
+    (void)send(format_hello());
 
     const auto handle = [&](const std::string& line) {
         const auto msg = parse_coordinator_line(line);
@@ -853,20 +835,29 @@ int run_fleet_worker(const FleetWorkerOptions& options) {
         }
     };
 
-    while (!stop) {
-        if (queue.empty()) {
-            // Idle: block for the next lease (heartbeats keep flowing
-            // from the side thread).
-            const auto line = inbox->receive();
-            if (!line) break;  // EOF: coordinator is gone
-            handle(*line);
+    // Between cells, take whatever the coordinator has sent on stdin;
+    // block only while no leased cell is waiting (heartbeats keep flowing
+    // from the side thread). After EOF the queued cells still run.
+    support::LineBuffer inbox;
+    bool eof = false;
+    for (;;) {
+        if (!eof) {
+            const bool idle = queue.empty();
+            const bool ready = support::poll_readable({0}, idle ? -1 : 0)[0];
+            if (ready && support::read_some(0, inbox) > 0) {
+                while (auto line = inbox.next_line()) {
+                    handle(*line);
+                    if (stop) break;
+                }
+            } else if (ready || idle) {
+                // EOF or a read error (an endless poll only returns
+                // empty-handed on error): the coordinator closed our
+                // stdin or is gone. An unterminated tail is dropped.
+                eof = true;
+            }
         }
-        while (!stop) {
-            const auto line = inbox->try_receive();
-            if (!line) break;
-            handle(*line);
-        }
-        if (stop || queue.empty()) continue;
+        if (stop || (eof && queue.empty())) break;
+        if (queue.empty()) continue;
 
         const std::size_t cell = queue.front();
         queue.pop_front();

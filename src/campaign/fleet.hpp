@@ -6,7 +6,7 @@
 // of that order to N worker processes over a line protocol on the
 // workers' stdin/stdout pipes (support/subprocess.hpp):
 //
-//   worker -> coordinator:  "hello <pid>"   ready, lease me work
+//   worker -> coordinator:  "hello"         ready, lease me work
 //                           "beat"          heartbeat (side thread)
 //                           "ack <cell>"    cell journaled durably
 //   coordinator -> worker:  "lease <cell> [<cell>...]"
@@ -74,7 +74,6 @@ namespace sdl::campaign {
 enum class WorkerMsgKind { Hello, Beat, Ack };
 struct WorkerMessage {
     WorkerMsgKind kind = WorkerMsgKind::Beat;
-    long pid = 0;          ///< Hello
     std::size_t cell = 0;  ///< Ack
 };
 
@@ -89,7 +88,7 @@ struct CoordMessage {
 [[nodiscard]] std::optional<WorkerMessage> parse_worker_line(const std::string& line);
 [[nodiscard]] std::optional<CoordMessage> parse_coordinator_line(const std::string& line);
 
-[[nodiscard]] std::string format_hello(long pid);
+[[nodiscard]] std::string format_hello();
 [[nodiscard]] std::string format_beat();
 [[nodiscard]] std::string format_ack(std::size_t cell);
 [[nodiscard]] std::string format_lease(const std::vector<std::size_t>& cells);
@@ -128,12 +127,14 @@ struct FleetSummary {
     std::size_t cells = 0;
     std::size_t workers_started = 0;
     std::size_t workers_lost = 0;     ///< died or declared hung
-    std::size_t workers_respawned = 0;
+    std::size_t workers_respawned = 0;  ///< a slot's later spawns in this run
     std::size_t cells_salvaged = 0;   ///< journaled by a dead worker, unacked
     std::size_t cells_releases = 0;   ///< re-leased after a worker loss
     std::size_t cells_quarantined = 0;
     double makespan_s = 0.0;          ///< coordinator wall time
-    double busy_s = 0.0;              ///< sum of per-cell worker wall time
+    /// Sum of per-cell worker wall time over the cells this run computed
+    /// (cells a resume replays from journals add nothing).
+    double busy_s = 0.0;
     /// busy_s / (makespan_s * workers_started) — 1.0 is a perfectly
     /// packed schedule.
     double efficiency = 0.0;

@@ -25,7 +25,8 @@
 namespace sdl::campaign {
 
 /// One executed cell. `wall_seconds` is host time (excluded from the
-/// deterministic result JSON; bench_campaign reports it separately).
+/// deterministic result JSON; the journal and the fleet's progress lines
+/// carry it).
 struct CellResult {
     CampaignCell cell;
     core::ExperimentOutcome outcome;

@@ -1,7 +1,7 @@
-// Netpbm image I/O: binary P6 (RGB) and P5 (grayscale).
+// Netpbm image output: binary P6 (RGB).
 //
-// Camera frames are archived as PPM for quality control, mirroring the
-// paper's raw plate images published to the data portal.
+// Camera frames can be saved as PPM for inspection (examples/
+// vision_pipeline), mirroring the paper's raw plate images.
 #pragma once
 
 #include <string>
@@ -13,14 +13,8 @@ namespace sdl::imaging {
 /// Writes `img` as binary PPM (P6). Throws Error("io") on failure.
 void save_ppm(const Image& img, const std::string& path);
 
-/// Reads a binary PPM (P6) with maxval 255.
-[[nodiscard]] Image load_ppm(const std::string& path);
-
-/// Serializes to an in-memory PPM byte string (used by the simulated
-/// publication flow, which stores images as blobs).
+/// Serializes to an in-memory PPM byte string: the "P6 <w> <h> 255"
+/// header, then the raw RGB bytes row by row.
 [[nodiscard]] std::string encode_ppm(const Image& img);
-
-/// Parses an in-memory PPM byte string.
-[[nodiscard]] Image decode_ppm(const std::string& bytes);
 
 }  // namespace sdl::imaging

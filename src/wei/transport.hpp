@@ -1,14 +1,11 @@
 // Transport abstraction: how commands reach device computers and how time
 // passes while they execute.
 //
-// Two implementations ship with sdlbench:
-//  * SimTransport    — discrete-event simulation; device actions advance a
-//                      virtual clock, so an 8-hour experiment runs in
-//                      milliseconds while reporting lab-scale durations.
-//  * ThreadTransport — each module runs on its own thread behind a message
-//                      channel (the architecture a real deployment would
-//                      use, with wall-clock time optionally scaled down).
-// The engine and application code are transport-agnostic.
+// SimTransport (sim_transport.hpp) is the implementation sdlbench ships:
+// discrete-event simulation, where device actions advance a virtual clock
+// so an 8-hour experiment runs in milliseconds while reporting lab-scale
+// durations. The engine and application code are transport-agnostic, so a
+// transport to real device computers implements this interface alone.
 #pragma once
 
 #include "support/units.hpp"

@@ -1,8 +1,5 @@
 #include "wei/workflow.hpp"
 
-#include <fstream>
-#include <sstream>
-
 #include "support/common.hpp"
 #include "support/yaml.hpp"
 
@@ -43,14 +40,6 @@ Workflow Workflow::from_yaml(std::string_view text) {
         steps.push_back(std::move(step));
     }
     return Workflow(doc.at("name").as_string(), std::move(steps));
-}
-
-Workflow Workflow::from_file(const std::string& path) {
-    std::ifstream file(path);
-    if (!file) throw support::Error("io", "cannot open workflow file '" + path + "'");
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    return from_yaml(buffer.str());
 }
 
 Workflow Workflow::with_step_args(std::string_view step_name,

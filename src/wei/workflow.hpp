@@ -30,7 +30,6 @@ public:
     ///       action: transfer
     ///       args: {source: camera.nest, target: ot2.deck}
     [[nodiscard]] static Workflow from_yaml(std::string_view text);
-    [[nodiscard]] static Workflow from_file(const std::string& path);
 
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
     [[nodiscard]] const std::vector<WorkflowStep>& steps() const noexcept { return steps_; }

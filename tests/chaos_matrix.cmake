@@ -13,7 +13,8 @@
 #   coordinator kill the coordinator SIGKILLs itself mid-campaign;
 #                    a restart without --resume refuses, --resume
 #                    replays the ledger + worker journals and finishes
-#                    byte-identical
+#                    byte-identical, its summary counting only its own
+#                    work (efficiency <= 100%, no respawns)
 #   quarantine       one poisoned cell kills every worker that leases
 #                    it; after 3 distinct incarnations it is quarantined
 #                    (exit 6), every other cell completes, and the crash
@@ -146,6 +147,20 @@ string(FIND "${out}" "Fleet resume:" resumed)
 if(resumed EQUAL -1)
   message(FATAL_ERROR
     "coordinator resume never reported replayed progress\n${out}\n${err}")
+endif()
+# The summary covers the resumed run only: replayed cells add no busy
+# time, and a slot's first spawn in this run is no respawn.
+string(REGEX MATCH "Fleet done: [^\n]*" done_line "${out}")
+string(REGEX MATCH "efficiency ([0-9]+)%" efficiency "${done_line}")
+if(NOT efficiency OR CMAKE_MATCH_1 GREATER 100)
+  message(FATAL_ERROR
+    "coordinator resume: summary counts replayed work as this run's "
+    "('${done_line}')\n${out}\n${err}")
+endif()
+string(FIND "${done_line}${err}" "respawned" respawned)
+if(NOT respawned EQUAL -1)
+  message(FATAL_ERROR
+    "coordinator resume: first spawns reported as respawns\n${out}\n${err}")
 endif()
 assert_golden("${WORK_DIR}/coord" "coordinator resume leg")
 

@@ -1,5 +1,5 @@
 // Tests for the simulated instruments and their integration: the paper's
-// workflows executed end-to-end against the DES and threaded transports.
+// workflows executed end-to-end against the DES transport.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +17,6 @@
 #include "support/common.hpp"
 #include "wei/engine.hpp"
 #include "wei/sim_transport.hpp"
-#include "wei/thread_transport.hpp"
 
 using namespace sdl;
 using namespace sdl::wei;
@@ -674,19 +673,3 @@ TEST(Integration, PaperWorkflowsRunOnSimTransport) {
     EXPECT_EQ(cell.plates.get(*plate_id).filled_count(), 1);
 }
 
-TEST(Integration, PaperWorkflowsRunOnThreadTransport) {
-    TestWorkcell cell;
-    ThreadTransport transport(cell.registry, 1e-6);
-    EventLog log;
-    WorkflowEngine engine(transport, cell.registry, log);
-
-    (void)engine.run(wf_newplate());
-    std::vector<DispenseOrder> orders(1);
-    orders[0].well = 0;
-    orders[0].volumes.fill(Volume::microliters(25));
-    (void)engine.run(
-        wf_mixcolor().with_step_args("mix colors", Ot2Sim::make_protocol_args(orders)));
-
-    EXPECT_EQ(log.successful_commands(), 6u);
-    EXPECT_NEAR(transport.now().to_seconds(), 107.65 + 232.1, 1e-6);
-}

@@ -42,10 +42,10 @@ using namespace sdl::campaign;
 // ---------------------------------------------------------------- protocol
 
 TEST(FleetProtocol, WorkerLinesRoundTrip) {
-    const auto hello = parse_worker_line(format_hello(4321));
+    const auto hello = parse_worker_line(format_hello());
     ASSERT_TRUE(hello.has_value());
     EXPECT_EQ(hello->kind, WorkerMsgKind::Hello);
-    EXPECT_EQ(hello->pid, 4321);
+    EXPECT_EQ(format_hello(), "hello");
 
     const auto beat = parse_worker_line(format_beat());
     ASSERT_TRUE(beat.has_value());
@@ -75,7 +75,7 @@ TEST(FleetProtocol, MalformedLinesRejected) {
     EXPECT_FALSE(parse_worker_line("ack x").has_value());
     EXPECT_FALSE(parse_worker_line("ack 1 2").has_value());
     EXPECT_FALSE(parse_worker_line("ack  1").has_value());  // double space
-    EXPECT_FALSE(parse_worker_line("hello").has_value());
+    EXPECT_FALSE(parse_worker_line("hello 4321").has_value());  // hello is bare
     EXPECT_FALSE(parse_worker_line("beat now").has_value());
     EXPECT_FALSE(parse_worker_line("lease 1").has_value());  // wrong direction
     EXPECT_FALSE(parse_coordinator_line("lease").has_value());

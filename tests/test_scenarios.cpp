@@ -222,6 +222,20 @@ TEST(Scenarios, RegistryShipsTheDocumentedPack) {
     EXPECT_THROW((void)scenario_by_name("warp_core"), support::ConfigError);
 }
 
+TEST(Scenarios, ExampleFilesMirrorTheRegistry) {
+    // examples/scenarios/<name>.yaml is the copyable form of each registry
+    // scenario; only the prose description may differ.
+    for (const std::string& name : scenario_names()) {
+        WorkcellSpec file = workcell_spec_from_file(
+            std::string(SDLBENCH_SOURCE_DIR) + "/examples/scenarios/" + name + ".yaml");
+        WorkcellSpec registry = scenario_by_name(name);
+        file.description.clear();
+        registry.description.clear();
+        EXPECT_EQ(workcell_spec_to_doc(file).dump(), workcell_spec_to_doc(registry).dump())
+            << name;
+    }
+}
+
 TEST(Scenarios, ResolveAcceptsNamesAndFiles) {
     const WorkcellSpec named = resolve_scenario("fast_lane");
     EXPECT_DOUBLE_EQ(named.timing_scale, 0.25);

@@ -1,4 +1,4 @@
-// Tests for support utilities: RNG, units, thread pool, channel, stats,
+// Tests for support utilities: RNG, units, thread pool, stats,
 // tables, CSV, error helpers.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include <thread>
 
 #include "support/atomic_io.hpp"
-#include "support/channel.hpp"
 #include "support/common.hpp"
 #include "support/csv.hpp"
 #include "support/failpoint.hpp"
@@ -245,58 +244,10 @@ TEST(ThreadPool, ParallelMapHandlesEdgeSizes) {
     EXPECT_EQ(out, (std::vector<std::size_t>{1, 2, 3}));
 }
 
-// ---------------------------------------------------------------- channel
-
-TEST(Channel, SendReceiveInOrder) {
-    Channel<int> ch;
-    ch.send(1);
-    ch.send(2);
-    ch.send(3);
-    EXPECT_EQ(ch.receive(), 1);
-    EXPECT_EQ(ch.receive(), 2);
-    EXPECT_EQ(ch.receive(), 3);
-}
-
-TEST(Channel, CloseDrainsThenSignals) {
-    Channel<int> ch;
-    ch.send(7);
-    ch.close();
-    EXPECT_FALSE(ch.send(8));
-    EXPECT_EQ(ch.receive(), 7);
-    EXPECT_EQ(ch.receive(), std::nullopt);
-}
-
-TEST(Channel, TryOperations) {
-    Channel<int> ch(2);
-    EXPECT_TRUE(ch.try_send(1));
-    EXPECT_TRUE(ch.try_send(2));
-    EXPECT_FALSE(ch.try_send(3));  // full
-    EXPECT_EQ(ch.try_receive(), 1);
-    EXPECT_TRUE(ch.try_send(3));
-    EXPECT_EQ(ch.try_receive(), 2);
-    EXPECT_EQ(ch.try_receive(), 3);
-    EXPECT_EQ(ch.try_receive(), std::nullopt);
-}
-
-TEST(Channel, CrossThreadTransfer) {
-    Channel<int> ch;
-    std::thread producer([&] {
-        for (int i = 0; i < 100; ++i) ch.send(i);
-        ch.close();
-    });
-    int expected = 0;
-    while (auto v = ch.receive()) {
-        EXPECT_EQ(*v, expected++);
-    }
-    EXPECT_EQ(expected, 100);
-    producer.join();
-}
-
-// Shutdown stress: the teardown handshakes (pool dtor draining workers,
-// close() releasing blocked senders/receivers) are where races hide —
-// repeated create/submit/destroy cycles give TSan (the `tsan` preset)
-// real interleavings to bite on, and catch lost-wakeup hangs on any
-// build by simply not terminating.
+// Shutdown stress: the pool destructor's drain handshake is where races
+// hide — repeated create/submit/destroy cycles give TSan (the `tsan`
+// preset) real interleavings to bite on, and catch lost-wakeup hangs on
+// any build by simply not terminating.
 
 TEST(ThreadPool, RepeatedCreateSubmitDestroy) {
     std::atomic<int> executed{0};
@@ -334,54 +285,6 @@ TEST(ThreadPool, DestroyWithUnclaimedWorkRunsEverything) {
         }
         for (auto& f : futures) f.get();
         EXPECT_EQ(executed.load(), 16);
-    }
-}
-
-TEST(Channel, CloseWhileManyBlockedOnReceive) {
-    for (int cycle = 0; cycle < 25; ++cycle) {
-        Channel<int> ch;
-        std::atomic<int> received{0};
-        std::vector<std::thread> readers;
-        readers.reserve(4);
-        for (int r = 0; r < 4; ++r) {
-            readers.emplace_back([&] {
-                while (ch.receive()) received.fetch_add(1, std::memory_order_relaxed);
-            });
-        }
-        for (int i = 0; i < 32; ++i) ch.send(i);
-        ch.close();  // must wake every parked reader exactly once
-        for (auto& t : readers) t.join();
-        EXPECT_EQ(received.load(), 32);
-    }
-}
-
-TEST(Channel, CloseWhileSendersBlockedOnFullBuffer) {
-    for (int cycle = 0; cycle < 25; ++cycle) {
-        Channel<int> ch(2);
-        std::atomic<int> accepted{0};
-        std::vector<std::thread> senders;
-        senders.reserve(3);
-        for (int s = 0; s < 3; ++s) {
-            senders.emplace_back([&, s] {
-                for (int i = 0; i < 8; ++i) {
-                    if (ch.send(s * 8 + i)) {
-                        accepted.fetch_add(1, std::memory_order_relaxed);
-                    } else {
-                        return;  // closed under us — the expected exit
-                    }
-                }
-            });
-        }
-        // Drain a few, then slam the door with senders still parked on
-        // the full buffer; close() must release them with send()==false.
-        for (int i = 0; i < 5; ++i) ch.receive();
-        ch.close();
-        for (auto& t : senders) t.join();
-        // Everything accepted before close stays receivable (drain
-        // semantics), and nothing is double-delivered.
-        int drained = 5;
-        while (ch.receive()) ++drained;
-        EXPECT_EQ(drained, accepted.load());
     }
 }
 

@@ -1,5 +1,5 @@
-// Tests for the WEI framework: modules, plates/locations, workcell and
-// workflow notation, transports, fault injection and the engine.
+// Tests for the WEI framework: modules, plates/locations, workflow
+// notation, the DES transport, fault injection and the engine.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,8 +12,6 @@
 #include "wei/module.hpp"
 #include "wei/plate.hpp"
 #include "wei/sim_transport.hpp"
-#include "wei/thread_transport.hpp"
-#include "wei/workcell.hpp"
 #include "wei/workflow.hpp"
 
 using namespace sdl::wei;
@@ -133,60 +131,7 @@ TEST(LocationMap, TrashSwallowsPlates) {
     EXPECT_EQ(map.peek(locations::kTrash), std::nullopt);
 }
 
-// ---------------------------------------------------------------- configs
-
-TEST(WorkcellConfig, ParsesRplWorkcellYaml) {
-    const char* yaml_text = R"(# RPL color-picker workcell
-name: rpl_workcell
-modules:
-  - name: sciclops
-    model: Hudson SciClops
-    interface: simulation
-    config: {towers: 4}
-  - name: pf400
-    model: Precise PF400
-  - name: ot2
-    config:
-      reservoirs: 4
-  - name: barty
-  - name: camera
-locations:
-  sciclops.exchange: [210.0, 30.0]
-  camera.nest: [310.5, 20.0]
-)";
-    const WorkcellConfig wc = WorkcellConfig::from_yaml(yaml_text);
-    EXPECT_EQ(wc.name(), "rpl_workcell");
-    ASSERT_EQ(wc.modules().size(), 5u);
-    EXPECT_TRUE(wc.has_module("barty"));
-    EXPECT_EQ(wc.module("sciclops").model, "Hudson SciClops");
-    EXPECT_EQ(wc.module("sciclops").config.at("towers").as_int(), 4);
-    EXPECT_EQ(wc.module("pf400").interface, "simulation");
-    ASSERT_EQ(wc.locations().size(), 2u);
-    EXPECT_DOUBLE_EQ(wc.locations()[1].position[0], 310.5);
-    EXPECT_FALSE(wc.describe().empty());
-}
-
-TEST(WorkcellConfig, YamlRoundTrip) {
-    const char* yaml_text =
-        "name: cell\nmodules:\n  - name: a\n    model: M\n  - name: b\n";
-    const WorkcellConfig wc = WorkcellConfig::from_yaml(yaml_text);
-    const WorkcellConfig round = WorkcellConfig::from_yaml(wc.to_yaml());
-    EXPECT_EQ(round.name(), "cell");
-    EXPECT_EQ(round.modules().size(), 2u);
-    EXPECT_EQ(round.module("a").model, "M");
-}
-
-TEST(WorkcellConfig, RejectsMalformedDocuments) {
-    // A bare scalar fails in the YAML layer (ParseError) — both parse and
-    // config errors share the support::Error base.
-    EXPECT_THROW(WorkcellConfig::from_yaml("just a scalar"), sdl::support::Error);
-    EXPECT_THROW(WorkcellConfig::from_yaml("name: x\n"), sdl::support::ConfigError);
-    EXPECT_THROW(WorkcellConfig::from_yaml("name: x\nmodules:\n  - model: no_name\n"),
-                 sdl::support::ConfigError);
-    EXPECT_THROW(
-        WorkcellConfig::from_yaml("name: x\nmodules:\n  - name: a\n  - name: a\n"),
-        sdl::support::ConfigError);
-}
+// -------------------------------------------------------------- workflows
 
 TEST(WorkflowDef, ParsesMixColorWorkflow) {
     const char* yaml_text = R"(name: cp_wf_mixcolor
@@ -242,7 +187,7 @@ TEST(WorkflowDef, YamlRoundTrip) {
     EXPECT_EQ(round.steps()[1].module, "dev_b");
 }
 
-// ------------------------------------------------------------- transports
+// -------------------------------------------------------------- transport
 
 TEST(SimTransport, AdvancesVirtualTimeByEstimate) {
     Simulation sim;
@@ -285,26 +230,6 @@ TEST(SimTransport, WaitAdvancesClock) {
     SimTransport transport(sim, registry);
     transport.wait(Duration::seconds(30));
     EXPECT_DOUBLE_EQ(transport.now().to_seconds(), 30.0);
-}
-
-TEST(ThreadTransport, ExecutesOnDeviceThreads) {
-    ModuleRegistry registry;
-    auto dev = std::make_shared<StubDevice>("dev_a");
-    registry.add(dev);
-    ThreadTransport transport(registry, 1e-6);
-
-    ActionRequest request;
-    request.module = "dev_a";
-    request.action = "work";
-    request.args.set("payload", "hello");
-    const ActionResult result = transport.execute(request);
-    EXPECT_TRUE(result.ok());
-    EXPECT_EQ(result.data.at("echo").as_string(), "hello");
-    EXPECT_EQ(dev->executions, 1);
-    // Modeled time accumulated despite the microscopic wall time.
-    EXPECT_DOUBLE_EQ(transport.now().to_seconds(), 10.0);
-    EXPECT_THROW((void)transport.execute({"ghost", "work", json::Value::object(), 0}),
-                 sdl::support::ConfigError);
 }
 
 // ----------------------------------------------------------------- faults
@@ -481,21 +406,6 @@ TEST(Engine, ResultsCollectedInStepOrder) {
     ASSERT_EQ(stats.results.size(), 2u);
     EXPECT_EQ(stats.results[0].data.at("echo").as_string(), "one");
     EXPECT_EQ(stats.results[1].data.at("echo").as_string(), "two");
-}
-
-TEST(ThreadTransport, RejectionsPropagateThroughChannels) {
-    ModuleRegistry registry;
-    registry.add(std::make_shared<StubDevice>("dev_a"));
-    FaultConfig fault_config;
-    fault_config.per_module["dev_a"] = 1.0;
-    fault_config.rejection_latency = Duration::seconds(2.0);
-    FaultInjector faults(fault_config);
-    ThreadTransport transport(registry, 1e-6, &faults);
-
-    ActionRequest request{"dev_a", "work", json::Value::object(), 0};
-    const ActionResult result = transport.execute(request);
-    EXPECT_EQ(result.status, ActionStatus::Rejected);
-    EXPECT_DOUBLE_EQ(result.duration.to_seconds(), 2.0);
 }
 
 // -------------------------------------------------------------- event log

@@ -11,7 +11,7 @@ stripped — must exist. Exits 0 when every link resolves, 1 with one line
 per broken link otherwise.
 
 Stdlib only: runs anywhere CI has a Python 3, no pip install needed.
-Used by the docs-and-specs CI job (.github/workflows/ci.yml) so README
+Used by the markdown-links CI job (.github/workflows/ci.yml) so README
 and docs/ cross-references can't silently rot.
 """
 

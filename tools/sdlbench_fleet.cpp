@@ -228,7 +228,7 @@ int main(int argc, char** argv) {
         const campaign::FleetResult fleet = campaign::run_fleet(campaign_path, out_dir,
                                                                 options);
         const campaign::FleetSummary& s = fleet.summary;
-        // sdlbench-lint: allow(printf-float): terminal summary line; fleet_summary.json carries the round-trip values
+        // sdlbench-lint: allow(printf-float): stdout summary line, never serialized into an artifact
         std::printf("\nFleet done: %zu cells, makespan %.1fs, busy %.1fs, "
                     // sdlbench-lint: allow(printf-float): continuation of the same terminal summary line
                     "efficiency %.0f%% (%zu workers",
