@@ -139,8 +139,8 @@ GpRow bench_gp(std::size_t n, std::size_t candidates, int reps) {
 // ---------------------------------------------------------------- GP fit
 
 /// One GaussianProcess::fit with its hyperparameter grid search at
-/// BayesConfig::max_points (n = 256), where a long Bayesian campaign's
-/// O(n^3) factorizations run. Lands in the warn-only drift report (an
+/// BayesSolver's training-set cap (n = 256), where a long Bayesian
+/// campaign's O(n^3) factorizations run. Lands in the warn-only drift report (an
 /// `_ns` absolute), not the speedup gate.
 double bench_gp_fit_ns(std::size_t n, int reps) {
     support::Rng rng(0xF17 + n);
@@ -175,7 +175,6 @@ struct VisionStats {
     /// as a pair (the gated read_speedup_vs_full).
     double read_full_ns = 0.0;
     double read_session_ns = 0.0;
-    double read_scratch_ns = 0.0;
     double to_gray_ns = 0.0;
     double blur_ns = 0.0;
     double adaptive_ns = 0.0;
@@ -261,12 +260,6 @@ VisionStats bench_vision_paths(int reps) {
     stats.render_1536_ns = time_per_call(reps, render_dense) * 1e9;
     stats.render_1536_roi_ns = lazy_render_ns(reps, dense, dense_colors, rng_dense);
 
-    imaging::FrameScratch scratch;
-    (void)imaging::read_plate(frame, params, scratch);  // warm the pool
-    stats.read_scratch_ns =
-        time_per_call(reps, [&] { (void)imaging::read_plate(frame, params, scratch); }) *
-        1e9;
-
     // Stage breakdown (full-frame costs the old path paid every frame).
     imaging::GrayImage gray;
     imaging::to_gray(frame, gray);
@@ -284,7 +277,7 @@ VisionStats bench_vision_paths(int reps) {
     std::vector<imaging::MarkerDetection> detections;
     stats.detect_markers_ns = time_per_call(reps, [&] {
                                   detect_markers(frame, imaging::MarkerDictionary::standard(),
-                                                 {}, marker_scratch, detections);
+                                                 marker_scratch, detections);
                               }) *
                               1e9;
     // Hough over the plate ROI, as read_plate drives it.
@@ -389,10 +382,10 @@ int main(int argc, char** argv) {
     std::printf("  render: 1536-well 3200x2400, full %8.2f ms   "
                 "steady-state read's tiles %8.2f ms\n",
                 vision.render_1536_ns / 1e6, vision.render_1536_roi_ns / 1e6);
-    std::printf("  read:   full %8.2f ms   scratch %8.2f ms   session(ROI) %8.2f ms  "
+    std::printf("  read:   full %8.2f ms   session(ROI) %8.2f ms  "
                 "(%.2fx full->session)\n",
-                vision.read_full_ns / 1e6, vision.read_scratch_ns / 1e6,
-                vision.read_session_ns / 1e6, vision.read_speedup_vs_full);
+                vision.read_full_ns / 1e6, vision.read_session_ns / 1e6,
+                vision.read_speedup_vs_full);
     std::printf("  stages: to_gray %.2f ms  blur %.2f ms  adaptive %.2f ms  "
                 "detect_markers %.2f ms  hough(ROI) %.2f ms\n",
                 vision.to_gray_ns / 1e6, vision.blur_ns / 1e6, vision.adaptive_ns / 1e6,
@@ -448,7 +441,6 @@ int main(int argc, char** argv) {
     vis.set("render_1536_ns", vision.render_1536_ns);
     vis.set("render_1536_roi_ns", vision.render_1536_roi_ns);
     vis.set("read_full_ns", vision.read_full_ns);
-    vis.set("read_scratch_ns", vision.read_scratch_ns);
     vis.set("read_session_ns", vision.read_session_ns);
     vis.set("read_speedup_vs_full", vision.read_speedup_vs_full);
     json::Value stages = json::Value::object();

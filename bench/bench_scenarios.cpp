@@ -50,9 +50,7 @@ int main() {
     spec.axes.workcells = core::scenario_names();
     spec.axes.solvers = {"genetic"};
 
-    campaign::CampaignRunnerOptions options;
-    options.log_progress = false;
-    const auto results = campaign::CampaignRunner(options).run(spec);
+    const auto results = campaign::run(spec);
 
     support::TextTable table({"Scenario", "Best", "TWH (total)", "CCWH",
                               "Time per color", "Interventions", "Wall s"});

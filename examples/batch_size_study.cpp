@@ -33,7 +33,7 @@ int main() {
     spec.base_seed = 500;
     spec.seed_mode = campaign::SeedMode::PerCell;
 
-    const auto results = campaign::CampaignRunner().run(spec);
+    const auto results = campaign::run(spec);
 
     support::TextTable table({"B", "Feedback rounds", "Total time", "Time per color",
                               "Final best"});

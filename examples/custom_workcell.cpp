@@ -62,8 +62,8 @@ int main() {
     }
     wei::ModuleRegistry registry;
     auto ot2 = std::make_shared<devices::Ot2Sim>(devices::Ot2Config{}, plates, locations);
-    registry.add(std::make_shared<devices::SciclopsSim>(devices::SciclopsConfig{}, plates,
-                                                        locations));
+    registry.add(std::make_shared<devices::SciclopsSim>(devices::SciclopsConfig{}, 8, 12,
+                                                        plates, locations));
     registry.add(std::make_shared<devices::Pf400Sim>(devices::Pf400Config{}, locations));
     registry.add(ot2);
     registry.add(std::make_shared<devices::BartySim>(devices::BartyConfig{},

@@ -29,7 +29,7 @@ int main() {
     spec.base_seed = 9;
     spec.seed_mode = campaign::SeedMode::PerReplicate;
 
-    const auto results = campaign::CampaignRunner().run(spec);
+    const auto results = campaign::run(spec);
 
     support::TextTable table({"Solver", "Final best", "Best color", "Samples to < 15"});
     table.set_alignment({support::TextTable::Align::Left, support::TextTable::Align::Right,

@@ -137,8 +137,12 @@ std::vector<std::pair<std::size_t, std::vector<std::size_t>>> Coordinator::top_u
 }
 
 std::vector<std::size_t> Coordinator::due(double now) const {
+    // One live worker per open cell at most: a worker beyond that would
+    // never be dealt a cell (a resume with one cell left, or a fleet
+    // whose last cells are already running).
     std::vector<std::size_t> slots;
     for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+        if (alive_ + slots.size() >= open()) break;
         const Slot& s = slots_[slot];
         if (!s.alive && s.respawn_at && *s.respawn_at <= now) slots.push_back(slot);
     }
@@ -155,11 +159,12 @@ std::vector<std::size_t> Coordinator::hung(double now) const {
 }
 
 double Coordinator::next_deadline(double now, double cap) const {
+    const bool may_spawn = alive_ < open();  // as due() decides
     double next = cap;
     for (const Slot& s : slots_) {
         if (s.alive) {
             next = std::min(next, kHeartbeatTimeoutS - (now - s.last_heard));
-        } else if (s.respawn_at) {
+        } else if (s.respawn_at && may_spawn) {
             next = std::min(next, *s.respawn_at - now);
         }
     }

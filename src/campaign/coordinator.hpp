@@ -28,8 +28,10 @@
 // pairs — quarantine the cell: never dealt again, reported with its crash
 // history, still counted toward the end. A dead slot respawns after
 // min(5 s, 0.25 s * 2^(deaths since its last ack - 1)), on a budget of 8
-// respawns; then it retires. docs/ROBUSTNESS.md has the policy; its
-// constants sit atop coordinator.cpp.
+// respawns; then it retires. A slot (re)spawns only while the live
+// workers are fewer than the open cells, so a resume with one cell left
+// starts one worker. docs/ROBUSTNESS.md has the policy; its constants sit
+// atop coordinator.cpp.
 #pragma once
 
 #include <cstddef>
@@ -88,11 +90,13 @@ public:
     /// Leases for every greeted live worker that holds no cell, as
     /// (slot, lease) pairs.
     [[nodiscard]] std::vector<std::pair<std::size_t, std::vector<std::size_t>>> top_up();
-    /// Dead slots whose respawn is due at `now`.
+    /// Dead slots whose respawn is due at `now`, in slot order, as many
+    /// as bring the live workers up to the open (unresolved) cells.
     [[nodiscard]] std::vector<std::size_t> due(double now) const;
     /// Live slots silent past the heartbeat timeout at `now`.
     [[nodiscard]] std::vector<std::size_t> hung(double now) const;
-    /// Seconds from `now` to the next timeout or respawn, at most `cap`.
+    /// Seconds from `now` to the next timeout or allowed respawn, at most
+    /// `cap`.
     [[nodiscard]] double next_deadline(double now, double cap) const;
 
     // Resume: a killed coordinator's ledger events, in ledger order
@@ -106,9 +110,7 @@ public:
     // State.
 
     /// Every cell is Done or Quarantined.
-    [[nodiscard]] bool all_done() const noexcept {
-        return done_ + quarantined_ == states_.size();
-    }
+    [[nodiscard]] bool all_done() const noexcept { return open() == 0; }
     /// Every slot is retired: nothing is left to run the open cells.
     [[nodiscard]] bool exhausted() const noexcept;
     [[nodiscard]] std::size_t done_count() const noexcept { return done_; }
@@ -140,6 +142,10 @@ private:
         bool retired = false;
     };
 
+    /// Cells neither Done nor Quarantined.
+    [[nodiscard]] std::size_t open() const noexcept {
+        return states_.size() - done_ - quarantined_;
+    }
     Slot& live(std::size_t slot);
     /// A cost-sized lease for `slot`, off the queue front.
     std::vector<std::size_t> deal(std::size_t slot);

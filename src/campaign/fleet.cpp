@@ -372,7 +372,6 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
     std::vector<std::vector<CellCrash>> crash_log(grid.size());
     FleetSummary summary;
     summary.cells = grid.size();
-    summary.workers_started = n_workers;
 
     std::vector<WorkerState> workers(n_workers);
     ReapGuard reaper{workers};
@@ -750,6 +749,8 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
     ledger.remove();
 
     summary.makespan_s = now();
+    summary.workers_started = static_cast<std::size_t>(
+        std::count_if(spawns.begin(), spawns.end(), [](int n) { return n > 0; }));
     if (summary.makespan_s > 0.0 && summary.workers_started > 0) {
         summary.efficiency =
             summary.busy_s /

@@ -125,7 +125,7 @@ struct FleetOptions {
 
 struct FleetSummary {
     std::size_t cells = 0;
-    std::size_t workers_started = 0;
+    std::size_t workers_started = 0;  ///< slots that spawned in this run
     std::size_t workers_lost = 0;     ///< died or declared hung
     std::size_t workers_respawned = 0;  ///< a slot's later spawns in this run
     std::size_t cells_salvaged = 0;   ///< journaled by a dead worker, unacked

@@ -14,16 +14,15 @@
 
 namespace sdl::campaign {
 
-std::vector<CellResult> CampaignRunner::run(const CampaignSpec& spec) const {
+std::vector<CellResult> run(const CampaignSpec& spec, const CellDoneHook& on_cell_done) {
     std::vector<CampaignCell> cells = expand_grid(spec);
-    if (options_.log_progress) {
-        support::log_info("campaign", "'", spec.name, "': ", cells.size(), " cells on ",
-                          support::global_pool().size(), " workers");
-    }
-    return run_cells(std::move(cells));
+    support::log_info("campaign", "'", spec.name, "': ", cells.size(), " cells on ",
+                      support::global_pool().size(), " workers");
+    return run_cells(std::move(cells), on_cell_done);
 }
 
-std::vector<CellResult> CampaignRunner::run_cells(std::vector<CampaignCell> cells) const {
+std::vector<CellResult> run_cells(std::vector<CampaignCell> cells,
+                                  const CellDoneHook& on_cell_done) {
     const std::size_t total = cells.size();
     // One map item per cell, then one per distinct generated seed: the
     // seed's difficulty probe, which the report would otherwise run one
@@ -40,7 +39,7 @@ std::vector<CellResult> CampaignRunner::run_cells(std::vector<CampaignCell> cell
     }
     const std::vector<std::size_t> order = longest_first(costs);
     // Serializes completion handling: the progress log line and the
-    // on_cell_done hook (see runner.hpp). Pool workers would otherwise
+    // on_cell_done hook (see CellDoneHook). Pool workers would otherwise
     // interleave a journaling callback's writes.
     support::Mutex done_mutex;
     std::size_t done = 0;
@@ -65,19 +64,14 @@ std::vector<CellResult> CampaignRunner::run_cells(std::vector<CampaignCell> cell
             {
                 support::MutexLock lock(done_mutex);
                 const std::size_t finished = ++done;
-                if (options_.log_progress) {
-                    support::log_info("campaign", "[", finished, "/", total, "] ",
-                                      result.cell.config.experiment_id,
-                                      " best=", result.outcome.best_score, " (",
-                                      result.outcome.samples.size(), " samples)");
-                }
-                if (options_.on_cell_done) {
-                    options_.on_cell_done(result, finished, total);
-                }
+                support::log_info("campaign", "[", finished, "/", total, "] ",
+                                  result.cell.config.experiment_id,
+                                  " best=", result.outcome.best_score, " (",
+                                  result.outcome.samples.size(), " samples)");
+                if (on_cell_done) on_cell_done(result, finished, total);
             }
             return result;
-        },
-        options_.max_workers);
+        });
     std::vector<CellResult> results(total);
     for (std::size_t k = 0; k < order.size(); ++k) {
         if (mapped[k]) results[order[k]] = std::move(*mapped[k]);

@@ -19,12 +19,6 @@ double lab_f(double t) noexcept {
     return (kKappa * t + 16.0) / 116.0;
 }
 
-double lab_f_inv(double t) noexcept {
-    const double t3 = t * t * t;
-    if (t3 > kEpsilon) return t3;
-    return (116.0 * t - 16.0) / kKappa;
-}
-
 constexpr double deg2rad(double d) noexcept { return d * std::numbers::pi / 180.0; }
 }  // namespace
 
@@ -48,13 +42,6 @@ Lab xyz_to_lab(Xyz c) noexcept {
     return {116.0 * fy - 16.0, 500.0 * (fx - fy), 200.0 * (fy - fz)};
 }
 
-Xyz lab_to_xyz(Lab c) noexcept {
-    const double fy = (c.l + 16.0) / 116.0;
-    const double fx = fy + c.a / 500.0;
-    const double fz = fy - c.b / 200.0;
-    return {kXn * lab_f_inv(fx), kYn * lab_f_inv(fy), kZn * lab_f_inv(fz)};
-}
-
 Lab to_lab(Rgb8 c) noexcept { return xyz_to_lab(to_xyz(to_linear(c))); }
 
 double delta_e76(const Lab& a, const Lab& b) noexcept {
@@ -62,22 +49,6 @@ double delta_e76(const Lab& a, const Lab& b) noexcept {
     const double da = a.a - b.a;
     const double db = a.b - b.b;
     return std::sqrt(dl * dl + da * da + db * db);
-}
-
-double delta_e94(const Lab& a, const Lab& b) noexcept {
-    const double c1 = std::hypot(a.a, a.b);
-    const double c2 = std::hypot(b.a, b.b);
-    const double dl = a.l - b.l;
-    const double dc = c1 - c2;
-    const double da = a.a - b.a;
-    const double db = a.b - b.b;
-    const double dh2 = da * da + db * db - dc * dc;
-    const double dh = dh2 > 0.0 ? std::sqrt(dh2) : 0.0;
-    const double sc = 1.0 + 0.045 * c1;
-    const double sh = 1.0 + 0.015 * c1;
-    const double tc = dc / sc;
-    const double th = dh / sh;
-    return std::sqrt(dl * dl + tc * tc + th * th);
 }
 
 double delta_e2000(const Lab& lab1, const Lab& lab2) noexcept {

@@ -29,17 +29,12 @@ struct Lab {
 
 /// XYZ -> L*a*b* with the D65 reference white.
 [[nodiscard]] Lab xyz_to_lab(Xyz c) noexcept;
-/// L*a*b* -> XYZ with the D65 reference white.
-[[nodiscard]] Xyz lab_to_xyz(Lab c) noexcept;
 
 /// Convenience: 8-bit sRGB -> Lab.
 [[nodiscard]] Lab to_lab(Rgb8 c) noexcept;
 
 /// CIE76: Euclidean distance in Lab.
 [[nodiscard]] double delta_e76(const Lab& a, const Lab& b) noexcept;
-
-/// CIE94 (graphic-arts weights kL=1, K1=0.045, K2=0.015).
-[[nodiscard]] double delta_e94(const Lab& a, const Lab& b) noexcept;
 
 /// CIEDE2000 with unit parametric factors.
 [[nodiscard]] double delta_e2000(const Lab& a, const Lab& b) noexcept;

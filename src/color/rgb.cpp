@@ -11,12 +11,6 @@ std::string Rgb8::str() const {
     return buf;
 }
 
-std::string Rgb8::hex() const {
-    char buf[8];
-    std::snprintf(buf, sizeof(buf), "#%02x%02x%02x", r, g, b);
-    return buf;
-}
-
 double srgb_to_linear(double encoded) noexcept {
     if (encoded <= 0.04045) return encoded / 12.92;
     return std::pow((encoded + 0.055) / 1.055, 2.4);

@@ -22,8 +22,6 @@ struct Rgb8 {
 
     /// "rgb(120,120,120)" — used in portal records and reports.
     [[nodiscard]] std::string str() const;
-    /// "#787878"
-    [[nodiscard]] std::string hex() const;
 };
 
 struct LinearRgb {

@@ -36,8 +36,6 @@ ColorPickerConfig finalize_config(ColorPickerConfig config) {
         throw support::ConfigError("linalg_backend '" + config.linalg_backend +
                                    "' is not selectable; only \"strict\" is accepted");
     }
-    config.sciclops.plate_rows = config.plate_rows;
-    config.sciclops.plate_cols = config.plate_cols;
     // Derive device noise streams from the experiment seed so a seed fully
     // determines the run.
     config.ot2.noise_seed = config.seed * 0x9E3779B9ULL + 0x07B2;

@@ -171,7 +171,6 @@ WorkcellSpec generate_scenario(std::uint64_t seed) {
     if (has_sciclops) {
         DeviceSpec d;
         d.kind = DeviceKind::Sciclops;
-        d.name = "sciclops";
         d.options.set("towers", static_cast<std::int64_t>(rng.uniform_int(2, 4)));
         d.options.set("plates_per_tower",
                       static_cast<std::int64_t>(rng.uniform_int(10, 20)));
@@ -181,14 +180,12 @@ WorkcellSpec generate_scenario(std::uint64_t seed) {
     if (has_pf400) {
         DeviceSpec d;
         d.kind = DeviceKind::Pf400;
-        d.name = "pf400";
         d.options.set("transfer_s", jitter(rng, 42.65));
         spec.devices.push_back(std::move(d));
     }
     {
         DeviceSpec d;
         d.kind = DeviceKind::Ot2;
-        d.name = "ot2";
         d.count = ot2_count;
         d.options.set("protocol_overhead_s", jitter(rng, 110.3));
         d.options.set("per_well_s", jitter(rng, 35.0));
@@ -206,7 +203,6 @@ WorkcellSpec generate_scenario(std::uint64_t seed) {
     if (has_barty) {
         DeviceSpec d;
         d.kind = DeviceKind::Barty;
-        d.name = "barty";
         d.options.set("fill_s", jitter(rng, 45.0));
         d.options.set("refill_s", jitter(rng, 65.0));
         d.options.set("prime_s", jitter(rng, 30.0));
@@ -215,7 +211,6 @@ WorkcellSpec generate_scenario(std::uint64_t seed) {
     {
         DeviceSpec d;
         d.kind = DeviceKind::Camera;
-        d.name = "camera";
         d.options.set("capture_s", jitter(rng, 1.5));
         const double glitch = prob_or_zero(rng, 0.08, 0.01, 3);
         if (glitch > 0.0) {

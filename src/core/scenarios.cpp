@@ -12,7 +12,6 @@ namespace {
 DeviceSpec device(DeviceKind kind, int count = 1) {
     DeviceSpec spec;
     spec.kind = kind;
-    spec.name = device_kind_to_string(kind);
     spec.count = count;
     return spec;
 }

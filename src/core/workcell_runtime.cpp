@@ -64,8 +64,10 @@ WorkcellRuntime::WorkcellRuntime(ColorPickerConfig config)
         for (const auto& ot2 : ot2s_) ot2->prime_tips();
     };
     if (topology.has_sciclops) {
-        sciclops_ =
-            std::make_shared<devices::SciclopsSim>(config_.sciclops, plates_, locations_);
+        sciclops_ = std::make_shared<devices::SciclopsSim>(config_.sciclops,
+                                                           config_.plate_rows,
+                                                           config_.plate_cols, plates_,
+                                                           locations_);
         registry_.add(sciclops_);
     } else {
         add_manual("sciclops", nullptr);

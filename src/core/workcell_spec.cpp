@@ -96,10 +96,6 @@ void check_option_value(const std::string& key, const json::Value& value) {
     }
 }
 
-std::string instance_name(const DeviceSpec& device, int index) {
-    return index == 0 ? device.name : device.name + "_" + std::to_string(index + 1);
-}
-
 }  // namespace
 
 void validate_workcell_spec(const WorkcellSpec& spec) {
@@ -115,32 +111,24 @@ void validate_workcell_spec(const WorkcellSpec& spec) {
         throw support::ConfigError("workcell plate rows/cols must be >= 1");
     }
 
-    std::set<std::string> names;
+    std::set<DeviceKind> kinds;
     int ot2_count = 0;
     bool has_camera = false;
     for (const DeviceSpec& device : spec.devices) {
-        if (device.name != device_kind_to_string(device.kind)) {
-            // The Figure-2 workflows address modules by their kind names,
-            // so a renamed instance would never receive a command.
-            throw support::ConfigError(
-                "device '" + device.name + "': custom instance names are not "
-                "supported (modules register under their kind name; ot2 fan-out "
-                "uses count:)");
-        }
+        const std::string name = device_kind_to_string(device.kind);
         if (device.count < 1) {
-            throw support::ConfigError("device '" + device.name + "' count must be >= 1");
+            throw support::ConfigError("device '" + name + "' count must be >= 1");
         }
         if (device.count > 1 && device.kind != DeviceKind::Ot2) {
             throw support::ConfigError(
-                "device '" + device.name +
+                "device '" + name +
                 "': only ot2 may have count > 1 (one arm, one camera, one stacker)");
         }
-        for (int i = 0; i < device.count; ++i) {
-            if (!names.insert(instance_name(device, i)).second) {
-                throw support::ConfigError("duplicate device name '" +
-                                           instance_name(device, i) +
-                                           "' in workcell spec '" + spec.name + "'");
-            }
+        // Each instance registers under its kind's name, so a second
+        // entry of a kind would collide with the first.
+        if (!kinds.insert(device.kind).second) {
+            throw support::ConfigError("duplicate device name '" + name +
+                                       "' in workcell spec '" + spec.name + "'");
         }
         if (device.options.is_object()) {
             for (const auto& [key, value] : device.options.as_object()) {
@@ -224,9 +212,18 @@ WorkcellSpec workcell_spec_from_doc(const json::Value& doc) {
         }
         DeviceSpec device;
         device.kind = device_kind_from_string(entry.at("kind").as_string());
-        device.name = entry.get_or("name", std::string(device_kind_to_string(device.kind)));
+        const std::string kind_name = device_kind_to_string(device.kind);
+        const std::string name = entry.get_or("name", kind_name);
+        if (name != kind_name) {
+            // The Figure-2 workflows address modules by their kind names,
+            // so a renamed instance would never receive a command.
+            throw support::ConfigError(
+                "device '" + name + "': custom instance names are not "
+                "supported (modules register under their kind name; ot2 fan-out "
+                "uses count:)");
+        }
         device.count = positive_count(entry.get_or("count", std::int64_t{1}),
-                                      "device '" + device.name + "' count");
+                                      "device '" + name + "' count");
         for (const auto& [key, value] : entry.as_object()) {
             if (key == "kind" || key == "name" || key == "count") continue;
             if (!is_option_key(device.kind, key)) {
@@ -291,9 +288,6 @@ json::Value workcell_spec_to_doc(const WorkcellSpec& spec) {
     for (const DeviceSpec& device : spec.devices) {
         json::Value entry = json::Value::object();
         entry.set("kind", device_kind_to_string(device.kind));
-        if (device.name != device_kind_to_string(device.kind)) {
-            entry.set("name", device.name);
-        }
         if (device.count != 1) entry.set("count", device.count);
         if (device.options.is_object()) {
             for (const auto& [key, value] : device.options.as_object()) {

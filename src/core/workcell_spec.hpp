@@ -30,10 +30,11 @@
 //     rejection_latency_s: 5.0
 //     per_module: {ot2: 0.08}
 //
-// Unknown keys, unknown device kinds, and duplicate instance names raise
-// ConfigError so typos fail loudly. `apply_workcell_spec` resolves a spec
-// against a ColorPickerConfig, after which WorkcellRuntime builds the
-// described workcell; scenarios.hpp ships a pack of named specs.
+// Unknown keys, unknown device kinds, a kind listed twice, and a `name:`
+// other than the kind raise ConfigError so typos fail loudly.
+// `apply_workcell_spec` resolves a spec against a ColorPickerConfig,
+// after which WorkcellRuntime builds the described workcell;
+// scenarios.hpp ships a pack of named specs.
 #pragma once
 
 #include <optional>
@@ -55,9 +56,13 @@ enum class DeviceKind { Sciclops, Pf400, Ot2, Barty, Camera };
 [[nodiscard]] DeviceKind device_kind_from_string(const std::string& name);
 [[nodiscard]] const char* device_kind_to_string(DeviceKind kind);
 
-/// One roster entry. `options` holds the kind-specific overrides exactly
-/// as written in the file (validated keys only); fields not mentioned
-/// keep the paper-calibrated defaults. Valid option keys per kind:
+/// One roster entry. Its instance name is the kind spelling: the
+/// Figure-2 workflows address modules by kind name, so a spec file's
+/// optional `name:` key must equal the kind, and ot2 fan-out mounts
+/// "ot2", "ot2_2", ... from count. `options` holds the kind-specific
+/// overrides exactly as written in the file (validated keys only);
+/// fields not mentioned keep the paper-calibrated defaults. Valid option
+/// keys per kind:
 ///   sciclops — towers, plates_per_tower, get_plate_s, status_s
 ///   pf400    — transfer_s
 ///   ot2      — protocol_overhead_s, per_well_s, dispense_cv,
@@ -67,11 +72,7 @@ enum class DeviceKind { Sciclops, Pf400, Ot2, Barty, Camera };
 ///   camera   — capture_s, glitch_prob, max_frames, drift_per_frame
 struct DeviceSpec {
     DeviceKind kind = DeviceKind::Ot2;
-    /// Instance name. Must equal the kind spelling (validated): the
-    /// Figure-2 workflows address modules by kind name, so renames would
-    /// strand the instance; ot2 fan-out derives "ot2_2", ... from count.
-    std::string name;
-    int count = 1;  ///< >1 only for ot2 (mounts name, name_2, ...)
+    int count = 1;  ///< >1 only for ot2 (mounts ot2, ot2_2, ...)
     support::json::Value options = support::json::Value::object();
 };
 
@@ -91,8 +92,8 @@ struct WorkcellSpec {
     std::optional<wei::FaultConfig> faults;
 };
 
-/// Structural validation: camera + at least one ot2 present, instance
-/// names unique, counts sane, probabilities in range. Called by the
+/// Structural validation: camera + at least one ot2 present, each kind
+/// listed once, counts sane, probabilities in range. Called by the
 /// parsers and by apply_workcell_spec; throws ConfigError.
 void validate_workcell_spec(const WorkcellSpec& spec);
 

@@ -4,11 +4,21 @@
 
 namespace sdl::data {
 
+namespace {
+
+constexpr support::Duration kTransferLatency = support::Duration::seconds(4.0);
+constexpr support::Duration kIngestLatency = support::Duration::seconds(2.5);
+constexpr support::Duration kIndexLatency = support::Duration::seconds(1.5);
+/// Multiplicative jitter on each stage, uniform in [1-j, 1+j].
+constexpr double kJitter = 0.3;
+
+}  // namespace
+
 GlobusFlowSim::GlobusFlowSim(des::Simulation& sim, DataPortal& portal, FlowConfig config)
-    : sim_(sim), portal_(portal), config_(config), rng_(config.seed) {}
+    : sim_(sim), portal_(portal), rng_(config.seed) {}
 
 support::Duration GlobusFlowSim::jittered(support::Duration base) {
-    const double factor = rng_.uniform(1.0 - config_.jitter, 1.0 + config_.jitter);
+    const double factor = rng_.uniform(1.0 - kJitter, 1.0 + kJitter);
     return base * factor;
 }
 
@@ -16,9 +26,9 @@ void GlobusFlowSim::publish(support::json::Value document) {
     ++in_flight_;
     // Draw all stage durations up front so the flow is deterministic
     // regardless of what else interleaves on the simulation.
-    const support::Duration transfer = jittered(config_.transfer_latency);
-    const support::Duration ingest = jittered(config_.ingest_latency);
-    const support::Duration index = jittered(config_.index_latency);
+    const support::Duration transfer = jittered(kTransferLatency);
+    const support::Duration ingest = jittered(kIngestLatency);
+    const support::Duration index = jittered(kIndexLatency);
 
     auto doc = std::make_shared<support::json::Value>(std::move(document));
     sim_.schedule_in(transfer, [this, doc, ingest, index] {

@@ -19,11 +19,6 @@
 namespace sdl::data {
 
 struct FlowConfig {
-    support::Duration transfer_latency = support::Duration::seconds(4.0);
-    support::Duration ingest_latency = support::Duration::seconds(2.5);
-    support::Duration index_latency = support::Duration::seconds(1.5);
-    /// Multiplicative jitter on each stage, uniform in [1-j, 1+j].
-    double jitter = 0.3;
     std::uint64_t seed = 0x910B05;
 };
 
@@ -56,7 +51,6 @@ private:
 
     des::Simulation& sim_;
     DataPortal& portal_;
-    FlowConfig config_;
     support::Rng rng_;
     std::size_t in_flight_ = 0;
     std::size_t completed_ = 0;

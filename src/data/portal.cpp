@@ -47,15 +47,6 @@ std::optional<RunRecord> DataPortal::find_run(const std::string& experiment_id,
     return it->second;
 }
 
-std::vector<RunRecord> DataPortal::search_runs(
-    const std::function<bool(const RunRecord&)>& predicate) const {
-    std::vector<RunRecord> out;
-    for (const auto& [key, record] : runs_) {
-        if (predicate(record)) out.push_back(record);
-    }
-    return out;
-}
-
 std::string DataPortal::render_experiment_summary(const std::string& experiment_id) const {
     const auto experiment = find_experiment(experiment_id);
     if (!experiment.has_value()) {
@@ -135,13 +126,6 @@ json::Value DataPortal::to_json() const {
     for (const auto& [key, record] : runs_) runs.push_back(record.to_json());
     doc.set("runs", std::move(runs));
     return doc;
-}
-
-DataPortal DataPortal::from_json(const json::Value& v) {
-    DataPortal portal;
-    for (const json::Value& e : v.at("experiments").as_array()) portal.ingest(e);
-    for (const json::Value& r : v.at("runs").as_array()) portal.ingest(r);
-    return portal;
 }
 
 }  // namespace sdl::data

@@ -3,7 +3,6 @@
 // Co-Op (ACDC) where the paper publishes its results (Figure 3).
 #pragma once
 
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -30,11 +29,6 @@ public:
     [[nodiscard]] std::optional<RunRecord> find_run(const std::string& experiment_id,
                                                     int run_number) const;
 
-    /// Full-index search: returns run records whose samples satisfy the
-    /// predicate (e.g. score below a threshold).
-    [[nodiscard]] std::vector<RunRecord> search_runs(
-        const std::function<bool(const RunRecord&)>& predicate) const;
-
     /// Figure 3, left: the experiment summary view.
     [[nodiscard]] std::string render_experiment_summary(
         const std::string& experiment_id) const;
@@ -45,7 +39,6 @@ public:
 
     /// Whole-portal persistence.
     [[nodiscard]] support::json::Value to_json() const;
-    [[nodiscard]] static DataPortal from_json(const support::json::Value& v);
 
 private:
     // Keyed by experiment_id and (experiment_id, run_number).

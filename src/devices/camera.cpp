@@ -30,7 +30,7 @@ wei::ActionResult CameraSim::execute(const wei::ActionRequest& request) {
     if (request.action != "take_picture") {
         return wei::ActionResult::failure("camera: unknown action '" + request.action + "'");
     }
-    const auto plate_id = locations_.peek(config_.nest_location);
+    const auto plate_id = locations_.peek(wei::locations::kCamera);
     if (!plate_id.has_value()) {
         return wei::ActionResult::failure("camera: no plate on the nest");
     }

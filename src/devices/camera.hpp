@@ -29,8 +29,6 @@ struct CameraConfig {
     /// Seeds the glitch rolls and the per-frame sensor-noise keys.
     std::uint64_t noise_seed = 0xCA3E7A;
     CameraTiming timing;
-    /// Nest location photographed by this camera.
-    std::string nest_location = wei::locations::kCamera;
     /// Frames retained in the ring buffer (raw images are big).
     std::size_t max_frames = 16;
     /// Probability that a frame is unusable (fiducial occluded — e.g. the

@@ -9,15 +9,23 @@ namespace sdl::devices {
 namespace json = support::json;
 using support::Volume;
 
+namespace {
+
+/// Reservoir level at start-up: the workcell starts drained, and barty
+/// fills it on newplate.
+constexpr Volume kReservoirInitial = Volume::zero();
+
+}  // namespace
+
 Ot2Sim::Ot2Sim(Ot2Config config, wei::PlateRegistry& plates, wei::LocationMap& locations)
     : config_(config),
       plates_(plates),
       locations_(locations),
       mixer_(color::DyeLibrary::cmyk()),
-      reservoirs_{des::Store(config.reservoir_capacity, config.reservoir_initial, "cyan"),
-                  des::Store(config.reservoir_capacity, config.reservoir_initial, "magenta"),
-                  des::Store(config.reservoir_capacity, config.reservoir_initial, "yellow"),
-                  des::Store(config.reservoir_capacity, config.reservoir_initial, "black")},
+      reservoirs_{des::Store(config.reservoir_capacity, kReservoirInitial, "cyan"),
+                  des::Store(config.reservoir_capacity, kReservoirInitial, "magenta"),
+                  des::Store(config.reservoir_capacity, kReservoirInitial, "yellow"),
+                  des::Store(config.reservoir_capacity, kReservoirInitial, "black")},
       rng_(config.noise_seed),
       clog_rng_(config.noise_seed ^ 0xC106C106C106ULL) {
     info_ = wei::ModuleInfo{

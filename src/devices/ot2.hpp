@@ -24,8 +24,6 @@ namespace sdl::devices {
 struct Ot2Config {
     /// Reservoir capacity per dye.
     support::Volume reservoir_capacity = support::Volume::milliliters(25.0);
-    /// Initial level (the workcell starts drained; barty fills on newplate).
-    support::Volume reservoir_initial = support::Volume::zero();
     /// Proportional pipetting error (coefficient of variation).
     double dispense_cv = 0.02;
     /// Absolute pipetting error floor in µL.

@@ -4,9 +4,13 @@
 
 namespace sdl::devices {
 
-SciclopsSim::SciclopsSim(SciclopsConfig config, wei::PlateRegistry& plates,
-                         wei::LocationMap& locations)
-    : config_(config), plates_(plates), locations_(locations) {
+SciclopsSim::SciclopsSim(SciclopsConfig config, int plate_rows, int plate_cols,
+                         wei::PlateRegistry& plates, wei::LocationMap& locations)
+    : config_(config),
+      plate_rows_(plate_rows),
+      plate_cols_(plate_cols),
+      plates_(plates),
+      locations_(locations) {
     support::check(config.towers > 0 && config.plates_per_tower > 0,
                    "sciclops needs at least one stocked tower");
     plates_remaining_ = config.towers * config.plates_per_tower;
@@ -39,7 +43,7 @@ wei::ActionResult SciclopsSim::execute(const wei::ActionRequest& request) {
     if (locations_.peek(wei::locations::kExchange).has_value()) {
         return wei::ActionResult::failure("sciclops: exchange nest is occupied");
     }
-    const wei::PlateId id = plates_.create(config_.plate_rows, config_.plate_cols);
+    const wei::PlateId id = plates_.create(plate_rows_, plate_cols_);
     locations_.place(wei::locations::kExchange, id);
     --plates_remaining_;
 

@@ -15,8 +15,6 @@ namespace sdl::devices {
 struct SciclopsConfig {
     int towers = 4;
     int plates_per_tower = 20;
-    int plate_rows = 8;
-    int plate_cols = 12;
     SciclopsTiming timing;
 };
 
@@ -25,8 +23,10 @@ struct SciclopsConfig {
 ///   status     — report remaining plate inventory
 class SciclopsSim final : public wei::Module {
 public:
-    SciclopsSim(SciclopsConfig config, wei::PlateRegistry& plates,
-                wei::LocationMap& locations);
+    /// Stocks its towers with plate_rows x plate_cols plates (the
+    /// experiment's plate format).
+    SciclopsSim(SciclopsConfig config, int plate_rows, int plate_cols,
+                wei::PlateRegistry& plates, wei::LocationMap& locations);
 
     [[nodiscard]] const wei::ModuleInfo& info() const noexcept override { return info_; }
     [[nodiscard]] support::Duration estimate(const wei::ActionRequest& request) const override;
@@ -36,6 +36,8 @@ public:
 
 private:
     SciclopsConfig config_;
+    int plate_rows_;
+    int plate_cols_;
     wei::PlateRegistry& plates_;
     wei::LocationMap& locations_;
     wei::ModuleInfo info_;

@@ -114,31 +114,6 @@ void fill_quad(Image& img, const Vec2 (&corners)[4], color::Rgb8 c, Rect clip) {
     }
 }
 
-void draw_line(Image& img, Vec2 a, Vec2 b, color::Rgb8 c) {
-    int x0 = static_cast<int>(std::lround(a.x));
-    int y0 = static_cast<int>(std::lround(a.y));
-    const int x1 = static_cast<int>(std::lround(b.x));
-    const int y1 = static_cast<int>(std::lround(b.y));
-    const int dx = std::abs(x1 - x0);
-    const int dy = -std::abs(y1 - y0);
-    const int sx = x0 < x1 ? 1 : -1;
-    const int sy = y0 < y1 ? 1 : -1;
-    int err = dx + dy;
-    for (;;) {
-        if (img.in_bounds(x0, y0)) img.set_pixel(x0, y0, c);
-        if (x0 == x1 && y0 == y1) break;
-        const int e2 = 2 * err;
-        if (e2 >= dy) {
-            err += dy;
-            x0 += sx;
-        }
-        if (e2 <= dx) {
-            err += dx;
-            y0 += sy;
-        }
-    }
-}
-
 void draw_circle(Image& img, Vec2 center, double radius, color::Rgb8 c) {
     const int steps = std::max(16, static_cast<int>(radius * 8));
     for (int i = 0; i < steps; ++i) {

@@ -26,9 +26,6 @@ void fill_ring(Image& img, Vec2 center, double r_outer, double r_inner, color::R
 /// Fills a convex quadrilateral given corners in order.
 void fill_quad(Image& img, const Vec2 (&corners)[4], color::Rgb8 c, Rect clip = kNoClip);
 
-/// 1-px Bresenham line (debug overlays).
-void draw_line(Image& img, Vec2 a, Vec2 b, color::Rgb8 c);
-
 /// 1-px circle outline (debug overlays for detected wells).
 void draw_circle(Image& img, Vec2 center, double radius, color::Rgb8 c);
 

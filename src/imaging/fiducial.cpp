@@ -10,6 +10,19 @@
 
 namespace sdl::imaging {
 
+namespace {
+
+// Detection tuning for the camera mount the paper uses (§2.4).
+constexpr double kMinSidePx = 12.0;       ///< reject tiny candidates
+constexpr double kMaxSidePx = 400.0;      ///< reject huge candidates
+constexpr double kMinSquareness = 0.6;    ///< side-ratio gate for quads
+constexpr float kAdaptiveOffset = 0.08F;  ///< threshold margin below local mean
+constexpr int kAdaptiveWindow = 31;       ///< local-mean window (odd)
+constexpr double kBlurSigma = 0.8;        ///< denoise before thresholding
+constexpr int kMaxCorrectableBits = 1;    ///< dictionary error correction
+
+}  // namespace
+
 std::uint16_t rotate_code_cw(std::uint16_t code) noexcept {
     // Bit (r, c) of the source lands at (c, kGridBits-1-r) after a
     // clockwise quarter turn.
@@ -193,62 +206,51 @@ std::optional<std::uint16_t> sample_payload(const GrayImage& gray, const Homogra
 
 }  // namespace
 
-int marker_region_margin(const MarkerDetectParams& params) {
+int marker_region_margin() {
     // The threshold mask at a pixel reads the blurred plane across the
     // adaptive half window, the blurred plane reads the gray plane across
     // the kernel radius, and labeling/boundary extraction look one more
     // pixel out; +1 slack rounds the reach up.
-    const int blur_radius =
-        params.blur_sigma > 0.0 ? static_cast<int>(std::ceil(3.0 * params.blur_sigma)) : 0;
-    return params.adaptive_window / 2 + blur_radius + 2;
+    const int blur_radius = static_cast<int>(std::ceil(3.0 * kBlurSigma));
+    return kAdaptiveWindow / 2 + blur_radius + 2;
 }
 
 namespace {
 
 /// Shared pipeline for full-frame and region-restricted detection.
-/// Returns false when a plausibly marker-sized blob touched the
-/// contaminated band along an interior region edge (see header).
-bool detect_impl(const Image& img, const MarkerDictionary& dict,
-                 const MarkerDetectParams& params, Rect region, MarkerScratch& scratch,
-                 std::vector<MarkerDetection>& out) {
+void detect_impl(const Image& img, const MarkerDictionary& dict, Rect region,
+                 MarkerScratch& scratch, std::vector<MarkerDetection>& out) {
     out.clear();
-    if (img.width() < 8 || img.height() < 8) return true;
+    if (img.width() < 8 || img.height() < 8) return;
     const Rect r = region.clipped(img.width(), img.height());
-    if (r.width() < 8 || r.height() < 8) return false;
+    if (r.width() < 8 || r.height() < 8) return;
 
     to_gray_roi(img, r, scratch.gray);
-    gaussian_blur(scratch.gray, params.blur_sigma, scratch.smooth, scratch.blur);
-    adaptive_threshold(scratch.smooth, params.adaptive_window, params.adaptive_offset,
-                       scratch.dark, scratch.integral);
-    const auto min_area =
-        static_cast<std::size_t>(params.min_side_px * params.min_side_px * 0.3);
+    gaussian_blur(scratch.gray, kBlurSigma, scratch.smooth, scratch.blur);
+    adaptive_threshold(scratch.smooth, kAdaptiveWindow, kAdaptiveOffset, scratch.dark,
+                       scratch.integral);
+    const auto min_area = static_cast<std::size_t>(kMinSidePx * kMinSidePx * 0.3);
     label_components(scratch.dark, min_area, scratch.labels);
     const Labeling& labeling = scratch.labels.labeling;
 
     // Filter outputs near an interior crop edge differ from a full-frame
     // run (the filters clamp at the crop instead of seeing the real
     // neighborhood); a frame edge behaves identically in both runs.
-    const int margin = marker_region_margin(params);
+    const int margin = marker_region_margin();
     const bool guard_left = r.x0 > 0;
     const bool guard_top = r.y0 > 0;
     const bool guard_right = r.x1 < img.width();
     const bool guard_bottom = r.y1 < img.height();
 
-    bool clean = true;
     for (std::int32_t i = 0; i < static_cast<std::int32_t>(labeling.blobs.size()); ++i) {
         const Blob& blob = labeling.blobs[static_cast<std::size_t>(i)];
         const double bbox_side = std::max(blob.bbox.width(), blob.bbox.height());
-        const bool plausible =
-            bbox_side >= params.min_side_px && bbox_side <= params.max_side_px * 1.5;
+        const bool plausible = bbox_side >= kMinSidePx && bbox_side <= kMaxSidePx * 1.5;
         const bool contaminated = (guard_left && blob.bbox.x0 < margin) ||
                                   (guard_top && blob.bbox.y0 < margin) ||
                                   (guard_right && blob.bbox.x1 > r.width() - margin) ||
                                   (guard_bottom && blob.bbox.y1 > r.height() - margin);
-        if (contaminated) {
-            if (plausible) clean = false;
-            continue;
-        }
-        if (!plausible) continue;
+        if (contaminated || !plausible) continue;
 
         boundary_pixels(labeling, i, scratch.boundary);
         if (r.x0 != 0 || r.y0 != 0) {
@@ -262,9 +264,9 @@ bool detect_impl(const Image& img, const MarkerDictionary& dict,
         }
         const auto quad = extract_quad(scratch.boundary);
         if (!quad) continue;
-        if (squareness(*quad) < params.min_squareness) continue;
+        if (squareness(*quad) < kMinSquareness) continue;
         const double side = mean_side(*quad);
-        if (side < params.min_side_px || side > params.max_side_px) continue;
+        if (side < kMinSidePx || side > kMaxSidePx) continue;
 
         // The marker's black area is the border plus unset payload bits;
         // it must cover a plausible fraction of the quad.
@@ -280,7 +282,7 @@ bool detect_impl(const Image& img, const MarkerDictionary& dict,
         }
         const auto payload = sample_payload(scratch.smooth, h, r.x0, r.y0);
         if (!payload) continue;
-        const auto match = dict.match(*payload, params.max_correctable_bits);
+        const auto match = dict.match(*payload, kMaxCorrectableBits);
         if (!match) continue;
 
         MarkerDetection det;
@@ -299,30 +301,26 @@ bool detect_impl(const Image& img, const MarkerDictionary& dict,
         det.angle = std::atan2(xaxis.y, xaxis.x);
         out.push_back(det);
     }
-    return clean;
 }
 
 }  // namespace
 
-std::vector<MarkerDetection> detect_markers(const Image& img, const MarkerDictionary& dict,
-                                            const MarkerDetectParams& params) {
+std::vector<MarkerDetection> detect_markers(const Image& img,
+                                            const MarkerDictionary& dict) {
     MarkerScratch scratch;
     std::vector<MarkerDetection> detections;
-    detect_markers(img, dict, params, scratch, detections);
+    detect_markers(img, dict, scratch, detections);
     return detections;
 }
 
 void detect_markers(const Image& img, const MarkerDictionary& dict,
-                    const MarkerDetectParams& params, MarkerScratch& scratch,
-                    std::vector<MarkerDetection>& out) {
-    (void)detect_impl(img, dict, params, {0, 0, img.width(), img.height()}, scratch, out);
+                    MarkerScratch& scratch, std::vector<MarkerDetection>& out) {
+    detect_impl(img, dict, {0, 0, img.width(), img.height()}, scratch, out);
 }
 
-bool detect_markers_in_region(const Image& img, const MarkerDictionary& dict,
-                              const MarkerDetectParams& params, Rect region,
-                              MarkerScratch& scratch,
-                              std::vector<MarkerDetection>& out) {
-    return detect_impl(img, dict, params, region, scratch, out);
+void detect_markers_in_region(const Image& img, const MarkerDictionary& dict, Rect region,
+                              MarkerScratch& scratch, std::vector<MarkerDetection>& out) {
+    detect_impl(img, dict, region, scratch, out);
 }
 
 }  // namespace sdl::imaging

@@ -80,19 +80,9 @@ struct MarkerDetection {
     int bit_errors = 0;
 };
 
-struct MarkerDetectParams {
-    double min_side_px = 12.0;       ///< reject tiny candidates
-    double max_side_px = 400.0;      ///< reject huge candidates
-    double min_squareness = 0.6;     ///< side-ratio gate for quads
-    float adaptive_offset = 0.08F;   ///< threshold margin below local mean
-    int adaptive_window = 31;        ///< local-mean window (odd)
-    double blur_sigma = 0.8;         ///< denoise before thresholding
-    int max_correctable_bits = 1;    ///< dictionary error correction
-};
-
 /// Finds all dictionary markers in the frame.
-[[nodiscard]] std::vector<MarkerDetection> detect_markers(
-    const Image& img, const MarkerDictionary& dict, const MarkerDetectParams& params = {});
+[[nodiscard]] std::vector<MarkerDetection> detect_markers(const Image& img,
+                                                          const MarkerDictionary& dict);
 
 /// Reusable detection workspace: the gray/blurred/thresholded planes,
 /// the summed-area table, the labeling, and the boundary buffer all
@@ -111,15 +101,14 @@ struct MarkerScratch {
 /// detect_markers with a persistent workspace; fills `out` (cleared
 /// first). Results are bitwise identical to detect_markers.
 void detect_markers(const Image& img, const MarkerDictionary& dict,
-                    const MarkerDetectParams& params, MarkerScratch& scratch,
-                    std::vector<MarkerDetection>& out);
+                    MarkerScratch& scratch, std::vector<MarkerDetection>& out);
 
 /// Pixel margin a blob must keep from any interior (non-frame) edge of a
 /// detection region for the region-restricted pipeline to reproduce the
 /// full-frame filter outputs over that blob exactly: the adaptive
 /// threshold's half window, plus the blur kernel radius, plus the
 /// labeling/boundary pixel neighborhood.
-[[nodiscard]] int marker_region_margin(const MarkerDetectParams& params);
+[[nodiscard]] int marker_region_margin();
 
 /// Region-restricted detection — the ROI fast path. Runs the same
 /// pipeline over `region` (clipped to the frame) only, producing
@@ -128,15 +117,10 @@ void detect_markers(const Image& img, const MarkerDictionary& dict,
 /// region edges, and is therefore bitwise identical to the detection a
 /// full-frame detect_markers would produce for the same blob; blobs
 /// inside the contaminated band are skipped, never decoded differently.
-/// The return value reports completeness: true when no plausibly
-/// marker-sized blob was skipped (the region scan saw everything a full
-/// scan would see inside `region`), false when one was. A region scan
-/// cannot see markers outside `region` either way; callers that need
-/// every marker in the frame — not just one tracked marker with a
-/// full-frame fallback — must scan the full frame.
-bool detect_markers_in_region(const Image& img, const MarkerDictionary& dict,
-                              const MarkerDetectParams& params, Rect region,
-                              MarkerScratch& scratch,
-                              std::vector<MarkerDetection>& out);
+/// A region scan cannot see markers outside `region` or cut by its
+/// edges; callers that need every marker in the frame — not just one
+/// tracked marker with a full-frame fallback — must scan the full frame.
+void detect_markers_in_region(const Image& img, const MarkerDictionary& dict, Rect region,
+                              MarkerScratch& scratch, std::vector<MarkerDetection>& out);
 
 }  // namespace sdl::imaging

@@ -14,6 +14,16 @@ namespace sdl::imaging {
 // for round_half_away's (documented, tolerated) boundary behavior.
 using linalg::round_half_away;
 
+namespace {
+
+constexpr float kGradThreshold = 0.06F;  ///< minimum Sobel magnitude for edges
+constexpr double kVoteFraction = 0.25;   ///< accept peaks >= fraction of the
+                                         ///< strongest peak's votes
+constexpr double kMinVotes = 8.0;        ///< absolute vote floor
+constexpr double kBlurSigma = 1.0;       ///< pre-smoothing
+
+}  // namespace
+
 std::vector<CircleDetection> hough_circles(const GrayImage& gray, const HoughParams& params) {
     HoughScratch scratch;
     return hough_circles(gray, params, scratch);
@@ -24,40 +34,16 @@ std::vector<CircleDetection> hough_circles(const GrayImage& gray, const HoughPar
     support::check(params.r_min > 0 && params.r_max >= params.r_min, "invalid radius range");
     std::vector<CircleDetection> circles;
 
-    Rect roi = params.roi;
-    if (roi.width() <= 0 || roi.height() <= 0) {
-        roi = {0, 0, gray.width(), gray.height()};
-    }
-    roi = roi.clipped(gray.width(), gray.height());
-    const int rw = roi.width();
-    const int rh = roi.height();
+    const int rw = gray.width();
+    const int rh = gray.height();
     if (rw < 3 || rh < 3) return circles;
 
-    // Work on a cropped view so smoothing and gradients cost O(ROI), not
-    // O(frame) — the plate region is typically a fraction of the image. A
-    // ROI spanning the whole input (the reader's pre-cropped fast path)
-    // needs no copy at all.
-    const bool whole = roi.x0 == 0 && roi.y0 == 0 && rw == gray.width() &&
-                       rh == gray.height();
-    if (!whole) {
-        scratch.cropped.reset(rw, rh);
-        for (int y = 0; y < rh; ++y) {
-            const float* src = gray.values().data() +
-                               static_cast<std::size_t>(y + roi.y0) *
-                                   static_cast<std::size_t>(gray.width()) +
-                               static_cast<std::size_t>(roi.x0);
-            float* dst = scratch.cropped.values().data() +
-                         static_cast<std::size_t>(y) * static_cast<std::size_t>(rw);
-            for (int x = 0; x < rw; ++x) dst[x] = src[x];
-        }
-    }
-    const GrayImage& cropped = whole ? gray : scratch.cropped;
-    gaussian_blur(cropped, params.blur_sigma, scratch.smooth, scratch.blur);
+    gaussian_blur(gray, kBlurSigma, scratch.smooth, scratch.blur);
     const GrayImage& smooth = scratch.smooth;
     sobel(smooth, scratch.grad);
     const Gradients& grad = scratch.grad;
 
-    // Edge pixels (local ROI coordinates). The magnitude is
+    // Edge pixels. The magnitude is
     // sqrt(gx^2 + gy^2) rather than hypot(): the operands are tame
     // (|g| < 8), so overflow care buys nothing, and sqrt keeps this loop
     // out of a libm slow path that used to dominate edge collection.
@@ -73,7 +59,7 @@ std::vector<CircleDetection> hough_circles(const GrayImage& gray, const HoughPar
             const double gx = grow[x];
             const double gy = grow_y[x];
             const double mag = std::sqrt(gx * gx + gy * gy);
-            if (mag < params.grad_threshold) continue;
+            if (mag < kGradThreshold) continue;
             edges.push_back({static_cast<float>(x), static_cast<float>(y),
                              static_cast<float>(gx / mag), static_cast<float>(gy / mag)});
         }
@@ -129,7 +115,7 @@ std::vector<CircleDetection> hough_circles(const GrayImage& gray, const HoughPar
         for (int x = 1; x < rw - 1; ++x) {
             const float v = smooth_acc[static_cast<std::size_t>(y) * static_cast<std::size_t>(rw) +
                                        static_cast<std::size_t>(x)];
-            if (v < params.min_votes) continue;
+            if (v < kMinVotes) continue;
             bool is_max = true;
             for (int dy = -1; dy <= 1 && is_max; ++dy) {
                 for (int dx = -1; dx <= 1 && is_max; ++dx) {
@@ -150,8 +136,8 @@ std::vector<CircleDetection> hough_circles(const GrayImage& gray, const HoughPar
               [](const Peak& a, const Peak& b) { return a.votes > b.votes; });
 
     // Non-maximum suppression + radius estimation.
-    const double vote_floor = std::max(params.min_votes,
-                                       params.vote_fraction * static_cast<double>(strongest));
+    const double vote_floor =
+        std::max(kMinVotes, kVoteFraction * static_cast<double>(strongest));
     const double min_dist2 = params.min_center_dist * params.min_center_dist;
     const float reach = static_cast<float>(ir_max + 1);
     std::vector<int>& radius_hist = scratch.radius_hist;
@@ -188,8 +174,8 @@ std::vector<CircleDetection> hough_circles(const GrayImage& gray, const HoughPar
         if (p.votes < vote_floor) break;
         bool suppressed = false;
         for (const CircleDetection& c : circles) {
-            const double ddx = c.center.x - (p.x + roi.x0);
-            const double ddy = c.center.y - (p.y + roi.y0);
+            const double ddx = c.center.x - p.x;
+            const double ddy = c.center.y - p.y;
             if (ddx * ddx + ddy * ddy < min_dist2) {
                 suppressed = true;
                 break;
@@ -233,8 +219,7 @@ std::vector<CircleDetection> hough_circles(const GrayImage& gray, const HoughPar
         }
         if (radius_hist[best_bin] <= 2) continue;  // no radial support: noise peak
 
-        circles.push_back({{static_cast<double>(p.x + roi.x0),
-                            static_cast<double>(p.y + roi.y0)},
+        circles.push_back({{static_cast<double>(p.x), static_cast<double>(p.y)},
                            static_cast<double>(best_bin),
                            static_cast<double>(p.votes)});
         if (circles.size() >= params.max_circles) break;

@@ -26,22 +26,17 @@ struct CircleDetection {
 struct HoughParams {
     double r_min = 5.0;
     double r_max = 20.0;
-    float grad_threshold = 0.06F;     ///< minimum Sobel magnitude for edges
     double min_center_dist = 10.0;    ///< non-max suppression distance
-    double vote_fraction = 0.25;      ///< accept peaks >= fraction of the
-                                      ///< strongest peak's votes
-    double min_votes = 8.0;           ///< absolute vote floor
     std::size_t max_circles = 256;
-    Rect roi;                         ///< zero-size = whole image
-    double blur_sigma = 1.0;          ///< pre-smoothing
 };
 
-/// Detects circles in a grayscale frame. Results are sorted by votes,
-/// strongest first.
+/// Detects circles in a grayscale plane (the whole plane is searched;
+/// callers crop to their region of interest first). Results are sorted
+/// by votes, strongest first.
 [[nodiscard]] std::vector<CircleDetection> hough_circles(const GrayImage& gray,
                                                          const HoughParams& params);
 
-/// Reusable transform workspace: crop/smooth planes, gradient planes,
+/// Reusable transform workspace: smoothed plane, gradient planes,
 /// edge list, accumulators, and the radius histogram persist across
 /// frames. One per reader session; never shared across threads.
 struct HoughScratch {
@@ -56,7 +51,6 @@ struct HoughScratch {
         int y;
         float votes;
     };
-    GrayImage cropped;
     GrayImage smooth;
     BlurScratch blur;
     Gradients grad;
@@ -74,8 +68,7 @@ struct HoughScratch {
 };
 
 /// hough_circles with a persistent workspace (no allocation once warm,
-/// aside from the returned vector); bitwise identical results. A ROI
-/// that already spans the whole input skips the crop copy entirely.
+/// aside from the returned vector); bitwise identical results.
 [[nodiscard]] std::vector<CircleDetection> hough_circles(const GrayImage& gray,
                                                          const HoughParams& params,
                                                          HoughScratch& scratch);

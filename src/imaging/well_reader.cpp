@@ -9,15 +9,16 @@ namespace sdl::imaging {
 
 namespace {
 
-/// read_plate's marker choice: the largest detection with the requested
-/// id (or the largest of any id when marker_id < 0).
-const MarkerDetection* select_marker(const std::vector<MarkerDetection>& markers,
-                                     int marker_id) {
+constexpr double kRoiMargin = 1.2;         ///< ROI padding around the grid, in pitches
+constexpr double kRadiusTolerance = 0.45;  ///< Hough radius range around expected
+constexpr double kInlierRadius = 0.42;     ///< grid assignment gate, in pitches
+constexpr double kSampleRadius = 0.55;     ///< color readout disk, in well radii
+
+/// read_plate's marker choice: the largest detection of any id.
+const MarkerDetection* select_marker(const std::vector<MarkerDetection>& markers) {
     const MarkerDetection* marker = nullptr;
     for (const auto& m : markers) {
-        if (marker_id < 0 || m.id == static_cast<std::size_t>(marker_id)) {
-            if (marker == nullptr || m.side > marker->side) marker = &m;
-        }
+        if (marker == nullptr || m.side > marker->side) marker = &m;
     }
     return marker;
 }
@@ -56,7 +57,7 @@ WellReadout read_with_marker(const Image& frame, LazyFrame* lazy,
             max_y = std::max(max_y, p.y);
         }
     }
-    const double margin = params.roi_margin * pitch;
+    const double margin = kRoiMargin * pitch;
     const Rect roi = Rect{static_cast<int>(std::floor(min_x - margin)),
                           static_cast<int>(std::floor(min_y - margin)),
                           static_cast<int>(std::ceil(max_x + margin)),
@@ -69,9 +70,8 @@ WellReadout read_with_marker(const Image& frame, LazyFrame* lazy,
     // centers — exact, since Hough centers are integer-valued.
     const double expected_r = g.well_radius * s;
     HoughParams hough;
-    hough.roi = {0, 0, roi.width(), roi.height()};
-    hough.r_min = std::max(2.0, expected_r * (1.0 - params.radius_tolerance));
-    hough.r_max = expected_r * (1.0 + params.radius_tolerance);
+    hough.r_min = std::max(2.0, expected_r * (1.0 - kRadiusTolerance));
+    hough.r_max = expected_r * (1.0 + kRadiusTolerance);
     hough.min_center_dist = 0.6 * pitch;
     hough.max_circles = static_cast<std::size_t>(g.well_count()) * 2;
     need(lazy, roi);
@@ -90,7 +90,7 @@ WellReadout read_with_marker(const Image& frame, LazyFrame* lazy,
     }
 
     const GridFit fit = fit_grid(centers_detected, initial, g.rows, g.cols,
-                                 params.inlier_radius * pitch);
+                                 kInlierRadius * pitch);
     out.grid_residual_px = fit.mean_residual;
 
     // Count distinct lattice nodes with direct circle support.
@@ -105,7 +105,7 @@ WellReadout read_with_marker(const Image& frame, LazyFrame* lazy,
         const int r = static_cast<int>(std::lround(rc.x));
         const int c = static_cast<int>(std::lround(rc.y));
         if (r < 0 || r >= g.rows || c < 0 || c >= g.cols) continue;
-        if (distance(fit.model.center(r, c), p) <= params.inlier_radius * pitch) {
+        if (distance(fit.model.center(r, c), p) <= kInlierRadius * pitch) {
             supported[static_cast<std::size_t>(r * g.cols + c)] = true;
         }
     }
@@ -116,7 +116,7 @@ WellReadout read_with_marker(const Image& frame, LazyFrame* lazy,
     // 5. Color readout at every predicted center.
     out.centers.reserve(static_cast<std::size_t>(g.well_count()));
     out.colors.reserve(static_cast<std::size_t>(g.well_count()));
-    const double sample_r = params.sample_radius * expected_r;
+    const double sample_r = kSampleRadius * expected_r;
     for (int r = 0; r < g.rows; ++r) {
         for (int c = 0; c < g.cols; ++c) {
             const Vec2 center = fit.model.center(r, c);
@@ -133,25 +133,26 @@ WellReadout read_with_marker(const Image& frame, LazyFrame* lazy,
     return out;
 }
 
-}  // namespace
-
-WellReadout read_plate(const Image& frame, const WellReadParams& params) {
-    FrameScratch scratch;
-    return read_plate(frame, params, scratch);
-}
-
-WellReadout read_plate(const Image& frame, const WellReadParams& params,
-                       FrameScratch& scratch) {
+/// The full pipeline over one frame, reusing `scratch`'s buffers.
+WellReadout read_plate_with(const Image& frame, const WellReadParams& params,
+                            FrameScratch& scratch) {
     // 1. Fiducial marker, full-frame scan.
-    detect_markers(frame, MarkerDictionary::standard(), params.marker, scratch.marker,
+    detect_markers(frame, MarkerDictionary::standard(), scratch.marker,
                    scratch.detections);
-    const MarkerDetection* marker = select_marker(scratch.detections, params.marker_id);
+    const MarkerDetection* marker = select_marker(scratch.detections);
     if (marker == nullptr) {
         WellReadout out;
         out.error = "fiducial marker not found";
         return out;
     }
     return read_with_marker(frame, nullptr, params, *marker, scratch);
+}
+
+}  // namespace
+
+WellReadout read_plate(const Image& frame, const WellReadParams& params) {
+    FrameScratch scratch;
+    return read_plate_with(frame, params, scratch);
 }
 
 WellReadout PlateReader::read(const Image& frame) { return read_frame(frame, nullptr); }
@@ -174,7 +175,7 @@ WellReadout PlateReader::read_frame(const Image& frame, LazyFrame* lazy) {
             min_y = std::min(min_y, corner.y);
             max_y = std::max(max_y, corner.y);
         }
-        const int pad = marker_region_margin(params_.marker) +
+        const int pad = marker_region_margin() +
                         static_cast<int>(std::ceil(0.5 * hint_->side)) + 4;
         const Rect region{static_cast<int>(std::floor(min_x)) - pad,
                           static_cast<int>(std::floor(min_y)) - pad,
@@ -187,11 +188,9 @@ WellReadout PlateReader::read_frame(const Image& frame, LazyFrame* lazy) {
         // single-tracked-marker assumption bites: a second, larger
         // matching marker outside the region would win a full scan.
         need(lazy, region);
-        (void)detect_markers_in_region(frame, MarkerDictionary::standard(),
-                                       params_.marker, region, scratch_.marker,
-                                       scratch_.detections);
-        const MarkerDetection* marker =
-            select_marker(scratch_.detections, params_.marker_id);
+        detect_markers_in_region(frame, MarkerDictionary::standard(), region,
+                                 scratch_.marker, scratch_.detections);
+        const MarkerDetection* marker = select_marker(scratch_.detections);
         if (marker != nullptr) {
             ++roi_hits_;
             WellReadout out = read_with_marker(frame, lazy, params_, *marker, scratch_);
@@ -202,7 +201,7 @@ WellReadout PlateReader::read_frame(const Image& frame, LazyFrame* lazy) {
     }
     ++full_scans_;
     need(lazy, {0, 0, frame.width(), frame.height()});
-    WellReadout out = read_plate(frame, params_, scratch_);
+    WellReadout out = read_plate_with(frame, params_, scratch_);
     // A failed scan (occluded marker) keeps the last good hint: in a
     // single-marker scene a region hit on the next frame is the same
     // detection a full scan would make, and a miss falls back to one.

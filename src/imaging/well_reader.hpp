@@ -21,13 +21,7 @@
 namespace sdl::imaging {
 
 struct WellReadParams {
-    SceneGeometry geometry;          ///< marker-relative plate layout
-    int marker_id = -1;              ///< -1 = accept any dictionary marker
-    MarkerDetectParams marker;       ///< fiducial detection tuning
-    double roi_margin = 1.2;         ///< ROI padding around the grid, in pitches
-    double radius_tolerance = 0.45;  ///< Hough radius range around expected
-    double inlier_radius = 0.42;     ///< grid assignment gate, in pitches
-    double sample_radius = 0.55;     ///< color readout disk, in well radii
+    SceneGeometry geometry;  ///< marker-relative plate layout
 };
 
 struct WellReadout {
@@ -51,8 +45,7 @@ struct WellReadout {
 /// Reusable buffer pool for the whole §2.4 pipeline: marker-detection
 /// planes, Hough workspace, and the plate-region luma plane persist
 /// across frames, so a steady-state read allocates only its returned
-/// WellReadout. Owned by whoever loops over frames (one per session —
-/// CameraSim-facing readers, benchmarks); never shared across threads.
+/// WellReadout. One per PlateReader; never shared across threads.
 struct FrameScratch {
     MarkerScratch marker;
     HoughScratch hough;
@@ -61,14 +54,9 @@ struct FrameScratch {
     std::vector<Vec2> circle_centers;
 };
 
-/// Runs the full pipeline on one camera frame.
+/// Runs the full pipeline on one camera frame: the marker is the largest
+/// dictionary marker in the frame, whatever its id.
 [[nodiscard]] WellReadout read_plate(const Image& frame, const WellReadParams& params);
-
-/// read_plate with a persistent buffer pool — bitwise-identical results,
-/// no steady-state allocations beyond the readout, and the luma plane is
-/// converted only over the plate region the Hough stage actually reads.
-[[nodiscard]] WellReadout read_plate(const Image& frame, const WellReadParams& params,
-                                     FrameScratch& scratch);
 
 /// Session reader for a fixed camera: the fiducial stays put between
 /// frames, so the detector scans only a small neighborhood of the marker
@@ -79,7 +67,7 @@ struct FrameScratch {
 /// contaminated region, marker missing or moved — falls back to the
 /// full-frame pipeline, so every frame's readout is bitwise identical to
 /// read_plate on the same frame (single tracked marker; a scene with
-/// several markers of the same id needs full scans).
+/// several markers needs full scans).
 class PlateReader {
 public:
     explicit PlateReader(WellReadParams params,

@@ -6,6 +6,12 @@
 
 namespace sdl::solver {
 
+namespace {
+
+constexpr double kMinStep = 0.02;  ///< floor of the cooled proposal half-width
+
+}  // namespace
+
 AnnealSolver::AnnealSolver(AnnealConfig config)
     : config_(config),
       rng_(config.seed),
@@ -67,7 +73,7 @@ void AnnealSolver::tell(std::span<const Observation> observations) {
         }
     }
     temperature_ *= config_.cooling;
-    step_ = std::max(config_.min_step, step_ * config_.cooling);
+    step_ = std::max(kMinStep, step_ * config_.cooling);
 }
 
 }  // namespace sdl::solver

@@ -18,7 +18,6 @@ struct AnnealConfig {
     double initial_temperature = 25.0;  ///< in objective units (RGB distance)
     double cooling = 0.95;              ///< temperature multiplier per generation
     double initial_step = 0.25;         ///< proposal half-width in ratio units
-    double min_step = 0.02;
     std::uint64_t seed = 0xA22EA1;
 };
 

@@ -215,7 +215,7 @@ std::vector<GaussianProcess::Prediction> GaussianProcess::predict_batch(
 }
 
 std::vector<GaussianProcess::Prediction> score_candidate_pool(
-    const GaussianProcess& gp, const linalg::Matrix& pool, std::size_t max_workers) {
+    const GaussianProcess& gp, const linalg::Matrix& pool) {
     const std::size_t n = gp.size();
     const std::size_t candidates = pool.rows();
     const std::size_t dims = pool.cols();
@@ -229,9 +229,8 @@ std::vector<GaussianProcess::Prediction> score_candidate_pool(
         return gp.predict_batch(pool);
     }
     const std::size_t chunks = (candidates + kChunk - 1) / kChunk;
-    auto chunked = support::global_pool().parallel_map(
-        chunks,
-        [&](std::size_t chunk_index) {
+    auto chunked =
+        support::global_pool().parallel_map(chunks, [&](std::size_t chunk_index) {
             const std::size_t begin = chunk_index * kChunk;
             const std::size_t end = std::min(candidates, begin + kChunk);
             linalg::Matrix block(end - begin, dims);
@@ -241,8 +240,7 @@ std::vector<GaussianProcess::Prediction> score_candidate_pool(
                 for (std::size_t k = 0; k < dims; ++k) dst[k] = src[k];
             }
             return gp.predict_batch(block);
-        },
-        max_workers);
+        });
     std::vector<GaussianProcess::Prediction> preds;
     preds.reserve(candidates);
     for (auto& block : chunked) preds.insert(preds.end(), block.begin(), block.end());
@@ -250,6 +248,15 @@ std::vector<GaussianProcess::Prediction> score_candidate_pool(
 }
 
 // ------------------------------------------------------------ BayesSolver
+
+namespace {
+
+constexpr double kExploration = 0.01;  ///< EI xi (in standardized units)
+/// Cap on training points; the most recent ones are kept (the kernel
+/// solve is O(n^3)).
+constexpr std::size_t kMaxPoints = 256;
+
+}  // namespace
 
 BayesSolver::BayesSolver(BayesConfig config) : config_(config), rng_(config.seed) {
     support::check(config_.dims >= 1, "bayes solver needs at least one dye");
@@ -310,11 +317,11 @@ std::vector<std::vector<double>> BayesSolver::ask(std::size_t n) {
         return proposals;
     }
 
-    // Training set: most recent max_points observations.
+    // Training set: most recent kMaxPoints observations.
     std::vector<std::vector<double>> xs;
     std::vector<double> ys;
     const std::size_t start =
-        archive().size() > config_.max_points ? archive().size() - config_.max_points : 0;
+        archive().size() > kMaxPoints ? archive().size() - kMaxPoints : 0;
     for (std::size_t i = start; i < archive().size(); ++i) {
         xs.push_back(archive()[i].ratios);
         ys.push_back(archive()[i].score);
@@ -349,7 +356,7 @@ std::vector<std::vector<double>> BayesSolver::ask(std::size_t n) {
         double best_ei = -1.0;
         for (std::size_t c = 0; c < config_.candidates; ++c) {
             const double ei = expected_improvement(preds[c].mean, preds[c].variance,
-                                                   best_y, config_.exploration);
+                                                   best_y, kExploration);
             if (ei > best_ei) {
                 best_ei = ei;
                 const std::span<const double> row = pool.row(c);

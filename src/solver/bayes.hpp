@@ -94,22 +94,16 @@ private:
 /// Scores a candidate pool against a fitted GP — the constant-liar hot
 /// path. Small pools run one blocked predict_batch pass; pools with
 /// enough work (n^2 * C) are chunked across support::global_pool() with
-/// parallel_map (`max_workers` caps the tasks in flight; 0 = one per
-/// pool worker). Per-candidate results are independent, so chunking and
+/// parallel_map. Per-candidate results are independent, so chunking and
 /// thread count change nothing: entry i is always bitwise identical to
 /// gp.predict(pool.row(i)).
 [[nodiscard]] std::vector<GaussianProcess::Prediction> score_candidate_pool(
-    const GaussianProcess& gp, const linalg::Matrix& pool,
-    std::size_t max_workers = 0);
+    const GaussianProcess& gp, const linalg::Matrix& pool);
 
 struct BayesConfig {
     std::size_t dims = 4;
     std::size_t candidates = 512;   ///< random EI candidates per proposal
     std::size_t warmup = 8;         ///< random samples before the GP kicks in
-    double exploration = 0.01;      ///< EI xi (in standardized units)
-    /// Cap on training points; the most recent ones are kept (the kernel
-    /// solve is O(n^3)).
-    std::size_t max_points = 256;
     std::uint64_t seed = 0xBA7E5;
 };
 

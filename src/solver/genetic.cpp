@@ -6,9 +6,14 @@
 
 namespace sdl::solver {
 
+namespace {
+
+constexpr double kMutationScale = 0.15;  ///< uniform ratio-shift half-width
+
+}  // namespace
+
 GeneticSolver::GeneticSolver(GeneticConfig config) : config_(config), rng_(config.seed) {
     support::check(config_.dims >= 1, "genetic solver needs at least one dye");
-    support::check(config_.mutation_scale > 0.0, "mutation scale must be positive");
 }
 
 const std::vector<Observation>& GeneticSolver::parents() const {
@@ -42,8 +47,7 @@ std::vector<double> GeneticSolver::mutate() {
     const std::vector<double>& base = pool[rng_.uniform_int(pool.size())].ratios;
     std::vector<double> child(config_.dims);
     for (std::size_t d = 0; d < config_.dims; ++d) {
-        const double shifted =
-            base[d] + rng_.uniform(-config_.mutation_scale, config_.mutation_scale);
+        const double shifted = base[d] + rng_.uniform(-kMutationScale, kMutationScale);
         child[d] = support::clamp(shifted, 0.0, 1.0);
     }
     if (!is_valid_proposal(child, config_.dims)) return random_ratios();

@@ -24,8 +24,7 @@
 namespace sdl::solver {
 
 struct GeneticConfig {
-    std::size_t dims = 4;          ///< number of dyes
-    double mutation_scale = 0.15;  ///< uniform ratio-shift half-width
+    std::size_t dims = 4;  ///< number of dyes
     /// Grid levels per dimension for the initial uniform grid; 0 picks
     /// the smallest grid covering the first requested batch.
     int grid_levels = 5;

@@ -6,6 +6,12 @@
 
 namespace sdl::solver {
 
+namespace {
+
+constexpr double kMinStep = 0.01;  ///< floor of the shrinking compass step
+
+}  // namespace
+
 PatternSearchSolver::PatternSearchSolver(PatternConfig config)
     : config_(config), rng_(config.seed), step_(config.initial_step) {
     support::check(config_.dims >= 1, "pattern solver needs at least one dye");
@@ -70,7 +76,7 @@ void PatternSearchSolver::tell(std::span<const Observation> observations) {
         return;
     }
     if (probes_outstanding_ && !improved) {
-        step_ = std::max(config_.min_step, step_ * config_.shrink);
+        step_ = std::max(kMinStep, step_ * config_.shrink);
     }
     probes_outstanding_ = false;
 }

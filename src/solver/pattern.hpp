@@ -16,7 +16,6 @@ namespace sdl::solver {
 struct PatternConfig {
     std::size_t dims = 4;
     double initial_step = 0.25;
-    double min_step = 0.01;
     double shrink = 0.5;
     std::uint64_t seed = 0x9A77E2;
 };

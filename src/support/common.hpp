@@ -82,24 +82,10 @@ template <typename To, typename From>
     return result;
 }
 
-/// Signed size of a container (avoids unsigned arithmetic bugs, ES.102).
-template <typename Container>
-[[nodiscard]] constexpr std::ptrdiff_t ssize_of(const Container& c) noexcept {
-    return static_cast<std::ptrdiff_t>(c.size());
-}
-
 /// Clamp helper that works for any totally ordered type.
 template <typename T>
 [[nodiscard]] constexpr T clamp(T value, T lo, T hi) noexcept {
     return value < lo ? lo : (hi < value ? hi : value);
-}
-
-/// True if two doubles are within `tol` absolutely or relatively.
-[[nodiscard]] inline bool approx_equal(double a, double b, double tol = 1e-9) noexcept {
-    const double diff = a > b ? a - b : b - a;
-    const double mag = (a < 0 ? -a : a) > (b < 0 ? -b : b) ? (a < 0 ? -a : a)
-                                                           : (b < 0 ? -b : b);
-    return diff <= tol || diff <= tol * mag;
 }
 
 }  // namespace sdl::support

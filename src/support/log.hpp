@@ -31,20 +31,12 @@ void log_fmt(LogLevel level, std::string_view component, const Args&... args) {
 }  // namespace detail
 
 template <typename... Args>
-void log_debug(std::string_view component, const Args&... args) {
-    detail::log_fmt(LogLevel::Debug, component, args...);
-}
-template <typename... Args>
 void log_info(std::string_view component, const Args&... args) {
     detail::log_fmt(LogLevel::Info, component, args...);
 }
 template <typename... Args>
 void log_warn(std::string_view component, const Args&... args) {
     detail::log_fmt(LogLevel::Warn, component, args...);
-}
-template <typename... Args>
-void log_error(std::string_view component, const Args&... args) {
-    detail::log_fmt(LogLevel::Error, component, args...);
 }
 
 }  // namespace sdl::support

@@ -55,12 +55,10 @@ public:
         return result;
     }
 
-    /// Maps fn(i) over [0, n) and collects results in index order.
-    /// Enqueues at most `max_workers` drain tasks (capped at the pool
-    /// size; 0 = one per pool worker, and a cap lets a caller leave
-    /// headroom for other work sharing the pool) that claim one index at
-    /// a time. The first exception from any item is rethrown after all
-    /// active drains stop.
+    /// Maps fn(i) over [0, n) and collects results in index order. Runs
+    /// min(pool size, n) drains, the calling thread included, that claim
+    /// one index at a time. The first exception from any item is rethrown
+    /// after all active drains stop.
     ///
     /// Safe under nesting: the calling thread drains work itself, and it
     /// never blocks on queued helper tasks — only on drains that actually
@@ -68,13 +66,12 @@ public:
     /// return against heap-owned state, so they cannot touch a dead
     /// frame even if they run after this call returned.
     template <typename F>
-    auto parallel_map(std::size_t n, F&& fn, std::size_t max_workers = 0)
+    auto parallel_map(std::size_t n, F&& fn)
         -> std::vector<std::invoke_result_t<F, std::size_t>> {
         using R = std::invoke_result_t<F, std::size_t>;
         if (n == 0) return {};
 
-        std::size_t workers = max_workers == 0 ? size() : std::min(max_workers, size());
-        workers = std::min(workers, n);
+        const std::size_t workers = std::min(size(), n);
 
         struct State {
             explicit State(std::size_t count) : slots(count), n(count) {}

@@ -23,7 +23,6 @@ public:
 
     [[nodiscard]] constexpr double to_seconds() const noexcept { return seconds_; }
     [[nodiscard]] constexpr double to_minutes() const noexcept { return seconds_ / 60.0; }
-    [[nodiscard]] constexpr double to_hours() const noexcept { return seconds_ / 3600.0; }
 
     constexpr Duration& operator+=(Duration other) noexcept {
         seconds_ += other.seconds_;

@@ -4,6 +4,13 @@
 
 namespace sdl::wei {
 
+namespace {
+
+/// Wait inserted after each rejection, before the retry or escalation.
+constexpr support::Duration kBackoff = support::Duration::seconds(2.0);
+
+}  // namespace
+
 WorkflowEngine::WorkflowEngine(Transport& transport, const ModuleRegistry& modules,
                                EventLog& log, RetryPolicy policy)
     : transport_(transport), modules_(modules), log_(log), policy_(policy) {}
@@ -57,9 +64,7 @@ WorkflowRunStats WorkflowEngine::run(const Workflow& workflow) {
             ++stats.rejections;
             support::log_warn("engine", "step '", step.name, "' rejected (attempt ",
                               attempt, "): ", result.error);
-            if (policy_.backoff > support::Duration::zero()) {
-                transport_.wait(policy_.backoff);
-            }
+            transport_.wait(kBackoff);
             if (attempt >= policy_.max_attempts) {
                 if (!policy_.human_rescue) {
                     log_.record_workflow({workflow.name(), wf_start, transport_.now(), false});

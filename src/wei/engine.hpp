@@ -12,11 +12,11 @@
 
 namespace sdl::wei {
 
+/// What the engine does about rejected commands. Each rejection costs a
+/// fixed 2 s backoff before the next attempt.
 struct RetryPolicy {
     /// Attempts per step before escalating (1 = no retries).
     int max_attempts = 5;
-    /// Extra wait inserted before each retry (operator-configured backoff).
-    support::Duration backoff = support::Duration::seconds(2.0);
     /// When retries are exhausted: if true, record a human intervention
     /// (breaking the TWH streak) and keep going; if false, abort the
     /// workflow with a WorkflowError.
@@ -51,9 +51,6 @@ public:
     /// WorkflowError — they need application-level handling. Command
     /// *rejections* (communication layer) are retried per policy.
     WorkflowRunStats run(const Workflow& workflow);
-
-    [[nodiscard]] const RetryPolicy& policy() const noexcept { return policy_; }
-    void set_policy(RetryPolicy policy) noexcept { policy_ = policy; }
 
     /// Total commands issued (attempts, including rejected ones).
     [[nodiscard]] std::uint64_t commands_issued() const noexcept { return next_command_id_; }

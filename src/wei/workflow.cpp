@@ -62,22 +62,6 @@ Workflow Workflow::with_step_args(std::string_view step_name,
     return copy;
 }
 
-std::string Workflow::to_yaml() const {
-    json::Value doc = json::Value::object();
-    doc.set("name", name_);
-    json::Value steps = json::Value::array();
-    for (const WorkflowStep& s : steps_) {
-        json::Value node = json::Value::object();
-        node.set("name", s.name);
-        node.set("module", s.module);
-        node.set("action", s.action);
-        if (s.args.size() > 0) node.set("args", s.args);
-        steps.push_back(std::move(node));
-    }
-    doc.set("steps", std::move(steps));
-    return support::yaml::dump(doc);
-}
-
 std::string Workflow::to_dot() const {
     std::string out = "digraph \"" + name_ + "\" {\n  rankdir=TB;\n  node [shape=box];\n";
     for (std::size_t i = 0; i < steps_.size(); ++i) {

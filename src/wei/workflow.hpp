@@ -41,8 +41,6 @@ public:
     [[nodiscard]] Workflow with_step_args(std::string_view step_name,
                                           const support::json::Value& extra) const;
 
-    [[nodiscard]] std::string to_yaml() const;
-
     /// Graphviz DOT rendering of the step chain (Figure-2 tooling).
     [[nodiscard]] std::string to_dot() const;
 

@@ -13,7 +13,8 @@
 #   coordinator kill the coordinator SIGKILLs itself mid-campaign;
 #                    a restart without --resume refuses, --resume
 #                    replays the ledger + worker journals and finishes
-#                    byte-identical, its summary counting only its own
+#                    byte-identical, starting no more workers than it
+#                    has open cells, its summary counting only its own
 #                    work (efficiency <= 100%, no respawns)
 #   quarantine       one poisoned cell kills every worker that leases
 #                    it; after 3 distinct incarnations it is quarantined
@@ -77,13 +78,14 @@ function(assert_stderr needle label)
 endfunction()
 
 # ---- Leg 1: worker SIGKILL after a durable append; slot respawns.
-# The coordinator respawns a lost slot only while cells remain, so every
-# cell start sleeps 1 s: when w1 dies after its first cell, the other
-# workers' second cells are still running well past the 0.25 s backoff,
-# however fast the cells themselves compute.
+# The coordinator respawns a lost slot only while the live workers are
+# fewer than the open cells, so the leg runs 2 workers and every cell
+# start sleeps 1 s: when w1 dies after its first cell, at most two of the
+# five cells are done 0.25 s later (the backoff), leaving at least three
+# open for one live worker, however fast the cells themselves compute.
 execute_process(
   COMMAND "${FLEET}" --campaign "${CAMPAIGN}" "${WORK_DIR}/kill"
-          --workers 3
+          --workers 2
           --worker-failpoints "1:worker.pre_ack_kill=kill@1#1"
           --worker-failpoints "*:worker.cell_start=delay(1000)"
   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
@@ -136,6 +138,7 @@ if(rc EQUAL 0)
     "coordinator-kill leg: restart without --resume did not refuse\n${out}\n${err}")
 endif()
 assert_stderr("--resume" "coordinator-kill refusal")
+file(GLOB dirs_before LIST_DIRECTORIES true "${WORK_DIR}/coord/workers/*")
 execute_process(
   COMMAND "${FLEET}" --campaign "${CAMPAIGN}" "${WORK_DIR}/coord"
           --workers 3 --resume
@@ -143,10 +146,25 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "coordinator resume failed (${rc})\n${out}\n${err}")
 endif()
-string(FIND "${out}" "Fleet resume:" resumed)
-if(resumed EQUAL -1)
+string(REGEX MATCH
+  "Fleet resume: ([0-9]+) of ([0-9]+) cells already journaled, ([0-9]+) quarantined"
+  resumed "${out}")
+if(NOT resumed)
   message(FATAL_ERROR
     "coordinator resume never reported replayed progress\n${out}\n${err}")
+endif()
+# Each spawn gets a fresh incarnation directory (wN, then wNrG), so the
+# new directories count the workers the resume started: one per open
+# cell at most, since a worker beyond that would never be dealt a cell.
+math(EXPR open_cells "${CMAKE_MATCH_2} - ${CMAKE_MATCH_1} - ${CMAKE_MATCH_3}")
+file(GLOB dirs_after LIST_DIRECTORIES true "${WORK_DIR}/coord/workers/*")
+list(LENGTH dirs_before n_before)
+list(LENGTH dirs_after n_after)
+math(EXPR started "${n_after} - ${n_before}")
+if(started GREATER open_cells)
+  message(FATAL_ERROR
+    "coordinator resume: started ${started} workers for ${open_cells} open "
+    "cell(s)\n${out}\n${err}")
 endif()
 # The summary covers the resumed run only: replayed cells add no busy
 # time, and a slot's first spawn in this run is no respawn.

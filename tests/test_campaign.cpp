@@ -4,12 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <thread>
 
 #include "campaign/campaign.hpp"
 #include "campaign/campaign_io.hpp"
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
+#include "core/colorpicker.hpp"
 #include "support/common.hpp"
 #include "support/log.hpp"
 
@@ -146,11 +146,8 @@ TEST(Campaign, PerReplicateSeedsArePairedAcrossTheGrid) {
 TEST(Campaign, SameSpecTwiceGivesByteIdenticalResults) {
     support::set_log_level(support::LogLevel::Error);
     const CampaignSpec spec = tiny_spec();
-    CampaignRunnerOptions options;
-    options.log_progress = false;
-    const CampaignRunner runner(options);
-    const auto first = runner.run(spec);
-    const auto second = runner.run(spec);
+    const auto first = run(spec);
+    const auto second = run(spec);
     ASSERT_EQ(first.size(), second.size());
     // The deterministic serialization (modeled time only, no wall time)
     // must match byte for byte.
@@ -159,30 +156,25 @@ TEST(Campaign, SameSpecTwiceGivesByteIdenticalResults) {
     EXPECT_EQ(campaign_results_to_csv(first), campaign_results_to_csv(second));
 }
 
-TEST(Campaign, ThreadCountInvariantByteIdenticalResults) {
-    // The reproducibility contract's thread-count half: the same spec
-    // must serialize byte-identically whether cells run one at a time
-    // or fan out across every core. The bayesian cell routes the whole
-    // GP/linalg stack through the worker pool.
+TEST(Campaign, PooledRunMatchesEachCellRunAlone) {
+    // The reproducibility contract's thread-count half: a cell's outcome
+    // depends only on its config, not on the cells sharing the pool with
+    // it, so the pooled campaign serializes byte-identically to every
+    // cell run alone. The bayesian cell routes the whole GP/linalg stack
+    // through the worker pool.
     support::set_log_level(support::LogLevel::Error);
     CampaignSpec spec = tiny_spec();
     spec.axes.solvers = {"bayesian", "random"};
-    std::string reference;
-    const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, hw}) {
-        CampaignRunnerOptions options;
-        options.log_progress = false;
-        options.max_workers = workers;
-        const CampaignRunner runner(options);
-        const auto results = runner.run(spec);
-        const std::string doc = campaign_results_to_json(spec, results).pretty();
-        if (reference.empty()) {
-            reference = doc;
-        } else {
-            EXPECT_EQ(doc, reference) << "campaign.json diverged at max_workers="
-                                      << workers;
-        }
+    const auto pooled = run(spec);
+    std::vector<CellResult> alone;
+    for (CampaignCell& cell : expand_grid(spec)) {
+        CellResult result;
+        result.outcome = core::ColorPickerApp(cell.config).run();
+        result.cell = std::move(cell);
+        alone.push_back(std::move(result));
     }
+    EXPECT_EQ(campaign_results_to_json(spec, pooled).pretty(),
+              campaign_results_to_json(spec, alone).pretty());
 }
 
 // ----------------------------------------------------------- aggregation
@@ -223,9 +215,7 @@ TEST(Campaign, ResultJsonCarriesTheSharedSchema) {
     support::set_log_level(support::LogLevel::Error);
     CampaignSpec spec = tiny_spec();
     spec.axes.solvers = {"random"};
-    CampaignRunnerOptions options;
-    options.log_progress = false;
-    const auto results = CampaignRunner(options).run(spec);
+    const auto results = run(spec);
     ASSERT_EQ(results.size(), 1u);
 
     const auto cell_doc = experiment_result_to_json(results[0].cell.config,

@@ -41,9 +41,7 @@ CampaignSpec tiny_spec() {
 const std::vector<CellResult>& shared_results() {
     static const std::vector<CellResult> results = [] {
         support::set_log_level(support::LogLevel::Error);
-        CampaignRunnerOptions options;
-        options.log_progress = false;
-        return CampaignRunner(options).run(tiny_spec());
+        return run(tiny_spec());
     }();
     return results;
 }
@@ -255,9 +253,7 @@ TEST(Checkpoint, ResumeFromPartialJournalIsByteIdentical) {
     for (const CampaignCell& cell : grid) {
         if (!have[cell.index]) todo.push_back(cell);
     }
-    CampaignRunnerOptions options;
-    options.log_progress = false;
-    std::vector<CellResult> merged = CampaignRunner(options).run_cells(std::move(todo));
+    std::vector<CellResult> merged = run_cells(std::move(todo));
     for (CellResult& result : loaded.cells) merged.push_back(std::move(result));
     std::sort(merged.begin(), merged.end(), [](const CellResult& a, const CellResult& b) {
         return a.cell.index < b.cell.index;

@@ -60,7 +60,6 @@ TEST(Rgb, DistanceProperties) {
 TEST(Rgb, Formatting) {
     const Rgb8 c{120, 120, 120};
     EXPECT_EQ(c.str(), "rgb(120,120,120)");
-    EXPECT_EQ(c.hex(), "#787878");
 }
 
 // ------------------------------------------------------------- lab / xyz
@@ -91,23 +90,10 @@ TEST(Lab, XyzRoundTrip) {
     }
 }
 
-TEST(Lab, LabRoundTrip) {
-    Rng rng(11);
-    for (int i = 0; i < 200; ++i) {
-        const LinearRgb c{rng.uniform(), rng.uniform(), rng.uniform()};
-        const Xyz xyz = to_xyz(c);
-        const Xyz back = lab_to_xyz(xyz_to_lab(xyz));
-        EXPECT_NEAR(back.x, xyz.x, 1e-9);
-        EXPECT_NEAR(back.y, xyz.y, 1e-9);
-        EXPECT_NEAR(back.z, xyz.z, 1e-9);
-    }
-}
-
 TEST(DeltaE, IdentityAndSymmetry) {
     const Lab a = to_lab({120, 120, 120});
     const Lab b = to_lab({140, 100, 130});
     EXPECT_DOUBLE_EQ(delta_e76(a, a), 0.0);
-    EXPECT_DOUBLE_EQ(delta_e94(a, a), 0.0);
     EXPECT_NEAR(delta_e2000(a, a), 0.0, 1e-12);
     EXPECT_DOUBLE_EQ(delta_e76(a, b), delta_e76(b, a));
     EXPECT_NEAR(delta_e2000(a, b), delta_e2000(b, a), 1e-12);
@@ -138,16 +124,6 @@ INSTANTIATE_TEST_SUITE_P(
         De2000Case{{50.0, 2.5, 0.0}, {73.0, 25.0, -18.0}, 27.1492},
         De2000Case{{50.0, 2.5, 0.0}, {50.0, 3.2592, 0.335}, 1.0000},
         De2000Case{{2.0776, 0.0795, -1.135}, {0.9033, -0.0636, -0.5514}, 0.9082}));
-
-TEST(DeltaE, De94LessOrEqualDe76ForChromaticColors) {
-    // CIE94 divides chroma/hue differences by S factors >= 1.
-    Rng rng(13);
-    for (int i = 0; i < 200; ++i) {
-        const Lab a{rng.uniform(20, 80), rng.uniform(-60, 60), rng.uniform(-60, 60)};
-        const Lab b{rng.uniform(20, 80), rng.uniform(-60, 60), rng.uniform(-60, 60)};
-        EXPECT_LE(delta_e94(a, b), delta_e76(a, b) + 1e-9);
-    }
-}
 
 // ------------------------------------------------------------------ dyes
 

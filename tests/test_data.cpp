@@ -123,14 +123,6 @@ TEST(Portal, RejectsUnknownDocumentType) {
     EXPECT_THROW(portal.ingest(doc), sdl::support::Error);
 }
 
-TEST(Portal, SearchRunsByPredicate) {
-    DataPortal portal;
-    for (int run = 1; run <= 5; ++run) portal.ingest(make_run("exp_a", run, run).to_json());
-    const auto big = portal.search_runs(
-        [](const RunRecord& r) { return r.samples.size() >= 4; });
-    EXPECT_EQ(big.size(), 2u);
-}
-
 TEST(Portal, SummaryViewMatchesFigure3Shape) {
     DataPortal portal;
     portal.ingest(make_experiment("color_picker_2023-08-16").to_json());
@@ -155,16 +147,6 @@ TEST(Portal, DetailViewListsSamples) {
     EXPECT_NE(view.find("15"), std::string::npos);
     EXPECT_EQ(portal.render_run_detail("exp_a", 99).find("not found") == std::string::npos,
               false);
-}
-
-TEST(Portal, WholePortalJsonRoundTrip) {
-    DataPortal portal;
-    portal.ingest(make_experiment("exp_a").to_json());
-    portal.ingest(make_run("exp_a", 1, 3).to_json());
-    const DataPortal back = DataPortal::from_json(portal.to_json());
-    EXPECT_EQ(back.experiment_count(), 1u);
-    EXPECT_EQ(back.run_count(), 1u);
-    EXPECT_EQ(back.find_run("exp_a", 1)->samples.size(), 3u);
 }
 
 // ------------------------------------------------------------------- flow

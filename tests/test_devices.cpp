@@ -45,7 +45,8 @@ struct TestWorkcell {
         locations.add_location(locations::kOt2Deck);
         locations.add_location(locations::kTrash);
 
-        sciclops = std::make_shared<SciclopsSim>(SciclopsConfig{}, plates, locations);
+        sciclops =
+            std::make_shared<SciclopsSim>(SciclopsConfig{}, 8, 12, plates, locations);
         pf400 = std::make_shared<Pf400Sim>(Pf400Config{}, locations);
         ot2 = std::make_shared<Ot2Sim>(Ot2Config{}, plates, locations);
         barty = std::make_shared<BartySim>(BartyConfig{}, ot2->reservoirs());
@@ -73,7 +74,7 @@ TEST(Sciclops, DispensesPlatesUntilEmpty) {
     SciclopsConfig small;
     small.towers = 1;
     small.plates_per_tower = 2;
-    SciclopsSim sciclops(small, cell.plates, cell.locations);
+    SciclopsSim sciclops(small, 8, 12, cell.plates, cell.locations);
 
     auto result = sciclops.execute(request_of("sciclops", "get_plate"));
     ASSERT_TRUE(result.ok());

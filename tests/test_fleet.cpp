@@ -330,6 +330,22 @@ TEST(CoordinatorTest, IdleWorkersAreToppedUp) {
     EXPECT_TRUE(coord.top_up().empty());
 }
 
+TEST(CoordinatorTest, AResumeStartsOnlyTheWorkersItsOpenCellsNeed) {
+    // The scenario_sweep coordinator-kill resume: the ledger spawned three
+    // workers, and their journals hold 4 of the 5 cells.
+    Coordinator coord(3, index_order(5));
+    for (std::size_t cell = 0; cell < 4; ++cell) coord.complete(cell);
+    for (std::size_t slot = 0; slot < 3; ++slot) coord.replay_spawn(slot, 0);
+    EXPECT_EQ(coord.due(0.0), (Cells{0}));
+    EXPECT_EQ(coord.spawn(0, 0.0), 1);
+    EXPECT_TRUE(coord.due(0.0).empty());
+    EXPECT_EQ(coord.next_deadline(0.0, 0.5), 0.5);  // no wakeups for held-back slots
+    EXPECT_EQ(coord.hello(0, 0.0), (Cells{4}));
+    // With its one worker dead, the open cell gets a worker again.
+    (void)coord.died(0, 1.0);
+    EXPECT_EQ(coord.due(1.25), (Cells{0}));
+}
+
 TEST(CoordinatorTest, ThreeDistinctIncarnationsQuarantineACell) {
     Coordinator coord(1, {0, 1});
     double now = 0.0;
@@ -596,6 +612,13 @@ public:
         for (const std::size_t slot : due) {
             Worker& w = workers_[slot];
             require(!w.alive, "a live slot came due for a respawn");
+            std::size_t live = 0;
+            for (const Worker& other : workers_) live += other.alive ? 1 : 0;
+            std::size_t open = 0;
+            for (std::size_t cell = 0; cell < costs_.size(); ++cell) {
+                open += done_[cell] || quarantined_[cell] ? 0 : 1;
+            }
+            require(live < open, "no spawn while the live workers cover the open cells");
             const int generation = coord_.spawn(slot, now);
             require(generation == w.generation + 1, "generations must count up by one");
             w = Worker{true, false, generation, {}};
@@ -981,9 +1004,10 @@ TEST(CoordinatorSchedules, ChaosLegsAsFixedSchedules) {
         EXPECT_EQ(sim.coord().done_count(), 3u);
         run_to_end(sim);
         sim.check_resolved();
-        for (std::size_t slot = 0; slot < 3; ++slot) {
-            EXPECT_EQ(sim.coord().generation(slot), 1);
-        }
+        // Two cells were open, so the resume started two of the three slots.
+        EXPECT_EQ(sim.coord().generation(0), 1);
+        EXPECT_EQ(sim.coord().generation(1), 1);
+        EXPECT_EQ(sim.coord().generation(2), 0);
     }
     // Poison cell: cell 2 kills every worker that starts it; after three
     // distinct incarnations it is quarantined and every other cell is done.

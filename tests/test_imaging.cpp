@@ -432,7 +432,9 @@ TEST(Hough, FindsMultipleCircles) {
     EXPECT_EQ(circles.size(), 3u);
 }
 
-TEST(Hough, RespectsRoi) {
+TEST(Hough, SearchesACroppedPlaneInItsOwnCoordinates) {
+    // The reader converts only the plate region to luma and hands Hough
+    // that crop; centers come back relative to the crop.
     Image img(200, 100, {230, 230, 230});
     fill_circle(img, {40, 50}, 12, {30, 30, 30});
     fill_circle(img, {160, 50}, 12, {30, 30, 30});
@@ -440,10 +442,12 @@ TEST(Hough, RespectsRoi) {
     params.r_min = 8;
     params.r_max = 16;
     params.min_center_dist = 25;
-    params.roi = {100, 0, 200, 100};
-    const auto circles = hough_circles(to_gray(img), params);
+    GrayImage crop;
+    to_gray_roi(img, {100, 0, 200, 100}, crop);
+    const auto circles = hough_circles(crop, params);
     ASSERT_EQ(circles.size(), 1u);
-    EXPECT_GT(circles[0].center.x, 100);
+    EXPECT_NEAR(circles[0].center.x, 60, 2.0);
+    EXPECT_NEAR(circles[0].center.y, 50, 2.0);
 }
 
 TEST(Hough, EmptyImageYieldsNoCircles) {

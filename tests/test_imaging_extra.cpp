@@ -89,13 +89,6 @@ TEST(Draw, FillQuadHandlesBothWindingOrders) {
     EXPECT_EQ(a.pixel(10, 10), (Rgb8{255, 255, 255}));
 }
 
-TEST(Draw, LineConnectsEndpoints) {
-    Image img(20, 20, {0, 0, 0});
-    draw_line(img, {2, 3}, {17, 12}, {255, 0, 0});
-    EXPECT_EQ(img.pixel(2, 3).r, 255);
-    EXPECT_EQ(img.pixel(17, 12).r, 255);
-}
-
 TEST(Draw, CircleOutlinePointsLieOnRadius) {
     Image img(60, 60, {0, 0, 0});
     draw_circle(img, {30, 30}, 12, {0, 255, 0});
@@ -524,33 +517,6 @@ TEST(SensorNoise, RenderConsumesExactlyOneDraw) {
     }
 }
 
-// ------------------------------------------------------------ well read
-
-TEST(WellReaderExtra, RejectsWrongMarkerId) {
-    PlateScene scene;  // renders marker id 7
-    std::vector<Rgb8> colors(96, Rgb8{120, 120, 120});
-    Rng rng(9);
-    const Image frame = render_plate(scene, colors, rng);
-    WellReadParams params;
-    params.geometry = scene.geometry;
-    params.marker_id = 3;  // wrong id
-    const WellReadout readout = read_plate(frame, params);
-    EXPECT_FALSE(readout.ok);
-}
-
-TEST(WellReaderExtra, AcceptsSpecificMarkerId) {
-    PlateScene scene;
-    std::vector<Rgb8> colors(96, Rgb8{120, 120, 120});
-    Rng rng(9);
-    const Image frame = render_plate(scene, colors, rng);
-    WellReadParams params;
-    params.geometry = scene.geometry;
-    params.marker_id = static_cast<int>(scene.marker_id);
-    const WellReadout readout = read_plate(frame, params);
-    EXPECT_TRUE(readout.ok);
-    EXPECT_EQ(readout.marker.id, scene.marker_id);
-}
-
 // ------------------------------------------------- hot-path identity
 //
 // The zero-allocation vision pipeline (scratch pools, region-restricted
@@ -887,21 +853,6 @@ TEST(LazyFrame, RejectsMismatchedRecipe) {
     EXPECT_THROW(LazyFrame(scene, colors, 1, &short_mask), sdl::support::LogicError);
 }
 
-TEST(HotPath, ScratchReadPlateBitwiseAcrossFrames) {
-    PlateScene scene;
-    scene.noise_sigma = 3.0;
-    WellReadParams params;
-    params.geometry = scene.geometry;
-    FrameScratch scratch;
-    Rng rng(77);
-    for (int frame_index = 0; frame_index < 8; ++frame_index) {
-        const Image frame = hot_path_frame(scene, frame_index, rng);
-        const WellReadout fresh = read_plate(frame, params);
-        const WellReadout pooled = read_plate(frame, params, scratch);
-        expect_same_readout(pooled, fresh, "scratch", frame_index);
-    }
-}
-
 TEST(HotPath, PlateReaderRoiPathBitwiseAcrossFrameSequence) {
     // The session reader must serve every frame — first (cold), steady
     // state (ROI hits), a glitched frame (marker gone), and the recovery
@@ -1036,21 +987,20 @@ TEST(HotPath, RegionRestrictedDetectionMatchesFullFrame) {
     std::vector<Rgb8> colors(96, Rgb8{120, 60, 180});
     Rng rng(83);
     const Image frame = render_plate(scene, colors, rng);
-    const MarkerDetectParams params;
 
-    const auto full = detect_markers(frame, MarkerDictionary::standard(), params);
+    const auto full = detect_markers(frame, MarkerDictionary::standard());
     ASSERT_EQ(full.size(), 1u);
 
     // Region comfortably around the marker: must reproduce the detection
     // exactly, in frame coordinates.
     const int cx = static_cast<int>(full[0].center.x);
     const int cy = static_cast<int>(full[0].center.y);
-    const int reach = static_cast<int>(full[0].side) + marker_region_margin(params) + 10;
+    const int reach = static_cast<int>(full[0].side) + marker_region_margin() + 10;
     MarkerScratch scratch;
     std::vector<MarkerDetection> regional;
-    (void)detect_markers_in_region(frame, MarkerDictionary::standard(), params,
-                                   {cx - reach, cy - reach, cx + reach, cy + reach},
-                                   scratch, regional);
+    detect_markers_in_region(frame, MarkerDictionary::standard(),
+                             {cx - reach, cy - reach, cx + reach, cy + reach}, scratch,
+                             regional);
     ASSERT_EQ(regional.size(), 1u);
     EXPECT_EQ(regional[0].id, full[0].id);
     EXPECT_EQ(regional[0].side, full[0].side);
@@ -1063,11 +1013,9 @@ TEST(HotPath, RegionRestrictedDetectionMatchesFullFrame) {
     }
 
     // A region that slices through the marker must skip the contaminated
-    // blob (no subtly-different detection) and report the skip.
+    // blob (no subtly-different detection).
     std::vector<MarkerDetection> sliced;
-    const bool sliced_clean = detect_markers_in_region(
-        frame, MarkerDictionary::standard(), params, {cx - reach, cy - reach, cx, cy},
-        scratch, sliced);
-    EXPECT_FALSE(sliced_clean);
+    detect_markers_in_region(frame, MarkerDictionary::standard(),
+                             {cx - reach, cy - reach, cx, cy}, scratch, sliced);
     EXPECT_TRUE(sliced.empty());
 }

@@ -73,7 +73,6 @@ TEST(WorkcellSpec, RoundTripsThroughYaml) {
     EXPECT_EQ(back.devices.size(), original.devices.size());
     for (std::size_t i = 0; i < back.devices.size(); ++i) {
         EXPECT_EQ(back.devices[i].kind, original.devices[i].kind);
-        EXPECT_EQ(back.devices[i].name, original.devices[i].name);
         EXPECT_EQ(back.devices[i].count, original.devices[i].count);
         EXPECT_EQ(back.devices[i].options, original.devices[i].options);
     }
@@ -126,7 +125,7 @@ TEST(WorkcellSpec, ValidationRejectsBadRosters) {
         mutate(spec);
         return spec;
     };
-    // Duplicate instance names (explicit duplicate and count collision).
+    // A kind listed twice (both entries would register one module name).
     EXPECT_THROW(validate_workcell_spec(spec_with([](WorkcellSpec& s) {
                      s.devices.push_back(s.devices.back());
                  })),
@@ -198,11 +197,15 @@ TEST(WorkcellSpec, ValidationRejectsBadRosters) {
                   .find("towers"),
               std::string::npos);
     // Custom instance names would strand the module (workflows address
-    // modules by kind name), so they are rejected loudly.
-    EXPECT_THROW((void)workcell_spec_from_yaml("workcell:\n  name: x\ndevices:\n"
-                                               "  - kind: ot2\n    name: mixer_b\n"
-                                               "  - kind: camera\n"),
-                 support::ConfigError);
+    // modules by kind name), so they are rejected loudly; a name equal to
+    // the kind is accepted.
+    EXPECT_NE(message("workcell:\n  name: x\ndevices:\n"
+                      "  - kind: ot2\n    name: mixer_b\n  - kind: camera\n")
+                  .find("custom instance names are not supported"),
+              std::string::npos);
+    EXPECT_EQ(message("workcell:\n  name: x\ndevices:\n"
+                      "  - kind: ot2\n    name: ot2\n  - kind: camera\n"),
+              "accepted");
 }
 
 // ------------------------------------------------------------- registry
@@ -459,11 +462,8 @@ TEST(Scenarios, ScenarioCampaignIsByteIdenticalAcrossRuns) {
     spec.axes.workcells = {"baseline", "degraded", "minimal"};
     spec.axes.solvers = {"random"};
 
-    campaign::CampaignRunnerOptions options;
-    options.log_progress = false;
-    const campaign::CampaignRunner runner(options);
-    const auto first = runner.run(spec);
-    const auto second = runner.run(spec);
+    const auto first = campaign::run(spec);
+    const auto second = campaign::run(spec);
     ASSERT_EQ(first.size(), 3u);
     const std::string json_a =
         campaign::campaign_results_to_json(spec, first).pretty();

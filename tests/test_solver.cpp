@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <numbers>
 #include <span>
-#include <thread>
 
 #include "color/mixing.hpp"
 #include "linalg/cholesky.hpp"
@@ -469,11 +468,11 @@ TEST(GaussianProcess, PredictBatchValidatesShapes) {
                  sdl::support::LogicError);
 }
 
-TEST(Bayes, ScoreCandidatePoolThreadCountInvariant) {
+TEST(Bayes, ScoreCandidatePoolMatchesPerPointPredict) {
     // n and C sit past the parallel-dispatch threshold (n^2 * C =
-    // 524288 >= 262144, C > 64), so the chunked path genuinely runs.
-    // The worker cap must change nothing: every entry carries the exact
-    // bits of sequential predict(), at any thread count.
+    // 524288 >= 262144, C > 64), so the chunked path genuinely runs on
+    // the process-wide pool. Chunking must change nothing: every entry
+    // carries the exact bits of sequential predict().
     Rng rng(131);
     const std::size_t n = 64;
     std::vector<std::vector<double>> xs;
@@ -491,23 +490,12 @@ TEST(Bayes, ScoreCandidatePoolThreadCountInvariant) {
     for (std::size_t j = 0; j < pool.rows(); ++j)
         for (std::size_t k = 0; k < 4; ++k) pool(j, k) = rng.uniform();
 
-    const auto reference = score_candidate_pool(gp, pool, /*max_workers=*/1);
-    ASSERT_EQ(reference.size(), pool.rows());
+    const auto scored = score_candidate_pool(gp, pool);
+    ASSERT_EQ(scored.size(), pool.rows());
     for (std::size_t j = 0; j < pool.rows(); ++j) {
         const auto seq = gp.predict(pool.row(j));
-        EXPECT_EQ(reference[j].mean, seq.mean) << "candidate " << j;
-        EXPECT_EQ(reference[j].variance, seq.variance) << "candidate " << j;
-    }
-    const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    for (const std::size_t workers : {std::size_t{2}, hw, std::size_t{0}}) {
-        const auto scored = score_candidate_pool(gp, pool, workers);
-        ASSERT_EQ(scored.size(), reference.size()) << "workers=" << workers;
-        for (std::size_t j = 0; j < scored.size(); ++j) {
-            EXPECT_EQ(scored[j].mean, reference[j].mean)
-                << "workers=" << workers << " candidate " << j;
-            EXPECT_EQ(scored[j].variance, reference[j].variance)
-                << "workers=" << workers << " candidate " << j;
-        }
+        EXPECT_EQ(scored[j].mean, seq.mean) << "candidate " << j;
+        EXPECT_EQ(scored[j].variance, seq.variance) << "candidate " << j;
     }
 }
 

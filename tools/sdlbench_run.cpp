@@ -120,7 +120,7 @@ int list_scenarios() {
         std::string devices;
         for (const core::DeviceSpec& device : spec.devices) {
             if (!devices.empty()) devices += " ";
-            devices += device.name;
+            devices += core::device_kind_to_string(device.kind);
             if (device.count > 1) devices += "x" + std::to_string(device.count);
         }
         table.add_row({name, devices, spec.description});
@@ -257,19 +257,18 @@ int run_campaign(const std::string& spec_path, const std::string& out_dir,
         journal.emplace(out_dir, spec, grid.size());
     }
 
-    campaign::CampaignRunnerOptions options;
     // Serialized by the runner (one mutex around progress + hook), so the
     // journal append and the progress line never interleave.
-    options.on_cell_done = [&journal](const campaign::CellResult& result,
-                                      std::size_t done_count, std::size_t total) {
+    const auto on_cell_done = [&journal](const campaign::CellResult& result,
+                                         std::size_t done_count, std::size_t total) {
         journal->append(result);
         // sdlbench-lint: allow(printf-float): per-cell progress line on stdout; campaign.json is the artifact
         std::printf("  [%zu/%zu] %s best=%.2f (%.1fs)\n", done_count, total,
                     result.cell.config.experiment_id.c_str(), result.outcome.best_score,
                     result.wall_seconds);
     };
-    const campaign::CampaignRunner runner(options);
-    std::vector<campaign::CellResult> results = runner.run_cells(std::move(todo));
+    std::vector<campaign::CellResult> results =
+        campaign::run_cells(std::move(todo), on_cell_done);
 
     // Merge resumed cells back in and restore grid order so the report
     // is byte-identical to an uninterrupted run.
