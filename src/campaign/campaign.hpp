@@ -5,9 +5,9 @@
 // of the system". A CampaignSpec turns that into a first-class object: a
 // base experiment config plus axes (solver x batch size x objective x
 // target) and seed replicates, expanded into a deterministic list of
-// fully resolved per-cell ColorPickerConfigs. CampaignRunner (runner.hpp)
-// executes the cells on the thread pool; campaign_report (report.hpp)
-// aggregates and serializes the results.
+// fully resolved per-cell ColorPickerConfigs. run_cells (runner.hpp)
+// executes the cells on the thread pool; report.hpp aggregates and
+// serializes the results.
 #pragma once
 
 #include <cstdint>

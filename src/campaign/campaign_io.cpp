@@ -2,8 +2,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "core/config_io.hpp"
 #include "core/scenario_gen.hpp"
@@ -113,32 +111,23 @@ CampaignSpec campaign_from_yaml(std::string_view text) {
 }
 
 CampaignSpec campaign_from_file(const std::string& path) {
-    std::ifstream file(path);
-    if (!file) throw support::Error("io", "cannot open campaign file '" + path + "'");
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    json::Value doc = support::yaml::parse(buffer.str());
-    // Scenario spec-file references — grid.workcells entries and the base
-    // config's workcell.scenario — are written relative to the campaign
-    // file, not to wherever the process happens to run. Rebase before
-    // parsing: the base section resolves its scenario during parsing.
-    const std::string base_dir = std::filesystem::path(path).parent_path().string();
+    // The base config's workcell.scenario is rebased like an experiment
+    // file's; grid.workcells spec-file entries are relative to the
+    // campaign file too. Both before parsing: the base section resolves
+    // its scenario during parsing.
+    json::Value doc = core::experiment_doc_from_file(path, "campaign file");
     if (doc.is_object()) {
         if (json::Value* grid = doc.as_object().find("grid")) {
             if (grid->is_object()) {
                 if (json::Value* workcells = grid->as_object().find("workcells")) {
                     if (workcells->is_array()) {
+                        const std::string base_dir =
+                            std::filesystem::path(path).parent_path().string();
                         for (json::Value& ref : workcells->as_array()) {
                             ref = core::rebase_scenario_ref(ref.as_string(), base_dir);
                         }
                     }
                 }
-            }
-        }
-        if (json::Value* workcell = doc.as_object().find("workcell")) {
-            if (const json::Value* scenario = workcell->find("scenario")) {
-                workcell->set("scenario", core::rebase_scenario_ref(
-                                              scenario->as_string(), base_dir));
             }
         }
     }
@@ -177,13 +166,7 @@ std::string campaign_to_yaml(const CampaignSpec& raw) {
     }
     grid.set("objectives", std::move(objectives));
     json::Value targets = json::Value::array();
-    for (const color::Rgb8 t : spec.axes.targets) {
-        json::Value triple = json::Value::array();
-        triple.push_back(static_cast<std::int64_t>(t.r));
-        triple.push_back(static_cast<std::int64_t>(t.g));
-        triple.push_back(static_cast<std::int64_t>(t.b));
-        targets.push_back(std::move(triple));
-    }
+    for (const color::Rgb8 t : spec.axes.targets) targets.push_back(core::rgb_to_doc(t));
     grid.set("targets", std::move(targets));
     doc.set("grid", std::move(grid));
 

@@ -3,11 +3,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <utility>
 
 #include "campaign/campaign_io.hpp"
-#include "campaign/report.hpp"
 #include "core/config_io.hpp"
 #include "support/common.hpp"
 
@@ -34,14 +33,6 @@ std::string fnv1a_hex(std::string_view text) {
     return buf;
 }
 
-color::Rgb8 rgb_from_json(const json::Value& v) {
-    const json::Array& a = v.as_array();
-    support::check(a.size() == 3, "journal rgb triple must have 3 entries");
-    return color::Rgb8{support::narrow<std::uint8_t>(a[0].as_int()),
-                       support::narrow<std::uint8_t>(a[1].as_int()),
-                       support::narrow<std::uint8_t>(a[2].as_int())};
-}
-
 // The journal stores the outcome in native units — durations in seconds,
 // doubles in shortest-round-trip text (the JSON writer's format) — so
 // outcome_from_json(outcome_to_json(o)) reproduces every field bit for
@@ -59,7 +50,7 @@ json::Value outcome_to_json(const core::ExperimentOutcome& outcome) {
         json::Value ratios = json::Value::array();
         for (const double r : s.ratios) ratios.push_back(r);
         point.set("ratios", std::move(ratios));
-        point.set("measured", rgb_to_json(s.measured));
+        point.set("measured", core::rgb_to_doc(s.measured));
         samples.push_back(std::move(point));
     }
     doc.set("samples", std::move(samples));
@@ -67,7 +58,7 @@ json::Value outcome_to_json(const core::ExperimentOutcome& outcome) {
     json::Value best_ratios = json::Value::array();
     for (const double r : outcome.best_ratios) best_ratios.push_back(r);
     doc.set("best_ratios", std::move(best_ratios));
-    doc.set("best_color", rgb_to_json(outcome.best_color));
+    doc.set("best_color", core::rgb_to_doc(outcome.best_color));
     doc.set("reached_threshold", outcome.reached_threshold);
 
     const metrics::SdlMetrics& m = outcome.metrics;
@@ -107,14 +98,14 @@ core::ExperimentOutcome outcome_from_json(const json::Value& doc) {
         for (const json::Value& r : point.at("ratios").as_array()) {
             s.ratios.push_back(r.as_double());
         }
-        s.measured = rgb_from_json(point.at("measured"));
+        s.measured = core::rgb_from_doc(point.at("measured"), "sample measured color");
         outcome.samples.push_back(std::move(s));
     }
     outcome.best_score = doc.at("best_score").as_double();
     for (const json::Value& r : doc.at("best_ratios").as_array()) {
         outcome.best_ratios.push_back(r.as_double());
     }
-    outcome.best_color = rgb_from_json(doc.at("best_color"));
+    outcome.best_color = core::rgb_from_doc(doc.at("best_color"), "best_color");
     outcome.reached_threshold = doc.at("reached_threshold").as_bool();
 
     const json::Value& met = doc.at("metrics");
@@ -153,7 +144,117 @@ std::string cell_digest(const CampaignCell& cell) {
     return fnv1a_hex(core::config_to_yaml(cell.config));
 }
 
-// ---------------------------------------------------------------- records
+// ------------------------------------------------------------------ logs
+
+namespace {
+
+[[noreturn]] void reject(const std::string& path, const std::string& why) {
+    throw support::ConfigError("journal '" + path + "': " + why);
+}
+
+}  // namespace
+
+support::AppendWriter start_log(const std::string& path, const json::Value& header) {
+    support::atomic_write(path, header.dump() + "\n");
+    return support::AppendWriter(path);
+}
+
+LogReader::LogReader(std::string path, std::string_view schema, std::string digest,
+                     std::size_t cells_total)
+    : path_(std::move(path)),
+      schema_(schema),
+      digest_(std::move(digest)),
+      cells_total_(cells_total) {}
+
+std::vector<json::Value> LogReader::read() {
+    std::ifstream file(path_, std::ios::binary);
+    if (!file) return {};
+    file.seekg(static_cast<std::streamoff>(offset_));
+    const std::string chunk((std::istreambuf_iterator<char>(file)),
+                            std::istreambuf_iterator<char>());
+    const support::CompleteLines split = support::split_complete_lines(chunk);
+    std::vector<json::Value> records;
+    for (const std::string_view line : split.lines) {
+        ++lines_;
+        if (!header_seen_) {
+            check_header(line);
+            header_seen_ = true;
+            continue;
+        }
+        try {
+            records.push_back(json::parse(line));
+        } catch (const support::Error& e) {
+            // Appends are single writes, so a complete line is a whole
+            // record: one that does not parse is real corruption.
+            reject(path_, "corrupt record on line " + std::to_string(lines_) + ": " +
+                              e.what());
+        }
+    }
+    offset_ += split.tail;
+    remainder_ = chunk.size() - split.tail;
+    return records;
+}
+
+void LogReader::check_header(std::string_view line) const {
+    json::Value header;
+    try {
+        header = json::parse(line);
+    } catch (const support::Error& e) {
+        reject(path_, std::string("corrupt header record: ") + e.what());
+    }
+    if (header.get_or("schema", std::string()) != schema_) {
+        reject(path_, "unexpected header schema '" +
+                          header.get_or("schema", std::string("<missing>")) +
+                          "' (expected " + schema_ + ")");
+    }
+    const std::string found_digest = header.get_or("spec_digest", std::string());
+    if (found_digest != digest_) {
+        reject(path_, "spec digest mismatch: journal was written for spec " +
+                          found_digest + ", but this campaign file digests to " + digest_ +
+                          " — resuming across different specs is not allowed");
+    }
+    const auto cells_total =
+        static_cast<std::size_t>(header.get_or("cells_total", std::int64_t{0}));
+    if (cells_total != cells_total_) {
+        reject(path_, "cell count mismatch: journal expects " + std::to_string(cells_total) +
+                          " cells, grid expands to " + std::to_string(cells_total_));
+    }
+}
+
+namespace {
+
+/// A whole log, as a crashed run left it.
+struct LoadedLog {
+    std::vector<json::Value> records;
+    bool dropped_torn_tail = false;
+};
+
+LoadedLog load_log(const std::string& path, std::string_view schema,
+                   const std::string& digest, std::size_t cells_total) {
+    LogReader reader(path, schema, digest, cells_total);
+    LoadedLog log{reader.read(), reader.remainder() > 0};
+    if (!reader.header_seen()) {
+        reject(path, log.dropped_torn_tail
+                         ? "header record is truncated — the run died before "
+                           "checkpointing anything; start fresh without --resume"
+                         : "no header record: the file is missing or empty");
+    }
+    return log;
+}
+
+}  // namespace
+
+ResumedLog resume_log(const std::string& path, std::string_view schema,
+                      const std::string& digest, std::size_t cells_total) {
+    LoadedLog log = load_log(path, schema, digest, cells_total);
+    if (log.dropped_torn_tail) {
+        const std::string text = support::read_file(path, "journal");
+        support::atomic_write(path, std::string_view(text).substr(0, text.rfind('\n') + 1));
+    }
+    return ResumedLog{std::move(log.records), log.dropped_torn_tail, support::AppendWriter(path)};
+}
+
+// --------------------------------------------------------------- journal
 
 json::Value journal_header(const CampaignSpec& spec, std::size_t cells_total) {
     json::Value doc = json::Value::object();
@@ -177,114 +278,29 @@ json::Value cell_record_to_json(const CellResult& result) {
     return doc;
 }
 
-// ---------------------------------------------------------------- journal
-
-namespace {
-
-support::AppendWriter start_journal(const std::string& out_dir,
-                                    const CampaignSpec& spec, std::size_t cells_total) {
-    const std::string path = journal_path(out_dir);
-    support::atomic_write(path, journal_header(spec, cells_total).dump() + "\n");
-    return support::AppendWriter(path);
-}
-
-}  // namespace
-
 CheckpointJournal::CheckpointJournal(support::AppendWriter writer)
     : writer_(std::move(writer)) {}
 
 CheckpointJournal::CheckpointJournal(const std::string& out_dir,
                                      const CampaignSpec& spec, std::size_t cells_total)
-    : writer_(start_journal(out_dir, spec, cells_total)) {}
-
-CheckpointJournal CheckpointJournal::reopen(const std::string& out_dir) {
-    return CheckpointJournal(support::AppendWriter(journal_path(out_dir)));
-}
+    : writer_(start_log(journal_path(out_dir), journal_header(spec, cells_total))) {}
 
 void CheckpointJournal::append(const CellResult& result) {
     writer_.append_line(cell_record_to_json(result).dump());
 }
 
-// ------------------------------------------------------------------ load
-
-namespace {
-
-[[noreturn]] void reject(const std::string& path, const std::string& why) {
-    throw support::ConfigError("journal '" + path + "': " + why);
+void write_journal(const std::string& out_dir, const CampaignSpec& spec,
+                   std::size_t cells_total, std::span<const CellResult> results) {
+    std::string text = journal_header(spec, cells_total).dump() + "\n";
+    for (const CellResult& result : results) {
+        text += cell_record_to_json(result).dump();
+        text += '\n';
+    }
+    support::atomic_write(journal_path(out_dir), text);
 }
 
-std::string read_bytes(std::ifstream& file) {
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    return buffer.str();
-}
-
-}  // namespace
-
-std::size_t journal_progress(const std::string& path,
-                             const CampaignSpec& spec) noexcept {
-    try {
-        std::ifstream file(path, std::ios::binary);
-        if (!file) return 0;
-        const std::string text = read_bytes(file);
-        // Only complete lines count: a torn final fragment (kill
-        // mid-append) is not a completed record — counting it would let
-        // an almost-finished crashed run masquerade as complete.
-        const std::vector<std::string_view> lines =
-            support::split_complete_lines(text).lines;
-        if (lines.empty()) return 0;
-        const json::Value header = json::parse(lines.front());
-        if (header.get_or("schema", std::string()) != kJournalSchema ||
-            header.get_or("spec_digest", std::string()) != spec_digest(spec)) {
-            return 0;
-        }
-        std::size_t records = 0;
-        for (std::size_t i = 1; i < lines.size(); ++i) {
-            if (!lines[i].empty()) ++records;
-        }
-        // A journal with a record per cell is a finished run: rerunning
-        // reproduces it, nothing is lost by truncation.
-        const auto cells_total =
-            static_cast<std::size_t>(header.get_or("cells_total", std::int64_t{0}));
-        return records < cells_total ? records : 0;
-    } catch (...) {
-        return 0;
-    }
-}
-
-void validate_journal_header(std::string_view line, const CampaignSpec& spec,
-                             std::size_t grid_cells, const std::string& path) {
-    json::Value header;
-    try {
-        header = json::parse(line);
-    } catch (const support::Error& e) {
-        reject(path, std::string("corrupt header record: ") + e.what());
-    }
-    if (header.get_or("schema", std::string()) != kJournalSchema) {
-        reject(path, "unexpected header schema '" +
-                         header.get_or("schema", std::string("<missing>")) +
-                         "' (expected " + std::string(kJournalSchema) + ")");
-    }
-    const std::string expected_digest = spec_digest(spec);
-    const std::string found_digest = header.get_or("spec_digest", std::string());
-    if (found_digest != expected_digest) {
-        reject(path, "spec digest mismatch: journal was written for spec " +
-                         found_digest + ", but this campaign file digests to " +
-                         expected_digest +
-                         " — resuming across different specs is not allowed");
-    }
-    const auto cells_total =
-        static_cast<std::size_t>(header.get_or("cells_total", std::int64_t{0}));
-    if (cells_total != grid_cells) {
-        reject(path, "cell count mismatch: journal expects " +
-                         std::to_string(cells_total) + " cells, grid expands to " +
-                         std::to_string(grid_cells));
-    }
-}
-
-CellResult parse_cell_record(std::string_view line, const std::vector<CampaignCell>& grid,
+CellResult parse_cell_record(const json::Value& record, const std::vector<CampaignCell>& grid,
                              const std::string& path) {
-    const json::Value record = json::parse(line);  // throws on corrupt JSON
     if (record.get_or("schema", std::string()) != kCellRecordSchema) {
         reject(path, "unexpected record schema '" +
                          record.get_or("schema", std::string("<missing>")) + "'");
@@ -312,52 +328,67 @@ CellResult parse_cell_record(std::string_view line, const std::vector<CampaignCe
     return result;
 }
 
-LoadedJournal load_journal(const std::string& path, const CampaignSpec& spec,
-                           const std::vector<CampaignCell>& grid) {
-    std::ifstream file(path, std::ios::binary);
-    if (!file) throw support::Error("io", "cannot open journal '" + path + "'");
-    const std::string text = read_bytes(file);
-
-    // An unterminated final fragment is the torn tail a kill mid-append
-    // leaves behind.
-    const support::CompleteLines split = support::split_complete_lines(text);
-    if (split.lines.empty()) {
-        reject(path, text.empty()
-                         ? "journal is empty"
-                         : "header record is truncated — the run died before "
-                           "checkpointing anything; start fresh without --resume");
+std::size_t journal_progress(const std::string& path, const CampaignSpec& spec,
+                             std::size_t cells_total) {
+    LogReader reader(path, kJournalSchema, spec_digest(spec), cells_total);
+    std::size_t records = 0;
+    try {
+        // Only complete lines count: a torn final fragment (kill
+        // mid-append) is not a completed record — counting it would let
+        // an almost-finished crashed run masquerade as complete.
+        records = reader.read().size();
+    } catch (const support::ConfigError&) {
+        if (reader.header_seen()) throw;  // this campaign's journal, damaged
+        return 0;                         // another campaign's, or no header
     }
+    // A journal with a record per cell is a finished run: rerunning
+    // reproduces it, nothing is lost by truncation.
+    return records < cells_total ? records : 0;
+}
 
-    LoadedJournal loaded;
-    validate_journal_header(split.lines.front(), spec, grid.size(), path);
-    loaded.lines.emplace_back(split.lines.front());
+namespace {
 
+/// The journal layer over a whole log's records: each validated against
+/// the grid, and no cell twice.
+std::vector<CellResult> cells_from_records(const std::vector<json::Value>& records,
+                                           const std::vector<CampaignCell>& grid,
+                                           const std::string& path) {
+    std::vector<CellResult> cells;
     std::vector<bool> seen(grid.size(), false);
-    for (std::size_t i = 1; i < split.lines.size(); ++i) {
-        const std::string_view line = split.lines[i];
+    for (std::size_t i = 0; i < records.size(); ++i) {
         CellResult result;
         try {
-            result = parse_cell_record(line, grid, path);
+            result = parse_cell_record(records[i], grid, path);
         } catch (const support::ConfigError&) {
             throw;  // validation failures are always loud
         } catch (const support::Error& e) {
-            // Corrupt JSON mid-journal means real corruption; only the
-            // final complete-line slot could plausibly be a torn write
-            // that still ended in '\n' (it cannot — appends are single
-            // writes) — stay strict.
-            reject(path, "corrupt record on line " + std::to_string(i + 1) + ": " +
-                             e.what());
+            // A record missing a field: line 1 is the header.
+            reject(path, "corrupt record on line " + std::to_string(i + 2) + ": " + e.what());
         }
         const std::size_t index = result.cell.index;
         if (seen[index]) {
             reject(path, "cell " + std::to_string(index) + " recorded twice");
         }
         seen[index] = true;
-        loaded.cells.push_back(std::move(result));
-        loaded.lines.emplace_back(line);
+        cells.push_back(std::move(result));
     }
-    loaded.dropped_torn_tail = split.tail < text.size();
-    return loaded;
+    return cells;
+}
+
+}  // namespace
+
+LoadedJournal load_journal(const std::string& path, const CampaignSpec& spec,
+                           const std::vector<CampaignCell>& grid) {
+    const LoadedLog log = load_log(path, kJournalSchema, spec_digest(spec), grid.size());
+    return LoadedJournal{cells_from_records(log.records, grid, path), log.dropped_torn_tail};
+}
+
+ResumedJournal resume_journal(const std::string& out_dir, const CampaignSpec& spec,
+                              const std::vector<CampaignCell>& grid) {
+    const std::string path = journal_path(out_dir);
+    ResumedLog log = resume_log(path, kJournalSchema, spec_digest(spec), grid.size());
+    LoadedJournal loaded{cells_from_records(log.records, grid, path), log.dropped_torn_tail};
+    return ResumedJournal{std::move(loaded), CheckpointJournal(std::move(log.writer))};
 }
 
 }  // namespace sdl::campaign

@@ -1,17 +1,22 @@
-// Campaign checkpointing: a durable per-cell journal that makes campaign
-// execution fault-tolerant (resume after a crash).
+// Campaign checkpointing: durable logs that make campaign execution
+// fault-tolerant (resume after a crash).
 //
-// As each cell finishes, CampaignRunner's completion hook appends one
-// self-describing JSONL record ("sdlbench.cell_result.v1") to
-// <out_dir>/cells.jsonl through support::AppendWriter, so a killed run
-// preserves every completed cell. The journal opens with a header record
-// ("sdlbench.campaign_journal.v1") carrying a digest of the normalized
-// campaign spec and the grid's cell count; loading re-expands the grid,
-// rejects digest mismatches loudly, validates every record against its
-// expanded cell, and drops a torn final line (the only damage a kill can
-// inflict, by the O_APPEND one-write-per-record discipline). The fleet
-// (fleet.hpp) writes the same journal per worker, and fuses them into one
-// whole-grid journal when it finishes.
+// A *log* is a JSONL file: one header line (schema, spec digest, cell
+// count), then one record per line, each appended by a single write
+// (support::AppendWriter). A kill can leave only an unterminated last
+// line, the *torn tail*. This file owns the format: start_log starts a
+// log, LogReader reads one incrementally, resume_log reopens one after a
+// crash. A complete line that does not parse fails the
+// reader loudly, naming the file; a torn tail is dropped.
+//
+// Two kinds of log are built on it. The cell journal: as each cell
+// finishes, its completion hook appends one self-describing record
+// ("sdlbench.cell_result.v1") to <out_dir>/cells.jsonl under a
+// "sdlbench.campaign_journal.v1" header, so a killed run preserves every
+// completed cell; loading validates every record against its re-expanded
+// grid cell. The fleet (fleet.hpp) writes the same journal per worker,
+// fuses them into one whole-grid journal when it finishes
+// (write_journal), and keeps its coordinator ledger as a second log.
 //
 // Everything journaled is modeled time in native units (seconds), and
 // both the journal and the reports serialize doubles in shortest
@@ -20,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,6 +52,64 @@ inline constexpr std::string_view kCellRecordSchema = "sdlbench.cell_result.v1";
 /// guard that a journal entry still matches the re-expanded grid.
 [[nodiscard]] std::string cell_digest(const CampaignCell& cell);
 
+// ------------------------------------------------------------------ logs
+
+/// Starts a log at `path`: `header` written atomically, replacing any
+/// previous file; the returned writer appends the records.
+[[nodiscard]] support::AppendWriter start_log(const std::string& path,
+                                              const support::json::Value& header);
+
+/// Reads a log as it grows, from where its last read stopped.
+class LogReader {
+public:
+    /// The header must carry `schema`, `digest` as its spec_digest and
+    /// `cells_total`; keys it does not know are ignored, so headers from
+    /// older builds still load.
+    LogReader(std::string path, std::string_view schema, std::string digest,
+              std::size_t cells_total);
+
+    /// The records completed since the last read, parsed, in file order
+    /// (none while the file is missing). The first complete line is the
+    /// header: checked once, never returned. An unterminated remainder
+    /// (an append in flight, or a dead writer's torn tail) waits. Throws
+    /// ConfigError naming the file on a header mismatch or a complete
+    /// line that does not parse.
+    [[nodiscard]] std::vector<support::json::Value> read();
+
+    [[nodiscard]] bool header_seen() const noexcept { return header_seen_; }
+    /// Bytes after the last complete line, as of the last read.
+    [[nodiscard]] std::size_t remainder() const noexcept { return remainder_; }
+    [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+private:
+    void check_header(std::string_view line) const;
+
+    std::string path_;
+    std::string schema_;
+    std::string digest_;
+    std::size_t cells_total_;
+    std::size_t offset_ = 0;  ///< bytes of the complete lines read
+    std::size_t lines_ = 0;   ///< complete lines read, for error messages
+    std::size_t remainder_ = 0;
+    bool header_seen_ = false;
+};
+
+/// A log reopened to continue after a crash.
+struct ResumedLog {
+    std::vector<support::json::Value> records;  ///< every complete one
+    bool dropped_torn_tail = false;
+    support::AppendWriter writer;
+};
+
+/// Reads the log at `path` whole (LogReader's checks, and ConfigError
+/// when it has no complete header line: missing, empty or torn), cuts a
+/// torn tail from the file so the next record cannot glue onto it, and
+/// reopens the log for append.
+[[nodiscard]] ResumedLog resume_log(const std::string& path, std::string_view schema,
+                                    const std::string& digest, std::size_t cells_total);
+
+// --------------------------------------------------------------- journal
+
 /// The journal header record (first line of cells.jsonl).
 [[nodiscard]] support::json::Value journal_header(const CampaignSpec& spec,
                                                   std::size_t cells_total);
@@ -55,24 +119,36 @@ inline constexpr std::string_view kCellRecordSchema = "sdlbench.cell_result.v1";
 /// in native (seconds) units so it reconstructs losslessly.
 [[nodiscard]] support::json::Value cell_record_to_json(const CellResult& result);
 
-/// Append side of the journal. Construction starts a fresh journal
-/// (header written atomically, truncating any previous one); reopen()
-/// continues an existing, already-compacted journal after a resume.
+/// Validates one parsed cell record against the re-expanded grid: record
+/// schema, cell index range, per-cell config digest, and experiment id
+/// must all match (ConfigError naming `path` otherwise). Duplicates are
+/// the caller's to catch.
+[[nodiscard]] CellResult parse_cell_record(const support::json::Value& record,
+                                           const std::vector<CampaignCell>& grid,
+                                           const std::string& path);
+
+/// Append side of the journal.
 class CheckpointJournal {
 public:
+    /// Starts a fresh journal in `out_dir` (start_log), truncating any
+    /// previous one.
     CheckpointJournal(const std::string& out_dir, const CampaignSpec& spec,
                       std::size_t cells_total);
+    /// Continues a resumed journal (resume_journal).
+    explicit CheckpointJournal(support::AppendWriter writer);
 
-    [[nodiscard]] static CheckpointJournal reopen(const std::string& out_dir);
-
-    /// Appends one cell record (single O_APPEND write + flush).
+    /// Appends one cell record (single O_APPEND write + fdatasync).
     void append(const CellResult& result);
 
 private:
-    explicit CheckpointJournal(support::AppendWriter writer);
-
     support::AppendWriter writer_;
 };
+
+/// Writes `results` (index-sorted) to `out_dir` as one whole journal,
+/// atomically: the fleet's fused journal, which `sdlbench_run --resume`
+/// accepts like any other.
+void write_journal(const std::string& out_dir, const CampaignSpec& spec,
+                   std::size_t cells_total, std::span<const CellResult> results);
 
 /// A validated journal, ready to resume from.
 struct LoadedJournal {
@@ -81,48 +157,33 @@ struct LoadedJournal {
     std::vector<CellResult> cells;
     /// True when a torn final line (kill mid-append) was discarded.
     bool dropped_torn_tail = false;
-    /// Header + every valid record line — rewrite these (atomically) to
-    /// compact a torn journal before appending to it again.
-    std::vector<std::string> lines;
 };
 
-/// Parses and validates a journal header line against `spec` (schema +
-/// spec digest) and the expanded grid size. Throws ConfigError naming
-/// `path` on any mismatch. Keys it does not know are ignored, so headers
-/// from older builds still load. The header half of load_journal,
-/// exposed for incremental readers (the fleet coordinator tails worker
-/// journals line by line as acks arrive).
-void validate_journal_header(std::string_view line, const CampaignSpec& spec,
-                             std::size_t grid_cells, const std::string& path);
-
-/// Parses and validates one cell record line against the re-expanded
-/// grid: record schema, cell index range, per-cell config digest, and
-/// experiment id must all match. Throws ConfigError naming `path` on a
-/// validation failure and Error("json") on corrupt JSON. The duplicate
-/// check remains the caller's (it needs cross-record state). The record
-/// half of load_journal, exposed for the same incremental readers.
-[[nodiscard]] CellResult parse_cell_record(std::string_view line,
-                                           const std::vector<CampaignCell>& grid,
-                                           const std::string& path);
-
 /// Number of cell records in the journal at `path` IF it belongs to
-/// `spec` (header parses, spec digest matches) and is an *incomplete*
-/// run — i.e. progress a fresh run would destroy; 0 otherwise. A
-/// missing file, a foreign spec, an unreadable header, and a journal
-/// with a record for every cell (a finished run, safe to redo) all count
-/// as "nothing to protect". The cheap guard `sdlbench_run` uses to
-/// refuse to truncate real progress when `--resume` was forgotten.
-[[nodiscard]] std::size_t journal_progress(const std::string& path,
-                                           const CampaignSpec& spec) noexcept;
+/// `spec` and its `cells_total`-cell grid and is an *incomplete* run —
+/// progress a fresh run would destroy; 0 otherwise (a missing file, a
+/// foreign spec, an unreadable header, a finished run). Throws when a
+/// complete line of this spec's journal does not parse (LogReader). The
+/// guard against truncating real progress when `--resume` was forgotten.
+[[nodiscard]] std::size_t journal_progress(const std::string& path, const CampaignSpec& spec,
+                                           std::size_t cells_total);
 
-/// Reads and validates `path` against the re-expanded `grid` of `spec`.
-/// Loud failures (ConfigError): spec-digest or cell-count mismatch,
-/// schema mismatch, a record whose config digest or experiment id does
-/// not match its grid cell, a duplicate cell index, or a corrupt record
-/// that is not the torn final line. The torn final line of a killed run
-/// is silently dropped (reported via dropped_torn_tail).
-[[nodiscard]] LoadedJournal load_journal(const std::string& path,
-                                         const CampaignSpec& spec,
+/// Reads `path` whole (as resume_log does, read-only) and validates it
+/// against the re-expanded `grid` of `spec`: ConfigError on a record parse_cell_record rejects
+/// or a duplicate cell index. A torn tail is dropped (dropped_torn_tail).
+[[nodiscard]] LoadedJournal load_journal(const std::string& path, const CampaignSpec& spec,
                                          const std::vector<CampaignCell>& grid);
+
+/// A journal reopened after a crash, to append the cells still owed.
+struct ResumedJournal {
+    LoadedJournal loaded;
+    CheckpointJournal journal;
+};
+
+/// Resumes the journal in `out_dir`: resume_log, validated like
+/// load_journal. How `sdlbench_run --resume` continues a killed run.
+[[nodiscard]] ResumedJournal resume_journal(const std::string& out_dir,
+                                            const CampaignSpec& spec,
+                                            const std::vector<CampaignCell>& grid);
 
 }  // namespace sdl::campaign

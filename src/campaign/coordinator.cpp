@@ -142,7 +142,7 @@ std::vector<std::size_t> Coordinator::due(double now) const {
     // whose last cells are already running).
     std::vector<std::size_t> slots;
     for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
-        if (alive_ + slots.size() >= open()) break;
+        if (alive_ + slots.size() >= open_count()) break;
         const Slot& s = slots_[slot];
         if (!s.alive && s.respawn_at && *s.respawn_at <= now) slots.push_back(slot);
     }
@@ -159,7 +159,7 @@ std::vector<std::size_t> Coordinator::hung(double now) const {
 }
 
 double Coordinator::next_deadline(double now, double cap) const {
-    const bool may_spawn = alive_ < open();  // as due() decides
+    const bool may_spawn = alive_ < open_count();  // as due() decides
     double next = cap;
     for (const Slot& s : slots_) {
         if (s.alive) {

@@ -109,8 +109,12 @@ public:
 
     // State.
 
+    /// Cells neither Done nor Quarantined.
+    [[nodiscard]] std::size_t open_count() const noexcept {
+        return states_.size() - done_ - quarantined_;
+    }
     /// Every cell is Done or Quarantined.
-    [[nodiscard]] bool all_done() const noexcept { return open() == 0; }
+    [[nodiscard]] bool all_done() const noexcept { return open_count() == 0; }
     /// Every slot is retired: nothing is left to run the open cells.
     [[nodiscard]] bool exhausted() const noexcept;
     [[nodiscard]] std::size_t done_count() const noexcept { return done_; }
@@ -142,10 +146,6 @@ private:
         bool retired = false;
     };
 
-    /// Cells neither Done nor Quarantined.
-    [[nodiscard]] std::size_t open() const noexcept {
-        return states_.size() - done_ - quarantined_;
-    }
     Slot& live(std::size_t slot);
     /// A cost-sized lease for `slot`, off the queue front.
     std::vector<std::size_t> deal(std::size_t slot);

@@ -5,8 +5,8 @@
 // renders and reads 3200x2400 frames where a 96-well cell reads 800x600
 // ones; a bayesian cell at N=128 pays O(n^2)-and-up GP refits per batch
 // while a random cell just draws; a B=1 cell runs 128 full plate-read
-// cycles where B=64 runs two. Whoever schedules cells (the in-process
-// pool in CampaignRunner, the fleet's Coordinator) starts the
+// cycles where B=64 runs two. Whoever schedules cells (run_cells on the
+// in-process pool, the fleet's Coordinator) starts the
 // longest-expected work first so the makespan tail is short: the classic
 // longest-processing-time (LPT) greedy, within 4/3 of the optimal
 // makespan on identical workers (Graham, 1969). The fleet's Coordinator

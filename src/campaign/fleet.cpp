@@ -8,9 +8,7 @@
 #include <cstdio>
 #include <deque>
 #include <filesystem>
-#include <fstream>
 #include <future>
-#include <iterator>
 #include <thread>
 #include <utility>
 
@@ -148,8 +146,7 @@ struct WorkerState {
     std::string dir;
     support::ChildProcess proc;  ///< valid() while the process runs
     support::LineBuffer lines;
-    std::size_t journal_offset = 0;
-    bool header_seen = false;
+    std::optional<LogReader> journal;  ///< tails <dir>/cells.jsonl
     bool send_failed = false;
 };
 
@@ -212,97 +209,16 @@ struct ReapGuard {
 
 // ------------------------------------------------- coordinator ledger
 
+/// Write-ahead ledger of coordinator decisions (spawns, crash blames,
+/// quarantines), one fsync'd record each in a log (checkpoint.hpp) — the
+/// durable state a killed coordinator is resumed from (worker journals
+/// carry the results; the ledger says where they live and what was
+/// convicted). Removed on successful completion; its presence marks a
+/// crashed run.
+constexpr std::string_view kLedgerSchema = "sdlbench.coordinator_journal.v1";
+
 std::string ledger_path(const std::string& out_dir) {
     return out_dir + "/coordinator.jsonl";
-}
-
-/// Write-ahead ledger of coordinator decisions (spawns, crash blames,
-/// quarantines), one fsync'd JSONL record each — the durable state a
-/// killed coordinator is resumed from (worker journals carry the
-/// results; the ledger says where they live and what was convicted).
-/// Removed on successful completion; its presence marks a crashed run.
-class CoordinatorLedger {
-public:
-    /// Writes `prefix_text` (header, plus retained events on resume)
-    /// atomically, then switches to append mode.
-    void open(const std::string& out_dir, const std::string& prefix_text) {
-        path_ = ledger_path(out_dir);
-        support::atomic_write(path_, prefix_text);
-        writer_.emplace(path_);
-    }
-    /// Appends one event: its fields, in order.
-    void append(std::initializer_list<std::pair<const char*, json::Value>> fields) {
-        json::Value event = json::Value::object();
-        for (const auto& [key, value] : fields) event.set(key, value);
-        writer_->append_line(event.dump());
-    }
-    void remove() {
-        writer_.reset();
-        std::error_code ignored;
-        std::filesystem::remove(path_, ignored);
-    }
-
-private:
-    std::string path_;
-    std::optional<support::AppendWriter> writer_;
-};
-
-/// A ledger event line, verbatim beside its parse. Resume rewrites each
-/// line into the compacted ledger, so a resume-of-a-resume still knows
-/// every journal directory and conviction.
-using LedgerEvent = std::pair<std::string, json::Value>;
-
-/// Loads the events of a coordinator ledger whose header matches this
-/// campaign, tolerating a torn tail (each record is one fsync'd write,
-/// so only the final line can be incomplete — it is dropped, like the
-/// cell journals' torn-tail recovery).
-std::vector<LedgerEvent> load_ledger(const std::string& path, const std::string& digest,
-                                     std::size_t cells) {
-    std::ifstream file(path, std::ios::binary);
-    if (!file) {
-        throw support::ConfigError("cannot read coordinator ledger '" + path + "'");
-    }
-    const std::string text((std::istreambuf_iterator<char>(file)),
-                           std::istreambuf_iterator<char>());
-    std::vector<LedgerEvent> events;
-    bool header_seen = false;
-    for (const std::string_view line : support::split_complete_lines(text).lines) {
-        if (line.empty()) continue;
-        json::Value doc;
-        try {
-            doc = json::parse(line);
-        } catch (const support::Error&) {
-            break;  // unreadable line: treat as the torn tail, keep what stands
-        }
-        if (header_seen) {
-            events.emplace_back(std::string(line), std::move(doc));
-            continue;
-        }
-        if (doc.get_or("schema", std::string()) != "sdlbench.coordinator_journal.v1") {
-            throw support::ConfigError("'" + path +
-                                       "' is not a coordinator ledger (bad schema)");
-        }
-        const std::string ledger_digest = doc.at("spec_digest").as_string();
-        if (ledger_digest != digest) {
-            throw support::ConfigError(
-                "--resume: ledger spec digest " + ledger_digest +
-                " does not match this campaign's digest " + digest +
-                " — the resumed run must use the same spec");
-        }
-        const std::int64_t cells_total = doc.at("cells_total").as_int();
-        if (cells_total != static_cast<std::int64_t>(cells)) {
-            throw support::ConfigError("--resume: ledger records " +
-                                       std::to_string(cells_total) +
-                                       " cells, campaign expands to " +
-                                       std::to_string(cells));
-        }
-        header_seen = true;
-    }
-    if (!header_seen) {
-        throw support::ConfigError("coordinator ledger '" + path +
-                                   "' has no intact header — nothing to resume");
-    }
-    return events;
 }
 
 }  // namespace
@@ -319,7 +235,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
     // Same refusal as sdlbench_run: an incomplete journal for this very
     // spec in out_dir is a crashed run's progress; make the operator
     // decide, don't truncate.
-    const std::size_t progress = journal_progress(journal_path(out_dir), spec);
+    const std::size_t progress = journal_progress(journal_path(out_dir), spec, grid.size());
     if (progress > 0) {
         throw support::ConfigError(
             "'" + out_dir + "' already holds a journal with " + std::to_string(progress) +
@@ -344,13 +260,6 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
 
     const std::size_t n_workers =
         std::min(std::max<std::size_t>(1, options.workers), grid.size());
-    std::size_t threads = options.worker_threads;
-    if (threads == 0) {
-        // Disjoint core budgets: divide the host instead of letting every
-        // worker's in-process pool claim all of it.
-        const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-        threads = std::max<std::size_t>(1, hw / n_workers);
-    }
 
     // Every worker schedule is parsed up front so a typo — in the spec
     // or in the slot — aborts before any spawn.
@@ -383,31 +292,22 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
     // each spawned worker's journal records — the journals are the source
     // of truth for results; the ledger contributes locations, crash
     // history, and quarantine convictions.
-    std::string ledger_prefix;
-    {
-        json::Value header = json::Value::object();
-        header.set("schema", "sdlbench.coordinator_journal.v1");
-        header.set("spec_digest", digest);
-        header.set("cells_total", static_cast<std::int64_t>(grid.size()));
-        header.set("campaign_path", spec_path);
-        ledger_prefix = header.dump() + "\n";
-    }
+    std::optional<support::AppendWriter> ledger;
     if (options.resume) {
-        const std::vector<LedgerEvent> prior =
-            load_ledger(ledger_path(out_dir), digest, grid.size());
+        ResumedLog prior = resume_log(ledger_path(out_dir), kLedgerSchema, digest, grid.size());
 #if !defined(_WIN32)
         // Orphans of the dead coordinator: best-effort SIGKILL by
         // recorded pid before reading their journals, so none can append
         // a record after we've drained it. A reused pid is possible but
         // the window is narrow (docs/ROBUSTNESS.md § Resume caveats).
-        for (const auto& [line, event] : prior) {
+        for (const json::Value& event : prior.records) {
             const std::int64_t pid = event.get_or("pid", std::int64_t{0});
             if (event.get_or("event", std::string()) == "spawn" && pid > 0) {
                 (void)::kill(static_cast<pid_t>(pid), SIGKILL);
             }
         }
 #endif
-        for (const auto& [line, event] : prior) {
+        for (const json::Value& event : prior.records) {
             const std::string kind = event.get_or("event", std::string());
             if (kind == "spawn") {
                 // A worker that died before creating its journal left none.
@@ -435,21 +335,40 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
             } else if (kind == "quarantine") {
                 coord.replay_quarantine(
                     static_cast<std::size_t>(event.at("cell").as_int()));
-            }  // unknown events: kept verbatim (forward compatibility)
-            ledger_prefix += line;
-            ledger_prefix += '\n';
+            }  // unknown events: kept in the ledger (forward compatibility)
         }
         std::printf("Fleet resume: %zu of %zu cells already journaled, "
                     "%zu quarantined\n",
                     coord.done_count(), grid.size(), coord.quarantined_count());
+        ledger.emplace(std::move(prior.writer));
+    } else {
+        json::Value header = json::Value::object();
+        header.set("schema", std::string(kLedgerSchema));
+        header.set("spec_digest", digest);
+        header.set("cells_total", static_cast<std::int64_t>(grid.size()));
+        header.set("campaign_path", spec_path);
+        ledger.emplace(start_log(ledger_path(out_dir), header));
     }
+    // Appends one ledger event: its fields, in order.
+    const auto log_event =
+        [&ledger](std::initializer_list<std::pair<const char*, json::Value>> fields) {
+            json::Value event = json::Value::object();
+            for (const auto& [key, value] : fields) event.set(key, value);
+            ledger->append_line(event.dump());
+        };
 
-    CoordinatorLedger ledger;
-    ledger.open(out_dir, ledger_prefix);
-
+    // Disjoint core budgets for the workers this run starts — no more
+    // than its open cells, which on a resume may be few: divide the host
+    // instead of letting every worker's in-process pool claim all of it.
+    const std::size_t starting = std::min(n_workers, coord.open_count());
+    std::size_t threads = options.worker_threads;
+    if (threads == 0) {
+        const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+        threads = std::max<std::size_t>(1, hw / std::max<std::size_t>(1, starting));
+    }
     std::printf("Fleet: %zu cells on %zu workers (%zu threads each), "
                 "cost-sized leases\n",
-                grid.size(), n_workers, threads);
+                grid.size(), starting, threads);
 
     // The report's difficulty probes run beside the workers from here on;
     // live merges wait for them, the final merge joins them.
@@ -474,27 +393,11 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
     // Returns the number of records consumed. Throws loudly on digest
     // mismatches and on duplicates (Coordinator::complete).
     const auto drain_journal = [&](WorkerState& w, std::size_t slot) -> std::size_t {
-        const std::string path = journal_path(w.dir);
-        std::ifstream file(path, std::ios::binary);
-        if (!file) return 0;
-        file.seekg(0, std::ios::end);
-        const auto size = static_cast<std::size_t>(file.tellg());
-        if (size <= w.journal_offset) return 0;
-        file.seekg(static_cast<std::streamoff>(w.journal_offset));
-        std::string chunk(size - w.journal_offset, '\0');
-        file.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
-
-        // An unterminated remainder is an append still in flight (or a
-        // dead worker's torn tail): leave it for the next poll.
-        const support::CompleteLines split = support::split_complete_lines(chunk);
         std::size_t records = 0;
-        for (const std::string_view line : split.lines) {
-            if (!w.header_seen) {
-                validate_journal_header(line, spec, grid.size(), path);
-                w.header_seen = true;
-                continue;
-            }
-            CellResult record = parse_cell_record(line, grid, path);
+        // An append still in flight (or a dead worker's torn tail) waits
+        // for the next poll.
+        for (const json::Value& parsed : w.journal->read()) {
+            CellResult record = parse_cell_record(parsed, grid, w.journal->path());
             const std::size_t index = record.cell.index;
             coord.complete(index);  // throws if any worker already did this cell
             summary.busy_s += record.wall_seconds;
@@ -506,7 +409,6 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
             ++records;
             merge_due = true;
         }
-        w.journal_offset += split.tail;
         return records;
     };
 
@@ -544,11 +446,11 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         if (death.suspect) {
             const std::size_t suspect = *death.suspect;
             crash_log[suspect].push_back({static_cast<int>(slot), generation, pid, why});
-            ledger.append({{"event", "crash"}, {"cell", suspect}, {"slot", slot},
-                           {"generation", generation}, {"pid", pid}, {"reason", why}});
+            log_event({{"event", "crash"}, {"cell", suspect}, {"slot", slot},
+                       {"generation", generation}, {"pid", pid}, {"reason", why}});
         }
         if (death.quarantined) {
-            ledger.append({{"event", "quarantine"}, {"cell", *death.suspect}});
+            log_event({{"event", "quarantine"}, {"cell", *death.suspect}});
             std::fprintf(stderr,
                          "fleet: cell %zu quarantined after crashing %zu distinct "
                          "worker(s) — reporting it failed, not re-leasing\n",
@@ -577,6 +479,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         // per-generation dirs, so dead incarnations' journals survive
         // for salvage and inspection.)
         std::filesystem::remove(journal_path(w.dir));
+        w.journal.emplace(journal_path(w.dir), kJournalSchema, digest, grid.size());
 
         // Per-incarnation failpoint schedule: slot-numbered entries hit
         // generation 0 only (so respawns come up clean), '*' entries hit
@@ -616,8 +519,8 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         }
         // Write-ahead: the ledger knows every journal directory before
         // any result can land in it.
-        ledger.append({{"event", "spawn"}, {"slot", slot}, {"generation", generation},
-                       {"pid", w.proc.pid()}, {"dir", w.dir}});
+        log_event({{"event", "spawn"}, {"slot", slot}, {"generation", generation},
+                   {"pid", w.proc.pid()}, {"dir", w.dir}});
     };
 
     while (!coord.all_done()) {
@@ -630,8 +533,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
                 "all " + std::to_string(n_workers) +
                     " worker slots are dead with their respawn budgets "
                     "exhausted and " +
-                    std::to_string(grid.size() - coord.done_count() -
-                                   coord.quarantined_count()) +
+                    std::to_string(coord.open_count()) +
                     " cell(s) incomplete — worker journals remain under '" +
                     out_dir + "/workers/' for inspection");
         }
@@ -727,12 +629,7 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
     summary.cells_quarantined = quarantined_cells.size();
     probes.join();
     write_campaign_outputs(out_dir, spec, final_results, quarantined_cells);
-    std::string journal_text = journal_header(spec, grid.size()).dump() + "\n";
-    for (const CellResult& result : final_results) {
-        journal_text += cell_record_to_json(result).dump();
-        journal_text += '\n';
-    }
-    support::atomic_write(journal_path(out_dir), journal_text);
+    write_journal(out_dir, spec, grid.size(), final_results);
 
     for (WorkerState& w : workers) {
         if (!w.proc.valid()) continue;
@@ -746,7 +643,9 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
     }
     // Everything durable is written; the ledger's job is done. Its
     // absence is what marks this directory as cleanly completed.
-    ledger.remove();
+    ledger.reset();
+    std::error_code ignored;
+    std::filesystem::remove(ledger_path(out_dir), ignored);
 
     summary.makespan_s = now();
     summary.workers_started = static_cast<std::size_t>(

@@ -50,9 +50,10 @@
 // instead of shrinking the pool; a cell that kills 3 distinct worker
 // incarnations is quarantined (reported in campaign.json, never
 // re-leased); and every spawn/crash/quarantine is written ahead to a
-// fsync'd coordinator ledger (coordinator.jsonl) so `sdlbench_fleet
-// --resume <dir>` can restart a killed coordinator by replaying the
-// ledger plus the worker journals through the Coordinator — still
+// fsync'd coordinator ledger (coordinator.jsonl, a log in the
+// checkpoint.hpp format) so `sdlbench_fleet --resume <dir>` can restart
+// a killed coordinator by replaying the ledger plus the worker
+// journals through the Coordinator — still
 // byte-identical to an uninterrupted run. Fault injection for all of
 // this rides on support/failpoint.hpp sites rather than bespoke chaos
 // flags; the policy is constants in coordinator.cpp, not options.
@@ -100,8 +101,9 @@ struct FleetOptions {
     /// Worker processes (capped at the cell count).
     std::size_t workers = 3;
     /// SDLBENCH_WORKERS for each worker's in-process pool; 0 = divide
-    /// the hardware evenly (max(1, hw / workers)) so workers get
-    /// disjoint core budgets instead of each oversubscribing the host.
+    /// the hardware evenly among the workers the run starts (at most one
+    /// per open cell) so workers get disjoint core budgets instead of
+    /// each oversubscribing the host.
     std::size_t worker_threads = 0;
     /// Path to the sdlbench_fleet binary to exec as workers (argv[0]).
     std::string worker_exe;

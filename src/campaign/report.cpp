@@ -11,14 +11,6 @@ namespace sdl::campaign {
 
 namespace json = support::json;
 
-json::Value rgb_to_json(color::Rgb8 c) {
-    json::Value v = json::Value::array();
-    v.push_back(static_cast<std::int64_t>(c.r));
-    v.push_back(static_cast<std::int64_t>(c.g));
-    v.push_back(static_cast<std::int64_t>(c.b));
-    return v;
-}
-
 namespace {
 
 json::Value stats_to_json(const support::OnlineStats& s) {
@@ -75,7 +67,7 @@ json::Value experiment_result_to_json(const core::ColorPickerConfig& config,
     doc.set("workcell", config.workcell.scenario);
     doc.set("solver", config.solver);
     doc.set("objective", core::objective_to_string(config.objective));
-    doc.set("target", rgb_to_json(config.target));
+    doc.set("target", core::rgb_to_doc(config.target));
     doc.set("batch_size", config.batch_size);
     doc.set("total_samples", config.total_samples);
     doc.set("seed", static_cast<std::int64_t>(config.seed));
@@ -91,14 +83,14 @@ json::Value experiment_result_to_json(const core::ColorPickerConfig& config,
         point.set("elapsed_min", s.elapsed_minutes);
         point.set("score", s.score);
         point.set("best_so_far", s.best_so_far);
-        point.set("measured", rgb_to_json(s.measured));
+        point.set("measured", core::rgb_to_doc(s.measured));
         samples.push_back(std::move(point));
     }
     doc.set("samples", std::move(samples));
 
     json::Value best = json::Value::object();
     best.set("score", outcome.best_score);
-    best.set("color", rgb_to_json(outcome.best_color));
+    best.set("color", core::rgb_to_doc(outcome.best_color));
     json::Value ratios = json::Value::array();
     for (const double r : outcome.best_ratios) ratios.push_back(r);
     best.set("ratios", std::move(ratios));
@@ -159,7 +151,7 @@ json::Value campaign_results_to_json(const CampaignSpec& spec,
         cell.set("solver", result.cell.solver);
         cell.set("batch_size", result.cell.batch_size);
         cell.set("objective", core::objective_to_string(result.cell.objective));
-        cell.set("target", rgb_to_json(result.cell.target));
+        cell.set("target", core::rgb_to_doc(result.cell.target));
         cell.set("replicate", result.cell.replicate);
         cell.set("seed", static_cast<std::int64_t>(result.cell.config.seed));
         if (result.cell.generated_seed) {
@@ -184,7 +176,7 @@ json::Value campaign_results_to_json(const CampaignSpec& spec,
         entry.set("solver", g.solver);
         entry.set("batch_size", g.batch_size);
         entry.set("objective", core::objective_to_string(g.objective));
-        entry.set("target", rgb_to_json(g.target));
+        entry.set("target", core::rgb_to_doc(g.target));
         entry.set("replicates", static_cast<std::int64_t>(g.replicates));
         entry.set("best_score", stats_to_json(g.best_score));
         entry.set("total_min", stats_to_json(g.total_minutes));
@@ -207,7 +199,7 @@ json::Value campaign_results_to_json(const CampaignSpec& spec,
             entry.set("solver", q.cell.solver);
             entry.set("batch_size", q.cell.batch_size);
             entry.set("objective", core::objective_to_string(q.cell.objective));
-            entry.set("target", rgb_to_json(q.cell.target));
+            entry.set("target", core::rgb_to_doc(q.cell.target));
             entry.set("replicate", q.cell.replicate);
             entry.set("seed", static_cast<std::int64_t>(q.cell.config.seed));
             json::Value crashes = json::Value::array();

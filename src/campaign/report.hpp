@@ -41,11 +41,6 @@ struct CellAggregate {
 [[nodiscard]] std::vector<CellAggregate> aggregate_results(
     std::span<const CellResult> results);
 
-/// The one [r, g, b] JSON form every campaign document uses — shared by
-/// the reports and the checkpoint journal so their encodings cannot
-/// drift apart (the byte-identity contract depends on it).
-[[nodiscard]] support::json::Value rgb_to_json(color::Rgb8 c);
-
 /// The shared result schema ("sdlbench.experiment_result.v2"): experiment
 /// id, resolved knobs incl. the workcell scenario, the Figure-4 sample
 /// series, best match, counters, and the Table-1 metrics.

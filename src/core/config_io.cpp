@@ -1,13 +1,12 @@
 #include "core/config_io.hpp"
 
 #include <filesystem>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 
 #include "core/scenarios.hpp"
 #include "core/workcell_spec.hpp"
+#include "support/atomic_io.hpp"
 #include "support/common.hpp"
 #include "support/yaml.hpp"
 
@@ -70,6 +69,14 @@ color::Rgb8 rgb_from_doc(const json::Value& value, const std::string& where) {
         return static_cast<std::uint8_t>(v);
     };
     return {channel(0), channel(1), channel(2)};
+}
+
+json::Value rgb_to_doc(color::Rgb8 c) {
+    json::Value v = json::Value::array();
+    v.push_back(static_cast<std::int64_t>(c.r));
+    v.push_back(static_cast<std::int64_t>(c.g));
+    v.push_back(static_cast<std::int64_t>(c.b));
+    return v;
 }
 
 ColorPickerConfig config_from_doc(const json::Value& doc) {
@@ -157,14 +164,8 @@ ColorPickerConfig config_from_yaml(std::string_view text) {
     return config_from_doc(support::yaml::parse(text));
 }
 
-ColorPickerConfig config_from_file(const std::string& path) {
-    std::ifstream file(path);
-    if (!file) throw support::Error("io", "cannot open experiment file '" + path + "'");
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    json::Value doc = support::yaml::parse(buffer.str());
-    // A workcell.scenario spec-file path is written relative to the
-    // experiment file, not to wherever the process happens to run.
+json::Value experiment_doc_from_file(const std::string& path, std::string_view what) {
+    json::Value doc = support::yaml::parse(support::read_file(path, what));
     if (doc.is_object()) {
         if (json::Value* workcell = doc.as_object().find("workcell")) {
             if (const json::Value* scenario = workcell->find("scenario")) {
@@ -175,17 +176,17 @@ ColorPickerConfig config_from_file(const std::string& path) {
             }
         }
     }
-    return config_from_doc(doc);
+    return doc;
+}
+
+ColorPickerConfig config_from_file(const std::string& path) {
+    return config_from_doc(experiment_doc_from_file(path, "experiment file"));
 }
 
 json::Value config_to_doc(const ColorPickerConfig& config) {
     json::Value doc = json::Value::object();
     json::Value exp = json::Value::object();
-    json::Value target = json::Value::array();
-    target.push_back(static_cast<std::int64_t>(config.target.r));
-    target.push_back(static_cast<std::int64_t>(config.target.g));
-    target.push_back(static_cast<std::int64_t>(config.target.b));
-    exp.set("target", std::move(target));
+    exp.set("target", rgb_to_doc(config.target));
     exp.set("total_samples", config.total_samples);
     exp.set("batch_size", config.batch_size);
     exp.set("solver", config.solver);

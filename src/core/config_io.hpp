@@ -50,6 +50,14 @@ namespace sdl::core {
 /// Loads a config from a file path.
 [[nodiscard]] ColorPickerConfig config_from_file(const std::string& path);
 
+/// Reads and parses the YAML file at `path` (`what` names it in errors),
+/// rebasing a relative workcell.scenario spec-file path onto the file's
+/// directory: a path in a spec file is relative to that file, not to
+/// wherever the process runs. The document config_from_file reads, and
+/// the one campaign files start from.
+[[nodiscard]] support::json::Value experiment_doc_from_file(const std::string& path,
+                                                            std::string_view what);
+
 /// Loads a config from an already parsed experiment document (the
 /// json::Value the YAML parser produces). Campaign files embed the same
 /// document as their per-cell base configuration.
@@ -71,6 +79,10 @@ namespace sdl::core {
 /// in error messages.
 [[nodiscard]] color::Rgb8 rgb_from_doc(const support::json::Value& value,
                                        const std::string& where);
+
+/// The one [r, g, b] form every spec, report and journal writes; the
+/// inverse of rgb_from_doc.
+[[nodiscard]] support::json::Value rgb_to_doc(color::Rgb8 c);
 
 /// A count a run uses (samples, batch sizes, plate dimensions, device
 /// counts): refused outside [1, INT_MAX] with a ConfigError naming `key`,

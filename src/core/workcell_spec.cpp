@@ -1,10 +1,9 @@
 #include "core/workcell_spec.hpp"
 
-#include <fstream>
 #include <set>
-#include <sstream>
 
 #include "core/config_io.hpp"
+#include "support/atomic_io.hpp"
 #include "support/common.hpp"
 #include "support/yaml.hpp"
 
@@ -261,11 +260,7 @@ WorkcellSpec workcell_spec_from_yaml(std::string_view text) {
 }
 
 WorkcellSpec workcell_spec_from_file(const std::string& path) {
-    std::ifstream file(path);
-    if (!file) throw support::Error("io", "cannot open workcell spec '" + path + "'");
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    return workcell_spec_from_yaml(buffer.str());
+    return workcell_spec_from_yaml(support::read_file(path, "workcell spec"));
 }
 
 json::Value workcell_spec_to_doc(const WorkcellSpec& spec) {

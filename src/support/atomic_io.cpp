@@ -3,6 +3,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <utility>
 
 #if defined(_WIN32)
@@ -100,6 +101,14 @@ void atomic_write(const std::string& path, std::string_view content) {
 #if !defined(_WIN32)
     fsync_parent_dir(path);  // make the rename itself durable
 #endif
+}
+
+std::string read_file(const std::string& path, std::string_view what) {
+    std::ifstream file(path, std::ios::binary);
+    if (!file) throw Error("io", "cannot open " + std::string(what) + " '" + path + "'");
+    std::ostringstream buffer;
+    buffer << file.rdbuf();
+    return buffer.str();
 }
 
 AppendWriter::AppendWriter(std::string path) : path_(std::move(path)) {

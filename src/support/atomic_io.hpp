@@ -7,8 +7,9 @@
 //   * AppendWriter — the campaign cell journal appends one record per
 //     line through an O_APPEND stream, flushed per record, so a killed
 //     process loses at most the final, partially written line.
-// split_complete_lines is the matching reader side: every append-only
-// journal is read through it.
+// split_complete_lines is the matching reader side of AppendWriter (the
+// log reader in campaign/checkpoint.hpp is built on it), and read_file
+// the one whole-file reader.
 #pragma once
 
 #include <cstdio>
@@ -25,6 +26,10 @@ namespace sdl::support {
 /// on failure.
 void atomic_write(const std::string& path, std::string_view content);
 
+/// The whole file at `path`, byte for byte. Throws Error("io") "cannot
+/// open <what> '<path>'" when it cannot be opened.
+[[nodiscard]] std::string read_file(const std::string& path, std::string_view what);
+
 /// Append-only line journal on an O_APPEND descriptor. append_line()
 /// issues exactly one unbuffered write(2) for the whole record + '\n'
 /// followed by fdatasync, so records from concurrent appender
@@ -33,8 +38,8 @@ void atomic_write(const std::string& path, std::string_view content);
 /// (survives machine death, not just a process kill), and a kill leaves
 /// at most one truncated final line — which journal readers detect and
 /// drop. Not internally synchronized across *threads*:
-/// callers serialize appends (CampaignRunner's completion hook already
-/// does). On Windows a buffered-stdio fallback is used without the
+/// callers serialize appends (campaign::run_cells serializes its
+/// completion hook). On Windows a buffered-stdio fallback is used without the
 /// cross-process interleaving guarantee.
 class AppendWriter {
 public:

@@ -8,9 +8,9 @@
 // disabled-path cost), so the exact binary that runs in production is
 // the one the chaos tests exercise — no special build.
 //
-// Arming happens through the SDLBENCH_FAILPOINTS environment variable or
-// a tool's --failpoints flag, with a seeded, comma-separated schedule
-// grammar (documented in docs/ROBUSTNESS.md § Failpoint grammar):
+// Arming happens through the SDLBENCH_FAILPOINTS environment variable
+// (or arm() in tests), with a seeded, comma-separated schedule grammar
+// (documented in docs/ROBUSTNESS.md § Failpoint grammar):
 //
 //   spec    := entry (',' entry)*
 //   entry   := 'seed=' uint

@@ -14,8 +14,9 @@
 #                    a restart without --resume refuses, --resume
 #                    replays the ledger + worker journals and finishes
 #                    byte-identical, starting no more workers than it
-#                    has open cells, its summary counting only its own
-#                    work (efficiency <= 100%, no respawns)
+#                    has open cells and sizing their thread budget for
+#                    that many, its summary counting only its own work
+#                    (efficiency <= 100%, no respawns)
 #   quarantine       one poisoned cell kills every worker that leases
 #                    it; after 3 distinct incarnations it is quarantined
 #                    (exit 6), every other cell completes, and the crash
@@ -23,7 +24,9 @@
 #
 # Byte-identity against the single-process reference is asserted with
 # the same GOLDEN_MD5 on every completing leg, so a chaos path that
-# perturbs even one output byte fails the matrix.
+# perturbs even one output byte fails the matrix. Coordinator-side
+# failpoints are armed through SDLBENCH_FAILPOINTS, the only way to arm
+# them.
 #
 # Vars: RUNNER (sdlbench_run), FLEET (sdlbench_fleet), CAMPAIGN,
 # WORK_DIR, GOLDEN_MD5.
@@ -102,8 +105,8 @@ assert_golden("${WORK_DIR}/kill" "kill+respawn leg")
 # the first live-merge campaign.json write.
 foreach(site rename fsync)
   execute_process(
-    COMMAND "${FLEET}" --campaign "${CAMPAIGN}" "${WORK_DIR}/merge_${site}"
-            --workers 3 --failpoints "atomic_io.${site}=err@2#1"
+    COMMAND "${CMAKE_COMMAND}" -E env "SDLBENCH_FAILPOINTS=atomic_io.${site}=err@2#1"
+            "${FLEET}" --campaign "${CAMPAIGN}" "${WORK_DIR}/merge_${site}" --workers 3
     OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "merge-fault leg (${site}) failed (${rc})\n${out}\n${err}")
@@ -114,8 +117,8 @@ endforeach()
 
 # ---- Leg 3: coordinator SIGKILL after the 2nd ack, then --resume.
 execute_process(
-  COMMAND "${FLEET}" --campaign "${CAMPAIGN}" "${WORK_DIR}/coord"
-          --workers 3 --failpoints "coordinator.post_ack_kill=kill@2#1"
+  COMMAND "${CMAKE_COMMAND}" -E env "SDLBENCH_FAILPOINTS=coordinator.post_ack_kill=kill@2#1"
+          "${FLEET}" --campaign "${CAMPAIGN}" "${WORK_DIR}/coord" --workers 3
   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
 if(rc EQUAL 0)
   message(FATAL_ERROR
@@ -157,6 +160,18 @@ endif()
 # new directories count the workers the resume started: one per open
 # cell at most, since a worker beyond that would never be dealt a cell.
 math(EXPR open_cells "${CMAKE_MATCH_2} - ${CMAKE_MATCH_1} - ${CMAKE_MATCH_3}")
+# The default thread budget divides the host by the workers the resume
+# can start, min(--workers, open cells), and the Fleet: line names them.
+set(want_workers 3)
+if(open_cells LESS 3)
+  set(want_workers ${open_cells})
+endif()
+string(REGEX MATCH "Fleet: [0-9]+ cells on ([0-9]+) workers" fleet_line "${out}")
+if(NOT fleet_line OR NOT CMAKE_MATCH_1 EQUAL want_workers)
+  message(FATAL_ERROR
+    "coordinator resume: '${fleet_line}' sizes the thread budget for other "
+    "than min(3, ${open_cells}) workers\n${out}\n${err}")
+endif()
 file(GLOB dirs_after LIST_DIRECTORIES true "${WORK_DIR}/coord/workers/*")
 list(LENGTH dirs_before n_before)
 list(LENGTH dirs_after n_after)

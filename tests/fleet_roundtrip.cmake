@@ -28,7 +28,7 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "reference run failed (${rc})\n${out}\n${err}")
 endif()
 
-# Regression pin: the cost-model claim order (CampaignRunner::run_cells)
+# Regression pin: the cost-model claim order (campaign::run_cells)
 # is a scheduling detail and must not change a single output byte. The
 # golden digest is that of a single-process run; only a deliberate model
 # change (such as the camera's noise) may re-record it.

@@ -1,7 +1,7 @@
-// Tests for campaign checkpointing: journal write/load round trips,
-// kill-style truncated-journal recovery, loud digest-mismatch rejection,
-// and resume flows producing reports byte-identical to a single
-// uninterrupted run.
+// Tests for campaign checkpointing: journal write/load round trips, the
+// incremental log reader, kill-style truncated-journal recovery, loud
+// digest-mismatch rejection, and resume flows producing reports
+// byte-identical to a single uninterrupted run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include "campaign/checkpoint.hpp"
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
-#include "support/atomic_io.hpp"
 #include "support/common.hpp"
 #include "support/failpoint.hpp"
 #include "support/log.hpp"
@@ -53,12 +52,11 @@ std::string slurp(const std::string& path) {
     return buffer.str();
 }
 
-/// Creates a journal for `spec` in `dir` containing `results`.
-void write_journal(const std::string& dir, const CampaignSpec& spec,
-                   std::size_t cells_total, const std::vector<CellResult>& results) {
-    std::filesystem::create_directories(dir);
-    CheckpointJournal journal(dir, spec, cells_total);
-    for (const CellResult& result : results) journal.append(result);
+/// Appends `bytes` to the file at `path` as they are — a writer caught
+/// mid-record, or hand-made damage.
+void append_raw(const std::string& path, const std::string& bytes) {
+    std::ofstream file(path, std::ios::binary | std::ios::app);
+    file << bytes;
 }
 
 struct TempDir {
@@ -105,6 +103,66 @@ TEST(Checkpoint, JournalRoundTripReproducesResultsExactly) {
     EXPECT_EQ(loaded.cells[0].wall_seconds, results[0].wall_seconds);
 }
 
+TEST(Checkpoint, LogReaderReturnsEachRecordOnceItsNewlineLands) {
+    // The fleet coordinator tails worker journals while they grow: each
+    // read returns exactly the records completed since the last one.
+    const CampaignSpec spec = tiny_spec();
+    const auto& results = shared_results();
+    const std::vector<CampaignCell> grid = expand_grid(spec);
+    TempDir dir("test_ckpt_reader");
+    const std::string path = journal_path(dir.path);
+    LogReader reader(path, kJournalSchema, spec_digest(spec), results.size());
+    EXPECT_TRUE(reader.read().empty());  // no file yet
+    EXPECT_FALSE(reader.header_seen());
+
+    CheckpointJournal journal(dir.path, spec, results.size());
+    EXPECT_TRUE(reader.read().empty());  // the header is not a record
+    EXPECT_TRUE(reader.header_seen());
+    for (std::size_t i = 0; i < 2; ++i) {
+        journal.append(results[i]);
+        const std::vector<support::json::Value> records = reader.read();
+        ASSERT_EQ(records.size(), 1u) << i;
+        EXPECT_EQ(parse_cell_record(records[0], grid, path).cell.index,
+                  results[i].cell.index);
+    }
+    EXPECT_TRUE(reader.read().empty());
+
+    // A record caught mid-write comes back only once its newline lands.
+    const std::string line = cell_record_to_json(results[2]).dump();
+    append_raw(path, line.substr(0, 25));
+    EXPECT_TRUE(reader.read().empty());
+    EXPECT_EQ(reader.remainder(), 25u);
+    append_raw(path, line.substr(25) + "\n");
+    const std::vector<support::json::Value> completed = reader.read();
+    ASSERT_EQ(completed.size(), 1u);
+    EXPECT_EQ(completed[0].dump(), line);
+    EXPECT_EQ(reader.remainder(), 0u);
+
+    // The header is checked once, at the first read that sees it: a header
+    // rewritten in place for another spec goes unseen by this reader, and
+    // a fresh reader throws the digest mismatch.
+    CampaignSpec other = tiny_spec();
+    other.base_seed += 100;
+    const std::string header = journal_header(spec, results.size()).dump();
+    const std::string other_header = journal_header(other, results.size()).dump();
+    ASSERT_EQ(header.size(), other_header.size());
+    std::string text = slurp(path);
+    text.replace(0, header.size(), other_header);
+    {
+        std::ofstream file(path, std::ios::binary | std::ios::trunc);
+        file << text;
+    }
+    journal.append(results[3]);
+    EXPECT_EQ(reader.read().size(), 1u);
+    LogReader fresh(path, kJournalSchema, spec_digest(spec), results.size());
+    try {
+        (void)fresh.read();
+        FAIL() << "a header for another spec must throw";
+    } catch (const support::ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find("digest mismatch"), std::string::npos);
+    }
+}
+
 TEST(Checkpoint, TruncatedJournalDropsOnlyTheTornTail) {
     const CampaignSpec spec = tiny_spec();
     const auto& results = shared_results();
@@ -124,11 +182,15 @@ TEST(Checkpoint, TruncatedJournalDropsOnlyTheTornTail) {
         load_journal(journal_path(dir.path), spec, expand_grid(spec));
     EXPECT_TRUE(loaded.dropped_torn_tail);
     ASSERT_EQ(loaded.cells.size(), results.size() - 1);
-    // Compaction material: header + the surviving records.
-    EXPECT_EQ(loaded.lines.size(), results.size());
     for (std::size_t i = 0; i < loaded.cells.size(); ++i) {
         EXPECT_EQ(loaded.cells[i].cell.index, results[i].cell.index);
     }
+    // Loading reads only; resuming cuts the torn tail from the file, so
+    // it ends after the header and the surviving records.
+    EXPECT_EQ(slurp(journal_path(dir.path)), text);
+    const ResumedJournal resumed = resume_journal(dir.path, spec, expand_grid(spec));
+    EXPECT_EQ(resumed.loaded.cells.size(), results.size() - 1);
+    EXPECT_EQ(slurp(journal_path(dir.path)), text.substr(0, text.rfind('\n') + 1));
 }
 
 TEST(Checkpoint, EmptyOrHeaderlessJournalIsRejected) {
@@ -205,21 +267,21 @@ TEST(Checkpoint, JournalProgressProtectsOnlyIncompleteRunsOfTheSameSpec) {
     TempDir dir("test_ckpt_progress");
     const std::string path = journal_path(dir.path);
 
-    EXPECT_EQ(journal_progress("no/such/journal.jsonl", spec), 0u);
+    EXPECT_EQ(journal_progress("no/such/journal.jsonl", spec, results.size()), 0u);
 
     // Incomplete run of this spec: progress worth protecting.
     const std::vector<CellResult> partial(results.begin(), results.begin() + 2);
     write_journal(dir.path, spec, results.size(), partial);
-    EXPECT_EQ(journal_progress(path, spec), 2u);
+    EXPECT_EQ(journal_progress(path, spec, results.size()), 2u);
 
     // Same journal against a different spec: not this campaign's progress.
     CampaignSpec other = tiny_spec();
     other.base_seed += 1;
-    EXPECT_EQ(journal_progress(path, other), 0u);
+    EXPECT_EQ(journal_progress(path, other, results.size()), 0u);
 
     // A complete journal is a finished run — safe to redo, nothing lost.
     write_journal(dir.path, spec, results.size(), results);
-    EXPECT_EQ(journal_progress(path, spec), 0u);
+    EXPECT_EQ(journal_progress(path, spec, results.size()), 0u);
 
     // A kill mid-final-record must NOT masquerade as complete: the torn
     // fragment is not a record, so the remaining progress is protected.
@@ -229,7 +291,13 @@ TEST(Checkpoint, JournalProgressProtectsOnlyIncompleteRunsOfTheSameSpec) {
         std::ofstream file(path, std::ios::binary | std::ios::trunc);
         file << text;
     }
-    EXPECT_EQ(journal_progress(path, spec), results.size() - 1);
+    EXPECT_EQ(journal_progress(path, spec, results.size()), results.size() - 1);
+
+    // A complete line of this campaign's journal that does not parse is
+    // damage, not nothing to protect: the guard fails loudly.
+    write_journal(dir.path, spec, results.size(), partial);
+    append_raw(path, "{\"schema\":\"sdlbench.cell_result.v1\",garbage\n");
+    EXPECT_THROW((void)journal_progress(path, spec, results.size()), support::ConfigError);
 }
 
 // ----------------------------------------------------------------- resume
@@ -284,19 +352,16 @@ TEST(Checkpoint, HeaderFromOlderBuildsLoadsAndResumes) {
                  << cell_record_to_json(results[1]).dump() << "\n";
         }
         // One cell of four: progress a fresh run must not destroy.
-        EXPECT_EQ(journal_progress(path, spec), 1u) << legacy_keys;
+        EXPECT_EQ(journal_progress(path, spec, results.size()), 1u) << legacy_keys;
         const LoadedJournal loaded = load_journal(path, spec, grid);
         ASSERT_EQ(loaded.cells.size(), 1u) << legacy_keys;
         EXPECT_EQ(loaded.cells[0].cell.index, 1u);
 
-        // Resume the way sdlbench_run does: compact, reopen, append the
-        // cells still owed.
-        std::string compacted;
-        for (const std::string& line : loaded.lines) compacted += line + "\n";
-        support::atomic_write(path, compacted);
+        // Resume as sdlbench_run does, appending the cells still owed.
         {
-            CheckpointJournal journal = CheckpointJournal::reopen(dir.path);
-            for (const std::size_t i : {0u, 2u, 3u}) journal.append(results[i]);
+            ResumedJournal resumed = resume_journal(dir.path, spec, grid);
+            ASSERT_EQ(resumed.loaded.cells.size(), 1u) << legacy_keys;
+            for (const std::size_t i : {0u, 2u, 3u}) resumed.journal.append(results[i]);
         }
         std::vector<CellResult> resumed = load_journal(path, spec, grid).cells;
         std::sort(resumed.begin(), resumed.end(),
@@ -306,7 +371,7 @@ TEST(Checkpoint, HeaderFromOlderBuildsLoadsAndResumes) {
         EXPECT_EQ(campaign_results_to_json(spec, resumed).pretty(),
                   campaign_results_to_json(spec, results).pretty())
             << legacy_keys;
-        EXPECT_EQ(journal_progress(path, spec), 0u) << legacy_keys;
+        EXPECT_EQ(journal_progress(path, spec, results.size()), 0u) << legacy_keys;
     }
 }
 
@@ -347,14 +412,9 @@ TEST(Checkpoint, RecoveryAtEveryShortWriteBoundary) {
         // journal ends cleanly and there is no tail to drop.
         EXPECT_EQ(loaded.dropped_torn_tail, keep > 0) << "boundary " << keep;
 
-        // And the journal is recoverable the way resume does it: compact
-        // the surviving lines atomically, reopen, append — after which
-        // nothing is torn.
-        std::string compacted;
-        for (const std::string& line : loaded.lines) compacted += line + "\n";
-        support::atomic_write(journal_path(dir.path), compacted);
-        CheckpointJournal journal = CheckpointJournal::reopen(dir.path);
-        journal.append(results[1]);
+        // And the resumed journal appends cleanly: nothing is torn after.
+        ResumedJournal resumed = resume_journal(dir.path, spec, expand_grid(spec));
+        resumed.journal.append(results[1]);
         const LoadedJournal healed =
             load_journal(journal_path(dir.path), spec, expand_grid(spec));
         EXPECT_EQ(healed.cells.size(), 2u) << "boundary " << keep;

@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <numeric>
 #include <optional>
@@ -26,6 +28,7 @@
 #endif
 
 #include "campaign/campaign_io.hpp"
+#include "campaign/checkpoint.hpp"
 #include "campaign/coordinator.hpp"
 #include "campaign/cost_model.hpp"
 #include "campaign/fleet.hpp"
@@ -1019,6 +1022,44 @@ TEST(CoordinatorSchedules, ChaosLegsAsFixedSchedules) {
         EXPECT_EQ(sim.coord().crash_count(2), 3u);
         EXPECT_EQ(sim.coord().done_count(), 4u);
     }
+}
+
+// ---------------------------------------------------------- fleet resume
+
+TEST(FleetResume, UnparsableLedgerLineFailsNamingTheLedger) {
+    // Each ledger event is one write, so a complete line that does not
+    // parse is corruption: resuming past it would drop every later event,
+    // quarantine convictions included. The resume refuses before any
+    // spawn, so no worker binary is needed.
+    const std::string dir = "test_fleet_ledger_damage";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string spec_path = dir + "/two.yaml";
+    {
+        std::ofstream file(spec_path, std::ios::binary);
+        file << "campaign:\n  name: ledger_damage\ngrid:\n  solvers: [random, genetic]\n"
+                "experiment:\n  total_samples: 4\n";
+    }
+    const std::string ledger = dir + "/coordinator.jsonl";
+    {
+        std::ofstream file(ledger, std::ios::binary);
+        file << "{\"schema\":\"sdlbench.coordinator_journal.v1\",\"spec_digest\":\""
+             << spec_digest(campaign_from_file(spec_path))
+             << "\",\"cells_total\":2,\"campaign_path\":\"" << spec_path << "\"}\n"
+             << "{\"event\":\"quarantine\",garbage\n"
+             << "{\"event\":\"quarantine\",\"cell\":1}\n";
+    }
+    FleetOptions options;
+    options.worker_exe = dir + "/no_such_worker";
+    options.resume = true;
+    try {
+        (void)run_fleet(spec_path, dir, options);
+        FAIL() << "a resume past an unparsable ledger line must fail";
+    } catch (const support::ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find(ledger), std::string::npos) << e.what();
+        EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+    }
+    std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------------ SDLBENCH_WORKERS

@@ -51,11 +51,9 @@ void print_usage(std::FILE* stream) {
         "  --worker-threads <n>     in-process pool size per worker, 0..%zu (sets\n"
         "                           SDLBENCH_WORKERS in the worker's env);\n"
         "                           default (0): hardware threads / workers\n"
+        "                           started (at most one per open cell)\n"
         "  --resume                 restart a killed coordinator from output_dir's\n"
         "                           coordinator.jsonl ledger + worker journals\n"
-        "  --failpoints <spec>      arm coordinator-side failpoints (overrides\n"
-        "                           SDLBENCH_FAILPOINTS); docs/ROBUSTNESS.md has\n"
-        "                           the grammar and site catalog\n"
         "  --worker-failpoints <w|*>:<spec>\n"
         "                           inject <spec> into worker slot w (generation\n"
         "                           0 only; w below the worker count) or '*'\n"
@@ -67,7 +65,9 @@ void print_usage(std::FILE* stream) {
         "report is byte-identical to a single-process `sdlbench_run --campaign`\n"
         "run, including when workers are killed mid-campaign or the coordinator\n"
         "itself is killed and resumed. Exits 6 if any cell was quarantined\n"
-        "(docs/ROBUSTNESS.md has the heartbeat, respawn and quarantine policy).\n",
+        "(docs/ROBUSTNESS.md has the heartbeat, respawn and quarantine policy).\n"
+        "SDLBENCH_FAILPOINTS arms coordinator-side failpoints (docs/ROBUSTNESS.md\n"
+        "has the grammar and site catalog).\n",
         support::kMaxPoolSize);
 }
 
@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> args(argv + 1, argv + argc);
     // Arm from SDLBENCH_FAILPOINTS first: workers get their schedules
     // this way (the coordinator always sets the variable for them), and
-    // a coordinator run under the env var behaves like --failpoints.
+    // so does the coordinator itself.
     try {
         support::failpoint::arm_from_env();
     } catch (const std::exception& e) {
@@ -194,14 +194,6 @@ int main(int argc, char** argv) {
             }
             wf.spec = text.substr(colon + 1);
             options.worker_failpoints.push_back(std::move(wf));
-        } else if (*it == "--failpoints") {
-            if (!take_value("--failpoints", text)) return 2;
-            try {
-                support::failpoint::arm(text);
-            } catch (const std::exception& e) {
-                std::fprintf(stderr, "error: --failpoints: %s\n", e.what());
-                return 2;
-            }
         } else if (*it == "--resume") {
             options.resume = true;
             it = args.erase(it);

@@ -1,18 +1,14 @@
 // sdlbench_gen — emits packs of procedurally generated workcell
 // scenarios (core/scenario_gen.hpp) with their difficulty scores.
 //
-//   sdlbench_gen --seeds K..M [options] [out_dir]
-//   sdlbench_gen --seed K     [options] [out_dir]
-//
-// Options:
-//   --no-difficulty   skip the anneal probe runs (fast; pack records
-//                     specs only)
+//   sdlbench_gen --seeds K..M [out_dir]
+//   sdlbench_gen --seed K     [out_dir]
 //
 // For each seed the materialized spec is written to <out_dir>/gen_<K>.yaml
 // (bitwise identical to the workcell.yaml a run of that scenario saves),
 // and <out_dir>/pack.json indexes the pack: per scenario the ref, plate
-// format, roster size, and — unless --no-difficulty — the difficulty
-// score (regret of the anneal baseline under the fixed probe budget).
+// format, roster size, and the difficulty score (regret of the anneal
+// baseline under the fixed probe budget).
 // Same seeds => byte-identical pack, so packs can be regenerated
 // anywhere instead of being committed.
 #include <cstdio>
@@ -34,8 +30,8 @@ namespace {
 
 void usage(std::FILE* to) {
     std::fputs(
-        "usage: sdlbench_gen --seeds K..M [--no-difficulty] [out_dir]\n"
-        "       sdlbench_gen --seed K    [--no-difficulty] [out_dir]\n"
+        "usage: sdlbench_gen --seeds K..M [out_dir]\n"
+        "       sdlbench_gen --seed K    [out_dir]\n"
         "\n"
         "Generates the workcell scenarios for the given seed range (the\n"
         "same specs `--scenario generated:seed=K` resolves), writes one\n"
@@ -52,7 +48,6 @@ void usage(std::FILE* to) {
 int main(int argc, char** argv) {
     std::string seeds_arg;
     std::string out_dir = "gen_pack";
-    bool difficulty = true;
     bool have_out = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -61,9 +56,7 @@ int main(int argc, char** argv) {
             usage(stdout);
             return 0;
         }
-        if (arg == "--no-difficulty") {
-            difficulty = false;
-        } else if ((arg == "--seeds" || arg == "--seed") && i + 1 < argc) {
+        if ((arg == "--seeds" || arg == "--seed") && i + 1 < argc) {
             seeds_arg = argv[++i];
         } else if (arg.rfind("--", 0) == 0) {
             std::fprintf(stderr, "sdlbench_gen: unknown option '%s'\n", arg.c_str());
@@ -91,7 +84,7 @@ int main(int argc, char** argv) {
         fs::create_directories(out_dir);
         json::Value scenarios = json::Value::array();
         std::printf("%-10s %-8s %-8s %-7s %s\n", "name", "plate", "devices", "ot2s",
-                    difficulty ? "difficulty" : "");
+                    "difficulty");
         for (const std::string& ref : refs) {
             const std::uint64_t seed = core::parse_generated_ref(ref);
             const core::WorkcellSpec spec = core::generate_scenario(seed);
@@ -115,16 +108,11 @@ int main(int argc, char** argv) {
             entry.set("plate", plate);
             entry.set("devices", device_count);
             entry.set("ot2_count", ot2s);
-            if (difficulty) {
-                const double score = core::generated_difficulty(seed);
-                entry.set("difficulty", score);
-                // sdlbench-lint: allow(printf-float): terminal listing; --json output goes through the json layer
-                std::printf("%-10s %-8s %-8d %-7d %.3f\n", spec.name.c_str(),
-                            plate.c_str(), device_count, ot2s, score);
-            } else {
-                std::printf("%-10s %-8s %-8d %-7d\n", spec.name.c_str(), plate.c_str(),
-                            device_count, ot2s);
-            }
+            const double score = core::generated_difficulty(seed);
+            entry.set("difficulty", score);
+            // sdlbench-lint: allow(printf-float): terminal listing; --json output goes through the json layer
+            std::printf("%-10s %-8s %-8d %-7d %.3f\n", spec.name.c_str(), plate.c_str(),
+                        device_count, ot2s, score);
             scenarios.push_back(std::move(entry));
         }
 

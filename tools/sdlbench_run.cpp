@@ -142,13 +142,6 @@ core::ColorPickerConfig preset_by_name(const std::string& name) {
                              "' (expected quickstart, table1, table1_96well, fig3_portal)");
 }
 
-// All report/spec writes go through support::atomic_write so a crash
-// mid-write never leaves a torn document for a reader (or a resumed
-// campaign) to trust.
-void write_text_file(const std::string& path, const std::string& text) {
-    support::atomic_write(path, text);
-}
-
 int run_single(const core::ColorPickerConfig& config, const std::string& out_dir,
                const std::string& json_path, const core::WorkcellSpec* scenario_spec) {
     std::printf("Experiment: target %s | N=%d | B=%d | solver=%s | workcell=%s | "
@@ -175,20 +168,20 @@ int run_single(const core::ColorPickerConfig& config, const std::string& out_dir
                                         s.elapsed_minutes, s.score, s.best_so_far});
     }
     csv.save(out_dir + "/series.csv");
-    write_text_file(out_dir + "/portal.json", app.portal().to_json().pretty() + "\n");
-    write_text_file(out_dir + "/metrics.txt", metrics_text);
-    write_text_file(out_dir + "/config.yaml", core::config_to_yaml(app.config()));
+    support::atomic_write(out_dir + "/portal.json", app.portal().to_json().pretty() + "\n");
+    support::atomic_write(out_dir + "/metrics.txt", metrics_text);
+    support::atomic_write(out_dir + "/config.yaml", core::config_to_yaml(app.config()));
     if (scenario_spec != nullptr) {
         // config.yaml captures the topology but not a custom spec's
         // device timings; the resolved spec itself is the full
         // reproduction artifact (rerun with --scenario workcell.yaml).
-        write_text_file(out_dir + "/workcell.yaml",
+        support::atomic_write(out_dir + "/workcell.yaml",
                         core::workcell_spec_to_yaml(*scenario_spec));
     }
     const std::size_t artifacts =
         data::write_run_artifacts(app.event_log(), out_dir + "/artifacts");
     if (!json_path.empty()) {
-        write_text_file(json_path,
+        support::atomic_write(json_path,
                         campaign::experiment_result_to_json(app.config(), outcome)
                                 .pretty() +
                             "\n");
@@ -216,34 +209,25 @@ int run_campaign(const std::string& spec_path, const std::string& out_dir,
     std::vector<campaign::CellResult> done;
     std::optional<campaign::CheckpointJournal> journal;
     if (resume) {
-        campaign::LoadedJournal loaded =
-            campaign::load_journal(campaign::journal_path(out_dir), spec, grid);
-        done = std::move(loaded.cells);
-        // Compact before appending again: drops the torn final line a
-        // kill may have left, so new records don't glue onto it.
-        std::string compacted;
-        for (const std::string& line : loaded.lines) {
-            compacted += line;
-            compacted += '\n';
-        }
-        support::atomic_write(campaign::journal_path(out_dir), compacted);
+        campaign::ResumedJournal resumed = campaign::resume_journal(out_dir, spec, grid);
+        done = std::move(resumed.loaded.cells);
         std::printf("Resuming: %zu cells already journaled%s, %zu still to run\n",
                     done.size(),
-                    loaded.dropped_torn_tail ? " (dropped a truncated final record)"
-                                             : "",
+                    resumed.loaded.dropped_torn_tail ? " (dropped a truncated final record)"
+                                                     : "",
                     grid.size() - done.size());
         std::vector<bool> have(grid.size(), false);
         for (const campaign::CellResult& result : done) have[result.cell.index] = true;
         std::erase_if(todo, [&](const campaign::CampaignCell& cell) {
             return have[cell.index];
         });
-        journal.emplace(campaign::CheckpointJournal::reopen(out_dir));
+        journal.emplace(std::move(resumed.journal));
     } else {
         // Refuse to silently wipe real progress: a journal for this very
         // spec with completed cells almost certainly means a crashed run
         // whose operator forgot --resume.
-        const std::size_t progress =
-            campaign::journal_progress(campaign::journal_path(out_dir), spec);
+        const std::size_t progress = campaign::journal_progress(
+            campaign::journal_path(out_dir), spec, grid.size());
         if (progress > 0) {
             std::fprintf(stderr,
                          "error: '%s' already holds a journal with %zu completed "
@@ -299,7 +283,7 @@ int run_campaign(const std::string& spec_path, const std::string& out_dir,
 
     const std::string doc_text = campaign::write_campaign_outputs(out_dir, spec, results);
     if (!json_path.empty()) {
-        write_text_file(json_path, doc_text);
+        support::atomic_write(json_path, doc_text);
         std::printf("\nWrote result document to %s\n", json_path.c_str());
     }
     std::printf("\nWrote %s/{campaign.json, campaign.csv, cells.jsonl} (%zu cells).\n",

@@ -19,14 +19,13 @@
 // locally.
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign_io.hpp"
 #include "core/config_io.hpp"
 #include "core/workcell_spec.hpp"
+#include "support/atomic_io.hpp"
 #include "support/yaml.hpp"
 
 namespace fs = std::filesystem;
@@ -34,18 +33,10 @@ using namespace sdl;
 
 namespace {
 
-std::string read_file(const fs::path& path) {
-    std::ifstream file(path);
-    if (!file) throw std::runtime_error("cannot open file");
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    return buffer.str();
-}
-
 /// Returns the kind of spec validated ("campaign", "workcell",
 /// "experiment"); throws on any schema violation.
 std::string validate_one(const fs::path& path) {
-    const std::string text = read_file(path);
+    const std::string text = support::read_file(path.string(), "spec file");
     const support::json::Value doc = support::yaml::parse(text);
     if (doc.is_object() && doc.contains("campaign")) {
         // The file loader rebases relative grid.workcells spec paths;
