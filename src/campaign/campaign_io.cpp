@@ -53,7 +53,7 @@ CampaignSpec campaign_from_doc(const json::Value& doc) {
     spec.base_seed = static_cast<std::uint64_t>(
         campaign->get_or("base_seed", static_cast<std::int64_t>(spec.base_seed)));
     if (const json::Value* mode = campaign->find("seed_mode")) {
-        spec.seed_mode = seed_mode_from_string(mode->as_string());
+        spec.seed_mode = seed_mode_from_string(mode->as_string("campaign.seed_mode"));
     }
 
     if (const json::Value* grid = doc.find("grid")) {
@@ -66,24 +66,27 @@ CampaignSpec campaign_from_doc(const json::Value& doc) {
                 // other refs pass through unchanged. Overlapping ranges
                 // produce duplicate entries, which expand_grid rejects
                 // by name.
-                for (std::string& ref : core::expand_generated_refs(w.as_string())) {
+                for (std::string& ref :
+                     core::expand_generated_refs(w.as_string("grid.workcells entry"))) {
                     spec.axes.workcells.push_back(std::move(ref));
                 }
             }
         }
         if (const json::Value* solvers = grid->find("solvers")) {
             for (const json::Value& s : solvers->as_array()) {
-                spec.axes.solvers.push_back(s.as_string());
+                spec.axes.solvers.push_back(s.as_string("grid.solvers entry"));
             }
         }
         if (const json::Value* batches = grid->find("batch_sizes")) {
             for (const json::Value& b : batches->as_array()) {
-                spec.axes.batch_sizes.push_back(positive_count(b.as_int(), "grid.batch_sizes"));
+                spec.axes.batch_sizes.push_back(
+                    positive_count(b.as_int("grid.batch_sizes entry"), "grid.batch_sizes"));
             }
         }
         if (const json::Value* objectives = grid->find("objectives")) {
             for (const json::Value& o : objectives->as_array()) {
-                spec.axes.objectives.push_back(core::objective_from_string(o.as_string()));
+                spec.axes.objectives.push_back(
+                    core::objective_from_string(o.as_string("grid.objectives entry")));
             }
         }
         if (const json::Value* targets = grid->find("targets")) {
@@ -124,7 +127,8 @@ CampaignSpec campaign_from_file(const std::string& path) {
                         const std::string base_dir =
                             std::filesystem::path(path).parent_path().string();
                         for (json::Value& ref : workcells->as_array()) {
-                            ref = core::rebase_scenario_ref(ref.as_string(), base_dir);
+                            ref = core::rebase_scenario_ref(
+                                ref.as_string("grid.workcells entry"), base_dir);
                         }
                     }
                 }

@@ -196,26 +196,26 @@ std::vector<json::Value> LogReader::read() {
 }
 
 void LogReader::check_header(std::string_view line) const {
-    json::Value header;
+    std::string schema;
+    std::string found_digest;
+    std::int64_t cells_total = 0;
     try {
-        header = json::parse(line);
+        const json::Value header = json::parse(line);
+        schema = header.get_or("schema", std::string("<missing>"));
+        found_digest = header.get_or("spec_digest", std::string());
+        cells_total = header.get_or("cells_total", std::int64_t{0});
     } catch (const support::Error& e) {
         reject(path_, std::string("corrupt header record: ") + e.what());
     }
-    if (header.get_or("schema", std::string()) != schema_) {
-        reject(path_, "unexpected header schema '" +
-                          header.get_or("schema", std::string("<missing>")) +
-                          "' (expected " + schema_ + ")");
+    if (schema != schema_) {
+        reject(path_, "unexpected header schema '" + schema + "' (expected " + schema_ + ")");
     }
-    const std::string found_digest = header.get_or("spec_digest", std::string());
     if (found_digest != digest_) {
         reject(path_, "spec digest mismatch: journal was written for spec " +
                           found_digest + ", but this campaign file digests to " + digest_ +
                           " — resuming across different specs is not allowed");
     }
-    const auto cells_total =
-        static_cast<std::size_t>(header.get_or("cells_total", std::int64_t{0}));
-    if (cells_total != cells_total_) {
+    if (static_cast<std::size_t>(cells_total) != cells_total_) {
         reject(path_, "cell count mismatch: journal expects " + std::to_string(cells_total) +
                           " cells, grid expands to " + std::to_string(cells_total_));
     }
@@ -301,30 +301,43 @@ void write_journal(const std::string& out_dir, const CampaignSpec& spec,
 
 CellResult parse_cell_record(const json::Value& record, const std::vector<CampaignCell>& grid,
                              const std::string& path) {
-    if (record.get_or("schema", std::string()) != kCellRecordSchema) {
-        reject(path, "unexpected record schema '" +
-                         record.get_or("schema", std::string("<missing>")) + "'");
+    // One field's read: a field missing, or of the wrong type, makes the
+    // record corrupt. Each check follows the read it needs.
+    const auto read = [&path](auto field) {
+        try {
+            return field();
+        } catch (const support::Error& e) {
+            reject(path, std::string("corrupt record: ") + e.what());
+        }
+    };
+    const std::string schema =
+        read([&] { return record.get_or("schema", std::string("<missing>")); });
+    if (schema != kCellRecordSchema) {
+        reject(path, "unexpected record schema '" + schema + "'");
     }
-    const auto index = static_cast<std::size_t>(record.at("cell_index").as_int());
+    const auto index = static_cast<std::size_t>(
+        read([&] { return record.at("cell_index").as_int("cell_index"); }));
     if (index >= grid.size()) {
         reject(path, "cell index " + std::to_string(index) + " out of range (grid has " +
                          std::to_string(grid.size()) + " cells)");
     }
     const CampaignCell& cell = grid[index];
-    const std::string digest = record.at("config_digest").as_string();
+    const std::string digest =
+        read([&] { return record.at("config_digest").as_string("config_digest"); });
     if (digest != cell_digest(cell)) {
         reject(path, "cell " + std::to_string(index) + " config digest mismatch (journal " +
                          digest + ", re-expanded grid " + cell_digest(cell) + ")");
     }
-    const std::string id = record.at("experiment_id").as_string();
+    const std::string id =
+        read([&] { return record.at("experiment_id").as_string("experiment_id"); });
     if (id != cell.config.experiment_id) {
         reject(path, "cell " + std::to_string(index) + " experiment id mismatch ('" + id +
                          "' vs '" + cell.config.experiment_id + "')");
     }
     CellResult result;
     result.cell = cell;
-    result.outcome = outcome_from_json(record.at("outcome"));
-    result.wall_seconds = record.get_or("wall_seconds", 0.0);
+    result.outcome = read([&] { return outcome_from_json(record.at("outcome")); });
+    result.wall_seconds = read([&] { return record.get_or("wall_seconds", 0.0); });
     return result;
 }
 
@@ -355,16 +368,8 @@ std::vector<CellResult> cells_from_records(const std::vector<json::Value>& recor
                                            const std::string& path) {
     std::vector<CellResult> cells;
     std::vector<bool> seen(grid.size(), false);
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        CellResult result;
-        try {
-            result = parse_cell_record(records[i], grid, path);
-        } catch (const support::ConfigError&) {
-            throw;  // validation failures are always loud
-        } catch (const support::Error& e) {
-            // A record missing a field: line 1 is the header.
-            reject(path, "corrupt record on line " + std::to_string(i + 2) + ": " + e.what());
-        }
+    for (const json::Value& record : records) {
+        CellResult result = parse_cell_record(record, grid, path);
         const std::size_t index = result.cell.index;
         if (seen[index]) {
             reject(path, "cell " + std::to_string(index) + " recorded twice");

@@ -121,8 +121,9 @@ struct ResumedLog {
 
 /// Validates one parsed cell record against the re-expanded grid: record
 /// schema, cell index range, per-cell config digest, and experiment id
-/// must all match (ConfigError naming `path` otherwise). Duplicates are
-/// the caller's to catch.
+/// must all match, and every field must be present with its type
+/// (ConfigError naming `path` otherwise). Duplicates are the caller's to
+/// catch.
 [[nodiscard]] CellResult parse_cell_record(const support::json::Value& record,
                                            const std::vector<CampaignCell>& grid,
                                            const std::string& path);

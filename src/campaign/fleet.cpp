@@ -294,48 +294,63 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
     // history, and quarantine convictions.
     std::optional<support::AppendWriter> ledger;
     if (options.resume) {
-        ResumedLog prior = resume_log(ledger_path(out_dir), kLedgerSchema, digest, grid.size());
+        const std::string ledger_file = ledger_path(out_dir);
+        ResumedLog prior = resume_log(ledger_file, kLedgerSchema, digest, grid.size());
+        // A failing event names its ledger line (line 1 is the header):
+        // a field missing or of the wrong type, or a journal it points to.
+        std::size_t line = 1;
+        try {
 #if !defined(_WIN32)
-        // Orphans of the dead coordinator: best-effort SIGKILL by
-        // recorded pid before reading their journals, so none can append
-        // a record after we've drained it. A reused pid is possible but
-        // the window is narrow (docs/ROBUSTNESS.md § Resume caveats).
-        for (const json::Value& event : prior.records) {
-            const std::int64_t pid = event.get_or("pid", std::int64_t{0});
-            if (event.get_or("event", std::string()) == "spawn" && pid > 0) {
-                (void)::kill(static_cast<pid_t>(pid), SIGKILL);
-            }
-        }
-#endif
-        for (const json::Value& event : prior.records) {
-            const std::string kind = event.get_or("event", std::string());
-            if (kind == "spawn") {
-                // A worker that died before creating its journal left none.
-                const std::string path = journal_path(event.at("dir").as_string());
-                if (std::filesystem::exists(path)) {
-                    for (CellResult& record : load_journal(path, spec, grid).cells) {
-                        const std::size_t index = record.cell.index;
-                        // Another run's work: it stays out of this run's busy
-                        // time. Cross-journal duplicates stay loud.
-                        coord.complete(index);
-                        results[index] = std::move(record);
-                    }
+            // Orphans of the dead coordinator: best-effort SIGKILL by
+            // recorded pid before reading their journals, so none can
+            // append a record after we've drained it. A reused pid is
+            // possible but the window is narrow (docs/ROBUSTNESS.md §
+            // Resume caveats).
+            for (const json::Value& event : prior.records) {
+                ++line;
+                const std::int64_t pid = event.get_or("pid", std::int64_t{0});
+                if (event.get_or("event", std::string()) == "spawn" && pid > 0) {
+                    (void)::kill(static_cast<pid_t>(pid), SIGKILL);
                 }
-                coord.replay_spawn(static_cast<std::size_t>(event.at("slot").as_int()),
-                                   static_cast<int>(event.at("generation").as_int()));
-            } else if (kind == "crash") {
-                const auto cell = static_cast<std::size_t>(event.at("cell").as_int());
-                const CellCrash crash{static_cast<int>(event.at("slot").as_int()),
-                                      static_cast<int>(event.at("generation").as_int()),
-                                      static_cast<long>(event.at("pid").as_int()),
-                                      event.at("reason").as_string()};
-                coord.replay_crash(cell, static_cast<std::size_t>(crash.slot),
-                                   crash.generation);
-                if (cell < grid.size()) crash_log[cell].push_back(crash);
-            } else if (kind == "quarantine") {
-                coord.replay_quarantine(
-                    static_cast<std::size_t>(event.at("cell").as_int()));
-            }  // unknown events: kept in the ledger (forward compatibility)
+            }
+            line = 1;
+#endif
+            for (const json::Value& event : prior.records) {
+                ++line;
+                const auto integer = [&event](const char* key) {
+                    return event.at(key).as_int(key);
+                };
+                const std::string kind = event.get_or("event", std::string());
+                if (kind == "spawn") {
+                    // A worker that died before creating its journal left none.
+                    const std::string path = journal_path(event.at("dir").as_string("dir"));
+                    if (std::filesystem::exists(path)) {
+                        for (CellResult& record : load_journal(path, spec, grid).cells) {
+                            const std::size_t index = record.cell.index;
+                            // Another run's work: it stays out of this run's
+                            // busy time. Cross-journal duplicates stay loud.
+                            coord.complete(index);
+                            results[index] = std::move(record);
+                        }
+                    }
+                    coord.replay_spawn(static_cast<std::size_t>(integer("slot")),
+                                       static_cast<int>(integer("generation")));
+                } else if (kind == "crash") {
+                    const auto cell = static_cast<std::size_t>(integer("cell"));
+                    const CellCrash crash{static_cast<int>(integer("slot")),
+                                          static_cast<int>(integer("generation")),
+                                          static_cast<long>(integer("pid")),
+                                          event.at("reason").as_string("reason")};
+                    coord.replay_crash(cell, static_cast<std::size_t>(crash.slot),
+                                       crash.generation);
+                    if (cell < grid.size()) crash_log[cell].push_back(crash);
+                } else if (kind == "quarantine") {
+                    coord.replay_quarantine(static_cast<std::size_t>(integer("cell")));
+                }  // unknown events: kept in the ledger (forward compatibility)
+            }
+        } catch (const support::Error& e) {
+            throw support::ConfigError("journal '" + ledger_file + "': line " +
+                                       std::to_string(line) + ": " + e.what());
         }
         std::printf("Fleet resume: %zu of %zu cells already journaled, "
                     "%zu quarantined\n",

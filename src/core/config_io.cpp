@@ -62,7 +62,7 @@ color::Rgb8 rgb_from_doc(const json::Value& value, const std::string& where) {
         throw support::ConfigError(where + " must be a [r, g, b] triple");
     }
     const auto channel = [&](std::size_t i) {
-        const std::int64_t v = value.as_array()[i].as_int();
+        const std::int64_t v = value.as_array()[i].as_int(where + " channel");
         if (v < 0 || v > 255) {
             throw support::ConfigError(where + " channels must be 0..255");
         }
@@ -98,8 +98,8 @@ ColorPickerConfig config_from_doc(const json::Value& doc) {
                              "manual_handling_s"},
                             "workcell");
         if (const json::Value* scenario = workcell->find("scenario")) {
-            config = apply_workcell_spec(std::move(config),
-                                         resolve_scenario(scenario->as_string()));
+            config = apply_workcell_spec(
+                std::move(config), resolve_scenario(scenario->as_string("workcell.scenario")));
         }
         config.workcell.ot2_count = positive_count(
             workcell->get_or("ot2_count", std::int64_t{config.workcell.ot2_count}),
@@ -126,7 +126,8 @@ ColorPickerConfig config_from_doc(const json::Value& doc) {
             exp->get_or("batch_size", std::int64_t{config.batch_size}), "experiment.batch_size");
         config.solver = exp->get_or("solver", config.solver);
         if (const json::Value* objective = exp->find("objective")) {
-            config.objective = objective_from_string(objective->as_string());
+            config.objective =
+                objective_from_string(objective->as_string("experiment.objective"));
         }
         config.seed =
             static_cast<std::uint64_t>(exp->get_or("seed", std::int64_t{1}));
@@ -143,7 +144,8 @@ ColorPickerConfig config_from_doc(const json::Value& doc) {
             positive_count(plate->get_or("cols", std::int64_t{config.plate_cols}), "plate.cols");
     }
     if (const json::Value* volume = doc.find("well_volume_ul")) {
-        config.well_volume = support::Volume::microliters(volume->as_double());
+        config.well_volume =
+            support::Volume::microliters(volume->as_double("well_volume_ul"));
     }
     if (const json::Value* faults = doc.find("faults")) {
         reject_unknown_keys(*faults, {"command_rejection_prob"}, "faults");
@@ -171,8 +173,9 @@ json::Value experiment_doc_from_file(const std::string& path, std::string_view w
             if (const json::Value* scenario = workcell->find("scenario")) {
                 const std::string base_dir =
                     std::filesystem::path(path).parent_path().string();
-                workcell->set("scenario",
-                              rebase_scenario_ref(scenario->as_string(), base_dir));
+                workcell->set("scenario", rebase_scenario_ref(
+                                              scenario->as_string("workcell.scenario"),
+                                              base_dir));
             }
         }
     }

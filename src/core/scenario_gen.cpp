@@ -220,10 +220,9 @@ WorkcellSpec generate_scenario(std::uint64_t seed) {
         if (sensor_drift >= 2e-4) {
             d.options.set("drift_per_frame", sensor_drift);
         }
-        // Dense formats render much larger frames (the vision pipeline
-        // keeps 96-well pixel pitch); cap the ring buffer to bound memory.
-        const auto frames = static_cast<std::int64_t>(rng.uniform_int(6, 12));
-        d.options.set("max_frames", rows > 8 ? std::int64_t{4} : frames);
+        // A draw nothing reads: it keeps the stream, so the fault profile
+        // below, and with it every generated scenario, keeps its values.
+        (void)rng.uniform_int(6, 12);
         spec.devices.push_back(std::move(d));
     }
 

@@ -47,7 +47,7 @@ const std::vector<const char*>& option_keys(DeviceKind kind) {
     static const std::vector<const char*> barty{"fill_s", "drain_s", "refill_s",
                                                 "prime_s", "bulk_capacity_ml"};
     static const std::vector<const char*> camera{"capture_s", "glitch_prob",
-                                                 "max_frames", "drift_per_frame"};
+                                                 "drift_per_frame"};
     switch (kind) {
         case DeviceKind::Sciclops: return sciclops;
         case DeviceKind::Pf400: return pf400;
@@ -76,21 +76,21 @@ void check_probability(double p, const std::string& where) {
 void check_option_value(const std::string& key, const json::Value& value) {
     const std::string where = "device option '" + key + "'";
     if (key == "dispense_cv" || key == "glitch_prob" || key == "clog_prob") {
-        check_probability(value.as_double(), where);
+        check_probability(value.as_double(where), where);
         return;
     }
-    if (key == "towers" || key == "plates_per_tower" || key == "max_frames") {
-        (void)positive_count(value.as_int(), where);
+    if (key == "towers" || key == "plates_per_tower") {
+        (void)positive_count(value.as_int(where), where);
         return;
     }
     if (key.ends_with("_ml")) {
-        if (value.as_double() <= 0.0) {
+        if (value.as_double(where) <= 0.0) {
             throw support::ConfigError(where + " must be a positive capacity");
         }
         return;
     }
     // Durations (*_s) and the absolute pipetting error floor.
-    if (value.as_double() < 0.0) {
+    if (value.as_double(where) < 0.0) {
         throw support::ConfigError(where + " cannot be negative");
     }
 }
@@ -193,10 +193,10 @@ WorkcellSpec workcell_spec_from_doc(const json::Value& doc) {
     if (const json::Value* plate = doc.find("plate")) {
         reject_unknown_keys(*plate, {"rows", "cols"}, "plate");
         if (const json::Value* rows = plate->find("rows")) {
-            spec.plate_rows = positive_count(rows->as_int(), "plate.rows");
+            spec.plate_rows = positive_count(rows->as_int("plate.rows"), "plate.rows");
         }
         if (const json::Value* cols = plate->find("cols")) {
-            spec.plate_cols = positive_count(cols->as_int(), "plate.cols");
+            spec.plate_cols = positive_count(cols->as_int("plate.cols"), "plate.cols");
         }
     }
 
@@ -210,7 +210,7 @@ WorkcellSpec workcell_spec_from_doc(const json::Value& doc) {
             throw support::ConfigError("each devices entry needs a 'kind'");
         }
         DeviceSpec device;
-        device.kind = device_kind_from_string(entry.at("kind").as_string());
+        device.kind = device_kind_from_string(entry.at("kind").as_string("device kind"));
         const std::string kind_name = device_kind_to_string(device.kind);
         const std::string name = entry.get_or("name", kind_name);
         if (name != kind_name) {
@@ -245,7 +245,7 @@ WorkcellSpec workcell_spec_from_doc(const json::Value& doc) {
             faults->get_or("rejection_latency_s", fc.rejection_latency.to_seconds()));
         if (const json::Value* per_module = faults->find("per_module")) {
             for (const auto& [module, prob] : per_module->as_object()) {
-                fc.per_module[module] = prob.as_double();
+                fc.per_module[module] = prob.as_double("faults.per_module." + module);
             }
         }
         spec.faults = std::move(fc);
@@ -399,8 +399,6 @@ ColorPickerConfig apply_workcell_spec(ColorPickerConfig config, const WorkcellSp
                 c.timing.capture = opt_duration(o, "capture_s", c.timing.capture);
                 c.glitch_prob = opt_double(o, "glitch_prob", c.glitch_prob);
                 c.drift_per_frame = opt_double(o, "drift_per_frame", c.drift_per_frame);
-                c.max_frames = static_cast<std::size_t>(
-                    opt_int(o, "max_frames", static_cast<std::int64_t>(c.max_frames)));
                 break;
             }
         }

@@ -69,7 +69,7 @@ enum class DeviceKind { Sciclops, Pf400, Ot2, Barty, Camera };
 ///              dispense_sigma_ul, reservoir_capacity_ml, clog_prob,
 ///              dye_drift_per_well
 ///   barty    — fill_s, drain_s, refill_s, prime_s, bulk_capacity_ml
-///   camera   — capture_s, glitch_prob, max_frames, drift_per_frame
+///   camera   — capture_s, glitch_prob, drift_per_frame
 struct DeviceSpec {
     DeviceKind kind = DeviceKind::Ot2;
     int count = 1;  ///< >1 only for ot2 (mounts ot2, ot2_2, ...)

@@ -68,12 +68,8 @@ wei::ActionResult CameraSim::execute(const wei::ActionRequest& request) {
     }
 
     const std::int64_t frame_id = next_frame_id_++;
-    frames_.try_emplace(frame_id, scene, colors, rng_.next(), &filled);
-    while (frames_.size() > config_.max_frames) {
-        // Evict the oldest frame.
-        evicted_pixels_rendered_ += frames_.begin()->second.pixels_rendered();
-        frames_.erase(frames_.begin());
-    }
+    if (frame_) replaced_pixels_rendered_ += frame_->pixels_rendered();
+    frame_.emplace(scene, colors, rng_.next(), &filled);
 
     json::Value data = json::Value::object();
     data.set("frame_id", frame_id);
@@ -91,18 +87,16 @@ const imaging::Image& CameraSim::frame(std::int64_t frame_id) {
 }
 
 imaging::LazyFrame& CameraSim::lazy_frame(std::int64_t frame_id) {
-    const auto it = frames_.find(frame_id);
-    if (it == frames_.end()) {
+    if (!frame_ || frame_id != frames_captured()) {
         throw support::Error("device", "camera frame " + std::to_string(frame_id) +
-                                           " not available (evicted or never captured)");
+                                           " not available (the camera keeps only "
+                                           "its last capture)");
     }
-    return it->second;
+    return *frame_;
 }
 
 std::size_t CameraSim::pixels_rendered() const noexcept {
-    std::size_t pixels = evicted_pixels_rendered_;
-    for (const auto& [id, lazy] : frames_) pixels += lazy.pixels_rendered();
-    return pixels;
+    return replaced_pixels_rendered_ + (frame_ ? frame_->pixels_rendered() : 0);
 }
 
 }  // namespace sdl::devices

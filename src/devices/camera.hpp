@@ -5,16 +5,17 @@
 //
 // The simulated camera photographs the plate currently sitting on its
 // nest with the synthetic scene renderer (sensor noise, vignetting,
-// lighting gradient). It archives each frame as its recipe and renders
-// pixels on demand (imaging::LazyFrame): the application hands the lazy
-// frame to the §2.4 vision pipeline, which renders only the regions it
-// reads — the full code path a real webcam would feed, at the cost of
-// the pixels used. Each capture advances the camera's generator by at
-// most two draws, whatever the frame size: the glitch roll (only when
-// 0 < glitch_prob < 1) and the frame's noise key.
+// lighting gradient). It holds the last frame it took, as its recipe,
+// and renders pixels on demand (imaging::LazyFrame): the application
+// hands the lazy frame to the §2.4 vision pipeline, which renders only
+// the regions it reads — the full code path a real webcam would feed, at
+// the cost of the pixels used. The loop reads each frame before the next
+// capture, which replaces it. Each capture advances the camera's
+// generator by at most two draws, whatever the frame size: the glitch
+// roll (only when 0 < glitch_prob < 1) and the frame's noise key.
 #pragma once
 
-#include <map>
+#include <optional>
 
 #include "devices/timing.hpp"
 #include "imaging/plate_render.hpp"
@@ -29,8 +30,6 @@ struct CameraConfig {
     /// Seeds the glitch rolls and the per-frame sensor-noise keys.
     std::uint64_t noise_seed = 0xCA3E7A;
     CameraTiming timing;
-    /// Frames retained in the ring buffer (raw images are big).
-    std::size_t max_frames = 16;
     /// Probability that a frame is unusable (fiducial occluded — e.g. the
     /// arm's shadow or a reflection). The capture *succeeds* at the
     /// device level; the vision pipeline discovers the problem and the
@@ -54,16 +53,16 @@ public:
     [[nodiscard]] support::Duration estimate(const wei::ActionRequest& request) const override;
     [[nodiscard]] wei::ActionResult execute(const wei::ActionRequest& request) override;
 
-    /// Retrieves an archived frame, rendered whole; throws Error("device")
-    /// for evicted or unknown ids.
+    /// The last frame taken, rendered whole; throws Error("device") for
+    /// any other id (replaced or never captured).
     [[nodiscard]] const imaging::Image& frame(std::int64_t frame_id);
-    /// The archived frame as captured: rendered only where already asked
-    /// for. Same errors as frame().
+    /// The last frame as captured: rendered only where already asked for.
+    /// Same errors as frame().
     [[nodiscard]] imaging::LazyFrame& lazy_frame(std::int64_t frame_id);
 
     [[nodiscard]] const imaging::PlateScene& scene() const noexcept { return config_.scene; }
     [[nodiscard]] std::int64_t frames_captured() const noexcept { return next_frame_id_ - 1; }
-    /// Pixels rendered so far over every frame captured, evicted ones
+    /// Pixels rendered so far over every frame captured, replaced ones
     /// included.
     [[nodiscard]] std::size_t pixels_rendered() const noexcept;
 
@@ -73,9 +72,10 @@ private:
     wei::LocationMap& locations_;
     wei::ModuleInfo info_;
     support::Rng rng_;
-    std::map<std::int64_t, imaging::LazyFrame> frames_;
+    /// The last capture: frame id next_frame_id_ - 1.
+    std::optional<imaging::LazyFrame> frame_;
     std::int64_t next_frame_id_ = 1;
-    std::size_t evicted_pixels_rendered_ = 0;
+    std::size_t replaced_pixels_rendered_ = 0;
 };
 
 }  // namespace sdl::devices

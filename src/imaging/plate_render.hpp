@@ -9,8 +9,9 @@
 //
 // A frame is its recipe (scene, well colors, fill mask, noise key) plus
 // a raster rendered on demand, one tile at a time (LazyFrame): the
-// camera archives recipes and the §2.4 reader renders only the regions
-// it reads. render_plate is one such frame rendered whole.
+// camera holds its last capture as a recipe and the §2.4 reader renders
+// only the regions it reads. render_plate is one such frame rendered
+// whole.
 #pragma once
 
 #include <cstdint>

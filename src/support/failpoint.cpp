@@ -7,29 +7,16 @@
 
 #include "support/common.hpp"
 #include "support/mutex.hpp"
-#include "support/random.hpp"
 
 namespace sdl::support::failpoint {
 namespace {
 
-// FNV-1a 64 over the site name; mixed with the global seed so each
-// entry's probability stream is decorrelated but fully reproducible.
-std::uint64_t fnv1a(std::string_view text) noexcept {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const char c : text) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
 /// Runtime state for one armed entry: the parsed schedule plus mutable
-/// hit/fire counters and the per-entry probability stream.
+/// hit/fire counters.
 struct ArmedEntry {
     Entry entry;
     std::size_t hits = 0;   ///< eligible hits seen (filter matched)
     std::size_t fires = 0;  ///< times this entry actually fired
-    Rng rng{0};
 };
 
 struct Registry {
@@ -113,20 +100,6 @@ Entry parse_entry(std::string_view token) {
             parse_long(token.substr(pos + 1, close - pos - 1), token, "bad param");
         pos = close + 1;
     }
-    if (pos < token.size() && token[pos] == ':') {
-        std::size_t stop = pos + 1;
-        while (stop < token.size() && token[stop] != '@' && token[stop] != '#') {
-            ++stop;
-        }
-        const std::string prob(token.substr(pos + 1, stop - pos - 1));
-        char* tail = nullptr;
-        entry.prob = std::strtod(prob.c_str(), &tail);
-        if (prob.empty() || tail == nullptr || *tail != '\0' ||
-            !(entry.prob > 0.0) || entry.prob > 1.0) {
-            bad_token("bad probability '" + prob + "' (want (0,1])", token);
-        }
-        pos = stop;
-    }
     if (pos < token.size() && token[pos] == '@') {
         std::size_t stop = pos + 1;
         while (stop < token.size() && token[stop] != '#') ++stop;
@@ -151,8 +124,8 @@ Entry parse_entry(std::string_view token) {
 
 }  // namespace
 
-Spec parse(std::string_view text) {
-    Spec spec;
+std::vector<Entry> parse(std::string_view text) {
+    std::vector<Entry> entries;
     std::size_t start = 0;
     while (start <= text.size()) {
         std::size_t stop = text.find(',', start);
@@ -163,29 +136,19 @@ Spec parse(std::string_view text) {
             if (stop == text.size()) break;
             bad_token("empty entry", text);
         }
-        if (token.rfind("seed=", 0) == 0) {
-            spec.seed = static_cast<std::uint64_t>(
-                parse_long(token.substr(5), token, "bad seed"));
-            continue;
-        }
-        spec.entries.push_back(parse_entry(token));
+        entries.push_back(parse_entry(token));
         if (stop == text.size()) break;
     }
-    return spec;
+    return entries;
 }
 
 bool armed() noexcept { return g_armed.load(std::memory_order_relaxed); }
 
-void arm(const Spec& spec) {
+void arm(const std::vector<Entry>& entries) {
     Registry& reg = registry();
     MutexLock lock(reg.mu);
     reg.entries.clear();
-    for (const Entry& entry : spec.entries) {
-        ArmedEntry armed_entry;
-        armed_entry.entry = entry;
-        armed_entry.rng = Rng(spec.seed ^ fnv1a(entry.site));
-        reg.entries.push_back(std::move(armed_entry));
-    }
+    for (const Entry& entry : entries) reg.entries.push_back(ArmedEntry{entry});
     g_armed.store(!reg.entries.empty(), std::memory_order_release);
 }
 
@@ -218,7 +181,6 @@ Fired evaluate(std::string_view site, long arg) {
         if (entry.count != 0 && armed_entry.fires >= entry.count) continue;
         ++armed_entry.hits;
         if (armed_entry.hits < entry.nth) continue;
-        if (entry.prob < 1.0 && !armed_entry.rng.bernoulli(entry.prob)) continue;
         ++armed_entry.fires;
         return {entry.action, entry.param};
     }

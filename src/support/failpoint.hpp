@@ -9,13 +9,12 @@
 // the one the chaos tests exercise — no special build.
 //
 // Arming happens through the SDLBENCH_FAILPOINTS environment variable
-// (or arm() in tests), with a seeded, comma-separated schedule grammar
+// (or arm() in tests), with a comma-separated schedule grammar
 // (documented in docs/ROBUSTNESS.md § Failpoint grammar):
 //
 //   spec    := entry (',' entry)*
-//   entry   := 'seed=' uint
-//            | site ['[' filter ']'] '=' action ['(' param ')']
-//                   [':' prob] ['@' nth] ['#' count]
+//   entry   := site ['[' filter ']'] '=' action ['(' param ')']
+//              ['@' nth] ['#' count]
 //   action  := 'err' | 'kill' | 'delay'
 //
 //   site    dotted lower-case site name, e.g. atomic_io.rename
@@ -23,19 +22,17 @@
 //           (e.g. worker.cell_start[5]=kill poisons grid cell 5)
 //   param   action payload: err(N) = short-write N bytes where the site
 //           honors it, delay(MS) = sleep MS milliseconds (default 50)
-//   prob    fire probability per eligible hit, (0,1]; default 1
 //   nth     first eligible hit, 1-based; default 1 (every hit eligible)
 //   count   stop after this many fires; default unlimited
 //
 // Example: kill the process on the 2nd journal append, and fail every
-// rename after the 3rd with 50% probability, reproducibly under seed 7:
+// rename from the 3rd on:
 //
-//   SDLBENCH_FAILPOINTS='worker.pre_ack_kill=kill@2#1,atomic_io.rename=err:0.5@3,seed=7'
+//   SDLBENCH_FAILPOINTS='worker.pre_ack_kill=kill@2#1,atomic_io.rename=err@3'
 //
-// Determinism: every probabilistic draw comes from a per-entry
-// support::Rng seeded from the global seed and the site name, and hit
-// counters advance in program order — the same spec against the same
-// execution replays the same schedule.
+// Determinism: an entry fires by hit count alone, and hit counters
+// advance in program order — the same spec against the same execution
+// replays the same schedule.
 #pragma once
 
 #include <atomic>
@@ -62,28 +59,22 @@ struct Entry {
     std::optional<long> filter;  ///< site[N]: fire only when hit arg == N
     Action action = Action::Err;
     long param = -1;             ///< err(N)/delay(MS) payload
-    double prob = 1.0;           ///< per-eligible-hit fire probability
     std::size_t nth = 1;         ///< first eligible hit (1-based)
     std::size_t count = 0;       ///< max fires; 0 = unlimited
-};
-
-struct Spec {
-    std::vector<Entry> entries;
-    std::uint64_t seed = 0;
 };
 
 /// Parses the schedule grammar above. Throws ConfigError naming the
 /// offending token on any malformed entry. An empty spec is valid (no
 /// entries, arming it is a no-op).
-[[nodiscard]] Spec parse(std::string_view text);
+[[nodiscard]] std::vector<Entry> parse(std::string_view text);
 
 /// True when any failpoint schedule is armed. This is the only check on
 /// the disabled hot path: one relaxed load of a cold atomic.
 [[nodiscard]] bool armed() noexcept;
 
-/// Arms `spec` (replacing any previous schedule and resetting all hit
-/// counters). Arming an empty spec is equivalent to disarm().
-void arm(const Spec& spec);
+/// Arms `entries` (replacing any previous schedule and resetting all hit
+/// counters). Arming no entries is equivalent to disarm().
+void arm(const std::vector<Entry>& entries);
 /// Parses and arms `text`. Throws ConfigError on bad grammar.
 void arm(std::string_view text);
 /// Reads SDLBENCH_FAILPOINTS and arms it (unset/empty disarms). Called
@@ -94,7 +85,7 @@ void arm_from_env();
 void disarm() noexcept;
 
 /// Full (slow-path) evaluation of one site hit. Advances the site's hit
-/// counter, applies filter/nth/prob/count, and returns the fired action
+/// counter, applies filter/nth/count, and returns the fired action
 /// (Action::None almost always). `arg` is the caller-supplied filter
 /// argument (e.g. the cell index at worker.cell_start); -1 = no arg.
 /// Call sites should gate on armed() first — evaluate() does too, but

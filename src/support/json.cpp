@@ -56,25 +56,33 @@ bool operator==(const Object& a, const Object& b) {
 
 // ----------------------------------------------------------------- Value
 
-bool Value::as_bool() const {
+namespace {
+
+[[noreturn]] void wrong_type(std::string_view what, const char* want, const Value& v) {
+    throw ConfigError(std::string(what) + " must be " + want + ", not " + v.dump());
+}
+
+}  // namespace
+
+bool Value::as_bool(std::string_view what) const {
     if (const auto* b = std::get_if<bool>(&data_)) return *b;
-    throw Error("json", "value is not a bool");
+    wrong_type(what, "true or false", *this);
 }
 
-std::int64_t Value::as_int() const {
+std::int64_t Value::as_int(std::string_view what) const {
     if (const auto* i = std::get_if<std::int64_t>(&data_)) return *i;
-    throw Error("json", "value is not an integer");
+    wrong_type(what, "an integer", *this);
 }
 
-double Value::as_double() const {
+double Value::as_double(std::string_view what) const {
     if (const auto* d = std::get_if<double>(&data_)) return *d;
     if (const auto* i = std::get_if<std::int64_t>(&data_)) return static_cast<double>(*i);
-    throw Error("json", "value is not a number");
+    wrong_type(what, "a number", *this);
 }
 
-const std::string& Value::as_string() const {
+const std::string& Value::as_string(std::string_view what) const {
     if (const auto* s = std::get_if<std::string>(&data_)) return *s;
-    throw Error("json", "value is not a string");
+    wrong_type(what, "a string", *this);
 }
 
 const Array& Value::as_array() const {
@@ -108,22 +116,22 @@ bool Value::contains(std::string_view key) const noexcept { return find(key) != 
 
 std::string Value::get_or(std::string_view key, const std::string& fallback) const {
     const Value* v = find(key);
-    return (v != nullptr && v->is_string()) ? v->as_string() : fallback;
+    return (v == nullptr || v->is_null()) ? fallback : v->as_string(key);
 }
 
 double Value::get_or(std::string_view key, double fallback) const {
     const Value* v = find(key);
-    return (v != nullptr && v->is_number()) ? v->as_double() : fallback;
+    return (v == nullptr || v->is_null()) ? fallback : v->as_double(key);
 }
 
 std::int64_t Value::get_or(std::string_view key, std::int64_t fallback) const {
     const Value* v = find(key);
-    return (v != nullptr && v->is_int()) ? v->as_int() : fallback;
+    return (v == nullptr || v->is_null()) ? fallback : v->as_int(key);
 }
 
 bool Value::get_or(std::string_view key, bool fallback) const {
     const Value* v = find(key);
-    return (v != nullptr && v->is_bool()) ? v->as_bool() : fallback;
+    return (v == nullptr || v->is_null()) ? fallback : v->as_bool(key);
 }
 
 void Value::set(std::string key, Value value) {

@@ -87,11 +87,14 @@ public:
     [[nodiscard]] bool is_array() const noexcept { return std::holds_alternative<Array>(data_); }
     [[nodiscard]] bool is_object() const noexcept { return std::holds_alternative<Object>(data_); }
 
-    // Typed accessors; throw Error("json") on type mismatch.
-    [[nodiscard]] bool as_bool() const;
-    [[nodiscard]] std::int64_t as_int() const;
-    [[nodiscard]] double as_double() const;  ///< accepts int too
-    [[nodiscard]] const std::string& as_string() const;
+    // Typed accessors. A scalar of another type throws ConfigError
+    // "<what> must be <type>, not <value>": readers of input files pass
+    // the key as `what`. The others throw Error("json") on type mismatch.
+    [[nodiscard]] bool as_bool(std::string_view what = "value") const;
+    [[nodiscard]] std::int64_t as_int(std::string_view what = "value") const;
+    /// Accepts int too.
+    [[nodiscard]] double as_double(std::string_view what = "value") const;
+    [[nodiscard]] const std::string& as_string(std::string_view what = "value") const;
     [[nodiscard]] const Array& as_array() const;
     [[nodiscard]] Array& as_array();
     [[nodiscard]] const Object& as_object() const;
@@ -102,6 +105,9 @@ public:
     [[nodiscard]] const Value* find(std::string_view key) const noexcept;
     [[nodiscard]] bool contains(std::string_view key) const noexcept;
 
+    /// The value at `key`, read as the fallback's type: the fallback when
+    /// the key is absent or null; a value of another type throws
+    /// ConfigError naming the key (an integer reads as a double).
     [[nodiscard]] std::string get_or(std::string_view key, const std::string& fallback) const;
     [[nodiscard]] double get_or(std::string_view key, double fallback) const;
     [[nodiscard]] std::int64_t get_or(std::string_view key, std::int64_t fallback) const;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "campaign/campaign.hpp"
 #include "campaign/campaign_io.hpp"
@@ -316,6 +317,41 @@ TEST(CampaignIo, RejectsCountsOutsideThePositiveIntRangeNamingTheKey) {
         "campaign:\n  replicates: 3\ngrid:\n  batch_sizes: [1, 2147483647]\n");
     EXPECT_EQ(widest.replicates, 3);
     EXPECT_EQ(widest.axes.batch_sizes, (std::vector<int>{1, 2147483647}));
+}
+
+TEST(CampaignIo, RejectsWrongTypedValuesNamingTheKey) {
+    // A value of the wrong type is an error naming its key, never the
+    // default (`replicates: two` is not one replicate).
+    const auto error_of = [](const std::string& yaml) -> std::string {
+        try {
+            (void)campaign_from_yaml(yaml);
+        } catch (const support::ConfigError& e) {
+            return e.what();
+        }
+        return "(parsed)";
+    };
+    for (const auto& [yaml, key] : {
+             std::pair{"campaign:\n  replicates: two\n", "replicates"},
+             std::pair{"campaign:\n  base_seed: 1.5\n", "base_seed"},
+             std::pair{"campaign:\n  name: [x]\n", "name"},
+             std::pair{"campaign:\n  seed_mode: 1\n", "campaign.seed_mode"},
+             std::pair{"campaign:\n  name: x\ngrid:\n  workcells: [baseline, 7]\n",
+                       "grid.workcells entry"},
+             std::pair{"campaign:\n  name: x\ngrid:\n  solvers: [random, 3]\n",
+                       "grid.solvers entry"},
+             std::pair{"campaign:\n  name: x\ngrid:\n  batch_sizes: [8, two]\n",
+                       "grid.batch_sizes entry"},
+             std::pair{"campaign:\n  name: x\ngrid:\n  objectives: [rgb, 2]\n",
+                       "grid.objectives entry"},
+             std::pair{"campaign:\n  name: x\ngrid:\n  targets: [[1, 2, 3.5]]\n",
+                       "grid.targets entry"},
+             std::pair{"campaign:\n  name: x\nexperiment:\n  total_samples: many\n",
+                       "total_samples"},
+         }) {
+        const std::string what = error_of(yaml);
+        EXPECT_NE(what.find(key), std::string::npos) << yaml << what;
+        EXPECT_NE(what.find(" must be "), std::string::npos) << yaml << what;
+    }
 }
 
 TEST(CampaignIo, RoundTripThroughYaml) {

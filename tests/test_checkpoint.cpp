@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -17,6 +18,7 @@
 #include "campaign/runner.hpp"
 #include "support/common.hpp"
 #include "support/failpoint.hpp"
+#include "support/json.hpp"
 #include "support/log.hpp"
 
 using namespace sdl;
@@ -259,6 +261,56 @@ TEST(Checkpoint, CorruptMiddleRecordAndDuplicatesAreRejected) {
     }
     EXPECT_THROW((void)load_journal(journal_path(dir.path), spec, expand_grid(spec)),
                  support::ConfigError);
+}
+
+TEST(Checkpoint, WrongTypedFieldsNameTheJournalAndTheKey) {
+    // A header or record field of the wrong type fails naming the journal
+    // and the field, as a line that does not parse does (it never reads
+    // as the default).
+    const CampaignSpec spec = tiny_spec();
+    const auto& results = shared_results();
+    TempDir dir("test_ckpt_types");
+    write_journal(dir.path, spec, results.size(), results);
+    const std::string path = journal_path(dir.path);
+    std::vector<std::string> lines;
+    {
+        std::stringstream stream(slurp(path));
+        for (std::string line; std::getline(stream, line);) lines.push_back(line);
+    }
+    ASSERT_GE(lines.size(), 2u);
+    // The journal with `field` of line `line` (0 = the header) set to `value`.
+    const auto with = [&](std::size_t line, const char* field,
+                          support::json::Value value) {
+        support::json::Value doc = support::json::parse(lines[line]);
+        doc.set(field, std::move(value));
+        std::string text;
+        for (std::size_t i = 0; i < lines.size(); ++i) {
+            text += i == line ? doc.dump() : lines[i];
+            text += '\n';
+        }
+        return text;
+    };
+    for (const auto& [text, key] : {
+             std::pair{with(0, "cells_total", "4"), "cells_total"},
+             std::pair{with(0, "schema", 5), "schema"},
+             std::pair{with(0, "spec_digest", true), "spec_digest"},
+             std::pair{with(1, "schema", 1.5), "schema"},
+             std::pair{with(1, "cell_index", "0"), "cell_index"},
+             std::pair{with(1, "wall_seconds", "slow"), "wall_seconds"},
+         }) {
+        {
+            std::ofstream file(path, std::ios::binary | std::ios::trunc);
+            file << text;
+        }
+        try {
+            (void)load_journal(path, spec, expand_grid(spec));
+            ADD_FAILURE() << key << " of the wrong type loaded";
+        } catch (const support::ConfigError& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(path), std::string::npos) << what;
+            EXPECT_NE(what.find(std::string(key) + " must be "), std::string::npos) << what;
+        }
+    }
 }
 
 TEST(Checkpoint, JournalProgressProtectsOnlyIncompleteRunsOfTheSameSpec) {

@@ -141,6 +141,49 @@ TEST(ConfigIo, RejectsCountsOutsideThePositiveIntRangeNamingTheKey) {
               2147483647);
 }
 
+TEST(ConfigIo, RejectsWrongTypedValuesNamingTheKey) {
+    // A value of the wrong type is an error naming its key, never the
+    // default.
+    const auto message = [](const std::string& yaml) {
+        try {
+            (void)config_from_yaml(yaml);
+        } catch (const support::ConfigError& e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    for (const auto& [yaml, key] : {
+             std::pair{"experiment:\n  total_samples: many\n", "total_samples"},
+             std::pair{"experiment:\n  batch_size: 2.5\n", "batch_size"},
+             std::pair{"experiment:\n  publish: \"no\"\n", "publish"},
+             std::pair{"experiment:\n  solver: 3\n", "solver"},
+             std::pair{"experiment:\n  seed: abc\n", "seed"},
+             std::pair{"experiment:\n  stop_threshold: low\n", "stop_threshold"},
+             std::pair{"experiment:\n  id: [1]\n", "id"},
+             std::pair{"experiment:\n  objective: 2\n", "experiment.objective"},
+             std::pair{"experiment:\n  target: [255, 128, x]\n", "experiment.target"},
+             std::pair{"workcell:\n  scenario: 3\n", "workcell.scenario"},
+             std::pair{"workcell:\n  ot2_count: two\n", "ot2_count"},
+             std::pair{"workcell:\n  sciclops: \"yes\"\n", "sciclops"},
+             std::pair{"workcell:\n  manual_handling_s: slow\n", "manual_handling_s"},
+             std::pair{"plate:\n  rows: 8.5\n", "rows"},
+             std::pair{"well_volume_ul: lots\n", "well_volume_ul"},
+             std::pair{"faults:\n  command_rejection_prob: high\n", "command_rejection_prob"},
+             std::pair{"retry:\n  max_attempts: 2.0\n", "max_attempts"},
+             std::pair{"retry:\n  human_rescue: 1\n", "human_rescue"},
+         }) {
+        const std::string what = message(yaml);
+        EXPECT_NE(what.find(key), std::string::npos) << yaml << what;
+        EXPECT_NE(what.find(" must be "), std::string::npos) << yaml << what;
+    }
+    // An integer still reads where a number is asked, and null keeps the
+    // default.
+    EXPECT_DOUBLE_EQ(config_from_yaml("experiment:\n  stop_threshold: 2\n").stop_threshold,
+                     2.0);
+    EXPECT_EQ(config_from_yaml("experiment:\n  batch_size: null\n").batch_size,
+              ColorPickerConfig{}.batch_size);
+}
+
 TEST(ConfigIo, RoundTripThroughYaml) {
     ColorPickerConfig original;
     original.target = {30, 60, 90};

@@ -480,20 +480,31 @@ TEST(Camera, FailsWithEmptyNest) {
     EXPECT_FALSE(cell.camera->execute(request_of("camera", "take_picture")).ok());
 }
 
-TEST(Camera, EvictsOldFrames) {
+TEST(Camera, ACaptureReplacesTheHeldFrame) {
     TestWorkcell cell;
-    CameraConfig config;
-    config.max_frames = 2;
-    CameraSim camera(config, cell.plates, cell.locations);
+    CameraSim camera(CameraConfig{}, cell.plates, cell.locations);
     cell.locations.place(locations::kCamera, cell.plates.create(8, 12));
-    std::int64_t first_id = 0;
-    for (int i = 0; i < 3; ++i) {
+    const auto capture = [&camera] {
         const auto result = camera.execute(request_of("camera", "take_picture"));
-        ASSERT_TRUE(result.ok());
-        if (i == 0) first_id = result.data.at("frame_id").as_int();
+        EXPECT_TRUE(result.ok());
+        return result.data.at("frame_id").as_int();
+    };
+    EXPECT_THROW((void)camera.lazy_frame(1), sdl::support::Error);  // none taken yet
+    const std::int64_t first = capture();
+    EXPECT_NO_THROW((void)camera.lazy_frame(first));
+    const std::int64_t second = capture();
+    EXPECT_NE(first, second);
+    try {
+        (void)camera.frame(first);
+        FAIL() << "a replaced frame still reads";
+    } catch (const sdl::support::Error& e) {
+        EXPECT_EQ(e.category(), "device");
+        EXPECT_NE(std::string(e.what()).find("only its last capture"), std::string::npos)
+            << e.what();
     }
-    EXPECT_THROW((void)camera.frame(first_id), sdl::support::Error);
-    EXPECT_EQ(camera.frames_captured(), 3);
+    EXPECT_THROW((void)camera.lazy_frame(second + 1), sdl::support::Error);
+    EXPECT_EQ(camera.frame(second).width(), camera.scene().width);
+    EXPECT_EQ(camera.frames_captured(), 2);
 }
 
 TEST(Camera, GlitchedFrameHasNoDetectableMarker) {
@@ -510,17 +521,16 @@ TEST(Camera, GlitchedFrameHasNoDetectableMarker) {
                     .empty());
 }
 
-TEST(Camera, ArchivedFramesMatchTwinRenders) {
-    // Every archived frame, rendered on demand, must equal a one-shot
-    // render_plate of the same scene drawn from a twin generator that
-    // makes the same glitch roll and key draw, across captures with
-    // changing well contents, interleaved glitches and a drifting
-    // ring-light gradient.
+TEST(Camera, FramesMatchTwinRenders) {
+    // Every frame, rendered on demand right after its capture, must equal
+    // a one-shot render_plate of the same scene drawn from a twin
+    // generator that makes the same glitch roll and key draw, across
+    // captures with changing well contents, interleaved glitches and a
+    // drifting ring-light gradient.
     TestWorkcell cell;
     CameraConfig config;
     config.glitch_prob = 0.25;
     config.drift_per_frame = 0.002;
-    config.max_frames = 64;
     CameraSim camera(config, cell.plates, cell.locations);
     support::Rng twin(config.noise_seed);
 
@@ -561,9 +571,7 @@ TEST(Camera, ArchivedFramesMatchTwinRenders) {
 
 TEST(Camera, RendersFramesOnDemand) {
     TestWorkcell cell;
-    CameraConfig config;
-    config.max_frames = 2;
-    CameraSim camera(config, cell.plates, cell.locations);
+    CameraSim camera(CameraConfig{}, cell.plates, cell.locations);
     cell.locations.place(locations::kCamera, cell.plates.create(8, 12));
     const auto capture = [&camera] {
         const auto result = camera.execute(request_of("camera", "take_picture"));
@@ -571,7 +579,7 @@ TEST(Camera, RendersFramesOnDemand) {
         return result.data.at("frame_id").as_int();
     };
     const std::int64_t first = capture();
-    EXPECT_EQ(camera.pixels_rendered(), 0u);  // a capture archives the recipe only
+    EXPECT_EQ(camera.pixels_rendered(), 0u);  // a capture keeps the recipe only
 
     imaging::LazyFrame& lazy = camera.lazy_frame(first);
     lazy.materialize({10, 10, 11, 11});  // one pixel renders its tile
@@ -585,12 +593,14 @@ TEST(Camera, RendersFramesOnDemand) {
     EXPECT_EQ(lazy.tiles_rendered(), lazy.tile_count());
     EXPECT_EQ(camera.pixels_rendered(), frame_pixels);
 
-    // Eviction keeps the frame's pixels in the count.
+    // A replaced frame's pixels stay in the count; the new frame's add.
     const std::int64_t second = capture();
-    camera.lazy_frame(second).materialize({0, 0, 1, 1});
-    (void)capture();
-    (void)capture();
     EXPECT_THROW((void)camera.lazy_frame(first), sdl::support::Error);
+    EXPECT_EQ(camera.pixels_rendered(), frame_pixels);
+    camera.lazy_frame(second).materialize({0, 0, 1, 1});
+    EXPECT_EQ(camera.pixels_rendered(), frame_pixels + kTilePixels);
+    (void)capture();
+    (void)capture();
     EXPECT_THROW((void)camera.lazy_frame(second), sdl::support::Error);
     EXPECT_EQ(camera.pixels_rendered(), frame_pixels + kTilePixels);
 }

@@ -1062,6 +1062,50 @@ TEST(FleetResume, UnparsableLedgerLineFailsNamingTheLedger) {
     std::filesystem::remove_all(dir);
 }
 
+TEST(FleetResume, WrongTypedLedgerFieldFailsNamingTheLedgerAndTheKey) {
+    // A ledger field of the wrong type is corruption, like a line that
+    // does not parse: not a pid of 0, nor an event of unknown kind that
+    // the replay skips.
+    const std::string dir = "test_fleet_ledger_types";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string spec_path = dir + "/two.yaml";
+    {
+        std::ofstream file(spec_path, std::ios::binary);
+        file << "campaign:\n  name: ledger_types\ngrid:\n  solvers: [random, genetic]\n"
+                "experiment:\n  total_samples: 4\n";
+    }
+    const std::string ledger = dir + "/coordinator.jsonl";
+    for (const auto& [event, key] : {
+             std::pair{"{\"event\":\"spawn\",\"pid\":\"12\",\"slot\":0,"
+                       "\"generation\":0,\"dir\":\"w\"}",
+                       "pid"},
+             std::pair{"{\"event\":7,\"cell\":1}", "event"},
+             std::pair{"{\"event\":\"quarantine\",\"cell\":\"1\"}", "cell"},
+         }) {
+        {
+            std::ofstream file(ledger, std::ios::binary | std::ios::trunc);
+            file << "{\"schema\":\"sdlbench.coordinator_journal.v1\",\"spec_digest\":\""
+                 << spec_digest(campaign_from_file(spec_path))
+                 << "\",\"cells_total\":2,\"campaign_path\":\"" << spec_path << "\"}\n"
+                 << event << "\n";
+        }
+        FleetOptions options;
+        options.worker_exe = dir + "/no_such_worker";
+        options.resume = true;
+        try {
+            (void)run_fleet(spec_path, dir, options);
+            ADD_FAILURE() << "a resume over " << event << " must fail";
+        } catch (const support::ConfigError& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(ledger), std::string::npos) << what;
+            EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+            EXPECT_NE(what.find(std::string(key) + " must be "), std::string::npos) << what;
+        }
+    }
+    std::filesystem::remove_all(dir);
+}
+
 // ------------------------------------------------------ SDLBENCH_WORKERS
 
 TEST(PoolSizeFromEnvTest, ParsesPositiveIntegersOnly) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "support/common.hpp"
 #include "support/json.hpp"
@@ -125,7 +126,8 @@ TEST(Json, NonFiniteDoublesSerializeAsNull) {
 }
 
 TEST(Json, GetOrFallbacks) {
-    const json::Value v = json::parse(R"({"s": "x", "n": 2, "d": 2.5, "b": true})");
+    const json::Value v =
+        json::parse(R"({"s": "x", "n": 2, "d": 2.5, "b": true, "null": null})");
     EXPECT_EQ(v.get_or("s", std::string("def")), "x");
     EXPECT_EQ(v.get_or("missing", std::string("def")), "def");
     EXPECT_EQ(v.get_or("n", std::int64_t{9}), 2);
@@ -133,6 +135,43 @@ TEST(Json, GetOrFallbacks) {
     EXPECT_DOUBLE_EQ(v.get_or("n", 0.0), 2.0);  // int readable as double
     EXPECT_EQ(v.get_or("b", false), true);
     EXPECT_EQ(v.get_or("missing", std::int64_t{9}), 9);
+    // A null value is as good as absent.
+    EXPECT_EQ(v.get_or("null", std::int64_t{9}), 9);
+    EXPECT_EQ(v.get_or("null", std::string("def")), "def");
+    EXPECT_DOUBLE_EQ(v.get_or("null", 1.5), 1.5);
+    EXPECT_EQ(v.get_or("null", true), true);
+}
+
+TEST(Json, GetOrRejectsAWrongTypedValueNamingTheKey) {
+    const json::Value v = json::parse(
+        R"({"total_samples": "many", "batch_size": 2.5, "publish": "no",)"
+        R"( "timing_scale": "fast", "name": 7, "count": [1], "flag": 1})");
+    const auto message = [](auto read) {
+        try {
+            (void)read();
+        } catch (const sdl::support::ConfigError& e) {
+            return std::string(e.what());
+        }
+        return std::string("no ConfigError");
+    };
+    const std::pair<std::string, std::string> cases[] = {
+        {"total_samples", message([&] { return v.get_or("total_samples", std::int64_t{1}); })},
+        {"batch_size", message([&] { return v.get_or("batch_size", std::int64_t{1}); })},
+        {"publish", message([&] { return v.get_or("publish", true); })},
+        {"timing_scale", message([&] { return v.get_or("timing_scale", 1.0); })},
+        {"name", message([&] { return v.get_or("name", std::string("x")); })},
+        {"count", message([&] { return v.get_or("count", std::int64_t{1}); })},
+        {"flag", message([&] { return v.get_or("flag", false); })},
+    };
+    for (const auto& [key, what] : cases) {
+        EXPECT_NE(what.find(key + " must be "), std::string::npos) << key << ": " << what;
+    }
+    // The value itself is quoted back.
+    EXPECT_NE(cases[0].second.find("not \"many\""), std::string::npos) << cases[0].second;
+    // The direct reads name what the caller says.
+    EXPECT_NE(message([&] { return v.at("batch_size").as_int("grid.batch_sizes entry"); })
+                  .find("grid.batch_sizes entry must be an integer, not 2.5"),
+              std::string::npos);
 }
 
 TEST(Json, TypeMismatchThrows) {

@@ -158,6 +158,38 @@ TEST(GeneratedScenarios, SweepIsValidRoundTrippableAndDeterministic) {
               (std::set<std::string>{"8x12", "16x24", "32x48"}));
 }
 
+TEST(GeneratedScenarios, SpecTextIsPinnedPerSeed) {
+    // 64-bit FNV-1a of workcell_spec_to_yaml(generate_scenario(seed)):
+    // fleet_mixed's seeds 17..28 and more of each plate format (96-well
+    // 1, 2, 17, 18, 21, 23, 24, 28; 384-well 3, 9, 19, 22, 26, 27;
+    // 1536-well 20, 25, 43, 62). The generator's draws are one stream,
+    // so dropping or adding a draw anywhere moves every value after it.
+    const auto fnv1a = [](const std::string& text) {
+        std::uint64_t h = 1469598103934665603ULL;
+        for (const char c : text) {
+            h ^= static_cast<unsigned char>(c);
+            h *= 1099511628211ULL;
+        }
+        return h;
+    };
+    struct Pin {
+        std::uint64_t seed;
+        std::uint64_t digest;
+    };
+    for (const Pin pin : {Pin{1, 0xe9c9e21036359680ULL}, Pin{2, 0x1037941effa34c94ULL},
+                          Pin{3, 0xb879b5f767e04140ULL}, Pin{9, 0x4976eca0de38a6a2ULL},
+                          Pin{17, 0xf9a58edb6c0242faULL}, Pin{18, 0x8d7ce3f747e68f2fULL},
+                          Pin{19, 0xc1ac6f3816b29ae8ULL}, Pin{20, 0xccc51a1d032d702aULL},
+                          Pin{21, 0xe4b0cf0c6329c74aULL}, Pin{22, 0x19022267c34c8ca8ULL},
+                          Pin{23, 0xab964b8b47ed93a1ULL}, Pin{24, 0x57728e910c241f83ULL},
+                          Pin{25, 0x38037ef4ee5ef343ULL}, Pin{26, 0x76ec18a8148f7a20ULL},
+                          Pin{27, 0x02b7969c973e5eb0ULL}, Pin{28, 0x60a3fbaa40dc4a8dULL},
+                          Pin{43, 0x6c0c175fa6645e49ULL}, Pin{62, 0x27de8e1d874d8108ULL}}) {
+        const std::string yaml = workcell_spec_to_yaml(generate_scenario(pin.seed));
+        EXPECT_EQ(fnv1a(yaml), pin.digest) << "seed " << pin.seed << ":\n" << yaml;
+    }
+}
+
 TEST(GeneratedScenarios, ResolveScenarioRoutesGeneratedRefs) {
     const WorkcellSpec spec = resolve_scenario("generated:seed=7");
     EXPECT_EQ(spec.name, "gen_7");

@@ -119,6 +119,47 @@ TEST(WorkcellSpec, UnknownDevicesAndKeysFailLoudly) {
                  support::ConfigError);
 }
 
+TEST(WorkcellSpec, RejectsWrongTypedValuesNamingTheKey) {
+    // A value of the wrong type is an error naming its key, never the
+    // default (`timing_scale: fast` is not 1.0, nor `count: 2.5` one ot2).
+    const auto message = [](const std::string& yaml) {
+        try {
+            (void)workcell_spec_from_yaml(yaml);
+        } catch (const support::ConfigError& e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    const std::string x = "workcell: {name: x}\n";
+    const std::string roster = "devices: [{kind: ot2}, {kind: camera}]\n";
+    for (const auto& [yaml, key] : {
+             std::pair{"workcell: {name: x, timing_scale: fast}\n" + roster, "timing_scale"},
+             std::pair{"workcell: {name: 7}\n" + roster, "name"},
+             std::pair{"workcell: {name: x, manual_handling_s: slow}\n" + roster,
+                       "manual_handling_s"},
+             std::pair{x + "plate: {rows: 8.5}\n" + roster, "plate.rows"},
+             std::pair{x + "devices: [{kind: ot2, count: 2.5}, {kind: camera}]\n", "count"},
+             std::pair{x + "devices: [{kind: 3}, {kind: ot2}, {kind: camera}]\n",
+                       "device kind"},
+             std::pair{x + "devices: [{kind: pf400, transfer_s: fast}, {kind: ot2}, "
+                           "{kind: camera}]\n",
+                       "transfer_s"},
+             std::pair{x + "devices: [{kind: sciclops, towers: 2.5}, {kind: ot2}, "
+                           "{kind: camera}]\n",
+                       "towers"},
+             std::pair{x + "devices: [{kind: ot2}, {kind: camera, glitch_prob: \"0.1\"}]\n",
+                       "glitch_prob"},
+             std::pair{x + roster + "faults: {command_rejection_prob: high}\n",
+                       "command_rejection_prob"},
+             std::pair{x + roster + "faults: {per_module: {ot2: often}}\n",
+                       "faults.per_module.ot2"},
+         }) {
+        const std::string what = message(yaml);
+        EXPECT_NE(what.find(key), std::string::npos) << yaml << what;
+        EXPECT_NE(what.find(" must be "), std::string::npos) << yaml << what;
+    }
+}
+
 TEST(WorkcellSpec, ValidationRejectsBadRosters) {
     const auto spec_with = [](auto mutate) {
         WorkcellSpec spec = scenario_by_name("baseline");
@@ -162,10 +203,6 @@ TEST(WorkcellSpec, ValidationRejectsBadRosters) {
                                                "  - kind: pf400\n    transfer_s: -5\n"
                                                "  - kind: ot2\n  - kind: camera\n"),
                  support::ConfigError);
-    EXPECT_THROW((void)workcell_spec_from_yaml("workcell:\n  name: x\ndevices:\n"
-                                               "  - kind: ot2\n  - kind: camera\n"
-                                               "    max_frames: 0\n"),
-                 support::ConfigError);
     EXPECT_THROW((void)workcell_spec_from_yaml(
                      "workcell:\n  name: x\ndevices:\n"
                      "  - kind: ot2\n    reservoir_capacity_ml: -1\n  - kind: camera\n"),
@@ -195,6 +232,16 @@ TEST(WorkcellSpec, ValidationRejectsBadRosters) {
     EXPECT_NE(message("workcell:\n  name: x\ndevices:\n  - kind: sciclops\n"
                       "    towers: 4294967297\n  - kind: ot2\n  - kind: camera\n")
                   .find("towers"),
+              std::string::npos);
+    // A count option below 1 is out of range too.
+    EXPECT_NE(message("workcell:\n  name: x\ndevices:\n  - kind: sciclops\n"
+                      "    towers: 0\n  - kind: ot2\n  - kind: camera\n")
+                  .find("device option 'towers' must be an integer in [1, "),
+              std::string::npos);
+    // The camera holds one frame and has no capacity option.
+    EXPECT_NE(message("workcell:\n  name: x\ndevices:\n"
+                      "  - kind: ot2\n  - kind: camera\n    max_frames: 4\n")
+                  .find("unknown option 'max_frames' for device kind 'camera'"),
               std::string::npos);
     // Custom instance names would strand the module (workflows address
     // modules by kind name), so they are rejected loudly; a name equal to

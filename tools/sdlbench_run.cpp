@@ -52,6 +52,7 @@
 #include "metrics/metrics.hpp"
 #include "support/atomic_io.hpp"
 #include "support/csv.hpp"
+#include "support/failpoint.hpp"
 #include "support/log.hpp"
 #include "support/table.hpp"
 
@@ -108,7 +109,8 @@ void print_usage(std::FILE* stream) {
                  "config.yaml and per-workflow artifacts to [output_dir] (default\n"
                  "sdlbench_out); campaigns write campaign.json and campaign.csv.\n"
                  "See docs/BENCHMARKS.md for the experiment and campaign YAML\n"
-                 "schemas and docs/SCENARIOS.md for workcell scenarios.\n");
+                 "schemas and docs/SCENARIOS.md for workcell scenarios.\n"
+                 "SDLBENCH_FAILPOINTS arms failpoints (docs/ROBUSTNESS.md).\n");
 }
 
 int list_scenarios() {
@@ -295,6 +297,14 @@ int run_campaign(const std::string& spec_path, const std::string& out_dir,
 
 int main(int argc, char** argv) {
     std::vector<std::string> args(argv + 1, argv + argc);
+    // Arm from SDLBENCH_FAILPOINTS first: a malformed schedule aborts the
+    // run instead of silently testing nothing.
+    try {
+        support::failpoint::arm_from_env();
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "error: SDLBENCH_FAILPOINTS: %s\n", e.what());
+        return 2;
+    }
     for (const auto& a : args) {
         if (a == "-h" || a == "--help") {
             print_usage(stdout);
