@@ -7,13 +7,14 @@
 // registry and reports the SDL metrics side by side:
 //
 //   baseline   — the Figure-2 reference numbers
-//   multi_ot2  — extra decks mounted (CCWH unchanged here: the Figure-2
-//                loop drives one plate; see bench_multi_ot2 for the
-//                K-plates-in-flight pipeline study)
 //   degraded   — rejections + retakes: TWH stretches, interventions
 //                appear when retries exhaust
 //   fast_lane  — the 4x-hardware lower bound on TWH
 //   minimal    — human handling: CCWH collapses, TWH balloons
+//
+// The Figure-2 loop drives one plate on one OT2; the paper's §4
+// "additional OT2s" study, K plates in flight on K decks, is
+// bench_multi_ot2.
 //
 // Implemented as a scenario-sweeping campaign (grid.workcells), i.e.
 // exactly what `sdlbench_run --campaign` does for a workcells: axis —

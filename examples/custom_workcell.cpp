@@ -66,8 +66,7 @@ int main() {
                                                         plates, locations));
     registry.add(std::make_shared<devices::Pf400Sim>(devices::Pf400Config{}, locations));
     registry.add(ot2);
-    registry.add(std::make_shared<devices::BartySim>(devices::BartyConfig{},
-                                                     ot2->reservoirs()));
+    registry.add(std::make_shared<devices::BartySim>(devices::BartyConfig{}, *ot2));
     auto camera = std::make_shared<devices::CameraSim>(devices::CameraConfig{}, plates,
                                                        locations);
     registry.add(camera);

@@ -61,7 +61,7 @@ CampaignSpec campaign_from_doc(const json::Value& doc) {
             *grid, {"workcells", "solvers", "batch_sizes", "objectives", "targets"},
             "grid");
         if (const json::Value* workcells = grid->find("workcells")) {
-            for (const json::Value& w : workcells->as_array()) {
+            for (const json::Value& w : workcells->as_array("grid.workcells")) {
                 // "generated:seed=K..M" fans out to one entry per seed;
                 // other refs pass through unchanged. Overlapping ranges
                 // produce duplicate entries, which expand_grid rejects
@@ -73,24 +73,24 @@ CampaignSpec campaign_from_doc(const json::Value& doc) {
             }
         }
         if (const json::Value* solvers = grid->find("solvers")) {
-            for (const json::Value& s : solvers->as_array()) {
+            for (const json::Value& s : solvers->as_array("grid.solvers")) {
                 spec.axes.solvers.push_back(s.as_string("grid.solvers entry"));
             }
         }
         if (const json::Value* batches = grid->find("batch_sizes")) {
-            for (const json::Value& b : batches->as_array()) {
+            for (const json::Value& b : batches->as_array("grid.batch_sizes")) {
                 spec.axes.batch_sizes.push_back(
                     positive_count(b.as_int("grid.batch_sizes entry"), "grid.batch_sizes"));
             }
         }
         if (const json::Value* objectives = grid->find("objectives")) {
-            for (const json::Value& o : objectives->as_array()) {
+            for (const json::Value& o : objectives->as_array("grid.objectives")) {
                 spec.axes.objectives.push_back(
                     core::objective_from_string(o.as_string("grid.objectives entry")));
             }
         }
         if (const json::Value* targets = grid->find("targets")) {
-            for (const json::Value& t : targets->as_array()) {
+            for (const json::Value& t : targets->as_array("grid.targets")) {
                 spec.axes.targets.push_back(core::rgb_from_doc(t, "grid.targets entry"));
             }
         }

@@ -87,50 +87,54 @@ json::Value outcome_to_json(const core::ExperimentOutcome& outcome) {
 }
 
 core::ExperimentOutcome outcome_from_json(const json::Value& doc) {
+    // Every read names its field, so a wrong-typed one fails naming it.
+    const auto number = [](const auto& node, const char* key) {
+        return node.at(key).as_double(key);
+    };
+    const auto count = [](const auto& node, const char* key) {
+        return node.at(key).as_int(key);
+    };
     core::ExperimentOutcome outcome;
-    outcome.experiment_id = doc.at("experiment_id").as_string();
-    for (const json::Value& point : doc.at("samples").as_array()) {
+    outcome.experiment_id = doc.at("experiment_id").as_string("experiment_id");
+    for (const json::Value& entry : doc.at("samples").as_array("samples")) {
+        const json::Object& point = entry.as_object("samples entry");
         core::SamplePoint s;
-        s.index = static_cast<int>(point.at("index").as_int());
-        s.elapsed_minutes = point.at("elapsed_min").as_double();
-        s.score = point.at("score").as_double();
-        s.best_so_far = point.at("best_so_far").as_double();
-        for (const json::Value& r : point.at("ratios").as_array()) {
-            s.ratios.push_back(r.as_double());
+        s.index = static_cast<int>(count(point, "index"));
+        s.elapsed_minutes = number(point, "elapsed_min");
+        s.score = number(point, "score");
+        s.best_so_far = number(point, "best_so_far");
+        for (const json::Value& r : point.at("ratios").as_array("ratios")) {
+            s.ratios.push_back(r.as_double("ratios entry"));
         }
         s.measured = core::rgb_from_doc(point.at("measured"), "sample measured color");
         outcome.samples.push_back(std::move(s));
     }
-    outcome.best_score = doc.at("best_score").as_double();
-    for (const json::Value& r : doc.at("best_ratios").as_array()) {
-        outcome.best_ratios.push_back(r.as_double());
+    outcome.best_score = number(doc, "best_score");
+    for (const json::Value& r : doc.at("best_ratios").as_array("best_ratios")) {
+        outcome.best_ratios.push_back(r.as_double("best_ratios entry"));
     }
     outcome.best_color = core::rgb_from_doc(doc.at("best_color"), "best_color");
-    outcome.reached_threshold = doc.at("reached_threshold").as_bool();
+    outcome.reached_threshold = doc.at("reached_threshold").as_bool("reached_threshold");
 
-    const json::Value& met = doc.at("metrics");
+    const json::Object& met = doc.at("metrics").as_object("metrics");
     metrics::SdlMetrics& m = outcome.metrics;
-    m.time_without_humans =
-        support::Duration::seconds(met.at("time_without_humans_s").as_double());
-    m.commands_completed =
-        static_cast<std::uint64_t>(met.at("commands_completed").as_int());
-    m.synthesis_time = support::Duration::seconds(met.at("synthesis_s").as_double());
-    m.transfer_time = support::Duration::seconds(met.at("transfer_s").as_double());
-    m.total_time = support::Duration::seconds(met.at("total_s").as_double());
-    m.total_colors = static_cast<int>(met.at("total_colors").as_int());
-    m.time_per_color = support::Duration::seconds(met.at("time_per_color_s").as_double());
-    m.mean_upload_interval =
-        support::Duration::seconds(met.at("mean_upload_interval_s").as_double());
-    m.interventions = static_cast<int>(met.at("interventions").as_int());
+    m.time_without_humans = support::Duration::seconds(number(met, "time_without_humans_s"));
+    m.commands_completed = static_cast<std::uint64_t>(count(met, "commands_completed"));
+    m.synthesis_time = support::Duration::seconds(number(met, "synthesis_s"));
+    m.transfer_time = support::Duration::seconds(number(met, "transfer_s"));
+    m.total_time = support::Duration::seconds(number(met, "total_s"));
+    m.total_colors = static_cast<int>(count(met, "total_colors"));
+    m.time_per_color = support::Duration::seconds(number(met, "time_per_color_s"));
+    m.mean_upload_interval = support::Duration::seconds(number(met, "mean_upload_interval_s"));
+    m.interventions = static_cast<int>(count(met, "interventions"));
 
-    outcome.plates_used = static_cast<int>(doc.at("plates_used").as_int());
-    outcome.replenishes = static_cast<int>(doc.at("replenishes").as_int());
-    outcome.batches_run = static_cast<int>(doc.at("batches_run").as_int());
-    outcome.frame_retakes = static_cast<int>(doc.at("frame_retakes").as_int());
+    outcome.plates_used = static_cast<int>(count(doc, "plates_used"));
+    outcome.replenishes = static_cast<int>(count(doc, "replenishes"));
+    outcome.batches_run = static_cast<int>(count(doc, "batches_run"));
+    outcome.frame_retakes = static_cast<int>(count(doc, "frame_retakes"));
     outcome.reprimes = static_cast<int>(doc.get_or("reprimes", std::int64_t{0}));
-    outcome.wells_rescued_total =
-        static_cast<std::size_t>(doc.at("wells_rescued_total").as_int());
-    outcome.mean_grid_residual_px = doc.at("mean_grid_residual_px").as_double();
+    outcome.wells_rescued_total = static_cast<std::size_t>(count(doc, "wells_rescued_total"));
+    outcome.mean_grid_residual_px = number(doc, "mean_grid_residual_px");
     return outcome;
 }
 

@@ -68,8 +68,8 @@ void ColorPickerApp::ensure_reservoirs(std::span<const devices::DispenseOrder> o
 void ColorPickerApp::ensure_primed() {
     if (!runtime_->ot2().needs_prime()) return;
     // Clogged-tip chain: the previous protocol left a tip clogged, and the
-    // next one would hard-fail. Barty (or the human stand-in) back-flushes
-    // the tips first.
+    // next one would hard-fail. Barty (robot-run or run by hand)
+    // back-flushes the tips first.
     (void)runtime_->engine().run(wf_reprime());
     ++outcome_.reprimes;
 }

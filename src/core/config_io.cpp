@@ -16,8 +16,10 @@ namespace json = support::json;
 
 void reject_unknown_keys(const json::Value& node, std::initializer_list<const char*> known,
                          const std::string& where) {
-    if (!node.is_object()) return;
-    for (const auto& [key, value] : node.as_object()) {
+    // A null section is an absent one; any other non-mapping would read
+    // as all-defaults.
+    if (node.is_null()) return;
+    for (const auto& [key, value] : node.as_object(where)) {
         bool ok = false;
         for (const char* k : known) {
             if (key == k) {
@@ -94,16 +96,12 @@ ColorPickerConfig config_from_doc(const json::Value& doc) {
     // below (plate:, faults:, ...) override whatever the scenario chose.
     if (const json::Value* workcell = doc.find("workcell")) {
         reject_unknown_keys(*workcell,
-                            {"scenario", "ot2_count", "sciclops", "pf400", "barty",
-                             "manual_handling_s"},
+                            {"scenario", "sciclops", "pf400", "barty", "manual_handling_s"},
                             "workcell");
         if (const json::Value* scenario = workcell->find("scenario")) {
             config = apply_workcell_spec(
                 std::move(config), resolve_scenario(scenario->as_string("workcell.scenario")));
         }
-        config.workcell.ot2_count = positive_count(
-            workcell->get_or("ot2_count", std::int64_t{config.workcell.ot2_count}),
-            "workcell.ot2_count");
         config.workcell.has_sciclops =
             workcell->get_or("sciclops", config.workcell.has_sciclops);
         config.workcell.has_pf400 = workcell->get_or("pf400", config.workcell.has_pf400);
@@ -208,7 +206,6 @@ json::Value config_to_doc(const ColorPickerConfig& config) {
     if (is_scenario_name(config.workcell.scenario)) {
         workcell.set("scenario", config.workcell.scenario);
     }
-    workcell.set("ot2_count", config.workcell.ot2_count);
     workcell.set("sciclops", config.workcell.has_sciclops);
     workcell.set("pf400", config.workcell.has_pf400);
     workcell.set("barty", config.workcell.has_barty);

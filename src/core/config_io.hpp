@@ -27,8 +27,8 @@ namespace sdl::core {
 ///   workcell:
 ///     scenario: degraded         # applies a named scenario (scenarios.hpp)
 ///                                # or a workcell spec file path first ...
-///     ot2_count: 2               # ... then explicit topology overrides
-///     sciclops: true             # presence flags; false = manual stand-in
+///     sciclops: true             # ... then presence flags (false = run
+///                                # by hand)
 ///     pf400: true
 ///     barty: true
 ///     manual_handling_s: 20.0
@@ -44,7 +44,8 @@ namespace sdl::core {
 ///
 /// The `workcell:` section is resolved before the other sections, so an
 /// explicit `plate:` or `faults:` section overrides what the scenario
-/// set. Unknown keys raise ConfigError so typos fail loudly.
+/// set. Unknown keys, and a section that is not a mapping, raise
+/// ConfigError so typos fail loudly.
 [[nodiscard]] ColorPickerConfig config_from_yaml(std::string_view text);
 
 /// Loads a config from a file path.
@@ -91,8 +92,9 @@ namespace sdl::core {
 /// share it.
 [[nodiscard]] int positive_count(std::int64_t value, const std::string& key);
 
-/// Throws ConfigError when `node` (an object) has a key outside `known`;
-/// `where` names the section in the message. The schema validators here
+/// Throws ConfigError when `node` has a key outside `known`, or is
+/// neither a mapping nor null (null reads as an absent section); `where`
+/// names the section in the message. The schema validators here
 /// and in campaign/campaign_io share it so typos fail loudly everywhere.
 void reject_unknown_keys(const support::json::Value& node,
                          std::initializer_list<const char*> known,

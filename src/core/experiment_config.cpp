@@ -25,9 +25,6 @@ ColorPickerConfig finalize_config(ColorPickerConfig config) {
     }
     support::check(config.batch_size <= config.plate_rows * config.plate_cols,
                    "batch cannot exceed plate capacity");
-    support::check(config.workcell.ot2_count >= 1, "workcell needs at least one OT2");
-    support::check(config.workcell.ot2_count <= 16,
-                   "workcell.ot2_count is capped at 16 liquid handlers");
     support::check(config.workcell.manual_handling.to_seconds() >= 0.0,
                    "manual_handling cannot be negative");
     // There is one linalg implementation; a caller still selecting

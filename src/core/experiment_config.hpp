@@ -32,22 +32,19 @@ enum class Objective { RgbEuclidean, DeltaE76, DeltaE2000 };
 
 /// The resolved shape of the workcell an experiment runs on. Usually
 /// produced by applying a declarative WorkcellSpec (workcell_spec.hpp) or
-/// a named scenario (scenarios.hpp); the camera and at least one OT2 are
-/// always present. A handling device marked absent is replaced by a
-/// manual (human-operated) stand-in registered under the same module
-/// name, so the Figure-2 workflows run unchanged — its commands take
-/// `manual_handling` time and do not count toward CCWH.
+/// a named scenario (scenarios.hpp). The five Figure-2 instruments are
+/// always mounted; a handling device marked absent is run by hand — the
+/// same device model under the same module name, so the workflows run
+/// unchanged, but its commands take `manual_handling` time and do not
+/// count toward CCWH.
 struct WorkcellTopology {
     /// Scenario name recorded in result documents ("baseline" when the
     /// workcell was not built from a spec).
     std::string scenario = "baseline";
-    /// Liquid handlers mounted: "ot2", then "ot2_2", "ot2_3", ... each
-    /// with its own deck location and derived noise stream.
-    int ot2_count = 1;
     bool has_sciclops = true;
     bool has_pf400 = true;
     bool has_barty = true;
-    /// Duration of one manual stand-in action (plate fetch, carry, pour).
+    /// Duration of one hand-run action (plate fetch, carry, pour).
     support::Duration manual_handling = support::Duration::seconds(20.0);
 };
 
@@ -71,7 +68,7 @@ struct ColorPickerConfig {
     support::Volume well_volume = support::Volume::microliters(80.0);
     devices::SciclopsConfig sciclops;
     devices::Pf400Config pf400;
-    devices::Ot2Config ot2;  ///< shared by every mounted OT2 instance
+    devices::Ot2Config ot2;
     devices::BartyConfig barty;
     devices::CameraConfig camera;
     WorkcellTopology workcell;

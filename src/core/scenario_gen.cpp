@@ -161,9 +161,11 @@ WorkcellSpec generate_scenario(std::uint64_t seed) {
     spec.timing_scale = round_to(rng.uniform(0.4, 1.8), 3);
     spec.manual_handling = support::Duration::seconds(round_to(rng.uniform(8.0, 40.0), 2));
 
-    // Roster: camera + >=1 ot2 are mandatory; each handling device is
-    // independently present or replaced by a manual stand-in.
-    const int ot2_count = static_cast<int>(rng.uniform_int(1, 3));
+    // Roster: camera and ot2 are mandatory; each handling device is
+    // independently present or run by hand. The first draw is one nothing
+    // reads: it keeps the stream, so every generated scenario keeps its
+    // values.
+    (void)rng.uniform_int(1, 3);
     const bool has_sciclops = rng.bernoulli(0.80);
     const bool has_pf400 = rng.bernoulli(0.85);
     const bool has_barty = rng.bernoulli(0.75);
@@ -186,7 +188,6 @@ WorkcellSpec generate_scenario(std::uint64_t seed) {
     {
         DeviceSpec d;
         d.kind = DeviceKind::Ot2;
-        d.count = ot2_count;
         d.options.set("protocol_overhead_s", jitter(rng, 110.3));
         d.options.set("per_well_s", jitter(rng, 35.0));
         d.options.set("dispense_cv", round_to(rng.uniform(0.005, 0.05), 4));

@@ -9,10 +9,9 @@ namespace sdl::core {
 
 namespace {
 
-DeviceSpec device(DeviceKind kind, int count = 1) {
+DeviceSpec device(DeviceKind kind) {
     DeviceSpec spec;
     spec.kind = kind;
-    spec.count = count;
     return spec;
 }
 
@@ -29,19 +28,6 @@ WorkcellSpec make_baseline() {
         "the paper's Figure-2 RPL workcell: sciclops, pf400, ot2, barty, camera "
         "with Table-1-calibrated timings";
     spec.devices = full_roster();
-    return spec;
-}
-
-WorkcellSpec make_multi_ot2() {
-    WorkcellSpec spec;
-    spec.name = "multi_ot2";
-    spec.description =
-        "three liquid handlers behind one arm and one camera — the paper's §4 "
-        "'integrating additional OT2s' future experiment";
-    spec.devices = full_roster();
-    for (DeviceSpec& d : spec.devices) {
-        if (d.kind == DeviceKind::Ot2) d.count = 3;
-    }
     return spec;
 }
 
@@ -88,8 +74,8 @@ WorkcellSpec make_minimal() {
 }  // namespace
 
 const std::vector<std::string>& scenario_names() {
-    static const std::vector<std::string> names{"baseline", "multi_ot2", "degraded",
-                                               "fast_lane", "minimal"};
+    static const std::vector<std::string> names{"baseline", "degraded", "fast_lane",
+                                               "minimal"};
     return names;
 }
 
@@ -102,7 +88,6 @@ bool is_scenario_name(const std::string& name) {
 
 WorkcellSpec scenario_by_name(const std::string& name) {
     if (name == "baseline") return make_baseline();
-    if (name == "multi_ot2") return make_multi_ot2();
     if (name == "degraded") return make_degraded();
     if (name == "fast_lane") return make_fast_lane();
     if (name == "minimal") return make_minimal();

@@ -2,10 +2,9 @@
 //
 // The paper argues the color-matching benchmark is interesting because
 // the *workcell* can vary underneath an unchanged application; this
-// registry makes those variations one-word names. Five scenarios ship:
+// registry makes those variations one-word names. Four scenarios ship:
 //
 //   baseline   — the paper's Figure-2 RPL workcell, Table-1 timings
-//   multi_ot2  — three liquid handlers (the §4 "additional OT2s" study)
 //   degraded   — elevated command-rejection and camera-glitch rates
 //   fast_lane  — optimistic timings (every device 4x faster)
 //   minimal    — camera + OT2 only; a human does the plate handling

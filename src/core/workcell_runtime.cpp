@@ -1,9 +1,40 @@
 #include "core/workcell_runtime.hpp"
 
-#include "devices/manual.hpp"
+#include <limits>
+
 #include "support/common.hpp"
 
 namespace sdl::core {
+
+namespace {
+
+/// A handling device the workcell does without, run by hand: the device's
+/// own sim answers under its own module name, so the Figure-2 workflows
+/// resolve unchanged, but every action takes the operator's handling time
+/// and none is robotic (CCWH counts commands completed without humans).
+class HandRun final : public wei::Module {
+public:
+    HandRun(std::shared_ptr<wei::Module> device, support::Duration handling)
+        : device_(std::move(device)),
+          info_{device_->info().name, /*robotic=*/false},
+          handling_(handling) {}
+
+    [[nodiscard]] const wei::ModuleInfo& info() const noexcept override { return info_; }
+    [[nodiscard]] support::Duration estimate(const wei::ActionRequest& request) const override {
+        (void)request;
+        return handling_;
+    }
+    [[nodiscard]] wei::ActionResult execute(const wei::ActionRequest& request) override {
+        return device_->execute(request);
+    }
+
+private:
+    std::shared_ptr<wei::Module> device_;
+    wei::ModuleInfo info_;
+    support::Duration handling_;
+};
+
+}  // namespace
 
 void WorkcellRuntime::claim() {
     support::check(!claimed_,
@@ -24,67 +55,37 @@ WorkcellRuntime::WorkcellRuntime(ColorPickerConfig config)
     locations_.add_location(wei::locations::kExchange);
     locations_.add_location(wei::locations::kCamera);
     locations_.add_location(wei::locations::kTrash);
+    locations_.add_location(wei::locations::kOt2Deck);
 
-    // Liquid handlers: the primary "ot2" on the canonical deck, extras
-    // ("ot2_2", ...) on their own decks with derived noise streams.
-    for (int i = 0; i < topology.ot2_count; ++i) {
-        devices::Ot2Config ot2_config = config_.ot2;
-        if (i > 0) {
-            ot2_config.name = "ot2_" + std::to_string(i + 1);
-            ot2_config.deck_location = ot2_config.name + ".deck";
-            ot2_config.noise_seed = config_.ot2.noise_seed +
-                                    0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(i);
-        }
-        locations_.add_location(ot2_config.deck_location);
-        ot2s_.push_back(
-            std::make_shared<devices::Ot2Sim>(ot2_config, plates_, locations_));
-        registry_.add(ot2s_.back());
-    }
+    ot2_ = std::make_shared<devices::Ot2Sim>(config_.ot2, plates_, locations_);
+    registry_.add(ot2_);
     camera_ = std::make_shared<devices::CameraSim>(config_.camera, plates_, locations_);
     registry_.add(camera_);
 
-    // Handling devices: real instruments, or manual human stand-ins
-    // registered under the same module names so the Figure-2 workflows
-    // resolve their steps unchanged.
-    const auto add_manual = [&](const char* stand_in_for,
-                                std::array<des::Store, 4>* reservoirs) {
-        devices::ManualConfig manual;
-        manual.stand_in_for = stand_in_for;
-        manual.handling = topology.manual_handling;
-        manual.plate_rows = config_.plate_rows;
-        manual.plate_cols = config_.plate_cols;
-        auto sim = std::make_shared<devices::ManualOperatorSim>(manual, plates_,
-                                                                locations_, reservoirs);
-        registry_.add(sim);
-        return sim;
+    // Handling devices, each robot-run or run by hand. A hand-run device's
+    // stock never runs out: the operator fetches more plates and pours
+    // more dye.
+    const auto mount = [&](std::shared_ptr<wei::Module> device, bool robotic) {
+        if (!robotic) {
+            device = std::make_shared<HandRun>(std::move(device), topology.manual_handling);
+        }
+        registry_.add(std::move(device));
     };
-    // prime_tips (real barty or the human stand-in) clears the clogged-tip
-    // latch on every mounted liquid handler.
-    const auto prime_all_ot2s = [this] {
-        for (const auto& ot2 : ot2s_) ot2->prime_tips();
-    };
-    if (topology.has_sciclops) {
-        sciclops_ = std::make_shared<devices::SciclopsSim>(config_.sciclops,
-                                                           config_.plate_rows,
-                                                           config_.plate_cols, plates_,
-                                                           locations_);
-        registry_.add(sciclops_);
-    } else {
-        add_manual("sciclops", nullptr);
+    devices::SciclopsConfig sciclops = config_.sciclops;
+    if (!topology.has_sciclops) {
+        sciclops.towers = 1;
+        sciclops.plates_per_tower = std::numeric_limits<int>::max();
     }
-    if (topology.has_pf400) {
-        pf400_ = std::make_shared<devices::Pf400Sim>(config_.pf400, locations_);
-        registry_.add(pf400_);
-    } else {
-        add_manual("pf400", nullptr);
+    mount(std::make_shared<devices::SciclopsSim>(sciclops, config_.plate_rows,
+                                                 config_.plate_cols, plates_, locations_),
+          topology.has_sciclops);
+    mount(std::make_shared<devices::Pf400Sim>(config_.pf400, locations_), topology.has_pf400);
+    devices::BartyConfig barty = config_.barty;
+    if (!topology.has_barty) {
+        barty.bulk_capacity =
+            support::Volume::microliters(std::numeric_limits<double>::infinity());
     }
-    if (topology.has_barty) {
-        barty_ = std::make_shared<devices::BartySim>(config_.barty, ot2s_.front()->reservoirs());
-        barty_->set_prime_hook(prime_all_ot2s);
-        registry_.add(barty_);
-    } else {
-        add_manual("barty", &ot2s_.front()->reservoirs())->set_prime_hook(prime_all_ot2s);
-    }
+    mount(std::make_shared<devices::BartySim>(barty, *ot2_), topology.has_barty);
 }
 
 }  // namespace sdl::core

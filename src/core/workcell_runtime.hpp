@@ -8,16 +8,15 @@
 // custom drivers) can construct their own runtime and drive the engine
 // directly.
 //
-// The workcell's *shape* is data: config.workcell (a WorkcellTopology,
+// The workcell mounts the five instruments the Figure-2 workflows
+// command. Its *shape* is data: config.workcell (a WorkcellTopology,
 // normally produced by applying a WorkcellSpec / named scenario) decides
-// how many OT2s are mounted and which handling devices are real
-// instruments versus manual human stand-ins. The Figure-2 workflows run
-// unchanged on every shape because stand-ins register under the absent
-// device's module name.
+// which handling devices are robot-run and which are run by hand. A
+// hand-run device is its own sim under its own module name, so the
+// workflows run unchanged on every shape.
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "core/experiment_config.hpp"
 #include "data/flow.hpp"
@@ -60,18 +59,8 @@ public:
     [[nodiscard]] wei::WorkflowEngine& engine() noexcept { return engine_; }
     [[nodiscard]] const wei::EventLog& event_log() const noexcept { return log_; }
 
-    // --- instruments
-    // has_*() is false when the scenario replaced the device with a
-    // manual stand-in (reachable via registry() under the same name).
-    [[nodiscard]] bool has_sciclops() const noexcept { return sciclops_ != nullptr; }
-    [[nodiscard]] bool has_pf400() const noexcept { return pf400_ != nullptr; }
-    [[nodiscard]] bool has_barty() const noexcept { return barty_ != nullptr; }
-    /// The primary liquid handler ("ot2"); always present.
-    [[nodiscard]] devices::Ot2Sim& ot2() noexcept { return *ot2s_.front(); }
-    /// Every mounted liquid handler, primary first ("ot2", "ot2_2", ...).
-    [[nodiscard]] const std::vector<std::shared_ptr<devices::Ot2Sim>>& ot2s() const noexcept {
-        return ot2s_;
-    }
+    // --- instruments (every module is reachable via registry())
+    [[nodiscard]] devices::Ot2Sim& ot2() noexcept { return *ot2_; }
     [[nodiscard]] devices::CameraSim& camera() noexcept { return *camera_; }
     [[nodiscard]] const devices::CameraSim& camera() const noexcept { return *camera_; }
 
@@ -86,10 +75,7 @@ private:
     wei::PlateRegistry plates_;
     wei::LocationMap locations_;
     wei::ModuleRegistry registry_;
-    std::shared_ptr<devices::SciclopsSim> sciclops_;  ///< null when manual
-    std::shared_ptr<devices::Pf400Sim> pf400_;        ///< null when manual
-    std::vector<std::shared_ptr<devices::Ot2Sim>> ot2s_;
-    std::shared_ptr<devices::BartySim> barty_;        ///< null when manual
+    std::shared_ptr<devices::Ot2Sim> ot2_;
     std::shared_ptr<devices::CameraSim> camera_;
     wei::FaultInjector faults_;
     wei::SimTransport transport_;

@@ -38,7 +38,7 @@ namespace {
 
 const std::vector<const char*>& option_keys(DeviceKind kind) {
     static const std::vector<const char*> sciclops{"towers", "plates_per_tower",
-                                                   "get_plate_s", "status_s"};
+                                                   "get_plate_s"};
     static const std::vector<const char*> pf400{"transfer_s"};
     static const std::vector<const char*> ot2{"protocol_overhead_s", "per_well_s",
                                               "dispense_cv", "dispense_sigma_ul",
@@ -111,18 +111,8 @@ void validate_workcell_spec(const WorkcellSpec& spec) {
     }
 
     std::set<DeviceKind> kinds;
-    int ot2_count = 0;
-    bool has_camera = false;
     for (const DeviceSpec& device : spec.devices) {
         const std::string name = device_kind_to_string(device.kind);
-        if (device.count < 1) {
-            throw support::ConfigError("device '" + name + "' count must be >= 1");
-        }
-        if (device.count > 1 && device.kind != DeviceKind::Ot2) {
-            throw support::ConfigError(
-                "device '" + name +
-                "': only ot2 may have count > 1 (one arm, one camera, one stacker)");
-        }
         // Each instance registers under its kind's name, so a second
         // entry of a kind would collide with the first.
         if (!kinds.insert(device.kind).second) {
@@ -139,14 +129,11 @@ void validate_workcell_spec(const WorkcellSpec& spec) {
                 check_option_value(key, value);
             }
         }
-        if (device.kind == DeviceKind::Ot2) ot2_count += device.count;
-        if (device.kind == DeviceKind::Camera) has_camera = true;
     }
-    if (ot2_count < 1) {
-        throw support::ConfigError("workcell spec '" + spec.name +
-                                   "' must mount at least one ot2");
+    if (kinds.count(DeviceKind::Ot2) == 0) {
+        throw support::ConfigError("workcell spec '" + spec.name + "' must mount an ot2");
     }
-    if (!has_camera) {
+    if (kinds.count(DeviceKind::Camera) == 0) {
         throw support::ConfigError("workcell spec '" + spec.name +
                                    "' must mount a camera (the loop's only sensor)");
     }
@@ -218,13 +205,10 @@ WorkcellSpec workcell_spec_from_doc(const json::Value& doc) {
             // so a renamed instance would never receive a command.
             throw support::ConfigError(
                 "device '" + name + "': custom instance names are not "
-                "supported (modules register under their kind name; ot2 fan-out "
-                "uses count:)");
+                "supported (modules register under their kind name)");
         }
-        device.count = positive_count(entry.get_or("count", std::int64_t{1}),
-                                      "device '" + name + "' count");
         for (const auto& [key, value] : entry.as_object()) {
-            if (key == "kind" || key == "name" || key == "count") continue;
+            if (key == "kind" || key == "name") continue;
             if (!is_option_key(device.kind, key)) {
                 throw support::ConfigError("unknown option '" + key +
                                            "' for device kind '" +
@@ -244,7 +228,7 @@ WorkcellSpec workcell_spec_from_doc(const json::Value& doc) {
         fc.rejection_latency = Duration::seconds(
             faults->get_or("rejection_latency_s", fc.rejection_latency.to_seconds()));
         if (const json::Value* per_module = faults->find("per_module")) {
-            for (const auto& [module, prob] : per_module->as_object()) {
+            for (const auto& [module, prob] : per_module->as_object("faults.per_module")) {
                 fc.per_module[module] = prob.as_double("faults.per_module." + module);
             }
         }
@@ -283,7 +267,6 @@ json::Value workcell_spec_to_doc(const WorkcellSpec& spec) {
     for (const DeviceSpec& device : spec.devices) {
         json::Value entry = json::Value::object();
         entry.set("kind", device_kind_to_string(device.kind));
-        if (device.count != 1) entry.set("count", device.count);
         if (device.options.is_object()) {
             for (const auto& [key, value] : device.options.as_object()) {
                 entry.set(key, value);
@@ -343,7 +326,6 @@ ColorPickerConfig apply_workcell_spec(ColorPickerConfig config, const WorkcellSp
 
     WorkcellTopology topology;
     topology.scenario = spec.name;
-    topology.ot2_count = 0;
     topology.has_sciclops = false;
     topology.has_pf400 = false;
     topology.has_barty = false;
@@ -359,7 +341,6 @@ ColorPickerConfig apply_workcell_spec(ColorPickerConfig config, const WorkcellSp
                 c.plates_per_tower =
                     static_cast<int>(opt_int(o, "plates_per_tower", c.plates_per_tower));
                 c.timing.get_plate = opt_duration(o, "get_plate_s", c.timing.get_plate);
-                c.timing.status = opt_duration(o, "status_s", c.timing.status);
                 break;
             }
             case DeviceKind::Pf400: {
@@ -369,7 +350,6 @@ ColorPickerConfig apply_workcell_spec(ColorPickerConfig config, const WorkcellSp
                 break;
             }
             case DeviceKind::Ot2: {
-                topology.ot2_count += device.count;
                 devices::Ot2Config& c = config.ot2;
                 c.timing.protocol_overhead =
                     opt_duration(o, "protocol_overhead_s", c.timing.protocol_overhead);
@@ -406,7 +386,6 @@ ColorPickerConfig apply_workcell_spec(ColorPickerConfig config, const WorkcellSp
 
     const double k = spec.timing_scale;
     config.sciclops.timing.get_plate *= k;
-    config.sciclops.timing.status *= k;
     config.pf400.timing.transfer *= k;
     config.ot2.timing.protocol_overhead *= k;
     config.ot2.timing.per_well *= k;

@@ -3,25 +3,24 @@
 // The paper's benchmark value comes from varying the *workcell*, not just
 // the solver: device timings, transport topology, and fault rates are the
 // knobs that make color matching a self-driving-lab benchmark. A
-// WorkcellSpec captures those knobs as data — a device roster with counts
-// and timing overrides, a fault-injection profile, the deck's plate
-// format — in the same YAML notation as experiment and campaign files:
+// WorkcellSpec captures those knobs as data — a device roster with timing
+// overrides, a fault-injection profile, the deck's plate format — in the
+// same YAML notation as experiment and campaign files:
 //
 //   workcell:                    # presence of this section + a `devices`
 //     name: degraded             # list marks a workcell spec file
 //     description: elevated fault rates on every instrument
 //     timing_scale: 1.0          # optional; multiplies every duration
-//     manual_handling_s: 20.0    # optional; time per human stand-in action
+//     manual_handling_s: 20.0    # optional; time per hand-run action
 //   plate:                       # optional; the plate format the deck is
 //     rows: 8                    # stocked with (overrides the experiment)
 //     cols: 12
 //   devices:                     # the roster; omitted handling devices
-//     - kind: sciclops           # (sciclops/pf400/barty) are replaced by
-//     - kind: pf400              # manual human stand-ins; camera and at
-//       transfer_s: 42.65        # least one ot2 are mandatory
+//     - kind: sciclops           # (sciclops/pf400/barty) are run by hand;
+//     - kind: pf400              # camera and ot2 are mandatory
+//       transfer_s: 42.65
 //     - kind: ot2
-//       count: 2                 # mounts ot2, ot2_2, ... (only ot2 may
-//       per_well_s: 35.0         # fan out)
+//       per_well_s: 35.0
 //     - kind: barty
 //     - kind: camera
 //       glitch_prob: 0.02
@@ -58,12 +57,11 @@ enum class DeviceKind { Sciclops, Pf400, Ot2, Barty, Camera };
 
 /// One roster entry. Its instance name is the kind spelling: the
 /// Figure-2 workflows address modules by kind name, so a spec file's
-/// optional `name:` key must equal the kind, and ot2 fan-out mounts
-/// "ot2", "ot2_2", ... from count. `options` holds the kind-specific
-/// overrides exactly as written in the file (validated keys only);
-/// fields not mentioned keep the paper-calibrated defaults. Valid option
-/// keys per kind:
-///   sciclops — towers, plates_per_tower, get_plate_s, status_s
+/// optional `name:` key must equal the kind. `options` holds the
+/// kind-specific overrides exactly as written in the file (validated
+/// keys only); fields not mentioned keep the paper-calibrated defaults.
+/// Valid option keys per kind:
+///   sciclops — towers, plates_per_tower, get_plate_s
 ///   pf400    — transfer_s
 ///   ot2      — protocol_overhead_s, per_well_s, dispense_cv,
 ///              dispense_sigma_ul, reservoir_capacity_ml, clog_prob,
@@ -72,7 +70,6 @@ enum class DeviceKind { Sciclops, Pf400, Ot2, Barty, Camera };
 ///   camera   — capture_s, glitch_prob, drift_per_frame
 struct DeviceSpec {
     DeviceKind kind = DeviceKind::Ot2;
-    int count = 1;  ///< >1 only for ot2 (mounts ot2, ot2_2, ...)
     support::json::Value options = support::json::Value::object();
 };
 
@@ -82,7 +79,7 @@ struct WorkcellSpec {
     /// Multiplies every device duration (and manual_handling): 0.25 models
     /// optimistic next-generation hardware, 2.0 a slow workcell.
     double timing_scale = 1.0;
-    /// Duration of one manual stand-in action for absent handling devices.
+    /// Duration of one hand-run action of an absent handling device.
     support::Duration manual_handling = support::Duration::seconds(20.0);
     /// Plate format the deck is stocked with; unset = keep the experiment's.
     std::optional<int> plate_rows;
@@ -92,8 +89,8 @@ struct WorkcellSpec {
     std::optional<wei::FaultConfig> faults;
 };
 
-/// Structural validation: camera + at least one ot2 present, each kind
-/// listed once, counts sane, probabilities in range. Called by the
+/// Structural validation: camera and ot2 present, each kind listed
+/// once, options known and in range, probabilities in range. Called by the
 /// parsers and by apply_workcell_spec; throws ConfigError.
 void validate_workcell_spec(const WorkcellSpec& spec);
 
@@ -107,10 +104,10 @@ void validate_workcell_spec(const WorkcellSpec& spec);
 [[nodiscard]] support::json::Value workcell_spec_to_doc(const WorkcellSpec& spec);
 
 /// Resolves `spec` against an experiment config: fills in the topology
-/// (scenario name, OT2 count, device presence, manual handling time),
-/// applies device option overrides and the timing scale to the device
-/// configs, and overrides the plate format / fault profile when the spec
-/// declares them. Everything else (solver, seed, samples, ...) is left
+/// (scenario name, device presence, manual handling time), applies device
+/// option overrides and the timing scale to the device configs, and
+/// overrides the plate format / fault profile when the spec declares
+/// them. Everything else (solver, seed, samples, ...) is left
 /// untouched, so the same spec composes with any experiment.
 [[nodiscard]] ColorPickerConfig apply_workcell_spec(ColorPickerConfig config,
                                                     const WorkcellSpec& spec);

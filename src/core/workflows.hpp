@@ -23,7 +23,7 @@ namespace sdl::core {
 /// barty drains and refills the reservoirs with fresh dye.
 [[nodiscard]] const wei::Workflow& wf_replenish();
 
-/// barty (or its manual stand-in) back-flushes the OT2 pipette tips —
+/// barty (robot-run or run by hand) back-flushes the OT2 pipette tips —
 /// recovery for the clogged-tip fault chain (devices::Ot2Config::clog_prob).
 [[nodiscard]] const wei::Workflow& wf_reprime();
 

@@ -7,16 +7,10 @@ namespace sdl::devices {
 namespace json = support::json;
 using support::Volume;
 
-BartySim::BartySim(BartyConfig config, std::array<des::Store, 4>& reservoirs)
-    : config_(config), reservoirs_(reservoirs) {
+BartySim::BartySim(BartyConfig config, Ot2Sim& ot2)
+    : config_(config), ot2_(ot2) {
     bulk_remaining_.fill(config_.bulk_capacity);
-    info_ = wei::ModuleInfo{
-        "barty",
-        "RPL Barty",
-        "peristaltic-pump liquid replenisher",
-        {"fill_colors", "drain_colors", "refill_colors", "prime_tips"},
-        /*robotic=*/true,
-    };
+    info_ = wei::ModuleInfo{"barty", /*robotic=*/true};
 }
 
 support::Duration BartySim::estimate(const wei::ActionRequest& request) const {
@@ -29,7 +23,7 @@ support::Duration BartySim::estimate(const wei::ActionRequest& request) const {
 wei::ActionResult BartySim::fill() {
     json::Value pumped = json::Value::object();
     for (std::size_t dye = 0; dye < 4; ++dye) {
-        des::Store& reservoir = reservoirs_[dye];
+        des::Store& reservoir = ot2_.reservoirs()[dye];
         const Volume space = reservoir.capacity() - reservoir.level();
         if (space > bulk_remaining_[dye]) {
             return wei::ActionResult::failure("barty: bulk vessel for '" +
@@ -45,7 +39,7 @@ wei::ActionResult BartySim::fill() {
 }
 
 wei::ActionResult BartySim::drain() {
-    for (des::Store& reservoir : reservoirs_) reservoir.drain();
+    for (des::Store& reservoir : ot2_.reservoirs()) reservoir.drain();
     return wei::ActionResult::success();
 }
 
@@ -58,7 +52,7 @@ wei::ActionResult BartySim::execute(const wei::ActionRequest& request) {
         return fill();
     }
     if (request.action == "prime_tips") {
-        if (on_prime_) on_prime_();
+        ot2_.prime_tips();
         return wei::ActionResult::success();
     }
     return wei::ActionResult::failure("barty: unknown action '" + request.action + "'");

@@ -5,9 +5,9 @@
 #pragma once
 
 #include <array>
-#include <functional>
 
 #include "des/resource.hpp"
+#include "devices/ot2.hpp"
 #include "devices/timing.hpp"
 #include "wei/module.hpp"
 
@@ -26,12 +26,9 @@ struct BartyConfig {
 ///   prime_tips     — back-flush the OT2 pipette tips (clears a clog)
 class BartySim final : public wei::Module {
 public:
-    /// `reservoirs` are the target ot2's stores; barty borrows them.
-    BartySim(BartyConfig config, std::array<des::Store, 4>& reservoirs);
-
-    /// Wired by WorkcellRuntime: prime_tips calls this to clear the clog
-    /// latch on every mounted OT2 (barty only knows pumps, not pipettes).
-    void set_prime_hook(std::function<void()> hook) { on_prime_ = std::move(hook); }
+    /// Barty serves `ot2`: it pumps that OT2's reservoirs and primes its
+    /// tips. Both must outlive barty.
+    BartySim(BartyConfig config, Ot2Sim& ot2);
 
     [[nodiscard]] const wei::ModuleInfo& info() const noexcept override { return info_; }
     [[nodiscard]] support::Duration estimate(const wei::ActionRequest& request) const override;
@@ -46,9 +43,8 @@ private:
     wei::ActionResult drain();
 
     BartyConfig config_;
-    std::array<des::Store, 4>& reservoirs_;
+    Ot2Sim& ot2_;
     std::array<support::Volume, 4> bulk_remaining_;
-    std::function<void()> on_prime_;
     wei::ModuleInfo info_;
 };
 

@@ -12,13 +12,8 @@ CameraSim::CameraSim(CameraConfig config, wei::PlateRegistry& plates,
       plates_(plates),
       locations_(locations),
       rng_(config_.noise_seed) {
-    info_ = wei::ModuleInfo{
-        "camera",
-        "Logitech webcam + ring light",
-        "plate imaging station",
-        {"take_picture"},
-        /*robotic=*/false,  // a sensor: its reads are not robotic commands
-    };
+    // A sensor: its reads are not robotic commands.
+    info_ = wei::ModuleInfo{"camera", /*robotic=*/false};
 }
 
 support::Duration CameraSim::estimate(const wei::ActionRequest& request) const {

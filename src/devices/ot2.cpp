@@ -28,13 +28,7 @@ Ot2Sim::Ot2Sim(Ot2Config config, wei::PlateRegistry& plates, wei::LocationMap& l
                   des::Store(config.reservoir_capacity, kReservoirInitial, "black")},
       rng_(config.noise_seed),
       clog_rng_(config.noise_seed ^ 0xC106C106C106ULL) {
-    info_ = wei::ModuleInfo{
-        config_.name,
-        "Opentrons OT-2",
-        "automatic pipetting device with four dye reservoirs",
-        {"run_protocol"},
-        /*robotic=*/true,
-    };
+    info_ = wei::ModuleInfo{"ot2", /*robotic=*/true};
 }
 
 support::Duration Ot2Sim::estimate(const wei::ActionRequest& request) const {
@@ -101,24 +95,21 @@ std::vector<DispenseOrder> Ot2Sim::parse_protocol_args(const json::Value& args) 
 
 wei::ActionResult Ot2Sim::execute(const wei::ActionRequest& request) {
     if (request.action != "run_protocol") {
-        return wei::ActionResult::failure(config_.name + ": unknown action '" +
-                                          request.action + "'");
+        return wei::ActionResult::failure("ot2: unknown action '" + request.action + "'");
     }
     const std::string protocol = request.args.get_or("protocol", std::string(""));
     if (protocol != "mix_colors") {
-        return wei::ActionResult::failure(config_.name + ": unknown protocol '" + protocol +
-                                          "'");
+        return wei::ActionResult::failure("ot2: unknown protocol '" + protocol + "'");
     }
 
     if (needs_prime_) {
-        return wei::ActionResult::failure(config_.name +
-                                          ": pipette tip clogged — run prime_tips "
-                                          "before the next protocol");
+        return wei::ActionResult::failure(
+            "ot2: pipette tip clogged — run prime_tips before the next protocol");
     }
 
-    const auto plate_id = locations_.peek(config_.deck_location);
+    const auto plate_id = locations_.peek(wei::locations::kOt2Deck);
     if (!plate_id.has_value()) {
-        return wei::ActionResult::failure(config_.name + ": no plate on the deck");
+        return wei::ActionResult::failure("ot2: no plate on the deck");
     }
     wei::Plate& plate = plates_.get(*plate_id);
 
@@ -133,17 +124,16 @@ wei::ActionResult Ot2Sim::execute(const wei::ActionRequest& request) {
     // leaves the plate and the reservoirs unchanged.
     for (const DispenseOrder& order : orders) {
         if (order.well < 0 || order.well >= plate.capacity()) {
-            return wei::ActionResult::failure(config_.name + ": well index out of range");
+            return wei::ActionResult::failure("ot2: well index out of range");
         }
         if (plate.is_filled(order.well)) {
-            return wei::ActionResult::failure(config_.name + ": well " +
-                                              std::to_string(order.well) +
+            return wei::ActionResult::failure("ot2: well " + std::to_string(order.well) +
                                               " already contains a sample");
         }
     }
     if (!can_cover(orders)) {
-        return wei::ActionResult::failure(config_.name +
-                                          ": insufficient reservoir volume (needs refill)");
+        return wei::ActionResult::failure(
+            "ot2: insufficient reservoir volume (needs refill)");
     }
 
     json::Value mixed = json::Value::array();
@@ -159,7 +149,7 @@ wei::ActionResult Ot2Sim::execute(const wei::ActionRequest& request) {
                 actual = std::max(actual, 0.0);
             }
             if (!reservoirs_[dye].try_withdraw(Volume::microliters(actual))) {
-                return wei::ActionResult::failure(config_.name + ": reservoir '" +
+                return wei::ActionResult::failure("ot2: reservoir '" +
                                                   reservoirs_[dye].name() +
                                                   "' ran dry mid-protocol");
             }

@@ -29,10 +29,10 @@ struct Ot2Config {
     /// Absolute pipetting error floor in µL.
     double dispense_sigma_ul = 0.4;
     /// Probability that a completed protocol leaves a pipette tip clogged.
-    /// A clogged OT2 rejects every further run_protocol until barty (or
-    /// the manual stand-in) runs prime_tips — the fault *chain* generated
-    /// scenarios exercise. Rolled on its own rng stream so enabling it
-    /// never perturbs the dispense-noise draws.
+    /// A clogged OT2 rejects every further run_protocol until barty runs
+    /// prime_tips — the fault *chain* generated scenarios exercise.
+    /// Rolled on its own rng stream so enabling it never perturbs the
+    /// dispense-noise draws.
     double clog_prob = 0.0;
     /// Per-well growth of the Beer–Lambert optical path length: dyes
     /// concentrate as solvent evaporates over a campaign, so late wells
@@ -40,11 +40,6 @@ struct Ot2Config {
     double dye_drift_per_well = 0.0;
     std::uint64_t noise_seed = 0x07B2;
     Ot2Timing timing;
-    /// Module instance name (so workcells can mount several OT2s, the
-    /// paper's §4 "integrating additional OT2s" extension).
-    std::string name = "ot2";
-    /// Deck location this instance loads plates from.
-    std::string deck_location = wei::locations::kOt2Deck;
 };
 
 /// One dispense order: well index plus the four dye volumes in µL.
@@ -79,7 +74,7 @@ public:
 
     /// True when a clogged tip blocks the next protocol (see clog_prob).
     [[nodiscard]] bool needs_prime() const noexcept { return needs_prime_; }
-    /// Clears a clog; invoked by barty's / the manual stand-in's prime_tips.
+    /// Clears a clog; invoked by barty's prime_tips.
     void prime_tips() noexcept { needs_prime_ = false; }
 
     /// Builds the run_protocol args payload for a batch of orders.

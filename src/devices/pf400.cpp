@@ -6,13 +6,7 @@ namespace sdl::devices {
 
 Pf400Sim::Pf400Sim(Pf400Config config, wei::LocationMap& locations)
     : config_(config), locations_(locations) {
-    info_ = wei::ModuleInfo{
-        "pf400",
-        "Precise Automation PF400",
-        "rail-mounted plate manipulator arm",
-        {"transfer"},
-        /*robotic=*/true,
-    };
+    info_ = wei::ModuleInfo{"pf400", /*robotic=*/true};
 }
 
 support::Duration Pf400Sim::estimate(const wei::ActionRequest& request) const {

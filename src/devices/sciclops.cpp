@@ -14,26 +14,15 @@ SciclopsSim::SciclopsSim(SciclopsConfig config, int plate_rows, int plate_cols,
     support::check(config.towers > 0 && config.plates_per_tower > 0,
                    "sciclops needs at least one stocked tower");
     plates_remaining_ = config.towers * config.plates_per_tower;
-    info_ = wei::ModuleInfo{
-        "sciclops",
-        "Hudson SciClops",
-        "microplate storage and staging system",
-        {"get_plate", "status"},
-        /*robotic=*/true,
-    };
+    info_ = wei::ModuleInfo{"sciclops", /*robotic=*/true};
 }
 
 support::Duration SciclopsSim::estimate(const wei::ActionRequest& request) const {
-    if (request.action == "get_plate") return config_.timing.get_plate;
-    return config_.timing.status;
+    (void)request;
+    return config_.timing.get_plate;
 }
 
 wei::ActionResult SciclopsSim::execute(const wei::ActionRequest& request) {
-    if (request.action == "status") {
-        support::json::Value data = support::json::Value::object();
-        data.set("plates_remaining", plates_remaining_);
-        return wei::ActionResult::success(std::move(data));
-    }
     if (request.action != "get_plate") {
         return wei::ActionResult::failure("sciclops: unknown action '" + request.action + "'");
     }

@@ -20,7 +20,6 @@ struct SciclopsConfig {
 
 /// Actions:
 ///   get_plate  — take a plate from a tower, place it on sciclops.exchange
-///   status     — report remaining plate inventory
 class SciclopsSim final : public wei::Module {
 public:
     /// Stocks its towers with plate_rows x plate_cols plates (the

@@ -18,7 +18,6 @@ using support::Duration;
 
 struct SciclopsTiming {
     Duration get_plate = Duration::seconds(20.0);  ///< tower pick + stage
-    Duration status = Duration::seconds(0.5);
 };
 
 struct Pf400Timing {

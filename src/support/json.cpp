@@ -85,24 +85,24 @@ const std::string& Value::as_string(std::string_view what) const {
     wrong_type(what, "a string", *this);
 }
 
-const Array& Value::as_array() const {
+const Array& Value::as_array(std::string_view what) const {
     if (const auto* a = std::get_if<Array>(&data_)) return *a;
-    throw Error("json", "value is not an array");
+    wrong_type(what, "a list", *this);
 }
 
-Array& Value::as_array() {
+Array& Value::as_array(std::string_view what) {
     if (auto* a = std::get_if<Array>(&data_)) return *a;
-    throw Error("json", "value is not an array");
+    wrong_type(what, "a list", *this);
 }
 
-const Object& Value::as_object() const {
+const Object& Value::as_object(std::string_view what) const {
     if (const auto* o = std::get_if<Object>(&data_)) return *o;
-    throw Error("json", "value is not an object");
+    wrong_type(what, "a mapping", *this);
 }
 
-Object& Value::as_object() {
+Object& Value::as_object(std::string_view what) {
     if (auto* o = std::get_if<Object>(&data_)) return *o;
-    throw Error("json", "value is not an object");
+    wrong_type(what, "a mapping", *this);
 }
 
 const Value& Value::at(std::string_view key) const { return as_object().at(key); }

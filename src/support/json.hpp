@@ -87,18 +87,18 @@ public:
     [[nodiscard]] bool is_array() const noexcept { return std::holds_alternative<Array>(data_); }
     [[nodiscard]] bool is_object() const noexcept { return std::holds_alternative<Object>(data_); }
 
-    // Typed accessors. A scalar of another type throws ConfigError
+    // Typed accessors. A value of another type throws ConfigError
     // "<what> must be <type>, not <value>": readers of input files pass
-    // the key as `what`. The others throw Error("json") on type mismatch.
+    // the key as `what`.
     [[nodiscard]] bool as_bool(std::string_view what = "value") const;
     [[nodiscard]] std::int64_t as_int(std::string_view what = "value") const;
     /// Accepts int too.
     [[nodiscard]] double as_double(std::string_view what = "value") const;
     [[nodiscard]] const std::string& as_string(std::string_view what = "value") const;
-    [[nodiscard]] const Array& as_array() const;
-    [[nodiscard]] Array& as_array();
-    [[nodiscard]] const Object& as_object() const;
-    [[nodiscard]] Object& as_object();
+    [[nodiscard]] const Array& as_array(std::string_view what = "value") const;
+    [[nodiscard]] Array& as_array(std::string_view what = "value");
+    [[nodiscard]] const Object& as_object(std::string_view what = "value") const;
+    [[nodiscard]] Object& as_object(std::string_view what = "value");
 
     // Convenience lookups for object values.
     [[nodiscard]] const Value& at(std::string_view key) const;

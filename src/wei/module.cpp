@@ -21,11 +21,4 @@ Module& ModuleRegistry::get(const std::string& name) const {
     return *it->second;
 }
 
-std::vector<std::string> ModuleRegistry::names() const {
-    std::vector<std::string> out;
-    out.reserve(modules_.size());
-    for (const auto& [name, module] : modules_) out.push_back(name);
-    return out;
-}
-
 }  // namespace sdl::wei

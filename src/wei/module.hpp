@@ -6,17 +6,13 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "wei/action.hpp"
 
 namespace sdl::wei {
 
 struct ModuleInfo {
-    std::string name;         ///< workcell-unique instance name, e.g. "pf400"
-    std::string model;        ///< hardware model, e.g. "Precise PF400"
-    std::string description;
-    std::vector<std::string> actions;  ///< action names the module accepts
+    std::string name;  ///< workcell-unique instance name, e.g. "pf400"
     /// True for instruments whose commands count toward CCWH ("robotic
     /// actions"); sensors like the camera observe rather than act.
     bool robotic = true;
@@ -50,9 +46,6 @@ public:
     [[nodiscard]] bool contains(const std::string& name) const noexcept {
         return modules_.count(name) > 0;
     }
-    [[nodiscard]] std::size_t size() const noexcept { return modules_.size(); }
-
-    [[nodiscard]] std::vector<std::string> names() const;
 
 private:
     std::map<std::string, std::shared_ptr<Module>> modules_;

@@ -84,7 +84,7 @@ endfunction()
 # The coordinator respawns a lost slot only while the live workers are
 # fewer than the open cells, so the leg runs 2 workers and every cell
 # start sleeps 1 s: when w1 dies after its first cell, at most two of the
-# five cells are done 0.25 s later (the backoff), leaving at least three
+# four cells are done 0.25 s later (the backoff), leaving at least two
 # open for one live worker, however fast the cells themselves compute.
 execute_process(
   COMMAND "${FLEET}" --campaign "${CAMPAIGN}" "${WORK_DIR}/kill"
@@ -216,10 +216,10 @@ if(quarantined EQUAL -1)
   message(FATAL_ERROR
     "quarantine leg: campaign.json carries no quarantined list")
 endif()
-string(FIND "${poison_doc}" "\"cells\": 4" completed)
+string(FIND "${poison_doc}" "\"cells\": 3" completed)
 if(completed EQUAL -1)
   message(FATAL_ERROR
-    "quarantine leg: the 4 healthy cells did not all complete")
+    "quarantine leg: the 3 healthy cells did not all complete")
 endif()
 if(EXISTS "${WORK_DIR}/poison/coordinator.jsonl")
   message(FATAL_ERROR

@@ -347,6 +347,12 @@ TEST(CampaignIo, RejectsWrongTypedValuesNamingTheKey) {
                        "grid.targets entry"},
              std::pair{"campaign:\n  name: x\nexperiment:\n  total_samples: many\n",
                        "total_samples"},
+             // A scalar where a list or a section belongs.
+             std::pair{"campaign:\n  name: x\ngrid:\n  solvers: genetic\n", "grid.solvers"},
+             std::pair{"campaign:\n  name: x\ngrid:\n  workcells: baseline\n",
+                       "grid.workcells"},
+             std::pair{"campaign:\n  name: x\ngrid: [baseline]\n", "grid"},
+             std::pair{"campaign: x\n", "campaign"},
          }) {
         const std::string what = error_of(yaml);
         EXPECT_NE(what.find(key), std::string::npos) << yaml << what;

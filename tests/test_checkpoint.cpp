@@ -278,17 +278,32 @@ TEST(Checkpoint, WrongTypedFieldsNameTheJournalAndTheKey) {
         for (std::string line; std::getline(stream, line);) lines.push_back(line);
     }
     ASSERT_GE(lines.size(), 2u);
-    // The journal with `field` of line `line` (0 = the header) set to `value`.
-    const auto with = [&](std::size_t line, const char* field,
-                          support::json::Value value) {
+    // The journal with line `line` (0 = the header) changed by `edit`.
+    const auto edited = [&](std::size_t line, const auto& edit) {
         support::json::Value doc = support::json::parse(lines[line]);
-        doc.set(field, std::move(value));
+        edit(doc);
         std::string text;
         for (std::size_t i = 0; i < lines.size(); ++i) {
             text += i == line ? doc.dump() : lines[i];
             text += '\n';
         }
         return text;
+    };
+    // The journal with `field` of line `line` set to `value`.
+    const auto with = [&](std::size_t line, const char* field,
+                          support::json::Value value) {
+        return edited(line, [&](support::json::Value& doc) { doc.set(field, value); });
+    };
+    // The journal with `field` of the first record's outcome, or of the
+    // outcome's `section`, set to `value`.
+    const auto with_outcome = [&](const char* section, const char* field,
+                                  support::json::Value value) {
+        return edited(1, [&](support::json::Value& doc) {
+            support::json::Value* node = doc.as_object().find("outcome");
+            if (section != nullptr) node = node->as_object().find(section);
+            if (node->is_array()) node = &node->as_array().front();
+            node->set(field, value);
+        });
     };
     for (const auto& [text, key] : {
              std::pair{with(0, "cells_total", "4"), "cells_total"},
@@ -297,6 +312,12 @@ TEST(Checkpoint, WrongTypedFieldsNameTheJournalAndTheKey) {
              std::pair{with(1, "schema", 1.5), "schema"},
              std::pair{with(1, "cell_index", "0"), "cell_index"},
              std::pair{with(1, "wall_seconds", "slow"), "wall_seconds"},
+             std::pair{with_outcome(nullptr, "samples", "many"), "samples"},
+             std::pair{with_outcome("samples", "ratios", 5), "ratios"},
+             std::pair{with_outcome(nullptr, "best_ratios", support::json::Value::object()),
+                       "best_ratios"},
+             std::pair{with_outcome(nullptr, "metrics", 3), "metrics"},
+             std::pair{with_outcome("metrics", "total_s", "long"), "total_s"},
          }) {
         {
             std::ofstream file(path, std::ios::binary | std::ios::trunc);

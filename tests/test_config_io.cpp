@@ -69,6 +69,15 @@ TEST(ConfigIo, RejectsUnknownKeys) {
                  support::ConfigError);
     EXPECT_THROW((void)config_from_yaml("experimnt:\n  seed: 1\n"), support::ConfigError);
     EXPECT_THROW((void)config_from_yaml("plate:\n  depth: 2\n"), support::ConfigError);
+    // A workcell mounts one OT2: the fan-out key is unknown, not ignored.
+    try {
+        (void)config_from_yaml("workcell:\n  ot2_count: 2\n");
+        ADD_FAILURE() << "workcell.ot2_count accepted";
+    } catch (const support::ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find("unknown key 'ot2_count' in workcell"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(ConfigIo, RejectsBadValues) {
@@ -128,7 +137,7 @@ TEST(ConfigIo, RejectsCountsOutsideThePositiveIntRangeNamingTheKey) {
     };
     for (const auto& [section, key] :
          {std::pair{"experiment", "total_samples"}, std::pair{"experiment", "batch_size"},
-          std::pair{"workcell", "ot2_count"}, std::pair{"retry", "max_attempts"}}) {
+          std::pair{"retry", "max_attempts"}}) {
         const std::string name = std::string(section) + "." + key;
         for (const char* value : {"4294967304", "0", "-3"}) {
             const std::string yaml =
@@ -163,7 +172,6 @@ TEST(ConfigIo, RejectsWrongTypedValuesNamingTheKey) {
              std::pair{"experiment:\n  objective: 2\n", "experiment.objective"},
              std::pair{"experiment:\n  target: [255, 128, x]\n", "experiment.target"},
              std::pair{"workcell:\n  scenario: 3\n", "workcell.scenario"},
-             std::pair{"workcell:\n  ot2_count: two\n", "ot2_count"},
              std::pair{"workcell:\n  sciclops: \"yes\"\n", "sciclops"},
              std::pair{"workcell:\n  manual_handling_s: slow\n", "manual_handling_s"},
              std::pair{"plate:\n  rows: 8.5\n", "rows"},
@@ -171,6 +179,13 @@ TEST(ConfigIo, RejectsWrongTypedValuesNamingTheKey) {
              std::pair{"faults:\n  command_rejection_prob: high\n", "command_rejection_prob"},
              std::pair{"retry:\n  max_attempts: 2.0\n", "max_attempts"},
              std::pair{"retry:\n  human_rescue: 1\n", "human_rescue"},
+             // A section that is not a mapping would otherwise read as
+             // all-defaults (`workcell: minimal` ran the baseline cell).
+             std::pair{"workcell: minimal\n", "workcell"},
+             std::pair{"experiment: 5\n", "experiment"},
+             std::pair{"plate: big\n", "plate"},
+             std::pair{"faults: [0.1]\n", "faults"},
+             std::pair{"retry: 3\n", "retry"},
          }) {
         const std::string what = message(yaml);
         EXPECT_NE(what.find(key), std::string::npos) << yaml << what;
@@ -182,6 +197,9 @@ TEST(ConfigIo, RejectsWrongTypedValuesNamingTheKey) {
                      2.0);
     EXPECT_EQ(config_from_yaml("experiment:\n  batch_size: null\n").batch_size,
               ColorPickerConfig{}.batch_size);
+    // A null section is an absent one.
+    EXPECT_EQ(config_from_yaml("workcell:\nexperiment:\n  total_samples: 8\n").total_samples,
+              8);
 }
 
 TEST(ConfigIo, RoundTripThroughYaml) {

@@ -9,7 +9,6 @@
 #include "des/simulation.hpp"
 #include "devices/barty.hpp"
 #include "devices/camera.hpp"
-#include "devices/manual.hpp"
 #include "devices/ot2.hpp"
 #include "devices/pf400.hpp"
 #include "devices/sciclops.hpp"
@@ -49,7 +48,7 @@ struct TestWorkcell {
             std::make_shared<SciclopsSim>(SciclopsConfig{}, 8, 12, plates, locations);
         pf400 = std::make_shared<Pf400Sim>(Pf400Config{}, locations);
         ot2 = std::make_shared<Ot2Sim>(Ot2Config{}, plates, locations);
-        barty = std::make_shared<BartySim>(BartyConfig{}, ot2->reservoirs());
+        barty = std::make_shared<BartySim>(BartyConfig{}, *ot2);
         camera = std::make_shared<CameraSim>(CameraConfig{}, plates, locations);
 
         registry.add(sciclops);
@@ -95,13 +94,6 @@ TEST(Sciclops, DispensesPlatesUntilEmpty) {
     result = sciclops.execute(request_of("sciclops", "get_plate"));
     EXPECT_FALSE(result.ok());
     EXPECT_NE(result.error.find("empty"), std::string::npos);
-}
-
-TEST(Sciclops, StatusReportsInventory) {
-    TestWorkcell cell;
-    const auto result = cell.sciclops->execute(request_of("sciclops", "status"));
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result.data.at("plates_remaining").as_int(), 80);
 }
 
 // ------------------------------------------------------------------ pf400
@@ -315,7 +307,7 @@ TEST(Barty, BulkExhaustionFails) {
     TestWorkcell cell;
     BartyConfig tiny;
     tiny.bulk_capacity = Volume::milliliters(30);  // one fill + a bit
-    BartySim barty(tiny, cell.ot2->reservoirs());
+    BartySim barty(tiny, *cell.ot2);
     ASSERT_TRUE(barty.execute(request_of("barty", "fill_colors")).ok());
     ASSERT_TRUE(barty.execute(request_of("barty", "drain_colors")).ok());
     const auto result = barty.execute(request_of("barty", "fill_colors"));
@@ -410,10 +402,9 @@ TEST(Ot2, ClogChainLeavesDispenseNoiseUntouched) {
     }
 }
 
-TEST(Barty, PrimeTipsClearsClogThroughTheHook) {
+TEST(Barty, PrimeTipsClearsTheClogOfItsOt2) {
     ClogBench bench(1.0);
-    BartySim barty(BartyConfig{}, bench.ot2->reservoirs());
-    barty.set_prime_hook([&] { bench.ot2->prime_tips(); });
+    BartySim barty(BartyConfig{}, *bench.ot2);
 
     ASSERT_TRUE(bench.mix(0).ok());
     ASSERT_TRUE(bench.ot2->needs_prime());
@@ -424,23 +415,6 @@ TEST(Barty, PrimeTipsClearsClogThroughTheHook) {
     // being robotic, counts toward commands-completed-without-humans.
     EXPECT_GT(barty.estimate(request_of("barty", "prime_tips")).to_seconds(), 0.0);
     EXPECT_TRUE(barty.info().robotic);
-}
-
-TEST(Manual, BartyStandInPrimesButIsExcludedFromCcwh) {
-    ClogBench bench(1.0);
-    ManualConfig config;
-    config.stand_in_for = "barty";
-    ManualOperatorSim manual(config, bench.cell.plates, bench.cell.locations,
-                             &bench.ot2->reservoirs());
-    manual.set_prime_hook([&] { bench.ot2->prime_tips(); });
-
-    ASSERT_TRUE(bench.mix(0).ok());
-    ASSERT_TRUE(bench.ot2->needs_prime());
-    ASSERT_TRUE(manual.execute(request_of("barty", "prime_tips")).ok());
-    EXPECT_FALSE(bench.ot2->needs_prime());
-    // A human back-flushing tips is an intervention, not autonomous
-    // throughput: the stand-in is non-robotic, so CCWH excludes it.
-    EXPECT_FALSE(manual.info().robotic);
 }
 
 // ----------------------------------------------------------------- camera

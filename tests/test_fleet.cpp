@@ -334,8 +334,8 @@ TEST(CoordinatorTest, IdleWorkersAreToppedUp) {
 }
 
 TEST(CoordinatorTest, AResumeStartsOnlyTheWorkersItsOpenCellsNeed) {
-    // The scenario_sweep coordinator-kill resume: the ledger spawned three
-    // workers, and their journals hold 4 of the 5 cells.
+    // A coordinator-kill resume of a five-cell campaign: the ledger spawned
+    // three workers, and their journals hold 4 of the 5 cells.
     Coordinator coord(3, index_order(5));
     for (std::size_t cell = 0; cell < 4; ++cell) coord.complete(cell);
     for (std::size_t slot = 0; slot < 3; ++slot) coord.replay_spawn(slot, 0);
@@ -978,7 +978,7 @@ TEST(CoordinatorSchedules, SeededSchedulesKeepEveryInvariant) {
 
 TEST(CoordinatorSchedules, ChaosLegsAsFixedSchedules) {
     const auto never = [] { return false; };
-    const std::vector<double> costs(5, 1.0);  // scenario_sweep: 5 cells, 3 workers
+    const std::vector<double> costs(5, 1.0);  // 5 cells, 3 workers
     // Kill after the append: w1 journals its first cell and dies before
     // the ack; the cell is salvaged, the slot respawns as generation 1.
     {

@@ -15,9 +15,11 @@
 #include "core/config_io.hpp"
 #include "core/presets.hpp"
 #include "core/scenarios.hpp"
+#include "core/workcell_runtime.hpp"
 #include "core/workcell_spec.hpp"
 #include "support/common.hpp"
 #include "support/log.hpp"
+#include "wei/workflow.hpp"
 
 using namespace sdl;
 using namespace sdl::core;
@@ -39,7 +41,6 @@ devices:
   - kind: pf400
     transfer_s: 30.0
   - kind: ot2
-    count: 2
     per_well_s: 20.0
   - kind: camera
     glitch_prob: 0.1
@@ -57,7 +58,8 @@ faults:
     EXPECT_EQ(spec.plate_cols, 6);
     ASSERT_EQ(spec.devices.size(), 4u);
     EXPECT_EQ(spec.devices[0].kind, DeviceKind::Sciclops);
-    EXPECT_EQ(spec.devices[2].count, 2);
+    EXPECT_EQ(spec.devices[2].kind, DeviceKind::Ot2);
+    EXPECT_DOUBLE_EQ(spec.devices[2].options.at("per_well_s").as_double(), 20.0);
     ASSERT_TRUE(spec.faults.has_value());
     EXPECT_DOUBLE_EQ(spec.faults->command_rejection_prob, 0.02);
     EXPECT_DOUBLE_EQ(spec.faults->rejection_latency.to_seconds(), 7.5);
@@ -73,7 +75,6 @@ TEST(WorkcellSpec, RoundTripsThroughYaml) {
     EXPECT_EQ(back.devices.size(), original.devices.size());
     for (std::size_t i = 0; i < back.devices.size(); ++i) {
         EXPECT_EQ(back.devices[i].kind, original.devices[i].kind);
-        EXPECT_EQ(back.devices[i].count, original.devices[i].count);
         EXPECT_EQ(back.devices[i].options, original.devices[i].options);
     }
     ASSERT_TRUE(back.faults.has_value());
@@ -88,7 +89,6 @@ TEST(WorkcellSpec, RoundTripsThroughYaml) {
         const ColorPickerConfig a = apply_workcell_spec(ColorPickerConfig{}, spec);
         const ColorPickerConfig b = apply_workcell_spec(ColorPickerConfig{}, reparsed);
         EXPECT_EQ(config_to_yaml(a), config_to_yaml(b)) << name;
-        EXPECT_EQ(a.workcell.ot2_count, b.workcell.ot2_count) << name;
     }
 }
 
@@ -121,7 +121,7 @@ TEST(WorkcellSpec, UnknownDevicesAndKeysFailLoudly) {
 
 TEST(WorkcellSpec, RejectsWrongTypedValuesNamingTheKey) {
     // A value of the wrong type is an error naming its key, never the
-    // default (`timing_scale: fast` is not 1.0, nor `count: 2.5` one ot2).
+    // default (`timing_scale: fast` is not 1.0).
     const auto message = [](const std::string& yaml) {
         try {
             (void)workcell_spec_from_yaml(yaml);
@@ -138,7 +138,6 @@ TEST(WorkcellSpec, RejectsWrongTypedValuesNamingTheKey) {
              std::pair{"workcell: {name: x, manual_handling_s: slow}\n" + roster,
                        "manual_handling_s"},
              std::pair{x + "plate: {rows: 8.5}\n" + roster, "plate.rows"},
-             std::pair{x + "devices: [{kind: ot2, count: 2.5}, {kind: camera}]\n", "count"},
              std::pair{x + "devices: [{kind: 3}, {kind: ot2}, {kind: camera}]\n",
                        "device kind"},
              std::pair{x + "devices: [{kind: pf400, transfer_s: fast}, {kind: ot2}, "
@@ -153,6 +152,11 @@ TEST(WorkcellSpec, RejectsWrongTypedValuesNamingTheKey) {
                        "command_rejection_prob"},
              std::pair{x + roster + "faults: {per_module: {ot2: often}}\n",
                        "faults.per_module.ot2"},
+             // A scalar where a section or a mapping belongs.
+             std::pair{"workcell: 5\n" + roster, "workcell"},
+             std::pair{x + "plate: big\n" + roster, "plate"},
+             std::pair{x + roster + "faults: 5\n", "faults"},
+             std::pair{x + roster + "faults: {per_module: 0.1}\n", "faults.per_module"},
          }) {
         const std::string what = message(yaml);
         EXPECT_NE(what.find(key), std::string::npos) << yaml << what;
@@ -182,11 +186,6 @@ TEST(WorkcellSpec, ValidationRejectsBadRosters) {
                      });
                  })),
                  support::ConfigError);
-    // Only ot2 may fan out.
-    EXPECT_THROW(validate_workcell_spec(spec_with([](WorkcellSpec& s) {
-                     s.devices.front().count = 2;  // sciclops
-                 })),
-                 support::ConfigError);
     // Bad scalars.
     EXPECT_THROW(validate_workcell_spec(spec_with([](WorkcellSpec& s) {
                      s.timing_scale = 0.0;
@@ -208,8 +207,7 @@ TEST(WorkcellSpec, ValidationRejectsBadRosters) {
                      "  - kind: ot2\n    reservoir_capacity_ml: -1\n  - kind: camera\n"),
                  support::ConfigError);
     // Counts past INT_MAX are refused naming the key, not narrowed to
-    // their low bits (2^32 + 8 rows used to run an 8-row plate, and
-    // count 2^32 + 2 two OT2s).
+    // their low bits (2^32 + 8 rows used to run an 8-row plate).
     const auto message = [](const std::string& yaml) {
         try {
             (void)workcell_spec_from_yaml(yaml);
@@ -225,10 +223,6 @@ TEST(WorkcellSpec, ValidationRejectsBadRosters) {
     EXPECT_NE(message("workcell:\n  name: x\nplate:\n  cols: 4294967308\n" + roster)
                   .find("plate.cols"),
               std::string::npos);
-    EXPECT_NE(message("workcell:\n  name: x\ndevices:\n"
-                      "  - kind: ot2\n    count: 4294967298\n  - kind: camera\n")
-                  .find("count"),
-              std::string::npos);
     EXPECT_NE(message("workcell:\n  name: x\ndevices:\n  - kind: sciclops\n"
                       "    towers: 4294967297\n  - kind: ot2\n  - kind: camera\n")
                   .find("towers"),
@@ -238,10 +232,19 @@ TEST(WorkcellSpec, ValidationRejectsBadRosters) {
                       "    towers: 0\n  - kind: ot2\n  - kind: camera\n")
                   .find("device option 'towers' must be an integer in [1, "),
               std::string::npos);
-    // The camera holds one frame and has no capacity option.
+    // The camera holds one frame and has no capacity option; a workcell
+    // mounts one OT2; the sciclops has no status action.
     EXPECT_NE(message("workcell:\n  name: x\ndevices:\n"
                       "  - kind: ot2\n  - kind: camera\n    max_frames: 4\n")
                   .find("unknown option 'max_frames' for device kind 'camera'"),
+              std::string::npos);
+    EXPECT_NE(message("workcell:\n  name: x\ndevices:\n"
+                      "  - kind: ot2\n    count: 3\n  - kind: camera\n")
+                  .find("unknown option 'count' for device kind 'ot2'"),
+              std::string::npos);
+    EXPECT_NE(message("workcell:\n  name: x\ndevices:\n  - kind: sciclops\n"
+                      "    status_s: 0.5\n  - kind: ot2\n  - kind: camera\n")
+                  .find("unknown option 'status_s' for device kind 'sciclops'"),
               std::string::npos);
     // Custom instance names would strand the module (workflows address
     // modules by kind name), so they are rejected loudly; a name equal to
@@ -258,8 +261,7 @@ TEST(WorkcellSpec, ValidationRejectsBadRosters) {
 // ------------------------------------------------------------- registry
 
 TEST(Scenarios, RegistryShipsTheDocumentedPack) {
-    const std::vector<std::string> expected{"baseline", "multi_ot2", "degraded",
-                                           "fast_lane", "minimal"};
+    const std::vector<std::string> expected{"baseline", "degraded", "fast_lane", "minimal"};
     EXPECT_EQ(scenario_names(), expected);
     for (const std::string& name : expected) {
         EXPECT_TRUE(is_scenario_name(name));
@@ -367,11 +369,12 @@ TEST(Scenarios, CollidingWorkcellAxisEntriesAreRejected) {
 TEST(Scenarios, ApplyResolvesTopologyTimingsAndFaults) {
     const ColorPickerConfig base = preset_quickstart();
 
-    const ColorPickerConfig multi =
-        apply_workcell_spec(base, scenario_by_name("multi_ot2"));
-    EXPECT_EQ(multi.workcell.scenario, "multi_ot2");
-    EXPECT_EQ(multi.workcell.ot2_count, 3);
-    EXPECT_TRUE(multi.workcell.has_sciclops);
+    const ColorPickerConfig baseline =
+        apply_workcell_spec(base, scenario_by_name("baseline"));
+    EXPECT_EQ(baseline.workcell.scenario, "baseline");
+    EXPECT_TRUE(baseline.workcell.has_sciclops);
+    EXPECT_TRUE(baseline.workcell.has_pf400);
+    EXPECT_TRUE(baseline.workcell.has_barty);
 
     const ColorPickerConfig fast =
         apply_workcell_spec(base, scenario_by_name("fast_lane"));
@@ -422,27 +425,127 @@ TEST(Scenarios, ExperimentYamlCanNameAScenario) {
 // ------------------------------------------------- runtime & experiments
 
 TEST(Scenarios, RuntimeMountsTheDescribedTopology) {
-    ColorPickerConfig config = preset_quickstart();
-    config = apply_workcell_spec(config, scenario_by_name("multi_ot2"));
-    WorkcellRuntime runtime(config);
-    EXPECT_EQ(runtime.ot2s().size(), 3u);
-    EXPECT_TRUE(runtime.registry().contains("ot2"));
-    EXPECT_TRUE(runtime.registry().contains("ot2_2"));
-    EXPECT_TRUE(runtime.registry().contains("ot2_3"));
-    EXPECT_TRUE(runtime.locations().has_location("ot2_2.deck"));
-    // Distinct noise streams per instance.
-    EXPECT_EQ(runtime.registry().get("ot2_2").info().name, "ot2_2");
+    // Every workcell mounts the five instruments the Figure-2 workflows
+    // command; a handling device the scenario leaves out is run by hand
+    // under its own name, and is not robotic.
+    for (const std::string& name : scenario_names()) {
+        WorkcellRuntime runtime(
+            apply_workcell_spec(preset_quickstart(), scenario_by_name(name)));
+        const WorkcellTopology& topology = runtime.config().workcell;
+        for (const auto& [module, robotic] :
+             {std::pair{"sciclops", topology.has_sciclops},
+              std::pair{"pf400", topology.has_pf400}, std::pair{"ot2", true},
+              std::pair{"barty", topology.has_barty}, std::pair{"camera", false}}) {
+            ASSERT_TRUE(runtime.registry().contains(module)) << name << " " << module;
+            EXPECT_EQ(runtime.registry().get(module).info().robotic, robotic)
+                << name << " " << module;
+        }
+    }
+}
 
-    ColorPickerConfig minimal_config =
-        apply_workcell_spec(preset_quickstart(), scenario_by_name("minimal"));
-    WorkcellRuntime minimal(minimal_config);
-    EXPECT_FALSE(minimal.has_sciclops());
-    EXPECT_FALSE(minimal.has_pf400());
-    EXPECT_FALSE(minimal.has_barty());
-    // The stand-ins answer under the absent devices' names, not robotic.
-    EXPECT_TRUE(minimal.registry().contains("pf400"));
-    EXPECT_EQ(minimal.registry().get("pf400").info().model, "Human operator");
-    EXPECT_FALSE(minimal.registry().get("pf400").info().robotic);
+// ------------------------------------------------------ hand-run devices
+
+namespace {
+
+/// The minimal workcell (camera + ot2; sciclops, pf400 and barty run by
+/// hand) at 25 s per hand-run action and half speed overall, so every
+/// hand-run action takes 12.5 s.
+ColorPickerConfig hand_run_config() {
+    WorkcellSpec spec = scenario_by_name("minimal");
+    spec.timing_scale = 0.5;
+    spec.manual_handling = support::Duration::seconds(25.0);
+    return apply_workcell_spec(preset_quickstart(), spec);
+}
+
+wei::WorkflowStep step(const char* module, const char* action,
+                       support::json::Value args = support::json::Value::object()) {
+    return {std::string(module) + "." + action, module, action, std::move(args)};
+}
+
+wei::WorkflowStep transfer(const char* source, const char* target) {
+    support::json::Value args = support::json::Value::object();
+    args.set("source", source);
+    args.set("target", target);
+    return step("pf400", "transfer", std::move(args));
+}
+
+}  // namespace
+
+TEST(HandRunDevices, SciclopsServesMorePlatesThanItsTowersHold) {
+    const wei::Workflow fetch_and_trash(
+        "fetch_and_trash", {step("sciclops", "get_plate"),
+                            transfer(wei::locations::kExchange, wei::locations::kTrash)});
+    const auto with_two_plates = [](ColorPickerConfig config) {
+        config.sciclops.towers = 1;
+        config.sciclops.plates_per_tower = 2;
+        return config;
+    };
+    WorkcellRuntime by_hand(with_two_plates(hand_run_config()));
+    for (int plate = 0; plate < 5; ++plate) {
+        EXPECT_NO_THROW((void)by_hand.engine().run(fetch_and_trash)) << "plate " << plate;
+    }
+    // The robot-run sciclops holds only what its towers do.
+    WorkcellRuntime robot(with_two_plates(preset_quickstart()));
+    (void)robot.engine().run(fetch_and_trash);
+    (void)robot.engine().run(fetch_and_trash);
+    EXPECT_THROW((void)robot.engine().run(fetch_and_trash), wei::WorkflowError);
+}
+
+TEST(HandRunDevices, BartyRefillsPastItsBulkCapacity) {
+    const wei::Workflow refill("refill", {step("barty", "refill_colors")});
+    const auto with_one_fill = [](ColorPickerConfig config) {
+        config.barty.bulk_capacity = support::Volume::milliliters(30.0);  // 25 mL reservoirs
+        return config;
+    };
+    WorkcellRuntime by_hand(with_one_fill(hand_run_config()));
+    for (int fill = 0; fill < 4; ++fill) {
+        EXPECT_NO_THROW((void)by_hand.engine().run(refill)) << "refill " << fill;
+        for (const auto& reservoir : by_hand.ot2().reservoirs()) {
+            EXPECT_DOUBLE_EQ(reservoir.fill_fraction(), 1.0) << "refill " << fill;
+        }
+    }
+    // The robot-run barty's vessels run dry.
+    WorkcellRuntime robot(with_one_fill(preset_quickstart()));
+    (void)robot.engine().run(refill);
+    EXPECT_THROW((void)robot.engine().run(refill), wei::WorkflowError);
+}
+
+TEST(HandRunDevices, EveryActionTakesTheHandlingTimeAndIsNotRobotic) {
+    WorkcellRuntime runtime(hand_run_config());
+    ASSERT_DOUBLE_EQ(runtime.config().workcell.manual_handling.to_seconds(), 12.5);
+    const wei::Workflow every_action(
+        "every_action",
+        {step("sciclops", "get_plate"), step("barty", "fill_colors"),
+         transfer(wei::locations::kExchange, wei::locations::kOt2Deck),
+         step("barty", "drain_colors"), step("barty", "refill_colors"),
+         step("barty", "prime_tips"),
+         transfer(wei::locations::kOt2Deck, wei::locations::kTrash)});
+    (void)runtime.engine().run(every_action);
+    const auto& steps = runtime.event_log().steps();
+    ASSERT_EQ(steps.size(), 7u);
+    for (const wei::StepRecord& record : steps) {
+        EXPECT_EQ(record.status, wei::ActionStatus::Succeeded) << record.step;
+        EXPECT_DOUBLE_EQ(record.duration().to_seconds(), 12.5) << record.step;
+        EXPECT_FALSE(record.robotic) << record.step;
+    }
+    // None of it counts toward commands completed without humans.
+    EXPECT_EQ(runtime.event_log().successful_commands(), 0u);
+}
+
+TEST(HandRunDevices, BartyPrimesTheOt2) {
+    ColorPickerConfig config = hand_run_config();
+    config.ot2.clog_prob = 1.0;  // every protocol leaves a tip clogged
+    WorkcellRuntime runtime(config);
+    std::vector<devices::DispenseOrder> orders(1);
+    orders[0].volumes = {support::Volume::microliters(20.0), support::Volume::microliters(20.0),
+                         support::Volume::microliters(20.0), support::Volume::microliters(20.0)};
+    (void)runtime.engine().run(wei::Workflow(
+        "mix_one", {step("sciclops", "get_plate"), step("barty", "fill_colors"),
+                    transfer(wei::locations::kExchange, wei::locations::kOt2Deck),
+                    step("ot2", "run_protocol", devices::Ot2Sim::make_protocol_args(orders))}));
+    ASSERT_TRUE(runtime.ot2().needs_prime());
+    (void)runtime.engine().run(wei::Workflow("reprime", {step("barty", "prime_tips")}));
+    EXPECT_FALSE(runtime.ot2().needs_prime());
 }
 
 TEST(Scenarios, ExperimentsRunOnEveryShippedScenario) {
@@ -479,7 +582,7 @@ TEST(Scenarios, VisionRoiFastPathByteIdenticalAcrossScenarioPack) {
     }
 }
 
-TEST(Scenarios, ManualStandInsAreExcludedFromCcwh) {
+TEST(Scenarios, HandRunDevicesAreExcludedFromCcwh) {
     support::set_log_level(support::LogLevel::Error);
     const auto run_on = [](const char* scenario) {
         ColorPickerConfig config = preset_quickstart();

@@ -26,7 +26,7 @@ namespace {
 class StubDevice final : public Module {
 public:
     explicit StubDevice(std::string name, bool robotic = true) {
-        info_ = ModuleInfo{std::move(name), "Stub", "test device", {"work"}, robotic};
+        info_ = ModuleInfo{std::move(name), robotic};
     }
     [[nodiscard]] const ModuleInfo& info() const noexcept override { return info_; }
     [[nodiscard]] Duration estimate(const ActionRequest&) const override {
@@ -65,7 +65,7 @@ TEST(ModuleRegistry, AddAndLookup) {
     ModuleRegistry registry;
     registry.add(std::make_shared<StubDevice>("dev_a"));
     EXPECT_TRUE(registry.contains("dev_a"));
-    EXPECT_EQ(registry.get("dev_a").info().model, "Stub");
+    EXPECT_EQ(registry.get("dev_a").info().name, "dev_a");
     EXPECT_THROW((void)registry.get("missing"), sdl::support::ConfigError);
     EXPECT_THROW(registry.add(std::make_shared<StubDevice>("dev_a")),
                  sdl::support::ConfigError);

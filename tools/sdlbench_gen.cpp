@@ -83,8 +83,7 @@ int main(int argc, char** argv) {
 
         fs::create_directories(out_dir);
         json::Value scenarios = json::Value::array();
-        std::printf("%-10s %-8s %-8s %-7s %s\n", "name", "plate", "devices", "ot2s",
-                    "difficulty");
+        std::printf("%-10s %-8s %-8s %s\n", "name", "plate", "devices", "difficulty");
         for (const std::string& ref : refs) {
             const std::uint64_t seed = core::parse_generated_ref(ref);
             const core::WorkcellSpec spec = core::generate_scenario(seed);
@@ -92,12 +91,7 @@ int main(int argc, char** argv) {
             support::atomic_write((fs::path(out_dir) / (spec.name + ".yaml")).string(),
                                   yaml);
 
-            int device_count = 0;
-            int ot2s = 0;
-            for (const core::DeviceSpec& d : spec.devices) {
-                device_count += d.count;
-                if (d.kind == core::DeviceKind::Ot2) ot2s += d.count;
-            }
+            const auto device_count = static_cast<int>(spec.devices.size());
             const std::string plate = std::to_string(spec.plate_rows.value_or(8)) + "x" +
                                       std::to_string(spec.plate_cols.value_or(12));
 
@@ -107,12 +101,11 @@ int main(int argc, char** argv) {
             entry.set("ref", ref);
             entry.set("plate", plate);
             entry.set("devices", device_count);
-            entry.set("ot2_count", ot2s);
             const double score = core::generated_difficulty(seed);
             entry.set("difficulty", score);
             // sdlbench-lint: allow(printf-float): terminal listing; --json output goes through the json layer
-            std::printf("%-10s %-8s %-8d %-7d %.3f\n", spec.name.c_str(), plate.c_str(),
-                        device_count, ot2s, score);
+            std::printf("%-10s %-8s %-8d %.3f\n", spec.name.c_str(), plate.c_str(),
+                        device_count, score);
             scenarios.push_back(std::move(entry));
         }
 

@@ -123,7 +123,6 @@ int list_scenarios() {
         for (const core::DeviceSpec& device : spec.devices) {
             if (!devices.empty()) devices += " ";
             devices += core::device_kind_to_string(device.kind);
-            if (device.count > 1) devices += "x" + std::to_string(device.count);
         }
         table.add_row({name, devices, spec.description});
     }
