@@ -2,11 +2,12 @@
 //
 // The paper implements a genetic and a Bayesian solver and reports that
 // Bayesian optimization "does not yield a systematic improvement over the
-// genetic algorithm". This harness runs both (plus random search and the
-// analytic oracle) through the *full* closed loop — robots, camera,
-// vision — across several seeds and reports the final best score per
-// solver. The oracle row is the workcell's noise floor: no optimizer can
-// beat it, because it always mixes the analytically exact recipe.
+// genetic algorithm". This harness runs both (plus simulated annealing,
+// pattern search, random search and the analytic oracle) through the
+// *full* closed loop — robots, camera, vision — across several seeds and
+// reports the final best score per solver. The oracle row is the
+// workcell's noise floor: no optimizer can beat it, because it always
+// mixes the analytically exact recipe.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -80,7 +81,7 @@ int main() {
     std::printf("\nExpected shape: the learned/structured solvers (genetic, bayesian,\n"
                 "anneal, pattern) beat random; oracle defines the noise floor. The\n"
                 "paper found no systematic genetic-vs-bayesian winner; see\n"
-                "EXPERIMENTS.md for how our measurement compares.\n");
+                "docs/BENCHMARKS.md for how our measurement compares.\n");
 
     // GP hot path: absorbing one observation at fixed hyperparameters via
     // the rank-1 Cholesky extension (GaussianProcess::observe) vs the old

@@ -36,7 +36,7 @@ SceneResult evaluate_scene(double noise, double angle, int filled_count,
     scene.noise_sigma = noise;
     scene.angle_rad = angle;
 
-    const color::BeerLambertMixer mixer(color::DyeLibrary::cmyk());
+    const color::BeerLambertMixer mixer;
     support::Rng color_rng(seed);
     std::vector<color::Rgb8> colors;
     for (int i = 0; i < 96; ++i) {

@@ -25,7 +25,7 @@ int main() {
     // slight angle — 60 of 96 wells filled.
     PlateScene scene;
     scene.angle_rad = 0.06;
-    const color::BeerLambertMixer mixer(color::DyeLibrary::cmyk());
+    const color::BeerLambertMixer mixer;
     std::vector<color::Rgb8> colors;
     std::vector<bool> filled(96, false);
     for (int i = 0; i < 96; ++i) {

@@ -8,6 +8,7 @@
 
 #include "campaign/campaign_io.hpp"
 #include "core/config_io.hpp"
+#include "core/workcell_spec.hpp"
 #include "support/common.hpp"
 
 namespace sdl::campaign {
@@ -145,7 +146,12 @@ std::string spec_digest(const CampaignSpec& spec) {
 }
 
 std::string cell_digest(const CampaignCell& cell) {
-    return fnv1a_hex(core::config_to_yaml(cell.config));
+    // The experiment document names the workcell but leaves out the
+    // hardware a spec file sets (device options, per-module fault rates,
+    // rejection latency), so the resolved workcell is hashed with it: a
+    // journal cell run on other hardware fails the resume.
+    return fnv1a_hex(core::config_to_yaml(cell.config) +
+                     core::workcell_spec_to_yaml(core::workcell_spec_of(cell.config)));
 }
 
 // ------------------------------------------------------------------ logs

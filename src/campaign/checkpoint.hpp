@@ -48,8 +48,10 @@ inline constexpr std::string_view kCellRecordSchema = "sdlbench.cell_result.v1";
 /// digests agree.
 [[nodiscard]] std::string spec_digest(const CampaignSpec& spec);
 
-/// Digest of one expanded cell's fully resolved config — the per-record
-/// guard that a journal entry still matches the re-expanded grid.
+/// Digest of one expanded cell's fully resolved config and the hardware it
+/// resolves to (core::workcell_spec_of) — the per-record guard that a
+/// journal entry still matches the re-expanded grid, workcell files
+/// included.
 [[nodiscard]] std::string cell_digest(const CampaignCell& cell);
 
 // ------------------------------------------------------------------ logs

@@ -8,14 +8,12 @@
 
 namespace sdl::color {
 
-BeerLambertMixer::BeerLambertMixer(DyeLibrary library, double path_length)
-    : library_(std::move(library)), path_length_(path_length) {
+BeerLambertMixer::BeerLambertMixer(double path_length) : path_length_(path_length) {
     support::check(path_length > 0.0, "path length must be positive");
 }
 
 LinearRgb BeerLambertMixer::transmittance(std::span<const double> fractions) const {
-    support::check(fractions.size() == library_.count(),
-                   "fraction count must match dye count");
+    support::check(fractions.size() == kDyes, "fraction count must match dye count");
     double total = 0.0;
     for (const double f : fractions) {
         support::check(f >= 0.0, "negative dye fraction");
@@ -26,7 +24,7 @@ LinearRgb BeerLambertMixer::transmittance(std::span<const double> fractions) con
     std::array<double, 3> od{0.0, 0.0, 0.0};
     for (std::size_t i = 0; i < fractions.size(); ++i) {
         const double c = fractions[i] / total;
-        const auto& eps = library_.dye(i).absorptivity;
+        const auto& eps = kCmyk[i].absorptivity;
         od[0] += c * eps[0];
         od[1] += c * eps[1];
         od[2] += c * eps[2];
@@ -48,9 +46,6 @@ Rgb8 BeerLambertMixer::mix_ratios(std::span<const double> ratios) const {
 }
 
 std::optional<std::vector<double>> BeerLambertMixer::invert_target(Rgb8 target) const {
-    const std::size_t n = library_.count();
-    if (n != 4) return std::nullopt;  // the closed form below is 4-dye
-
     // Required optical densities per channel.
     const LinearRgb lin = to_linear(target);
     if (lin.r <= 0.0 || lin.g <= 0.0 || lin.b <= 0.0) return std::nullopt;
@@ -59,13 +54,14 @@ std::optional<std::vector<double>> BeerLambertMixer::invert_target(Rgb8 target) 
                                    -std::log(lin.b) / path_length_};
 
     // Solve: Σ c_i ε_i,ch = od_ch (3 equations) and Σ c_i = 1.
-    linalg::Matrix a(4, 4);
-    linalg::Vec b(4);
+    static_assert(kDyes == 4, "3 channel rows + the sum row must be square");
+    linalg::Matrix a(kDyes, kDyes);
+    linalg::Vec b(kDyes);
     for (std::size_t ch = 0; ch < 3; ++ch) {
-        for (std::size_t i = 0; i < 4; ++i) a(ch, i) = library_.dye(i).absorptivity[ch];
+        for (std::size_t i = 0; i < kDyes; ++i) a(ch, i) = kCmyk[i].absorptivity[ch];
         b[ch] = od[ch];
     }
-    for (std::size_t i = 0; i < 4; ++i) a(3, i) = 1.0;
+    for (std::size_t i = 0; i < kDyes; ++i) a(3, i) = 1.0;
     b[3] = 1.0;
 
     // The system is small and generally well conditioned; solve the

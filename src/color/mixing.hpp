@@ -23,15 +23,14 @@ namespace sdl::color {
 
 class BeerLambertMixer {
 public:
-    /// `path_length` scales all optical densities (well depth, in
-    /// dimensionless units; 1.0 matches the calibrated dye library).
-    explicit BeerLambertMixer(DyeLibrary library, double path_length = 1.0);
+    /// Mixes the kCmyk dyes. `path_length` scales all optical densities
+    /// (well depth, in dimensionless units; 1.0 matches the calibrated
+    /// absorptivities).
+    explicit BeerLambertMixer(double path_length = 1.0);
 
-    [[nodiscard]] const DyeLibrary& library() const noexcept { return library_; }
-    [[nodiscard]] double path_length() const noexcept { return path_length_; }
-
-    /// Transmittance for volume fractions `fractions` (must sum to <= 1+ε;
-    /// they are renormalized internally so callers may pass raw ratios).
+    /// Transmittance for volume fractions `fractions`, one per dye (must
+    /// sum to <= 1+ε; they are renormalized internally so callers may pass
+    /// raw ratios).
     /// An all-zero vector means an empty well: full transmission (white).
     [[nodiscard]] LinearRgb transmittance(std::span<const double> fractions) const;
 
@@ -45,12 +44,10 @@ public:
     /// Analytic inverse (§2.5 notes the problem "admits to an analytic
     /// solution"): returns mixing ratios (summing to 1) that exactly
     /// produce `target`, or nullopt when the target is outside the
-    /// achievable gamut (requires a 4-dye library). Used by tests and by
-    /// the oracle baseline solver.
+    /// achievable gamut. Used by tests and by the oracle baseline solver.
     [[nodiscard]] std::optional<std::vector<double>> invert_target(Rgb8 target) const;
 
 private:
-    DyeLibrary library_;
     double path_length_;
 };
 

@@ -37,7 +37,6 @@ ColorPickerApp::ColorPickerApp(WorkcellRuntime& runtime) : runtime_(&runtime) {
 void ColorPickerApp::init_solver() {
     const ColorPickerConfig& config = runtime_->config();
     solver::SolverOptions solver_options;
-    solver_options.dims = 4;
     solver_options.seed = config.seed;
     solver_options.mixer = &runtime_->ot2().mixer();
     solver_options.target = config.target;
@@ -85,7 +84,7 @@ ColorPickerApp::BatchReadout ColorPickerApp::mix_and_measure(
         order.well = wells[i];
         double sum = 0.0;
         for (const double r : proposals[i]) sum += r;
-        for (std::size_t dye = 0; dye < 4; ++dye) {
+        for (std::size_t dye = 0; dye < color::kDyes; ++dye) {
             // Normalize so each well holds exactly well_volume of liquid.
             order.volumes[dye] = config.well_volume * (proposals[i][dye] / sum);
         }

@@ -11,7 +11,7 @@ namespace sdl::core {
 /// under which the paper's 387-command count is exactly reproducible
 /// (3 setup commands + 128 iterations x 3 robotic commands; the camera is
 /// a sensor and the terminal trashplate happens after the experiment
-/// ends). See EXPERIMENTS.md for the accounting discussion.
+/// ends). bench_table1 prints this accounting in its notes.
 [[nodiscard]] ColorPickerConfig preset_table1(std::uint64_t seed = 1);
 
 /// Same run on standard 96-well plates (two plates, mid-run plate swap) —

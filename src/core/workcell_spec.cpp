@@ -407,4 +407,53 @@ ColorPickerConfig apply_workcell_spec(ColorPickerConfig config, const WorkcellSp
     return config;
 }
 
+WorkcellSpec workcell_spec_of(const ColorPickerConfig& config) {
+    const WorkcellTopology& topology = config.workcell;
+    WorkcellSpec spec;
+    spec.name = topology.scenario;
+    spec.manual_handling = topology.manual_handling;
+    spec.plate_rows = config.plate_rows;
+    spec.plate_cols = config.plate_cols;
+    spec.faults = config.faults;
+    using Options = std::initializer_list<std::pair<const char*, json::Value>>;
+    const auto mount = [&](DeviceKind kind, Options options) {
+        DeviceSpec device{kind};
+        for (const auto& [key, value] : options) device.options.set(key, value);
+        spec.devices.push_back(std::move(device));
+    };
+    if (topology.has_sciclops) {
+        const devices::SciclopsConfig& c = config.sciclops;
+        mount(DeviceKind::Sciclops, {{"towers", c.towers},
+                                     {"plates_per_tower", c.plates_per_tower},
+                                     {"get_plate_s", c.timing.get_plate.to_seconds()}});
+    }
+    if (topology.has_pf400) {
+        mount(DeviceKind::Pf400,
+              {{"transfer_s", config.pf400.timing.transfer.to_seconds()}});
+    }
+    const devices::Ot2Config& ot2 = config.ot2;
+    mount(DeviceKind::Ot2,
+          {{"protocol_overhead_s", ot2.timing.protocol_overhead.to_seconds()},
+           {"per_well_s", ot2.timing.per_well.to_seconds()},
+           {"dispense_cv", ot2.dispense_cv},
+           {"dispense_sigma_ul", ot2.dispense_sigma_ul},
+           {"reservoir_capacity_ml", ot2.reservoir_capacity.to_milliliters()},
+           {"clog_prob", ot2.clog_prob},
+           {"dye_drift_per_well", ot2.dye_drift_per_well}});
+    if (topology.has_barty) {
+        const devices::BartyConfig& c = config.barty;
+        mount(DeviceKind::Barty,
+              {{"fill_s", c.timing.fill.to_seconds()},
+               {"drain_s", c.timing.drain.to_seconds()},
+               {"refill_s", c.timing.refill.to_seconds()},
+               {"prime_s", c.timing.prime.to_seconds()},
+               {"bulk_capacity_ml", c.bulk_capacity.to_milliliters()}});
+    }
+    const devices::CameraConfig& camera = config.camera;
+    mount(DeviceKind::Camera, {{"capture_s", camera.timing.capture.to_seconds()},
+                               {"glitch_prob", camera.glitch_prob},
+                               {"drift_per_frame", camera.drift_per_frame}});
+    return spec;
+}
+
 }  // namespace sdl::core

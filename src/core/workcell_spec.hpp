@@ -112,4 +112,11 @@ void validate_workcell_spec(const WorkcellSpec& spec);
 [[nodiscard]] ColorPickerConfig apply_workcell_spec(ColorPickerConfig config,
                                                     const WorkcellSpec& spec);
 
+/// The workcell `config` resolves to, as a spec (the inverse of
+/// apply_workcell_spec): named after the topology's scenario, every option
+/// of each mounted device at its resolved value (so timing_scale is 1),
+/// the plate format and the fault profile. apply_workcell_spec of the
+/// result reproduces `config`'s device, topology and fault fields.
+[[nodiscard]] WorkcellSpec workcell_spec_of(const ColorPickerConfig& config);
+
 }  // namespace sdl::core

@@ -1,8 +1,9 @@
 // Simulated resources: counted resource (FIFO grant queue) and a
 // continuous store (liquid level), both in virtual time.
 //
-// The workcell uses these to model exclusivity (one pf400 arm, one or more
-// ot2 decks) and the dye reservoirs that barty keeps topped up.
+// The workcell's OT2 keeps its dye reservoirs, which barty tops up, in
+// Stores. Resource models exclusivity (one pf400 arm and camera shared by
+// K ot2 decks) only in bench_multi_ot2's §4 pipeline.
 #pragma once
 
 #include <deque>

@@ -22,7 +22,7 @@ support::Duration BartySim::estimate(const wei::ActionRequest& request) const {
 
 wei::ActionResult BartySim::fill() {
     json::Value pumped = json::Value::object();
-    for (std::size_t dye = 0; dye < 4; ++dye) {
+    for (std::size_t dye = 0; dye < color::kDyes; ++dye) {
         des::Store& reservoir = ot2_.reservoirs()[dye];
         const Volume space = reservoir.capacity() - reservoir.level();
         if (space > bulk_remaining_[dye]) {

@@ -44,7 +44,7 @@ private:
 
     BartyConfig config_;
     Ot2Sim& ot2_;
-    std::array<support::Volume, 4> bulk_remaining_;
+    std::array<support::Volume, color::kDyes> bulk_remaining_;
     wei::ModuleInfo info_;
 };
 

@@ -1,6 +1,7 @@
 #include "devices/ot2.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "support/common.hpp"
 
@@ -15,17 +16,20 @@ namespace {
 /// fills it on newplate.
 constexpr Volume kReservoirInitial = Volume::zero();
 
+Ot2Sim::Reservoirs make_reservoirs(Volume capacity) {
+    return [&]<std::size_t... Dye>(std::index_sequence<Dye...>) {
+        return Ot2Sim::Reservoirs{des::Store(capacity, kReservoirInitial,
+                                             std::string(color::kCmyk[Dye].name))...};
+    }(std::make_index_sequence<color::kDyes>{});
+}
+
 }  // namespace
 
 Ot2Sim::Ot2Sim(Ot2Config config, wei::PlateRegistry& plates, wei::LocationMap& locations)
     : config_(config),
       plates_(plates),
       locations_(locations),
-      mixer_(color::DyeLibrary::cmyk()),
-      reservoirs_{des::Store(config.reservoir_capacity, kReservoirInitial, "cyan"),
-                  des::Store(config.reservoir_capacity, kReservoirInitial, "magenta"),
-                  des::Store(config.reservoir_capacity, kReservoirInitial, "yellow"),
-                  des::Store(config.reservoir_capacity, kReservoirInitial, "black")},
+      reservoirs_(make_reservoirs(config.reservoir_capacity)),
       rng_(config.noise_seed),
       clog_rng_(config.noise_seed ^ 0xC106C106C106ULL) {
     info_ = wei::ModuleInfo{"ot2", /*robotic=*/true};
@@ -41,13 +45,13 @@ support::Duration Ot2Sim::estimate(const wei::ActionRequest& request) const {
 }
 
 bool Ot2Sim::can_cover(std::span<const DispenseOrder> orders) const noexcept {
-    std::array<double, 4> needed_ul{0, 0, 0, 0};
+    std::array<double, color::kDyes> needed_ul{};
     for (const DispenseOrder& order : orders) {
-        for (std::size_t dye = 0; dye < 4; ++dye) {
+        for (std::size_t dye = 0; dye < color::kDyes; ++dye) {
             needed_ul[dye] += order.volumes[dye].to_microliters();
         }
     }
-    for (std::size_t dye = 0; dye < 4; ++dye) {
+    for (std::size_t dye = 0; dye < color::kDyes; ++dye) {
         // Head-room factor covers pipetting-noise overshoot.
         if (Volume::microliters(needed_ul[dye] * 1.1) > reservoirs_[dye].level()) {
             return false;
@@ -82,10 +86,11 @@ std::vector<DispenseOrder> Ot2Sim::parse_protocol_args(const json::Value& args) 
         DispenseOrder order;
         order.well = static_cast<int>(node.at("well").as_int());
         const json::Array& volumes = node.at("volumes_ul").as_array();
-        if (volumes.size() != 4) {
-            throw support::Error("device", "ot2 dispense needs exactly 4 volumes");
+        if (volumes.size() != color::kDyes) {
+            throw support::Error("device", "ot2 dispense needs exactly " +
+                                               std::to_string(color::kDyes) + " volumes");
         }
-        for (std::size_t dye = 0; dye < 4; ++dye) {
+        for (std::size_t dye = 0; dye < color::kDyes; ++dye) {
             order.volumes[dye] = Volume::microliters(volumes[dye].as_double());
         }
         orders.push_back(order);
@@ -139,7 +144,7 @@ wei::ActionResult Ot2Sim::execute(const wei::ActionRequest& request) {
     json::Value mixed = json::Value::array();
     for (const DispenseOrder& order : orders) {
         wei::WellContent content;
-        for (std::size_t dye = 0; dye < 4; ++dye) {
+        for (std::size_t dye = 0; dye < color::kDyes; ++dye) {
             const double requested = order.volumes[dye].to_microliters();
             double actual = 0.0;
             if (requested > 0.0) {
@@ -161,8 +166,7 @@ wei::ActionResult Ot2Sim::execute(const wei::ActionRequest& request) {
             // undrifted model — that mismatch is the point.
             const double path =
                 1.0 + config_.dye_drift_per_well * static_cast<double>(wells_mixed_);
-            content.true_color =
-                color::BeerLambertMixer(mixer_.library(), path).mix(content.volumes);
+            content.true_color = color::BeerLambertMixer(path).mix(content.volumes);
         } else {
             content.true_color = mixer_.mix(content.volumes);
         }

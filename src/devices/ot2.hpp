@@ -42,10 +42,11 @@ struct Ot2Config {
     Ot2Timing timing;
 };
 
-/// One dispense order: well index plus the four dye volumes in µL.
+/// One dispense order: well index plus one volume per dye (color::kCmyk
+/// order).
 struct DispenseOrder {
     int well = 0;
-    std::array<support::Volume, 4> volumes{};
+    std::array<support::Volume, color::kDyes> volumes{};
 };
 
 /// Actions:
@@ -60,11 +61,12 @@ public:
     [[nodiscard]] support::Duration estimate(const wei::ActionRequest& request) const override;
     [[nodiscard]] wei::ActionResult execute(const wei::ActionRequest& request) override;
 
+    /// One reservoir per dye, in color::kCmyk order, named after it.
+    using Reservoirs = std::array<des::Store, color::kDyes>;
+
     /// Reservoirs are exposed so barty (and tests) can pump them.
-    [[nodiscard]] std::array<des::Store, 4>& reservoirs() noexcept { return reservoirs_; }
-    [[nodiscard]] const std::array<des::Store, 4>& reservoirs() const noexcept {
-        return reservoirs_;
-    }
+    [[nodiscard]] Reservoirs& reservoirs() noexcept { return reservoirs_; }
+    [[nodiscard]] const Reservoirs& reservoirs() const noexcept { return reservoirs_; }
 
     /// True when every reservoir can cover `volumes` for all orders.
     [[nodiscard]] bool can_cover(std::span<const DispenseOrder> orders) const noexcept;
@@ -91,7 +93,7 @@ private:
     wei::LocationMap& locations_;
     wei::ModuleInfo info_;
     color::BeerLambertMixer mixer_;
-    std::array<des::Store, 4> reservoirs_;
+    Reservoirs reservoirs_;
     support::Rng rng_;
     support::Rng clog_rng_;  ///< clog chain stream, decoupled from noise
     std::uint64_t wells_mixed_ = 0;

@@ -8,32 +8,26 @@ namespace sdl::solver {
 
 namespace {
 
-constexpr double kMinStep = 0.02;  ///< floor of the cooled proposal half-width
+constexpr double kInitialTemperature = 25.0;  ///< in objective units (RGB distance)
+constexpr double kCooling = 0.95;      ///< temperature and step factor per generation
+constexpr double kInitialStep = 0.25;  ///< proposal half-width in ratio units
+constexpr double kMinStep = 0.02;      ///< floor of the cooled proposal half-width
 
 }  // namespace
 
-AnnealSolver::AnnealSolver(AnnealConfig config)
-    : config_(config),
-      rng_(config.seed),
-      temperature_(config.initial_temperature),
-      step_(config.initial_step) {
-    support::check(config_.dims >= 1, "anneal solver needs at least one dye");
-    support::check(config_.cooling > 0.0 && config_.cooling < 1.0,
-                   "cooling factor must be in (0, 1)");
-}
+AnnealSolver::AnnealSolver(std::uint64_t seed)
+    : rng_(seed), temperature_(kInitialTemperature), step_(kInitialStep) {}
 
 std::vector<double> AnnealSolver::perturb(const std::vector<double>& base) {
-    std::vector<double> out(config_.dims);
+    std::vector<double> out(color::kDyes);
     for (int attempt = 0; attempt < 16; ++attempt) {
-        for (std::size_t d = 0; d < config_.dims; ++d) {
+        for (std::size_t d = 0; d < color::kDyes; ++d) {
             out[d] = support::clamp(base[d] + rng_.uniform(-step_, step_), 0.0, 1.0);
         }
-        if (is_valid_proposal(out, config_.dims)) return out;
+        if (is_valid_proposal(out)) return out;
     }
     // Base sits in a degenerate corner: restart uniformly.
-    do {
-        for (double& v : out) v = rng_.uniform();
-    } while (!is_valid_proposal(out, config_.dims));
+    draw_uniform(rng_, out);
     return out;
 }
 
@@ -43,13 +37,7 @@ std::vector<std::vector<double>> AnnealSolver::ask(std::size_t n) {
     proposals.reserve(n);
     if (!has_state_) {
         // Cold start: uniform random points.
-        for (std::size_t i = 0; i < n; ++i) {
-            std::vector<double> p(config_.dims);
-            do {
-                for (double& v : p) v = rng_.uniform();
-            } while (!is_valid_proposal(p, config_.dims));
-            proposals.push_back(std::move(p));
-        }
+        for (std::size_t i = 0; i < n; ++i) proposals.push_back(draw_uniform(rng_));
         return proposals;
     }
     for (std::size_t i = 0; i < n; ++i) proposals.push_back(perturb(state_));
@@ -72,8 +60,8 @@ void AnnealSolver::tell(std::span<const Observation> observations) {
             state_score_ = obs.score;
         }
     }
-    temperature_ *= config_.cooling;
-    step_ = std::max(kMinStep, step_ * config_.cooling);
+    temperature_ *= kCooling;
+    step_ = std::max(kMinStep, step_ * kCooling);
 }
 
 }  // namespace sdl::solver

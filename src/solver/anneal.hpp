@@ -9,21 +9,12 @@
 #pragma once
 
 #include "solver/solver.hpp"
-#include "support/random.hpp"
 
 namespace sdl::solver {
 
-struct AnnealConfig {
-    std::size_t dims = 4;
-    double initial_temperature = 25.0;  ///< in objective units (RGB distance)
-    double cooling = 0.95;              ///< temperature multiplier per generation
-    double initial_step = 0.25;         ///< proposal half-width in ratio units
-    std::uint64_t seed = 0xA22EA1;
-};
-
 class AnnealSolver final : public SolverBase {
 public:
-    explicit AnnealSolver(AnnealConfig config = {});
+    explicit AnnealSolver(std::uint64_t seed);
 
     [[nodiscard]] std::string name() const override { return "anneal"; }
     [[nodiscard]] std::vector<std::vector<double>> ask(std::size_t n) override;
@@ -34,7 +25,6 @@ public:
 private:
     [[nodiscard]] std::vector<double> perturb(const std::vector<double>& base);
 
-    AnnealConfig config_;
     support::Rng rng_;
     double temperature_;
     double step_;

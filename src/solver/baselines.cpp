@@ -1,49 +1,32 @@
 #include "solver/baselines.hpp"
 
-#include <cmath>
-
 #include "support/common.hpp"
 
 namespace sdl::solver {
 
-RandomSolver::RandomSolver(std::size_t dims, std::uint64_t seed)
-    : dims_(dims), rng_(seed) {
-    support::check(dims >= 1, "random solver needs at least one dye");
-}
+namespace {
+
+constexpr std::size_t kGridLevels = 4;  ///< lattice levels per dye
+
+}  // namespace
+
+RandomSolver::RandomSolver(std::uint64_t seed) : rng_(seed) {}
 
 std::vector<std::vector<double>> RandomSolver::ask(std::size_t n) {
     std::vector<std::vector<double>> proposals;
     proposals.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        std::vector<double> ratios(dims_);
-        do {
-            for (double& r : ratios) r = rng_.uniform();
-        } while (!is_valid_proposal(ratios, dims_));
-        proposals.push_back(std::move(ratios));
-    }
+    for (std::size_t i = 0; i < n; ++i) proposals.push_back(draw_uniform(rng_));
     return proposals;
 }
 
-GridSolver::GridSolver(std::size_t dims, int levels) : dims_(dims), levels_(levels) {
-    support::check(dims >= 1 && levels >= 2, "grid solver needs dims>=1, levels>=2");
-}
-
 std::vector<std::vector<double>> GridSolver::ask(std::size_t n) {
-    const auto total = static_cast<std::size_t>(
-        std::llround(std::pow(levels_, static_cast<double>(dims_))));
     std::vector<std::vector<double>> proposals;
     proposals.reserve(n);
     while (proposals.size() < n) {
-        const std::size_t index = cursor_ % total;
+        std::vector<double> point = lattice_point(cursor_ % lattice_size(kGridLevels),
+                                                  kGridLevels);
         ++cursor_;
-        std::size_t rest = index;
-        std::vector<double> point(dims_);
-        for (std::size_t d = 0; d < dims_; ++d) {
-            point[d] = static_cast<double>(rest % static_cast<std::size_t>(levels_)) /
-                       static_cast<double>(levels_ - 1);
-            rest /= static_cast<std::size_t>(levels_);
-        }
-        if (is_valid_proposal(point, dims_)) proposals.push_back(std::move(point));
+        if (is_valid_proposal(point)) proposals.push_back(std::move(point));
     }
     return proposals;
 }

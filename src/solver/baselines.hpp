@@ -8,19 +8,17 @@
 
 #include "color/mixing.hpp"
 #include "solver/solver.hpp"
-#include "support/random.hpp"
 
 namespace sdl::solver {
 
 class RandomSolver final : public SolverBase {
 public:
-    explicit RandomSolver(std::size_t dims = 4, std::uint64_t seed = 0x7A4D03);
+    explicit RandomSolver(std::uint64_t seed);
 
     [[nodiscard]] std::string name() const override { return "random"; }
     [[nodiscard]] std::vector<std::vector<double>> ask(std::size_t n) override;
 
 private:
-    std::size_t dims_;
     support::Rng rng_;
 };
 
@@ -28,14 +26,10 @@ private:
 /// baseline for small budgets.
 class GridSolver final : public SolverBase {
 public:
-    explicit GridSolver(std::size_t dims = 4, int levels = 4);
-
     [[nodiscard]] std::string name() const override { return "grid"; }
     [[nodiscard]] std::vector<std::vector<double>> ask(std::size_t n) override;
 
 private:
-    std::size_t dims_;
-    int levels_;
     std::size_t cursor_ = 0;
 };
 
@@ -43,7 +37,7 @@ class OracleSolver final : public SolverBase {
 public:
     /// Requires the target to be inside the mixer's gamut.
     OracleSolver(const color::BeerLambertMixer& mixer, color::Rgb8 target,
-                 std::uint64_t seed = 0x0AC1E);
+                 std::uint64_t seed);
 
     [[nodiscard]] std::string name() const override { return "oracle"; }
     [[nodiscard]] std::vector<std::vector<double>> ask(std::size_t n) override;

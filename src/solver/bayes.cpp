@@ -252,16 +252,15 @@ std::vector<GaussianProcess::Prediction> score_candidate_pool(
 namespace {
 
 constexpr double kExploration = 0.01;  ///< EI xi (in standardized units)
+constexpr std::size_t kCandidates = 512;  ///< random EI candidates per proposal
+constexpr std::size_t kWarmup = 8;        ///< random samples before the GP kicks in
 /// Cap on training points; the most recent ones are kept (the kernel
 /// solve is O(n^3)).
 constexpr std::size_t kMaxPoints = 256;
 
 }  // namespace
 
-BayesSolver::BayesSolver(BayesConfig config) : config_(config), rng_(config.seed) {
-    support::check(config_.dims >= 1, "bayes solver needs at least one dye");
-    support::check(config_.candidates >= 8, "need a non-trivial candidate pool");
-}
+BayesSolver::BayesSolver(std::uint64_t seed) : rng_(seed) {}
 
 double BayesSolver::expected_improvement(double mean, double variance, double best_y,
                                          double xi) noexcept {
@@ -273,18 +272,6 @@ double BayesSolver::expected_improvement(double mean, double variance, double be
     return ei > 0.0 ? ei : 0.0;
 }
 
-std::vector<double> BayesSolver::random_point() {
-    std::vector<double> x(config_.dims);
-    random_point_into(x);
-    return x;
-}
-
-void BayesSolver::random_point_into(std::span<double> out) {
-    do {
-        for (double& v : out) v = rng_.uniform();
-    } while (!is_valid_proposal(out, config_.dims));
-}
-
 void BayesSolver::fill_candidate_pool(linalg::Matrix& pool) {
     const std::optional<Observation> best_obs = best();  // best() returns by value
     for (std::size_t c = 0; c < pool.rows(); ++c) {
@@ -292,7 +279,7 @@ void BayesSolver::fill_candidate_pool(linalg::Matrix& pool) {
         // Half the pool is global-uniform, half perturbs the incumbent
         // (local refinement).
         if (c % 2 == 0 || !best_obs.has_value()) {
-            random_point_into(candidate);
+            draw_uniform(rng_, candidate);
         } else {
             const std::vector<double>& incumbent = best_obs->ratios;
             for (std::size_t k = 0; k < candidate.size(); ++k) {
@@ -302,7 +289,7 @@ void BayesSolver::fill_candidate_pool(linalg::Matrix& pool) {
             // The fallback draw happens here, pool-generation time, so the
             // rng stream is identical to the pre-batching one-at-a-time
             // flow and stays deterministic for seed-paired runs.
-            if (!is_valid_proposal(candidate, config_.dims)) random_point_into(candidate);
+            if (!is_valid_proposal(candidate)) draw_uniform(rng_, candidate);
         }
     }
 }
@@ -312,8 +299,8 @@ std::vector<std::vector<double>> BayesSolver::ask(std::size_t n) {
     std::vector<std::vector<double>> proposals;
     proposals.reserve(n);
 
-    if (archive().size() < config_.warmup) {
-        for (std::size_t i = 0; i < n; ++i) proposals.push_back(random_point());
+    if (archive().size() < kWarmup) {
+        for (std::size_t i = 0; i < n; ++i) proposals.push_back(draw_uniform(rng_));
         return proposals;
     }
 
@@ -343,18 +330,18 @@ std::vector<std::vector<double>> BayesSolver::ask(std::size_t n) {
     // matrix and scored in blocked predict_batch passes; large pools are
     // split across the thread pool (per-candidate results are
     // independent, so chunking changes nothing).
-    linalg::Matrix pool(config_.candidates, config_.dims);
+    linalg::Matrix pool(kCandidates, color::kDyes);
     for (std::size_t pick = 0; pick < n; ++pick) {
         // Drawn before the pool, like the old per-pick flow; candidate 0
         // always beats best_ei = -1, so this point is only ever a stream
         // placeholder, never a proposal.
-        std::vector<double> best_candidate = random_point();
+        std::vector<double> best_candidate = draw_uniform(rng_);
         fill_candidate_pool(pool);
 
         const auto preds = score_candidate_pool(gp, pool);
 
         double best_ei = -1.0;
-        for (std::size_t c = 0; c < config_.candidates; ++c) {
+        for (std::size_t c = 0; c < kCandidates; ++c) {
             const double ei = expected_improvement(preds[c].mean, preds[c].variance,
                                                    best_y, kExploration);
             if (ei > best_ei) {

@@ -12,7 +12,6 @@
 
 #include "linalg/cholesky.hpp"
 #include "solver/solver.hpp"
-#include "support/random.hpp"
 
 namespace sdl::solver {
 
@@ -100,16 +99,9 @@ private:
 [[nodiscard]] std::vector<GaussianProcess::Prediction> score_candidate_pool(
     const GaussianProcess& gp, const linalg::Matrix& pool);
 
-struct BayesConfig {
-    std::size_t dims = 4;
-    std::size_t candidates = 512;   ///< random EI candidates per proposal
-    std::size_t warmup = 8;         ///< random samples before the GP kicks in
-    std::uint64_t seed = 0xBA7E5;
-};
-
 class BayesSolver final : public SolverBase {
 public:
-    explicit BayesSolver(BayesConfig config = {});
+    explicit BayesSolver(std::uint64_t seed);
 
     [[nodiscard]] std::string name() const override { return "bayesian"; }
     [[nodiscard]] std::vector<std::vector<double>> ask(std::size_t n) override;
@@ -120,17 +112,12 @@ public:
                                                      double best_y, double xi) noexcept;
 
 private:
-    [[nodiscard]] std::vector<double> random_point();
-    /// Writes a fresh valid random point into `out` (no allocation) —
-    /// the candidate-pool hot path.
-    void random_point_into(std::span<double> out);
-    /// Fills `pool` (candidates x dims) for one constant-liar pick. The
+    /// Fills `pool` (candidates x kDyes) for one constant-liar pick. The
     /// rng draw order is identical to generating candidates one at a
     /// time inside the scoring loop, so seed-paired runs reproduce the
     /// pre-batching proposal stream exactly.
     void fill_candidate_pool(linalg::Matrix& pool);
 
-    BayesConfig config_;
     support::Rng rng_;
 };
 

@@ -10,36 +10,19 @@
 namespace sdl::solver {
 
 std::unique_ptr<Solver> make_solver(const std::string& name, const SolverOptions& options) {
-    if (name == "genetic") {
-        GeneticConfig config;
-        config.dims = options.dims;
-        config.seed = options.seed;
-        return std::make_unique<GeneticSolver>(config);
+    // Every solver proposes one ratio per dye; a caller asking for another
+    // shape fails loudly instead of being ignored.
+    if (options.dims != color::kDyes) {
+        throw support::ConfigError("solver dims " + std::to_string(options.dims) +
+                                   " is not selectable; the workcell mixes " +
+                                   std::to_string(color::kDyes) + " dyes");
     }
-    if (name == "bayesian") {
-        BayesConfig config;
-        config.dims = options.dims;
-        config.seed = options.seed;
-        return std::make_unique<BayesSolver>(config);
-    }
-    if (name == "anneal") {
-        AnnealConfig config;
-        config.dims = options.dims;
-        config.seed = options.seed;
-        return std::make_unique<AnnealSolver>(config);
-    }
-    if (name == "pattern") {
-        PatternConfig config;
-        config.dims = options.dims;
-        config.seed = options.seed;
-        return std::make_unique<PatternSearchSolver>(config);
-    }
-    if (name == "random") {
-        return std::make_unique<RandomSolver>(options.dims, options.seed);
-    }
-    if (name == "grid") {
-        return std::make_unique<GridSolver>(options.dims);
-    }
+    if (name == "genetic") return std::make_unique<GeneticSolver>(options.seed);
+    if (name == "bayesian") return std::make_unique<BayesSolver>(options.seed);
+    if (name == "anneal") return std::make_unique<AnnealSolver>(options.seed);
+    if (name == "pattern") return std::make_unique<PatternSearchSolver>(options.seed);
+    if (name == "random") return std::make_unique<RandomSolver>(options.seed);
+    if (name == "grid") return std::make_unique<GridSolver>();
     if (name == "oracle") {
         if (options.mixer == nullptr) {
             throw support::ConfigError("oracle solver needs a mixer in SolverOptions");

@@ -12,7 +12,9 @@
 namespace sdl::solver {
 
 struct SolverOptions {
-    std::size_t dims = 4;
+    /// Must equal color::kDyes; kept only because perfbench/twin_loop.cpp
+    /// sets it.
+    std::size_t dims = color::kDyes;
     std::uint64_t seed = 1;
     /// Needed only by the oracle baseline.
     const color::BeerLambertMixer* mixer = nullptr;
@@ -23,7 +25,8 @@ struct SolverOptions {
 
 /// Known names: "genetic", "bayesian", "anneal", "pattern", "random",
 /// "grid", "oracle".
-/// Throws ConfigError for unknown names or missing oracle prerequisites.
+/// Throws ConfigError for unknown names, `dims` other than color::kDyes or
+/// missing oracle prerequisites.
 [[nodiscard]] std::unique_ptr<Solver> make_solver(const std::string& name,
                                                   const SolverOptions& options);
 

@@ -1,7 +1,5 @@
 #include "solver/genetic.hpp"
 
-#include <cmath>
-
 #include "support/common.hpp"
 
 namespace sdl::solver {
@@ -9,48 +7,40 @@ namespace sdl::solver {
 namespace {
 
 constexpr double kMutationScale = 0.15;  ///< uniform ratio-shift half-width
+/// Levels per dye of the initial population's uniform grid.
+constexpr std::size_t kGridLevels = 5;
 
 }  // namespace
 
-GeneticSolver::GeneticSolver(GeneticConfig config) : config_(config), rng_(config.seed) {
-    support::check(config_.dims >= 1, "genetic solver needs at least one dye");
-}
+GeneticSolver::GeneticSolver(std::uint64_t seed) : rng_(seed) {}
 
 const std::vector<Observation>& GeneticSolver::parents() const {
     return previous_generation().size() >= 2 ? previous_generation() : archive();
 }
 
-std::vector<double> GeneticSolver::random_ratios() {
-    std::vector<double> ratios(config_.dims);
-    do {
-        for (double& r : ratios) r = rng_.uniform();
-    } while (!is_valid_proposal(ratios, config_.dims));
-    return ratios;
-}
-
 std::vector<double> GeneticSolver::crossover() {
     const auto& pool = parents();
-    if (pool.size() < 2) return random_ratios();
+    if (pool.size() < 2) return draw_uniform(rng_);
     const std::size_t i = rng_.uniform_int(pool.size());
     std::size_t j = rng_.uniform_int(pool.size());
     if (j == i) j = (j + 1) % pool.size();
     const std::vector<double>& a = pool[i].ratios;
     const std::vector<double>& b = pool[j].ratios;
-    std::vector<double> child(config_.dims);
-    for (std::size_t d = 0; d < config_.dims; ++d) child[d] = 0.5 * (a[d] + b[d]);
+    std::vector<double> child(color::kDyes);
+    for (std::size_t d = 0; d < color::kDyes; ++d) child[d] = 0.5 * (a[d] + b[d]);
     return child;
 }
 
 std::vector<double> GeneticSolver::mutate() {
     const auto& pool = parents();
-    if (pool.empty()) return random_ratios();
+    if (pool.empty()) return draw_uniform(rng_);
     const std::vector<double>& base = pool[rng_.uniform_int(pool.size())].ratios;
-    std::vector<double> child(config_.dims);
-    for (std::size_t d = 0; d < config_.dims; ++d) {
+    std::vector<double> child(color::kDyes);
+    for (std::size_t d = 0; d < color::kDyes; ++d) {
         const double shifted = base[d] + rng_.uniform(-kMutationScale, kMutationScale);
         child[d] = support::clamp(shifted, 0.0, 1.0);
     }
-    if (!is_valid_proposal(child, config_.dims)) return random_ratios();
+    if (!is_valid_proposal(child)) return draw_uniform(rng_);
     return child;
 }
 
@@ -61,33 +51,16 @@ std::vector<std::vector<double>> GeneticSolver::ask(std::size_t n) {
 
     if (archive().empty()) {
         // Initial population from a uniform grid: enumerate lattice points
-        // of a g^dims grid in seeded-shuffled order, skipping degenerate
-        // (all-zero) corners.
-        int levels = config_.grid_levels;
-        if (levels < 2) {
-            levels = 2;
-            while (std::pow(levels, static_cast<double>(config_.dims)) <
-                   static_cast<double>(n) + 1.0) {
-                ++levels;
-            }
-        }
-        const auto total = static_cast<std::size_t>(
-            std::llround(std::pow(levels, static_cast<double>(config_.dims))));
-        const std::vector<std::size_t> order = rng_.permutation(total);
-        for (const std::size_t index : order) {
-            std::size_t rest = index;
-            std::vector<double> point(config_.dims);
-            for (std::size_t d = 0; d < config_.dims; ++d) {
-                point[d] = static_cast<double>(rest % static_cast<std::size_t>(levels)) /
-                           static_cast<double>(levels - 1);
-                rest /= static_cast<std::size_t>(levels);
-            }
-            if (!is_valid_proposal(point, config_.dims)) continue;
+        // of a kGridLevels^kDyes grid in seeded-shuffled order, skipping the
+        // degenerate (all-zero) corner.
+        for (const std::size_t index : rng_.permutation(lattice_size(kGridLevels))) {
+            std::vector<double> point = lattice_point(index, kGridLevels);
+            if (!is_valid_proposal(point)) continue;
             proposals.push_back(std::move(point));
             if (proposals.size() == n) break;
         }
         // Grid smaller than the batch: top up with uniform randoms.
-        while (proposals.size() < n) proposals.push_back(random_ratios());
+        while (proposals.size() < n) proposals.push_back(draw_uniform(rng_));
         ++generation_;
         return proposals;
     }
@@ -108,7 +81,7 @@ std::vector<std::vector<double>> GeneticSolver::ask(std::size_t n) {
         switch (op_index % 3) {
             case 0: proposals.push_back(crossover()); break;
             case 1: proposals.push_back(mutate()); break;
-            default: proposals.push_back(random_ratios()); break;
+            default: proposals.push_back(draw_uniform(rng_)); break;
         }
         ++op_index;
     }

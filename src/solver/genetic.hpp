@@ -19,34 +19,23 @@
 #pragma once
 
 #include "solver/solver.hpp"
-#include "support/random.hpp"
 
 namespace sdl::solver {
 
-struct GeneticConfig {
-    std::size_t dims = 4;  ///< number of dyes
-    /// Grid levels per dimension for the initial uniform grid; 0 picks
-    /// the smallest grid covering the first requested batch.
-    int grid_levels = 5;
-    std::uint64_t seed = 0x6E7E71C;
-};
-
 class GeneticSolver final : public SolverBase {
 public:
-    explicit GeneticSolver(GeneticConfig config = {});
+    explicit GeneticSolver(std::uint64_t seed);
 
     [[nodiscard]] std::string name() const override { return "genetic"; }
     [[nodiscard]] std::vector<std::vector<double>> ask(std::size_t n) override;
 
 private:
-    [[nodiscard]] std::vector<double> random_ratios();
     [[nodiscard]] std::vector<double> crossover();
     [[nodiscard]] std::vector<double> mutate();
     /// Parents pool: previous generation when it has >= 2 members,
     /// otherwise the full archive (keeps B=1 runs well-defined).
     [[nodiscard]] const std::vector<Observation>& parents() const;
 
-    GeneticConfig config_;
     support::Rng rng_;
     std::uint64_t generation_ = 0;
 };

@@ -8,16 +8,14 @@ namespace sdl::solver {
 
 namespace {
 
-constexpr double kMinStep = 0.01;  ///< floor of the shrinking compass step
+constexpr double kInitialStep = 0.25;  ///< compass step in ratio units
+constexpr double kShrink = 0.5;        ///< step multiplier after a failed compass
+constexpr double kMinStep = 0.01;      ///< floor of the shrinking compass step
 
 }  // namespace
 
-PatternSearchSolver::PatternSearchSolver(PatternConfig config)
-    : config_(config), rng_(config.seed), step_(config.initial_step) {
-    support::check(config_.dims >= 1, "pattern solver needs at least one dye");
-    support::check(config_.shrink > 0.0 && config_.shrink < 1.0,
-                   "shrink factor must be in (0, 1)");
-}
+PatternSearchSolver::PatternSearchSolver(std::uint64_t seed)
+    : rng_(seed), step_(kInitialStep) {}
 
 std::vector<std::vector<double>> PatternSearchSolver::ask(std::size_t n) {
     support::check(n >= 1, "ask() needs n >= 1");
@@ -26,37 +24,25 @@ std::vector<std::vector<double>> PatternSearchSolver::ask(std::size_t n) {
 
     if (!has_center_) {
         // Cold start: random points; the best becomes the first center.
-        for (std::size_t i = 0; i < n; ++i) {
-            std::vector<double> p(config_.dims);
-            do {
-                for (double& v : p) v = rng_.uniform();
-            } while (!is_valid_proposal(p, config_.dims));
-            proposals.push_back(std::move(p));
-        }
+        for (std::size_t i = 0; i < n; ++i) proposals.push_back(draw_uniform(rng_));
         return proposals;
     }
 
     // Compass probes around the center, in a seeded-random axis order so
-    // truncated batches (n < 2*dims) still cover all axes over time.
-    const auto order = rng_.permutation(2 * config_.dims);
+    // truncated batches (n < 2*kDyes) still cover all axes over time.
+    const auto order = rng_.permutation(2 * color::kDyes);
     for (const std::size_t probe : order) {
         if (proposals.size() == n) break;
         const std::size_t axis = probe / 2;
         const double direction = (probe % 2 == 0) ? 1.0 : -1.0;
         std::vector<double> p = center_;
         p[axis] = support::clamp(p[axis] + direction * step_, 0.0, 1.0);
-        if (!is_valid_proposal(p, config_.dims)) continue;
+        if (!is_valid_proposal(p)) continue;
         proposals.push_back(std::move(p));
     }
     // Batch larger than the compass: pad with random restarts (global
     // exploration keeps the search from stalling in a local basin).
-    while (proposals.size() < n) {
-        std::vector<double> p(config_.dims);
-        do {
-            for (double& v : p) v = rng_.uniform();
-        } while (!is_valid_proposal(p, config_.dims));
-        proposals.push_back(std::move(p));
-    }
+    while (proposals.size() < n) proposals.push_back(draw_uniform(rng_));
     probes_outstanding_ = true;
     return proposals;
 }
@@ -76,7 +62,7 @@ void PatternSearchSolver::tell(std::span<const Observation> observations) {
         return;
     }
     if (probes_outstanding_ && !improved) {
-        step_ = std::max(kMinStep, step_ * config_.shrink);
+        step_ = std::max(kMinStep, step_ * kShrink);
     }
     probes_outstanding_ = false;
 }

@@ -1,7 +1,7 @@
 // Compass / pattern-search solver (derivative-free local search).
 //
 // Another classic "different search approach" (§4 future work): probe the
-// 2·dims axis-aligned neighbours of the incumbent at the current step
+// 2·kDyes axis-aligned neighbours of the incumbent at the current step
 // size; move to the best improving probe, otherwise halve the step. Its
 // batch shape (a full compass of probes per generation) fits the
 // workcell's batched mixing naturally — one generation is one plate
@@ -9,20 +9,12 @@
 #pragma once
 
 #include "solver/solver.hpp"
-#include "support/random.hpp"
 
 namespace sdl::solver {
 
-struct PatternConfig {
-    std::size_t dims = 4;
-    double initial_step = 0.25;
-    double shrink = 0.5;
-    std::uint64_t seed = 0x9A77E2;
-};
-
 class PatternSearchSolver final : public SolverBase {
 public:
-    explicit PatternSearchSolver(PatternConfig config = {});
+    explicit PatternSearchSolver(std::uint64_t seed);
 
     [[nodiscard]] std::string name() const override { return "pattern"; }
     [[nodiscard]] std::vector<std::vector<double>> ask(std::size_t n) override;
@@ -31,7 +23,6 @@ public:
     [[nodiscard]] double step() const noexcept { return step_; }
 
 private:
-    PatternConfig config_;
     support::Rng rng_;
     double step_;
     std::vector<double> center_;

@@ -15,7 +15,9 @@
 #include <string>
 #include <vector>
 
+#include "color/dye.hpp"
 #include "color/rgb.hpp"
+#include "support/random.hpp"
 
 namespace sdl::solver {
 
@@ -66,7 +68,23 @@ private:
     std::optional<Observation> best_;
 };
 
-/// Validates a proposal's shape: `dims` entries, all in [0,1], sum > 0.
-[[nodiscard]] bool is_valid_proposal(std::span<const double> ratios, std::size_t dims);
+/// Validates a proposal's shape: color::kDyes entries, all in [0,1], sum > 0.
+[[nodiscard]] bool is_valid_proposal(std::span<const double> ratios);
+
+/// The solvers' shared random draw: fills `out` (kDyes entries) with
+/// uniform ratios, redrawing the whole vector until it is a valid
+/// proposal. Writes in place, so a caller-owned buffer costs no allocation.
+void draw_uniform(support::Rng& rng, std::span<double> out);
+[[nodiscard]] std::vector<double> draw_uniform(support::Rng& rng);
+
+/// Points of the `levels`^kDyes lattice over [0, 1]^kDyes.
+[[nodiscard]] constexpr std::size_t lattice_size(std::size_t levels) noexcept {
+    std::size_t size = 1;
+    for (std::size_t d = 0; d < color::kDyes; ++d) size *= levels;
+    return size;
+}
+/// Lattice point `index`: dye d's ratio is digit d of `index` in base
+/// `levels` (least significant first) over levels - 1.
+[[nodiscard]] std::vector<double> lattice_point(std::size_t index, std::size_t levels);
 
 }  // namespace sdl::solver

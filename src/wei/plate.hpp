@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "color/dye.hpp"
 #include "color/rgb.hpp"
 #include "support/units.hpp"
 
@@ -23,7 +24,7 @@ using PlateId = std::int64_t;
 /// What the ot2 actually dispensed into one well (volumes include pipette
 /// noise) and the resulting ground-truth liquid color.
 struct WellContent {
-    std::array<support::Volume, 4> volumes{};
+    std::array<support::Volume, color::kDyes> volumes{};
     color::Rgb8 true_color;
 };
 

@@ -404,6 +404,45 @@ TEST(Checkpoint, ResumeFromPartialJournalIsByteIdentical) {
               campaign_results_to_json(spec, results).pretty());
 }
 
+TEST(Checkpoint, ResumeAfterAWorkcellFileEditIsRejected) {
+    // The spec names its workcell file by path, so editing the file keeps
+    // the spec digest; each journaled cell's config digest must then catch
+    // the hardware change instead of mixing old-hardware cells into the
+    // report.
+    TempDir dir("test_ckpt_workcell_edit");
+    const std::string workcell = dir.path + "/wc.yaml";
+    const auto write_workcell = [&](const char* transfer_s) {
+        std::ofstream file(workcell, std::ios::binary | std::ios::trunc);
+        file << "workcell:\n  name: mywc\ndevices:\n  - kind: sciclops\n"
+                "  - kind: pf400\n    transfer_s: "
+             << transfer_s << "\n  - kind: ot2\n  - kind: barty\n  - kind: camera\n";
+    };
+    write_workcell("42.65");
+    CampaignSpec spec = tiny_spec();
+    spec.axes.workcells = {workcell};
+    const std::vector<CampaignCell> grid = expand_grid(spec);
+
+    // One cell made it to the journal before the "crash". Its result is
+    // not re-run here: the guard reads only the record's digest.
+    CellResult journaled = shared_results()[1];
+    journaled.cell = grid[1];
+    write_journal(dir.path, spec, grid.size(), std::span(&journaled, 1));
+    const std::string path = journal_path(dir.path);
+    ASSERT_EQ(load_journal(path, spec, expand_grid(spec)).cells.size(), 1u);
+
+    write_workcell("10.0");
+    const std::vector<CampaignCell> edited = expand_grid(spec);
+    EXPECT_NE(cell_digest(edited[1]), cell_digest(grid[1]));
+    try {
+        (void)load_journal(path, spec, edited);
+        FAIL() << "a journal cell run on other hardware was accepted";
+    } catch (const support::ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find("cell 1 config digest mismatch"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Checkpoint, HeaderFromOlderBuildsLoadsAndResumes) {
     // Journals written before static sharding was removed carry
     // shard_index/shard_count in their header. The keys are ignored, so

@@ -128,16 +128,19 @@ INSTANTIATE_TEST_SUITE_P(
 // ------------------------------------------------------------------ dyes
 
 TEST(Dye, CmykLibraryLayout) {
-    const DyeLibrary lib = DyeLibrary::cmyk();
-    EXPECT_EQ(lib.count(), 4u);
-    EXPECT_EQ(lib.dye(0).name, "cyan");
-    EXPECT_EQ(lib.index_of("black"), 3u);
-    EXPECT_THROW((void)lib.index_of("mauve"), sdl::support::ConfigError);
+    // One dye per OT2 reservoir, in reservoir order.
+    static_assert(kDyes == 4);
+    EXPECT_EQ(kCmyk[0].name, "cyan");
+    EXPECT_EQ(kCmyk[1].name, "magenta");
+    EXPECT_EQ(kCmyk[2].name, "yellow");
+    EXPECT_EQ(kCmyk[3].name, "black");
+    // Black absorbs every channel alike.
+    EXPECT_EQ(kCmyk[3].absorptivity[0], kCmyk[3].absorptivity[1]);
+    EXPECT_EQ(kCmyk[3].absorptivity[1], kCmyk[3].absorptivity[2]);
 }
 
 TEST(Dye, CyanAbsorbsRedMost) {
-    const DyeLibrary lib = DyeLibrary::cmyk();
-    const auto& cyan = lib.dye(lib.index_of("cyan")).absorptivity;
+    const auto& cyan = kCmyk[0].absorptivity;
     EXPECT_GT(cyan[0], cyan[1]);
     EXPECT_GT(cyan[1], cyan[2]);
 }
@@ -145,13 +148,13 @@ TEST(Dye, CyanAbsorbsRedMost) {
 // ---------------------------------------------------------------- mixing
 
 TEST(Mixer, EmptyWellIsWhite) {
-    const BeerLambertMixer mixer(DyeLibrary::cmyk());
+    const BeerLambertMixer mixer;
     const std::vector<double> none{0, 0, 0, 0};
     EXPECT_EQ(mixer.mix_ratios(none), (Rgb8{255, 255, 255}));
 }
 
 TEST(Mixer, PureBlackIsVeryDark) {
-    const BeerLambertMixer mixer(DyeLibrary::cmyk());
+    const BeerLambertMixer mixer;
     const std::vector<double> black{0, 0, 0, 1};
     const Rgb8 c = mixer.mix_ratios(black);
     EXPECT_LT(c.r, 60);
@@ -162,7 +165,7 @@ TEST(Mixer, PureBlackIsVeryDark) {
 }
 
 TEST(Mixer, CyanLooksCyan) {
-    const BeerLambertMixer mixer(DyeLibrary::cmyk());
+    const BeerLambertMixer mixer;
     const std::vector<double> cyan{1, 0, 0, 0};
     const Rgb8 c = mixer.mix_ratios(cyan);
     EXPECT_LT(c.r, c.g);
@@ -171,14 +174,14 @@ TEST(Mixer, CyanLooksCyan) {
 
 TEST(Mixer, ScaleInvarianceOfRatios) {
     // Color depends only on mixing ratios, not absolute volumes.
-    const BeerLambertMixer mixer(DyeLibrary::cmyk());
+    const BeerLambertMixer mixer;
     const std::vector<double> a{0.2, 0.3, 0.1, 0.4};
     const std::vector<double> b{2.0, 3.0, 1.0, 4.0};
     EXPECT_EQ(mixer.mix_ratios(a), mixer.mix_ratios(b));
 }
 
 TEST(Mixer, VolumeOverloadMatchesRatioOverload) {
-    const BeerLambertMixer mixer(DyeLibrary::cmyk());
+    const BeerLambertMixer mixer;
     const std::vector<Volume> vols{Volume::microliters(20), Volume::microliters(30),
                                    Volume::microliters(10), Volume::microliters(40)};
     const std::vector<double> ratios{0.2, 0.3, 0.1, 0.4};
@@ -186,7 +189,7 @@ TEST(Mixer, VolumeOverloadMatchesRatioOverload) {
 }
 
 TEST(Mixer, MoreBlackIsMonotonicallyDarker) {
-    const BeerLambertMixer mixer(DyeLibrary::cmyk());
+    const BeerLambertMixer mixer;
     int prev_sum = 3 * 255 + 1;
     for (double k = 0.0; k <= 1.0; k += 0.1) {
         const std::vector<double> ratios{(1 - k) / 3, (1 - k) / 3, (1 - k) / 3, k};
@@ -200,7 +203,7 @@ TEST(Mixer, MoreBlackIsMonotonicallyDarker) {
 TEST(Mixer, PaperTargetIsExactlyReachable) {
     // The Figure-4 target RGB(120,120,120) must lie inside the dye gamut;
     // the analytic inverse should find ratios that reproduce it exactly.
-    const BeerLambertMixer mixer(DyeLibrary::cmyk());
+    const BeerLambertMixer mixer;
     const Rgb8 target{120, 120, 120};
     const auto ratios = mixer.invert_target(target);
     ASSERT_TRUE(ratios.has_value());
@@ -214,7 +217,7 @@ TEST(Mixer, PaperTargetIsExactlyReachable) {
 }
 
 TEST(Mixer, OutOfGamutTargetIsRejected) {
-    const BeerLambertMixer mixer(DyeLibrary::cmyk());
+    const BeerLambertMixer mixer;
     // Saturated pure red is not reachable with C/M/Y/K subtractive dyes.
     EXPECT_FALSE(mixer.invert_target({255, 0, 0}).has_value());
     // Pitch black is darker than the darkest achievable mixture.
@@ -222,9 +225,18 @@ TEST(Mixer, OutOfGamutTargetIsRejected) {
 }
 
 TEST(Mixer, NegativeFractionThrows) {
-    const BeerLambertMixer mixer(DyeLibrary::cmyk());
+    const BeerLambertMixer mixer;
     const std::vector<double> bad{-0.1, 0.5, 0.3, 0.3};
     EXPECT_THROW((void)mixer.mix_ratios(bad), sdl::support::LogicError);
+}
+
+TEST(Mixer, FractionCountOtherThanDyeCountThrows) {
+    // The mixer indexes the fixed dye table by fraction position.
+    const BeerLambertMixer mixer;
+    EXPECT_THROW((void)mixer.mix_ratios(std::vector<double>{0.2, 0.3, 0.5}),
+                 sdl::support::LogicError);
+    EXPECT_THROW((void)mixer.mix_ratios(std::vector<double>{0.2, 0.2, 0.2, 0.2, 0.2}),
+                 sdl::support::LogicError);
 }
 
 // Property sweep: the analytic inverse round-trips across the gray ramp
@@ -233,7 +245,7 @@ class MixerGrayInvert : public ::testing::TestWithParam<int> {};
 
 TEST_P(MixerGrayInvert, InverseReproducesGray) {
     const auto v = static_cast<std::uint8_t>(GetParam());
-    const BeerLambertMixer mixer(DyeLibrary::cmyk());
+    const BeerLambertMixer mixer;
     const Rgb8 target{v, v, v};
     const auto ratios = mixer.invert_target(target);
     ASSERT_TRUE(ratios.has_value()) << "gray " << int(v) << " should be reachable";

@@ -568,7 +568,7 @@ TestScene make_scene(double angle, std::uint64_t color_seed) {
     TestScene ts;
     ts.scene.angle_rad = angle;
     Rng rng(color_seed);
-    const sdl::color::BeerLambertMixer mixer(sdl::color::DyeLibrary::cmyk());
+    const sdl::color::BeerLambertMixer mixer;
     for (int i = 0; i < ts.scene.geometry.well_count(); ++i) {
         std::vector<double> ratios{rng.uniform(), rng.uniform(), rng.uniform(),
                                    rng.uniform() * 0.4};

@@ -190,6 +190,75 @@ TEST(GeneratedScenarios, SpecTextIsPinnedPerSeed) {
     }
 }
 
+namespace {
+
+/// Every field apply_workcell_spec sets that the run reads, compared
+/// exactly. A hand-run device's own timings and stock are never read
+/// (every action takes manual_handling, and stock never runs out), so a
+/// handling device's fields are compared only where it is mounted.
+void expect_same_hardware(const ColorPickerConfig& a, const ColorPickerConfig& b,
+                          const std::string& what) {
+    EXPECT_EQ(a.workcell.scenario, b.workcell.scenario) << what;
+    ASSERT_EQ(a.workcell.has_sciclops, b.workcell.has_sciclops) << what;
+    ASSERT_EQ(a.workcell.has_pf400, b.workcell.has_pf400) << what;
+    ASSERT_EQ(a.workcell.has_barty, b.workcell.has_barty) << what;
+    EXPECT_EQ(a.workcell.manual_handling, b.workcell.manual_handling) << what;
+    EXPECT_EQ(a.plate_rows, b.plate_rows) << what;
+    EXPECT_EQ(a.plate_cols, b.plate_cols) << what;
+    if (a.workcell.has_sciclops) {
+        EXPECT_EQ(a.sciclops.towers, b.sciclops.towers) << what;
+        EXPECT_EQ(a.sciclops.plates_per_tower, b.sciclops.plates_per_tower) << what;
+        EXPECT_EQ(a.sciclops.timing.get_plate, b.sciclops.timing.get_plate) << what;
+    }
+    if (a.workcell.has_pf400) {
+        EXPECT_EQ(a.pf400.timing.transfer, b.pf400.timing.transfer) << what;
+    }
+    EXPECT_EQ(a.ot2.timing.protocol_overhead, b.ot2.timing.protocol_overhead) << what;
+    EXPECT_EQ(a.ot2.timing.per_well, b.ot2.timing.per_well) << what;
+    EXPECT_EQ(a.ot2.dispense_cv, b.ot2.dispense_cv) << what;
+    EXPECT_EQ(a.ot2.dispense_sigma_ul, b.ot2.dispense_sigma_ul) << what;
+    EXPECT_EQ(a.ot2.reservoir_capacity, b.ot2.reservoir_capacity) << what;
+    EXPECT_EQ(a.ot2.clog_prob, b.ot2.clog_prob) << what;
+    EXPECT_EQ(a.ot2.dye_drift_per_well, b.ot2.dye_drift_per_well) << what;
+    if (a.workcell.has_barty) {
+        EXPECT_EQ(a.barty.timing.fill, b.barty.timing.fill) << what;
+        EXPECT_EQ(a.barty.timing.drain, b.barty.timing.drain) << what;
+        EXPECT_EQ(a.barty.timing.refill, b.barty.timing.refill) << what;
+        EXPECT_EQ(a.barty.timing.prime, b.barty.timing.prime) << what;
+        EXPECT_EQ(a.barty.bulk_capacity, b.barty.bulk_capacity) << what;
+    }
+    EXPECT_EQ(a.camera.timing.capture, b.camera.timing.capture) << what;
+    EXPECT_EQ(a.camera.glitch_prob, b.camera.glitch_prob) << what;
+    EXPECT_EQ(a.camera.drift_per_frame, b.camera.drift_per_frame) << what;
+    EXPECT_EQ(a.faults.command_rejection_prob, b.faults.command_rejection_prob) << what;
+    EXPECT_EQ(a.faults.per_module, b.faults.per_module) << what;
+    EXPECT_EQ(a.faults.rejection_latency, b.faults.rejection_latency) << what;
+    EXPECT_EQ(a.faults.seed, b.faults.seed) << what;
+}
+
+}  // namespace
+
+TEST(WorkcellSpecOf, ApplyOfSpecOfReproducesTheHardware) {
+    // workcell_spec_of is what a campaign journal's cell digest hashes, so
+    // it must carry every hardware value a spec can set: re-applying it
+    // reproduces the config, for the registry pack and generated seeds.
+    std::vector<std::pair<std::string, WorkcellSpec>> specs;
+    for (const std::string& name : scenario_names()) {
+        specs.emplace_back(name, scenario_by_name(name));
+    }
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        specs.emplace_back("generated:seed=" + std::to_string(seed),
+                           generate_scenario(seed));
+    }
+    for (const auto& [what, spec] : specs) {
+        const ColorPickerConfig config = apply_workcell_spec(ColorPickerConfig{}, spec);
+        const WorkcellSpec inverse = workcell_spec_of(config);
+        EXPECT_EQ(inverse.timing_scale, 1.0) << what;
+        expect_same_hardware(apply_workcell_spec(ColorPickerConfig{}, inverse), config,
+                             what);
+    }
+}
+
 TEST(GeneratedScenarios, ResolveScenarioRoutesGeneratedRefs) {
     const WorkcellSpec spec = resolve_scenario("generated:seed=7");
     EXPECT_EQ(spec.name, "gen_7");

@@ -25,7 +25,6 @@
 
 using namespace sdl::solver;
 using sdl::color::BeerLambertMixer;
-using sdl::color::DyeLibrary;
 using sdl::color::Rgb8;
 using sdl::support::Rng;
 
@@ -38,7 +37,7 @@ constexpr Rgb8 kTarget{120, 120, 120};
 class NoisyObjective {
 public:
     explicit NoisyObjective(std::uint64_t seed, double noise_sigma = 2.0)
-        : mixer_(DyeLibrary::cmyk()), rng_(seed), noise_sigma_(noise_sigma) {}
+        : rng_(seed), noise_sigma_(noise_sigma) {}
 
     Observation evaluate(const std::vector<double>& ratios) {
         const Rgb8 truth = mixer_.mix_ratios(ratios);
@@ -87,7 +86,7 @@ double run_loop(Solver& solver, NoisyObjective& objective, std::size_t budget,
 // -------------------------------------------------------------- interface
 
 TEST(SolverBase, TracksBestAcrossTells) {
-    GeneticSolver solver;
+    GeneticSolver solver(0x6E7E71C);
     EXPECT_FALSE(solver.best().has_value());
     Observation a{{0.5, 0.5, 0.5, 0.5}, {100, 100, 100}, 30.0};
     Observation b{{0.2, 0.2, 0.2, 0.2}, {118, 121, 119}, 3.0};
@@ -99,34 +98,33 @@ TEST(SolverBase, TracksBestAcrossTells) {
 }
 
 TEST(SolverBase, ProposalValidation) {
-    EXPECT_TRUE(is_valid_proposal(std::vector<double>{0.1, 0.2, 0.3, 0.4}, 4));
-    EXPECT_FALSE(is_valid_proposal(std::vector<double>{0.1, 0.2, 0.3}, 4));
-    EXPECT_FALSE(is_valid_proposal(std::vector<double>{-0.1, 0.2, 0.3, 0.4}, 4));
-    EXPECT_FALSE(is_valid_proposal(std::vector<double>{0.0, 0.0, 0.0, 0.0}, 4));
-    EXPECT_FALSE(is_valid_proposal(std::vector<double>{1.2, 0.0, 0.0, 0.0}, 4));
+    EXPECT_TRUE(is_valid_proposal(std::vector<double>{0.1, 0.2, 0.3, 0.4}));
+    EXPECT_FALSE(is_valid_proposal(std::vector<double>{0.1, 0.2, 0.3}));
+    EXPECT_FALSE(is_valid_proposal(std::vector<double>{0.1, 0.2, 0.3, 0.2, 0.1}));
+    EXPECT_FALSE(is_valid_proposal(std::vector<double>{-0.1, 0.2, 0.3, 0.4}));
+    EXPECT_FALSE(is_valid_proposal(std::vector<double>{0.0, 0.0, 0.0, 0.0}));
+    EXPECT_FALSE(is_valid_proposal(std::vector<double>{1.2, 0.0, 0.0, 0.0}));
 }
 
 // ---------------------------------------------------------------- genetic
 
 TEST(Genetic, InitialPopulationComesFromUniformGrid) {
-    GeneticConfig config;
-    config.grid_levels = 5;
-    GeneticSolver solver(config);
+    GeneticSolver solver(0x6E7E71C);
     const auto proposals = solver.ask(16);
     ASSERT_EQ(proposals.size(), 16u);
     for (const auto& p : proposals) {
         ASSERT_EQ(p.size(), 4u);
         for (const double r : p) {
-            // Grid values are multiples of 1/(levels-1) = 0.25.
+            // Grid values are multiples of 1/(levels-1) = 0.25 (5 levels).
             const double scaled = r * 4.0;
             EXPECT_NEAR(scaled, std::round(scaled), 1e-9);
         }
-        EXPECT_TRUE(is_valid_proposal(p, 4));
+        EXPECT_TRUE(is_valid_proposal(p));
     }
 }
 
 TEST(Genetic, ElitePropagatedIntoNextGeneration) {
-    GeneticSolver solver;
+    GeneticSolver solver(0x6E7E71C);
     auto initial = solver.ask(9);
     std::vector<Observation> observations;
     for (std::size_t i = 0; i < initial.size(); ++i) {
@@ -140,13 +138,13 @@ TEST(Genetic, ElitePropagatedIntoNextGeneration) {
 }
 
 TEST(Genetic, ProposalsStayValidAcrossGenerations) {
-    GeneticSolver solver;
+    GeneticSolver solver(0x6E7E71C);
     NoisyObjective objective(5);
     for (int gen = 0; gen < 12; ++gen) {
         const auto proposals = solver.ask(9);
         std::vector<Observation> observations;
         for (const auto& p : proposals) {
-            ASSERT_TRUE(is_valid_proposal(p, 4)) << "generation " << gen;
+            ASSERT_TRUE(is_valid_proposal(p)) << "generation " << gen;
             observations.push_back(objective.evaluate(p));
         }
         solver.tell(observations);
@@ -154,9 +152,7 @@ TEST(Genetic, ProposalsStayValidAcrossGenerations) {
 }
 
 TEST(Genetic, DeterministicForEqualSeeds) {
-    GeneticConfig config;
-    config.seed = 77;
-    GeneticSolver a(config), b(config);
+    GeneticSolver a(77), b(77);
     NoisyObjective obj_a(9), obj_b(9);
     for (int gen = 0; gen < 5; ++gen) {
         const auto pa = a.ask(6);
@@ -175,9 +171,7 @@ TEST(Genetic, ConvergesOnColorMatchingObjective) {
     // land in Figure 4's end range (roughly <= 15) for typical seeds.
     sdl::support::OnlineStats finals;
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-        GeneticConfig config;
-        config.seed = seed;
-        GeneticSolver solver(config);
+        GeneticSolver solver(seed);
         NoisyObjective objective(seed * 13);
         finals.add(run_loop(solver, objective, 128, 8));
     }
@@ -186,9 +180,7 @@ TEST(Genetic, ConvergesOnColorMatchingObjective) {
 }
 
 TEST(Genetic, BatchSizeOneStillImproves) {
-    GeneticConfig config;
-    config.seed = 3;
-    GeneticSolver solver(config);
+    GeneticSolver solver(3);
     NoisyObjective objective(31);
     const double best = run_loop(solver, objective, 128, 1);
     EXPECT_LT(best, 15.0);
@@ -197,13 +189,11 @@ TEST(Genetic, BatchSizeOneStillImproves) {
 TEST(Genetic, BeatsRandomSearchOnAverage) {
     sdl::support::OnlineStats genetic_scores, random_scores;
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-        GeneticConfig config;
-        config.seed = seed;
-        GeneticSolver genetic(config);
+        GeneticSolver genetic(seed);
         NoisyObjective obj_a(seed * 101);
         genetic_scores.add(run_loop(genetic, obj_a, 96, 8));
 
-        RandomSolver random_solver(4, seed);
+        RandomSolver random_solver(seed);
         NoisyObjective obj_b(seed * 101);
         random_scores.add(run_loop(random_solver, obj_b, 96, 8));
     }
@@ -505,11 +495,7 @@ TEST(Bayes, SeedPairedRunsReproduceUnderBatching) {
     // solvers with equal seeds and equal tells must propose identical
     // batches, including past warmup where the GP drives.
     const auto run = [] {
-        BayesConfig config;
-        config.seed = 77;
-        config.candidates = 64;
-        config.warmup = 4;
-        BayesSolver solver(config);
+        BayesSolver solver(77);
         NoisyObjective objective(123);
         std::vector<std::vector<std::vector<double>>> asked;
         for (int round = 0; round < 4; ++round) {
@@ -656,9 +642,7 @@ TEST(GaussianProcess, PinnedBitsAcrossCpus) {
         expect_bits(gp.hyperparams().noise_var, 1e-2, "noise_var");
         expect_bits(gp.log_marginal_likelihood(gp.hyperparams()), 0x1.4f38e6d36f98p+1, "lml");
 
-        BayesConfig config;
-        config.seed = 9004;
-        BayesSolver solver(config);
+        BayesSolver solver(9004);
         solver.tell(observations);
         const auto proposals = solver.ask(24);
         ASSERT_EQ(proposals.size(), 24u);
@@ -693,21 +677,17 @@ TEST(Bayes, ExpectedImprovementProperties) {
 }
 
 TEST(Bayes, WarmupProposalsAreRandomAndValid) {
-    BayesConfig config;
-    config.warmup = 8;
-    BayesSolver solver(config);
+    // The first 8 samples (the warmup) come before the GP.
+    BayesSolver solver(0xBA7E5);
     const auto proposals = solver.ask(8);
     ASSERT_EQ(proposals.size(), 8u);
-    for (const auto& p : proposals) EXPECT_TRUE(is_valid_proposal(p, 4));
+    for (const auto& p : proposals) EXPECT_TRUE(is_valid_proposal(p));
 }
 
 TEST(Bayes, BatchProposalsAreDistinct) {
-    BayesConfig config;
-    config.warmup = 4;
-    config.candidates = 128;
-    BayesSolver solver(config);
+    BayesSolver solver(0xBA7E5);
     NoisyObjective objective(23);
-    // Warm up with a few evaluations.
+    // Warm up with the 8 random samples the GP waits for.
     auto warm = solver.ask(8);
     std::vector<Observation> observations;
     for (const auto& p : warm) observations.push_back(objective.evaluate(p));
@@ -716,7 +696,7 @@ TEST(Bayes, BatchProposalsAreDistinct) {
     const auto batch = solver.ask(4);
     ASSERT_EQ(batch.size(), 4u);
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_TRUE(is_valid_proposal(batch[i], 4));
+        EXPECT_TRUE(is_valid_proposal(batch[i]));
         for (std::size_t j = i + 1; j < batch.size(); ++j) {
             EXPECT_NE(batch[i], batch[j]) << "constant liar should separate picks";
         }
@@ -724,10 +704,7 @@ TEST(Bayes, BatchProposalsAreDistinct) {
 }
 
 TEST(Bayes, ImprovesOverWarmupOnSmoothObjective) {
-    BayesConfig config;
-    config.warmup = 16;
-    config.seed = 5;
-    BayesSolver solver(config);
+    BayesSolver solver(5);
     NoisyObjective objective(47, /*noise=*/1.0);
 
     double warmup_best = 1e300;
@@ -756,31 +733,35 @@ TEST(Bayes, ImprovesOverWarmupOnSmoothObjective) {
 // -------------------------------------------------------------- baselines
 
 TEST(Baselines, GridScansLatticeInOrder) {
-    GridSolver solver(2, 3);
+    GridSolver solver;
     const auto first = solver.ask(4);
-    // 3x3 lattice, skipping the all-zero corner: (0.5,0), (1,0), (0,0.5)...
-    EXPECT_EQ(first[0], (std::vector<double>{0.5, 0.0}));
-    EXPECT_EQ(first[1], (std::vector<double>{1.0, 0.0}));
-    EXPECT_EQ(first[2], (std::vector<double>{0.0, 0.5}));
+    // 4 levels per dye, first dye fastest, skipping the all-zero corner.
+    const double third = 1.0 / 3.0;
+    const double two_thirds = 2.0 / 3.0;
+    EXPECT_EQ(first[0], (std::vector<double>{third, 0.0, 0.0, 0.0}));
+    EXPECT_EQ(first[1], (std::vector<double>{two_thirds, 0.0, 0.0, 0.0}));
+    EXPECT_EQ(first[2], (std::vector<double>{1.0, 0.0, 0.0, 0.0}));
+    EXPECT_EQ(first[3], (std::vector<double>{0.0, third, 0.0, 0.0}));
 }
 
 TEST(Baselines, OracleHitsNoiseFloor) {
     NoisyObjective objective(61);
-    OracleSolver solver(objective.mixer(), kTarget);
+    OracleSolver solver(objective.mixer(), kTarget, 0x0AC1E);
     const double best = run_loop(solver, objective, 16, 4);
     // Only measurement noise separates the oracle from zero.
     EXPECT_LT(best, 6.0);
 }
 
 TEST(Baselines, OracleRejectsUnreachableTarget) {
-    const BeerLambertMixer mixer(DyeLibrary::cmyk());
-    EXPECT_THROW(OracleSolver(mixer, Rgb8{255, 0, 0}), sdl::support::ConfigError);
+    const BeerLambertMixer mixer;
+    EXPECT_THROW(OracleSolver(mixer, Rgb8{255, 0, 0}, 0x0AC1E),
+                 sdl::support::ConfigError);
 }
 
 // ---------------------------------------------------------------- factory
 
 TEST(Factory, BuildsEveryRegisteredSolver) {
-    const BeerLambertMixer mixer(DyeLibrary::cmyk());
+    const BeerLambertMixer mixer;
     SolverOptions options;
     options.mixer = &mixer;
     for (const std::string& name : solver_names()) {
@@ -792,12 +773,51 @@ TEST(Factory, BuildsEveryRegisteredSolver) {
     }
 }
 
+TEST(Factory, ProposalStreamsArePinned) {
+    // Every solver's proposal stream, pinned bit for bit: three B=1 asks
+    // then three B=8 asks from seed 11, each batch told back through the
+    // noisy objective, so the cold start, the feedback path and (for the
+    // Bayesian solver) the GP past warmup all feed the digest.
+    const BeerLambertMixer mixer;
+    const std::pair<const char*, std::uint64_t> pinned[] = {
+        {"genetic", 0x6a92b54e095ca21fULL}, {"bayesian", 0xb4b39d2093994eaeULL},
+        {"anneal", 0xd82669bedfc32518ULL},  {"pattern", 0xa1ae97bdd7352ffeULL},
+        {"random", 0x895d4c2ab1af455cULL},  {"grid", 0x80b2763f4d44f488ULL},
+        {"oracle", 0xd0a38f4a5bd5b520ULL},
+    };
+    for (const auto& [name, want] : pinned) {
+        SolverOptions options;
+        options.seed = 11;
+        options.mixer = &mixer;
+        const auto solver = make_solver(name, options);
+        NoisyObjective objective(11);
+        std::vector<double> bits;
+        for (const std::size_t batch : {1, 1, 1, 8, 8, 8}) {
+            std::vector<Observation> observations;
+            for (const auto& p : solver->ask(batch)) {
+                bits.insert(bits.end(), p.begin(), p.end());
+                observations.push_back(objective.evaluate(p));
+            }
+            solver->tell(observations);
+        }
+        expect_digest(bits, want, name);
+    }
+}
+
 TEST(Factory, UnknownNameThrows) {
     EXPECT_THROW((void)make_solver("simulated_annealing", {}), sdl::support::ConfigError);
 }
 
 TEST(Factory, OracleWithoutMixerThrows) {
     EXPECT_THROW((void)make_solver("oracle", {}), sdl::support::ConfigError);
+}
+
+TEST(Factory, DimsOtherThanDyeCountThrows) {
+    SolverOptions options;
+    options.dims = 3;
+    for (const std::string& name : solver_names()) {
+        EXPECT_THROW((void)make_solver(name, options), sdl::support::ConfigError) << name;
+    }
 }
 
 // Property sweep: every solver produces valid proposals for varied batch
@@ -807,7 +827,7 @@ class SolverContract
 
 TEST_P(SolverContract, ProposalsAlwaysValid) {
     const auto& [name, batch] = GetParam();
-    const BeerLambertMixer mixer(DyeLibrary::cmyk());
+    const BeerLambertMixer mixer;
     SolverOptions options;
     options.mixer = &mixer;
     options.seed = 123;
@@ -819,7 +839,7 @@ TEST_P(SolverContract, ProposalsAlwaysValid) {
         ASSERT_EQ(proposals.size(), batch);
         std::vector<Observation> observations;
         for (const auto& p : proposals) {
-            EXPECT_TRUE(is_valid_proposal(p, 4)) << name << " round " << round;
+            EXPECT_TRUE(is_valid_proposal(p)) << name << " round " << round;
             observations.push_back(objective.evaluate(p));
         }
         solver->tell(observations);
@@ -836,10 +856,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------- anneal & pattern
 
 TEST(Anneal, TemperatureCoolsAcrossGenerations) {
-    AnnealConfig config;
-    config.initial_temperature = 20.0;
-    config.cooling = 0.9;
-    AnnealSolver solver(config);
+    AnnealSolver solver(0xA22EA1);
     NoisyObjective objective(71);
     const double t0 = solver.temperature();
     for (int gen = 0; gen < 5; ++gen) {
@@ -848,53 +865,47 @@ TEST(Anneal, TemperatureCoolsAcrossGenerations) {
         for (const auto& p : proposals) obs.push_back(objective.evaluate(p));
         solver.tell(obs);
     }
-    EXPECT_NEAR(solver.temperature(), t0 * std::pow(0.9, 5), 1e-9);
+    EXPECT_DOUBLE_EQ(t0, 25.0);
+    EXPECT_NEAR(solver.temperature(), t0 * std::pow(0.95, 5), 1e-9);
 }
 
 TEST(Anneal, ConvergesOnColorObjective) {
-    AnnealConfig config;
-    config.seed = 5;
-    AnnealSolver solver(config);
+    AnnealSolver solver(5);
     NoisyObjective objective(73);
     const double best = run_loop(solver, objective, 128, 4);
     EXPECT_LT(best, 15.0);
 }
 
 TEST(Anneal, ProposalsPerturbAroundState) {
-    AnnealConfig config;
-    config.initial_step = 0.1;
-    AnnealSolver solver(config);
+    AnnealSolver solver(0xA22EA1);
     // Seed a state via tell.
     Observation obs{{0.5, 0.5, 0.5, 0.5}, {100, 100, 100}, 10.0};
     solver.tell(std::vector<Observation>{obs});
     for (const auto& p : solver.ask(8)) {
         for (std::size_t d = 0; d < 4; ++d) {
-            EXPECT_NEAR(p[d], 0.5, 0.1 + 1e-9);
+            EXPECT_NEAR(p[d], 0.5, 0.25 + 1e-9);  // the initial step
         }
     }
 }
 
 TEST(Pattern, StepShrinksWithoutImprovement) {
-    PatternConfig config;
-    config.initial_step = 0.2;
-    config.shrink = 0.5;
-    PatternSearchSolver solver(config);
+    PatternSearchSolver solver(0x9A77E2);
     // Cold start.
     auto initial = solver.ask(4);
     std::vector<Observation> obs;
     for (const auto& p : initial) obs.push_back({p, {0, 0, 0}, 5.0});
     solver.tell(obs);
-    EXPECT_DOUBLE_EQ(solver.step(), 0.2);
+    EXPECT_DOUBLE_EQ(solver.step(), 0.25);
     // A probe round where nothing improves on the incumbent (score 5).
     auto probes = solver.ask(8);
     obs.clear();
     for (const auto& p : probes) obs.push_back({p, {0, 0, 0}, 50.0});
     solver.tell(obs);
-    EXPECT_DOUBLE_EQ(solver.step(), 0.1);
+    EXPECT_DOUBLE_EQ(solver.step(), 0.125);
 }
 
 TEST(Pattern, ProbesAreAxisAlignedAroundIncumbent) {
-    PatternSearchSolver solver;
+    PatternSearchSolver solver(0x9A77E2);
     auto initial = solver.ask(1);
     std::vector<Observation> obs{{initial[0], {0, 0, 0}, 5.0}};
     solver.tell(obs);
@@ -911,9 +922,7 @@ TEST(Pattern, ProbesAreAxisAlignedAroundIncumbent) {
 }
 
 TEST(Pattern, ConvergesOnColorObjective) {
-    PatternConfig config;
-    config.seed = 7;
-    PatternSearchSolver solver(config);
+    PatternSearchSolver solver(7);
     NoisyObjective objective(79);
     const double best = run_loop(solver, objective, 128, 8);
     EXPECT_LT(best, 15.0);
