@@ -61,14 +61,15 @@ int main() {
         locations.add_location(loc);
     }
     wei::ModuleRegistry registry;
-    auto ot2 = std::make_shared<devices::Ot2Sim>(devices::Ot2Config{}, plates, locations);
+    auto ot2 =
+        std::make_shared<devices::Ot2Sim>(devices::Ot2Config{}, 0x07B2, plates, locations);
     registry.add(std::make_shared<devices::SciclopsSim>(devices::SciclopsConfig{}, 8, 12,
                                                         plates, locations));
     registry.add(std::make_shared<devices::Pf400Sim>(devices::Pf400Config{}, locations));
     registry.add(ot2);
     registry.add(std::make_shared<devices::BartySim>(devices::BartyConfig{}, *ot2));
-    auto camera = std::make_shared<devices::CameraSim>(devices::CameraConfig{}, plates,
-                                                       locations);
+    auto camera = std::make_shared<devices::CameraSim>(devices::CameraConfig{}, 0xCA3E7A,
+                                                       plates, locations);
     registry.add(camera);
 
     // 2. Parse a workflow and parameterize its ot2 step.

@@ -40,7 +40,7 @@ double expected_run_cost(const core::ColorPickerConfig& config) {
     }
     // The frame the camera renders for this plate (devices/camera.cpp).
     const imaging::PlateScene frame =
-        imaging::scene_for_plate(config.camera.scene, config.plate_rows, config.plate_cols);
+        imaging::scene_for_plate(imaging::PlateScene{}, config.plate_rows, config.plate_cols);
     const double mpix = static_cast<double>(frame.width) * frame.height * 1e-6;
     return samples * per_sample + batches * (kBatchOverhead + kBatchPerMpix * mpix);
 }

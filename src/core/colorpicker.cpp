@@ -23,24 +23,13 @@ constexpr int kMaxRetakes = 3;
 }  // namespace
 
 ColorPickerApp::ColorPickerApp(ColorPickerConfig config)
-    : owned_runtime_(std::make_unique<WorkcellRuntime>(std::move(config))),
-      runtime_(owned_runtime_.get()) {
-    runtime_->claim();
-    init_solver();
-}
-
-ColorPickerApp::ColorPickerApp(WorkcellRuntime& runtime) : runtime_(&runtime) {
-    runtime_->claim();
-    init_solver();
-}
-
-void ColorPickerApp::init_solver() {
-    const ColorPickerConfig& config = runtime_->config();
+    : runtime_(std::make_unique<WorkcellRuntime>(std::move(config))) {
+    const ColorPickerConfig& resolved = runtime_->config();
     solver::SolverOptions solver_options;
-    solver_options.seed = config.seed;
+    solver_options.seed = resolved.seed;
     solver_options.mixer = &runtime_->ot2().mixer();
-    solver_options.target = config.target;
-    solver_ = solver::make_solver(config.solver, solver_options);
+    solver_options.target = resolved.target;
+    solver_ = solver::make_solver(resolved.solver, solver_options);
 }
 
 void ColorPickerApp::ensure_plate_with_room(int batch) {

@@ -13,7 +13,8 @@
 //      housekeeping along the way.
 //
 // The workcell itself — devices, transport, engine, event log, data
-// plane — lives in WorkcellRuntime; this class only drives the loop.
+// plane — lives in a WorkcellRuntime the app owns; this class only drives
+// the loop.
 #pragma once
 
 #include <memory>
@@ -32,13 +33,8 @@ namespace sdl::core {
 /// log.
 class ColorPickerApp {
 public:
-    /// Convenience: builds and owns a WorkcellRuntime for `config`.
+    /// Builds and owns the WorkcellRuntime for `config`.
     explicit ColorPickerApp(ColorPickerConfig config);
-
-    /// Borrows an externally owned runtime (which carries the config);
-    /// the runtime must outlive the app. A runtime drives at most one
-    /// experiment: borrowing an already claimed one throws LogicError.
-    explicit ColorPickerApp(WorkcellRuntime& runtime);
 
     /// Executes the experiment to completion.
     [[nodiscard]] ExperimentOutcome run();
@@ -66,7 +62,6 @@ private:
         double grid_residual_px = 0.0;
     };
 
-    void init_solver();
     void ensure_plate_with_room(int batch);
     void ensure_reservoirs(std::span<const devices::DispenseOrder> orders);
     void ensure_primed();
@@ -78,8 +73,7 @@ private:
                      std::int64_t frame_id);
     void publish_experiment_header();
 
-    std::unique_ptr<WorkcellRuntime> owned_runtime_;  ///< null when borrowing
-    WorkcellRuntime* runtime_ = nullptr;
+    std::unique_ptr<WorkcellRuntime> runtime_;
     std::unique_ptr<solver::Solver> solver_;
     /// Session vision reader: reuses the frame scratch pool, tracks the
     /// marker ROI across batches from the calibrated pose on, and renders

@@ -136,10 +136,11 @@ ColorPickerConfig config_from_doc(const json::Value& doc) {
     }
     if (const json::Value* plate = doc.find("plate")) {
         reject_unknown_keys(*plate, {"rows", "cols"}, "plate");
-        config.plate_rows =
-            positive_count(plate->get_or("rows", std::int64_t{config.plate_rows}), "plate.rows");
-        config.plate_cols =
-            positive_count(plate->get_or("cols", std::int64_t{config.plate_cols}), "plate.cols");
+        const std::int64_t rows = plate->get_or("rows", std::int64_t{config.plate_rows});
+        const std::int64_t cols = plate->get_or("cols", std::int64_t{config.plate_cols});
+        check_plate_format(rows, cols);
+        config.plate_rows = static_cast<int>(rows);
+        config.plate_cols = static_cast<int>(cols);
     }
     if (const json::Value* volume = doc.find("well_volume_ul")) {
         config.well_volume =

@@ -85,9 +85,10 @@ namespace sdl::core {
 /// inverse of rgb_from_doc.
 [[nodiscard]] support::json::Value rgb_to_doc(color::Rgb8 c);
 
-/// A count a run uses (samples, batch sizes, plate dimensions, device
-/// counts): refused outside [1, INT_MAX] with a ConfigError naming `key`,
-/// instead of narrowed to whatever the low bits make of it or left for
+/// A count a run uses (samples, batch sizes, retries, device counts;
+/// plate sides have their own bound, check_plate_format): refused
+/// outside [1, INT_MAX] with a ConfigError naming `key`, instead of
+/// narrowed to whatever the low bits make of it or left for
 /// the run to die on. The experiment, workcell-spec and campaign parsers
 /// share it.
 [[nodiscard]] int positive_count(std::int64_t value, const std::string& key);

@@ -5,6 +5,12 @@
 
 namespace sdl::core {
 
+/// The largest plate format: 64 x 96 wells. Its well count and the camera
+/// frame imaging::scene_for_plate draws it in (800 x 600 upscaled 8x)
+/// fit an int with room to spare.
+constexpr int kMaxPlateRows = 64;
+constexpr int kMaxPlateCols = 96;
+
 double evaluate_objective(Objective objective, color::Rgb8 measured, color::Rgb8 target) {
     switch (objective) {
         case Objective::RgbEuclidean: return color::rgb_distance(measured, target);
@@ -16,13 +22,22 @@ double evaluate_objective(Objective objective, color::Rgb8 measured, color::Rgb8
     return 0.0;
 }
 
+void check_plate_format(std::optional<std::int64_t> rows, std::optional<std::int64_t> cols) {
+    const auto check_side = [](std::optional<std::int64_t> value, int max, const char* key) {
+        if (value && (*value < 1 || *value > max)) {
+            throw support::ConfigError(std::string(key) + " must be an integer in [1, " +
+                                       std::to_string(max) + "], got " +
+                                       std::to_string(*value));
+        }
+    };
+    check_side(rows, kMaxPlateRows, "plate.rows");
+    check_side(cols, kMaxPlateCols, "plate.cols");
+}
+
 ColorPickerConfig finalize_config(ColorPickerConfig config) {
     support::check(config.total_samples > 0, "total_samples must be positive");
     support::check(config.batch_size > 0, "batch_size must be positive");
-    if (config.plate_rows < 1 || config.plate_cols < 1) {
-        throw support::ConfigError(config.plate_rows < 1 ? "plate.rows must be positive"
-                                                         : "plate.cols must be positive");
-    }
+    check_plate_format(config.plate_rows, config.plate_cols);
     support::check(config.batch_size <= config.plate_rows * config.plate_cols,
                    "batch cannot exceed plate capacity");
     support::check(config.workcell.manual_handling.to_seconds() >= 0.0,
@@ -33,12 +48,6 @@ ColorPickerConfig finalize_config(ColorPickerConfig config) {
         throw support::ConfigError("linalg_backend '" + config.linalg_backend +
                                    "' is not selectable; only \"strict\" is accepted");
     }
-    // Derive device noise streams from the experiment seed so a seed fully
-    // determines the run.
-    config.ot2.noise_seed = config.seed * 0x9E3779B9ULL + 0x07B2;
-    config.camera.noise_seed = config.seed * 0x85EBCA6BULL + 0xCA3E;
-    config.faults.seed = config.seed * 0xC2B2AE35ULL + 0xFA11;
-    config.flow.seed = config.seed * 0x27D4EB2FULL + 0x910B;
     if (config.experiment_id.empty()) {
         config.experiment_id = "color_picker_" + config.date + "_B" +
                                std::to_string(config.batch_size) + "_s" +

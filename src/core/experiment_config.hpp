@@ -7,11 +7,11 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "color/rgb.hpp"
-#include "data/flow.hpp"
 #include "devices/barty.hpp"
 #include "devices/camera.hpp"
 #include "devices/ot2.hpp"
@@ -76,7 +76,6 @@ struct ColorPickerConfig {
     // --- control plane
     wei::FaultConfig faults;      ///< default: fault-free
     wei::RetryPolicy retry;
-    data::FlowConfig flow;
     metrics::MetricsConfig metrics;
     /// Vision hot path: track the fiducial across batches and rescan only
     /// its neighborhood (imaging::PlateReader). Readouts are bitwise
@@ -91,11 +90,19 @@ struct ColorPickerConfig {
     std::string date = "2023-08-16";
 };
 
-/// Validates the experiment knobs, derives the device noise streams from
-/// the experiment seed (so a seed fully determines the run), and fills in
-/// a default experiment id. WorkcellRuntime applies this on construction;
-/// callers that need the resolved id (campaigns, reports) can call it
-/// directly. Throws support::LogicError on invalid configs.
+/// The one plate-format check: throws ConfigError naming plate.rows or
+/// plate.cols when a side is outside [1, 64] or [1, 96], so the well
+/// count and the camera frame fit an int. An unset side (a workcell spec
+/// that keeps the experiment's) is not checked here. The experiment and
+/// workcell-spec readers, validate_workcell_spec and finalize_config
+/// call it.
+void check_plate_format(std::optional<std::int64_t> rows, std::optional<std::int64_t> cols);
+
+/// Validates the experiment knobs and fills in a default experiment id.
+/// WorkcellRuntime applies this on construction (and derives the device
+/// noise streams from `seed`); callers that need the resolved id
+/// (campaigns, reports) can call it directly. Throws support::LogicError
+/// on invalid configs, ConfigError on a bad plate format.
 [[nodiscard]] ColorPickerConfig finalize_config(ColorPickerConfig config);
 
 /// One measured sample in experiment order — the dots of Figure 4.

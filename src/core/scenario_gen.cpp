@@ -117,15 +117,18 @@ std::vector<std::string> expand_generated_refs(const std::string& ref) {
         bad_ref(ref, "empty seed range (" + std::to_string(lo) + " > " +
                          std::to_string(hi) + ")");
     }
-    if (hi - lo + 1 > kMaxRangeSpan) {
-        bad_ref(ref, "range spans " + std::to_string(hi - lo + 1) +
-                         " scenarios (limit " + std::to_string(kMaxRangeSpan) + ")");
+    // hi - lo + 1 wraps to 0 for the whole seed space, and k <= hi holds
+    // for every k at hi = 2^64 - 1: check the span and loop on a count.
+    if (hi - lo >= kMaxRangeSpan) {
+        bad_ref(ref, "range spans more than the limit of " + std::to_string(kMaxRangeSpan) +
+                         " scenarios");
     }
+    const std::uint64_t count = hi - lo + 1;
     std::vector<std::string> refs;
-    refs.reserve(static_cast<std::size_t>(hi - lo + 1));
-    for (std::uint64_t k = lo; k <= hi; ++k) {
+    refs.reserve(static_cast<std::size_t>(count));
+    for (std::uint64_t i = 0; i < count; ++i) {
         refs.push_back(std::string(kGeneratedRefPrefix) + std::string(kSeedKey) +
-                       std::to_string(k));
+                       std::to_string(lo + i));
     }
     return refs;
 }

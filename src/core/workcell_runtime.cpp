@@ -45,11 +45,11 @@ void WorkcellRuntime::claim() {
 
 WorkcellRuntime::WorkcellRuntime(ColorPickerConfig config)
     : config_(finalize_config(std::move(config))),
-      faults_(config_.faults),
+      faults_(config_.faults, config_.seed * 0xC2B2AE35ULL + 0xFA11),
       transport_(sim_, registry_, &faults_),
       log_(),
       engine_(transport_, registry_, log_, config_.retry),
-      flow_(sim_, portal_, config_.flow) {
+      flow_(sim_, portal_, config_.seed * 0x27D4EB2FULL + 0x910B) {
     const WorkcellTopology& topology = config_.workcell;
 
     locations_.add_location(wei::locations::kExchange);
@@ -57,9 +57,11 @@ WorkcellRuntime::WorkcellRuntime(ColorPickerConfig config)
     locations_.add_location(wei::locations::kTrash);
     locations_.add_location(wei::locations::kOt2Deck);
 
-    ot2_ = std::make_shared<devices::Ot2Sim>(config_.ot2, plates_, locations_);
+    ot2_ = std::make_shared<devices::Ot2Sim>(config_.ot2, config_.seed * 0x9E3779B9ULL + 0x07B2,
+                                             plates_, locations_);
     registry_.add(ot2_);
-    camera_ = std::make_shared<devices::CameraSim>(config_.camera, plates_, locations_);
+    camera_ = std::make_shared<devices::CameraSim>(
+        config_.camera, config_.seed * 0x85EBCA6BULL + 0xCA3E, plates_, locations_);
     registry_.add(camera_);
 
     // Handling devices, each robot-run or run by hand. A hand-run device's

@@ -3,10 +3,9 @@
 // WorkcellRuntime owns everything below the application loop: the DES
 // clock, plate/location registries, the instrument simulators, fault
 // injection, the transport, the workflow engine with its event log, and
-// the data plane (portal + Globus flow). ColorPickerApp borrows a runtime
-// and runs the Figure-2 loop on it; other applications (campaign cells,
-// custom drivers) can construct their own runtime and drive the engine
-// directly.
+// the data plane (portal + Globus flow). ColorPickerApp owns one runtime
+// and runs the Figure-2 loop on it; other drivers can construct their own
+// runtime and drive the engine directly.
 //
 // The workcell mounts the five instruments the Figure-2 workflows
 // command. Its *shape* is data: config.workcell (a WorkcellTopology,
@@ -32,7 +31,9 @@ namespace sdl::core {
 class WorkcellRuntime {
 public:
     /// Builds the full workcell for one experiment. The config is passed
-    /// through finalize_config(), so validation errors throw here.
+    /// through finalize_config(), so validation errors throw here. The
+    /// OT2, camera, fault and flow streams are seeded from config.seed, so
+    /// a seed fully determines the run.
     explicit WorkcellRuntime(ColorPickerConfig config);
 
     WorkcellRuntime(const WorkcellRuntime&) = delete;
@@ -47,7 +48,6 @@ public:
     /// would silently corrupt its metrics — claiming twice throws
     /// LogicError instead.
     void claim();
-    [[nodiscard]] bool claimed() const noexcept { return claimed_; }
 
     // --- simulation & control plane
     [[nodiscard]] des::Simulation& sim() noexcept { return sim_; }

@@ -1,6 +1,8 @@
 #include "core/workcell_spec.hpp"
 
+#include <algorithm>
 #include <set>
+#include <type_traits>
 
 #include "core/config_io.hpp"
 #include "support/atomic_io.hpp"
@@ -36,33 +38,68 @@ const char* device_kind_to_string(DeviceKind kind) {
 
 namespace {
 
-const std::vector<const char*>& option_keys(DeviceKind kind) {
-    static const std::vector<const char*> sciclops{"towers", "plates_per_tower",
-                                                   "get_plate_s"};
-    static const std::vector<const char*> pf400{"transfer_s"};
-    static const std::vector<const char*> ot2{"protocol_overhead_s", "per_well_s",
-                                              "dispense_cv", "dispense_sigma_ul",
-                                              "reservoir_capacity_ml", "clog_prob",
-                                              "dye_drift_per_well"};
-    static const std::vector<const char*> barty{"fill_s", "drain_s", "refill_s",
-                                                "prime_s", "bulk_capacity_ml"};
-    static const std::vector<const char*> camera{"capture_s", "glitch_prob",
-                                                 "drift_per_frame"};
-    switch (kind) {
-        case DeviceKind::Sciclops: return sciclops;
-        case DeviceKind::Pf400: return pf400;
-        case DeviceKind::Ot2: return ot2;
-        case DeviceKind::Barty: return barty;
-        case DeviceKind::Camera: return camera;
-    }
-    return ot2;
+/// What a device option's value must be.
+enum class Rule { Count, NonNegative, Capacity, Probability };
+
+/// The one list of device options: each kind's keys in the order
+/// workcell_spec_of writes them, with each key's rule and the config field
+/// it sets. The field's type says how a value is read and written: an int
+/// is an integer, a Duration seconds (scaled by timing_scale), a Volume
+/// milliliters, a double the number itself. Calls
+/// `visit(kind, key, rule, field)` once per option.
+template <typename Config, typename Visit>
+void visit_device_options(Config& c, Visit&& visit) {
+    using enum DeviceKind;
+    visit(Sciclops, "towers", Rule::Count, c.sciclops.towers);
+    visit(Sciclops, "plates_per_tower", Rule::Count, c.sciclops.plates_per_tower);
+    visit(Sciclops, "get_plate_s", Rule::NonNegative, c.sciclops.timing.get_plate);
+    visit(Pf400, "transfer_s", Rule::NonNegative, c.pf400.timing.transfer);
+    visit(Ot2, "protocol_overhead_s", Rule::NonNegative, c.ot2.timing.protocol_overhead);
+    visit(Ot2, "per_well_s", Rule::NonNegative, c.ot2.timing.per_well);
+    visit(Ot2, "dispense_cv", Rule::Probability, c.ot2.dispense_cv);
+    visit(Ot2, "dispense_sigma_ul", Rule::NonNegative, c.ot2.dispense_sigma_ul);
+    visit(Ot2, "reservoir_capacity_ml", Rule::Capacity, c.ot2.reservoir_capacity);
+    visit(Ot2, "clog_prob", Rule::Probability, c.ot2.clog_prob);
+    visit(Ot2, "dye_drift_per_well", Rule::NonNegative, c.ot2.dye_drift_per_well);
+    visit(Barty, "fill_s", Rule::NonNegative, c.barty.timing.fill);
+    visit(Barty, "drain_s", Rule::NonNegative, c.barty.timing.drain);
+    visit(Barty, "refill_s", Rule::NonNegative, c.barty.timing.refill);
+    visit(Barty, "prime_s", Rule::NonNegative, c.barty.timing.prime);
+    visit(Barty, "bulk_capacity_ml", Rule::Capacity, c.barty.bulk_capacity);
+    visit(Camera, "capture_s", Rule::NonNegative, c.camera.timing.capture);
+    visit(Camera, "glitch_prob", Rule::Probability, c.camera.glitch_prob);
+    visit(Camera, "drift_per_frame", Rule::NonNegative, c.camera.drift_per_frame);
 }
 
-bool is_option_key(DeviceKind kind, const std::string& key) {
-    for (const char* k : option_keys(kind)) {
-        if (key == k) return true;
+void read_option(const json::Value& value, int& field) {
+    field = static_cast<int>(value.as_int());
+}
+void read_option(const json::Value& value, double& field) { field = value.as_double(); }
+void read_option(const json::Value& value, Duration& field) {
+    field = Duration::seconds(value.as_double());
+}
+void read_option(const json::Value& value, Volume& field) {
+    field = Volume::milliliters(value.as_double());
+}
+
+json::Value option_value(int field) { return field; }
+json::Value option_value(double field) { return field; }
+json::Value option_value(Duration field) { return field.to_seconds(); }
+json::Value option_value(Volume field) { return field.to_milliliters(); }
+
+/// The rule of `kind`'s option `key`; throws ConfigError when the kind
+/// has no such option.
+Rule option_rule(DeviceKind kind, const std::string& key) {
+    static const ColorPickerConfig kTable;  // visited for its kinds, keys and rules
+    std::optional<Rule> rule;
+    visit_device_options(kTable, [&](DeviceKind k, const char* name, Rule r, const auto&) {
+        if (k == kind && key == name) rule = r;
+    });
+    if (!rule) {
+        throw support::ConfigError("unknown option '" + key + "' for device kind '" +
+                                   device_kind_to_string(kind) + "'");
     }
-    return false;
+    return *rule;
 }
 
 void check_probability(double p, const std::string& where) {
@@ -73,26 +110,35 @@ void check_probability(double p, const std::string& where) {
 
 /// Range-checks one device option so bad values fail at parse time with
 /// the key's name, not deep inside the simulator.
-void check_option_value(const std::string& key, const json::Value& value) {
+void check_option_value(Rule rule, const std::string& key, const json::Value& value) {
     const std::string where = "device option '" + key + "'";
-    if (key == "dispense_cv" || key == "glitch_prob" || key == "clog_prob") {
-        check_probability(value.as_double(where), where);
-        return;
+    switch (rule) {
+        case Rule::Count: (void)positive_count(value.as_int(where), where); return;
+        case Rule::Probability: check_probability(value.as_double(where), where); return;
+        case Rule::Capacity:
+            if (value.as_double(where) <= 0.0) {
+                throw support::ConfigError(where + " must be a positive capacity");
+            }
+            return;
+        case Rule::NonNegative:
+            if (value.as_double(where) < 0.0) {
+                throw support::ConfigError(where + " cannot be negative");
+            }
+            return;
     }
-    if (key == "towers" || key == "plates_per_tower") {
-        (void)positive_count(value.as_int(where), where);
-        return;
+}
+
+/// Whether a resolved workcell mounts `kind` robot-run; the ot2 and the
+/// camera are always mounted.
+bool mounted(const WorkcellTopology& topology, DeviceKind kind) {
+    switch (kind) {
+        case DeviceKind::Sciclops: return topology.has_sciclops;
+        case DeviceKind::Pf400: return topology.has_pf400;
+        case DeviceKind::Barty: return topology.has_barty;
+        case DeviceKind::Ot2:
+        case DeviceKind::Camera: return true;
     }
-    if (key.ends_with("_ml")) {
-        if (value.as_double(where) <= 0.0) {
-            throw support::ConfigError(where + " must be a positive capacity");
-        }
-        return;
-    }
-    // Durations (*_s) and the absolute pipetting error floor.
-    if (value.as_double(where) < 0.0) {
-        throw support::ConfigError(where + " cannot be negative");
-    }
+    return true;
 }
 
 }  // namespace
@@ -105,10 +151,7 @@ void validate_workcell_spec(const WorkcellSpec& spec) {
     if (spec.manual_handling < Duration::zero()) {
         throw support::ConfigError("workcell manual_handling_s cannot be negative");
     }
-    if ((spec.plate_rows && *spec.plate_rows < 1) ||
-        (spec.plate_cols && *spec.plate_cols < 1)) {
-        throw support::ConfigError("workcell plate rows/cols must be >= 1");
-    }
+    check_plate_format(spec.plate_rows, spec.plate_cols);
 
     std::set<DeviceKind> kinds;
     for (const DeviceSpec& device : spec.devices) {
@@ -121,12 +164,7 @@ void validate_workcell_spec(const WorkcellSpec& spec) {
         }
         if (device.options.is_object()) {
             for (const auto& [key, value] : device.options.as_object()) {
-                if (!is_option_key(device.kind, key)) {
-                    throw support::ConfigError(
-                        "unknown option '" + key + "' for device kind '" +
-                        device_kind_to_string(device.kind) + "'");
-                }
-                check_option_value(key, value);
+                check_option_value(option_rule(device.kind, key), key, value);
             }
         }
     }
@@ -179,12 +217,13 @@ WorkcellSpec workcell_spec_from_doc(const json::Value& doc) {
 
     if (const json::Value* plate = doc.find("plate")) {
         reject_unknown_keys(*plate, {"rows", "cols"}, "plate");
-        if (const json::Value* rows = plate->find("rows")) {
-            spec.plate_rows = positive_count(rows->as_int("plate.rows"), "plate.rows");
-        }
-        if (const json::Value* cols = plate->find("cols")) {
-            spec.plate_cols = positive_count(cols->as_int("plate.cols"), "plate.cols");
-        }
+        std::optional<std::int64_t> rows;
+        std::optional<std::int64_t> cols;
+        if (const json::Value* v = plate->find("rows")) rows = v->as_int("plate.rows");
+        if (const json::Value* v = plate->find("cols")) cols = v->as_int("plate.cols");
+        check_plate_format(rows, cols);
+        if (rows) spec.plate_rows = static_cast<int>(*rows);
+        if (cols) spec.plate_cols = static_cast<int>(*cols);
     }
 
     const json::Value* devices = doc.find("devices");
@@ -209,11 +248,7 @@ WorkcellSpec workcell_spec_from_doc(const json::Value& doc) {
         }
         for (const auto& [key, value] : entry.as_object()) {
             if (key == "kind" || key == "name") continue;
-            if (!is_option_key(device.kind, key)) {
-                throw support::ConfigError("unknown option '" + key +
-                                           "' for device kind '" +
-                                           device_kind_to_string(device.kind) + "'");
-            }
+            (void)option_rule(device.kind, key);
             device.options.set(key, value);
         }
         spec.devices.push_back(std::move(device));
@@ -296,114 +331,46 @@ std::string workcell_spec_to_yaml(const WorkcellSpec& spec) {
     return support::yaml::dump(workcell_spec_to_doc(spec));
 }
 
-namespace {
-
-double opt_double(const json::Value& options, const char* key, double fallback) {
-    return options.is_object() ? options.get_or(key, fallback) : fallback;
-}
-
-std::int64_t opt_int(const json::Value& options, const char* key, std::int64_t fallback) {
-    return options.is_object() ? options.get_or(key, fallback) : fallback;
-}
-
-Duration opt_duration(const json::Value& options, const char* key, Duration fallback) {
-    return Duration::seconds(opt_double(options, key, fallback.to_seconds()));
-}
-
-}  // namespace
-
 ColorPickerConfig apply_workcell_spec(ColorPickerConfig config, const WorkcellSpec& spec) {
     validate_workcell_spec(spec);
 
     // The spec fully determines the hardware: start every device from its
-    // paper-calibrated defaults so applying a spec is idempotent (noise
-    // seeds are re-derived from the experiment seed by finalize_config).
+    // paper-calibrated defaults so applying a spec is idempotent.
     config.sciclops = devices::SciclopsConfig{};
     config.pf400 = devices::Pf400Config{};
     config.ot2 = devices::Ot2Config{};
     config.barty = devices::BartyConfig{};
     config.camera = devices::CameraConfig{};
 
+    const auto listed = [&spec](DeviceKind kind) {
+        return std::ranges::any_of(spec.devices,
+                                   [kind](const DeviceSpec& d) { return d.kind == kind; });
+    };
     WorkcellTopology topology;
     topology.scenario = spec.name;
-    topology.has_sciclops = false;
-    topology.has_pf400 = false;
-    topology.has_barty = false;
+    topology.has_sciclops = listed(DeviceKind::Sciclops);
+    topology.has_pf400 = listed(DeviceKind::Pf400);
+    topology.has_barty = listed(DeviceKind::Barty);
     topology.manual_handling = spec.manual_handling * spec.timing_scale;
 
     for (const DeviceSpec& device : spec.devices) {
-        const json::Value& o = device.options;
-        switch (device.kind) {
-            case DeviceKind::Sciclops: {
-                topology.has_sciclops = true;
-                devices::SciclopsConfig& c = config.sciclops;
-                c.towers = static_cast<int>(opt_int(o, "towers", c.towers));
-                c.plates_per_tower =
-                    static_cast<int>(opt_int(o, "plates_per_tower", c.plates_per_tower));
-                c.timing.get_plate = opt_duration(o, "get_plate_s", c.timing.get_plate);
-                break;
-            }
-            case DeviceKind::Pf400: {
-                topology.has_pf400 = true;
-                config.pf400.timing.transfer =
-                    opt_duration(o, "transfer_s", config.pf400.timing.transfer);
-                break;
-            }
-            case DeviceKind::Ot2: {
-                devices::Ot2Config& c = config.ot2;
-                c.timing.protocol_overhead =
-                    opt_duration(o, "protocol_overhead_s", c.timing.protocol_overhead);
-                c.timing.per_well = opt_duration(o, "per_well_s", c.timing.per_well);
-                c.dispense_cv = opt_double(o, "dispense_cv", c.dispense_cv);
-                c.dispense_sigma_ul = opt_double(o, "dispense_sigma_ul", c.dispense_sigma_ul);
-                c.reservoir_capacity = Volume::milliliters(opt_double(
-                    o, "reservoir_capacity_ml", c.reservoir_capacity.to_milliliters()));
-                c.clog_prob = opt_double(o, "clog_prob", c.clog_prob);
-                c.dye_drift_per_well =
-                    opt_double(o, "dye_drift_per_well", c.dye_drift_per_well);
-                break;
-            }
-            case DeviceKind::Barty: {
-                topology.has_barty = true;
-                devices::BartyConfig& c = config.barty;
-                c.timing.fill = opt_duration(o, "fill_s", c.timing.fill);
-                c.timing.drain = opt_duration(o, "drain_s", c.timing.drain);
-                c.timing.refill = opt_duration(o, "refill_s", c.timing.refill);
-                c.timing.prime = opt_duration(o, "prime_s", c.timing.prime);
-                c.bulk_capacity = Volume::milliliters(
-                    opt_double(o, "bulk_capacity_ml", c.bulk_capacity.to_milliliters()));
-                break;
-            }
-            case DeviceKind::Camera: {
-                devices::CameraConfig& c = config.camera;
-                c.timing.capture = opt_duration(o, "capture_s", c.timing.capture);
-                c.glitch_prob = opt_double(o, "glitch_prob", c.glitch_prob);
-                c.drift_per_frame = opt_double(o, "drift_per_frame", c.drift_per_frame);
-                break;
-            }
-        }
+        visit_device_options(config, [&](DeviceKind kind, const char* key, Rule, auto& field) {
+            const json::Value* value = kind == device.kind ? device.options.find(key) : nullptr;
+            if (value != nullptr) read_option(*value, field);
+        });
     }
-
-    const double k = spec.timing_scale;
-    config.sciclops.timing.get_plate *= k;
-    config.pf400.timing.transfer *= k;
-    config.ot2.timing.protocol_overhead *= k;
-    config.ot2.timing.per_well *= k;
-    config.barty.timing.fill *= k;
-    config.barty.timing.drain *= k;
-    config.barty.timing.refill *= k;
-    config.barty.timing.prime *= k;
-    config.camera.timing.capture *= k;
+    // Every duration scales, a hand-run device's too.
+    visit_device_options(config, [k = spec.timing_scale](DeviceKind, const char*, Rule,
+                                                         auto& field) {
+        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(field)>, Duration>) {
+            field *= k;
+        }
+    });
 
     config.workcell = topology;
     if (spec.plate_rows) config.plate_rows = *spec.plate_rows;
     if (spec.plate_cols) config.plate_cols = *spec.plate_cols;
-    if (spec.faults) {
-        // Keep the derived seed; the spec sets rates and latency only.
-        const std::uint64_t seed = config.faults.seed;
-        config.faults = *spec.faults;
-        config.faults.seed = seed;
-    }
+    if (spec.faults) config.faults = *spec.faults;
     return config;
 }
 
@@ -415,44 +382,14 @@ WorkcellSpec workcell_spec_of(const ColorPickerConfig& config) {
     spec.plate_rows = config.plate_rows;
     spec.plate_cols = config.plate_cols;
     spec.faults = config.faults;
-    using Options = std::initializer_list<std::pair<const char*, json::Value>>;
-    const auto mount = [&](DeviceKind kind, Options options) {
-        DeviceSpec device{kind};
-        for (const auto& [key, value] : options) device.options.set(key, value);
-        spec.devices.push_back(std::move(device));
-    };
-    if (topology.has_sciclops) {
-        const devices::SciclopsConfig& c = config.sciclops;
-        mount(DeviceKind::Sciclops, {{"towers", c.towers},
-                                     {"plates_per_tower", c.plates_per_tower},
-                                     {"get_plate_s", c.timing.get_plate.to_seconds()}});
-    }
-    if (topology.has_pf400) {
-        mount(DeviceKind::Pf400,
-              {{"transfer_s", config.pf400.timing.transfer.to_seconds()}});
-    }
-    const devices::Ot2Config& ot2 = config.ot2;
-    mount(DeviceKind::Ot2,
-          {{"protocol_overhead_s", ot2.timing.protocol_overhead.to_seconds()},
-           {"per_well_s", ot2.timing.per_well.to_seconds()},
-           {"dispense_cv", ot2.dispense_cv},
-           {"dispense_sigma_ul", ot2.dispense_sigma_ul},
-           {"reservoir_capacity_ml", ot2.reservoir_capacity.to_milliliters()},
-           {"clog_prob", ot2.clog_prob},
-           {"dye_drift_per_well", ot2.dye_drift_per_well}});
-    if (topology.has_barty) {
-        const devices::BartyConfig& c = config.barty;
-        mount(DeviceKind::Barty,
-              {{"fill_s", c.timing.fill.to_seconds()},
-               {"drain_s", c.timing.drain.to_seconds()},
-               {"refill_s", c.timing.refill.to_seconds()},
-               {"prime_s", c.timing.prime.to_seconds()},
-               {"bulk_capacity_ml", c.bulk_capacity.to_milliliters()}});
-    }
-    const devices::CameraConfig& camera = config.camera;
-    mount(DeviceKind::Camera, {{"capture_s", camera.timing.capture.to_seconds()},
-                               {"glitch_prob", camera.glitch_prob},
-                               {"drift_per_frame", camera.drift_per_frame}});
+    visit_device_options(config, [&](DeviceKind kind, const char* key, Rule,
+                                     const auto& field) {
+        if (!mounted(topology, kind)) return;
+        if (spec.devices.empty() || spec.devices.back().kind != kind) {
+            spec.devices.push_back(DeviceSpec{kind});
+        }
+        spec.devices.back().options.set(key, option_value(field));
+    });
     return spec;
 }
 

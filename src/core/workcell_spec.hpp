@@ -60,14 +60,8 @@ enum class DeviceKind { Sciclops, Pf400, Ot2, Barty, Camera };
 /// optional `name:` key must equal the kind. `options` holds the
 /// kind-specific overrides exactly as written in the file (validated
 /// keys only); fields not mentioned keep the paper-calibrated defaults.
-/// Valid option keys per kind:
-///   sciclops — towers, plates_per_tower, get_plate_s
-///   pf400    — transfer_s
-///   ot2      — protocol_overhead_s, per_well_s, dispense_cv,
-///              dispense_sigma_ul, reservoir_capacity_ml, clog_prob,
-///              dye_drift_per_well
-///   barty    — fill_s, drain_s, refill_s, prime_s, bulk_capacity_ml
-///   camera   — capture_s, glitch_prob, drift_per_frame
+/// Each kind's option keys, their rules and the config fields they set
+/// are the one table in workcell_spec.cpp (docs/SCENARIOS.md lists it).
 struct DeviceSpec {
     DeviceKind kind = DeviceKind::Ot2;
     support::json::Value options = support::json::Value::object();

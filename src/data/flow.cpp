@@ -14,8 +14,8 @@ constexpr double kJitter = 0.3;
 
 }  // namespace
 
-GlobusFlowSim::GlobusFlowSim(des::Simulation& sim, DataPortal& portal, FlowConfig config)
-    : sim_(sim), portal_(portal), rng_(config.seed) {}
+GlobusFlowSim::GlobusFlowSim(des::Simulation& sim, DataPortal& portal, std::uint64_t seed)
+    : sim_(sim), portal_(portal), rng_(seed) {}
 
 support::Duration GlobusFlowSim::jittered(support::Duration base) {
     const double factor = rng_.uniform(1.0 - kJitter, 1.0 + kJitter);

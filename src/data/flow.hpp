@@ -18,14 +18,11 @@
 
 namespace sdl::data {
 
-struct FlowConfig {
-    std::uint64_t seed = 0x910B05;
-};
-
 class GlobusFlowSim {
 public:
-    /// Borrows the simulation and the destination portal.
-    GlobusFlowSim(des::Simulation& sim, DataPortal& portal, FlowConfig config = {});
+    /// Borrows the simulation and the destination portal; `seed` seeds
+    /// the stage jitter.
+    GlobusFlowSim(des::Simulation& sim, DataPortal& portal, std::uint64_t seed);
 
     /// Schedules the three-stage publication of `document`; returns
     /// immediately. The document lands in the portal when the index stage

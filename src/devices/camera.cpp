@@ -6,12 +6,9 @@ namespace sdl::devices {
 
 namespace json = support::json;
 
-CameraSim::CameraSim(CameraConfig config, wei::PlateRegistry& plates,
+CameraSim::CameraSim(CameraConfig config, std::uint64_t noise_seed, wei::PlateRegistry& plates,
                      wei::LocationMap& locations)
-    : config_(std::move(config)),
-      plates_(plates),
-      locations_(locations),
-      rng_(config_.noise_seed) {
+    : config_(config), plates_(plates), locations_(locations), rng_(noise_seed) {
     // A sensor: its reads are not robotic commands.
     info_ = wei::ModuleInfo{"camera", /*robotic=*/false};
 }
@@ -33,9 +30,8 @@ wei::ActionResult CameraSim::execute(const wei::ActionRequest& request) {
 
     // Scene geometry follows the plate dimensions (dense 384/1536 formats
     // shrink the pitch and upscale the frame); everything else (marker
-    // pose, noise, lighting) comes from the configured scene.
-    imaging::PlateScene scene =
-        imaging::scene_for_plate(config_.scene, plate.rows(), plate.cols());
+    // pose, noise, lighting) comes from the calibrated scene.
+    imaging::PlateScene scene = imaging::scene_for_plate(scene_, plate.rows(), plate.cols());
 
     // Ring-light warm-up: the shading gradient drifts a little with every
     // frame captured so far.

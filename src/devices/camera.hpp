@@ -26,9 +26,6 @@
 namespace sdl::devices {
 
 struct CameraConfig {
-    imaging::PlateScene scene;  ///< geometry + nuisances; rows/cols follow the plate
-    /// Seeds the glitch rolls and the per-frame sensor-noise keys.
-    std::uint64_t noise_seed = 0xCA3E7A;
     CameraTiming timing;
     /// Probability that a frame is unusable (fiducial occluded — e.g. the
     /// arm's shadow or a reflection). The capture *succeeds* at the
@@ -46,7 +43,9 @@ struct CameraConfig {
 ///                  plate_id} in the result data.
 class CameraSim final : public wei::Module {
 public:
-    CameraSim(CameraConfig config, wei::PlateRegistry& plates,
+    /// `noise_seed` seeds the glitch rolls and the per-frame sensor-noise
+    /// keys.
+    CameraSim(CameraConfig config, std::uint64_t noise_seed, wei::PlateRegistry& plates,
               wei::LocationMap& locations);
 
     [[nodiscard]] const wei::ModuleInfo& info() const noexcept override { return info_; }
@@ -60,7 +59,9 @@ public:
     /// Same errors as frame().
     [[nodiscard]] imaging::LazyFrame& lazy_frame(std::int64_t frame_id);
 
-    [[nodiscard]] const imaging::PlateScene& scene() const noexcept { return config_.scene; }
+    /// The calibrated scene every frame is drawn from; its rows and cols
+    /// follow each plate photographed.
+    [[nodiscard]] const imaging::PlateScene& scene() const noexcept { return scene_; }
     [[nodiscard]] std::int64_t frames_captured() const noexcept { return next_frame_id_ - 1; }
     /// Pixels rendered so far over every frame captured, replaced ones
     /// included.
@@ -68,6 +69,7 @@ public:
 
 private:
     CameraConfig config_;
+    imaging::PlateScene scene_;
     wei::PlateRegistry& plates_;
     wei::LocationMap& locations_;
     wei::ModuleInfo info_;

@@ -25,13 +25,14 @@ Ot2Sim::Reservoirs make_reservoirs(Volume capacity) {
 
 }  // namespace
 
-Ot2Sim::Ot2Sim(Ot2Config config, wei::PlateRegistry& plates, wei::LocationMap& locations)
+Ot2Sim::Ot2Sim(Ot2Config config, std::uint64_t noise_seed, wei::PlateRegistry& plates,
+               wei::LocationMap& locations)
     : config_(config),
       plates_(plates),
       locations_(locations),
       reservoirs_(make_reservoirs(config.reservoir_capacity)),
-      rng_(config.noise_seed),
-      clog_rng_(config.noise_seed ^ 0xC106C106C106ULL) {
+      rng_(noise_seed),
+      clog_rng_(noise_seed ^ 0xC106C106C106ULL) {
     info_ = wei::ModuleInfo{"ot2", /*robotic=*/true};
 }
 

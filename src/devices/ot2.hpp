@@ -38,7 +38,6 @@ struct Ot2Config {
     /// concentrate as solvent evaporates over a campaign, so late wells
     /// read slightly darker than the solver's model predicts.
     double dye_drift_per_well = 0.0;
-    std::uint64_t noise_seed = 0x07B2;
     Ot2Timing timing;
 };
 
@@ -55,7 +54,9 @@ struct DispenseOrder {
 ///                  mixes every listed well on the plate at the deck.
 class Ot2Sim final : public wei::Module {
 public:
-    Ot2Sim(Ot2Config config, wei::PlateRegistry& plates, wei::LocationMap& locations);
+    /// `noise_seed` seeds the dispense noise and, mixed, the clog rolls.
+    Ot2Sim(Ot2Config config, std::uint64_t noise_seed, wei::PlateRegistry& plates,
+           wei::LocationMap& locations);
 
     [[nodiscard]] const wei::ModuleInfo& info() const noexcept override { return info_; }
     [[nodiscard]] support::Duration estimate(const wei::ActionRequest& request) const override;

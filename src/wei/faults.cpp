@@ -2,8 +2,8 @@
 
 namespace sdl::wei {
 
-FaultInjector::FaultInjector(FaultConfig config)
-    : config_(std::move(config)), rng_(config_.seed) {}
+FaultInjector::FaultInjector(FaultConfig config, std::uint64_t seed)
+    : config_(std::move(config)), rng_(seed) {}
 
 bool FaultInjector::should_reject(const ActionRequest& request) {
     ++rolls_;

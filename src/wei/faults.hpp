@@ -24,12 +24,12 @@ struct FaultConfig {
     std::map<std::string, double> per_module;
     /// Time lost before the rejection is reported (timeout + recovery).
     support::Duration rejection_latency = support::Duration::seconds(5.0);
-    std::uint64_t seed = 0xFA117;
 };
 
 class FaultInjector {
 public:
-    explicit FaultInjector(FaultConfig config = {});
+    /// `seed` seeds the rejection rolls.
+    FaultInjector(FaultConfig config, std::uint64_t seed);
 
     /// Rolls the dice for one command.
     [[nodiscard]] bool should_reject(const ActionRequest& request);

@@ -124,6 +124,50 @@ TEST(ConfigIo, RejectsNonPositivePlateDimensions) {
     }
 }
 
+TEST(ConfigIo, RejectsPlateFormatsThatOverflowAnInt) {
+    const auto message = [](const std::string& yaml) {
+        try {
+            (void)config_from_yaml(yaml);
+        } catch (const support::ConfigError& e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    // Formats whose well count or camera frame would overflow an int are
+    // refused at parse time, naming the side: 65536 x 65536 wells
+    // overflowed finalize_config's capacity check, and a 30000000 x 1
+    // plate drew a frame wider than INT_MAX pixels. The bound is 64 x 96.
+    for (const auto& [plate, key] :
+         {std::pair{"{rows: 65536, cols: 65536}", "plate.rows"},
+          std::pair{"{rows: 30000000, cols: 1}", "plate.rows"},
+          std::pair{"{rows: 1, cols: 30000000}", "plate.cols"},
+          std::pair{"{rows: 65, cols: 96}", "plate.rows"},
+          std::pair{"{rows: 64, cols: 97}", "plate.cols"}}) {
+        const std::string what = message("experiment: {total_samples: 4, batch_size: 4}\n"
+                                          "plate: " + std::string(plate) + "\n");
+        EXPECT_NE(what.find(key), std::string::npos) << plate << ": " << what;
+    }
+    // Every format the repo runs, and the largest, still parse.
+    for (const auto& [rows, cols] : {std::pair{8, 12}, std::pair{8, 16}, std::pair{16, 24},
+                                     std::pair{32, 48}, std::pair{64, 96}}) {
+        const ColorPickerConfig config = config_from_yaml(
+            "plate: {rows: " + std::to_string(rows) + ", cols: " + std::to_string(cols) + "}\n");
+        EXPECT_EQ(config.plate_rows, rows);
+        EXPECT_EQ(config.plate_cols, cols);
+    }
+
+    // finalize_config applies the same bound to a config built in code.
+    ColorPickerConfig config;
+    config.plate_rows = 65536;
+    config.plate_cols = 65536;
+    try {
+        (void)finalize_config(std::move(config));
+        ADD_FAILURE() << "65536x65536 accepted";
+    } catch (const support::ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find("plate.rows"), std::string::npos) << e.what();
+    }
+}
+
 TEST(ConfigIo, RejectsCountsOutsideThePositiveIntRangeNamingTheKey) {
     // Each of these used to be narrowed by static_cast<int>: 2^32 + 8
     // samples ran N=8, 2^32 + 4 ran B=4.

@@ -154,7 +154,7 @@ TEST(Portal, DetailViewListsSamples) {
 TEST(Flow, PublishesAsynchronouslyThroughStages) {
     Simulation sim;
     DataPortal portal;
-    GlobusFlowSim flow(sim, portal);
+    GlobusFlowSim flow(sim, portal, 0x910B05);
 
     flow.publish(make_run("exp_a", 1, 2).to_json());
     EXPECT_EQ(flow.in_flight(), 1u);
@@ -172,7 +172,7 @@ TEST(Flow, PublishesAsynchronouslyThroughStages) {
 TEST(Flow, ManyPublicationsTrackUploadInterval) {
     Simulation sim;
     DataPortal portal;
-    GlobusFlowSim flow(sim, portal);
+    GlobusFlowSim flow(sim, portal, 0x910B05);
 
     // Publish every 230 s of simulated time, as the B=1 loop does.
     for (int i = 0; i < 10; ++i) {
@@ -189,7 +189,7 @@ TEST(Flow, DeterministicForEqualSeeds) {
     auto run_once = [] {
         Simulation sim;
         DataPortal portal;
-        GlobusFlowSim flow(sim, portal);
+        GlobusFlowSim flow(sim, portal, 0x910B05);
         flow.publish(make_run("exp_a", 1, 1).to_json());
         sim.run_all();
         return flow.completion_times()[0].to_seconds();

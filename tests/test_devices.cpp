@@ -26,6 +26,10 @@ namespace json = sdl::support::json;
 
 namespace {
 
+/// Noise seeds of the sims built here (the streams the pinned tests read).
+constexpr std::uint64_t kOt2Seed = 0x07B2;
+constexpr std::uint64_t kCameraSeed = 0xCA3E7A;
+
 /// A complete color-picker workcell in a box, wired like Figure 1.
 struct TestWorkcell {
     des::Simulation sim;
@@ -47,9 +51,9 @@ struct TestWorkcell {
         sciclops =
             std::make_shared<SciclopsSim>(SciclopsConfig{}, 8, 12, plates, locations);
         pf400 = std::make_shared<Pf400Sim>(Pf400Config{}, locations);
-        ot2 = std::make_shared<Ot2Sim>(Ot2Config{}, plates, locations);
+        ot2 = std::make_shared<Ot2Sim>(Ot2Config{}, kOt2Seed, plates, locations);
         barty = std::make_shared<BartySim>(BartyConfig{}, *ot2);
-        camera = std::make_shared<CameraSim>(CameraConfig{}, plates, locations);
+        camera = std::make_shared<CameraSim>(CameraConfig{}, kCameraSeed, plates, locations);
 
         registry.add(sciclops);
         registry.add(pf400);
@@ -326,11 +330,10 @@ struct ClogBench {
     std::shared_ptr<Ot2Sim> ot2;
     PlateId plate = 0;
 
-    explicit ClogBench(double clog_prob, std::uint64_t noise_seed = 0x07B2) {
+    explicit ClogBench(double clog_prob, std::uint64_t noise_seed = kOt2Seed) {
         Ot2Config config;
         config.clog_prob = clog_prob;
-        config.noise_seed = noise_seed;
-        ot2 = std::make_shared<Ot2Sim>(config, cell.plates, cell.locations);
+        ot2 = std::make_shared<Ot2Sim>(config, noise_seed, cell.plates, cell.locations);
         for (auto& reservoir : ot2->reservoirs()) {
             reservoir.deposit(Volume::milliliters(200));
         }
@@ -456,7 +459,7 @@ TEST(Camera, FailsWithEmptyNest) {
 
 TEST(Camera, ACaptureReplacesTheHeldFrame) {
     TestWorkcell cell;
-    CameraSim camera(CameraConfig{}, cell.plates, cell.locations);
+    CameraSim camera(CameraConfig{}, kCameraSeed, cell.plates, cell.locations);
     cell.locations.place(locations::kCamera, cell.plates.create(8, 12));
     const auto capture = [&camera] {
         const auto result = camera.execute(request_of("camera", "take_picture"));
@@ -485,7 +488,7 @@ TEST(Camera, GlitchedFrameHasNoDetectableMarker) {
     TestWorkcell cell;
     CameraConfig config;
     config.glitch_prob = 1.0;  // always glitched
-    CameraSim camera(config, cell.plates, cell.locations);
+    CameraSim camera(config, kCameraSeed, cell.plates, cell.locations);
     cell.locations.place(locations::kCamera, cell.plates.create(8, 12));
     const auto result = camera.execute(request_of("camera", "take_picture"));
     ASSERT_TRUE(result.ok());  // the capture itself succeeds
@@ -505,8 +508,8 @@ TEST(Camera, FramesMatchTwinRenders) {
     CameraConfig config;
     config.glitch_prob = 0.25;
     config.drift_per_frame = 0.002;
-    CameraSim camera(config, cell.plates, cell.locations);
-    support::Rng twin(config.noise_seed);
+    CameraSim camera(config, kCameraSeed, cell.plates, cell.locations);
+    support::Rng twin(kCameraSeed);
 
     const PlateId id = cell.plates.create(8, 12);
     cell.locations.place(locations::kCamera, id);
@@ -523,7 +526,7 @@ TEST(Camera, FramesMatchTwinRenders) {
         const auto result = camera.execute(request_of("camera", "take_picture"));
         ASSERT_TRUE(result.ok());
 
-        imaging::PlateScene scene = imaging::scene_for_plate(config.scene, 8, 12);
+        imaging::PlateScene scene = imaging::scene_for_plate(imaging::PlateScene{}, 8, 12);
         scene.illum_gradient.x += config.drift_per_frame * i;
         const bool glitched = twin.bernoulli(config.glitch_prob);
         if (glitched) scene.marker_center = {-10000.0, -10000.0};
@@ -545,7 +548,7 @@ TEST(Camera, FramesMatchTwinRenders) {
 
 TEST(Camera, RendersFramesOnDemand) {
     TestWorkcell cell;
-    CameraSim camera(CameraConfig{}, cell.plates, cell.locations);
+    CameraSim camera(CameraConfig{}, kCameraSeed, cell.plates, cell.locations);
     cell.locations.place(locations::kCamera, cell.plates.create(8, 12));
     const auto capture = [&camera] {
         const auto result = camera.execute(request_of("camera", "take_picture"));

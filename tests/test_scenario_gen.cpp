@@ -29,6 +29,32 @@ namespace {
 
 constexpr std::uint64_t kSweepSeeds = 200;
 
+/// 64-bit FNV-1a, the digest the pinned-text tests record.
+std::uint64_t fnv1a(const std::string& text) {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const char c : text) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+/// A spec that sets every device option, off its default.
+constexpr const char* kEveryOptionSpec =
+    "workcell: {name: every_option, timing_scale: 1.3, manual_handling_s: 11.0}\n"
+    "plate: {rows: 16, cols: 24}\n"
+    "devices:\n"
+    "  - {kind: sciclops, towers: 3, plates_per_tower: 7, get_plate_s: 12.5}\n"
+    "  - {kind: pf400, transfer_s: 40.25}\n"
+    "  - {kind: ot2, protocol_overhead_s: 100.5, per_well_s: 30.0, dispense_cv: 0.03, "
+    "dispense_sigma_ul: 0.5, reservoir_capacity_ml: 20.0, clog_prob: 0.01, "
+    "dye_drift_per_well: 0.0002}\n"
+    "  - {kind: barty, fill_s: 44.0, drain_s: 24.0, refill_s: 64.0, prime_s: 29.0, "
+    "bulk_capacity_ml: 400.0}\n"
+    "  - {kind: camera, capture_s: 1.25, glitch_prob: 0.02, drift_per_frame: 0.0005}\n"
+    "faults: {command_rejection_prob: 0.01, rejection_latency_s: 4.0, "
+    "per_module: {ot2: 0.02}}\n";
+
 /// The ConfigError message for `thrower()` — the grammar's contract is
 /// that every rejection names the offending token, so tests assert on
 /// the message, not just the type.
@@ -92,6 +118,10 @@ TEST(GeneratedRefs, RangeExpansionIsInclusiveAndOrdered) {
                                         "generated:seed=4"}));
     EXPECT_EQ(expand_generated_refs("generated:seed=9..9"),
               (std::vector<std::string>{"generated:seed=9"}));
+    // A range that ends at the largest seed ends there.
+    EXPECT_EQ(expand_generated_refs("generated:seed=18446744073709551614..18446744073709551615"),
+              (std::vector<std::string>{"generated:seed=18446744073709551614",
+                                        "generated:seed=18446744073709551615"}));
     // Non-generated refs pass through untouched (the axis mixes named
     // scenarios, spec files, and generated refs freely).
     EXPECT_EQ(expand_generated_refs("baseline"),
@@ -110,6 +140,13 @@ TEST(GeneratedRefs, EmptyAndOversizedRangesAreRejected) {
     EXPECT_NE(wide_what.find("limit"), std::string::npos);
     // Exactly at the cap is fine.
     EXPECT_EQ(expand_generated_refs("generated:seed=1..4096").size(), 4096u);
+    // The whole seed space spans 2^64 scenarios, a count that wraps to 0
+    // in 64 bits.
+    const std::string all_what = config_error_of(
+        [] { (void)expand_generated_refs("generated:seed=0..18446744073709551615"); });
+    EXPECT_NE(all_what.find("'generated:seed=0..18446744073709551615'"), std::string::npos)
+        << all_what;
+    EXPECT_NE(all_what.find("limit of 4096"), std::string::npos) << all_what;
 
     const std::string bad_hi_what =
         config_error_of([] { (void)expand_generated_refs("generated:seed=1..x"); });
@@ -164,14 +201,6 @@ TEST(GeneratedScenarios, SpecTextIsPinnedPerSeed) {
     // 1, 2, 17, 18, 21, 23, 24, 28; 384-well 3, 9, 19, 22, 26, 27;
     // 1536-well 20, 25, 43, 62). The generator's draws are one stream,
     // so dropping or adding a draw anywhere moves every value after it.
-    const auto fnv1a = [](const std::string& text) {
-        std::uint64_t h = 1469598103934665603ULL;
-        for (const char c : text) {
-            h ^= static_cast<unsigned char>(c);
-            h *= 1099511628211ULL;
-        }
-        return h;
-    };
     struct Pin {
         std::uint64_t seed;
         std::uint64_t digest;
@@ -233,7 +262,11 @@ void expect_same_hardware(const ColorPickerConfig& a, const ColorPickerConfig& b
     EXPECT_EQ(a.faults.command_rejection_prob, b.faults.command_rejection_prob) << what;
     EXPECT_EQ(a.faults.per_module, b.faults.per_module) << what;
     EXPECT_EQ(a.faults.rejection_latency, b.faults.rejection_latency) << what;
-    EXPECT_EQ(a.faults.seed, b.faults.seed) << what;
+}
+
+/// The resolved-spec text a campaign cell digest hashes.
+std::string resolved_spec_yaml(const WorkcellSpec& spec) {
+    return workcell_spec_to_yaml(workcell_spec_of(apply_workcell_spec(ColorPickerConfig{}, spec)));
 }
 
 }  // namespace
@@ -250,6 +283,7 @@ TEST(WorkcellSpecOf, ApplyOfSpecOfReproducesTheHardware) {
         specs.emplace_back("generated:seed=" + std::to_string(seed),
                            generate_scenario(seed));
     }
+    specs.emplace_back("every option", workcell_spec_from_yaml(kEveryOptionSpec));
     for (const auto& [what, spec] : specs) {
         const ColorPickerConfig config = apply_workcell_spec(ColorPickerConfig{}, spec);
         const WorkcellSpec inverse = workcell_spec_of(config);
@@ -257,6 +291,30 @@ TEST(WorkcellSpecOf, ApplyOfSpecOfReproducesTheHardware) {
         expect_same_hardware(apply_workcell_spec(ColorPickerConfig{}, inverse), config,
                              what);
     }
+}
+
+TEST(WorkcellSpecOf, ResolvedSpecTextIsPinned) {
+    // FNV-1a of the resolved-spec text cell digests hash: a changed byte
+    // (a key, its order, or an integer written as a double) would make
+    // --resume refuse every journal written before it.
+    EXPECT_EQ(fnv1a(resolved_spec_yaml(scenario_by_name("baseline"))), 0x79cb23109f43ea61ULL);
+    EXPECT_EQ(fnv1a(resolved_spec_yaml(scenario_by_name("degraded"))), 0xf678ac01d380a57dULL);
+    EXPECT_EQ(fnv1a(resolved_spec_yaml(scenario_by_name("fast_lane"))), 0x80cc2b8d9fb055a0ULL);
+    EXPECT_EQ(fnv1a(resolved_spec_yaml(scenario_by_name("minimal"))), 0x3a7661e9fc867752ULL);
+    EXPECT_EQ(fnv1a(resolved_spec_yaml(workcell_spec_from_yaml(kEveryOptionSpec))),
+              0xe69ba76d1838500dULL);
+    std::string generated;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        generated += resolved_spec_yaml(generate_scenario(seed));
+    }
+    EXPECT_EQ(fnv1a(generated), 0xf7d6498ac53388cbULL);
+}
+
+TEST(WorkcellSpecOf, DefaultHardwareIsTheBaselineScenario) {
+    // The config defaults and the registry both define "baseline".
+    expect_same_hardware(ColorPickerConfig{},
+                         apply_workcell_spec(ColorPickerConfig{}, scenario_by_name("baseline")),
+                         "baseline");
 }
 
 TEST(GeneratedScenarios, ResolveScenarioRoutesGeneratedRefs) {

@@ -227,11 +227,62 @@ TEST(WorkcellSpec, ValidationRejectsBadRosters) {
                       "    towers: 4294967297\n  - kind: ot2\n  - kind: camera\n")
                   .find("towers"),
               std::string::npos);
-    // A count option below 1 is out of range too.
-    EXPECT_NE(message("workcell:\n  name: x\ndevices:\n  - kind: sciclops\n"
-                      "    towers: 0\n  - kind: ot2\n  - kind: camera\n")
-                  .find("device option 'towers' must be an integer in [1, "),
-              std::string::npos);
+    // Every device option refuses its rule's bad value, naming the key:
+    // a count of 0, negative seconds or amounts, 0 mL, a probability of 1.5.
+    struct BadOption {
+        std::string kind;
+        std::string key;
+        std::string value;
+        std::string rule;
+    };
+    const std::string count = "must be an integer in [1, ";
+    const std::string negative = "cannot be negative";
+    const std::string capacity = "must be a positive capacity";
+    const std::string probability = "must be a probability in [0, 1]";
+    for (const BadOption& bad : {BadOption{"sciclops", "towers", "0", count},
+                                 BadOption{"sciclops", "plates_per_tower", "0", count},
+                                 BadOption{"sciclops", "get_plate_s", "-1", negative},
+                                 BadOption{"pf400", "transfer_s", "-1", negative},
+                                 BadOption{"ot2", "protocol_overhead_s", "-1", negative},
+                                 BadOption{"ot2", "per_well_s", "-1", negative},
+                                 BadOption{"ot2", "dispense_cv", "1.5", probability},
+                                 BadOption{"ot2", "dispense_sigma_ul", "-0.1", negative},
+                                 BadOption{"ot2", "reservoir_capacity_ml", "0", capacity},
+                                 BadOption{"ot2", "clog_prob", "1.5", probability},
+                                 BadOption{"ot2", "dye_drift_per_well", "-0.001", negative},
+                                 BadOption{"barty", "fill_s", "-1", negative},
+                                 BadOption{"barty", "drain_s", "-1", negative},
+                                 BadOption{"barty", "refill_s", "-1", negative},
+                                 BadOption{"barty", "prime_s", "-1", negative},
+                                 BadOption{"barty", "bulk_capacity_ml", "0", capacity},
+                                 BadOption{"camera", "capture_s", "-1", negative},
+                                 BadOption{"camera", "glitch_prob", "1.5", probability},
+                                 BadOption{"camera", "drift_per_frame", "-0.001", negative}}) {
+        std::string yaml = "workcell:\n  name: x\ndevices:\n";
+        for (const std::string kind : {"sciclops", "pf400", "ot2", "barty", "camera"}) {
+            yaml += "  - kind: " + kind + "\n";
+            if (kind == bad.kind) yaml += "    " + bad.key + ": " + bad.value + "\n";
+        }
+        EXPECT_NE(message(yaml).find("device option '" + bad.key + "' " + bad.rule),
+                  std::string::npos)
+            << message(yaml);
+    }
+    // Plate formats whose well count or camera frame would overflow an
+    // int are refused at parse time, naming the side (65536 x 65536
+    // wells overflowed finalize_config's capacity check; a 30000000 x 1
+    // plate drew a frame wider than INT_MAX pixels).
+    for (const auto& [plate, key] :
+         {std::pair{"{rows: 65536, cols: 65536}", "plate.rows"},
+          std::pair{"{rows: 30000000, cols: 1}", "plate.rows"},
+          std::pair{"{rows: 1, cols: 30000000}", "plate.cols"},
+          std::pair{"{rows: 65, cols: 96}", "plate.rows"},
+          std::pair{"{rows: 64, cols: 97}", "plate.cols"}}) {
+        const std::string what =
+            message("workcell:\n  name: x\nplate: " + std::string(plate) + "\n" + roster);
+        EXPECT_NE(what.find(key), std::string::npos) << plate << ": " << what;
+    }
+    EXPECT_EQ(message("workcell:\n  name: x\nplate: {rows: 64, cols: 96}\n" + roster),
+              "accepted");
     // The camera holds one frame and has no capacity option; a workcell
     // mounts one OT2; the sciclops has no status action.
     EXPECT_NE(message("workcell:\n  name: x\ndevices:\n"

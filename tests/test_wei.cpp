@@ -230,7 +230,7 @@ TEST(FaultInjector, RespectsPerModuleProbabilities) {
     FaultConfig config;
     config.command_rejection_prob = 0.0;
     config.per_module["flaky"] = 1.0;
-    FaultInjector faults(config);
+    FaultInjector faults(config, 0xFA117);
     ActionRequest flaky_request{"flaky", "work", json::Value::object(), 0};
     ActionRequest solid_request{"solid", "work", json::Value::object(), 0};
     EXPECT_TRUE(faults.should_reject(flaky_request));
@@ -242,7 +242,7 @@ TEST(FaultInjector, RespectsPerModuleProbabilities) {
 TEST(FaultInjector, FrequencyMatchesProbability) {
     FaultConfig config;
     config.command_rejection_prob = 0.3;
-    FaultInjector faults(config);
+    FaultInjector faults(config, 0xFA117);
     ActionRequest request{"dev", "work", json::Value::object(), 0};
     int rejected = 0;
     for (int i = 0; i < 10000; ++i) rejected += faults.should_reject(request);
@@ -285,8 +285,7 @@ TEST(Engine, RetriesRejectedCommandsUntilSuccess) {
     registry.add(dev);
     FaultConfig fault_config;
     fault_config.command_rejection_prob = 0.5;
-    fault_config.seed = 11;
-    FaultInjector faults(fault_config);
+    FaultInjector faults(fault_config, 11);
     SimTransport transport(sim, registry, &faults);
     EventLog log;
     RetryPolicy policy;
@@ -324,8 +323,7 @@ TEST(Engine, ExhaustedRetriesEscalateToHuman) {
     registry.add(std::make_shared<StubDevice>("dev_a"));
     FaultConfig fault_config;
     fault_config.per_module["dev_a"] = 0.9;
-    fault_config.seed = 4;
-    FaultInjector faults(fault_config);
+    FaultInjector faults(fault_config, 4);
     SimTransport transport(sim, registry, &faults);
     EventLog log;
     RetryPolicy policy;
@@ -346,7 +344,7 @@ TEST(Engine, NoHumanRescueThrowsAfterMaxAttempts) {
     registry.add(std::make_shared<StubDevice>("dev_a"));
     FaultConfig fault_config;
     fault_config.per_module["dev_a"] = 1.0;  // always rejected
-    FaultInjector faults(fault_config);
+    FaultInjector faults(fault_config, 0xFA117);
     SimTransport transport(sim, registry, &faults);
     EventLog log;
     RetryPolicy policy;
@@ -366,7 +364,7 @@ TEST(Engine, BackoffAddsWaitTimeBetweenRetries) {
     FaultConfig fault_config;
     fault_config.per_module["dev_a"] = 1.0;  // always rejected
     fault_config.rejection_latency = Duration::seconds(5.0);
-    FaultInjector faults(fault_config);
+    FaultInjector faults(fault_config, 0xFA117);
     SimTransport transport(sim, registry, &faults);
     EventLog log;
     RetryPolicy policy;
