@@ -283,10 +283,10 @@ VisionStats bench_vision_paths(int reps) {
     // Hough over the plate ROI, as read_plate drives it.
     const auto readout = reader.read(frame);
     imaging::HoughParams hough;
-    const double expected_r = scene.geometry.well_radius * readout.marker.side;
+    const double expected_r = imaging::kWellRadius * readout.marker.side;
     hough.r_min = std::max(2.0, expected_r * 0.55);
     hough.r_max = expected_r * 1.45;
-    hough.min_center_dist = 0.6 * scene.geometry.spacing * readout.marker.side;
+    hough.min_center_dist = 0.6 * imaging::kWellSpacing * readout.marker.side;
     imaging::HoughScratch hough_scratch;
     stats.hough_roi_ns = time_per_call(reps, [&] {
                              imaging::GrayImage roi_gray;

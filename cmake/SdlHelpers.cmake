@@ -3,24 +3,17 @@
 # Warning flags applied to every sdlbench target (libraries, tests,
 # benches, examples, tools). Escalated to errors by SDLBENCH_WARNINGS_AS_ERRORS.
 function(sdl_apply_warnings target)
-  if(MSVC)
-    target_compile_options(${target} PRIVATE /W4)
-    if(SDLBENCH_WARNINGS_AS_ERRORS)
-      target_compile_options(${target} PRIVATE /WX)
-    endif()
-  else()
-    target_compile_options(${target} PRIVATE -Wall -Wextra)
-    # GCC 12's -Wrestrict fires a false positive inside libstdc++'s
-    # std::string operator+ at -O2 (GCC PR 105329); keep strict builds
-    # usable by dropping just that check there.
-    if(CMAKE_CXX_COMPILER_ID STREQUAL "GNU"
-       AND CMAKE_CXX_COMPILER_VERSION VERSION_GREATER_EQUAL 12
-       AND CMAKE_CXX_COMPILER_VERSION VERSION_LESS 13)
-      target_compile_options(${target} PRIVATE -Wno-restrict)
-    endif()
-    if(SDLBENCH_WARNINGS_AS_ERRORS)
-      target_compile_options(${target} PRIVATE -Werror)
-    endif()
+  target_compile_options(${target} PRIVATE -Wall -Wextra)
+  # GCC 12's -Wrestrict fires a false positive inside libstdc++'s
+  # std::string operator+ at -O2 (GCC PR 105329); keep strict builds
+  # usable by dropping just that check there.
+  if(CMAKE_CXX_COMPILER_ID STREQUAL "GNU"
+     AND CMAKE_CXX_COMPILER_VERSION VERSION_GREATER_EQUAL 12
+     AND CMAKE_CXX_COMPILER_VERSION VERSION_LESS 13)
+    target_compile_options(${target} PRIVATE -Wno-restrict)
+  endif()
+  if(SDLBENCH_WARNINGS_AS_ERRORS)
+    target_compile_options(${target} PRIVATE -Werror)
   endif()
 endfunction()
 

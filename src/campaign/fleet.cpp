@@ -25,9 +25,7 @@
 #include "support/mutex.hpp"
 #include "support/subprocess.hpp"
 
-#if !defined(_WIN32)
 #include <signal.h>  // kill(2)
-#endif
 
 namespace sdl::campaign {
 
@@ -300,7 +298,6 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
         // a field missing or of the wrong type, or a journal it points to.
         std::size_t line = 1;
         try {
-#if !defined(_WIN32)
             // Orphans of the dead coordinator: best-effort SIGKILL by
             // recorded pid before reading their journals, so none can
             // append a record after we've drained it. A reused pid is
@@ -314,7 +311,6 @@ FleetResult run_fleet(const std::string& spec_path, const std::string& out_dir,
                 }
             }
             line = 1;
-#endif
             for (const json::Value& event : prior.records) {
                 ++line;
                 const auto integer = [&event](const char* key) {

@@ -42,6 +42,24 @@ int positive_count(std::int64_t value, const std::string& key) {
     return static_cast<int>(value);
 }
 
+void check_rejection_probabilities(const wei::FaultConfig& faults) {
+    const auto check = [](double p, const std::string& key) {
+        if (!(p >= 0.0 && p < 1.0)) {
+            throw support::ConfigError(key + " must be a probability in [0, 1)");
+        }
+    };
+    check(faults.command_rejection_prob, "faults.command_rejection_prob");
+    for (const auto& [module, p] : faults.per_module) {
+        check(p, "faults.per_module." + module);
+    }
+}
+
+void check_well_volume(support::Volume volume) {
+    if (!(volume.to_microliters() > 0.0)) {
+        throw support::ConfigError("well_volume_ul must be positive");
+    }
+}
+
 Objective objective_from_string(const std::string& name) {
     if (name == "rgb") return Objective::RgbEuclidean;
     if (name == "de76") return Objective::DeltaE76;
@@ -106,8 +124,12 @@ ColorPickerConfig config_from_doc(const json::Value& doc) {
             workcell->get_or("sciclops", config.workcell.has_sciclops);
         config.workcell.has_pf400 = workcell->get_or("pf400", config.workcell.has_pf400);
         config.workcell.has_barty = workcell->get_or("barty", config.workcell.has_barty);
-        config.workcell.manual_handling = support::Duration::seconds(workcell->get_or(
-            "manual_handling_s", config.workcell.manual_handling.to_seconds()));
+        const double manual_s = workcell->get_or(
+            "manual_handling_s", config.workcell.manual_handling.to_seconds());
+        if (manual_s < 0.0) {
+            throw support::ConfigError("workcell.manual_handling_s cannot be negative");
+        }
+        config.workcell.manual_handling = support::Duration::seconds(manual_s);
     }
     if (const json::Value* exp = doc.find("experiment")) {
         reject_unknown_keys(*exp,
@@ -145,11 +167,13 @@ ColorPickerConfig config_from_doc(const json::Value& doc) {
     if (const json::Value* volume = doc.find("well_volume_ul")) {
         config.well_volume =
             support::Volume::microliters(volume->as_double("well_volume_ul"));
+        check_well_volume(config.well_volume);
     }
     if (const json::Value* faults = doc.find("faults")) {
         reject_unknown_keys(*faults, {"command_rejection_prob"}, "faults");
         config.faults.command_rejection_prob =
             faults->get_or("command_rejection_prob", 0.0);
+        check_rejection_probabilities(config.faults);
     }
     if (const json::Value* retry = doc.find("retry")) {
         reject_unknown_keys(*retry, {"max_attempts", "human_rescue"}, "retry");

@@ -93,6 +93,19 @@ namespace sdl::core {
 /// share it.
 [[nodiscard]] int positive_count(std::int64_t value, const std::string& key);
 
+/// The fault profile's command-rejection probabilities, the global one
+/// and each per-module override: refused outside [0, 1) with a
+/// ConfigError naming the key (faults.command_rejection_prob,
+/// faults.per_module.<module>). At 1 every command is rejected and the
+/// human rescue renews the retry budget forever, so the run never ends.
+/// The experiment and workcell-spec readers and finalize_config share it.
+void check_rejection_probabilities(const wei::FaultConfig& faults);
+
+/// A well volume that is not positive (every dispense is the volume
+/// times a ratio) is refused with a ConfigError naming well_volume_ul.
+/// The experiment reader and finalize_config share it.
+void check_well_volume(support::Volume volume);
+
 /// Throws ConfigError when `node` has a key outside `known`, or is
 /// neither a mapping nor null (null reads as an absent section); `where`
 /// names the section in the message. The schema validators here

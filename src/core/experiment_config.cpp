@@ -1,6 +1,7 @@
 #include "core/experiment_config.hpp"
 
 #include "color/lab.hpp"
+#include "core/config_io.hpp"
 #include "support/common.hpp"
 
 namespace sdl::core {
@@ -42,6 +43,8 @@ ColorPickerConfig finalize_config(ColorPickerConfig config) {
                    "batch cannot exceed plate capacity");
     support::check(config.workcell.manual_handling.to_seconds() >= 0.0,
                    "manual_handling cannot be negative");
+    check_well_volume(config.well_volume);
+    check_rejection_probabilities(config.faults);
     // There is one linalg implementation; a caller still selecting
     // another fails loudly instead of being ignored.
     if (config.linalg_backend != "strict") {

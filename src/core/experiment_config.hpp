@@ -102,7 +102,9 @@ void check_plate_format(std::optional<std::int64_t> rows, std::optional<std::int
 /// WorkcellRuntime applies this on construction (and derives the device
 /// noise streams from `seed`); callers that need the resolved id
 /// (campaigns, reports) can call it directly. Throws support::LogicError
-/// on invalid configs, ConfigError on a bad plate format.
+/// on invalid configs, ConfigError on a bad plate format, a well volume
+/// that is not positive or a command-rejection probability outside
+/// [0, 1) (config_io.hpp).
 [[nodiscard]] ColorPickerConfig finalize_config(ColorPickerConfig config);
 
 /// One measured sample in experiment order — the dots of Figure 4.

@@ -102,19 +102,17 @@ Rule option_rule(DeviceKind kind, const std::string& key) {
     return *rule;
 }
 
-void check_probability(double p, const std::string& where) {
-    if (p < 0.0 || p > 1.0) {
-        throw support::ConfigError(where + " must be a probability in [0, 1]");
-    }
-}
-
 /// Range-checks one device option so bad values fail at parse time with
 /// the key's name, not deep inside the simulator.
 void check_option_value(Rule rule, const std::string& key, const json::Value& value) {
     const std::string where = "device option '" + key + "'";
     switch (rule) {
         case Rule::Count: (void)positive_count(value.as_int(where), where); return;
-        case Rule::Probability: check_probability(value.as_double(where), where); return;
+        case Rule::Probability:
+            if (const double p = value.as_double(where); p < 0.0 || p > 1.0) {
+                throw support::ConfigError(where + " must be a probability in [0, 1]");
+            }
+            return;
         case Rule::Capacity:
             if (value.as_double(where) <= 0.0) {
                 throw support::ConfigError(where + " must be a positive capacity");
@@ -176,11 +174,7 @@ void validate_workcell_spec(const WorkcellSpec& spec) {
                                    "' must mount a camera (the loop's only sensor)");
     }
     if (spec.faults) {
-        check_probability(spec.faults->command_rejection_prob,
-                          "faults.command_rejection_prob");
-        for (const auto& [module, prob] : spec.faults->per_module) {
-            check_probability(prob, "faults.per_module." + module);
-        }
+        check_rejection_probabilities(*spec.faults);
         if (spec.faults->rejection_latency < Duration::zero()) {
             throw support::ConfigError("faults.rejection_latency_s cannot be negative");
         }

@@ -1,7 +1,6 @@
 // The four WEI workflows of the color-picker application (Figure 2):
 // cp_wf_newplate, cp_wf_mixcolor, cp_wf_trashplate, cp_wf_replenish.
-// Defined here in the same YAML notation a user would write on disk
-// (configs/ ships the identical files).
+// Defined here in the same YAML notation a user would write on disk.
 #pragma once
 
 #include "wei/workflow.hpp"

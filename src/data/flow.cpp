@@ -45,10 +45,4 @@ void GlobusFlowSim::publish(support::json::Value document) {
     });
 }
 
-support::Duration GlobusFlowSim::mean_upload_interval() const noexcept {
-    if (completion_times_.size() < 2) return support::Duration::zero();
-    const support::Duration span = completion_times_.back() - completion_times_.front();
-    return span / static_cast<double>(completion_times_.size() - 1);
-}
-
 }  // namespace sdl::data

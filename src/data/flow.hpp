@@ -40,9 +40,6 @@ public:
         return completion_times_;
     }
 
-    /// Mean spacing between consecutive completions (zero with < 2).
-    [[nodiscard]] support::Duration mean_upload_interval() const noexcept;
-
 private:
     [[nodiscard]] support::Duration jittered(support::Duration base);
 

@@ -40,9 +40,9 @@ void Simulation::run_until_time(TimePoint t) {
     now_ = t;
 }
 
-bool Simulation::run_until(const std::function<bool()>& pred, TimePoint deadline) {
+bool Simulation::run_until(const std::function<bool()>& pred) {
     if (pred()) return true;
-    while (!queue_.empty() && queue_.top().time <= deadline) {
+    while (!queue_.empty()) {
         step();
         if (pred()) return true;
     }

@@ -50,9 +50,8 @@ public:
     void run_until_time(TimePoint t);
 
     /// Runs events until `pred()` becomes true (checked after each event).
-    /// Returns false if the queue drained or `deadline` passed first.
-    bool run_until(const std::function<bool()>& pred,
-                   TimePoint deadline = TimePoint::from_seconds(1e18));
+    /// Returns false if the queue drained first.
+    bool run_until(const std::function<bool()>& pred);
 
     [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
     [[nodiscard]] std::uint64_t processed() const noexcept { return processed_; }

@@ -7,6 +7,7 @@
 #include "imaging/draw.hpp"
 #include "imaging/filters.hpp"
 #include "support/common.hpp"
+#include "support/random.hpp"
 
 namespace sdl::imaging {
 
@@ -43,12 +44,16 @@ int hamming(std::uint16_t a, std::uint16_t b) noexcept {
     return std::popcount(static_cast<unsigned>(a ^ b));
 }
 
-MarkerDictionary MarkerDictionary::generate(std::size_t count, int min_distance,
-                                            std::uint64_t seed) {
-    support::check(count > 0 && count <= 256, "dictionary size out of range");
-    support::Rng rng(seed);
+namespace {
+
+/// The standard dictionary's 16 codes: candidates drawn from a fixed seed,
+/// kept when every rotation is at least 6 bits from every kept code.
+std::vector<std::uint16_t> standard_codes() {
+    constexpr std::size_t kCount = 16;
+    constexpr int kMinDistance = 6;
+    support::Rng rng(0xA5C0DE);
     std::vector<std::uint16_t> codes;
-    codes.reserve(count);
+    codes.reserve(kCount);
 
     auto rotations = [](std::uint16_t c) {
         std::array<std::uint16_t, 4> rots{c, 0, 0, 0};
@@ -57,11 +62,7 @@ MarkerDictionary MarkerDictionary::generate(std::size_t count, int min_distance,
         return rots;
     };
 
-    std::size_t attempts = 0;
-    while (codes.size() < count) {
-        if (++attempts > 2'000'000) {
-            throw support::LogicError("marker dictionary generation did not converge");
-        }
+    while (codes.size() < kCount) {
         const auto candidate = static_cast<std::uint16_t>(rng.next() & 0xFFFFU);
         const int bits = std::popcount(static_cast<unsigned>(candidate));
         if (bits < 5 || bits > 11) continue;  // avoid near-uniform patterns
@@ -76,7 +77,7 @@ MarkerDictionary MarkerDictionary::generate(std::size_t count, int min_distance,
         for (const std::uint16_t existing : codes) {
             if (!ok) break;
             for (const std::uint16_t rot : cand_rots) {
-                if (hamming(existing, rot) < min_distance) {
+                if (hamming(existing, rot) < kMinDistance) {
                     ok = false;
                     break;
                 }
@@ -84,22 +85,24 @@ MarkerDictionary MarkerDictionary::generate(std::size_t count, int min_distance,
         }
         if (ok) codes.push_back(candidate);
     }
-    return MarkerDictionary(std::move(codes));
+    return codes;
 }
 
+}  // namespace
+
 const MarkerDictionary& MarkerDictionary::standard() {
-    static const MarkerDictionary dict = generate(16);
+    static const MarkerDictionary dict(standard_codes());  // built once, on first use
     return dict;
 }
 
 std::optional<MarkerDictionary::Match> MarkerDictionary::match(
-    std::uint16_t observed, int max_correctable) const noexcept {
+    std::uint16_t observed) const noexcept {
     std::optional<Match> best;
     for (std::size_t id = 0; id < codes_.size(); ++id) {
         std::uint16_t rotated = codes_[id];
         for (int k = 0; k < 4; ++k) {
             const int d = hamming(observed, rotated);
-            if (d <= max_correctable && (!best || d < best->distance)) {
+            if (d <= kMaxCorrectableBits && (!best || d < best->distance)) {
                 best = Match{id, k, d};
             }
             rotated = rotate_code_cw(rotated);
@@ -282,7 +285,7 @@ void detect_impl(const Image& img, const MarkerDictionary& dict, Rect region,
         }
         const auto payload = sample_payload(scratch.smooth, h, r.x0, r.y0);
         if (!payload) continue;
-        const auto match = dict.match(*payload, kMaxCorrectableBits);
+        const auto match = dict.match(*payload);
         if (!match) continue;
 
         MarkerDetection det;

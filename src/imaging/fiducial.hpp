@@ -17,7 +17,6 @@
 #include "imaging/filters.hpp"
 #include "imaging/image.hpp"
 #include "imaging/quad.hpp"
-#include "support/random.hpp"
 
 namespace sdl::imaging {
 
@@ -33,15 +32,12 @@ inline constexpr int kMarkerCells = kGridBits + 2;
 [[nodiscard]] int hamming(std::uint16_t a, std::uint16_t b) noexcept;
 
 /// A dictionary of marker codes with pairwise (rotation-inclusive)
-/// Hamming distance >= `min_distance` and self-rotation distance >= 4,
-/// so every observation decodes to a unique (id, rotation).
+/// Hamming distance >= 6 and self-rotation distance >= 4, so every
+/// observation decodes to a unique (id, rotation).
 class MarkerDictionary {
 public:
-    /// Deterministically generates `count` codes (same seed -> same dictionary).
-    [[nodiscard]] static MarkerDictionary generate(std::size_t count, int min_distance = 6,
-                                                   std::uint64_t seed = 0xA5C0DE);
-
-    /// The default 16-marker dictionary used across sdlbench.
+    /// The 16-marker dictionary used across sdlbench, drawn from a fixed
+    /// seed on first use.
     [[nodiscard]] static const MarkerDictionary& standard();
 
     [[nodiscard]] std::size_t size() const noexcept { return codes_.size(); }
@@ -49,15 +45,14 @@ public:
 
     /// Looks up an observed payload; returns (id, rotation) where
     /// rotation is the number of clockwise 90° turns that map the
-    /// canonical code onto the observation. Tolerates up to
-    /// `max_correctable` bit errors.
+    /// canonical code onto the observation. Tolerates one bit error; the
+    /// closest code wins.
     struct Match {
         std::size_t id;
         int rotation;
         int distance;
     };
-    [[nodiscard]] std::optional<Match> match(std::uint16_t observed,
-                                             int max_correctable = 1) const noexcept;
+    [[nodiscard]] std::optional<Match> match(std::uint16_t observed) const noexcept;
 
 private:
     explicit MarkerDictionary(std::vector<std::uint16_t> codes) : codes_(std::move(codes)) {}

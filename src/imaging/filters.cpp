@@ -142,16 +142,6 @@ void sobel(const GrayImage& img, Gradients& out) {
     }
 }
 
-BinaryImage threshold_below(const GrayImage& img, float t) {
-    BinaryImage mask(img.width(), img.height());
-    for (int y = 0; y < img.height(); ++y) {
-        for (int x = 0; x < img.width(); ++x) {
-            mask.set(x, y, img.at(x, y) < t);
-        }
-    }
-    return mask;
-}
-
 namespace {
 
 double boxed_sum(const std::vector<double>& integral, int width, Rect r) {
@@ -206,16 +196,6 @@ void adaptive_threshold(const GrayImage& img, int window, float offset,
             mask.set(x, y, img.at(x, y) < mean - offset);
         }
     }
-}
-
-float region_mean(const GrayImage& img, Rect rect) {
-    const Rect r = rect.clipped(img.width(), img.height());
-    if (r.width() == 0 || r.height() == 0) return 0.0F;
-    double sum = 0.0;
-    for (int y = r.y0; y < r.y1; ++y) {
-        for (int x = r.x0; x < r.x1; ++x) sum += img.at(x, y);
-    }
-    return static_cast<float>(sum / (static_cast<double>(r.width()) * r.height()));
 }
 
 }  // namespace sdl::imaging

@@ -1,5 +1,5 @@
-// Image filters: separable Gaussian blur, Sobel gradients, fixed and
-// adaptive thresholding — the preprocessing stages of §2.4's pipeline.
+// Image filters: separable Gaussian blur, Sobel gradients and adaptive
+// thresholding — the preprocessing stages of §2.4's pipeline.
 #pragma once
 
 #include "imaging/geometry.hpp"
@@ -36,10 +36,6 @@ struct Gradients {
 /// Sobel into reusable planes (no allocation once warm).
 void sobel(const GrayImage& img, Gradients& out);
 
-/// mask(x,y) = img(x,y) < t  (dark-object segmentation; the fiducial
-/// marker is black on a white card).
-[[nodiscard]] BinaryImage threshold_below(const GrayImage& img, float t);
-
 /// Adaptive mean threshold: mask = img < local_mean(window) - offset,
 /// computed with an integral image (O(1) per pixel).
 [[nodiscard]] BinaryImage adaptive_threshold(const GrayImage& img, int window,
@@ -49,8 +45,5 @@ void sobel(const GrayImage& img, Gradients& out);
 /// kept in a caller-owned buffer (no allocation once warm).
 void adaptive_threshold(const GrayImage& img, int window, float offset,
                         BinaryImage& mask, std::vector<double>& integral);
-
-/// Mean of a rectangular region (clipped); exposed for tests.
-[[nodiscard]] float region_mean(const GrayImage& img, Rect rect);
 
 }  // namespace sdl::imaging

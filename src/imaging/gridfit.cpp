@@ -8,6 +8,13 @@
 
 namespace sdl::imaging {
 
+namespace {
+
+constexpr int kIterations = 3;          ///< assign-and-refit rounds
+constexpr std::size_t kMinInliers = 6;  ///< fewest assignments worth a refit
+
+}  // namespace
+
 Vec2 GridModel::to_grid(Vec2 p) const {
     const double det = row_axis.cross(col_axis);
     if (std::fabs(det) < 1e-9) {
@@ -21,14 +28,14 @@ Vec2 GridModel::to_grid(Vec2 p) const {
 }
 
 GridFit fit_grid(std::span<const Vec2> points, const GridModel& initial, int rows, int cols,
-                 double inlier_radius, int iterations, std::size_t min_inliers) {
+                 double inlier_radius) {
     support::check(rows > 0 && cols > 0, "grid dimensions must be positive");
     support::check(inlier_radius > 0.0, "inlier radius must be positive");
 
     GridFit fit;
     fit.model = initial;
 
-    for (int iter = 0; iter < iterations; ++iter) {
+    for (int iter = 0; iter < kIterations; ++iter) {
         // Assign each point to its nearest lattice node under the current
         // model; keep those within the inlier radius.
         struct Assignment {
@@ -66,7 +73,7 @@ GridFit fit_grid(std::span<const Vec2> points, const GridModel& initial, int row
             }
             spans_grid = (max_r > min_r) && (max_c > min_c);
         }
-        if (assigned.size() < min_inliers || !spans_grid) {
+        if (assigned.size() < kMinInliers || !spans_grid) {
             // Not enough support to refine: report the assignment stats of
             // the incoming model and stop.
             fit.inliers = assigned.size();

@@ -35,12 +35,12 @@ struct GridFit {
     double mean_residual = 0.0;    ///< mean inlier distance to its node, px
 };
 
-/// Refines `initial` so the lattice passes through `points`. Points
-/// farther than `inlier_radius` from their nearest node are excluded from
-/// the fit (false-positive circles). Returns the initial model unchanged
-/// when fewer than `min_inliers` points can be assigned.
+/// Refines `initial` so the lattice passes through `points`, in three
+/// assign-and-refit rounds. Points farther than `inlier_radius` from
+/// their nearest node are excluded from the fit (false-positive circles).
+/// Returns the initial model unchanged when fewer than six points can be
+/// assigned.
 [[nodiscard]] GridFit fit_grid(std::span<const Vec2> points, const GridModel& initial,
-                               int rows, int cols, double inlier_radius,
-                               int iterations = 3, std::size_t min_inliers = 6);
+                               int rows, int cols, double inlier_radius);
 
 }  // namespace sdl::imaging

@@ -12,6 +12,21 @@ namespace sdl::imaging {
 
 namespace {
 
+// The calibrated scene's fixed parts.
+constexpr double kMarkerSidePx = 56.0;
+constexpr std::size_t kMarkerId = 7;
+constexpr color::Rgb8 kBackground{68, 70, 74};    ///< workcell deck
+constexpr color::Rgb8 kPlateBody{206, 204, 198};  ///< plate plastic
+constexpr color::Rgb8 kWellWall{38, 38, 40};      ///< rim ring of filled wells
+/// Unfilled wells: translucent plastic shows nearly the plate color,
+/// which is what makes HoughCircles "prone to false negatives" on
+/// partially used plates (§2.4). These colors sit right at the
+/// edge-detection margin so empty wells are found only sporadically —
+/// the grid alignment predicts the rest.
+constexpr color::Rgb8 kEmptyWell{201, 199, 194};  ///< unfilled well interior
+constexpr color::Rgb8 kEmptyRim{196, 194, 189};
+constexpr double kWallThickness = 0.25;  ///< ring thickness as fraction of radius
+
 std::uint8_t shade(std::uint8_t value, double factor, double noise) noexcept {
     const double v = value * factor + noise;
     // Three roundings per pixel: the libm lround call cost used to
@@ -47,12 +62,10 @@ LazyFrame::LazyFrame(const PlateScene& scene, std::span<const color::Rgb8> well_
     support::check(colors_.size() == wells, "well color count must equal rows*cols");
     support::check(filled == nullptr || filled->size() == wells,
                    "fill mask size must equal rows*cols");
-    support::check(scene.marker_id < MarkerDictionary::standard().size(),
-                   "marker id outside the marker dictionary");
     filled_ = filled != nullptr ? *filled : std::vector<bool>(wells, true);
 
     // Plate body: a quadrilateral covering the well block plus a margin.
-    const double pitch = g.spacing * scene.marker_side_px;
+    const double pitch = kWellSpacing * kMarkerSidePx;
     const Vec2 ux = Vec2{1, 0}.rotated(scene.angle_rad);
     const Vec2 uy = Vec2{0, 1}.rotated(scene.angle_rad);
     const double margin = pitch * 0.9;
@@ -70,7 +83,7 @@ LazyFrame::LazyFrame(const PlateScene& scene, std::span<const color::Rgb8> well_
     // Bucket the wells by the tiles their draw boxes meet (fill_ring's
     // box reaches at most r + 2 px past the center; r + 3 is safe). The
     // buckets keep well order, which is the per-pixel draw order.
-    const double reach = g.well_radius * scene.marker_side_px + 3.0;
+    const double reach = kWellRadius * kMarkerSidePx + 3.0;
     tile_wells_.resize(ready_.size());
     for (std::size_t i = 0; i < wells; ++i) {
         const Rect box = reach_box(centers_[i], reach, bounds());
@@ -85,7 +98,7 @@ LazyFrame::LazyFrame(const PlateScene& scene, std::span<const color::Rgb8> well_
 
     // The marker card spans kMarkerCells + 2 cells, i.e. at most
     // 0.95 sides from the center at any rotation.
-    marker_box_ = reach_box(scene.marker_center, scene.marker_side_px + 2.0, bounds());
+    marker_box_ = reach_box(scene.marker_center, kMarkerSidePx + 2.0, bounds());
 }
 
 Rect LazyFrame::tile_rect(int tx, int ty) const noexcept {
@@ -124,7 +137,7 @@ std::vector<Rect> LazyFrame::rendered_tiles() const {
 void LazyFrame::render_tile(Rect tile) {
     std::uint8_t* bytes = raster_.bytes().data();
     const auto stride = static_cast<std::size_t>(width());
-    const color::Rgb8 bg = scene_.background;
+    const color::Rgb8 bg = kBackground;
     for (int y = tile.y0; y < tile.y1; ++y) {
         std::uint8_t* px = bytes + 3 * (static_cast<std::size_t>(y) * stride +
                                         static_cast<std::size_t>(tile.x0));
@@ -134,24 +147,23 @@ void LazyFrame::render_tile(Rect tile) {
             px[2] = bg.b;
         }
     }
-    fill_quad(raster_, body_, scene_.plate_body, tile);
+    fill_quad(raster_, body_, kPlateBody, tile);
 
     // Wells: rim ring plus interior (sample color or empty plastic).
-    const double radius = scene_.geometry.well_radius * scene_.marker_side_px;
-    const double inner = radius * (1.0 - scene_.wall_thickness);
+    const double radius = kWellRadius * kMarkerSidePx;
+    const double inner = radius * (1.0 - kWallThickness);
     const auto t = static_cast<std::size_t>(tile.y0 / kTile * tiles_x_ + tile.x0 / kTile);
     for (const std::size_t i : tile_wells_[t]) {
         const bool has_sample = filled_[i];
         fill_ring(raster_, centers_[i], radius, inner,
-                  has_sample ? scene_.well_wall : scene_.empty_rim, tile);
+                  has_sample ? kWellWall : kEmptyRim, tile);
         fill_circle(raster_, centers_[i], inner,
-                    has_sample ? colors_[i] : scene_.empty_well, tile);
+                    has_sample ? colors_[i] : kEmptyWell, tile);
     }
 
     if (!tile.intersected(marker_box_).empty()) {
-        render_marker(raster_, MarkerDictionary::standard(), scene_.marker_id,
-                      scene_.marker_center, scene_.marker_side_px, scene_.angle_rad,
-                      tile);
+        render_marker(raster_, MarkerDictionary::standard(), kMarkerId,
+                      scene_.marker_center, kMarkerSidePx, scene_.angle_rad, tile);
     }
     shade_tile(tile);
 }
@@ -205,28 +217,29 @@ void LazyFrame::shade_tile(Rect tile) {
 
 std::vector<Vec2> true_well_centers(const PlateScene& scene) {
     const SceneGeometry& g = scene.geometry;
-    const double s = scene.marker_side_px;
+    const double s = kMarkerSidePx;
     const Vec2 ux = Vec2{1, 0}.rotated(scene.angle_rad);
     const Vec2 uy = Vec2{0, 1}.rotated(scene.angle_rad);
-    const Vec2 origin = scene.marker_center + ux * (g.plate_offset.x * s) +
-                        uy * (g.plate_offset.y * s);
+    const Vec2 origin = scene.marker_center + ux * (kPlateOffset.x * s) +
+                        uy * (kPlateOffset.y * s);
     std::vector<Vec2> centers;
     centers.reserve(static_cast<std::size_t>(g.well_count()));
     for (int r = 0; r < g.rows; ++r) {
         for (int c = 0; c < g.cols; ++c) {
-            centers.push_back(origin + uy * (r * g.spacing * s) + ux * (c * g.spacing * s));
+            centers.push_back(origin + uy * (r * kWellSpacing * s) +
+                              ux * (c * kWellSpacing * s));
         }
     }
     return centers;
 }
 
 MarkerDetection calibrated_marker_pose(const PlateScene& scene) {
-    const double s = scene.marker_side_px;
+    const double s = kMarkerSidePx;
     const Vec2 ux = Vec2{1, 0}.rotated(scene.angle_rad);
     const Vec2 uy = Vec2{0, 1}.rotated(scene.angle_rad);
     const Vec2 tl = scene.marker_center - ux * (s / 2) - uy * (s / 2);
     MarkerDetection pose;
-    pose.id = scene.marker_id;
+    pose.id = kMarkerId;
     pose.corners = {tl, tl + ux * s, tl + ux * s + uy * s, tl + uy * s};
     pose.center = scene.marker_center;
     pose.side = s;
@@ -240,7 +253,7 @@ PlateScene scene_for_plate(PlateScene scene, int rows, int cols) {
     // The calibrated scene fits an 8x12 grid; denser plates upscale the
     // raster by ceil(1/f) (f is 1/2 for 384, 1/4 for 1536, so the
     // upscale is exact) and leave the marker-relative geometry alone:
-    // with marker_side_px unchanged, well pixel pitch and radius stay at
+    // with the marker size unchanged, well pixel pitch and radius stay at
     // the 96-well values the vision pipeline is calibrated for, and the
     // marker itself stays inside the detector's scale envelope (a 4x
     // marker would outgrow the adaptive-threshold window and vanish).

@@ -26,46 +26,42 @@
 
 namespace sdl::imaging {
 
-/// Geometry shared between renderer and reader, expressed in units of the
-/// fiducial marker's side length so the reader can recover everything
-/// from the detected marker alone (as the paper's pipeline does).
+// The plate's layout relative to the fiducial, in units of the marker's
+// side length, so the reader can recover everything from the detected
+// marker alone (as the paper's pipeline does). The camera mount places
+// the plate the same way every time (§2.2), so renderer and reader share
+// one calibration.
+
+/// Well pitch in marker-side units.
+inline constexpr double kWellSpacing = 0.62;
+/// Well radius in marker-side units.
+inline constexpr double kWellRadius = 0.24;
+/// Marker center -> well(0,0) center, in the marker's canonical frame.
+inline constexpr Vec2 kPlateOffset{1.45, -2.17};
+
+/// The plate format the reader expects.
 struct SceneGeometry {
     int rows = 8;
     int cols = 12;
-    /// Well pitch in marker-side units.
-    double spacing = 0.62;
-    /// Well radius in marker-side units.
-    double well_radius = 0.24;
-    /// Marker center -> well(0,0) center, in the marker's canonical frame.
-    Vec2 plate_offset{1.45, -2.17};
 
     [[nodiscard]] int well_count() const noexcept { return rows * cols; }
 };
 
+/// What varies between frames: the plate format, the frame size and
+/// marker position (scene_for_plate's upscale, a glitched capture), the
+/// scene rotation, and the sensor model (the illumination gradient
+/// drifts). The marker's id and size, the deck, plate and well colors and
+/// the well-wall thickness are constants of the renderer.
 struct PlateScene {
     int width = 800;
     int height = 600;
     SceneGeometry geometry;
 
     Vec2 marker_center{110.0, 300.0};
-    double marker_side_px = 56.0;
     double angle_rad = 0.0;  ///< scene rotation (plate + marker together)
-    std::size_t marker_id = 7;
 
-    color::Rgb8 background{68, 70, 74};    ///< workcell deck
-    color::Rgb8 plate_body{206, 204, 198};  ///< plate plastic
-    color::Rgb8 well_wall{38, 38, 40};      ///< rim ring of filled wells
-    /// Unfilled wells: translucent plastic shows nearly the plate color,
-    /// which is what makes HoughCircles "prone to false negatives" on
-    /// partially used plates (§2.4). The defaults sit right at the
-    /// edge-detection margin so empty wells are found only sporadically —
-    /// the grid alignment predicts the rest.
-    color::Rgb8 empty_well{201, 199, 194};  ///< unfilled well interior
-    color::Rgb8 empty_rim{196, 194, 189};
-
-    double wall_thickness = 0.25;  ///< ring thickness as fraction of radius
-    double noise_sigma = 2.0;      ///< Gaussian sensor noise, 8-bit units
-    double vignette = 0.10;        ///< corner darkening strength
+    double noise_sigma = 2.0;          ///< Gaussian sensor noise, 8-bit units
+    double vignette = 0.10;            ///< corner darkening strength
     Vec2 illum_gradient{0.04, -0.03};  ///< linear shading across the frame
 };
 
@@ -154,12 +150,11 @@ private:
 [[nodiscard]] MarkerDetection calibrated_marker_pose(const PlateScene& scene);
 
 /// Adapts a scene to a plate format. Up to the calibrated 8x12 the scene
-/// passes through with only rows/cols set (96-well frames stay bitwise
-/// identical to the pre-adaptation renderer). Denser formats (384-, 1536-
-/// well) shrink the well pitch so the grid spans the same deck area, and
-/// upscale the frame + fiducial by the matching integer factor so each
-/// well keeps its 96-well *pixel* size — the Hough radius band and the
-/// §2.4 marker-relative geometry both keep working unchanged.
+/// passes through with only rows/cols set. Denser formats (384-, 1536-
+/// well) scale the frame size and the marker center by the integer factor
+/// that fits the larger grid; the marker size and the well pitch stay, so
+/// each well keeps its 96-well *pixel* size and the Hough radius band and
+/// the §2.4 marker-relative geometry keep working unchanged.
 [[nodiscard]] PlateScene scene_for_plate(PlateScene scene, int rows, int cols);
 
 }  // namespace sdl::imaging

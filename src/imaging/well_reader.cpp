@@ -42,11 +42,12 @@ WellReadout read_with_marker(const Image& frame, LazyFrame* lazy,
     const Vec2 ux = Vec2{1, 0}.rotated(marker.angle);
     const Vec2 uy = Vec2{0, 1}.rotated(marker.angle);
     GridModel initial;
-    initial.origin = marker.center + ux * (g.plate_offset.x * s) + uy * (g.plate_offset.y * s);
-    initial.row_axis = uy * (g.spacing * s);
-    initial.col_axis = ux * (g.spacing * s);
+    initial.origin =
+        marker.center + ux * (kPlateOffset.x * s) + uy * (kPlateOffset.y * s);
+    initial.row_axis = uy * (kWellSpacing * s);
+    initial.col_axis = ux * (kWellSpacing * s);
 
-    const double pitch = g.spacing * s;
+    const double pitch = kWellSpacing * s;
     double min_x = 1e300, min_y = 1e300, max_x = -1e300, max_y = -1e300;
     for (const int r : {0, g.rows - 1}) {
         for (const int c : {0, g.cols - 1}) {
@@ -68,7 +69,7 @@ WellReadout read_with_marker(const Image& frame, LazyFrame* lazy,
     // converted to luma; the transform then sees its whole (pre-cropped)
     // input, and the integer ROI offset is added back to the detected
     // centers — exact, since Hough centers are integer-valued.
-    const double expected_r = g.well_radius * s;
+    const double expected_r = kWellRadius * s;
     HoughParams hough;
     hough.r_min = std::max(2.0, expected_r * (1.0 - kRadiusTolerance));
     hough.r_max = expected_r * (1.0 + kRadiusTolerance);

@@ -45,7 +45,7 @@ std::vector<std::vector<double>> AnnealSolver::ask(std::size_t n) {
 }
 
 void AnnealSolver::tell(std::span<const Observation> observations) {
-    SolverBase::tell(observations);
+    Solver::tell(observations);
     for (const Observation& obs : observations) {
         if (!has_state_) {
             state_ = obs.ratios;

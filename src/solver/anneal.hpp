@@ -12,7 +12,7 @@
 
 namespace sdl::solver {
 
-class AnnealSolver final : public SolverBase {
+class AnnealSolver final : public Solver {
 public:
     explicit AnnealSolver(std::uint64_t seed);
 

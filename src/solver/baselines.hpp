@@ -11,7 +11,7 @@
 
 namespace sdl::solver {
 
-class RandomSolver final : public SolverBase {
+class RandomSolver final : public Solver {
 public:
     explicit RandomSolver(std::uint64_t seed);
 
@@ -24,7 +24,7 @@ private:
 
 /// Scans a fixed lattice in index order; a deterministic exhaustive
 /// baseline for small budgets.
-class GridSolver final : public SolverBase {
+class GridSolver final : public Solver {
 public:
     [[nodiscard]] std::string name() const override { return "grid"; }
     [[nodiscard]] std::vector<std::vector<double>> ask(std::size_t n) override;
@@ -33,7 +33,7 @@ private:
     std::size_t cursor_ = 0;
 };
 
-class OracleSolver final : public SolverBase {
+class OracleSolver final : public Solver {
 public:
     /// Requires the target to be inside the mixer's gamut.
     OracleSolver(const color::BeerLambertMixer& mixer, color::Rgb8 target,

@@ -99,7 +99,7 @@ private:
 [[nodiscard]] std::vector<GaussianProcess::Prediction> score_candidate_pool(
     const GaussianProcess& gp, const linalg::Matrix& pool);
 
-class BayesSolver final : public SolverBase {
+class BayesSolver final : public Solver {
 public:
     explicit BayesSolver(std::uint64_t seed);
 

@@ -22,7 +22,7 @@
 
 namespace sdl::solver {
 
-class GeneticSolver final : public SolverBase {
+class GeneticSolver final : public Solver {
 public:
     explicit GeneticSolver(std::uint64_t seed);
 

@@ -48,7 +48,7 @@ std::vector<std::vector<double>> PatternSearchSolver::ask(std::size_t n) {
 }
 
 void PatternSearchSolver::tell(std::span<const Observation> observations) {
-    SolverBase::tell(observations);
+    Solver::tell(observations);
     bool improved = false;
     for (const Observation& obs : observations) {
         if (obs.score < center_score_) {

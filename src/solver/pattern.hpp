@@ -12,7 +12,7 @@
 
 namespace sdl::solver {
 
-class PatternSearchSolver final : public SolverBase {
+class PatternSearchSolver final : public Solver {
 public:
     explicit PatternSearchSolver(std::uint64_t seed);
 

@@ -2,7 +2,7 @@
 
 namespace sdl::solver {
 
-void SolverBase::tell(std::span<const Observation> observations) {
+void Solver::tell(std::span<const Observation> observations) {
     previous_generation_.assign(observations.begin(), observations.end());
     for (const Observation& obs : observations) {
         archive_.push_back(obs);
@@ -10,7 +10,7 @@ void SolverBase::tell(std::span<const Observation> observations) {
     }
 }
 
-std::optional<Observation> SolverBase::best() const { return best_; }
+std::optional<Observation> Solver::best() const { return best_; }
 
 bool is_valid_proposal(std::span<const double> ratios) {
     if (ratios.size() != color::kDyes) return false;

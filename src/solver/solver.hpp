@@ -29,6 +29,9 @@ struct Observation {
     double score = 0.0;
 };
 
+/// A decision procedure: each solver implements name() and ask(); the
+/// base keeps the shared bookkeeping, an archive of every observation
+/// plus the best one.
 class Solver {
 public:
     virtual ~Solver() = default;
@@ -39,18 +42,13 @@ public:
     /// and a non-degenerate sum (so the well is never empty).
     [[nodiscard]] virtual std::vector<std::vector<double>> ask(std::size_t n) = 0;
 
-    /// Reports evaluated proposals back to the solver.
-    virtual void tell(std::span<const Observation> observations) = 0;
+    /// Reports evaluated proposals back to the solver: archives them and
+    /// tracks the best. A solver that adapts to feedback overrides it and
+    /// calls Solver::tell first.
+    virtual void tell(std::span<const Observation> observations);
 
     /// Best observation seen so far (nullopt before any tell()).
-    [[nodiscard]] virtual std::optional<Observation> best() const = 0;
-};
-
-/// Shared bookkeeping: archive of all observations plus best tracking.
-class SolverBase : public Solver {
-public:
-    void tell(std::span<const Observation> observations) override;
-    [[nodiscard]] std::optional<Observation> best() const override;
+    [[nodiscard]] std::optional<Observation> best() const;
 
 protected:
     [[nodiscard]] const std::vector<Observation>& archive() const noexcept {

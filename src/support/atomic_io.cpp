@@ -6,12 +6,8 @@
 #include <sstream>
 #include <utility>
 
-#if defined(_WIN32)
-#include <process.h>
-#else
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 #include "support/common.hpp"
 #include "support/failpoint.hpp"
@@ -20,15 +16,6 @@ namespace sdl::support {
 
 namespace {
 
-long current_pid() {
-#if defined(_WIN32)
-    return static_cast<long>(_getpid());
-#else
-    return static_cast<long>(::getpid());
-#endif
-}
-
-#if !defined(_WIN32)
 // Makes a directory-entry change (create, rename) itself durable: data
 // fsyncs alone don't persist the *name*, so after a power loss the file
 // could vanish despite every write having been acknowledged.
@@ -40,7 +27,6 @@ void fsync_parent_dir(const std::string& path) noexcept {
         ::close(fd);
     }
 }
-#endif
 
 }  // namespace
 
@@ -51,7 +37,7 @@ void atomic_write(const std::string& path, std::string_view content) {
     // a complete document.
     static std::atomic<unsigned long> sequence{0};
     const std::string tmp =
-        path + ".tmp." + std::to_string(current_pid()) + "." +
+        path + ".tmp." + std::to_string(::getpid()) + "." +
         std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
     {
         // sdlbench-lint: allow(raw-artifact-write): this IS atomic_write — the raw stream targets the temp file the rename publishes
@@ -79,7 +65,6 @@ void atomic_write(const std::string& path, std::string_view content) {
         }
     };
     if (failpoint::armed()) fail_and_discard_tmp("atomic_io.fsync");
-#if !defined(_WIN32)
     // Push the temp file's bytes to stable storage before the rename
     // publishes it, so a machine crash cannot surface the new name with
     // empty/partial content.
@@ -88,7 +73,6 @@ void atomic_write(const std::string& path, std::string_view content) {
         ::fsync(fd);
         ::close(fd);
     }
-#endif
     if (failpoint::armed()) fail_and_discard_tmp("atomic_io.rename");
     std::error_code ec;
     std::filesystem::rename(tmp, path, ec);
@@ -98,9 +82,7 @@ void atomic_write(const std::string& path, std::string_view content) {
         throw Error("io", "cannot rename '" + tmp + "' to '" + path +
                               "': " + ec.message());
     }
-#if !defined(_WIN32)
     fsync_parent_dir(path);  // make the rename itself durable
-#endif
 }
 
 std::string read_file(const std::string& path, std::string_view what) {
@@ -112,55 +94,31 @@ std::string read_file(const std::string& path, std::string_view what) {
 }
 
 AppendWriter::AppendWriter(std::string path) : path_(std::move(path)) {
-#if defined(_WIN32)
-    // Best-effort fallback: unbuffered append-mode stdio. Windows has no
-    // true O_APPEND single-write guarantee here; the linux path below is
-    // the one the journal's durability story is built on.
-    // sdlbench-lint: allow(raw-artifact-write): AppendWriter's own Windows fallback, documented best-effort above
-    file_ = std::fopen(path_.c_str(), "ab");
-    if (file_ != nullptr) std::setvbuf(file_, nullptr, _IONBF, 0);
-    const bool ok = file_ != nullptr;
-#else
     // O_APPEND: every write(2) lands atomically at the current end of
     // file, so records from concurrent appenders never interleave
     // mid-line — provided each record goes out in ONE write, which
     // append_line guarantees (no stdio buffering to split it).
     fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (fd_ >= 0) fsync_parent_dir(path_);  // persist the O_CREAT entry
-    const bool ok = fd_ >= 0;
-#endif
-    if (!ok) {
+    if (fd_ < 0) {
         throw Error("io", "cannot open journal '" + path_ + "' for appending");
     }
+    fsync_parent_dir(path_);  // persist the O_CREAT entry
 }
 
 AppendWriter::~AppendWriter() { close(); }
 
 void AppendWriter::close() noexcept {
-#if defined(_WIN32)
-    if (file_ != nullptr) std::fclose(std::exchange(file_, nullptr));
-#else
     if (fd_ >= 0) ::close(std::exchange(fd_, -1));
-#endif
 }
 
-AppendWriter::AppendWriter(AppendWriter&& other) noexcept : path_(std::move(other.path_)) {
-#if defined(_WIN32)
-    file_ = std::exchange(other.file_, nullptr);
-#else
-    fd_ = std::exchange(other.fd_, -1);
-#endif
-}
+AppendWriter::AppendWriter(AppendWriter&& other) noexcept
+    : path_(std::move(other.path_)), fd_(std::exchange(other.fd_, -1)) {}
 
 AppendWriter& AppendWriter::operator=(AppendWriter&& other) noexcept {
     if (this != &other) {
         close();
         path_ = std::move(other.path_);
-#if defined(_WIN32)
-        file_ = std::exchange(other.file_, nullptr);
-#else
         fd_ = std::exchange(other.fd_, -1);
-#endif
     }
     return *this;
 }
@@ -172,12 +130,6 @@ void AppendWriter::append_line(std::string_view line) {
     record.reserve(line.size() + 1);
     record.append(line);
     record.push_back('\n');
-#if defined(_WIN32)
-    check(file_ != nullptr, "append_line on a moved-from AppendWriter");
-    const bool ok = std::fwrite(record.data(), 1, record.size(), file_) ==
-                        record.size() &&
-                    std::fflush(file_) == 0;
-#else
     check(fd_ >= 0, "append_line on a moved-from AppendWriter");
     // One write(2) for the whole record; a short write (ENOSPC, a signal
     // mid-write) would tear the journal line, so treat it as a failure —
@@ -210,7 +162,6 @@ void AppendWriter::append_line(std::string_view line) {
         failpoint::maybe_fail("journal.append_fsync", "io");
     }
     ok = ok && ::fdatasync(fd_) == 0;
-#endif
     if (!ok) {
         throw Error("io", "failed appending to journal '" + path_ + "'");
     }

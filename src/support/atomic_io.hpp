@@ -12,7 +12,6 @@
 // the one whole-file reader.
 #pragma once
 
-#include <cstdio>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,8 +38,7 @@ void atomic_write(const std::string& path, std::string_view content);
 /// at most one truncated final line — which journal readers detect and
 /// drop. Not internally synchronized across *threads*:
 /// callers serialize appends (campaign::run_cells serializes its
-/// completion hook). On Windows a buffered-stdio fallback is used without the
-/// cross-process interleaving guarantee.
+/// completion hook).
 class AppendWriter {
 public:
     /// Opens `path` for appending, creating it if absent.
@@ -66,11 +64,7 @@ private:
     void close() noexcept;
 
     std::string path_;
-#if defined(_WIN32)
-    std::FILE* file_ = nullptr;
-#else
     int fd_ = -1;
-#endif
 };
 
 /// Bytes read from an AppendWriter journal, split at the last newline.

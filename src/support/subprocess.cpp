@@ -8,14 +8,12 @@
 #include "support/common.hpp"
 #include "support/failpoint.hpp"
 
-#if !defined(_WIN32)
 #include <csignal>
 #include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 extern char** environ;
-#endif
 
 namespace sdl::support {
 
@@ -28,25 +26,6 @@ ChildProcess& ChildProcess::operator=(ChildProcess&& other) noexcept {
     }
     return *this;
 }
-
-#if defined(_WIN32)
-
-void ChildProcess::close_stdin() noexcept {}
-void ChildProcess::close_pipes() noexcept {}
-
-ChildProcess spawn_child(const std::vector<std::string>&, const std::vector<std::string>&) {
-    throw Error("subprocess", "fleet execution is POSIX-only on this build");
-}
-bool write_line_fd(int, std::string_view) noexcept { return false; }
-void kill_hard(const ChildProcess&) noexcept {}
-int wait_exit(const ChildProcess&) noexcept { return -1; }
-std::vector<bool> poll_readable(const std::vector<int>& fds, int) {
-    return std::vector<bool>(fds.size(), false);
-}
-long read_some(int, LineBuffer&) { return -1; }
-void ignore_sigpipe() noexcept {}
-
-#else
 
 void ChildProcess::close_stdin() noexcept {
     if (stdin_fd_ >= 0) {
@@ -216,8 +195,6 @@ long read_some(int fd, LineBuffer& buf) {
 }
 
 void ignore_sigpipe() noexcept { ::signal(SIGPIPE, SIG_IGN); }
-
-#endif  // _WIN32
 
 std::optional<std::string> LineBuffer::next_line() {
     const std::size_t nl = buffer_.find('\n', start_);

@@ -5,9 +5,7 @@
 // pipes. These are the POSIX primitives underneath: spawn a child with
 // both pipes attached, push whole lines down a descriptor in a single
 // write(2), reassemble lines from partial reads, poll many descriptors
-// with a deadline, and kill/reap children. On Windows every entry point
-// throws Error("subprocess") — the fleet is POSIX-only for now; the
-// single-process campaign path is unaffected.
+// with a deadline, and kill/reap children.
 #pragma once
 
 #include <cstddef>

@@ -3,7 +3,7 @@
 // The concurrency invariants of this codebase (which mutex guards which
 // state) are written into the types themselves via these annotations, so
 // `clang -Wthread-safety` turns "forgot the lock" into a compile error.
-// On compilers without the attribute (GCC, MSVC) every macro expands to
+// On compilers without the attribute (GCC) every macro expands to
 // nothing — the annotations are documentation there, and ThreadSanitizer
 // (the `tsan` CMake preset) provides the dynamic check instead.
 //

@@ -88,6 +88,59 @@ TEST(ConfigIo, RejectsBadValues) {
     EXPECT_THROW((void)config_from_yaml("experiment:\n  objective: hsv\n"),
                  support::ConfigError);
     EXPECT_THROW((void)config_from_yaml("just a scalar"), support::Error);
+
+    // Out-of-range values are refused when read, naming the key: at a
+    // rejection probability of 1 no command ever runs and the human
+    // rescue retries forever; a negative well volume dispenses negative
+    // dye; a negative hand-run time used to die in finalize_config.
+    const auto message = [](const std::string& yaml) {
+        try {
+            (void)config_from_yaml(yaml);
+        } catch (const support::ConfigError& e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    for (const auto& [yaml, key] : {
+             std::pair{"faults: {command_rejection_prob: 1.0}\n",
+                       "faults.command_rejection_prob"},
+             std::pair{"faults: {command_rejection_prob: 2.0}\n",
+                       "faults.command_rejection_prob"},
+             std::pair{"faults: {command_rejection_prob: -0.1}\n",
+                       "faults.command_rejection_prob"},
+             std::pair{"well_volume_ul: -80\n", "well_volume_ul"},
+             std::pair{"well_volume_ul: 0\n", "well_volume_ul"},
+             std::pair{"workcell: {scenario: minimal, manual_handling_s: -5}\n",
+                       "workcell.manual_handling_s"},
+         }) {
+        const std::string what = message(yaml);
+        EXPECT_NE(what.find(key), std::string::npos) << yaml << what;
+    }
+    EXPECT_EQ(message("faults: {command_rejection_prob: 0.99}\n"), "accepted");
+
+    // finalize_config refuses the same values in a config built in code.
+    const auto finalize_message = [](auto mutate) {
+        ColorPickerConfig config;
+        mutate(config);
+        try {
+            (void)finalize_config(std::move(config));
+        } catch (const support::ConfigError& e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    EXPECT_NE(finalize_message([](ColorPickerConfig& c) {
+                  c.faults.command_rejection_prob = 1.0;
+              }).find("faults.command_rejection_prob"),
+              std::string::npos);
+    EXPECT_NE(finalize_message([](ColorPickerConfig& c) {
+                  c.faults.per_module["pf400"] = 1.0;
+              }).find("faults.per_module.pf400"),
+              std::string::npos);
+    EXPECT_NE(finalize_message([](ColorPickerConfig& c) {
+                  c.well_volume = support::Volume::microliters(-80.0);
+              }).find("well_volume_ul"),
+              std::string::npos);
 }
 
 TEST(ConfigIo, RejectsNonPositivePlateDimensions) {

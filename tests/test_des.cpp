@@ -85,14 +85,6 @@ TEST(Simulation, RunUntilReportsFailureWhenQueueDrains) {
     EXPECT_FALSE(sim.run_until([] { return false; }));
 }
 
-TEST(Simulation, RunUntilRespectsDeadline) {
-    Simulation sim;
-    bool done = false;
-    sim.schedule_in(Duration::seconds(100), [&] { done = true; });
-    EXPECT_FALSE(sim.run_until([&] { return done; }, TimePoint::from_seconds(50)));
-    EXPECT_FALSE(done);
-}
-
 TEST(Simulation, DeterministicReplay) {
     auto run = [] {
         Simulation sim;

@@ -21,11 +21,9 @@
 #include <utility>
 #include <vector>
 
-#if !defined(_WIN32)
 #include <sys/wait.h>
 
 #include <csignal>
-#endif
 
 #include "campaign/campaign_io.hpp"
 #include "campaign/checkpoint.hpp"
@@ -1147,8 +1145,6 @@ TEST(LineBufferTest, ReassemblesLinesAcrossChunks) {
 
 // -------------------------------------------------------------- subprocess
 
-#if !defined(_WIN32)
-
 TEST(SubprocessTest, SpawnEchoRoundTrip) {
     // cat echoes our lines back: exercises spawn, both pipes, EOF on
     // close_stdin, and clean reaping.
@@ -1215,5 +1211,3 @@ TEST(SubprocessTest, ExecFailureExits127) {
     EXPECT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 127);
 }
-
-#endif  // !_WIN32

@@ -137,19 +137,6 @@ TEST(Filters, SobelDetectsVerticalEdge) {
     EXPECT_NEAR(g.gx.at(2, 5), 0.0F, 1e-5F);  // flat region
 }
 
-TEST(Filters, ThresholdBelow) {
-    GrayImage img(4, 1);
-    img.at(0, 0) = 0.1F;
-    img.at(1, 0) = 0.4F;
-    img.at(2, 0) = 0.6F;
-    img.at(3, 0) = 0.9F;
-    const BinaryImage mask = threshold_below(img, 0.5F);
-    EXPECT_TRUE(mask.at(0, 0));
-    EXPECT_TRUE(mask.at(1, 0));
-    EXPECT_FALSE(mask.at(2, 0));
-    EXPECT_EQ(mask.count(), 2u);
-}
-
 TEST(Filters, AdaptiveThresholdFindsDarkSpotDespiteGradient) {
     // A dark dot on a bright background with a strong global ramp: a
     // fixed threshold fails, the adaptive one doesn't.
@@ -250,7 +237,11 @@ TEST(Quad, ExtractsRotatedSquare) {
                              c + ux * (side / 2) + uy * (side / 2),
                              c - ux * (side / 2) + uy * (side / 2)};
     fill_quad(img, corners, {0, 0, 0});
-    const BinaryImage mask = threshold_below(to_gray(img), 0.5F);
+    const GrayImage gray = to_gray(img);
+    BinaryImage mask(gray.width(), gray.height());
+    for (int y = 0; y < gray.height(); ++y) {
+        for (int x = 0; x < gray.width(); ++x) mask.set(x, y, gray.at(x, y) < 0.5F);
+    }
     const Labeling lab = label_components(mask);
     ASSERT_EQ(lab.blobs.size(), 1u);
     const auto quad = extract_quad(boundary_pixels(lab, 0));
@@ -316,12 +307,27 @@ TEST(Fiducial, DictionaryHasPairwiseRotationalDistance) {
     }
 }
 
+TEST(Fiducial, StandardDictionaryCodesArePinned) {
+    // FNV-1a 64 over the 16 codes, two bytes each, low byte first: the
+    // codes every rendered and read marker uses.
+    const MarkerDictionary& dict = MarkerDictionary::standard();
+    ASSERT_EQ(dict.size(), 16u);
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (std::size_t id = 0; id < dict.size(); ++id) {
+        for (const int shift : {0, 8}) {
+            hash ^= static_cast<std::uint64_t>((dict.code(id) >> shift) & 0xFFU);
+            hash *= 0x100000001b3ULL;
+        }
+    }
+    EXPECT_EQ(hash, 0x99cf806131481db2ULL) << std::hex << hash;
+}
+
 TEST(Fiducial, MatchIdentifiesRotation) {
     const MarkerDictionary& dict = MarkerDictionary::standard();
     const std::uint16_t code = dict.code(5);
     std::uint16_t rotated = code;
     for (int k = 0; k < 4; ++k) {
-        const auto m = dict.match(rotated, 0);
+        const auto m = dict.match(rotated);
         ASSERT_TRUE(m.has_value());
         EXPECT_EQ(m->id, 5u);
         EXPECT_EQ(m->rotation, k);
@@ -332,7 +338,7 @@ TEST(Fiducial, MatchIdentifiesRotation) {
 TEST(Fiducial, MatchCorrectsSingleBitError) {
     const MarkerDictionary& dict = MarkerDictionary::standard();
     const std::uint16_t corrupted = dict.code(3) ^ 0x0010;
-    const auto m = dict.match(corrupted, 1);
+    const auto m = dict.match(corrupted);
     ASSERT_TRUE(m.has_value());
     EXPECT_EQ(m->id, 3u);
     EXPECT_EQ(m->distance, 1);
@@ -588,7 +594,7 @@ TEST(WellReader, ReadsAllWellColorsAccurately) {
     const WellReadout readout = read_plate(frame, params);
     ASSERT_TRUE(readout.ok) << readout.error;
     ASSERT_EQ(readout.colors.size(), 96u);
-    EXPECT_EQ(readout.marker.id, ts.scene.marker_id);
+    EXPECT_EQ(readout.marker.id, calibrated_marker_pose(ts.scene).id);
 
     // Center prediction accuracy against ground truth.
     const auto truth = true_well_centers(ts.scene);

@@ -130,14 +130,6 @@ TEST(FiltersExtra, AdaptiveThresholdOnUniformImageIsEmpty) {
     EXPECT_EQ(mask.count(), 0u);
 }
 
-TEST(FiltersExtra, RegionMeanClipsAndAverages) {
-    GrayImage img(10, 10, 0.25F);
-    for (int x = 0; x < 10; ++x) img.at(x, 0) = 1.0F;
-    EXPECT_NEAR(region_mean(img, {0, 0, 10, 1}), 1.0F, 1e-6F);
-    EXPECT_NEAR(region_mean(img, {-100, 1, 100, 100}), 0.25F, 1e-6F);
-    EXPECT_EQ(region_mean(img, {50, 50, 60, 60}), 0.0F);  // fully clipped
-}
-
 // ------------------------------------------------------------ components
 
 TEST(ComponentsExtra, LargeBlobDoesNotOverflow) {

@@ -227,6 +227,17 @@ TEST(WorkcellSpec, ValidationRejectsBadRosters) {
                       "    towers: 4294967297\n  - kind: ot2\n  - kind: camera\n")
                   .find("towers"),
               std::string::npos);
+    // A rejection probability of 1, global or per module, rejects every
+    // command, and the human rescue would retry it forever.
+    for (const auto& [faults, key] :
+         {std::pair{"{command_rejection_prob: 1.0}", "faults.command_rejection_prob"},
+          std::pair{"{per_module: {pf400: 1.0}}", "faults.per_module.pf400"}}) {
+        const std::string what =
+            message("workcell:\n  name: x\n" + roster + "faults: " + faults + "\n");
+        EXPECT_NE(what.find(std::string(key) + " must be a probability in [0, 1)"),
+                  std::string::npos)
+            << faults << ": " << what;
+    }
     // Every device option refuses its rule's bad value, naming the key:
     // a count of 0, negative seconds or amounts, 0 mL, a probability of 1.5.
     struct BadOption {

@@ -85,7 +85,7 @@ double run_loop(Solver& solver, NoisyObjective& objective, std::size_t budget,
 
 // -------------------------------------------------------------- interface
 
-TEST(SolverBase, TracksBestAcrossTells) {
+TEST(Solver, TracksBestAcrossTells) {
     GeneticSolver solver(0x6E7E71C);
     EXPECT_FALSE(solver.best().has_value());
     Observation a{{0.5, 0.5, 0.5, 0.5}, {100, 100, 100}, 30.0};
@@ -97,7 +97,7 @@ TEST(SolverBase, TracksBestAcrossTells) {
     EXPECT_DOUBLE_EQ(solver.best()->score, 3.0);
 }
 
-TEST(SolverBase, ProposalValidation) {
+TEST(Solver, ProposalValidation) {
     EXPECT_TRUE(is_valid_proposal(std::vector<double>{0.1, 0.2, 0.3, 0.4}));
     EXPECT_FALSE(is_valid_proposal(std::vector<double>{0.1, 0.2, 0.3}));
     EXPECT_FALSE(is_valid_proposal(std::vector<double>{0.1, 0.2, 0.3, 0.2, 0.1}));

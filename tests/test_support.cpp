@@ -24,11 +24,9 @@
 #include "support/thread_pool.hpp"
 #include "support/units.hpp"
 
-#if !defined(_WIN32)
 #include <pthread.h>
 #include <signal.h>
 #include <unistd.h>
-#endif
 
 using namespace sdl::support;
 
@@ -551,7 +549,6 @@ TEST(Failpoint, AtomicWriteInjectionLeavesTheOldFileIntact) {
     std::filesystem::remove_all(dir);
 }
 
-#if !defined(_WIN32)
 namespace {
 void ignore_usr1(int) {}
 }  // namespace
@@ -587,4 +584,3 @@ TEST(Subprocess, PollReadableSurvivesEintr) {
     close(fds[0]);
     close(fds[1]);
 }
-#endif
